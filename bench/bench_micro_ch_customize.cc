@@ -1,11 +1,12 @@
 // CH customization gate: the cost of pricing the hierarchy for a
-// congestion bucket, across the three sweep strategies and the shared
-// plane cache.
+// congestion bucket with the pull kernel — one worker, level-parallel,
+// incremental — and the shared plane cache.
 //
-// The binary asserts the tentpole's contract and exits 1 when it breaks:
-//   1. serial (threads=0), level-parallel (threads=2 and 4), and
-//      incremental sweeps produce bit-identical planes — costs AND via
-//      assignments — for every weight vector tried (unconditional);
+// The binary asserts the customization contract and exits 1 when it breaks:
+//   1. one worker (threads=0 and 1), level-parallel (threads=2 and 4), and
+//      incremental runs produce planes bit-identical — costs AND via
+//      assignments — to the reference push sweep (ChCustomizeReference)
+//      for every weight vector tried (unconditional);
 //   2. the 4-thread sweep is >= 2x faster than serial (asserted only when
 //      the machine has >= 4 hardware threads; waived with a message
 //      otherwise — parity above still ran);
@@ -27,6 +28,7 @@
 #include <memory>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -180,36 +182,39 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 1. Bit parity: serial vs 2-thread vs 4-thread vs incremental, every
-  //    bucket. Unconditional — this is the contract everything else
-  //    (planes cache, profile queries, Offering Table parity) rests on.
+  // 1. Bit parity: 0/1/2/4 threads and incremental vs the reference push
+  //    sweep, every bucket. Unconditional — this is the contract
+  //    everything else (planes cache, profile queries, Offering Table
+  //    parity) rests on.
   // -------------------------------------------------------------------
-  ChCustomizer serial(*ch, 0);
-  ChCustomizer par2(*ch, 2);
-  ChCustomizer par4(*ch, 4);
-  ChCustomizer inc(*ch, 0);
+  // One customizer, re-targeted with set_threads: every strategy shares
+  // the same topology, which at full scale is ~100 MB.
+  ChCustomizer customizer(*ch, 0);
   std::shared_ptr<const ChCustomization> prev;
   size_t parity_planes = 0;
   for (const ChClassWeights& w : buckets) {
-    auto s = serial.Customize(w);
-    auto p2 = par2.Customize(w);
-    auto p4 = par4.Customize(w);
-    auto in = inc.CustomizeFrom(prev, w);
-    if (!PlanesSameBits(*s, *p2) || !PlanesSameBits(*s, *p4)) {
-      std::cerr << "FAIL: parallel plane differs from serial at bucket "
-                << parity_planes << "\n";
-      ok = false;
+    auto want = ChCustomizeReference(*ch, w);
+    const auto check = [&](const char* name, const ChCustomization& plane) {
+      if (!PlanesSameBits(*want, plane)) {
+        std::cerr << "FAIL: " << name
+                  << " plane differs from the reference at bucket "
+                  << parity_planes << "\n";
+        ok = false;
+      }
+    };
+    for (const auto& [threads, name] :
+         {std::pair{0, "0-thread"}, std::pair{1, "1-thread"},
+          std::pair{2, "2-thread"}, std::pair{4, "4-thread"}}) {
+      customizer.set_threads(threads);
+      check(name, *customizer.Customize(w));
     }
-    if (!PlanesSameBits(*s, *in)) {
-      std::cerr << "FAIL: incremental plane differs from serial at bucket "
-                << parity_planes << "\n";
-      ok = false;
-    }
-    prev = std::move(s);
+    customizer.set_threads(0);
+    prev = customizer.CustomizeFrom(prev, w);
+    check("incremental", *prev);
     ++parity_planes;
   }
   std::cout << "parity: " << parity_planes
-            << " buckets priced serial/2t/4t/incremental, planes "
+            << " buckets priced 0t/1t/2t/4t/incremental vs reference, planes "
             << (ok ? "bit-identical" : "MISMATCHED") << "\n";
 
   // -------------------------------------------------------------------
@@ -221,9 +226,9 @@ int Main(int argc, char** argv) {
   for (int round = 0; round < kRounds; ++round) {
     for (int side = 0; side < 2; ++side) {
       const bool run_par = (round + side) % 2 == 1;
-      ChCustomizer& c = run_par ? par4 : serial;
+      customizer.set_threads(run_par ? 4 : 0);
       const uint64_t start = NowNs();
-      c.Customize(buckets[round % buckets.size()]);
+      customizer.Customize(buckets[round % buckets.size()]);
       const uint64_t elapsed = NowNs() - start;
       uint64_t& best = run_par ? par_ns : serial_ns;
       best = std::min(best, elapsed);
@@ -234,7 +239,7 @@ int Main(int argc, char** argv) {
   std::cout << "full sweep: serial " << TableWriter::Fmt(serial_ns / 1e6, 1)
             << " ms, 4 threads " << TableWriter::Fmt(par_ns / 1e6, 1)
             << " ms (" << TableWriter::Fmt(par_speedup, 2) << "x, "
-            << serial.num_levels() << " levels)\n";
+            << customizer.num_levels() << " levels)\n";
   const double par_floor = 2.0;
   if (hw >= 4 && par_speedup < par_floor) {
     std::cerr << "FAIL: 4-thread customization only " << par_speedup
@@ -258,13 +263,14 @@ int Main(int argc, char** argv) {
   const uint8_t delta_mask =
       static_cast<uint8_t>((1u << static_cast<int>(RoadClass::kHighway)) |
                            (1u << static_cast<int>(RoadClass::kArterial)));
-  auto base_plane = inc.Customize(base_w);
-  const size_t dirty = inc.DirtyArcEstimate(delta_mask);
-  const size_t total = inc.total_arcs();
+  customizer.set_threads(0);
+  auto base_plane = customizer.Customize(base_w);
+  const size_t dirty = customizer.DirtyArcEstimate(delta_mask);
+  const size_t total = customizer.total_arcs();
   {
     bool flag = false;
-    auto inc_ref = inc.CustomizeFrom(base_plane, delta_w, &flag);
-    if (!PlanesSameBits(*serial.Customize(delta_w), *inc_ref)) {
+    auto inc_ref = customizer.CustomizeFrom(base_plane, delta_w, &flag);
+    if (!PlanesSameBits(*ChCustomizeReference(*ch, delta_w), *inc_ref)) {
       std::cerr << "FAIL: incremental 2-class-delta plane differs from a "
                    "full sweep\n";
       ok = false;
@@ -278,10 +284,10 @@ int Main(int argc, char** argv) {
       const uint64_t start = NowNs();
       if (run_inc) {
         bool flag = false;
-        inc.CustomizeFrom(base_plane, delta_w, &flag);
+        customizer.CustomizeFrom(base_plane, delta_w, &flag);
         took_incremental = flag;
       } else {
-        inc.Customize(delta_w);
+        customizer.Customize(delta_w);
       }
       const uint64_t elapsed = NowNs() - start;
       uint64_t& best = run_inc ? inc_ns : full_ns;
@@ -346,7 +352,7 @@ int Main(int argc, char** argv) {
   json.Num("nodes", static_cast<double>(network->NumNodes()));
   json.Num("edges", static_cast<double>(network->NumEdges()));
   json.Num("arc_records", static_cast<double>(total));
-  json.Num("levels", static_cast<double>(serial.num_levels()));
+  json.Num("levels", static_cast<double>(customizer.num_levels()));
   json.Num("hardware_threads", static_cast<double>(hw));
   json.Num("serial_ns", static_cast<double>(serial_ns));
   json.Num("parallel4_ns", static_cast<double>(par_ns));

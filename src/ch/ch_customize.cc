@@ -31,6 +31,10 @@ uint8_t ChangedClasses(const ChClassWeights& a, const ChClassWeights& b) {
   return m;
 }
 
+/// `changed` argument of the kernel selecting every record (a full sweep);
+/// class deltas use only the low kChNumClasses bits.
+constexpr uint8_t kAllRecords = 0xFF;
+
 uint8_t OrigMask(const ChArc& arc) {
   if (arc.orig == kChShortcutEdge) return 0;
   uint8_t m = 0;
@@ -120,262 +124,24 @@ void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
   }
 }
 
-ChCustomizer::ChCustomizer(const ChIndex& ch, int threads)
-    : ch_(ch), threads_(threads) {}
-
-void ChCustomizer::EnsureOrder() {
-  std::call_once(order_once_, [this] {
-    const size_t n = ch_.NumNodes();
-    order_.resize(n);
-    for (NodeId v = 0; v < n; ++v) order_[ch_.rank(v)] = v;
-  });
-}
-
-const std::vector<NodeId>& ChCustomizer::order() {
-  EnsureOrder();
-  return order_;
-}
-
-size_t ChCustomizer::total_arcs() const {
-  return ch_.NumUpArcs() + ch_.NumDownArcs();
-}
-
-void ChCustomizer::EnsurePull() {
-  std::call_once(pull_once_, [this] {
-    EnsureOrder();
-    const size_t n = ch_.NumNodes();
-    const auto up = ch_.up_arcs();
-    const auto down = ch_.down_arcs();
-    const auto up_off = ch_.up_offsets();
-    const auto down_off = ch_.down_offsets();
-
-    // Contraction levels: level(v) = 1 + max level over lower neighbors.
-    // Walking nodes by ascending rank makes every propagation x -> f flow
-    // from an already-final level (all of f's lower neighbors outrank-
-    // precede f), so one pass suffices.
-    level_of_.assign(n, 0);
-    uint32_t max_level = 0;
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId x = order_[r];
-      const uint32_t lx = level_of_[x] + 1;
-      for (uint32_t i = up_off[x]; i < up_off[x + 1]; ++i) {
-        level_of_[up[i].node] = std::max(level_of_[up[i].node], lx);
-      }
-      for (uint32_t i = down_off[x]; i < down_off[x + 1]; ++i) {
-        level_of_[down[i].node] = std::max(level_of_[down[i].node], lx);
-      }
-      max_level = std::max(max_level, level_of_[x]);
-    }
-    // Nodes grouped by level, ascending rank inside each group (the fill
-    // below walks ranks in order, so the counting sort is stable in rank).
-    level_offsets_.assign(max_level + 2, 0);
-    for (NodeId v = 0; v < n; ++v) ++level_offsets_[level_of_[v] + 1];
-    for (size_t l = 1; l < level_offsets_.size(); ++l) {
-      level_offsets_[l] += level_offsets_[l - 1];
-    }
-    level_order_.resize(n);
-    std::vector<uint32_t> cursor(level_offsets_.begin(),
-                                 level_offsets_.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId v = order_[r];
-      level_order_[cursor[level_of_[v]]++] = v;
-    }
-
-    // Inverted lower-neighbor index: for owner l, every apex x with an
-    // l-run in its up row (arcs x -> l) or down row (arcs l -> x), plus
-    // where that run starts. Filling by ascending rank of x leaves each
-    // owner's entry list sorted by apex rank — exactly the candidate
-    // application order the push sweep uses.
-    inv_up_offsets_.assign(n + 1, 0);
-    inv_down_offsets_.assign(n + 1, 0);
-    for (NodeId x = 0; x < n; ++x) {
-      for (uint32_t i = up_off[x]; i < up_off[x + 1];) {
-        const NodeId f = up[i].node;
-        ++inv_up_offsets_[f + 1];
-        for (++i; i < up_off[x + 1] && up[i].node == f; ++i) {
-        }
-      }
-      for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
-        const NodeId f = down[i].node;
-        ++inv_down_offsets_[f + 1];
-        for (++i; i < down_off[x + 1] && down[i].node == f; ++i) {
-        }
-      }
-    }
-    for (size_t v = 1; v <= n; ++v) {
-      inv_up_offsets_[v] += inv_up_offsets_[v - 1];
-      inv_down_offsets_[v] += inv_down_offsets_[v - 1];
-    }
-    inv_up_entries_.resize(inv_up_offsets_[n]);
-    inv_down_entries_.resize(inv_down_offsets_[n]);
-    std::vector<uint32_t> up_cursor(inv_up_offsets_.begin(),
-                                    inv_up_offsets_.end() - 1);
-    std::vector<uint32_t> down_cursor(inv_down_offsets_.begin(),
-                                      inv_down_offsets_.end() - 1);
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId x = order_[r];
-      for (uint32_t i = up_off[x]; i < up_off[x + 1];) {
-        const NodeId f = up[i].node;
-        inv_up_entries_[up_cursor[f]++] = {x, i};
-        for (++i; i < up_off[x + 1] && up[i].node == f; ++i) {
-        }
-      }
-      for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
-        const NodeId f = down[i].node;
-        inv_down_entries_[down_cursor[f]++] = {x, i};
-        for (++i; i < down_off[x + 1] && down[i].node == f; ++i) {
-        }
-      }
-    }
-  });
-}
-
-size_t ChCustomizer::num_levels() {
-  EnsurePull();
-  return level_offsets_.size() - 1;
-}
-
-void ChCustomizer::EnsureMasks() {
-  std::call_once(mask_once_, [this] {
-    EnsurePull();
-    const size_t n = ch_.NumNodes();
-    const auto up = ch_.up_arcs();
-    const auto down = ch_.down_arcs();
-    const auto up_off = ch_.up_offsets();
-    const auto down_off = ch_.down_offsets();
-    mask_up_.resize(up.size());
-    mask_down_.resize(down.size());
-    for (size_t i = 0; i < up.size(); ++i) mask_up_[i] = OrigMask(up[i]);
-    for (size_t i = 0; i < down.size(); ++i) mask_down_[i] = OrigMask(down[i]);
-
-    // Closure sweep: the mask analogue of customization. The cost sweep
-    // takes a min over candidate triangles; which candidate wins depends on
-    // the weights, so the mask is the union over ALL candidates (every
-    // record of both contributing runs). Processing owners by ascending
-    // rank closes the union transitively: an arc's final mask covers the
-    // classes of every arc reachable through any realization of it.
-    // Run ORs are bounded by the owning row's end: a run never spans rows
-    // even when adjacent rows happen to end/start with the same neighbor.
-    const auto or_down_run = [&](uint32_t i, uint32_t row_end) {
-      const NodeId f = down[i].node;
-      uint8_t m = 0;
-      for (; i < row_end && down[i].node == f; ++i) m |= mask_down_[i];
-      return m;
-    };
-    const auto or_up_run = [&](uint32_t i, uint32_t row_end) {
-      const NodeId f = up[i].node;
-      uint8_t m = 0;
-      for (; i < row_end && up[i].node == f; ++i) m |= mask_up_[i];
-      return m;
-    };
-    for (size_t r = 0; r < n; ++r) {
-      const NodeId l = order_[r];
-      // Up-arc targets (l -> h): candidates need apex x with l in its down
-      // row and h in its up row.
-      for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1];
-           ++e) {
-        const LowerRef& lr = inv_down_entries_[e];
-        const uint8_t via_mask = or_down_run(lr.run, down_off[lr.x + 1]);
-        uint32_t k = up_off[l];
-        const uint32_t kend = up_off[l + 1];
-        uint32_t j = up_off[lr.x];
-        const uint32_t jend = up_off[lr.x + 1];
-        while (k < kend && j < jend) {
-          if (up[k].node < up[j].node) {
-            const NodeId h = up[k].node;
-            for (; k < kend && up[k].node == h; ++k) {
-            }
-          } else if (up[j].node < up[k].node) {
-            const NodeId h = up[j].node;
-            for (; j < jend && up[j].node == h; ++j) {
-            }
-          } else {
-            const NodeId h = up[k].node;
-            mask_up_[k] |= static_cast<uint8_t>(via_mask | or_up_run(j, jend));
-            for (; k < kend && up[k].node == h; ++k) {
-            }
-            for (; j < jend && up[j].node == h; ++j) {
-            }
-          }
-        }
-      }
-      // Down-arc targets (h -> l): candidates need apex x with l in its up
-      // row and h in its down row.
-      for (uint32_t e = inv_up_offsets_[l]; e < inv_up_offsets_[l + 1]; ++e) {
-        const LowerRef& lr = inv_up_entries_[e];
-        const uint8_t via_mask = or_up_run(lr.run, up_off[lr.x + 1]);
-        uint32_t k = down_off[l];
-        const uint32_t kend = down_off[l + 1];
-        uint32_t j = down_off[lr.x];
-        const uint32_t jend = down_off[lr.x + 1];
-        while (k < kend && j < jend) {
-          if (down[k].node < down[j].node) {
-            const NodeId h = down[k].node;
-            for (; k < kend && down[k].node == h; ++k) {
-            }
-          } else if (down[j].node < down[k].node) {
-            const NodeId h = down[j].node;
-            for (; j < jend && down[j].node == h; ++j) {
-            }
-          } else {
-            const NodeId h = down[k].node;
-            mask_down_[k] |=
-                static_cast<uint8_t>(via_mask | or_down_run(j, jend));
-            for (; k < kend && down[k].node == h; ++k) {
-            }
-            for (; j < jend && down[j].node == h; ++j) {
-            }
-          }
-        }
-      }
-    }
-
-    // Per-node row masks (the cheap whole-node skip) and the per-delta
-    // dirty-work estimates, counted per record — RepriceNode touches
-    // exactly the records whose closure intersects the delta.
-    node_mask_.assign(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      uint8_t m = 0;
-      for (uint32_t i = up_off[v]; i < up_off[v + 1]; ++i) m |= mask_up_[i];
-      for (uint32_t i = down_off[v]; i < down_off[v + 1]; ++i) {
-        m |= mask_down_[i];
-      }
-      node_mask_[v] = m;
-    }
-    for (uint8_t delta = 1; delta < 8; ++delta) {
-      size_t dirty = 0;
-      for (uint8_t m : mask_up_) dirty += (m & delta) != 0;
-      for (uint8_t m : mask_down_) dirty += (m & delta) != 0;
-      dirty_arcs_by_mask_[delta] = dirty;
-    }
-  });
-}
-
-size_t ChCustomizer::DirtyArcEstimate(uint8_t changed_mask) {
-  EnsureMasks();
-  return dirty_arcs_by_mask_[changed_mask & 7];
-}
-
-uint8_t ChCustomizer::UpArcMask(size_t i) {
-  EnsureMasks();
-  return mask_up_[i];
-}
-
-uint8_t ChCustomizer::DownArcMask(size_t i) {
-  EnsureMasks();
-  return mask_down_[i];
-}
-
-void ChCustomizer::CustomizeSerial(const ChClassWeights& weights,
-                                   ChCustomization* plane) const {
-  const size_t n = ch_.NumNodes();
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
+std::shared_ptr<const ChCustomization> ChCustomizeReference(
+    const ChIndex& ch, const ChClassWeights& weights) {
+  const size_t n = ch.NumNodes();
+  const auto up = ch.up_arcs();
+  const auto down = ch.down_arcs();
+  const auto up_off = ch.up_offsets();
+  const auto down_off = ch.down_offsets();
+  auto plane = std::make_shared<ChCustomization>();
+  plane->weights = weights;
+  plane->via_up.assign(up.size(), kInvalidNode);
+  plane->via_down.assign(down.size(), kInvalidNode);
   auto& cw_up = plane->cw_up;
   auto& cw_down = plane->cw_down;
   // Base costs: original arcs priced with the weights (one class is
   // nonzero, so the dot product is exactly length * weight); shortcut arcs
   // start unpriced and receive their cost from a triangle below.
+  cw_up.resize(up.size());
+  cw_down.resize(down.size());
   for (size_t i = 0; i < up.size(); ++i) {
     cw_up[i] =
         up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
@@ -384,23 +150,20 @@ void ChCustomizer::CustomizeSerial(const ChClassWeights& weights,
     cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
                                                  : Dot(down[i].len, weights);
   }
-  // Bottom-up push sweep (the seed path, kept verbatim): when x is
-  // processed, every arc incident to x is final (its remaining triangles
-  // would have an apex ranked below x, already processed). Relaxing all
-  // (a -> x -> b) pairs therefore prices every enclosing arc exactly;
-  // iteration order is fixed and improvements are strict, so the via
-  // assignment is deterministic. Parallel records collapse to per-neighbor
-  // run minima first — min(ca_i + cu_j) separates into min(ca) + min(cu),
-  // the same double bit for bit — and the relaxation targets are then
-  // found by merging sorted rows instead of a binary search per pair,
-  // which matters inside the near-clique top separators the
-  // nested-dissection order produces.
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
+  std::vector<NodeId> order(n);
+  for (NodeId v = 0; v < n; ++v) order[ch.rank(v)] = v;
+  // When x is processed, every arc incident to x is final (its remaining
+  // triangles would have an apex ranked below x, already processed).
+  // Relaxing all (a -> x -> b) pairs therefore prices every enclosing arc
+  // exactly; iteration order is fixed and improvements are strict, so the
+  // via assignment is deterministic. Parallel records collapse to
+  // per-neighbor run minima first — min(ca_i + cu_j) separates into
+  // min(ca) + min(cu), the same double bit for bit — and only the first
+  // record of each target run is relaxed.
   std::vector<std::pair<NodeId, double>> downs;  // (a, min cost a -> x)
   std::vector<std::pair<NodeId, double>> ups;    // (b, min cost x -> b)
   for (size_t r = 0; r < n; ++r) {
-    const NodeId x = order_[r];
+    const NodeId x = order[r];
     downs.clear();
     ups.clear();
     for (uint32_t i = down_off[x]; i < down_off[x + 1];) {
@@ -467,269 +230,348 @@ void ChCustomizer::CustomizeSerial(const ChClassWeights& weights,
       }
     }
   }
+  return plane;
 }
 
-void ChCustomizer::PullNode(NodeId l, const ChClassWeights& weights,
-                            ChCustomization* plane) const {
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
-  auto& cw_up = plane->cw_up;
-  auto& cw_down = plane->cw_down;
+ChCustomizer::ChCustomizer(const ChIndex& ch, int threads)
+    : ch_(ch), threads_(threads) {}
 
-  // Base costs for the owned rows.
-  for (uint32_t i = up_off[l]; i < up_off[l + 1]; ++i) {
-    cw_up[i] =
-        up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
-    plane->via_up[i] = kInvalidNode;
-  }
-  for (uint32_t i = down_off[l]; i < down_off[l + 1]; ++i) {
-    cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
-                                                 : Dot(down[i].len, weights);
-    plane->via_down[i] = kInvalidNode;
-  }
+size_t ChCustomizer::total_arcs() const {
+  return ch_.NumUpArcs() + ch_.NumDownArcs();
+}
 
-  // Up-arc finalization: an up-arc (l -> h) is enclosed by triangles whose
-  // apex x has l in its down row (leg l -> x) and h in its up row (leg
-  // x -> h). inv_down lists exactly those apexes, ascending by rank — the
-  // push sweep's outer order — and strict-< improvement reproduces its
-  // lowest-apex tie-break. Only the first record of each target run is
-  // relaxed, matching the push merge.
-  const double* cw_up_p = cw_up.data();
-  const double* cw_down_p = cw_down.data();
-  for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1]; ++e) {
-    const LowerRef& lr = inv_down_entries_[e];
-    // min over x's l-run (cost of leg l -> x), run-minima like the push
-    // sweep's `downs` collapse.
-    double ca = kInfiniteCost;
-    for (uint32_t i = lr.run; i < down_off[lr.x + 1] && down[i].node == l;
-         ++i) {
-      ca = std::min(ca, cw_down_p[i]);
-    }
-    if (!(ca < kInfiniteCost)) continue;
-    uint32_t k = up_off[l];
-    const uint32_t kend = up_off[l + 1];
-    uint32_t j = up_off[lr.x];
-    const uint32_t jend = up_off[lr.x + 1];
-    while (k < kend && j < jend) {
-      if (up[k].node < up[j].node) {
-        ++k;
-      } else if (up[j].node < up[k].node) {
-        const NodeId h = up[j].node;
-        for (++j; j < jend && up[j].node == h; ++j) {
+void ChCustomizer::EnsureTopology() {
+  std::call_once(topology_once_, [this] {
+    const size_t n = ch_.NumNodes();
+    order_.resize(n);
+    for (NodeId v = 0; v < n; ++v) order_[ch_.rank(v)] = v;
+    up_.off = ch_.up_offsets();
+    up_.arcs = ch_.up_arcs();
+    down_.off = ch_.down_offsets();
+    down_.arcs = ch_.down_arcs();
+
+    // Runs per row, and the inverted lower-neighbor index over them: for
+    // owner f, every apex x with an f-run in its row. Filling by ascending
+    // rank of x leaves each owner's list in the reference sweep's apex
+    // order.
+    for (Half* h : {&up_, &down_}) {
+      const auto is_head = [h](NodeId x, uint32_t i) {
+        return i == h->off[x] || h->arcs[i - 1].node != h->arcs[i].node;
+      };
+      h->run_off.assign(n + 1, 0);
+      h->inv_off.assign(n + 1, 0);
+      for (NodeId x = 0; x < n; ++x) {
+        for (uint32_t i = h->off[x]; i < h->off[x + 1]; ++i) {
+          if (!is_head(x, i)) continue;
+          ++h->run_off[x + 1];
+          ++h->inv_off[h->arcs[i].node + 1];
         }
-      } else {
-        const NodeId h = up[k].node;
-        double cu = cw_up_p[j];
-        for (++j; j < jend && up[j].node == h; ++j) {
-          cu = std::min(cu, cw_up_p[j]);
-        }
-        if (cu < kInfiniteCost) {
-          const double cost = ca + cu;
-          if (cost < cw_up[k]) {
-            cw_up[k] = cost;
-            plane->via_up[k] = lr.x;
-          }
-        }
-        for (++k; k < kend && up[k].node == h; ++k) {
+      }
+      for (size_t v = 1; v <= n; ++v) {
+        h->run_off[v] += h->run_off[v - 1];
+        h->inv_off[v] += h->inv_off[v - 1];
+      }
+      h->inv.resize(h->inv_off[n]);
+      h->run_node.resize(h->run_off[n]);
+      std::vector<uint32_t> cursor(h->inv_off.begin(), h->inv_off.end() - 1);
+      for (const NodeId x : order_) {
+        for (uint32_t i = h->off[x]; i < h->off[x + 1]; ++i) {
+          if (is_head(x, i)) h->inv[cursor[h->arcs[i].node]++] = {x, 0, 0};
         }
       }
     }
-  }
 
-  // Down-arc finalization: a down-arc (h -> l) is enclosed by triangles
-  // whose apex x has h in its down row (leg h -> x) and l in its up row
-  // (leg x -> l); inv_up lists those apexes.
-  for (uint32_t e = inv_up_offsets_[l]; e < inv_up_offsets_[l + 1]; ++e) {
-    const LowerRef& lr = inv_up_entries_[e];
-    // min over x's l-run in its up row (cost of leg x -> l).
-    double cu = kInfiniteCost;
-    for (uint32_t i = lr.run; i < up_off[lr.x + 1] && up[i].node == l; ++i) {
-      cu = std::min(cu, cw_up_p[i]);
+    // Rank-sorted runs: walking far endpoints f by ascending rank and
+    // appending each f-run to its row is a counting sort by far rank. Once
+    // f's runs are placed, a row's cursor is where its runs ranked above f
+    // start — the suffix of f's inverted entries in the other half.
+    std::vector<uint32_t> up_cursor(up_.run_off.begin(), up_.run_off.end() - 1);
+    std::vector<uint32_t> down_cursor(down_.run_off.begin(),
+                                      down_.run_off.end() - 1);
+    const auto place = [](Half& h, std::vector<uint32_t>& cursor, NodeId f) {
+      for (uint32_t e = h.inv_off[f]; e < h.inv_off[f + 1]; ++e) {
+        const uint32_t p = cursor[h.inv[e].x]++;
+        h.run_node[p] = f;
+        h.inv[e].leg = p;
+      }
+    };
+    for (const NodeId f : order_) {
+      place(up_, up_cursor, f);
+      place(down_, down_cursor, f);
+      for (uint32_t e = up_.inv_off[f]; e < up_.inv_off[f + 1]; ++e) {
+        up_.inv[e].suffix = down_cursor[up_.inv[e].x];
+      }
+      for (uint32_t e = down_.inv_off[f]; e < down_.inv_off[f + 1]; ++e) {
+        down_.inv[e].suffix = up_cursor[down_.inv[e].x];
+      }
     }
-    if (!(cu < kInfiniteCost)) continue;
-    uint32_t k = down_off[l];
-    const uint32_t kend = down_off[l + 1];
-    uint32_t j = down_off[lr.x];
-    const uint32_t jend = down_off[lr.x + 1];
-    while (k < kend && j < jend) {
-      if (down[k].node < down[j].node) {
-        ++k;
-      } else if (down[j].node < down[k].node) {
-        const NodeId h = down[j].node;
-        for (++j; j < jend && down[j].node == h; ++j) {
-        }
-      } else {
-        const NodeId h = down[k].node;
-        double ca = cw_down_p[j];
-        for (++j; j < jend && down[j].node == h; ++j) {
-          ca = std::min(ca, cw_down_p[j]);
-        }
-        if (ca < kInfiniteCost) {
-          const double cost = ca + cu;
-          if (cost < cw_down[k]) {
-            cw_down[k] = cost;
-            plane->via_down[k] = lr.x;
-          }
-        }
-        for (++k; k < kend && down[k].node == h; ++k) {
+  });
+}
+
+void ChCustomizer::EnsureLevels() {
+  std::call_once(levels_once_, [this] {
+    EnsureTopology();
+    const size_t n = ch_.NumNodes();
+    // Contraction levels: level(v) = 1 + max level over lower neighbors.
+    // Walking nodes by ascending rank makes every propagation x -> f flow
+    // from an already-final level (all of f's lower neighbors outrank-
+    // precede f), so one pass suffices.
+    std::vector<uint32_t> level_of(n, 0);
+    uint32_t max_level = 0;
+    for (const NodeId x : order_) {
+      const uint32_t lx = level_of[x] + 1;
+      for (const Half* h : {&up_, &down_}) {
+        for (uint32_t p = h->run_off[x]; p < h->run_off[x + 1]; ++p) {
+          level_of[h->run_node[p]] = std::max(level_of[h->run_node[p]], lx);
         }
       }
+      max_level = std::max(max_level, level_of[x]);
+    }
+    // Nodes grouped by level, ascending rank inside each group (the fill
+    // below walks ranks in order, so the counting sort is stable in rank).
+    level_offsets_.assign(max_level + 2, 0);
+    for (NodeId v = 0; v < n; ++v) ++level_offsets_[level_of[v] + 1];
+    for (size_t l = 1; l < level_offsets_.size(); ++l) {
+      level_offsets_[l] += level_offsets_[l - 1];
+    }
+    level_order_.resize(n);
+    std::vector<uint32_t> cursor(level_offsets_.begin(),
+                                 level_offsets_.end() - 1);
+    for (const NodeId v : order_) level_order_[cursor[level_of[v]]++] = v;
+  });
+}
+
+size_t ChCustomizer::num_levels() {
+  EnsureLevels();
+  return level_offsets_.size() - 1;
+}
+
+void ChCustomizer::PrepareScratch(size_t workers) {
+  min_up_.resize(up_.run_node.size());
+  min_down_.resize(down_.run_node.size());
+  if (pos_maps_.size() < workers) pos_maps_.resize(workers);
+  for (size_t w = 0; w < workers; ++w) {
+    if (pos_maps_[w].empty()) pos_maps_[w].assign(ch_.NumNodes(), kChNoArc);
+  }
+}
+
+template <bool kUp, typename T, typename Fold>
+void ChCustomizer::FoldRuns(NodeId l, const T* rec, T* run, uint32_t* pos,
+                            Fold fold) const {
+  const Half& t = kUp ? up_ : down_;
+  for (uint32_t p = t.run_off[l]; p < t.run_off[l + 1]; ++p) {
+    pos[t.run_node[p]] = p;
+  }
+  for (uint32_t i = t.off[l]; i < t.off[l + 1]; ++i) {
+    T& v = run[pos[t.arcs[i].node]];
+    v = i == t.off[l] || t.arcs[i - 1].node != t.arcs[i].node
+            ? rec[i]
+            : fold(v, rec[i]);
+  }
+  for (uint32_t p = t.run_off[l]; p < t.run_off[l + 1]; ++p) {
+    pos[t.run_node[p]] = kChNoArc;
+  }
+}
+
+template <bool kUp, typename Leg, typename Far>
+void ChCustomizer::ForEachTriangle(NodeId l, const uint32_t* pos, Leg&& leg,
+                                   Far&& far) const {
+  // Targets l -> h (kUp) close triangles over apexes x with l in x's down
+  // row (leg l -> x) and h in x's up row (leg x -> h); targets h -> l
+  // mirror it. Only x's runs ranked above l can close a triangle with an
+  // arc of l's row, and by triangle closure each of them does.
+  const Half& t = kUp ? up_ : down_;
+  const Half& o = kUp ? down_ : up_;
+  for (uint32_t e = o.inv_off[l]; e < o.inv_off[l + 1]; ++e) {
+    const LowerRef& lr = o.inv[e];
+    if (!leg(lr.leg)) continue;
+    const uint32_t end = t.run_off[lr.x + 1];
+    for (uint32_t q = lr.suffix; q < end; ++q) {
+      // Missing only when the index is not closed: skipped, exactly as the
+      // reference's merge finds no target.
+      const uint32_t k = pos[t.run_node[q]];
+      if (k != kChNoArc) far(lr.x, k, q);
     }
   }
 }
 
-void ChCustomizer::RepriceNode(NodeId l, const ChClassWeights& weights,
-                               uint8_t changed, ChCustomization* plane) {
-  const auto up = ch_.up_arcs();
-  const auto down = ch_.down_arcs();
-  const auto up_off = ch_.up_offsets();
-  const auto down_off = ch_.down_offsets();
-  auto& cw_up = plane->cw_up;
-  auto& cw_down = plane->cw_down;
+template <bool kUp>
+void ChCustomizer::PriceRow(NodeId l, const ChClassWeights& weights,
+                            uint8_t changed, uint32_t* pos,
+                            ChCustomization* plane) {
+  const Half& t = kUp ? up_ : down_;
+  double* cw = (kUp ? plane->cw_up : plane->cw_down).data();
+  NodeId* via = (kUp ? plane->via_up : plane->via_down).data();
+  double* run_min = (kUp ? min_up_ : min_down_).data();
+  const uint8_t* mask = (kUp ? mask_up_ : mask_down_).data();
+  const uint32_t begin = t.off[l];
+  const uint32_t end = t.off[l + 1];
+  // Re-initialize the selected records and enter their run heads in the
+  // position map. Only run heads are ever relaxed, so a selected
+  // non-head record is final here.
+  bool any = false;
+  bool heads = false;
+  for (uint32_t i = begin; i < end; ++i) {
+    if (changed != kAllRecords && (mask[i] & changed) == 0) continue;
+    cw[i] = t.arcs[i].orig == kChShortcutEdge ? kInfiniteCost
+                                              : Dot(t.arcs[i].len, weights);
+    via[i] = kInvalidNode;
+    any = true;
+    if (i == begin || t.arcs[i - 1].node != t.arcs[i].node) {
+      pos[t.arcs[i].node] = i;
+      heads = true;
+    }
+  }
+  if (!any) return;
+  if (heads) {
+    // Apexes ascend in rank, each target sees one candidate per apex built
+    // from the run minima, and improvement is strict: the reference's
+    // candidates in the reference's order.
+    const double* leg_min = (kUp ? min_down_ : min_up_).data();
+    double leg = 0.0;
+    ForEachTriangle<kUp>(
+        l, pos,
+        [&](uint32_t p) {
+          leg = leg_min[p];
+          return leg < kInfiniteCost;
+        },
+        [&](NodeId x, uint32_t k, uint32_t q) {
+          const double far = run_min[q];
+          if (!(far < kInfiniteCost)) return;
+          // The reference's operand order: down leg + up leg.
+          const double cost = kUp ? leg + far : far + leg;
+          if (cost < cw[k]) {
+            cw[k] = cost;
+            via[k] = x;
+          }
+        });
+    for (uint32_t i = begin; i < end; ++i) pos[t.arcs[i].node] = kChNoArc;
+  }
+  // The row is final: publish its run minima for the owners above.
+  FoldRuns<kUp>(l, static_cast<const double*>(cw), run_min, pos,
+                [](double a, double b) { return std::min(a, b); });
+}
 
-  // Re-initialize exactly the dirty records (clean ones keep the base
-  // plane's bits, which a full sweep would reproduce), remembering which
-  // run heads need their candidate scan re-run. Only run heads are ever
-  // relaxed — both the push merge and PullNode skip parallel records — so
-  // a dirty non-head record is finished right here.
-  dirty_heads_up_.clear();
-  for (uint32_t i = up_off[l]; i < up_off[l + 1]; ++i) {
-    if ((mask_up_[i] & changed) == 0) continue;
-    cw_up[i] =
-        up[i].orig == kChShortcutEdge ? kInfiniteCost : Dot(up[i].len, weights);
-    plane->via_up[i] = kInvalidNode;
-    if (i == up_off[l] || up[i - 1].node != up[i].node) {
-      dirty_heads_up_.push_back(i);
-    }
-  }
-  dirty_heads_down_.clear();
-  for (uint32_t i = down_off[l]; i < down_off[l + 1]; ++i) {
-    if ((mask_down_[i] & changed) == 0) continue;
-    cw_down[i] = down[i].orig == kChShortcutEdge ? kInfiniteCost
-                                                 : Dot(down[i].len, weights);
-    plane->via_down[i] = kInvalidNode;
-    if (i == down_off[l] || down[i - 1].node != down[i].node) {
-      dirty_heads_down_.push_back(i);
-    }
-  }
+void ChCustomizer::PriceNode(NodeId l, const ChClassWeights& weights,
+                             uint8_t changed, uint32_t* pos,
+                             ChCustomization* plane) {
+  PriceRow<true>(l, weights, changed, pos, plane);
+  PriceRow<false>(l, weights, changed, pos, plane);
+}
 
-  // PullNode's relaxation with the owner's row replaced by the dirty-head
-  // subset: same apexes in the same (ascending-rank) order, same run
-  // minima, same strict-< improvement — bit-identical where it writes.
-  const double* cw_up_p = cw_up.data();
-  const double* cw_down_p = cw_down.data();
-  if (!dirty_heads_up_.empty()) {
-    for (uint32_t e = inv_down_offsets_[l]; e < inv_down_offsets_[l + 1];
-         ++e) {
-      const LowerRef& lr = inv_down_entries_[e];
-      double ca = kInfiniteCost;
-      for (uint32_t i = lr.run; i < down_off[lr.x + 1] && down[i].node == l;
-           ++i) {
-        ca = std::min(ca, cw_down_p[i]);
-      }
-      if (!(ca < kInfiniteCost)) continue;
-      size_t t = 0;
-      uint32_t j = up_off[lr.x];
-      const uint32_t jend = up_off[lr.x + 1];
-      while (t < dirty_heads_up_.size() && j < jend) {
-        const uint32_t k = dirty_heads_up_[t];
-        if (up[k].node < up[j].node) {
-          ++t;
-        } else if (up[j].node < up[k].node) {
-          const NodeId h = up[j].node;
-          for (++j; j < jend && up[j].node == h; ++j) {
-          }
-        } else {
-          const NodeId h = up[k].node;
-          double cu = cw_up_p[j];
-          for (++j; j < jend && up[j].node == h; ++j) {
-            cu = std::min(cu, cw_up_p[j]);
-          }
-          if (cu < kInfiniteCost) {
-            const double cost = ca + cu;
-            if (cost < cw_up[k]) {
-              cw_up[k] = cost;
-              plane->via_up[k] = lr.x;
-            }
-          }
-          ++t;
-        }
-      }
+void ChCustomizer::EnsureMasks() {
+  std::call_once(mask_once_, [this] {
+    EnsureTopology();
+    const size_t n = ch_.NumNodes();
+    mask_up_.resize(up_.arcs.size());
+    mask_down_.resize(down_.arcs.size());
+    for (size_t i = 0; i < up_.arcs.size(); ++i) {
+      mask_up_[i] = OrigMask(up_.arcs[i]);
     }
-  }
+    for (size_t i = 0; i < down_.arcs.size(); ++i) {
+      mask_down_[i] = OrigMask(down_.arcs[i]);
+    }
 
-  if (!dirty_heads_down_.empty()) {
-    for (uint32_t e = inv_up_offsets_[l]; e < inv_up_offsets_[l + 1]; ++e) {
-      const LowerRef& lr = inv_up_entries_[e];
-      double cu = kInfiniteCost;
-      for (uint32_t i = lr.run; i < up_off[lr.x + 1] && up[i].node == l; ++i) {
-        cu = std::min(cu, cw_up_p[i]);
+    // Closure sweep: the mask analogue of customization, over the same
+    // triangle enumeration. The cost kernel takes a min over candidate
+    // triangles; which candidate wins depends on the weights, so the mask
+    // is the union over ALL candidates (every record of both legs' runs),
+    // ORed into the target's run head. Owners in ascending rank close the
+    // union transitively: an arc's final mask covers the classes of every
+    // arc reachable through any realization of it.
+    std::vector<uint32_t> pos(n, kChNoArc);
+    std::vector<uint8_t> run_up(up_.run_node.size());
+    std::vector<uint8_t> run_down(down_.run_node.size());
+    const auto close_row = [&]<bool kUp>(NodeId l) {
+      const Half& t = kUp ? up_ : down_;
+      uint8_t* mask = (kUp ? mask_up_ : mask_down_).data();
+      uint8_t* run_mask = (kUp ? run_up : run_down).data();
+      const uint8_t* leg_mask = (kUp ? run_down : run_up).data();
+      for (uint32_t i = t.off[l + 1]; i-- > t.off[l];) {
+        pos[t.arcs[i].node] = i;  // walking backwards, the head writes last
       }
-      if (!(cu < kInfiniteCost)) continue;
-      size_t t = 0;
-      uint32_t j = down_off[lr.x];
-      const uint32_t jend = down_off[lr.x + 1];
-      while (t < dirty_heads_down_.size() && j < jend) {
-        const uint32_t k = dirty_heads_down_[t];
-        if (down[k].node < down[j].node) {
-          ++t;
-        } else if (down[j].node < down[k].node) {
-          const NodeId h = down[j].node;
-          for (++j; j < jend && down[j].node == h; ++j) {
-          }
-        } else {
-          const NodeId h = down[k].node;
-          double ca = cw_down_p[j];
-          for (++j; j < jend && down[j].node == h; ++j) {
-            ca = std::min(ca, cw_down_p[j]);
-          }
-          if (ca < kInfiniteCost) {
-            const double cost = ca + cu;
-            if (cost < cw_down[k]) {
-              cw_down[k] = cost;
-              plane->via_down[k] = lr.x;
-            }
-          }
-          ++t;
-        }
+      uint8_t leg = 0;
+      ForEachTriangle<kUp>(
+          l, pos.data(),
+          [&](uint32_t p) {
+            leg = leg_mask[p];
+            return true;
+          },
+          [&](NodeId, uint32_t k, uint32_t q) {
+            mask[k] |= static_cast<uint8_t>(leg | run_mask[q]);
+          });
+      for (uint32_t i = t.off[l]; i < t.off[l + 1]; ++i) {
+        pos[t.arcs[i].node] = kChNoArc;
       }
+      FoldRuns<kUp>(l, static_cast<const uint8_t*>(mask), run_mask,
+                    pos.data(), [](uint8_t a, uint8_t b) {
+                      return static_cast<uint8_t>(a | b);
+                    });
+    };
+    for (const NodeId l : order_) {
+      close_row.template operator()<true>(l);
+      close_row.template operator()<false>(l);
     }
-  }
+
+    // Per-node row masks (the cheap whole-node skip) and the per-delta
+    // dirty-work estimates, counted per record — the incremental kernel
+    // touches exactly the records whose closure intersects the delta.
+    node_mask_.assign(n, 0);
+    for (NodeId v = 0; v < n; ++v) {
+      uint8_t m = 0;
+      for (uint32_t i = up_.off[v]; i < up_.off[v + 1]; ++i) m |= mask_up_[i];
+      for (uint32_t i = down_.off[v]; i < down_.off[v + 1]; ++i) {
+        m |= mask_down_[i];
+      }
+      node_mask_[v] = m;
+    }
+    for (uint8_t delta = 1; delta < 8; ++delta) {
+      size_t dirty = 0;
+      for (uint8_t m : mask_up_) dirty += (m & delta) != 0;
+      for (uint8_t m : mask_down_) dirty += (m & delta) != 0;
+      dirty_arcs_by_mask_[delta] = dirty;
+    }
+  });
+}
+
+size_t ChCustomizer::DirtyArcEstimate(uint8_t changed_mask) {
+  EnsureMasks();
+  return dirty_arcs_by_mask_[changed_mask & 7];
+}
+
+uint8_t ChCustomizer::UpArcMask(size_t i) {
+  EnsureMasks();
+  return mask_up_[i];
+}
+
+uint8_t ChCustomizer::DownArcMask(size_t i) {
+  EnsureMasks();
+  return mask_down_[i];
 }
 
 void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
                                      ChCustomization* plane) {
-  EnsurePull();
+  EnsureLevels();
   const size_t num_levels = level_offsets_.size() - 1;
-  const int workers = std::max(1, threads_);
-  if (workers == 1) {
-    // Single-worker pull: no barrier needed, level order is rank order
-    // within each level and reads only ever touch finished lower levels.
-    for (size_t lvl = 0; lvl < num_levels; ++lvl) {
-      for (uint32_t i = level_offsets_[lvl]; i < level_offsets_[lvl + 1];
-           ++i) {
-        PullNode(level_order_[i], weights, plane);
-      }
-    }
-    return;
-  }
+  const int workers = threads_;
+  PrepareScratch(workers);
   std::barrier barrier(workers);
   auto worker_fn = [&](int w) {
+    uint32_t* pos = pos_maps_[w].data();
     for (size_t lvl = 0; lvl < num_levels; ++lvl) {
       const uint32_t begin = level_offsets_[lvl];
       const uint32_t end = level_offsets_[lvl + 1];
       const uint32_t span = end - begin;
-      // Contiguous per-worker chunk: writes are confined to owned rows, so
-      // any disjoint partition is race-free and bit-identical.
+      // Contiguous per-worker chunk: writes are confined to owned rows and
+      // their run minima, so any disjoint partition is race-free and
+      // bit-identical.
       const uint32_t lo = begin + static_cast<uint32_t>(
                                       static_cast<uint64_t>(span) * w / workers);
       const uint32_t hi =
           begin + static_cast<uint32_t>(static_cast<uint64_t>(span) * (w + 1) /
                                         workers);
       for (uint32_t i = lo; i < hi; ++i) {
-        PullNode(level_order_[i], weights, plane);
+        PriceNode(level_order_[i], weights, kAllRecords, pos, plane);
       }
       barrier.arrive_and_wait();
     }
@@ -743,15 +585,20 @@ void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
 
 std::shared_ptr<const ChCustomization> ChCustomizer::Customize(
     const ChClassWeights& weights) {
-  EnsureOrder();
+  EnsureTopology();
   auto plane = std::make_shared<ChCustomization>();
   plane->weights = weights;
   plane->cw_up.resize(ch_.NumUpArcs());
   plane->cw_down.resize(ch_.NumDownArcs());
-  plane->via_up.assign(ch_.NumUpArcs(), kInvalidNode);
-  plane->via_down.assign(ch_.NumDownArcs(), kInvalidNode);
-  if (threads_ <= 0) {
-    CustomizeSerial(weights, plane.get());
+  plane->via_up.resize(ch_.NumUpArcs());
+  plane->via_down.resize(ch_.NumDownArcs());
+  if (threads_ <= 1) {
+    // One worker: rank order finalizes every apex before its owners.
+    PrepareScratch(1);
+    uint32_t* pos = pos_maps_[0].data();
+    for (const NodeId l : order_) {
+      PriceNode(l, weights, kAllRecords, pos, plane.get());
+    }
   } else {
     CustomizeParallel(weights, plane.get());
   }
@@ -775,24 +622,35 @@ std::shared_ptr<const ChCustomization> ChCustomizer::CustomizeFrom(
   if (2 * dirty_arcs_by_mask_[changed] > total_arcs()) {
     return Customize(weights);
   }
-  auto plane = std::make_shared<ChCustomization>();
+  auto plane = std::make_shared<ChCustomization>(*base);
   plane->weights = weights;
-  plane->cw_up = base->cw_up;
-  plane->cw_down = base->cw_down;
-  plane->via_up = base->via_up;
-  plane->via_down = base->via_down;
-  // Re-price exactly the records whose class closure intersects the delta,
-  // owners in ascending rank. Clean records keep `base`'s bits, which
-  // equal what a full sweep under the new weights would produce (every
-  // quantity entering a clean arc's min is mask-invariant); dirty records
-  // are recomputed from scratch and their candidate scans read a mix of
-  // clean (unchanged, valid) and lower dirty (already re-priced) rows — so
-  // the result is bit-identical to Customize().
-  const size_t n = ch_.NumNodes();
-  for (size_t r = 0; r < n; ++r) {
-    const NodeId l = order_[r];
+  PrepareScratch(1);
+  uint32_t* pos = pos_maps_[0].data();
+  // Re-price exactly the records whose class closure intersects the
+  // delta, owners in ascending rank. Clean records keep `base`'s bits,
+  // which equal what a full sweep under the new weights would produce
+  // (every quantity entering a clean arc's min is mask-invariant); dirty
+  // records are recomputed from scratch and their candidates read run
+  // minima of clean (unchanged, valid) and lower dirty (already re-priced)
+  // rows — so the result is bit-identical to Customize(). The minima the
+  // dirty owners read are first folded from the base plane.
+  const auto min = [](double a, double b) { return std::min(a, b); };
+  std::vector<uint8_t> folded(ch_.NumNodes(), 0);
+  for (const NodeId l : order_) {
     if ((node_mask_[l] & changed) == 0) continue;
-    RepriceNode(l, weights, changed, plane.get());
+    for (const Half* o : {&up_, &down_}) {
+      for (uint32_t e = o->inv_off[l]; e < o->inv_off[l + 1]; ++e) {
+        const NodeId x = o->inv[e].x;
+        if (folded[x] != 0) continue;
+        folded[x] = 1;
+        FoldRuns<true>(x, plane->cw_up.data(), min_up_.data(), pos, min);
+        FoldRuns<false>(x, plane->cw_down.data(), min_down_.data(), pos, min);
+      }
+    }
+  }
+  for (const NodeId l : order_) {
+    if ((node_mask_[l] & changed) == 0) continue;
+    PriceNode(l, weights, changed, pos, plane.get());
   }
   if (incremental != nullptr) *incremental = true;
   return plane;

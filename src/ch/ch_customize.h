@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "ch/ch_index.h"
@@ -72,44 +73,55 @@ void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
                   const ChUnpackItem& item, std::vector<ChUnpackItem>* stack,
                   std::vector<EdgeId>* out);
 
-/// \brief Prices a ChIndex for class-weight vectors: serial, level-parallel,
-/// and incremental sweeps, all bit-identical.
+/// Reference oracle: the bottom-up push sweep. Apexes are processed by
+/// ascending rank and every arc enclosing a triangle below it is relaxed,
+/// with relaxation targets found by merging sorted rows. No option selects
+/// it; tests and the bench_micro_ch_customize gate hold every ChCustomizer
+/// strategy bit-identical to it.
+std::shared_ptr<const ChCustomization> ChCustomizeReference(
+    const ChIndex& ch, const ChClassWeights& weights);
+
+/// \brief Prices a ChIndex for class-weight vectors with one pull kernel:
+/// serial, level-parallel and incremental runs are all bit-identical to
+/// ChCustomizeReference.
 ///
-/// Three strategies over the same triangle closure:
-///  - `threads == 0`: the seed path — the single-threaded push sweep
-///    (process apexes by ascending rank, relax every enclosing arc).
-///  - `threads >= 1`: the pull formulation — every node owns the arc
-///    records in its own rows and *finalizes* them by merging each lower
-///    neighbor's rows against its own. Writes touch only owned rows and
-///    reads touch only rows of strictly lower contraction *level*
-///    (level(v) = 1 + max level over lower neighbors), so all nodes of one
-///    level customize concurrently with a barrier between levels. Candidate
-///    triangles apply in ascending apex rank with strict-< improvement —
-///    the same doubles in the same order as the push sweep, so the output
-///    (costs and via assignments) is bit-identical for any thread count.
-///  - CustomizeFrom(): incremental re-pricing. Every arc carries the union
-///    of road classes of every arc participating in any of its candidate
-///    triangles, transitively (the shortcut closure of its class set). A
-///    weight delta confined to classes outside that mask leaves the arc's
-///    cost and via bit-identical, so only the *records* whose mask
-///    intersects the changed classes are re-priced (owners ascending rank,
-///    serial, relaxation restricted to the dirty run heads); everything
-///    else is one memcpy of the base plane. Falls back to a full sweep when
-///    the dirty estimate exceeds half the arc records (or all three classes
-///    moved).
+/// Every node *owns* the arc records of its own rows and finalizes them
+/// from the lower triangles that enclose them. Rows are viewed as runs of
+/// parallel records sorted by ascending rank of the far endpoint. For owner
+/// `l`, a position map sends each far node of `l`'s row to its run-head
+/// record; for each apex `x` below `l` (ascending rank, from an inverted
+/// index) the kernel scans only the suffix of `x`'s runs ranked above `l`,
+/// reading each run's minimum, which `x` published when its own rows
+/// became final. By triangle closure every suffix run is in `l`'s row, so
+/// the work equals the triangle count and no merge or search is needed; a
+/// run missing from a corrupt (non-closed) index is skipped, as the
+/// reference skips it. The kernel runs
+///  - for `threads <= 1` with one worker, owners in rank order;
+///  - for `threads >= 2` level by level: an owner reads only rows of
+///    strictly lower contraction *level* (level(v) = 1 + max level over
+///    lower neighbors), so all owners of one level run concurrently with a
+///    barrier between levels;
+///  - in CustomizeFrom() over the records whose class-mask closure (the
+///    union of road classes of every arc in any of their candidate
+///    triangles, transitively) meets the changed classes: those records
+///    are re-initialized and only their run heads enter the position map;
+///    every other record keeps the base plane's bits. Falls back to a full
+///    sweep when all three classes moved or the dirty records exceed half
+///    the total.
 ///
-/// The pull-side structures (rank order, levels, inverted lower-neighbor
-/// index, class masks) are metric-independent and built lazily exactly
-/// once; a customizer is safe to share across threads as long as
-/// concurrent Customize calls are externally serialized (the
-/// ChCustomizationCache holds its build mutex across them).
+/// The topology (rank order, rank-sorted runs, inverted lower-neighbor
+/// index, levels, class masks; 16 bytes per run plus 20 per node) is
+/// metric-independent and built lazily exactly once. A customizer is safe
+/// to share across threads as long as calls are externally serialized (the
+/// ChCustomizationCache holds its build mutex across them): the run minima
+/// and position maps are per-customizer scratch.
 class ChCustomizer {
  public:
-  /// \param threads sweep parallelism: 0 = serial push seed path, N >= 1 =
-  ///   level-parallel pull sweep with min(N, level width) workers.
+  /// \param threads sweep workers: 0 or 1 = one worker in rank order,
+  ///   N >= 2 = level-parallel sweep with N workers.
   explicit ChCustomizer(const ChIndex& ch, int threads = 0);
 
-  /// Full customization of `weights` (strategy per `threads`).
+  /// Full customization of `weights`.
   std::shared_ptr<const ChCustomization> Customize(const ChClassWeights& weights);
 
   /// Re-customization from `base` (a fully customized plane) to `weights`.
@@ -123,10 +135,7 @@ class ChCustomizer {
   int threads() const { return threads_; }
   void set_threads(int threads) { threads_ = threads; }
 
-  /// rank -> node permutation (built on first use).
-  const std::vector<NodeId>& order();
-
-  /// Contraction levels (pull-side structure; built on first use).
+  /// Contraction levels (built on first use).
   size_t num_levels();
 
   /// Arc records whose class-mask closure intersects `changed_mask` — the
@@ -142,46 +151,67 @@ class ChCustomizer {
   uint8_t DownArcMask(size_t i);
 
  private:
-  /// One inverted-adjacency entry: apex `x` plus where the owner's run
-  /// starts in x's row (global arc index).
+  /// One inverted-index entry of owner `l`: apex `x`, the position of the
+  /// run x–l among x's rank-sorted runs of this half (the triangle's leg),
+  /// and where x's runs ranked above `l` start in its *other* half.
   struct LowerRef {
     NodeId x;
-    uint32_t run;
+    uint32_t leg;
+    uint32_t suffix;
+  };
+  /// The metric-independent view of one CSR half (up or down): each row's
+  /// runs of parallel records, ordered by ascending rank of the far
+  /// endpoint, plus the inverted index over them.
+  struct Half {
+    std::span<const uint32_t> off;  ///< ChIndex record CSR
+    std::span<const ChArc> arcs;
+    std::vector<uint32_t> run_off;  ///< CSR: node -> its rank-sorted runs
+    std::vector<NodeId> run_node;   ///< far endpoint of each run
+    std::vector<uint32_t> inv_off;  ///< CSR: owner -> inv entries
+    std::vector<LowerRef> inv;      ///< runs of owner in x's row, x rank asc
   };
 
-  void EnsureOrder();
-  void EnsurePull();   ///< levels + inverted lower-neighbor index
-  void EnsureMasks();  ///< class-mask closure + dirty estimates
+  void EnsureTopology();  ///< rank order, sorted runs, inverted index
+  void EnsureLevels();
+  void EnsureMasks();     ///< class-mask closure + dirty estimates
 
-  void CustomizeSerial(const ChClassWeights& weights,
-                       ChCustomization* plane) const;
+  /// Collapses `l`'s `kUp` row into per-run values: `run[p] = fold` over
+  /// the run's records of `rec`, in record order, first record first.
+  template <bool kUp, typename T, typename Fold>
+  void FoldRuns(NodeId l, const T* rec, T* run, uint32_t* pos,
+                Fold fold) const;
+  /// The one triangle enumeration: for each apex `x` of `l`'s `kUp` row
+  /// (ascending rank) calls `leg(p)` with the leg's run position in x's
+  /// other half (false skips the apex), then `far(x, k, q)` for each run
+  /// `q` of x's `kUp` row ranked above `l` whose target head `k` is in
+  /// `pos`.
+  template <bool kUp, typename Leg, typename Far>
+  void ForEachTriangle(NodeId l, const uint32_t* pos, Leg&& leg,
+                       Far&& far) const;
+  /// Prices `l`'s `kUp` row: re-initializes the records selected by
+  /// `changed` (kAllRecords = every record), relaxes their run heads and
+  /// refreshes the row's run minima.
+  template <bool kUp>
+  void PriceRow(NodeId l, const ChClassWeights& weights, uint8_t changed,
+                uint32_t* pos, ChCustomization* plane);
+  void PriceNode(NodeId l, const ChClassWeights& weights, uint8_t changed,
+                 uint32_t* pos, ChCustomization* plane);
   void CustomizeParallel(const ChClassWeights& weights, ChCustomization* plane);
-  /// Re-initializes and finalizes one node's rows under the pull
-  /// formulation (reads only rows of lower-ranked nodes).
-  void PullNode(NodeId l, const ChClassWeights& weights,
-                ChCustomization* plane) const;
-  /// Incremental counterpart of PullNode: re-initializes and re-relaxes
-  /// only the records of `l`'s rows whose class closure intersects
-  /// `changed`, leaving clean records with their (bit-identical) base
-  /// values. Same candidate order and comparisons as PullNode, restricted
-  /// to the dirty run heads — bit-identical where it writes.
-  void RepriceNode(NodeId l, const ChClassWeights& weights, uint8_t changed,
-                   ChCustomization* plane);
+  /// Sizes the run-minima scratch and the position maps of `workers`
+  /// workers (all kChNoArc between owners).
+  void PrepareScratch(size_t workers);
 
   const ChIndex& ch_;
   int threads_;
 
-  std::once_flag order_once_;
+  std::once_flag topology_once_;
   std::vector<NodeId> order_;  ///< rank -> node
+  Half up_;
+  Half down_;
 
-  std::once_flag pull_once_;
-  std::vector<uint32_t> level_of_;       ///< per node
+  std::once_flag levels_once_;
   std::vector<uint32_t> level_offsets_;  ///< CSR into level_order_
   std::vector<NodeId> level_order_;      ///< nodes grouped by level, rank asc
-  std::vector<uint32_t> inv_up_offsets_;   ///< CSR: owner -> x's up-row runs
-  std::vector<LowerRef> inv_up_entries_;   ///< arcs x -> owner (x's up row)
-  std::vector<uint32_t> inv_down_offsets_; ///< CSR: owner -> x's down-row runs
-  std::vector<LowerRef> inv_down_entries_; ///< arcs owner -> x (x's down row)
 
   std::once_flag mask_once_;
   std::vector<uint8_t> mask_up_;    ///< per up-arc record class closure
@@ -189,10 +219,11 @@ class ChCustomizer {
   std::vector<uint8_t> node_mask_;  ///< OR of both rows per node
   size_t dirty_arcs_by_mask_[8] = {0};
 
-  /// RepriceNode scratch: the dirty run heads of the current node's rows
-  /// (CustomizeFrom is serial, so one instance suffices).
-  std::vector<uint32_t> dirty_heads_up_;
-  std::vector<uint32_t> dirty_heads_down_;
+  /// Run minima of the plane being priced, per Half run: an owner writes
+  /// its own rows' minima once they are final; higher owners read them.
+  std::vector<double> min_up_;
+  std::vector<double> min_down_;
+  std::vector<std::vector<uint32_t>> pos_maps_;  ///< one per worker
 };
 
 /// \brief Shared per-bucket customization cache with RCU-style publication.

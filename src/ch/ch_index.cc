@@ -4,6 +4,7 @@
 #include <cstring>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include "graph/io.h"
 
@@ -90,8 +91,26 @@ Result<std::shared_ptr<ChIndex>> ChIndex::FromViews(Views views,
                                     num_graph_edges, "ch up"));
   ECOCHARGE_RETURN_NOT_OK(CheckArcs(views.down_offsets, views.down_arcs, n,
                                     num_graph_edges, "ch down"));
+  // Ranks must be a permutation and every row's far endpoints must outrank
+  // its owner: customization walks nodes in rank order and reads only
+  // rows of lower-ranked nodes.
+  std::vector<bool> seen(n, false);
   for (uint32_t r : views.rank) {
     if (r >= n) return Status::InvalidArgument("ch rank out of range");
+    if (seen[r]) return Status::InvalidArgument("ch rank not a permutation");
+    seen[r] = true;
+  }
+  for (const auto& [offsets, arcs] :
+       {std::pair{views.up_offsets, views.up_arcs},
+        std::pair{views.down_offsets, views.down_arcs}}) {
+    for (size_t v = 0; v < n; ++v) {
+      for (size_t i = offsets[v]; i < offsets[v + 1]; ++i) {
+        if (views.rank[arcs[i].node] <= views.rank[v]) {
+          return Status::InvalidArgument(
+              "ch arc endpoint not ranked above its row");
+        }
+      }
+    }
   }
   auto ch = std::shared_ptr<ChIndex>(new ChIndex());
   ch->rank_ = views.rank;

@@ -85,8 +85,10 @@ class ChIndex {
 
   /// Validates view consistency (offset monotonicity, arc endpoints,
   /// per-row neighbor ordering, original-edge ids against
-  /// `num_graph_edges`) and wraps the bundle. Used by BuildChIndex and the
-  /// snapshot loader.
+  /// `num_graph_edges`, ranks forming a permutation with every far
+  /// endpoint ranked above its row's node) and wraps the bundle. Used by
+  /// BuildChIndex and the snapshot loader. Triangle closure is not
+  /// checked; customization skips a missing enclosing arc.
   static Result<std::shared_ptr<ChIndex>> FromViews(Views views,
                                                     uint64_t num_graph_edges);
 

@@ -68,8 +68,9 @@ class ChQuery {
   void set_cache(ChCustomizationCache* cache) { cache_ = cache; }
   ChCustomizationCache* cache() const { return cache_; }
 
-  /// Sweep parallelism of the private customizer (ignored when a cache is
-  /// attached — the cache's own customizer decides): 0 = serial seed path.
+  /// Sweep workers of the private customizer (ignored when a cache is
+  /// attached — the cache's own customizer decides): 0 or 1 = one worker,
+  /// N >= 2 = level-parallel. Every setting runs the same pull kernel.
   void set_threads(int threads);
   int threads() const { return threads_; }
 

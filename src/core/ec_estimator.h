@@ -39,8 +39,8 @@ struct EcEstimatorOptions {
   /// bucket.
   ChCustomizationCache* ch_cache = nullptr;
 
-  /// Sweep parallelism of the private customizer when no cache is attached
-  /// (0 = serial seed path); forwarded to DeroutingService::set_ch.
+  /// Sweep workers of the private customizer when no cache is attached
+  /// (0 or 1 = one worker); forwarded to DeroutingService::set_ch.
   int ch_threads = 0;
 };
 

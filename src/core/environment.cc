@@ -89,8 +89,8 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
   est_opts.exact_derouting_bucket_s = options.exact_derouting_bucket_s;
   est_opts.ch = env->ch.get();
   if (env->ch != nullptr) {
-    // -1 resolves to the machine; 0 stays the serial seed path. Every
-    // setting prices bit-identically, so this is purely a latency knob.
+    // -1 resolves to the machine; 0 stays one worker. Every setting
+    // prices bit-identically, so this is purely a latency knob.
     int ch_threads = options.ch_threads;
     if (ch_threads < 0) {
       ch_threads =

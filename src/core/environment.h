@@ -78,8 +78,9 @@ struct EnvironmentOptions {
   DeroutingBackend derouting_backend = DeroutingBackend::kExact;
 
   /// CH customization sweep threads (CLI --ch-threads): -1 (default) =
-  /// hardware concurrency, 0 = the serial seed path, N = level-parallel
-  /// pull sweep with N workers. All settings are bit-identical.
+  /// hardware concurrency, 0 or 1 = one worker in rank order, N >= 2 =
+  /// level-parallel with N workers. Every setting runs the same pull
+  /// kernel and prices bit-identically.
   int ch_threads = -1;
 
   /// Build the process-shared ChCustomizationCache for the CH backend

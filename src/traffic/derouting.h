@@ -180,8 +180,8 @@ class DeroutingService {
   /// `cache` (optional, must outlive the service) makes this worker source
   /// customized planes from the process-shared ChCustomizationCache
   /// instead of pricing privately — N workers then customize a congestion
-  /// bucket once total. `threads` is the sweep parallelism of the private
-  /// customizer when no cache is given (0 = serial seed path; ignored with
+  /// bucket once total. `threads` is the sweep worker count of the private
+  /// customizer when no cache is given (0 or 1 = one worker; ignored with
   /// a cache, whose own customizer decides).
   void set_ch(const ChIndex* ch, ChCustomizationCache* cache = nullptr,
               int threads = 0);

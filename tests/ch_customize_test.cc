@@ -1,6 +1,8 @@
 // Customization subsystem: bitwise parity of the serial, level-parallel,
-// and incremental sweeps; class-mask closure semantics on a graph where
-// the closure is provably confined; shared-cache dedup under concurrent
+// and incremental runs of the pull kernel against the reference push
+// sweep, also on a hand-made index that is not closed under triangles;
+// class-mask closure semantics on a graph where the closure is provably
+// confined; shared-cache dedup under concurrent
 // workers (the TSan hammer — scripts/check.sh chpar runs this suite under
 // -fsanitize=thread); and end-to-end Offering Table / ETA-window parity
 // across derouting backends and sweep strategies. Parity here means
@@ -67,27 +69,151 @@ ChClassWeights CongestedWeights(const CongestionModel& congestion,
   return ::testing::AssertionSuccess();
 }
 
+/// Every strategy — one worker (threads 0 and 1), 2 and 4 level-parallel
+/// workers, CustomizeFrom the previous bucket's plane, and one-class deltas
+/// off each bucket — against the reference push sweep, over a sequence of
+/// congestion buckets. Returns how many deltas took the incremental path.
+size_t ExpectStrategiesMatchReference(const ChIndex& ch, uint64_t seed) {
+  CongestionModel congestion(seed);
+  ChCustomizer serial0(ch, 0);
+  ChCustomizer serial1(ch, 1);
+  ChCustomizer par2(ch, 2);
+  ChCustomizer par4(ch, 4);
+  ChCustomizer inc(ch, 0);
+  std::shared_ptr<const ChCustomization> prev;
+  size_t incremental = 0;
+  for (double hour : {2.0, 8.5, 13.0, 17.5}) {
+    const ChClassWeights w = CongestedWeights(congestion, hour * 3600.0);
+    auto want = ChCustomizeReference(ch, w);
+    EXPECT_TRUE(PlanesSameBits(*want, *serial0.Customize(w))) << "0 threads";
+    EXPECT_TRUE(PlanesSameBits(*want, *serial1.Customize(w))) << "1 thread";
+    EXPECT_TRUE(PlanesSameBits(*want, *par2.Customize(w))) << "2 threads";
+    EXPECT_TRUE(PlanesSameBits(*want, *par4.Customize(w))) << "4 threads";
+    auto next = inc.CustomizeFrom(prev, w);
+    EXPECT_TRUE(PlanesSameBits(*want, *next))
+        << "incremental from previous bucket";
+    prev = std::move(next);
+    for (int c = 0; c < kChNumClasses; ++c) {
+      ChClassWeights delta = w;
+      delta.w[c] *= 1.25;
+      bool took = false;
+      auto plane = inc.CustomizeFrom(prev, delta, &took);
+      EXPECT_TRUE(PlanesSameBits(*ChCustomizeReference(ch, delta), *plane))
+          << "one-class delta, class " << c;
+      incremental += took;
+    }
+  }
+  return incremental;
+}
+
 TEST(ChCustomizerTest, SerialParallelIncrementalBitIdentical) {
+  size_t incremental = 0;
   for (uint64_t seed : {3u, 17u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    CongestionModel congestion(seed);
+    incremental += ExpectStrategiesMatchReference(*ch, seed);
+  }
+  // A 30x30 grid world: nested dissection gives it near-clique top
+  // separators, where the rank-sorted suffixes are longest.
+  auto grid =
+      GenerateNetwork("type=grid;nx=30;ny=30;spacing=500;seed=11")
+          .MoveValueUnsafe();
+  auto ch = BuildChIndex(*grid).MoveValueUnsafe();
+  incremental += ExpectStrategiesMatchReference(*ch, 11);
+  EXPECT_GT(incremental, 0u) << "no delta exercised the incremental path";
+}
 
-    ChCustomizer serial(*ch, 0);
-    ChCustomizer par2(*ch, 2);
-    ChCustomizer par4(*ch, 4);
-    ChCustomizer inc(*ch, 0);
-    std::shared_ptr<const ChCustomization> prev;
-    for (double hour : {2.0, 8.5, 13.0, 17.5}) {
-      const ChClassWeights w = CongestedWeights(congestion, hour * 3600.0);
-      auto s = serial.Customize(w);
-      EXPECT_TRUE(PlanesSameBits(*s, *par2.Customize(w))) << "2 threads";
-      EXPECT_TRUE(PlanesSameBits(*s, *par4.Customize(w))) << "4 threads";
-      EXPECT_TRUE(PlanesSameBits(*s, *inc.CustomizeFrom(prev, w)))
-          << "incremental from previous bucket";
-      prev = std::move(s);
+/// Hand-made index over 5 nodes (rank = id) that is NOT closed under
+/// triangles: apex 0 has legs 1 -> 0 and 0 -> 4 but no arc 1 -> 4 (a
+/// missing up target) and legs 3 -> 0 and 0 -> 1 but no arc 3 -> 1 (a
+/// missing down target); apex 1 has legs 4 -> 1 and 1 -> 3 but no 4 -> 3.
+/// FromViews accepts it (closure is not checked), so the kernel must skip
+/// the missing enclosing arcs. Parallel records exercise the run minima on
+/// both legs and on a target run.
+struct NonClosedIndex {
+  std::vector<uint32_t> rank = {0, 1, 2, 3, 4};
+  // Up rows (arc v -> far): 0 -> {1, 2, 2, 3, 4}, 1 -> {2, 2, 3}, 2 -> {3}.
+  std::vector<uint32_t> up_offsets = {0, 5, 8, 9, 9, 9};
+  std::vector<ChArc> up_arcs = {
+      Orig(1, 0, 0, 100.0), Orig(2, 1, 1, 300.0), Orig(2, 2, 2, 250.0),
+      Orig(3, 3, 0, 200.0), Orig(4, 4, 0, 400.0), Orig(2, 5, 0, 900.0),
+      Orig(2, 6, 2, 950.0), Shortcut(3),          Orig(3, 7, 2, 120.0)};
+  // Down rows (arc far -> v): 0 <- {1, 2, 3, 3}, 1 <- {2, 4}, 2 <- {3, 4}.
+  std::vector<uint32_t> down_offsets = {0, 4, 6, 8, 8, 8};
+  std::vector<ChArc> down_arcs = {
+      Orig(1, 8, 0, 110.0),  Orig(2, 9, 1, 70.0), Orig(3, 10, 1, 500.0),
+      Orig(3, 11, 0, 450.0), Shortcut(2),         Orig(4, 12, 2, 80.0),
+      Orig(3, 13, 1, 60.0),  Shortcut(4)};
+
+  static ChArc Orig(NodeId far, EdgeId e, int rc, double len) {
+    ChArc a;
+    a.node = far;
+    a.orig = e;
+    a.len[rc] = len;
+    return a;
+  }
+  static ChArc Shortcut(NodeId far) {
+    ChArc a;
+    a.node = far;
+    return a;
+  }
+
+  Result<std::shared_ptr<ChIndex>> Build() const {
+    ChIndex::Views v;
+    v.rank = rank;
+    v.up_offsets = up_offsets;
+    v.up_arcs = up_arcs;
+    v.down_offsets = down_offsets;
+    v.down_arcs = down_arcs;
+    return ChIndex::FromViews(std::move(v), 14);
+  }
+};
+
+TEST(ChCustomizerTest, NonClosedIndexSkipsMissingTargets) {
+  const NonClosedIndex data;
+  auto built = data.Build();
+  ASSERT_TRUE(built.ok()) << built.status();
+  const ChIndex& ch = **built;
+
+  const ChClassWeights base_w{{1.0, 1.5, 2.0}};
+  ChClassWeights delta_w = base_w;
+  delta_w.w[2] = 0.5;
+  for (const ChClassWeights& w : {base_w, delta_w}) {
+    auto want = ChCustomizeReference(ch, w);
+    for (int threads : {0, 1, 2, 4}) {
+      ChCustomizer customizer(ch, threads);
+      EXPECT_TRUE(PlanesSameBits(*want, *customizer.Customize(w)))
+          << threads << " threads";
     }
   }
+  // The closed triangles still price: shortcuts 1 -> 3 and 2 -> 1 via
+  // apex 0, shortcut 4 -> 2 via apex 1, and the head of the parallel run
+  // 1 -> 2 improves via apex 0 while its second record keeps its own cost.
+  auto want = ChCustomizeReference(ch, base_w);
+  EXPECT_EQ(want->via_up[7], 0u);
+  EXPECT_EQ(want->cw_up[7], 110.0 + 200.0);
+  EXPECT_EQ(want->via_down[4], 0u);
+  EXPECT_EQ(want->via_down[7], 1u);
+  EXPECT_EQ(want->via_up[5], 0u);
+  EXPECT_EQ(want->cw_up[5], 110.0 + 300.0 * 1.5);
+  EXPECT_EQ(want->cw_up[6], 950.0 * 2.0);
+
+  // A one-class delta takes the incremental path and still matches.
+  ChCustomizer inc(ch, 0);
+  auto base = inc.Customize(base_w);
+  bool incremental = false;
+  auto delta = inc.CustomizeFrom(base, delta_w, &incremental);
+  EXPECT_TRUE(incremental);
+  EXPECT_TRUE(PlanesSameBits(*ChCustomizeReference(ch, delta_w), *delta));
+}
+
+TEST(ChCustomizerTest, FromViewsRejectsRankViolations) {
+  NonClosedIndex duplicate;
+  duplicate.rank = {0, 1, 1, 3, 4};
+  EXPECT_FALSE(duplicate.Build().ok());
+  NonClosedIndex inverted;
+  inverted.rank = {0, 2, 1, 3, 4};  // 1 -> 2 would point down the order
+  EXPECT_FALSE(inverted.Build().ok());
 }
 
 TEST(ChCustomizerTest, UnchangedWeightsReturnBaseUnbuilt) {
@@ -167,6 +293,17 @@ TEST(ChCustomizerTest, MaskClosureConfinedToSpursAndIncrementalRuns) {
   EXPECT_GT(dirty_by_mask, 0u);
   EXPECT_LE(dirty_by_mask, static_cast<size_t>(8 * kSpurLen));
   EXPECT_LT(dirty_by_mask, customizer.total_arcs() / 10);
+  // Exact counts, pinned: 12 records per spur, and the local class
+  // reaches every record outside the two spurs.
+  const auto dirty = [&](RoadClass rc) {
+    return customizer.DirtyArcEstimate(
+        static_cast<uint8_t>(1u << static_cast<int>(rc)));
+  };
+  EXPECT_EQ(customizer.total_arcs(), 1918u);
+  EXPECT_EQ(dirty(RoadClass::kHighway), 12u);
+  EXPECT_EQ(dirty(RoadClass::kArterial), 12u);
+  EXPECT_EQ(dirty_by_mask, 24u);
+  EXPECT_EQ(dirty(RoadClass::kLocal), 1918u - 24u);
 
   // A highway+arterial re-price therefore takes the incremental path and
   // still matches a full sweep bit-for-bit.
