@@ -54,6 +54,14 @@
 #                                    # incremental speedup floors, cache
 #                                    # dedup floor; emits
 #                                    # BENCH_ch_customize.json)
+#   scripts/check.sh bench           # serving-benchmark contract gate:
+#                                    # perfbench's stream-digest test,
+#                                    # then every workload for 3 s on
+#                                    # seed 1 at --trace 0 and --trace 1;
+#                                    # fails unless each run reports
+#                                    # "correct": true, 0 failed requests
+#                                    # and the pinned seed-1 table digest
+#                                    # (builds under .bench_build/)
 #   scripts/check.sh lint            # clang-tidy over src/, tools/, and
 #                                    # the asserting bench gates (skips
 #                                    # with exit 0 when clang-tidy absent)
@@ -104,7 +112,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     obs_gate=1
-    set -- -R 'Metrics|Statsz|TtlCache|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous' "$@"
+    set -- -R 'Metrics|Statsz|TtlCache|ForecastColumns|EstimateBatch|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous' "$@"
     ;;
   fault)
     # The resilience stack (fault injector, retry state, breakers, stale
@@ -114,7 +122,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     fault_gate=1
-    set -- -R 'Resilien|FaultInjector|CircuitBreaker|RetryPolicy|ScopedRequestDeadline|Degrad|TtlCache|OfferingServer|InformationServer' "$@"
+    set -- -R 'Resilien|FaultInjector|CircuitBreaker|RetryPolicy|ScopedRequestDeadline|Degrad|TtlCache|ForecastColumns|EstimateBatch|OfferingServer|InformationServer' "$@"
     ;;
   perf)
     # Performance regressions in the refinement phase are contract breaks,
@@ -211,6 +219,39 @@ case "${sanitize}" in
     echo "check.sh simd: BENCH_score.json lands in build/bench/ and is" \
          "untracked; copy numbers into EXPERIMENTS.md when they move."
     exit 0
+    ;;
+  bench)
+    # Offering Tables are the contract: a serving change may move any
+    # timing, but never a table. Run the benchmark's own test, then each
+    # workload traced and untraced, and compare its table digest with the
+    # value pinned for seed 1.
+    shift
+    cd "${repo_root}"
+    python3 perfbench/run.py --test
+    declare -A pinned=(
+      [city_trips]=7b4a25d3b73b7d06
+      [regional_ch]=99320d79dfd9987a
+      [corridor_fleet]=eba23417d62458e0
+    )
+    status=0
+    for workload in city_trips regional_ch corridor_fleet; do
+      for trace in 0 1; do
+        out="$(python3 perfbench/run.py --workload "${workload}" --seed 1 \
+          --seconds 3 --trace "${trace}")" || true
+        result="$(tail -n 1 <<<"${out}")"
+        digests="$(grep -o 'table_digest=[0-9a-f]*' <<<"${out}" | sort -u)"
+        verdict=ok
+        if ! grep -q '"correct": true' <<<"${result}" ||
+           ! grep -q '"failed": 0,' <<<"${result}" ||
+           [[ "${digests}" != "table_digest=${pinned[${workload}]}" ]]; then
+          verdict=FAIL
+          status=1
+        fi
+        echo "check.sh bench: ${workload} trace=${trace}:" \
+             "${digests:-no digest} ${verdict}"
+      done
+    done
+    exit "${status}"
     ;;
   lint)
     shift

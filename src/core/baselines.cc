@@ -92,7 +92,6 @@ RandomRanker::RandomRanker(EcEstimator* estimator,
 
 void RandomRanker::RankInto(const VehicleState& state, size_t k,
                             QueryContext& ctx, OfferingTable* out) {
-  const std::vector<EvCharger>& fleet = estimator_->fleet();
   charger_index_->RangeSearchInto(state.position, radius_m_, &ctx.spatial,
                                   &ctx.neighbors);
   std::vector<uint32_t>& ids = ctx.candidates;
@@ -103,14 +102,15 @@ void RandomRanker::RankInto(const VehicleState& state, size_t k,
   if (ids.size() > k) ids.resize(k);
 
   StartTable(state, out);
-  out->entries.reserve(ids.size());
-  for (uint32_t id : ids) {
-    if (id >= fleet.size()) continue;
-    // The random method does not evaluate objectives; fill the entry with
-    // cheap estimated intervals so the table still carries ETA context.
+  // The random method does not evaluate objectives; fill the entries with
+  // cheap estimated intervals so the table still carries ETA context.
+  estimator_->EstimateIntervalsBatch(state, ids, /*derouting_norm_m=*/0.0,
+                                     &ctx);
+  out->entries.reserve(ctx.scored.size());
+  for (const ScoredCandidate& c : ctx.scored) {
     OfferingEntry e;
-    e.charger_id = id;
-    e.ecs = estimator_->EstimateIntervals(state, fleet[id]);
+    e.charger_id = c.charger_id;
+    e.ecs = c.ecs;
     e.score = ScorePair{0.0, 0.0};  // deliberately unranked
     e.eta_s = e.ecs.eta_s;
     out->NoteEntryDegradation(e.ecs);

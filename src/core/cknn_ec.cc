@@ -199,31 +199,13 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
     const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
     const ScoreWeights& weights, QueryContext* ctx) {
   obs::ScopedTimer timer(metrics_.score_ns);
-  const std::vector<EvCharger>& fleet = estimator_->fleet();
   std::vector<ScoredCandidate>& scored = ctx->scored;
-  scored.clear();
-  scored.reserve(candidate_ids.size());
   if (options_.use_simd) {
-    // Gather: the per-candidate interval estimation stays scalar (it is
-    // EIS-fetch-bound and branchy), but its six endpoints transpose into
-    // the SoA lanes so the eq. 4–5 arithmetic runs as one vector batch.
+    // One columnar batch fills the EC lanes (one EIS call per request),
+    // then the eq. 4–5 arithmetic runs as one vector batch over them.
     simd::ScoreLanes& lanes = ctx->lanes;
-    lanes.Clear();
-    for (ChargerId id : candidate_ids) {
-      if (id >= fleet.size()) continue;
-      ScoredCandidate c;
-      c.charger_id = id;
-      c.ecs = estimator_->EstimateIntervals(state, fleet[id],
-                                            options_.derouting_norm_m);
-      lanes.level_lo.push_back(c.ecs.level.lo);
-      lanes.level_hi.push_back(c.ecs.level.hi);
-      lanes.avail_lo.push_back(c.ecs.availability.lo);
-      lanes.avail_hi.push_back(c.ecs.availability.hi);
-      lanes.der_lo.push_back(c.ecs.derouting.lo);
-      lanes.der_hi.push_back(c.ecs.derouting.hi);
-      lanes.ids.push_back(id);
-      scored.push_back(c);
-    }
+    estimator_->EstimateIntervalsBatch(state, candidate_ids,
+                                       options_.derouting_norm_m, ctx);
     const size_t n = scored.size();
     lanes.sc_min.resize(n);
     lanes.sc_max.resize(n);
@@ -238,8 +220,11 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
     if (metrics_.simd_batches) metrics_.simd_batches->Add();
     if (metrics_.simd_lanes && n > 0) metrics_.simd_lanes->Add(n);
   } else {
-    // Scalar oracle: the per-candidate AoS path, byte-for-byte the scores
-    // the SIMD batch above must reproduce.
+    // Scalar oracle: the per-candidate AoS path, byte-for-byte the ECs and
+    // scores the columnar batch above must reproduce.
+    const std::vector<EvCharger>& fleet = estimator_->fleet();
+    scored.clear();
+    scored.reserve(candidate_ids.size());
     for (ChargerId id : candidate_ids) {
       if (id >= fleet.size()) continue;
       ScoredCandidate c;

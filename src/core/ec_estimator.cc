@@ -56,27 +56,40 @@ void EcEstimator::PickBestSite() {
   }
 }
 
+namespace {
+
+// The fleet-max energy is quantized to the EIS forecast bucket so the
+// value is pure in its key.
+constexpr double kEnergyBucketS = 15.0 * kSecondsPerMinute;
+
+uint64_t EnergyBucket(SimTime t) {
+  return static_cast<uint64_t>(std::max(0.0, t) / kEnergyBucketS);
+}
+
+}  // namespace
+
 double EcEstimator::MaxFleetEnergyKwh(SimTime t, double window_s) {
-  // Quantize to the EIS forecast bucket so the value is pure in its key.
-  const double bucket_s = 15.0 * kSecondsPerMinute;
-  uint64_t bucket = static_cast<uint64_t>(std::max(0.0, t) / bucket_s);
+  uint64_t bucket = EnergyBucket(t);
   uint64_t key = bucket * 1000003ULL +
                  static_cast<uint64_t>(window_s / kSecondsPerMinute);
   auto it = max_energy_cache_.find(key);
   if (it != max_energy_cache_.end()) return it->second;
   if (fleet_->empty()) return 0.0;
   double value = energy_->ActualEnergyKwh(
-      (*fleet_)[best_site_index_], static_cast<double>(bucket) * bucket_s,
+      (*fleet_)[best_site_index_], static_cast<double>(bucket) * kEnergyBucketS,
       window_s);
   max_energy_cache_[key] = value;
   return value;
 }
 
-double EcEstimator::NormalizeEnergy(double kwh, double window_s, SimTime t) {
-  // Eq. 1: the environment's maximum charging level at this time window.
-  double denom = MaxFleetEnergyKwh(t, window_s);
+double EcEstimator::EnergyShare(double kwh, double denom) {
   if (denom <= 1e-9) return 0.0;  // night: nothing produces
   return std::clamp(kwh / denom, 0.0, 1.0);
+}
+
+double EcEstimator::NormalizeEnergy(double kwh, double window_s, SimTime t) {
+  // Eq. 1: the environment's maximum charging level at this time window.
+  return EnergyShare(kwh, MaxFleetEnergyKwh(t, window_s));
 }
 
 double EcEstimator::NormalizeDerouting(double extra_m, double norm_m) const {
@@ -132,6 +145,79 @@ EcIntervals EcEstimator::EstimateIntervals(const VehicleState& state,
                  energy_fetch != EisFetch::kFresh ||
                  avail_fetch != EisFetch::kFresh;
   return ecs;
+}
+
+void EcEstimator::EstimateIntervalsBatch(
+    const VehicleState& state, std::span<const ChargerId> candidate_ids,
+    double derouting_norm_m, QueryContext* ctx) {
+  const std::vector<EvCharger>& fleet = *fleet_;
+  const DeroutingQuery q = MakeQuery(state);
+  EisFetch traffic_fetch = EisFetch::kFresh;
+  const CongestionModel::Band band = eis_->GetTraffic(
+      RoadClass::kArterial, state.time, state.time, &traffic_fetch);
+
+  simd::ScoreLanes& lanes = ctx->lanes;
+  lanes.Clear();
+  batch_chargers_.clear();
+  batch_targets_.clear();
+  batch_derouting_.clear();
+  for (ChargerId id : candidate_ids) {
+    if (id >= fleet.size()) continue;
+    const DeroutingEstimate der = derouting_.Estimate(q, fleet[id], band);
+    lanes.ids.push_back(id);
+    batch_chargers_.push_back(&fleet[id]);
+    batch_targets_.push_back(state.time + der.eta_s);
+    batch_derouting_.push_back(der);
+  }
+  eis_->GetForecastBatch(batch_chargers_, batch_targets_, state.time,
+                         state.charge_window_s, &batch_forecasts_);
+
+  const size_t n = batch_chargers_.size();
+  std::vector<ScoredCandidate>& scored = ctx->scored;
+  scored.resize(n);
+  for (std::vector<double>* lane :
+       {&lanes.level_lo, &lanes.level_hi, &lanes.avail_lo, &lanes.avail_hi,
+        &lanes.der_lo, &lanes.der_hi}) {
+    lane->resize(n);
+  }
+  // Candidates of one request share a handful of ETA buckets: memoize the
+  // fleet maximum of the last bucket (the same key MaxFleetEnergyKwh uses).
+  uint64_t denom_bucket = ~uint64_t{0};
+  double denom = 0.0;
+  for (size_t i = 0; i < n; ++i) {
+    const SimTime eta_time = batch_targets_[i];
+    const uint64_t bucket = EnergyBucket(eta_time);
+    if (bucket != denom_bucket) {
+      denom = MaxFleetEnergyKwh(eta_time, state.charge_window_s);
+      denom_bucket = bucket;
+    }
+    const EnergyForecast& energy = batch_forecasts_.energy[i];
+    const AvailabilityForecast& avail = batch_forecasts_.availability[i];
+    const DeroutingEstimate& der = batch_derouting_[i];
+    ScoredCandidate& c = scored[i];
+    c.charger_id = lanes.ids[i];
+    c.score = ScorePair{};
+    c.ecs.level = Interval::FromUnordered(EnergyShare(energy.min_kwh, denom),
+                                          EnergyShare(energy.max_kwh, denom));
+    c.ecs.availability = Interval::FromUnordered(avail.min, avail.max);
+    c.ecs.derouting = Interval::FromUnordered(
+        NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
+        NormalizeDerouting(der.extra_distance_max_m, derouting_norm_m));
+    c.ecs.eta_s = der.eta_s;
+    c.ecs.degraded = traffic_fetch != EisFetch::kFresh ||
+                     batch_forecasts_.fetch[i] != EisFetch::kFresh;
+    lanes.level_lo[i] = c.ecs.level.lo;
+    lanes.level_hi[i] = c.ecs.level.hi;
+    lanes.avail_lo[i] = c.ecs.availability.lo;
+    lanes.avail_hi[i] = c.ecs.availability.hi;
+    lanes.der_lo[i] = c.ecs.derouting.lo;
+    lanes.der_hi[i] = c.ecs.derouting.hi;
+  }
+  if (n > 0) {
+    if (level_estimates_) level_estimates_->Add(n);
+    if (availability_estimates_) availability_estimates_->Add(n);
+    if (derouting_estimates_) derouting_estimates_->Add(n);
+  }
 }
 
 void EcEstimator::ReviseDerouting(const VehicleState& state,

@@ -2,10 +2,12 @@
 #define ECOCHARGE_CORE_EC_ESTIMATOR_H_
 
 #include <memory>
+#include <span>
 #include <unordered_map>
 #include <vector>
 
 #include "availability/availability_service.h"
+#include "core/query_context.h"
 #include "core/score.h"
 #include "core/vehicle_state.h"
 #include "eis/information_server.h"
@@ -101,6 +103,19 @@ class EcEstimator {
                                 const EvCharger& charger,
                                 double derouting_norm_m = 0.0);
 
+  /// EstimateIntervals for a whole candidate set, as one columnar batch:
+  /// the arterial band is fetched once, every Euclidean derouting
+  /// estimate and ETA is computed, L and A come from one
+  /// InformationServer::GetForecastBatch call, L is normalized with a
+  /// fleet-max memo per ETA bucket, and each counter is bumped once.
+  /// Ids outside the fleet are skipped. Writes `ctx->scored` (ids and
+  /// ECs; scores zeroed) and the EC lanes plus `ids` of `ctx->lanes`,
+  /// in candidate order — bit-identical to per-candidate
+  /// EstimateIntervals calls, which stay as the scalar oracle.
+  void EstimateIntervalsBatch(const VehicleState& state,
+                              std::span<const ChargerId> candidate_ids,
+                              double derouting_norm_m, QueryContext* ctx);
+
   /// Like EstimateIntervals but with the derouting interval replaced by the
   /// network-exact value — the refinement phase's upgrade path.
   EcIntervals EstimateWithExactDerouting(const VehicleState& state,
@@ -188,6 +203,9 @@ class EcEstimator {
   /// 15-minute bucket (cached; this is an environment property).
   double MaxFleetEnergyKwh(SimTime t, double window_s);
 
+  /// Eq. 1's share of the fleet maximum `denom` (0 when nothing produces).
+  static double EnergyShare(double kwh, double denom);
+
   std::shared_ptr<const RoadNetwork> network_;
   const std::vector<EvCharger>* fleet_;
   SolarEnergyService* energy_;
@@ -198,6 +216,12 @@ class EcEstimator {
   InformationServer* eis_;
   size_t best_site_index_ = 0;  // fleet index maximizing min(rate, pv)
   std::unordered_map<uint64_t, double> max_energy_cache_;
+
+  // EstimateIntervalsBatch staging (capacity only; reused across calls).
+  std::vector<const EvCharger*> batch_chargers_;
+  std::vector<SimTime> batch_targets_;
+  std::vector<DeroutingEstimate> batch_derouting_;
+  ForecastBatch batch_forecasts_;
 
   // Observability (null until AttachMetrics): one count per estimated
   // component, so statsz shows how much L/A/D estimation work each run did.

@@ -1,5 +1,6 @@
 #include "core/protocol.h"
 
+#include <cmath>
 #include <sstream>
 
 namespace ecocharge {
@@ -13,6 +14,20 @@ Status Expect(std::istream& is, const std::string& keyword) {
     return Status::IOError("expected '" + keyword + "', got '" + token + "'");
   }
   return Status::OK();
+}
+
+/// Rejects a non-finite field or one outside [lo, hi].
+Status CheckRange(const char* field, double value, double lo, double hi) {
+  if (std::isfinite(value) && value >= lo && value <= hi) return Status::OK();
+  std::ostringstream os;
+  os << field << " " << value << " outside [" << lo << ", " << hi << "]";
+  return Status::OutOfRange(os.str());
+}
+
+Status CheckPoint(const char* field, const Point& p) {
+  ECOCHARGE_RETURN_NOT_OK(
+      CheckRange(field, p.x, -kMaxWireCoordinateM, kMaxWireCoordinateM));
+  return CheckRange(field, p.y, -kMaxWireCoordinateM, kMaxWireCoordinateM);
 }
 
 }  // namespace
@@ -76,6 +91,13 @@ Result<OfferingRequest> DecodeOfferingRequest(const std::string& wire) {
   ECOCHARGE_RETURN_NOT_OK(Expect(is, "trip"));
   if (!(is >> request.state.trip_id)) return Status::IOError("bad trip");
   ECOCHARGE_RETURN_NOT_OK(Expect(is, "end"));
+  const VehicleState& s = request.state;
+  ECOCHARGE_RETURN_NOT_OK(CheckRange("time", s.time, 0.0, kMaxWireTimeS));
+  ECOCHARGE_RETURN_NOT_OK(
+      CheckRange("window", s.charge_window_s, 0.0, kMaxWireWindowS));
+  ECOCHARGE_RETURN_NOT_OK(CheckPoint("position", s.position));
+  ECOCHARGE_RETURN_NOT_OK(CheckPoint("return_a", s.return_point_a));
+  ECOCHARGE_RETURN_NOT_OK(CheckPoint("return_b", s.return_point_b));
   return request;
 }
 

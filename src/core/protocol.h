@@ -21,10 +21,20 @@ struct OfferingRequest {
   size_t k = 3;
 };
 
+/// Bounds DecodeOfferingRequest enforces on the untrusted numeric fields.
+/// Past them the estimator's arithmetic breaks: a time or an ETA beyond
+/// ~1.7e22 s overflows the EIS's integer time buckets, and a huge charge
+/// window makes the energy integration loop practically forever.
+inline constexpr double kMaxWireTimeS = 1e9;        ///< ~31.7 years
+inline constexpr double kMaxWireWindowS = 86400.0;  ///< one day
+inline constexpr double kMaxWireCoordinateM = 1e8;  ///< 100,000 km
+
 /// Serializes a request to the wire format.
 std::string EncodeOfferingRequest(const OfferingRequest& request);
 
-/// Parses a request; rejects malformed or incomplete messages.
+/// Parses a request; rejects malformed or incomplete messages (IOError)
+/// and non-finite or out-of-range time, window and point coordinates
+/// (OutOfRange).
 Result<OfferingRequest> DecodeOfferingRequest(const std::string& wire);
 
 /// Serializes an Offering Table (the response).

@@ -6,14 +6,6 @@
 
 namespace ecocharge {
 
-namespace {
-
-// Upstream APIs serve 15-minute buckets; requests are snapped to the
-// bucket start so a response is a pure function of its cache key.
-constexpr double kBucketSeconds = 15.0 * kSecondsPerMinute;
-
-}  // namespace
-
 uint64_t InformationServer::TimeBucket(SimTime t) {
   return static_cast<uint64_t>(std::max(0.0, t) / kBucketSeconds);
 }
@@ -39,23 +31,27 @@ uint64_t FoldRevision(uint64_t key, uint64_t rev) {
   return h * 0x2545F4914F6CDD1DULL;
 }
 
+// The revision component of a column key: 0 when no scope is installed,
+// so stand-alone callers keep the classic key space.
+uint64_t ColumnRevision(uint64_t WorldRevisions::*source) {
+  const WorldRevisions* revs = ScopedWorldRevisions::Current();
+  return revs ? revs->*source + 1 : 0;
+}
+
 }  // namespace
 
-uint64_t InformationServer::WeatherKey(const EvCharger& charger, SimTime now,
-                                       SimTime target) {
-  uint64_t key = MixKey(charger.id + 1, TimeBucket(target), TimeBucket(now));
-  if (const WorldRevisions* revs = ScopedWorldRevisions::Current()) {
-    key = FoldRevision(key, revs->weather);
-  }
+ColumnKey InformationServer::WeatherColumn(SimTime now, double window_s) {
+  ColumnKey key;
+  key.issue_bucket = TimeBucket(now);
+  key.revision = ColumnRevision(&WorldRevisions::weather);
+  key.window_bits = std::bit_cast<uint64_t>(window_s);
   return key;
 }
 
-uint64_t InformationServer::AvailabilityKey(const EvCharger& charger,
-                                            SimTime now, SimTime target) {
-  uint64_t key = MixKey(charger.id + 1, TimeBucket(target), TimeBucket(now));
-  if (const WorldRevisions* revs = ScopedWorldRevisions::Current()) {
-    key = FoldRevision(key, revs->availability);
-  }
+ColumnKey InformationServer::AvailabilityColumn(SimTime now) {
+  ColumnKey key;
+  key.issue_bucket = TimeBucket(now);
+  key.revision = ColumnRevision(&WorldRevisions::availability);
   return key;
 }
 
@@ -84,6 +80,17 @@ void InformationServer::CountTrafficCall() {
   if (traffic_calls_mirror_) traffic_calls_mirror_->Add();
 }
 
+namespace {
+
+// The plain server's ladder never leaves the top rung: its upstream
+// cannot fail, so Resolve never calls this.
+template <typename Value>
+Value NeverDegrades(const EvCharger&, const Value* stale, EisFetch*) {
+  return stale ? *stale : Value{};
+}
+
+}  // namespace
+
 InformationServer::InformationServer(SolarEnergyService* energy,
                                      const AvailabilityService* availability,
                                      const CongestionModel* congestion,
@@ -91,37 +98,75 @@ InformationServer::InformationServer(SolarEnergyService* energy,
     : energy_(energy),
       availability_(availability),
       congestion_(congestion),
-      weather_cache_(options.weather_ttl_s, 1 << 16, options.cache_shards),
-      availability_cache_(options.availability_ttl_s, 1 << 16,
-                          options.cache_shards),
-      traffic_cache_(options.traffic_ttl_s, 1 << 16, options.cache_shards) {}
+      weather_columns_(options.weather_ttl_s, kStoreCapacity),
+      availability_columns_(options.availability_ttl_s, kStoreCapacity),
+      traffic_cache_(options.traffic_ttl_s, kStoreCapacity,
+                     options.cache_shards) {}
+
+void InformationServer::ResolveWeather(
+    std::span<const EvCharger* const> chargers,
+    std::span<const SimTime> targets, SimTime now, double window_s,
+    EnergyForecast* out, EisFetch* fetch) {
+  Resolve(&weather_columns_, WeatherColumn(now, window_s), chargers, targets,
+          now,
+          [&](const EvCharger& c, SimTime snapped_now,
+              SimTime snapped_target) -> Result<EnergyForecast> {
+            CountWeatherCall();
+            return energy_->ForecastEnergyKwh(c, snapped_now, snapped_target,
+                                              window_s);
+          },
+          NeverDegrades<EnergyForecast>, out, fetch);
+}
+
+void InformationServer::ResolveAvailability(
+    std::span<const EvCharger* const> chargers,
+    std::span<const SimTime> targets, SimTime now, AvailabilityForecast* out,
+    EisFetch* fetch) {
+  Resolve(&availability_columns_, AvailabilityColumn(now), chargers, targets,
+          now,
+          [&](const EvCharger& c, SimTime snapped_now,
+              SimTime snapped_target) -> Result<AvailabilityForecast> {
+            CountAvailabilityCall();
+            return availability_->Forecast(c, snapped_now, snapped_target);
+          },
+          NeverDegrades<AvailabilityForecast>, out, fetch);
+}
 
 EnergyForecast InformationServer::GetEnergyForecast(const EvCharger& charger,
                                                     SimTime now,
                                                     SimTime target,
                                                     double window_s,
                                                     EisFetch* fetch) {
-  if (fetch) *fetch = EisFetch::kFresh;
-  uint64_t key = WeatherKey(charger, now, target);
-  if (auto cached = weather_cache_.Get(key, now)) return *cached;
-  CountWeatherCall();
-  EnergyForecast f = energy_->ForecastEnergyKwh(charger, SnapToBucket(now),
-                                                SnapToBucket(target),
-                                                window_s);
-  weather_cache_.Put(key, f, now);
+  const EvCharger* one[1] = {&charger};
+  EnergyForecast f;
+  EisFetch rung = EisFetch::kFresh;
+  ResolveWeather(one, {&target, 1}, now, window_s, &f, &rung);
+  if (fetch) *fetch = rung;
   return f;
 }
 
 AvailabilityForecast InformationServer::GetAvailability(
     const EvCharger& charger, SimTime now, SimTime target, EisFetch* fetch) {
-  if (fetch) *fetch = EisFetch::kFresh;
-  uint64_t key = AvailabilityKey(charger, now, target);
-  if (auto cached = availability_cache_.Get(key, now)) return *cached;
-  CountAvailabilityCall();
-  AvailabilityForecast f = availability_->Forecast(
-      charger, SnapToBucket(now), SnapToBucket(target));
-  availability_cache_.Put(key, f, now);
+  const EvCharger* one[1] = {&charger};
+  AvailabilityForecast f;
+  EisFetch rung = EisFetch::kFresh;
+  ResolveAvailability(one, {&target, 1}, now, &f, &rung);
+  if (fetch) *fetch = rung;
   return f;
+}
+
+void InformationServer::GetForecastBatch(
+    std::span<const EvCharger* const> chargers,
+    std::span<const SimTime> targets, SimTime now, double window_s,
+    ForecastBatch* out) {
+  const size_t n = chargers.size();
+  out->energy.resize(n);
+  out->availability.resize(n);
+  out->fetch.assign(n, EisFetch::kFresh);
+  ResolveWeather(chargers, targets, now, window_s, out->energy.data(),
+                 out->fetch.data());
+  ResolveAvailability(chargers, targets, now, out->availability.data(),
+                      out->fetch.data());
 }
 
 CongestionModel::Band InformationServer::GetTraffic(RoadClass road_class,
@@ -143,8 +188,8 @@ void InformationServer::AttachMetrics(obs::MetricsRegistry* registry) {
     weather_calls_mirror_ = nullptr;
     availability_calls_mirror_ = nullptr;
     traffic_calls_mirror_ = nullptr;
-    weather_cache_.AttachCounters(nullptr, nullptr, nullptr);
-    availability_cache_.AttachCounters(nullptr, nullptr, nullptr);
+    weather_columns_.AttachCounters(nullptr, nullptr, nullptr);
+    availability_columns_.AttachCounters(nullptr, nullptr, nullptr);
     traffic_cache_.AttachCounters(nullptr, nullptr, nullptr);
     return;
   }
@@ -157,8 +202,8 @@ void InformationServer::AttachMetrics(obs::MetricsRegistry* registry) {
         registry->GetCounter("eis." + source + ".cache.expirations",
                              "entries"));
   };
-  wire("weather", weather_cache_, &weather_calls_mirror_);
-  wire("availability", availability_cache_, &availability_calls_mirror_);
+  wire("weather", weather_columns_, &weather_calls_mirror_);
+  wire("availability", availability_columns_, &availability_calls_mirror_);
   wire("traffic", traffic_cache_, &traffic_calls_mirror_);
 }
 
@@ -168,8 +213,8 @@ EisCallStats InformationServer::Snapshot() const {
   stats.availability_api_calls =
       availability_calls_.load(std::memory_order_relaxed);
   stats.traffic_api_calls = traffic_calls_.load(std::memory_order_relaxed);
-  stats.weather_cache = weather_cache_.stats();
-  stats.availability_cache = availability_cache_.stats();
+  stats.weather_cache = weather_columns_.stats();
+  stats.availability_cache = availability_columns_.stats();
   stats.traffic_cache = traffic_cache_.stats();
   return stats;
 }

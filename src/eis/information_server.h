@@ -1,12 +1,16 @@
 #ifndef ECOCHARGE_EIS_INFORMATION_SERVER_H_
 #define ECOCHARGE_EIS_INFORMATION_SERVER_H_
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdint>
-#include <memory>
+#include <span>
 #include <vector>
 
 #include "availability/availability_service.h"
+#include "common/result.h"
+#include "eis/forecast_columns.h"
 #include "eis/ttl_cache.h"
 #include "eis/world_revisions.h"
 #include "energy/production.h"
@@ -16,15 +20,15 @@ namespace ecocharge {
 
 /// \brief TTLs for the three upstream "APIs" (weather, busy timetables,
 /// traffic), mirroring how often the real services refresh, plus the lock
-/// granularity of the response caches.
+/// granularity of the traffic cache.
 struct EisOptions {
   double weather_ttl_s = 30.0 * kSecondsPerMinute;
   double availability_ttl_s = 15.0 * kSecondsPerMinute;
   double traffic_ttl_s = 5.0 * kSecondsPerMinute;
 
-  /// Shards per TTL cache (rounded up to a power of two). One shard keeps
-  /// the original single-lock behavior; the OfferingServer raises it so
-  /// concurrent workers rarely contend on the same shard mutex.
+  /// Shards of the traffic TTL cache (rounded up to a power of two). The
+  /// weather and availability column stores take one lock per batch and
+  /// are not sharded.
   size_t cache_shards = 1;
 };
 
@@ -48,23 +52,39 @@ struct EisCallStats {
   CacheStats traffic_cache;
 };
 
+/// \brief Output lanes of one InformationServer::GetForecastBatch call:
+/// caller-owned scratch that grows to the largest batch and stays.
+struct ForecastBatch {
+  std::vector<EnergyForecast> energy;
+  std::vector<AvailabilityForecast> availability;
+  /// Worst rung of the two sources per candidate (kFresh < kStale <
+  /// kClimatological).
+  std::vector<EisFetch> fetch;
+};
+
 /// \brief The EcoCharge Information Server (EIS).
 ///
-/// Consolidates the external data sources behind per-source TTL caches so
+/// Consolidates the external data sources behind per-source caches so
 /// clients (vehicles) never trigger redundant upstream requests — the
 /// server half of the paper's architecture (Fig. 4). The underlying
 /// simulated services are the ground-truth/forecast models; the EIS only
 /// adds caching and accounting, exactly like the Laravel/Nginx deployment
 /// it stands in for.
 ///
+/// The weather (L) and availability (A) responses live in dense
+/// per-charger ForecastColumns (DESIGN.md §18): a fresh request resolves
+/// all its candidates with one GetForecastBatch call, and the single-
+/// charger Get* calls are one-element uses of the same store. Traffic (D)
+/// keeps a TtlCache over its three road classes.
+///
 /// Thread safety: one InformationServer may be shared by all serving
-/// workers. The caches are sharded with per-shard mutexes, call counters
-/// are relaxed atomics, and the upstream services are either const and
-/// pure in their inputs (AvailabilityService, CongestionModel) or
-/// internally synchronized (SolarEnergyService via WeatherProcess). A
-/// concurrent cache miss may issue a duplicate upstream call for the same
-/// key — both calls return the identical pure-function response, so the
-/// cache still changes cost, never answers.
+/// workers. Each column store is guarded by one mutex held for a whole
+/// batch (misses are fetched under it, so no upstream call is ever
+/// duplicated); the traffic cache is sharded; call counters are relaxed
+/// atomics; and the upstream services are either const and pure in their
+/// inputs (AvailabilityService, CongestionModel) or internally
+/// synchronized (SolarEnergyService via WeatherProcess). Every response is
+/// a pure function of its key, so the caches change cost, never answers.
 class InformationServer {
  public:
   InformationServer(SolarEnergyService* energy,
@@ -73,11 +93,14 @@ class InformationServer {
                     const EisOptions& options = {});
   virtual ~InformationServer() = default;
 
-  /// The Get* methods are the decoration seam of the resilience layer:
-  /// ResilientInformationServer overrides them with a fetch path that can
-  /// fail, retry, trip breakers, and degrade. When `fetch` is non-null it
-  /// reports which rung of the degradation ladder produced the response —
-  /// this base implementation cannot degrade and always reports kFresh.
+  /// The Get* methods and GetForecastBatch are virtual decoration seams
+  /// (a tracing subclass can time them). The resilience layer decorates
+  /// underneath them: ResilientInformationServer overrides GetTraffic and
+  /// the per-source Resolve* steps that GetEnergyForecast, GetAvailability
+  /// and GetForecastBatch share, with a fetch path that can fail, retry,
+  /// trip breakers, and degrade. When `fetch` is non-null it reports which
+  /// rung of the degradation ladder produced the response — this base
+  /// implementation cannot degrade and always reports kFresh.
 
   /// L source: forecast clean-energy band for a charger's arrival window.
   virtual EnergyForecast GetEnergyForecast(const EvCharger& charger,
@@ -94,6 +117,16 @@ class InformationServer {
   virtual CongestionModel::Band GetTraffic(RoadClass road_class, SimTime now,
                                            SimTime target,
                                            EisFetch* fetch = nullptr);
+
+  /// L and A for a whole candidate set: `chargers[i]` arriving at
+  /// `targets[i]`, issued at `now` for a `window_s` charge. Writes
+  /// `out->energy[i]`, `out->availability[i]` and `out->fetch[i]` — the
+  /// same values, and the same cache accounting, as the per-charger
+  /// GetEnergyForecast/GetAvailability calls in candidate order — with one
+  /// lock hold per source store.
+  virtual void GetForecastBatch(std::span<const EvCharger* const> chargers,
+                                std::span<const SimTime> targets, SimTime now,
+                                double window_s, ForecastBatch* out);
 
   /// Upstream call and cache counters, materialized from the atomics.
   /// Safe to call concurrently with serving traffic.
@@ -119,34 +152,89 @@ class InformationServer {
   static SimTime SnapToBucket(SimTime t);
   static uint64_t MixKey(uint64_t a, uint64_t b, uint64_t c);
 
-  /// Cache keys for the three upstreams. Fold in the thread's active
-  /// world revision (ScopedWorldRevisions) when one is installed: a
-  /// published refresh bumps the revision, which re-keys the affected
-  /// upstream's cache so stale responses become unreachable without a
-  /// sweep. With no scope active the key is the classic (identity,
-  /// target bucket, issue bucket) key, bit-unchanged.
-  static uint64_t WeatherKey(const EvCharger& charger, SimTime now,
-                             SimTime target);
-  static uint64_t AvailabilityKey(const EvCharger& charger, SimTime now,
-                                  SimTime target);
+  /// Column keys (target bucket left 0: it varies per candidate) of the
+  /// two column stores, and the traffic cache key. They fold in the
+  /// thread's active world revision (ScopedWorldRevisions) when one is
+  /// installed: a published refresh bumps the revision, which re-keys the
+  /// affected upstream so stale responses become unreachable without a
+  /// sweep. The weather key also carries the charge window, because the
+  /// forecast integrates over it.
+  static ColumnKey WeatherColumn(SimTime now, double window_s);
+  static ColumnKey AvailabilityColumn(SimTime now);
   static uint64_t TrafficKey(RoadClass road_class, SimTime now,
                              SimTime target);
+
+  /// Per-source resolution behind both the Get* calls and
+  /// GetForecastBatch: `out[i]` for `chargers[i]` arriving at `targets[i]`,
+  /// `fetch[i]` raised to the rung used. Here the upstream is the simulated
+  /// service itself and cannot fail; ResilientInformationServer overrides
+  /// both with its guarded, degrading fetch over the same column slots.
+  virtual void ResolveWeather(std::span<const EvCharger* const> chargers,
+                              std::span<const SimTime> targets, SimTime now,
+                              double window_s, EnergyForecast* out,
+                              EisFetch* fetch);
+  virtual void ResolveAvailability(std::span<const EvCharger* const> chargers,
+                                   std::span<const SimTime> targets,
+                                   SimTime now, AvailabilityForecast* out,
+                                   EisFetch* fetch);
 
   /// Bumps the per-upstream call counter (atomic + registry mirror).
   void CountWeatherCall();
   void CountAvailabilityCall();
   void CountTrafficCall();
 
+  /// The one lookup loop behind every weather/availability response.
+  /// For each candidate under one lock hold of `store`: a fresh slot is
+  /// served; otherwise `upstream(charger, snapped_now, snapped_target)`
+  /// (a Result; the call counts itself) is tried and, on success, stored;
+  /// on failure `degrade(charger, stale_or_null, &rung)` picks the
+  /// ladder's answer. `fetch[i]` is raised to the rung used.
+  template <typename Value, typename Upstream, typename Degrade>
+  static void Resolve(ForecastColumns<Value>* store, const ColumnKey& base,
+                      std::span<const EvCharger* const> chargers,
+                      std::span<const SimTime> targets, SimTime now,
+                      Upstream&& upstream, Degrade&& degrade, Value* out,
+                      EisFetch* fetch) {
+    typename ForecastColumns<Value>::Batch batch(store, base, now);
+    const SimTime snapped_now = SnapToBucket(now);
+    for (size_t i = 0; i < chargers.size(); ++i) {
+      const EvCharger& charger = *chargers[i];
+      const uint64_t bucket = TimeBucket(targets[i]);
+      const SlotProbe probe = batch.Find(bucket, charger.id, &out[i]);
+      if (probe == SlotProbe::kFresh) continue;
+      Result<Value> fetched =
+          upstream(charger, snapped_now, static_cast<double>(bucket) *
+                                             kBucketSeconds);
+      if (fetched.ok()) {
+        out[i] = *fetched;
+        batch.Put(bucket, charger.id, out[i]);
+        continue;
+      }
+      EisFetch rung = EisFetch::kFresh;
+      out[i] = degrade(charger,
+                       probe == SlotProbe::kStale ? &out[i] : nullptr, &rung);
+      fetch[i] = std::max(fetch[i], rung);
+    }
+  }
+
+  /// Upstream APIs serve 15-minute buckets; requests are snapped to the
+  /// bucket start so a response is a pure function of its cache key.
+  static constexpr double kBucketSeconds = 15.0 * kSecondsPerMinute;
+
   SolarEnergyService* energy_;
   const AvailabilityService* availability_;
   const CongestionModel* congestion_;
 
-  // Keys quantize both the issue time and the target to the hour (the
-  // forecast granularity) and fold in the charger/road-class identity, so a
-  // cached response equals what the upstream service would return — the
-  // cache changes cost, never answers.
-  TtlCache<uint64_t, EnergyForecast> weather_cache_;
-  TtlCache<uint64_t, AvailabilityForecast> availability_cache_;
+  /// Capacity of each response store: column slots for weather and
+  /// availability, entries for traffic.
+  static constexpr size_t kStoreCapacity = 1 << 16;
+
+  // Column keys quantize both the issue time and the target to the
+  // forecast bucket and slots are indexed by charger id, so a cached
+  // response equals what the upstream service would return — the cache
+  // changes cost, never answers.
+  ForecastColumns<EnergyForecast> weather_columns_;
+  ForecastColumns<AvailabilityForecast> availability_columns_;
   TtlCache<uint64_t, CongestionModel::Band> traffic_cache_;
 
  private:

@@ -44,6 +44,14 @@ class AtomicCacheStats {
   void AddExpiration() {
     expirations_.fetch_add(1, std::memory_order_relaxed);
   }
+  /// Bulk form for batched lookups: one relaxed add per counter.
+  void Add(uint64_t hits, uint64_t misses, uint64_t expirations) {
+    if (hits) hits_.fetch_add(hits, std::memory_order_relaxed);
+    if (misses) misses_.fetch_add(misses, std::memory_order_relaxed);
+    if (expirations) {
+      expirations_.fetch_add(expirations, std::memory_order_relaxed);
+    }
+  }
 
   CacheStats Snapshot() const {
     CacheStats s;

@@ -91,69 +91,48 @@ void ResilientInformationServer::CountClimatologicalServe(UpstreamKind kind) {
   if (st.climatological_mirror) st.climatological_mirror->Add();
 }
 
-EnergyForecast ResilientInformationServer::GetEnergyForecast(
-    const EvCharger& charger, SimTime now, SimTime target, double window_s,
-    EisFetch* fetch) {
-  uint64_t key = WeatherKey(charger, now, target);
-  bool fresh = false;
-  std::optional<EnergyForecast> cached =
-      weather_cache_.GetAllowStale(key, now, &fresh);
-  if (cached && fresh) {
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *cached;
-  }
-  Result<EnergyForecast> fetched = FetchWithResilience<EnergyForecast>(
-      UpstreamKind::kWeather, now, [&]() -> Result<EnergyForecast> {
-        CountWeatherCall();
-        return source_->FetchEnergyForecast(charger, SnapToBucket(now),
-                                            SnapToBucket(target), window_s);
-      });
-  if (fetched.ok()) {
-    weather_cache_.Put(key, *fetched, now);
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *fetched;
-  }
-  if (cached) {
-    CountStaleServe(UpstreamKind::kWeather);
-    if (fetch) *fetch = EisFetch::kStale;
-    return *cached;
-  }
-  CountClimatologicalServe(UpstreamKind::kWeather);
-  if (fetch) *fetch = EisFetch::kClimatological;
-  return ClimatologicalEnergy(charger, window_s);
+void ResilientInformationServer::ResolveWeather(
+    std::span<const EvCharger* const> chargers,
+    std::span<const SimTime> targets, SimTime now, double window_s,
+    EnergyForecast* out, EisFetch* fetch) {
+  Resolve(
+      &weather_columns_, WeatherColumn(now, window_s), chargers, targets, now,
+      [&](const EvCharger& c, SimTime snapped_now, SimTime snapped_target) {
+        return FetchWithResilience<EnergyForecast>(
+            UpstreamKind::kWeather, now, [&]() -> Result<EnergyForecast> {
+              CountWeatherCall();
+              return source_->FetchEnergyForecast(c, snapped_now,
+                                                  snapped_target, window_s);
+            });
+      },
+      [&](const EvCharger& c, const EnergyForecast* stale, EisFetch* rung) {
+        return Degrade(UpstreamKind::kWeather, stale,
+                       ClimatologicalEnergy(c, window_s), rung);
+      },
+      out, fetch);
 }
 
-AvailabilityForecast ResilientInformationServer::GetAvailability(
-    const EvCharger& charger, SimTime now, SimTime target, EisFetch* fetch) {
-  uint64_t key = AvailabilityKey(charger, now, target);
-  bool fresh = false;
-  std::optional<AvailabilityForecast> cached =
-      availability_cache_.GetAllowStale(key, now, &fresh);
-  if (cached && fresh) {
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *cached;
-  }
-  Result<AvailabilityForecast> fetched =
-      FetchWithResilience<AvailabilityForecast>(
-          UpstreamKind::kAvailability, now,
-          [&]() -> Result<AvailabilityForecast> {
-            CountAvailabilityCall();
-            return source_->FetchAvailability(charger, SnapToBucket(now),
-                                              SnapToBucket(target));
-          });
-  if (fetched.ok()) {
-    availability_cache_.Put(key, *fetched, now);
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *fetched;
-  }
-  if (cached) {
-    CountStaleServe(UpstreamKind::kAvailability);
-    if (fetch) *fetch = EisFetch::kStale;
-    return *cached;
-  }
-  CountClimatologicalServe(UpstreamKind::kAvailability);
-  if (fetch) *fetch = EisFetch::kClimatological;
-  return ClimatologicalAvailability();
+void ResilientInformationServer::ResolveAvailability(
+    std::span<const EvCharger* const> chargers,
+    std::span<const SimTime> targets, SimTime now, AvailabilityForecast* out,
+    EisFetch* fetch) {
+  Resolve(
+      &availability_columns_, AvailabilityColumn(now), chargers, targets, now,
+      [&](const EvCharger& c, SimTime snapped_now, SimTime snapped_target) {
+        return FetchWithResilience<AvailabilityForecast>(
+            UpstreamKind::kAvailability, now,
+            [&]() -> Result<AvailabilityForecast> {
+              CountAvailabilityCall();
+              return source_->FetchAvailability(c, snapped_now,
+                                                snapped_target);
+            });
+      },
+      [&](const EvCharger&, const AvailabilityForecast* stale,
+          EisFetch* rung) {
+        return Degrade(UpstreamKind::kAvailability, stale,
+                       ClimatologicalAvailability(), rung);
+      },
+      out, fetch);
 }
 
 CongestionModel::Band ResilientInformationServer::GetTraffic(
@@ -179,14 +158,12 @@ CongestionModel::Band ResilientInformationServer::GetTraffic(
     if (fetch) *fetch = EisFetch::kFresh;
     return *fetched;
   }
-  if (cached) {
-    CountStaleServe(UpstreamKind::kTraffic);
-    if (fetch) *fetch = EisFetch::kStale;
-    return *cached;
-  }
-  CountClimatologicalServe(UpstreamKind::kTraffic);
-  if (fetch) *fetch = EisFetch::kClimatological;
-  return ClimatologicalTraffic();
+  EisFetch rung = EisFetch::kFresh;
+  CongestionModel::Band band =
+      Degrade(UpstreamKind::kTraffic, cached ? &*cached : nullptr,
+              ClimatologicalTraffic(), &rung);
+  if (fetch) *fetch = rung;
+  return band;
 }
 
 void ResilientInformationServer::AttachMetrics(obs::MetricsRegistry* registry) {

@@ -48,7 +48,7 @@ struct UpstreamResilienceStats {
 
 /// \brief InformationServer decorated with the resilience ladder.
 ///
-/// Same caches, same keys, same upstream accounting as the base class —
+/// Same stores, same keys, same upstream accounting as the base class —
 /// but the cache-miss path goes through an EisSource that can fail
 /// (normally the owned FaultInjector), guarded by a retry policy with
 /// capped decorrelated-jitter backoff and a per-upstream circuit breaker.
@@ -92,12 +92,6 @@ class ResilientInformationServer : public InformationServer {
                              const EisOptions& eis_options = {},
                              const ResilienceOptions& options = {});
 
-  EnergyForecast GetEnergyForecast(const EvCharger& charger, SimTime now,
-                                   SimTime target, double window_s,
-                                   EisFetch* fetch = nullptr) override;
-  AvailabilityForecast GetAvailability(const EvCharger& charger, SimTime now,
-                                       SimTime target,
-                                       EisFetch* fetch = nullptr) override;
   CongestionModel::Band GetTraffic(RoadClass road_class, SimTime now,
                                    SimTime target,
                                    EisFetch* fetch = nullptr) override;
@@ -142,6 +136,35 @@ class ResilientInformationServer : public InformationServer {
 
   void CountStaleServe(UpstreamKind kind);
   void CountClimatologicalServe(UpstreamKind kind);
+
+  /// The ladder below a failed upstream fetch: the stale entry when there
+  /// is one, else `climatological`; counts the serve and sets `*rung`.
+  template <typename T>
+  T Degrade(UpstreamKind kind, const T* stale, const T& climatological,
+            EisFetch* rung) {
+    if (stale) {
+      CountStaleServe(kind);
+      *rung = EisFetch::kStale;
+      return *stale;
+    }
+    CountClimatologicalServe(kind);
+    *rung = EisFetch::kClimatological;
+    return climatological;
+  }
+
+  /// The batch and the single-charger calls of the L and A sources both
+  /// land here, on the base class's column slots read with GetAllowStale
+  /// semantics: a fresh slot is served, a miss goes through the guarded
+  /// upstream, and a failure walks the ladder for that candidate only
+  /// (stale slot, else the climatological default).
+  void ResolveWeather(std::span<const EvCharger* const> chargers,
+                      std::span<const SimTime> targets, SimTime now,
+                      double window_s, EnergyForecast* out,
+                      EisFetch* fetch) override;
+  void ResolveAvailability(std::span<const EvCharger* const> chargers,
+                           std::span<const SimTime> targets, SimTime now,
+                           AvailabilityForecast* out,
+                           EisFetch* fetch) override;
 
   /// One guarded upstream request: breaker admission, then attempt /
   /// backoff / retry until success, retry exhaustion, deadline-budget

@@ -42,6 +42,8 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
   queue_depth_total_ = metrics_.GetGauge("server.queue.depth", "requests");
   request_latency_ =
       metrics_.GetHistogram("server.request_latency_ns", "ns");
+  queue_wait_ = metrics_.GetHistogram("server.queue_wait_ns", "ns");
+  service_time_ = metrics_.GetHistogram("server.service_ns", "ns");
   shared_eis_->AttachMetrics(&metrics_);
   if (env_->ch_cache != nullptr) {
     // The process-shared plane cache serves every worker; surface its
@@ -209,6 +211,10 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
 }
 
 void OfferingServer::Serve(Worker& worker, Request& request) {
+  // Submit -> here is queue residency (near zero inline); here -> reply is
+  // service time. The three histograms share both clock reads, so wait +
+  // service equals the end-to-end latency exactly.
+  const auto dequeued_at = std::chrono::steady_clock::now();
   if (options_.simulated_io_ms > 0.0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options_.simulated_io_ms));
@@ -273,10 +279,14 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
     if (request.on_table) request.on_table(worker.table);
   }
   served_->Add();
-  auto elapsed = std::chrono::steady_clock::now() - request.submitted_at;
-  uint64_t latency_ns = static_cast<uint64_t>(std::max<int64_t>(
-      0, std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
-             .count()));
+  const auto replied_at = std::chrono::steady_clock::now();
+  auto ns = [](std::chrono::steady_clock::duration d) {
+    return static_cast<uint64_t>(std::max<int64_t>(
+        0, std::chrono::duration_cast<std::chrono::nanoseconds>(d).count()));
+  };
+  const uint64_t latency_ns = ns(replied_at - request.submitted_at);
+  queue_wait_->Record(ns(dequeued_at - request.submitted_at));
+  service_time_->Record(ns(replied_at - dequeued_at));
   request_latency_->Record(latency_ns);
   if (options_.extra_latency != nullptr) {
     options_.extra_latency->Record(latency_ns);

@@ -37,7 +37,7 @@ struct OfferingServerOptions {
   /// with kUnavailable (admission control) instead of buffering unboundedly.
   size_t queue_depth = 256;
 
-  /// Shards per EIS response cache (see EisOptions::cache_shards).
+  /// Shards of the EIS traffic cache (see EisOptions::cache_shards).
   size_t eis_cache_shards = 16;
 
   /// Per-client ranker state is dropped after this much idle sim time.
@@ -181,7 +181,9 @@ class OfferingServer {
   }
 
   /// The server-owned metrics registry: request counters, queue-depth
-  /// gauges, the end-to-end `server.request_latency_ns` histogram, plus
+  /// gauges, the end-to-end `server.request_latency_ns` histogram split
+  /// into `server.queue_wait_ns` (submit to dequeue) and
+  /// `server.service_ns` (dequeue to reply), plus
   /// everything the EIS, the estimators, and the query pipeline record
   /// (wired in the constructor, before any worker thread starts). Safe to
   /// snapshot concurrently with traffic — feed it to obs::StatszJson for
@@ -256,6 +258,8 @@ class OfferingServer {
   obs::Counter* degraded_tables_ = nullptr;    ///< server.requests.degraded
   obs::Gauge* queue_depth_total_ = nullptr;    ///< server.queue.depth
   obs::Histogram* request_latency_ = nullptr;  ///< server.request_latency_ns
+  obs::Histogram* queue_wait_ = nullptr;       ///< server.queue_wait_ns
+  obs::Histogram* service_time_ = nullptr;     ///< server.service_ns
 
   // Drain(): waits until in-flight (accepted - served) reaches zero.
   std::atomic<uint64_t> in_flight_{0};

@@ -104,5 +104,31 @@ TEST_F(InformationServerTest, ForecastMatchesUnderlyingService) {
   EXPECT_EQ(via_eis.max, direct.max);
 }
 
+TEST_F(InformationServerTest, ChargeWindowIsPartOfTheWeatherKey) {
+  // The forecast integrates over the charge window, a per-request wire
+  // field: two clients asking with different windows must each get their
+  // own upstream answer, not whichever one was cached first.
+  EvCharger c = Charger(5);
+  SimTime now = 11.0 * kSecondsPerHour;  // on a bucket boundary
+  SimTime target = now + 1800.0;         // also on a boundary
+  EnergyForecast hour = server_.GetEnergyForecast(c, now, target, 3600.0);
+  EnergyForecast half = server_.GetEnergyForecast(c, now, target, 1800.0);
+  EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
+  EnergyForecast direct_hour =
+      energy_.ForecastEnergyKwh(c, now, target, 3600.0);
+  EnergyForecast direct_half =
+      energy_.ForecastEnergyKwh(c, now, target, 1800.0);
+  EXPECT_EQ(hour.min_kwh, direct_hour.min_kwh);
+  EXPECT_EQ(hour.max_kwh, direct_hour.max_kwh);
+  EXPECT_EQ(half.min_kwh, direct_half.min_kwh);
+  EXPECT_EQ(half.max_kwh, direct_half.max_kwh);
+  EXPECT_NE(hour.max_kwh, half.max_kwh);
+  // Repeats of either window hit their own slot.
+  server_.GetEnergyForecast(c, now, target, 1800.0);
+  server_.GetEnergyForecast(c, now, target, 3600.0);
+  EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
+  EXPECT_EQ(server_.Stats().weather_cache.hits, 2u);
+}
+
 }  // namespace
 }  // namespace ecocharge

@@ -59,6 +59,34 @@ TEST_F(OfferingServerTest, InlineModeMatchesOfferingService) {
   EXPECT_EQ(stats.rejected, 0u);
 }
 
+// The end-to-end latency splits into queue residency and service time:
+// both are recorded per request, inline too, and never sum past it.
+TEST_F(OfferingServerTest, LatencySplitsIntoQueueWaitAndService) {
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{},
+                        {});
+  for (const VehicleState& state : states_) {
+    ASSERT_TRUE(server.Submit(1, state, 3, nullptr).ok());
+  }
+  const obs::MetricsRegistry& registry = server.metrics();
+  const obs::Histogram* wait = registry.FindHistogram("server.queue_wait_ns");
+  const obs::Histogram* service = registry.FindHistogram("server.service_ns");
+  const obs::Histogram* latency =
+      registry.FindHistogram("server.request_latency_ns");
+  ASSERT_NE(wait, nullptr);
+  ASSERT_NE(service, nullptr);
+  ASSERT_NE(latency, nullptr);
+  const obs::HistogramSnapshot w = wait->Snapshot();
+  const obs::HistogramSnapshot s = service->Snapshot();
+  const obs::HistogramSnapshot l = latency->Snapshot();
+  EXPECT_EQ(w.count, states_.size());
+  EXPECT_EQ(s.count, states_.size());
+  EXPECT_EQ(l.count, states_.size());
+  EXPECT_GT(s.sum, 0u);
+  EXPECT_LE(w.sum + s.sum, l.sum);
+  EXPECT_LE(w.max, l.max);
+  EXPECT_LE(s.max, l.max);
+}
+
 // The concurrency determinism guarantee: N worker threads produce exactly
 // the same table for every (client, request-sequence) position as the
 // synchronous mode — hash routing pins a client to one worker (per-client

@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+
+#include "core/offering_service.h"
+#include "tests/test_util.h"
+
 namespace ecocharge {
 namespace {
 
@@ -124,6 +129,76 @@ TEST(ProtocolTest, RejectsTruncatedEntries) {
   size_t second_entry = wire.rfind("entry ");
   wire.resize(second_entry);
   EXPECT_FALSE(DecodeOfferingTable(wire).ok());
+}
+
+/// Wire form of SampleRequest() with one field rewritten by `mutate`.
+std::string MutatedWire(const std::function<void(OfferingRequest*)>& mutate) {
+  OfferingRequest r = SampleRequest();
+  mutate(&r);
+  return EncodeOfferingRequest(r);
+}
+
+TEST(ProtocolTest, RejectsOutOfRangeTimeWindowAndPoints) {
+  const std::vector<std::function<void(OfferingRequest*)>> hostile = {
+      [](OfferingRequest* r) { r->state.time = 1e300; },
+      [](OfferingRequest* r) { r->state.time = -1.0; },
+      [](OfferingRequest* r) { r->state.charge_window_s = 1e300; },
+      [](OfferingRequest* r) { r->state.charge_window_s = -60.0; },
+      [](OfferingRequest* r) { r->state.position.x = 1e300; },
+      [](OfferingRequest* r) { r->state.position.y = -1e300; },
+      [](OfferingRequest* r) { r->state.return_point_a.x = 1e300; },
+      [](OfferingRequest* r) { r->state.return_point_b.y = 1e300; },
+  };
+  for (size_t i = 0; i < hostile.size(); ++i) {
+    auto decoded = DecodeOfferingRequest(MutatedWire(hostile[i]));
+    ASSERT_FALSE(decoded.ok()) << "case " << i;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kOutOfRange)
+        << "case " << i << ": " << decoded.status();
+  }
+  // The bounds themselves are accepted.
+  auto edge = DecodeOfferingRequest(MutatedWire([](OfferingRequest* r) {
+    r->state.time = kMaxWireTimeS;
+    r->state.charge_window_s = kMaxWireWindowS;
+    r->state.position = {-kMaxWireCoordinateM, kMaxWireCoordinateM};
+  }));
+  EXPECT_TRUE(edge.ok()) << edge.status();
+}
+
+TEST(ProtocolTest, RejectsNonFiniteFields) {
+  std::string wire = EncodeOfferingRequest(SampleRequest());
+  for (const char* token : {"nan", "inf", "-inf", "1e400"}) {
+    std::string broken = wire;
+    size_t pos = broken.find("time ");
+    size_t end = broken.find('\n', pos);
+    broken.replace(pos, end - pos, std::string("time ") + token);
+    EXPECT_FALSE(DecodeOfferingRequest(broken).ok()) << token;
+  }
+}
+
+TEST(ProtocolTest, HostileRequestIsRejectedBeforeRanking) {
+  // End to end through the Mode-2 service: the decoder turns the fields
+  // that would overflow the EIS time buckets or stall the energy
+  // integration into a typed error, and a sane request still ranks.
+  auto env = testing_util::TinyEnvironment(30);
+  ASSERT_NE(env, nullptr);
+  auto states = testing_util::TinyWorkload(*env, 1);
+  ASSERT_FALSE(states.empty());
+  OfferingService service(env->estimator.get(), env->charger_index.get(),
+                          ScoreWeights::AWE(), EcoChargeOptions{});
+  OfferingRequest request;
+  request.state = states[0];
+  for (auto mutate : std::vector<std::function<void(VehicleState*)>>{
+           [](VehicleState* s) { s->time = 1e300; },
+           [](VehicleState* s) { s->charge_window_s = 1e300; },
+           [](VehicleState* s) { s->position = {1e300, 1e300}; }}) {
+    OfferingRequest bad = request;
+    mutate(&bad.state);
+    auto reply = service.Handle(1, EncodeOfferingRequest(bad));
+    ASSERT_FALSE(reply.ok());
+    EXPECT_EQ(reply.status().code(), StatusCode::kOutOfRange);
+  }
+  EXPECT_EQ(service.stats().malformed_requests, 3u);
+  EXPECT_TRUE(service.Handle(1, EncodeOfferingRequest(request)).ok());
 }
 
 }  // namespace

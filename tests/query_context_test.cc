@@ -329,6 +329,46 @@ TEST(QueryContextTest, SteadyStateResilientEisPathDoesNotAllocate) {
   EXPECT_GT(eis.Stats().availability_api_calls, 0u);
 }
 
+TEST(QueryContextTest, WarmColumnarBatchDoesNotAllocate) {
+  // The columnar estimation step on its own, over the plain and the
+  // resilient EIS: once the estimator's staging, the context's lanes and
+  // the EIS columns are warm, a whole candidate set is estimated — band,
+  // derouting, one forecast batch, L normalization — without allocating.
+  SharedWorld& w = World();
+  InformationServer plain(w.env->energy.get(), w.env->availability.get(),
+                          w.env->congestion.get());
+  resilience::ResilientInformationServer resilient(
+      w.env->energy.get(), w.env->availability.get(),
+      w.env->congestion.get());
+  std::vector<ChargerId> ids(w.env->chargers.size());
+  for (ChargerId id = 0; id < ids.size(); ++id) ids[id] = id;
+  for (InformationServer* eis : {&plain, static_cast<InformationServer*>(
+                                             &resilient)}) {
+    EcEstimator estimator(w.env->dataset.network, &w.env->chargers,
+                          w.env->energy.get(), w.env->availability.get(),
+                          w.env->congestion.get(),
+                          w.env->estimator->options(), eis);
+    QueryContext ctx;
+    for (int pass = 0; pass < 2; ++pass) {
+      for (const VehicleState& state : w.states) {
+        estimator.EstimateIntervalsBatch(state, ids, 0.0, &ctx);
+      }
+    }
+    const EisCallStats warm = eis->Stats();
+    uint64_t before = g_allocations.load();
+    for (const VehicleState& state : w.states) {
+      estimator.EstimateIntervalsBatch(state, ids, 0.0, &ctx);
+    }
+    uint64_t after = g_allocations.load();
+    EXPECT_EQ(after - before, 0u);
+    EXPECT_EQ(ctx.scored.size(), ids.size());
+    // Every lookup of the measured pass was a column hit.
+    EXPECT_EQ(eis->Stats().weather_api_calls, warm.weather_api_calls);
+    EXPECT_EQ(eis->Stats().weather_cache.hits,
+              warm.weather_cache.hits + w.states.size() * ids.size());
+  }
+}
+
 TEST(QueryContextTest, SteadyStateCorridorHitPathDoesNotAllocate) {
   // Fleet corridor serving: once a corridor table is cached and the reply
   // buffer has reached capacity, a hit is a field copy plus an
