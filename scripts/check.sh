@@ -33,15 +33,13 @@
 #                                    # (scalar-vs-SIMD bit parity on all
 #                                    # spatial backends + SoA speedup
 #                                    # floor; emits BENCH_score.json)
-#   scripts/check.sh fleet           # fleet-serving gate: partition /
-#                                    # epoch / corridor / handoff suites
-#                                    # under TSan (the RCU pin/publish
-#                                    # protocol and cross-shard ticket
-#                                    # waits are the racy surface), then
-#                                    # the asserting bench_fleet (bit
-#                                    # parity across shard counts +
-#                                    # corridor hit-rate and QPS scaling
-#                                    # floors; emits BENCH_fleet.json)
+#   scripts/check.sh serve           # fleet-serving gate: epoch /
+#                                    # corridor / server / EIS column
+#                                    # suites under TSan, then the
+#                                    # asserting bench_server_throughput
+#                                    # (fleet-trace parity, corridor
+#                                    # hit-rate and QPS scaling floors;
+#                                    # emits BENCH_server.json)
 #   scripts/check.sh chpar           # customization gate: the CH
 #                                    # customization / plane-cache /
 #                                    # parity suites (plus the CLI smoke)
@@ -75,21 +73,21 @@ repo_root="$(cd "$(dirname "$0")/.." && pwd)"
 sanitize="${1:-}"
 obs_gate=""
 fault_gate=""
-fleet_gate=""
+serve_gate=""
 chpar_gate=""
 case "${sanitize}" in
   address|undefined|thread) shift ;;
-  fleet)
-    # The fleet runtime's concurrency surface: the WorldEpochs Dekker
-    # pin/publish protocol, cross-shard ticket waits in the ClientStore,
-    # the sharded corridor cache, and every shard's worker pool sharing
-    # them. Run those suites under TSan, then hold the parity / hit-rate /
-    # scaling floors with the asserting bench from a plain Release tree
-    # (sanitized timings are meaningless).
+  serve)
+    # Fleet serving on one server: the WorldEpochs Dekker pin/publish
+    # protocol, the sharded corridor cache, the EIS column stores' claim /
+    # fetch / publish protocol, and the worker pool sharing them. Run those
+    # suites under TSan, then hold the parity / hit-rate / scaling floors
+    # with the asserting bench from a plain Release tree (sanitized timings
+    # are meaningless).
     shift
     sanitize="thread"
-    fleet_gate=1
-    set -- -R 'Fleet|GeoPartition|WorldEpochs|ClientStore|Corridor|OfferingServer|TtlCache|QueryContext' "$@"
+    serve_gate=1
+    set -- -R 'WorldEpochs|Corridor|OfferingServer|ForecastColumns|EstimateBatch|TtlCache|QueryContext' "$@"
     ;;
   chpar)
     # The customization subsystem's concurrency surface: the level-parallel
@@ -271,7 +269,7 @@ case "${sanitize}" in
       echo "${repo_root}/bench/bench_micro_ch.cc"; \
       echo "${repo_root}/bench/bench_micro_ch_customize.cc"; \
       echo "${repo_root}/bench/bench_micro_score.cc"; \
-      echo "${repo_root}/bench/bench_fleet.cc"; } | sort)
+      echo "${repo_root}/bench/bench_server_throughput.cc"; } | sort)
     clang-tidy -p "${build_dir}" --quiet "${sources[@]}" "$@"
     exit 0
     ;;
@@ -326,14 +324,14 @@ if [[ -n "${chpar_gate}" ]]; then
        "is untracked; copy numbers into EXPERIMENTS.md when they move."
 fi
 
-if [[ -n "${fleet_gate}" ]]; then
-  # Bit parity across shard counts, the corridor hit-rate floor, and the
+if [[ -n "${serve_gate}" ]]; then
+  # Bit parity across worker counts, the corridor hit-rate floor, and the
   # I/O-bound QPS scaling floor; timing wants a plain Release tree.
   plain_dir="${repo_root}/build"
   cmake -B "${plain_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
-  cmake --build "${plain_dir}" -j "$(nproc)" --target bench_fleet
-  (cd "${plain_dir}/bench" && ./bench_fleet --quick)
-  echo "check.sh fleet: BENCH_fleet.json lands in build/bench/ and is" \
+  cmake --build "${plain_dir}" -j "$(nproc)" --target bench_server_throughput
+  (cd "${plain_dir}/bench" && ./bench_server_throughput --quick)
+  echo "check.sh serve: BENCH_server.json lands in build/bench/ and is" \
        "untracked; copy numbers into EXPERIMENTS.md when they move."
 fi

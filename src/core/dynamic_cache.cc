@@ -1,7 +1,5 @@
 #include "core/dynamic_cache.h"
 
-#include <utility>
-
 namespace ecocharge {
 
 DynamicCache::DynamicCache(const DynamicCacheOptions& options)
@@ -9,37 +7,31 @@ DynamicCache::DynamicCache(const DynamicCacheOptions& options)
 
 const std::vector<ScoredCandidate>* DynamicCache::TryReuse(
     const Point& position, SimTime now) {
-  if (!state_.has_solution) {
-    ++state_.misses;
+  if (!has_solution_) {
+    ++misses_;
     return nullptr;
   }
-  bool moved_too_far =
-      Distance(position, state_.anchor) > options_.q_distance_m;
-  bool stale =
-      now - state_.stored_at > options_.ttl_s || now < state_.stored_at;
+  bool moved_too_far = Distance(position, anchor_) > options_.q_distance_m;
+  bool stale = now - stored_at_ > options_.ttl_s || now < stored_at_;
   if (moved_too_far || stale) {
-    ++state_.misses;
+    ++misses_;
     return nullptr;
   }
-  ++state_.hits;
-  return &state_.candidates;
+  ++hits_;
+  return &candidates_;
 }
 
 void DynamicCache::Store(const Point& position, SimTime now,
                          const std::vector<ScoredCandidate>& candidates) {
-  state_.has_solution = true;
-  state_.anchor = position;
-  state_.stored_at = now;
-  state_.candidates.assign(candidates.begin(), candidates.end());
+  has_solution_ = true;
+  anchor_ = position;
+  stored_at_ = now;
+  candidates_.assign(candidates.begin(), candidates.end());
 }
 
 void DynamicCache::Clear() {
-  state_.has_solution = false;
-  state_.candidates.clear();
-}
-
-void DynamicCache::SwapState(DynamicCacheState* state) {
-  std::swap(state_, *state);
+  has_solution_ = false;
+  candidates_.clear();
 }
 
 }  // namespace ecocharge

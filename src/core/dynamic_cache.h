@@ -22,23 +22,6 @@ struct DynamicCacheOptions {
   double ttl_s = 15.0 * kSecondsPerMinute;
 };
 
-/// \brief The portable contents of one client's Dynamic Cache: the
-/// anchored solution plus its hit/miss counters.
-///
-/// Plain data so a serving runtime can move a vehicle's caching state
-/// between shards on a cross-shard handoff: `DynamicCache::SwapState`
-/// exchanges the whole state in O(1) (the candidate vector swaps its
-/// storage), so the warm solution — and its grown capacity — travels with
-/// the client instead of being regenerated on the destination shard.
-struct DynamicCacheState {
-  bool has_solution = false;
-  Point anchor;
-  SimTime stored_at = 0.0;
-  std::vector<ScoredCandidate> candidates;
-  uint64_t hits = 0;
-  uint64_t misses = 0;
-};
-
 /// \brief Bottom-up solution cache for EcoCharge.
 ///
 /// Stores the scored candidate set (the solved sub-problems) behind the
@@ -67,25 +50,23 @@ class DynamicCache {
   /// the candidate storage so a later Store() reuses its capacity.
   void Clear();
 
-  /// Exchanges the entire cache contents (solution + counters) with
-  /// `*state` in O(1). The fleet runtime checks a client's state out of a
-  /// central store before ranking and back in afterwards, so the same
-  /// warm solution follows the vehicle across shard handoffs.
-  void SwapState(DynamicCacheState* state);
-
-  uint64_t hits() const { return state_.hits; }
-  uint64_t misses() const { return state_.misses; }
+  uint64_t hits() const { return hits_; }
+  uint64_t misses() const { return misses_; }
   double HitRate() const {
-    uint64_t total = state_.hits + state_.misses;
-    return total
-               ? static_cast<double>(state_.hits) / static_cast<double>(total)
-               : 0.0;
+    uint64_t total = hits_ + misses_;
+    return total ? static_cast<double>(hits_) / static_cast<double>(total)
+                 : 0.0;
   }
   const DynamicCacheOptions& options() const { return options_; }
 
  private:
   DynamicCacheOptions options_;
-  DynamicCacheState state_;
+  bool has_solution_ = false;
+  Point anchor_;
+  SimTime stored_at_ = 0.0;
+  std::vector<ScoredCandidate> candidates_;
+  uint64_t hits_ = 0;
+  uint64_t misses_ = 0;
 };
 
 }  // namespace ecocharge

@@ -84,12 +84,6 @@ class EcoChargeRanker : public Ranker {
   const DynamicCache& cache() const { return cache_; }
   const EcoChargeOptions& options() const { return options_; }
 
-  /// Exchanges the Dynamic Cache contents with `*state` in O(1) (see
-  /// DynamicCacheState). The fleet runtime swaps a client's centrally
-  /// stored state in before ranking and back out after, so one shared
-  /// ranker serves every client while each vehicle keeps its own cache.
-  void SwapCacheState(DynamicCacheState* state) { cache_.SwapState(state); }
-
   /// Installs phase timers/counters on the underlying CkNN-EC processor
   /// (both the full-regeneration and the cached adaptation path record
   /// through the same handles).

@@ -34,15 +34,6 @@ EcoChargeRanker& OfferingService::FreshRanker() {
   return *fresh_ranker_;
 }
 
-EcoChargeRanker& OfferingService::SharedRanker() {
-  if (!shared_ranker_) {
-    shared_ranker_ = std::make_unique<EcoChargeRanker>(
-        estimator_, charger_index_, weights_, options_);
-    shared_ranker_->set_metrics(pipeline_metrics_);
-  }
-  return *shared_ranker_;
-}
-
 void OfferingService::AttachMetrics(obs::MetricsRegistry* registry) {
   pipeline_metrics_ =
       registry ? PipelineMetrics::FromRegistry(registry) : PipelineMetrics{};
@@ -50,7 +41,6 @@ void OfferingService::AttachMetrics(obs::MetricsRegistry* registry) {
     if (client.ranker) client.ranker->set_metrics(pipeline_metrics_);
   }
   if (fresh_ranker_) fresh_ranker_->set_metrics(pipeline_metrics_);
-  if (shared_ranker_) shared_ranker_->set_metrics(pipeline_metrics_);
 }
 
 void OfferingService::RankInto(uint64_t client_id, const VehicleState& state,
@@ -70,35 +60,11 @@ void OfferingService::RankFresh(const VehicleState& state, size_t k,
   ++stats_.tables_served;
 }
 
-void OfferingService::RankWithCache(const VehicleState& state, size_t k,
-                                    DynamicCacheState* cache,
-                                    OfferingTable* out) {
-  ++stats_.requests;
-  EcoChargeRanker& ranker = SharedRanker();
-  ranker.SwapCacheState(cache);
-  ranker.RankInto(state, k, ctx_, out);
-  ranker.SwapCacheState(cache);
-  ++stats_.tables_served;
-  if (out->adapted_from_cache) ++stats_.cache_adaptations;
-}
-
 OfferingTable OfferingService::Rank(uint64_t client_id,
                                     const VehicleState& state, size_t k) {
   OfferingTable table;
   RankInto(client_id, state, k, &table);
   return table;
-}
-
-Result<std::string> OfferingService::Handle(uint64_t client_id,
-                                            const std::string& wire) {
-  Result<OfferingRequest> request = DecodeOfferingRequest(wire);
-  if (!request.ok()) {
-    ++stats_.requests;
-    ++stats_.malformed_requests;
-    return request.status();
-  }
-  RankInto(client_id, request.value().state, request.value().k, &table_);
-  return EncodeOfferingTable(table_);
 }
 
 void OfferingService::EvictIdleClients(SimTime now) {

@@ -3,25 +3,22 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 
-#include "common/result.h"
 #include "core/ecocharge.h"
-#include "core/protocol.h"
 
 namespace ecocharge {
 
 /// \brief Request/serve statistics of one service instance.
 struct OfferingServiceStats {
   uint64_t requests = 0;
-  uint64_t malformed_requests = 0;
   uint64_t tables_served = 0;
   uint64_t cache_adaptations = 0;
 };
 
-/// \brief The Mode-2 server loop: decodes wire requests, ranks with a
-/// per-client EcoCharge instance, and encodes the Offering Table reply.
+/// \brief The Mode-2 ranking core: ranks with a per-client EcoCharge
+/// instance (OfferingServer decodes wire requests and encodes replies
+/// around it).
 ///
 /// Each client (vehicle) gets its own EcoChargeRanker so Dynamic Caching
 /// tracks that vehicle's movement — the paper's EIS serves many vehicles
@@ -36,10 +33,6 @@ class OfferingService {
                   const EcoChargeOptions& options,
                   double client_ttl_s = kSecondsPerHour);
 
-  /// Handles one wire request from `client_id`; returns the encoded reply
-  /// or an error for malformed input.
-  Result<std::string> Handle(uint64_t client_id, const std::string& wire);
-
   /// Ranks for `client_id` into `*out` using the service-owned scratch
   /// context (the zero-allocation serving path).
   void RankInto(uint64_t client_id, const VehicleState& state, size_t k,
@@ -50,18 +43,10 @@ class OfferingService {
 
   /// Ranks `state` with Dynamic Caching disabled: a fresh filter + score +
   /// refine pass whose result depends only on the state and the world —
-  /// not on any per-client history. The fleet corridor cache ranks
-  /// canonical anchor states through this path, so the stored table is
-  /// identical no matter which vehicle, worker, or shard computed it.
+  /// not on any per-client history. The corridor cache ranks canonical
+  /// anchor states through this path, so the stored table is identical no
+  /// matter which vehicle or worker computed it.
   void RankFresh(const VehicleState& state, size_t k, OfferingTable* out);
-
-  /// Ranks `state` against an externally owned Dynamic Cache state: the
-  /// contents of `*cache` are swapped into a service-shared ranker for the
-  /// duration of the call and swapped back out (both O(1), no allocation).
-  /// The fleet runtime keeps each vehicle's caching state in a central
-  /// store and carries it across shard handoffs through this call.
-  void RankWithCache(const VehicleState& state, size_t k,
-                     DynamicCacheState* cache, OfferingTable* out);
 
   /// Drops the cached state of every client idle since before `now`.
   void EvictIdleClients(SimTime now);
@@ -83,12 +68,6 @@ class OfferingService {
   size_t active_clients() const { return clients_.size(); }
   const OfferingServiceStats& stats() const { return stats_; }
 
-  /// The table most recently served by Handle() — the wire path's reply
-  /// before encoding, so callers can account for flags (cache adaptation,
-  /// degradation) that the encoded string hides. Valid until the next
-  /// Handle() on this instance.
-  const OfferingTable& reply_table() const { return table_; }
-
   /// Resolves the `pipeline.*` handles on `registry` and installs them on
   /// every client ranker — including ones created lazily later, so the
   /// attach order relative to client arrival doesn't matter. Null detaches.
@@ -105,7 +84,6 @@ class OfferingService {
 
   ClientState& ClientFor(uint64_t client_id);
   EcoChargeRanker& FreshRanker();
-  EcoChargeRanker& SharedRanker();
 
   EcEstimator* estimator_;
   const SpatialIndex* charger_index_;
@@ -113,15 +91,13 @@ class OfferingService {
   EcoChargeOptions options_;
   double client_ttl_s_;
   std::unordered_map<uint64_t, ClientState> clients_;
-  std::unique_ptr<EcoChargeRanker> fresh_ranker_;   // Dynamic Caching off
-  std::unique_ptr<EcoChargeRanker> shared_ranker_;  // external cache state
+  std::unique_ptr<EcoChargeRanker> fresh_ranker_;  // Dynamic Caching off
   OfferingServiceStats stats_;
   PipelineMetrics pipeline_metrics_;  // applied to every client ranker
 
   // Serving scratch, shared across clients (the service is single-threaded
-  // per instance): pipeline buffers plus the reply table Handle() encodes.
+  // per instance): the pipeline buffers.
   QueryContext ctx_;
-  OfferingTable table_;
 };
 
 }  // namespace ecocharge

@@ -106,7 +106,7 @@ InformationServer::InformationServer(SolarEnergyService* energy,
 void InformationServer::ResolveWeather(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, double window_s,
-    EnergyForecast* out, EisFetch* fetch) {
+    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims) {
   Resolve(&weather_columns_, WeatherColumn(now, window_s), chargers, targets,
           now,
           [&](const EvCharger& c, SimTime snapped_now,
@@ -115,13 +115,13 @@ void InformationServer::ResolveWeather(
             return energy_->ForecastEnergyKwh(c, snapped_now, snapped_target,
                                               window_s);
           },
-          NeverDegrades<EnergyForecast>, out, fetch);
+          NeverDegrades<EnergyForecast>, out, fetch, claims);
 }
 
 void InformationServer::ResolveAvailability(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, AvailabilityForecast* out,
-    EisFetch* fetch) {
+    EisFetch* fetch, std::span<SlotClaim> claims) {
   Resolve(&availability_columns_, AvailabilityColumn(now), chargers, targets,
           now,
           [&](const EvCharger& c, SimTime snapped_now,
@@ -129,7 +129,7 @@ void InformationServer::ResolveAvailability(
             CountAvailabilityCall();
             return availability_->Forecast(c, snapped_now, snapped_target);
           },
-          NeverDegrades<AvailabilityForecast>, out, fetch);
+          NeverDegrades<AvailabilityForecast>, out, fetch, claims);
 }
 
 EnergyForecast InformationServer::GetEnergyForecast(const EvCharger& charger,
@@ -140,7 +140,8 @@ EnergyForecast InformationServer::GetEnergyForecast(const EvCharger& charger,
   const EvCharger* one[1] = {&charger};
   EnergyForecast f;
   EisFetch rung = EisFetch::kFresh;
-  ResolveWeather(one, {&target, 1}, now, window_s, &f, &rung);
+  SlotClaim claim[1];
+  ResolveWeather(one, {&target, 1}, now, window_s, &f, &rung, claim);
   if (fetch) *fetch = rung;
   return f;
 }
@@ -150,7 +151,8 @@ AvailabilityForecast InformationServer::GetAvailability(
   const EvCharger* one[1] = {&charger};
   AvailabilityForecast f;
   EisFetch rung = EisFetch::kFresh;
-  ResolveAvailability(one, {&target, 1}, now, &f, &rung);
+  SlotClaim claim[1];
+  ResolveAvailability(one, {&target, 1}, now, &f, &rung, claim);
   if (fetch) *fetch = rung;
   return f;
 }
@@ -163,10 +165,11 @@ void InformationServer::GetForecastBatch(
   out->energy.resize(n);
   out->availability.resize(n);
   out->fetch.assign(n, EisFetch::kFresh);
+  out->claims.resize(n);
   ResolveWeather(chargers, targets, now, window_s, out->energy.data(),
-                 out->fetch.data());
+                 out->fetch.data(), out->claims);
   ResolveAvailability(chargers, targets, now, out->availability.data(),
-                      out->fetch.data());
+                      out->fetch.data(), out->claims);
 }
 
 CongestionModel::Band InformationServer::GetTraffic(RoadClass road_class,

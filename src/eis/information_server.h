@@ -60,6 +60,8 @@ struct ForecastBatch {
   /// Worst rung of the two sources per candidate (kFresh < kStale <
   /// kClimatological).
   std::vector<EisFetch> fetch;
+  /// Claim scratch of the column stores, one entry per candidate.
+  std::vector<SlotClaim> claims;
 };
 
 /// \brief The EcoCharge Information Server (EIS).
@@ -78,13 +80,16 @@ struct ForecastBatch {
 /// keeps a TtlCache over its three road classes.
 ///
 /// Thread safety: one InformationServer may be shared by all serving
-/// workers. Each column store is guarded by one mutex held for a whole
-/// batch (misses are fetched under it, so no upstream call is ever
-/// duplicated); the traffic cache is sharded; call counters are relaxed
-/// atomics; and the upstream services are either const and pure in their
-/// inputs (AvailabilityService, CongestionModel) or internally
-/// synchronized (SolarEnergyService via WeatherProcess). Every response is
-/// a pure function of its key, so the caches change cost, never answers.
+/// workers. Each column store is guarded by one mutex that is never held
+/// across an upstream call: a batch claims its missing slots, fetches
+/// them unlocked and publishes them, and a concurrent batch wanting a
+/// claimed slot waits for that publish, so no upstream call is ever
+/// duplicated (ForecastColumns); the traffic cache is sharded; call
+/// counters are relaxed atomics; and the upstream services are either
+/// const and pure in their inputs (AvailabilityService, CongestionModel)
+/// or internally synchronized (SolarEnergyService via WeatherProcess).
+/// Every response is a pure function of its key, so the caches change
+/// cost, never answers.
 class InformationServer {
  public:
   InformationServer(SolarEnergyService* energy,
@@ -122,8 +127,8 @@ class InformationServer {
   /// `targets[i]`, issued at `now` for a `window_s` charge. Writes
   /// `out->energy[i]`, `out->availability[i]` and `out->fetch[i]` — the
   /// same values, and the same cache accounting, as the per-charger
-  /// GetEnergyForecast/GetAvailability calls in candidate order — with one
-  /// lock hold per source store.
+  /// GetEnergyForecast/GetAvailability calls in candidate order — with two
+  /// short lock holds per source store around its upstream fetches.
   virtual void GetForecastBatch(std::span<const EvCharger* const> chargers,
                                 std::span<const SimTime> targets, SimTime now,
                                 double window_s, ForecastBatch* out);
@@ -166,55 +171,54 @@ class InformationServer {
 
   /// Per-source resolution behind both the Get* calls and
   /// GetForecastBatch: `out[i]` for `chargers[i]` arriving at `targets[i]`,
-  /// `fetch[i]` raised to the rung used. Here the upstream is the simulated
-  /// service itself and cannot fail; ResilientInformationServer overrides
-  /// both with its guarded, degrading fetch over the same column slots.
+  /// `fetch[i]` raised to the rung used, `claims` the caller's scratch.
+  /// Here the upstream is the simulated service itself and cannot fail;
+  /// ResilientInformationServer overrides both with its guarded, degrading
+  /// fetch over the same column slots.
   virtual void ResolveWeather(std::span<const EvCharger* const> chargers,
                               std::span<const SimTime> targets, SimTime now,
                               double window_s, EnergyForecast* out,
-                              EisFetch* fetch);
+                              EisFetch* fetch, std::span<SlotClaim> claims);
   virtual void ResolveAvailability(std::span<const EvCharger* const> chargers,
                                    std::span<const SimTime> targets,
                                    SimTime now, AvailabilityForecast* out,
-                                   EisFetch* fetch);
+                                   EisFetch* fetch,
+                                   std::span<SlotClaim> claims);
 
   /// Bumps the per-upstream call counter (atomic + registry mirror).
   void CountWeatherCall();
   void CountAvailabilityCall();
   void CountTrafficCall();
 
-  /// The one lookup loop behind every weather/availability response.
-  /// For each candidate under one lock hold of `store`: a fresh slot is
-  /// served; otherwise `upstream(charger, snapped_now, snapped_target)`
-  /// (a Result; the call counts itself) is tried and, on success, stored;
-  /// on failure `degrade(charger, stale_or_null, &rung)` picks the
-  /// ladder's answer. `fetch[i]` is raised to the rung used.
+  /// The one lookup loop behind every weather/availability response,
+  /// ForecastColumns::Resolve over `store`: a fresh slot is served;
+  /// otherwise `upstream(charger, snapped_now, snapped_target)` (a Result;
+  /// the call counts itself) is tried once per slot, with the store
+  /// unlocked, and stored on success; on failure `degrade(charger,
+  /// stale_or_null, &rung)` picks the ladder's answer. `fetch[i]` is
+  /// raised to the rung used; `claims` is caller-owned scratch.
   template <typename Value, typename Upstream, typename Degrade>
   static void Resolve(ForecastColumns<Value>* store, const ColumnKey& base,
                       std::span<const EvCharger* const> chargers,
                       std::span<const SimTime> targets, SimTime now,
                       Upstream&& upstream, Degrade&& degrade, Value* out,
-                      EisFetch* fetch) {
-    typename ForecastColumns<Value>::Batch batch(store, base, now);
+                      EisFetch* fetch, std::span<SlotClaim> claims) {
     const SimTime snapped_now = SnapToBucket(now);
-    for (size_t i = 0; i < chargers.size(); ++i) {
-      const EvCharger& charger = *chargers[i];
-      const uint64_t bucket = TimeBucket(targets[i]);
-      const SlotProbe probe = batch.Find(bucket, charger.id, &out[i]);
-      if (probe == SlotProbe::kFresh) continue;
-      Result<Value> fetched =
-          upstream(charger, snapped_now, static_cast<double>(bucket) *
-                                             kBucketSeconds);
-      if (fetched.ok()) {
-        out[i] = *fetched;
-        batch.Put(bucket, charger.id, out[i]);
-        continue;
-      }
-      EisFetch rung = EisFetch::kFresh;
-      out[i] = degrade(charger,
-                       probe == SlotProbe::kStale ? &out[i] : nullptr, &rung);
-      fetch[i] = std::max(fetch[i], rung);
-    }
+    store->Resolve(
+        base, now, claims.first(chargers.size()), out,
+        [chargers, targets](size_t i) {
+          return SlotKey{TimeBucket(targets[i]), chargers[i]->id};
+        },
+        [&](size_t i, uint64_t bucket) {
+          return upstream(*chargers[i], snapped_now,
+                          static_cast<double>(bucket) * kBucketSeconds);
+        },
+        [&](size_t i, const Value* stale) {
+          EisFetch rung = EisFetch::kFresh;
+          Value value = degrade(*chargers[i], stale, &rung);
+          fetch[i] = std::max(fetch[i], rung);
+          return value;
+        });
   }
 
   /// Upstream APIs serve 15-minute buckets; requests are snapped to the

@@ -94,7 +94,7 @@ void ResilientInformationServer::CountClimatologicalServe(UpstreamKind kind) {
 void ResilientInformationServer::ResolveWeather(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, double window_s,
-    EnergyForecast* out, EisFetch* fetch) {
+    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims) {
   Resolve(
       &weather_columns_, WeatherColumn(now, window_s), chargers, targets, now,
       [&](const EvCharger& c, SimTime snapped_now, SimTime snapped_target) {
@@ -109,13 +109,13 @@ void ResilientInformationServer::ResolveWeather(
         return Degrade(UpstreamKind::kWeather, stale,
                        ClimatologicalEnergy(c, window_s), rung);
       },
-      out, fetch);
+      out, fetch, claims);
 }
 
 void ResilientInformationServer::ResolveAvailability(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, AvailabilityForecast* out,
-    EisFetch* fetch) {
+    EisFetch* fetch, std::span<SlotClaim> claims) {
   Resolve(
       &availability_columns_, AvailabilityColumn(now), chargers, targets, now,
       [&](const EvCharger& c, SimTime snapped_now, SimTime snapped_target) {
@@ -132,7 +132,7 @@ void ResilientInformationServer::ResolveAvailability(
         return Degrade(UpstreamKind::kAvailability, stale,
                        ClimatologicalAvailability(), rung);
       },
-      out, fetch);
+      out, fetch, claims);
 }
 
 CongestionModel::Band ResilientInformationServer::GetTraffic(

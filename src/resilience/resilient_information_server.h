@@ -160,11 +160,11 @@ class ResilientInformationServer : public InformationServer {
   void ResolveWeather(std::span<const EvCharger* const> chargers,
                       std::span<const SimTime> targets, SimTime now,
                       double window_s, EnergyForecast* out,
-                      EisFetch* fetch) override;
+                      EisFetch* fetch, std::span<SlotClaim> claims) override;
   void ResolveAvailability(std::span<const EvCharger* const> chargers,
                            std::span<const SimTime> targets, SimTime now,
-                           AvailabilityForecast* out,
-                           EisFetch* fetch) override;
+                           AvailabilityForecast* out, EisFetch* fetch,
+                           std::span<SlotClaim> claims) override;
 
   /// One guarded upstream request: breaker admission, then attempt /
   /// backoff / retry until success, retry exhaustion, deadline-budget

@@ -38,6 +38,18 @@ uint64_t QuantizeCoord(double c) {
 
 }  // namespace
 
+Status CorridorCacheOptions::Validate() const {
+  if (!std::isfinite(eta_bucket_s) || eta_bucket_s <= 0.0) {
+    return Status::InvalidArgument(
+        "corridor ETA bucket must be a finite number of seconds > 0");
+  }
+  if (!std::isfinite(ttl_s) || ttl_s < eta_bucket_s) {
+    return Status::InvalidArgument(
+        "corridor TTL must be finite and at least the ETA bucket");
+  }
+  return Status::OK();
+}
+
 CorridorCache::CorridorCache(const RoadNetwork* network,
                              const CorridorCacheOptions& options)
     : network_(network),
@@ -201,11 +213,11 @@ void CorridorCache::AttachMetrics(obs::MetricsRegistry* registry) {
     prewarmed_mirror_ = nullptr;
     return;
   }
-  hits_mirror_ = registry->GetCounter("fleet.corridor.hits", "lookups");
-  misses_mirror_ = registry->GetCounter("fleet.corridor.misses", "lookups");
-  inserts_mirror_ = registry->GetCounter("fleet.corridor.inserts", "tables");
+  hits_mirror_ = registry->GetCounter("server.corridor.hits", "lookups");
+  misses_mirror_ = registry->GetCounter("server.corridor.misses", "lookups");
+  inserts_mirror_ = registry->GetCounter("server.corridor.inserts", "tables");
   prewarmed_mirror_ =
-      registry->GetCounter("fleet.corridor.prewarmed", "tables");
+      registry->GetCounter("server.corridor.prewarmed", "tables");
 }
 
 }  // namespace ecocharge

@@ -8,6 +8,7 @@
 #include <unordered_map>
 #include <vector>
 
+#include "common/status.h"
 #include "core/offering_table.h"
 #include "core/vehicle_state.h"
 #include "eis/ttl_cache.h"
@@ -29,8 +30,7 @@ struct CorridorCacheOptions {
   /// vehicles minutes apart see the same L/A/D forecasts anyway).
   double eta_bucket_s = 5.0 * kSecondsPerMinute;
 
-  /// Lock shards (rounded up to a power of two). Sized to contention:
-  /// the fleet runtime raises it with the worker count, mirroring
+  /// Lock shards (rounded up to a power of two), mirroring
   /// EisOptions::cache_shards.
   size_t num_shards = 16;
 
@@ -42,6 +42,12 @@ struct CorridorCacheOptions {
   /// (Prewarm): a vehicle that missed bucket t seeds buckets t+1..t+N for
   /// everyone behind it on the same segment. 0 (default) = off.
   size_t prewarm_buckets = 0;
+
+  /// InvalidArgument unless eta_bucket_s is finite and > 0 and ttl_s is
+  /// finite and >= eta_bucket_s. Check options that come from outside
+  /// (flags, config) once, before constructing the cache: KeyFor divides
+  /// by the bucket width.
+  Status Validate() const;
 };
 
 /// \brief Cross-user Offering Table cache keyed by corridor and ETA
@@ -59,9 +65,9 @@ struct CorridorCacheOptions {
 /// bucket start, position snapped to the network node, trip identity
 /// zeroed — ranked fresh with per-client caching disabled. The stored
 /// value is therefore a pure function of (key, world revisions): any
-/// worker on any shard that misses computes the identical bytes, so
-/// first-writer-wins insertion is race-free by value and sharded serving
-/// stays bit-identical to single-shard serving.
+/// worker that misses computes the identical bytes, so first-writer-wins
+/// insertion is race-free by value and threaded serving stays
+/// bit-identical to inline serving.
 ///
 /// World revisions are folded into the key, so an epoch publish makes the
 /// previous epoch's corridors unreachable (they age out by TTL) without
@@ -125,7 +131,7 @@ class CorridorCache {
   const CorridorCacheOptions& options() const { return options_; }
 
   /// Mirrors hit/miss/insert counts onto `registry` under
-  /// `fleet.corridor.*`; null detaches. Wire before traffic starts.
+  /// `server.corridor.*`; null detaches. Wire before traffic starts.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:

@@ -7,6 +7,7 @@
 #include <utility>
 
 #include "ch/ch_customize.h"
+#include "common/logging.h"
 #include "core/protocol.h"
 
 namespace ecocharge {
@@ -50,8 +51,14 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
     // hit/miss/build counters on this server's registry (statsz) too.
     env_->ch_cache->AttachMetrics(&metrics_);
   }
+  if (options_.corridor != nullptr) {
+    options_.corridor->AttachMetrics(&metrics_);
+  }
 
   size_t num_workers = threads_ == 0 ? 1 : static_cast<size_t>(threads_);
+  ECOCHARGE_CHECK(options_.epochs == nullptr ||
+                  options_.epochs->max_readers() >= num_workers)
+      << "WorldEpochs needs one reader slot per worker";
   workers_.reserve(num_workers);
   for (size_t i = 0; i < num_workers; ++i) {
     auto worker = std::make_unique<Worker>();
@@ -89,7 +96,10 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
   }
 }
 
-OfferingServer::~OfferingServer() { Shutdown(); }
+OfferingServer::~OfferingServer() {
+  Shutdown();
+  if (options_.corridor != nullptr) options_.corridor->AttachMetrics(nullptr);
+}
 
 size_t OfferingServer::WorkerIndexFor(uint64_t client_id) const {
   // Stable client -> worker routing: a client's requests are always served
@@ -101,26 +111,22 @@ size_t OfferingServer::WorkerIndexFor(uint64_t client_id) const {
 }
 
 Status OfferingServer::Submit(uint64_t client_id, const VehicleState& state,
-                              size_t k, TableCallback on_table,
-                              uint64_t client_seq) {
+                              size_t k, TableCallback on_table) {
   Request request;
   request.client_id = client_id;
   request.state = state;
   request.k = k;
   request.on_table = std::move(on_table);
-  request.client_seq = client_seq;
   return SubmitRequest(std::move(request));
 }
 
 Status OfferingServer::SubmitWire(uint64_t client_id, std::string wire,
-                                  ReplyCallback on_reply,
-                                  uint64_t client_seq) {
+                                  ReplyCallback on_reply) {
   Request request;
   request.client_id = client_id;
   request.is_wire = true;
   request.wire = std::move(wire);
   request.on_reply = std::move(on_reply);
-  request.client_seq = client_seq;
   return SubmitRequest(std::move(request));
 }
 
@@ -150,7 +156,6 @@ Status OfferingServer::SubmitRequest(Request request) {
 
 void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
                                 size_t k, uint64_t client_id,
-                                uint64_t client_seq,
                                 const WorldRevisions* revisions) {
   if (options_.corridor != nullptr) {
     // Corridor mode: serve the canonical corridor table — the paper's
@@ -194,17 +199,6 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
     }
     return;
   }
-  if (options_.client_store != nullptr) {
-    // Fleet handoff mode: the vehicle's Dynamic Cache state lives in the
-    // central store and is leased around the rank, so it follows the
-    // vehicle across shards; the ticket wait preserves per-client FIFO
-    // even when the previous request is still draining on another shard.
-    options_.client_store->CheckOut(client_id, client_seq, &worker.lease);
-    worker.service->RankWithCache(state, k, &worker.lease, &worker.table);
-    options_.client_store->CheckIn(client_id, client_seq, &worker.lease,
-                                   state.time);
-    return;
-  }
   // worker.table is the worker's long-lived reply buffer (like the
   // QueryContext, it reaches its high-water capacity and stays there).
   worker.service->RankInto(client_id, state, k, &worker.table);
@@ -234,37 +228,20 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
   std::optional<ScopedWorldRevisions> world;
   const WorldRevisions* revisions = nullptr;
   if (options_.epochs != nullptr) {
-    pin.emplace(
-        options_.epochs->Pin(options_.epoch_reader_base + worker.index));
+    pin.emplace(options_.epochs->Pin(worker.index));
     revisions = &pin->snapshot().revisions;
     world.emplace(*revisions);
   }
-  bool fleet_mode =
-      options_.corridor != nullptr || options_.client_store != nullptr;
-  if (request.is_wire && !fleet_mode) {
-    Result<std::string> reply =
-        worker.service->Handle(request.client_id, request.wire);
-    if (!reply.ok()) {
-      malformed_->Add();
-    } else {
-      // The encoded reply hides the table's flags; read them off the
-      // service's reply buffer so wire serving accounts like table serving.
-      if (worker.service->reply_table().adapted_from_cache) {
-        cache_adaptations_->Add();
-      }
-      if (worker.service->reply_table().degraded) degraded_tables_->Add();
-    }
-    if (request.on_reply) request.on_reply(reply);
-  } else if (request.is_wire) {
-    // Fleet wire path: decode here so the corridor / client-store table
-    // core below serves both forms identically.
+  if (request.is_wire) {
+    // Decode on the worker, then serve through the same table core as the
+    // in-process form; the reply is the encoded table.
     Result<OfferingRequest> decoded = DecodeOfferingRequest(request.wire);
     if (!decoded.ok()) {
       malformed_->Add();
       if (request.on_reply) request.on_reply(decoded.status());
     } else {
       ServeTable(worker, decoded.value().state, decoded.value().k,
-                 request.client_id, request.client_seq, revisions);
+                 request.client_id, revisions);
       if (worker.table.adapted_from_cache) cache_adaptations_->Add();
       if (worker.table.degraded) degraded_tables_->Add();
       if (request.on_reply) {
@@ -273,7 +250,7 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
     }
   } else {
     ServeTable(worker, request.state, request.k, request.client_id,
-               request.client_seq, revisions);
+               revisions);
     if (worker.table.adapted_from_cache) cache_adaptations_->Add();
     if (worker.table.degraded) degraded_tables_->Add();
     if (request.on_table) request.on_table(worker.table);
@@ -284,13 +261,9 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
     return static_cast<uint64_t>(std::max<int64_t>(
         0, std::chrono::duration_cast<std::chrono::nanoseconds>(d).count()));
   };
-  const uint64_t latency_ns = ns(replied_at - request.submitted_at);
   queue_wait_->Record(ns(dequeued_at - request.submitted_at));
   service_time_->Record(ns(replied_at - dequeued_at));
-  request_latency_->Record(latency_ns);
-  if (options_.extra_latency != nullptr) {
-    options_.extra_latency->Record(latency_ns);
-  }
+  request_latency_->Record(ns(replied_at - request.submitted_at));
 }
 
 void OfferingServer::FinishOne() {

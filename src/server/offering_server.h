@@ -15,11 +15,11 @@
 #include "common/result.h"
 #include "core/environment.h"
 #include "core/offering_service.h"
+#include "core/protocol.h"
 #include "obs/metrics.h"
 #include "eis/world_revisions.h"
 #include "resilience/resilient_information_server.h"
 #include "server/bounded_queue.h"
-#include "server/client_store.h"
 #include "server/corridor_cache.h"
 #include "server/world_epochs.h"
 
@@ -63,34 +63,22 @@ struct OfferingServerOptions {
   /// `resilient_eis` is on; <= 0 serves with an unbounded budget.
   double request_deadline_ms = 250.0;
 
-  // --- Fleet-serving hooks (all borrowed; null = stand-alone server). ---
+  // --- Fleet-serving state (borrowed; null = stand-alone server). ---
 
   /// RCU world-version source. When set, every request pins the current
   /// snapshot (two atomic stores, no mutex) and serves under its
   /// revisions via ScopedWorldRevisions, so refresh publishes never stall
-  /// the read path. The owner must outlive the server.
+  /// the read path. Worker i pins reader slot i, so `epochs` needs at
+  /// least max(1, threads) slots. The owner must outlive the server.
   WorldEpochs* epochs = nullptr;
 
-  /// This server's reader-slot range in `epochs`: worker i pins slot
-  /// `epoch_reader_base + i`. The fleet runtime hands each shard a
-  /// disjoint range.
-  size_t epoch_reader_base = 0;
-
-  /// Cross-user corridor cache. When set, the table path serves the
-  /// canonical corridor table (hit: copy out; miss: rank the canonical
-  /// anchor fresh and insert) instead of per-client Dynamic Caching.
+  /// Cross-user corridor cache. When set, every request — table or wire —
+  /// serves the canonical corridor table (hit: copy out; miss: rank the
+  /// canonical anchor fresh and insert) instead of per-client Dynamic
+  /// Caching, and the cache reports `server.corridor.*` on this server's
+  /// registry until the server is destroyed. The owner must outlive the
+  /// server.
   CorridorCache* corridor = nullptr;
-
-  /// Fleet-central per-client cache state (ignored when `corridor` is
-  /// set). When set, requests carry router-assigned tickets and each
-  /// request checks its client's Dynamic Cache state out around the rank,
-  /// so the warm solution follows the vehicle across shard handoffs.
-  ClientStore* client_store = nullptr;
-
-  /// Extra latency sink shared across shards (e.g. the fleet-level
-  /// `fleet.request_latency_ns`); recorded alongside the server's own
-  /// histogram when non-null.
-  obs::Histogram* extra_latency = nullptr;
 };
 
 /// \brief Counter snapshot of one server instance (plain values).
@@ -115,15 +103,19 @@ struct OfferingServerStats {
 /// compute path. Workers share exactly three things, each engineered for
 /// concurrent reads: the immutable environment (network, chargers,
 /// spatial index), the pure-function forecast services, and one
-/// InformationServer whose TTL caches are sharded with per-shard mutexes.
+/// InformationServer whose column stores never hold their lock across an
+/// upstream fetch and whose traffic cache is sharded.
 ///
 /// Requests are routed to workers by client id hash, which gives every
 /// client a stable worker and therefore FIFO processing of its own
 /// requests — that per-client ordering, plus the purity of all shared
 /// state, is why `threads = N` produces exactly the same Offering Tables
-/// as `threads = 0` (asserted by tests/offering_server_test.cc). Each
-/// worker's queue is bounded: when it fills, Submit returns kUnavailable
-/// immediately and the caller sheds load (reject-with-status beats OOM).
+/// as `threads = 0` (asserted by tests/offering_server_test.cc). A whole
+/// fleet is served by one server: with `epochs` and `corridor` set, all
+/// workers share one world version ring and one corridor cache as well
+/// (DESIGN.md §16). Each worker's queue is bounded: when it fills, Submit
+/// returns kUnavailable immediately and the caller sheds load
+/// (reject-with-status beats OOM).
 ///
 /// Callbacks run on the worker thread that served the request (or inline
 /// when threads = 0); they must be fast and must synchronize any state
@@ -145,16 +137,14 @@ class OfferingServer {
   /// Enqueues a ranking request for `client_id`; `on_table` receives the
   /// Offering Table on the serving worker. Returns kUnavailable when the
   /// client's worker queue is full, kFailedPrecondition after Shutdown().
-  /// `client_seq` is the router-assigned per-client ticket, used only
-  /// when `client_store` is configured (the fleet runtime supplies it;
-  /// stand-alone callers leave it 0).
   Status Submit(uint64_t client_id, const VehicleState& state, size_t k,
-                TableCallback on_table, uint64_t client_seq = 0);
+                TableCallback on_table);
 
-  /// Wire-protocol form: decodes an OfferingRequest, serves it, and hands
-  /// `on_reply` the encoded Offering Table (or the decode error).
+  /// Wire-protocol form: decodes an OfferingRequest on the worker, serves
+  /// it like Submit, and hands `on_reply` the encoded Offering Table (or
+  /// the decode error, counted as malformed).
   Status SubmitWire(uint64_t client_id, std::string wire,
-                    ReplyCallback on_reply, uint64_t client_seq = 0);
+                    ReplyCallback on_reply);
 
   /// Blocks until every accepted request has been served.
   void Drain();
@@ -200,7 +190,6 @@ class OfferingServer {
     size_t k = 3;
     TableCallback on_table;
     ReplyCallback on_reply;
-    uint64_t client_seq = 0;  ///< router ticket (client_store mode)
     /// Stamped at submission; the latency histogram spans queue wait +
     /// service time (what a vehicle actually experiences).
     std::chrono::steady_clock::time_point submitted_at{};
@@ -217,7 +206,6 @@ class OfferingServer {
     /// live (it holds the table being returned) while future buckets are
     /// being speculatively filled, so prewarm ranks land here instead.
     OfferingTable prewarm_table;
-    DynamicCacheState lease;  ///< scratch for client-store checkouts
     std::unique_ptr<BoundedQueue<Request>> queue;  // null in inline mode
     obs::Gauge* queue_depth = nullptr;  ///< server.queue.depth.w{i}
     std::thread thread;
@@ -227,8 +215,7 @@ class OfferingServer {
   Status SubmitRequest(Request request);
   void Serve(Worker& worker, Request& request);
   void ServeTable(Worker& worker, const VehicleState& state, size_t k,
-                  uint64_t client_id, uint64_t client_seq,
-                  const WorldRevisions* revisions);
+                  uint64_t client_id, const WorldRevisions* revisions);
   void WorkerLoop(Worker& worker);
   void FinishOne();
 

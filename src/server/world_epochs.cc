@@ -66,14 +66,4 @@ void WorldEpochs::Publish(SimTime now,
   current_.store(next, std::memory_order_seq_cst);
 }
 
-uint64_t WorldEpochs::MinPinnedEpoch(size_t begin, size_t end) const {
-  uint64_t min_epoch = 0;
-  for (size_t i = begin; i < end && i < pins_.size(); ++i) {
-    uint64_t pinned = pins_[i].epoch.load(std::memory_order_seq_cst);
-    if (pinned == kUnpinned) continue;
-    if (min_epoch == 0 || pinned < min_epoch) min_epoch = pinned;
-  }
-  return min_epoch;
-}
-
 }  // namespace ecocharge

@@ -94,10 +94,6 @@ class WorldEpochs {
     return current_.load(std::memory_order_seq_cst);
   }
 
-  /// The oldest epoch any reader in [begin, end) is pinned to, or 0 when
-  /// none of those slots is pinned — the "epoch lag" observability input.
-  uint64_t MinPinnedEpoch(size_t begin, size_t end) const;
-
   size_t max_readers() const { return pins_.size(); }
 
  private:

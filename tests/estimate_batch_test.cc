@@ -9,8 +9,11 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
+#include <cstdlib>
 #include <cstring>
 #include <optional>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -345,31 +348,51 @@ TEST(ResilientBatchTest, FailuresWalkTheLadderPerCandidate) {
 // ---------------------------------------------------------------------------
 // The column store itself
 
+/// Resolves `keys` against `store` at `now`. Every fetch answers with
+/// `value` and bumps `*calls`; `fail` makes every fetch fail instead, and
+/// `on_fetch` (when set) runs inside each fetch, with the store unlocked.
+template <typename Hook = void (*)()>
+std::vector<AvailabilityForecast> ResolveSlots(
+    ForecastColumns<AvailabilityForecast>* store,
+    const std::vector<SlotKey>& keys, SimTime now, AvailabilityForecast value,
+    std::atomic<int>* calls, bool fail = false, Hook on_fetch = [] {}) {
+  std::vector<AvailabilityForecast> out(keys.size());
+  std::vector<SlotClaim> claims(keys.size());
+  store->Resolve(
+      ColumnKey{}, now, claims, out.data(),
+      [&](size_t i) { return keys[i]; },
+      [&](size_t, uint64_t) -> Result<AvailabilityForecast> {
+        calls->fetch_add(1);
+        on_fetch();
+        if (fail) return Status::Unavailable("upstream down");
+        return value;
+      },
+      [](size_t, const AvailabilityForecast* stale) {
+        return stale ? *stale : AvailabilityForecast{-1.0, -1.0};
+      });
+  return out;
+}
+
 TEST(ForecastColumnsTest, HugeChargerIdDoesNotAllocateInProportion) {
   ForecastColumns<AvailabilityForecast> store(60.0, 1 << 16);
-  {
-    ForecastColumns<AvailabilityForecast>::Batch batch(&store, ColumnKey{},
-                                                       0.0);
-    batch.Put(3, 4000000000u, AvailabilityForecast{0.1, 0.2});
-    batch.Put(3, 7, AvailabilityForecast{0.3, 0.4});
-    AvailabilityForecast got;
-    EXPECT_EQ(batch.Find(3, 4000000000u, &got), SlotProbe::kFresh);
-    EXPECT_EQ(got.min, 0.1);
-    EXPECT_EQ(batch.Find(3, 7, &got), SlotProbe::kFresh);
-    EXPECT_EQ(got.max, 0.4);
-    EXPECT_EQ(batch.Find(3, 8, &got), SlotProbe::kAbsent);
-  }
+  std::atomic<int> calls{0};
+  ResolveSlots(&store, {{3, 4000000000u}}, 0.0, {0.1, 0.2}, &calls);
+  ResolveSlots(&store, {{3, 7}}, 0.0, {0.3, 0.4}, &calls);
+  std::vector<AvailabilityForecast> got = ResolveSlots(
+      &store, {{3, 4000000000u}, {3, 7}}, 0.0, {0.5, 0.6}, &calls);
+  EXPECT_EQ(calls.load(), 2);  // both slots were fresh on the third call
+  EXPECT_EQ(got[0].min, 0.1);
+  EXPECT_EQ(got[1].max, 0.4);
   EXPECT_EQ(store.allocated_slots(), 8u + 1u);  // dense 0..7 + one sparse
 }
 
 TEST(ForecastColumnsTest, SlotBudgetSweepsThenClears) {
   ForecastColumns<AvailabilityForecast> store(10.0, 100);
-  auto fill = [&store](uint64_t bucket, SimTime now) {
-    ForecastColumns<AvailabilityForecast>::Batch batch(&store, ColumnKey{},
-                                                       now);
-    for (ChargerId id = 0; id < 50; ++id) {
-      batch.Put(bucket, id, AvailabilityForecast{});
-    }
+  std::atomic<int> calls{0};
+  auto fill = [&](uint64_t bucket, SimTime now) {
+    std::vector<SlotKey> keys;
+    for (ChargerId id = 0; id < 50; ++id) keys.push_back({bucket, id});
+    ResolveSlots(&store, keys, now, AvailabilityForecast{}, &calls);
   };
   fill(1, 0.0);
   fill(2, 0.0);
@@ -380,6 +403,180 @@ TEST(ForecastColumnsTest, SlotBudgetSweepsThenClears) {
   fill(5, 20.0);  // at budget, nothing expired: everything is dropped
   EXPECT_EQ(store.num_columns(), 1u);
   EXPECT_LE(store.allocated_slots(), 100u);
+}
+
+// A whole batch against the same keys resolved one at a time on a twin
+// store, under slot budgets small enough that sweeps (220) and clears
+// (150) land mid-batch: the same answers, upstream calls, counts and
+// store shape.
+TEST(ForecastColumnsTest, BatchMatchesOneAtATimeUnderTheSlotBudget) {
+  for (size_t budget : {150u, 220u}) {
+    ForecastColumns<AvailabilityForecast> batch_store(10.0, budget);
+    ForecastColumns<AvailabilityForecast> single_store(10.0, budget);
+    std::atomic<int> batch_calls{0}, single_calls{0};
+    Rng rng(31);
+    SimTime now = 0.0;
+    for (int round = 0; round < 200; ++round) {
+      now += rng.NextDouble(0.0, 3.0);
+      // Arrival buckets drift with time, so old columns expire as well.
+      std::vector<SlotKey> keys(rng.NextBounded(60));
+      for (SlotKey& key : keys) {
+        key = {static_cast<uint64_t>(now / 5.0) + rng.NextBounded(3),
+               static_cast<ChargerId>(rng.NextBounded(40))};
+      }
+      const AvailabilityForecast value{now, now};
+      const std::vector<AvailabilityForecast> got =
+          ResolveSlots(&batch_store, keys, now, value, &batch_calls);
+      for (size_t i = 0; i < keys.size(); ++i) {
+        const AvailabilityForecast want =
+            ResolveSlots(&single_store, {keys[i]}, now, value, &single_calls)
+                .front();
+        ASSERT_EQ(got[i].min, want.min) << "round " << round << " slot " << i;
+      }
+      ASSERT_EQ(batch_calls.load(), single_calls.load()) << "round " << round;
+      ASSERT_EQ(batch_store.allocated_slots(), single_store.allocated_slots());
+      ASSERT_EQ(batch_store.num_columns(), single_store.num_columns());
+    }
+    const CacheStats b = batch_store.stats(), s = single_store.stats();
+    EXPECT_EQ(b.hits, s.hits);
+    EXPECT_EQ(b.misses, s.misses);
+    EXPECT_EQ(b.expirations, s.expirations);
+    if (budget == 220u) {
+      EXPECT_GT(s.expirations, 0u);
+    }
+  }
+}
+
+// Workers hammer a store far over its slot budget, so evictions, round
+// breaks and waits on other calls' claims all interleave. Every call must
+// finish (bounded wait, so a lost wakeup or a miscounted round fails
+// instead of hanging), answer each slot with its key's value, and count
+// each lookup once: hits + misses = lookups, upstream calls = misses.
+TEST(ForecastColumnsTest, ConcurrentCallsOverTheBudgetFinishAndCountOnce) {
+  ForecastColumns<AvailabilityForecast> store(5.0, 300);
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 300;
+  std::atomic<uint64_t> lookups{0}, fetches{0}, wrong{0};
+  std::atomic<int> done{0};
+  std::vector<std::thread> workers;
+  for (int t = 0; t < kThreads; ++t) {
+    workers.emplace_back([&, t] {
+      Rng rng(500 + t);
+      std::vector<SlotKey> keys;
+      std::vector<AvailabilityForecast> out;
+      std::vector<SlotClaim> claims;
+      for (int call = 0; call < kCalls; ++call) {
+        const SimTime now = call * 0.5 + rng.NextDouble(0.0, 0.5);
+        keys.resize(50 + rng.NextBounded(100));
+        for (SlotKey& key : keys) {
+          key = {static_cast<uint64_t>(now / 4.0) + rng.NextBounded(4),
+                 static_cast<ChargerId>(rng.NextBounded(100))};
+        }
+        out.resize(keys.size());
+        claims.resize(keys.size());
+        store.Resolve(
+            ColumnKey{}, now, claims, out.data(),
+            [&](size_t i) { return keys[i]; },
+            [&](size_t i, uint64_t) -> Result<AvailabilityForecast> {
+              fetches.fetch_add(1);
+              return AvailabilityForecast{static_cast<double>(keys[i].id),
+                                          0.0};
+            },
+            [](size_t, const AvailabilityForecast* stale) {
+              return stale ? *stale : AvailabilityForecast{};
+            });
+        for (size_t i = 0; i < keys.size(); ++i) {
+          if (out[i].min != static_cast<double>(keys[i].id)) ++wrong;
+        }
+        lookups.fetch_add(keys.size());
+      }
+      ++done;
+    });
+  }
+  for (int i = 0; i < 3000 && done.load() < kThreads; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+  }
+  if (done.load() < kThreads) {
+    ADD_FAILURE() << "calls did not finish: " << done.load() << "/"
+                  << kThreads << " workers done";
+    std::_Exit(1);  // the stuck workers cannot be joined
+  }
+  for (std::thread& w : workers) w.join();
+  EXPECT_EQ(wrong.load(), 0u);
+  const CacheStats stats = store.stats();
+  EXPECT_EQ(stats.hits + stats.misses, lookups.load());
+  EXPECT_EQ(stats.misses, fetches.load());
+}
+
+/// Races two Resolve calls on `keys` at `now`. The first call holds its
+/// first fetch until the second sleeps on its claims (bounded, so a broken
+/// protocol fails instead of hanging). Returns both calls' answers.
+std::pair<std::vector<AvailabilityForecast>, std::vector<AvailabilityForecast>>
+RaceTwoCalls(ForecastColumns<AvailabilityForecast>* store,
+             const std::vector<SlotKey>& keys, SimTime now,
+             std::atomic<int>* calls, AvailabilityForecast first_value,
+             bool first_fails, AvailabilityForecast second_value,
+             bool second_fails) {
+  std::atomic<bool> first_fetching{false};
+  std::vector<AvailabilityForecast> first;
+  std::thread claimer([&] {
+    first = ResolveSlots(store, keys, now, first_value, calls, first_fails,
+                         [&] {
+                           if (first_fetching.exchange(true)) return;
+                           for (int i = 0; i < 5000 && store->waiters() == 0;
+                                ++i) {
+                             std::this_thread::sleep_for(
+                                 std::chrono::milliseconds(1));
+                           }
+                         });
+  });
+  while (!first_fetching.load()) std::this_thread::yield();
+  std::vector<AvailabilityForecast> second =
+      ResolveSlots(store, keys, now, second_value, calls, second_fails);
+  claimer.join();
+  return {first, second};
+}
+
+// Two calls racing on the same absent slots: the second finds the first
+// call's claims pending and waits for their publish instead of fetching.
+TEST(ForecastColumnsTest, RacingBatchesFetchEachSlotOnce) {
+  ForecastColumns<AvailabilityForecast> store(60.0, 1 << 16);
+  std::vector<SlotKey> keys;
+  for (ChargerId id = 0; id < 40; ++id) keys.push_back({id % 2, id});
+  std::atomic<int> calls{0};
+  auto [first, second] = RaceTwoCalls(&store, keys, 5.0, &calls,
+                                      {0.25, 0.75}, false, {0.5, 0.5}, false);
+  EXPECT_EQ(calls.load(), static_cast<int>(keys.size()));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(first[i].min, 0.25);
+    EXPECT_EQ(second[i].min, 0.25) << "slot " << i << " fetched twice";
+  }
+  const CacheStats stats = store.stats();
+  EXPECT_EQ(stats.misses, keys.size());
+  EXPECT_EQ(stats.hits, keys.size());
+}
+
+// A claimed fetch that fails releases its slot: the waiting call then
+// claims it itself and refetches — or, when its fetch fails as well,
+// degrades to the stale value the slot still holds.
+TEST(ForecastColumnsTest, FailedClaimReleasesSlotToWaiter) {
+  for (bool waiter_fails : {false, true}) {
+    ForecastColumns<AvailabilityForecast> store(1.0, 1 << 16);
+    std::atomic<int> calls{0};
+    const std::vector<SlotKey> keys = {{0, 3}, {0, 4}};
+    ResolveSlots(&store, keys, 0.0, {0.1, 0.1}, &calls);  // stale at t=5
+    auto [first, second] = RaceTwoCalls(&store, keys, 5.0, &calls, {}, true,
+                                        {0.9, 0.9}, waiter_fails);
+    // Two warm-up fetches, two failed claims, two refetches by the waiter.
+    EXPECT_EQ(calls.load(), 6);
+    for (size_t i = 0; i < keys.size(); ++i) {
+      EXPECT_EQ(first[i].min, 0.1);  // degraded to the stale value
+      EXPECT_EQ(second[i].min, waiter_fails ? 0.1 : 0.9);
+    }
+    // The waiter's refetch was published only when it succeeded.
+    ResolveSlots(&store, keys, 5.0, {0.5, 0.5}, &calls, /*fail=*/true);
+    EXPECT_EQ(calls.load(), waiter_fails ? 8 : 6);
+  }
 }
 
 TEST(ForecastColumnsTest, ConcurrentBatchesFillOverlappingColumns) {
@@ -424,8 +621,18 @@ TEST(ForecastColumnsTest, ConcurrentBatchesFillOverlappingColumns) {
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
   const EisCallStats stats = shared.Stats();
-  // One upstream call per distinct (charger, bucket) slot at most.
-  EXPECT_LE(stats.availability_api_calls, 3 * env->chargers.size());
+  // Exactly one upstream call per distinct (charger, bucket) slot: the
+  // workers' candidate streams are seeded, so replay them to count.
+  std::set<std::pair<ChargerId, size_t>> slots;
+  for (int t = 0; t < 4; ++t) {
+    Rng rng(100 + t);
+    for (int i = 0; i < 30 * 50; ++i) {
+      const ChargerId id = env->chargers[rng.NextBounded(
+          env->chargers.size())].id;
+      slots.emplace(id, rng.NextBounded(3));
+    }
+  }
+  EXPECT_EQ(stats.availability_api_calls, slots.size());
   EXPECT_EQ(stats.availability_cache.hits + stats.availability_cache.misses,
             4u * 30u * 50u);
   EXPECT_EQ(stats.availability_cache.misses, stats.availability_api_calls);

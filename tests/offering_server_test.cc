@@ -1,5 +1,6 @@
 #include "server/offering_server.h"
 
+#include <algorithm>
 #include <atomic>
 #include <string>
 #include <vector>
@@ -8,6 +9,8 @@
 
 #include "core/offering_service.h"
 #include "core/protocol.h"
+#include "server/corridor_cache.h"
+#include "server/world_epochs.h"
 #include "tests/test_util.h"
 
 namespace ecocharge {
@@ -196,6 +199,60 @@ TEST_F(OfferingServerTest, WirePathServesAndCountsMalformed) {
   EXPECT_EQ(stats.malformed, 1u);
 }
 
+// The wire path decodes on the worker and serves through the same table
+// core as Submit — per-client or corridor — so a reply decodes to the
+// in-process table, and a malformed frame is counted and reported.
+TEST_F(OfferingServerTest, WireRepliesMatchSubmitInBothModes) {
+  for (bool corridor_mode : {false, true}) {
+    WorldEpochs epochs(2);
+    CorridorCache corridor(env_->dataset.network.get(),
+                           CorridorCacheOptions{});
+    OfferingServerOptions options;
+    options.threads = 2;
+    options.epochs = &epochs;
+    options.corridor = corridor_mode ? &corridor : nullptr;
+    OfferingServer server(env_.get(), ScoreWeights::AWE(),
+                          EcoChargeOptions{}, options);
+    OfferingTable direct;
+    ASSERT_TRUE(server
+                    .Submit(1, states_[0], 3,
+                            [&](const OfferingTable& t) { direct = t; })
+                    .ok());
+    server.Drain();
+
+    OfferingRequest request;
+    request.state = states_[0];
+    request.k = 3;
+    std::string reply;
+    bool bad = false;
+    ASSERT_TRUE(server
+                    .SubmitWire(3, EncodeOfferingRequest(request),
+                                [&](const Result<std::string>& r) {
+                                  if (r.ok()) reply = r.value();
+                                })
+                    .ok());
+    ASSERT_TRUE(server
+                    .SubmitWire(2, "definitely not a request\n",
+                                [&](const Result<std::string>& r) {
+                                  bad = !r.ok();
+                                })
+                    .ok());
+    server.Drain();
+    Result<OfferingTable> decoded = DecodeOfferingTable(reply);
+    ASSERT_TRUE(decoded.ok());
+    // A fresh client with the same state gets the identical table; in
+    // corridor mode it is the same corridor and bucket again, so a hit.
+    EXPECT_TRUE(TablesBitIdentical(decoded.value(), direct));
+    if (corridor_mode) {
+      EXPECT_EQ(corridor.stats().hits, 1u);
+    }
+    EXPECT_TRUE(bad);
+    OfferingServerStats stats = server.Stats();
+    EXPECT_EQ(stats.served, 3u);
+    EXPECT_EQ(stats.malformed, 1u);
+  }
+}
+
 TEST_F(OfferingServerTest, SubmitAfterShutdownIsRejected) {
   OfferingServerOptions options;
   options.threads = 2;
@@ -248,6 +305,71 @@ TEST_F(OfferingServerTest, WorkersShareOneInformationServer) {
   EXPECT_GT(eis.weather_api_calls + eis.availability_api_calls +
                 eis.traffic_api_calls,
             0u);
+}
+
+// One server serves a fleet: every worker shares one world-version ring
+// and one corridor cache. The canonical corridor table is a pure function
+// of (key, revisions), and revisions re-key caches without changing any
+// forecast, so worker count, hit-vs-miss order, and which side of a
+// concurrent publish a queued request lands on cannot change a bit.
+TEST_F(OfferingServerTest, CorridorModeWithPublishesBitIdenticalAcrossThreads) {
+  constexpr uint64_t kClients = 6;
+  const size_t per_client = states_.size();
+  auto run = [&](int threads, CacheStats* corridor_stats) {
+    WorldEpochs epochs(static_cast<size_t>(std::max(1, threads)));
+    CorridorCache corridor(env_->dataset.network.get(),
+                           CorridorCacheOptions{});
+    OfferingServerOptions options;
+    options.threads = threads;
+    options.queue_depth = 4096;
+    options.epochs = &epochs;
+    options.corridor = &corridor;
+    OfferingServer server(env_.get(), ScoreWeights::AWE(),
+                          EcoChargeOptions{}, options);
+    // Each (client, sequence) slot is written exactly once, so threaded
+    // runs compare with the inline run position by position.
+    std::vector<OfferingTable> tables(kClients * per_client);
+    for (size_t seq = 0; seq < per_client; ++seq) {
+      // Publish mid-stream, while earlier requests may still be queued.
+      if (seq % 3 == 2) {
+        epochs.Publish(states_[seq].time, [seq](WorldSnapshot* snapshot) {
+          WorldRevisions& r = snapshot->revisions;
+          ++(seq % 2 == 0 ? r.weather : r.availability);
+        });
+      }
+      for (uint64_t c = 0; c < kClients; ++c) {
+        OfferingTable* slot = &tables[c * per_client + seq];
+        EXPECT_TRUE(server
+                        .Submit(c, states_[(seq + c) % per_client], 3,
+                                [slot](const OfferingTable& t) { *slot = t; })
+                        .ok());
+      }
+    }
+    server.Drain();
+    *corridor_stats = corridor.stats();
+    EXPECT_EQ(server.Stats().served, tables.size());
+    const obs::Counter* hits =
+        server.metrics().FindCounter("server.corridor.hits");
+    EXPECT_NE(hits, nullptr);
+    if (hits != nullptr) {
+      EXPECT_EQ(hits->Value(), corridor_stats->hits);
+    }
+    return tables;
+  };
+  CacheStats inline_stats;
+  const std::vector<OfferingTable> reference = run(0, &inline_stats);
+  // kClients vehicles share corridors inside each epoch, so the inline run
+  // already serves tables from the shared cache.
+  EXPECT_GT(inline_stats.hits, 0u);
+  for (int threads : {2, 4, 8}) {
+    CacheStats stats;
+    const std::vector<OfferingTable> tables = run(threads, &stats);
+    ASSERT_EQ(tables.size(), reference.size());
+    for (size_t i = 0; i < tables.size(); ++i) {
+      EXPECT_TRUE(TablesBitIdentical(tables[i], reference[i]))
+          << "threads=" << threads << " slot=" << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "core/protocol.h"
+#include "server/offering_server.h"
 #include "tests/test_util.h"
 
 namespace ecocharge {
@@ -19,29 +21,45 @@ class OfferingServiceTest : public ::testing::Test {
         ScoreWeights::AWE(), EcoChargeOptions{});
   }
 
+  // The Mode-2 wire loop: an inline OfferingServer decodes the frame,
+  // ranks through its worker's OfferingService and encodes the reply.
+  Result<std::string> HandleWire(OfferingServer& server, uint64_t client_id,
+                                 const std::string& wire) {
+    Result<std::string> reply = Status::Internal("no reply");
+    EXPECT_TRUE(server
+                    .SubmitWire(client_id, wire,
+                                [&](const Result<std::string>& r) {
+                                  reply = r;
+                                })
+                    .ok());
+    return reply;
+  }
+
   std::unique_ptr<Environment> env_;
   std::vector<VehicleState> states_;
   std::unique_ptr<OfferingService> service_;
 };
 
 TEST_F(OfferingServiceTest, WireRoundTripServesTable) {
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{});
   OfferingRequest request;
   request.state = states_[0];
   request.k = 3;
-  auto reply = service_->Handle(7, EncodeOfferingRequest(request));
+  auto reply = HandleWire(server, 7, EncodeOfferingRequest(request));
   ASSERT_TRUE(reply.ok()) << reply.status();
   auto table = DecodeOfferingTable(reply.value());
   ASSERT_TRUE(table.ok());
   EXPECT_EQ(table.value().size(), 3u);
-  EXPECT_EQ(service_->stats().requests, 1u);
-  EXPECT_EQ(service_->stats().tables_served, 1u);
+  EXPECT_EQ(server.Stats().served, 1u);
+  EXPECT_EQ(server.Stats().malformed, 0u);
 }
 
 TEST_F(OfferingServiceTest, WireMatchesInProcessRanking) {
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{});
   OfferingRequest request;
   request.state = states_[0];
   request.k = 3;
-  auto reply = service_->Handle(1, EncodeOfferingRequest(request));
+  auto reply = HandleWire(server, 1, EncodeOfferingRequest(request));
   ASSERT_TRUE(reply.ok());
   auto via_wire = DecodeOfferingTable(reply.value()).MoveValueUnsafe();
   // A different client gets its own ranker but the same deterministic
@@ -51,10 +69,12 @@ TEST_F(OfferingServiceTest, WireMatchesInProcessRanking) {
 }
 
 TEST_F(OfferingServiceTest, MalformedRequestCounted) {
-  auto reply = service_->Handle(7, "garbage");
+  OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{});
+  auto reply = HandleWire(server, 7, "garbage");
   EXPECT_FALSE(reply.ok());
-  EXPECT_EQ(service_->stats().malformed_requests, 1u);
-  EXPECT_EQ(service_->stats().tables_served, 0u);
+  EXPECT_EQ(server.Stats().malformed, 1u);
+  EXPECT_EQ(server.Stats().cache_adaptations, 0u);
+  EXPECT_EQ(server.Stats().degraded_tables, 0u);
 }
 
 TEST_F(OfferingServiceTest, PerClientCachesAreIsolated) {

@@ -4,7 +4,7 @@
 
 #include <functional>
 
-#include "core/offering_service.h"
+#include "server/offering_server.h"
 #include "tests/test_util.h"
 
 namespace ecocharge {
@@ -176,15 +176,24 @@ TEST(ProtocolTest, RejectsNonFiniteFields) {
 }
 
 TEST(ProtocolTest, HostileRequestIsRejectedBeforeRanking) {
-  // End to end through the Mode-2 service: the decoder turns the fields
+  // End to end through the Mode-2 wire path: the decoder turns the fields
   // that would overflow the EIS time buckets or stall the energy
   // integration into a typed error, and a sane request still ranks.
   auto env = testing_util::TinyEnvironment(30);
   ASSERT_NE(env, nullptr);
   auto states = testing_util::TinyWorkload(*env, 1);
   ASSERT_FALSE(states.empty());
-  OfferingService service(env->estimator.get(), env->charger_index.get(),
-                          ScoreWeights::AWE(), EcoChargeOptions{});
+  OfferingServer server(env.get(), ScoreWeights::AWE(), EcoChargeOptions{});
+  auto handle = [&](const OfferingRequest& r) {
+    Result<std::string> reply = Status::Internal("no reply");
+    EXPECT_TRUE(server
+                    .SubmitWire(1, EncodeOfferingRequest(r),
+                                [&](const Result<std::string>& out) {
+                                  reply = out;
+                                })
+                    .ok());
+    return reply;
+  };
   OfferingRequest request;
   request.state = states[0];
   for (auto mutate : std::vector<std::function<void(VehicleState*)>>{
@@ -193,12 +202,12 @@ TEST(ProtocolTest, HostileRequestIsRejectedBeforeRanking) {
            [](VehicleState* s) { s->position = {1e300, 1e300}; }}) {
     OfferingRequest bad = request;
     mutate(&bad.state);
-    auto reply = service.Handle(1, EncodeOfferingRequest(bad));
+    auto reply = handle(bad);
     ASSERT_FALSE(reply.ok());
     EXPECT_EQ(reply.status().code(), StatusCode::kOutOfRange);
   }
-  EXPECT_EQ(service.stats().malformed_requests, 3u);
-  EXPECT_TRUE(service.Handle(1, EncodeOfferingRequest(request)).ok());
+  EXPECT_EQ(server.Stats().malformed, 3u);
+  EXPECT_TRUE(handle(request).ok());
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include "core/ecocharge.h"
 #include "core/offering_service.h"
 #include "resilience/resilient_information_server.h"
-#include "server/client_store.h"
 #include "server/corridor_cache.h"
 #include "tests/test_util.h"
 
@@ -394,41 +393,6 @@ TEST(QueryContextTest, SteadyStateCorridorHitPathDoesNotAllocate) {
   uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u);
   EXPECT_TRUE(TablesBitIdentical(out, table));
-}
-
-TEST(QueryContextTest, SteadyStateClientStoreLeasePathDoesNotAllocate) {
-  // Fleet handoff serving: enqueue ticket, check the client's Dynamic
-  // Cache state out, rank with it, check it back in. The lease moves by
-  // O(1) state swaps and the warm rank is a cache adaptation, so the
-  // whole cycle allocates nothing once the client record and the cached
-  // solution exist.
-  SharedWorld& w = World();
-  ClientStore store(4);
-  EcoChargeOptions opts;
-  opts.radius_m = 20000.0;
-  opts.q_distance_m = 1e9;  // every repeat query is a cache hit
-  opts.cache_ttl_s = 1e12;
-  OfferingService service(w.env->estimator.get(), w.env->charger_index.get(),
-                          ScoreWeights::AWE(), opts);
-  const VehicleState& state = w.states.front();
-  DynamicCacheState lease;
-  OfferingTable table;
-  auto serve_once = [&](uint32_t shard) {
-    bool handoff = false;
-    uint64_t ticket = store.Enqueue(11, shard, state.time, &handoff);
-    store.CheckOut(11, ticket, &lease);
-    service.RankWithCache(state, 3, &lease, &table);
-    store.CheckIn(11, ticket, &lease, state.time);
-  };
-  for (int i = 0; i < 3; ++i) serve_once(0);
-  uint64_t before = g_allocations.load();
-  // Alternate shards so every cycle is also a handoff — the handoff
-  // bookkeeping itself must stay allocation-free.
-  for (int i = 0; i < 10; ++i) serve_once((i + 1) % 2);
-  uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u);
-  EXPECT_TRUE(table.adapted_from_cache);
-  EXPECT_EQ(store.Stats().handoffs, 10u);
 }
 
 #endif  // ECOCHARGE_COUNT_ALLOCS

@@ -19,15 +19,16 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <string>
 #include <thread>
 
 #include "core/baselines.h"
 #include "core/fleet_sim.h"
-#include "fleet/fleet_server.h"
 #include "core/load_balancer.h"
 #include "core/workload.h"
 #include "graph/generators.h"
@@ -38,7 +39,9 @@
 #include "ch/ch_index.h"
 #include "ch/contraction.h"
 #include "obs/statsz.h"
+#include "server/corridor_cache.h"
 #include "server/offering_server.h"
+#include "server/world_epochs.h"
 #include "traj/io.h"
 
 namespace ecocharge {
@@ -147,10 +150,9 @@ int Usage() {
                (fleet hoarding: EcoCharge vs nearest-charger policies)
   serve        --threads N [--kind KIND] [--chargers N] [--clients N]
                [--requests N] [--queue-depth N] [--io-ms MS] [--seed N]
-               [--statsz] [--statsz-period SEC]
-               [--shards N] [--partition grid|bisect] [--corridor-cache]
-               [--corridor-bucket-s SEC] [--corridor-prewarm N]
-               [--refresh-every N]
+               [--statsz] [--statsz-period SEC] [--refresh-every N]
+               [--corridor-cache [--corridor-bucket-s SEC]
+               [--corridor-prewarm N]]
                [--fault-p P] [--fault-spike-p P] [--fault-stall-p P]
                [--fault-seed N] [--retry-attempts N] [--deadline-ms MS]
                [--resilient] [--no-batch-derouting] [--no-simd]
@@ -161,21 +163,18 @@ int Usage() {
                upstream faults and serves through the resilient EIS —
                retries, circuit breakers, stale/climatological
                degradation; --resilient enables the resilient EIS with
-               no injected faults; --shards N routes the workload through
-               the fleet runtime — N geographic shards with --threads
-               workers each, cross-shard handoff of Dynamic Cache state,
-               and RCU world-epoch refreshes every --refresh-every
-               requests; --corridor-cache shares Offering Tables across
-               vehicles on the same corridor, bucketed by
-               --corridor-bucket-s seconds of ETA, and --corridor-prewarm
+               no injected faults; --refresh-every N publishes an RCU
+               world-epoch refresh every N requests, rotating weather,
+               availability and traffic; --corridor-cache shares
+               Offering Tables across vehicles on the same corridor,
+               bucketed by --corridor-bucket-s seconds of ETA (default
+               300, at most the 900 s entry TTL), and --corridor-prewarm
                speculatively fills that many future ETA buckets after
-               each corridor miss; rankings stay
-               bit-identical to single-shard serving either way)
+               each corridor miss; rankings are bit-identical at every
+               --threads either way)
   stats        [--kind KIND] [--chargers N] [--requests N] [--threads N]
-               [--format text|json] [--seed N] [--shards N]
-               (run a small serving workload and print the metric catalog;
-               --shards N prints the fleet section plus one per-shard
-               statsz section per shard)
+               [--format text|json] [--seed N]
+               (run a small serving workload and print the metric catalog)
   info
 
   BACKEND: quadtree|rtree|grid|kdtree|linear (charger index; every backend
@@ -505,11 +504,30 @@ int Simulate(const Args& args) {
   return 0;
 }
 
+/// The corridor cache options the serve flags describe.
+CorridorCacheOptions CorridorOptionsFor(const Args& args) {
+  CorridorCacheOptions options;
+  options.eta_bucket_s =
+      args.GetDouble("corridor-bucket-s", options.eta_bucket_s);
+  options.prewarm_buckets =
+      static_cast<size_t>(args.GetU64("corridor-prewarm", 0));
+  return options;
+}
+
 /// Validates the serve flags up front so misconfigurations fail with a
 /// clear kInvalidArgument instead of being silently coerced (an unsigned
-/// parse would wrap "--threads -2" into a huge worker count) or starting
-/// a busy-looping statsz thread (period 0).
+/// parse would wrap "--threads -2" into a huge worker count), ignored, or
+/// starting a busy-looping statsz thread (period 0).
 Status ValidateServeArgs(const Args& args) {
+  // NaN passes every ordered comparison below, so rule it out first.
+  for (const char* flag : {"statsz-period", "io-ms", "fault-p",
+                           "fault-spike-p", "fault-stall-p", "deadline-ms",
+                           "corridor-bucket-s"}) {
+    if (args.Has(flag) && !std::isfinite(args.GetDouble(flag, 0.0))) {
+      return Status::InvalidArgument(std::string("--") + flag +
+                                     " must be a finite number");
+    }
+  }
   if (args.GetI64("threads", 0) < 0) {
     return Status::InvalidArgument(
         "--threads must be >= 0 (0 = synchronous deterministic mode)");
@@ -551,134 +569,21 @@ Status ValidateServeArgs(const Args& args) {
   if (args.GetDouble("deadline-ms", 250.0) <= 0.0) {
     return Status::InvalidArgument("--deadline-ms must be > 0");
   }
-  if (args.GetI64("shards", 1) < 1) {
-    return Status::InvalidArgument("--shards must be >= 1");
-  }
-  std::string partition = args.Get("partition", "bisect");
-  if (partition != "bisect" && partition != "grid") {
-    return Status::InvalidArgument("--partition must be grid or bisect");
-  }
-  if (args.Has("corridor-bucket-s") &&
-      args.GetDouble("corridor-bucket-s", 0.0) <= 0.0) {
-    return Status::InvalidArgument(
-        "--corridor-bucket-s must be a positive number of seconds");
-  }
   if (args.GetI64("refresh-every", 0) < 0) {
     return Status::InvalidArgument(
         "--refresh-every must be >= 0 requests (0 = no refreshes)");
   }
-  return Status::OK();
-}
-
-/// Fleet-runtime serve path (--shards / --corridor-cache): routes the
-/// wire workload through a FleetServer and reports per-shard serving,
-/// handoff, corridor, and epoch accounting.
-int ServeFleet(const Args& args, std::unique_ptr<Environment> env,
-               const OfferingServerOptions& server_opts,
-               const std::vector<VehicleState>& states) {
-  fleet::FleetServerOptions fleet_opts;
-  fleet_opts.partition.num_shards =
-      static_cast<size_t>(args.GetU64("shards", 1));
-  fleet_opts.partition.strategy = args.Get("partition", "bisect") == "grid"
-                                      ? fleet::PartitionStrategy::kGrid
-                                      : fleet::PartitionStrategy::kBisection;
-  fleet_opts.threads_per_shard = static_cast<int>(args.GetI64("threads", 0));
-  fleet_opts.corridor_cache = args.GetBool("corridor-cache");
-  if (args.Has("corridor-bucket-s")) {
-    fleet_opts.corridor.eta_bucket_s = args.GetDouble("corridor-bucket-s",
-                                                      300.0);
-  }
-  fleet_opts.corridor.prewarm_buckets =
-      static_cast<size_t>(args.GetU64("corridor-prewarm", 0));
-  fleet_opts.server = server_opts;
-  auto fleet_result = fleet::FleetServer::Create(
-      env.get(), ScoreWeights::AWE(), EcoOptionsFor(args, *env), fleet_opts);
-  if (!fleet_result.ok()) {
-    std::cerr << fleet_result.status() << "\n";
-    return 1;
-  }
-  auto fleet = std::move(fleet_result).MoveValueUnsafe();
-
-  uint64_t num_clients = args.GetU64("clients", 8);
-  uint64_t num_requests = args.GetU64("requests", 64);
-  uint64_t refresh_every = args.GetU64("refresh-every", 0);
-
-  bool statsz = args.GetBool("statsz");
-  double statsz_period_s = args.GetDouble("statsz-period", 0.0);
-  std::atomic<bool> statsz_stop{false};
-  std::thread statsz_thread;
-  if (statsz_period_s > 0.0) {
-    statsz_thread = std::thread([&fleet, &statsz_stop, statsz_period_s] {
-      while (!statsz_stop.load(std::memory_order_acquire)) {
-        std::this_thread::sleep_for(
-            std::chrono::duration<double>(statsz_period_s));
-        if (statsz_stop.load(std::memory_order_acquire)) break;
-        std::cerr << fleet->StatszAllText();
+  if (!args.GetBool("corridor-cache")) {
+    for (const char* flag : {"corridor-bucket-s", "corridor-prewarm"}) {
+      if (args.Has(flag)) {
+        return Status::InvalidArgument(std::string("--") + flag +
+                                       " needs --corridor-cache");
       }
-    });
-  }
-
-  auto start = std::chrono::steady_clock::now();
-  for (uint64_t i = 0; i < num_requests; ++i) {
-    if (refresh_every > 0 && i > 0 && i % refresh_every == 0) {
-      // Rotate through the upstreams so every refresh kind gets
-      // exercised; publishes interleave with in-flight requests.
-      fleet->PublishRefresh(
-          static_cast<fleet::RefreshKind>((i / refresh_every) % 3),
-          states[i % states.size()].time);
     }
-    OfferingRequest request;
-    request.state = states[i % states.size()];
-    request.k = 3;
-    Status st = fleet->SubmitWire(i % num_clients,
-                                  EncodeOfferingRequest(request),
-                                  [](const Result<std::string>&) {});
-    if (!st.ok() && st.code() != StatusCode::kUnavailable) {
-      std::cerr << st << "\n";
-      return 1;
-    }
+  } else if (Status st = CorridorOptionsFor(args).Validate(); !st.ok()) {
+    return Status::InvalidArgument("--corridor-bucket-s: " + st.message());
   }
-  fleet->Drain();
-  double elapsed_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() - start)
-          .count();
-
-  fleet::FleetStats stats = fleet->Stats();
-  std::cout << "served " << stats.totals.served << "/" << num_requests
-            << " requests (" << stats.totals.rejected << " shed) across "
-            << fleet->num_shards() << " shard(s) in " << elapsed_s << " s\n"
-            << "throughput: "
-            << (elapsed_s > 0.0 ? stats.totals.served / elapsed_s : 0.0)
-            << " req/s\n";
-  for (size_t i = 0; i < fleet->num_shards(); ++i) {
-    std::cout << "shard " << i << ": served=" << stats.per_shard[i].served
-              << " shed=" << stats.per_shard[i].rejected << " chargers="
-              << fleet->partition().chargers_in(static_cast<uint32_t>(i))
-              << "\n";
-  }
-  std::cout << "cross-shard handoffs: " << stats.clients.handoffs
-            << " (ticket waits: " << stats.clients.waits << ")\n";
-  if (fleet->corridor_cache()) {
-    uint64_t lookups = stats.corridor.hits + stats.corridor.misses;
-    std::cout << "corridor cache: hits=" << stats.corridor.hits
-              << " misses=" << stats.corridor.misses
-              << " inserts=" << stats.corridor_inserts
-              << " prewarmed=" << stats.corridor_prewarmed << " hit-rate="
-              << (lookups > 0
-                      ? static_cast<double>(stats.corridor.hits) / lookups
-                      : 0.0)
-              << "\n";
-  } else {
-    std::cout << "dynamic-cache adaptations: "
-              << stats.totals.cache_adaptations << "\n";
-  }
-  std::cout << "world epoch: " << stats.epoch << "\n";
-  if (statsz_thread.joinable()) {
-    statsz_stop.store(true, std::memory_order_release);
-    statsz_thread.join();
-  }
-  if (statsz) std::cout << fleet->StatszAllJson() << "\n";
-  return 0;
+  return Status::OK();
 }
 
 int Serve(const Args& args) {
@@ -728,16 +633,22 @@ int Serve(const Args& args) {
     server_opts.request_deadline_ms = args.GetDouble("deadline-ms", 250.0);
   }
 
-  // --shards / --corridor-cache switch to the fleet runtime; a single
-  // un-sharded OfferingServer serves the classic path below.
-  if (args.Has("shards") || args.GetBool("corridor-cache")) {
-    return ServeFleet(args, std::move(env), server_opts, states);
+  // One world-version ring (a reader slot per worker) that
+  // --refresh-every publishes into, and with --corridor-cache one corridor
+  // cache, both shared by every worker.
+  WorldEpochs epochs(static_cast<size_t>(std::max(1, server_opts.threads)));
+  server_opts.epochs = &epochs;
+  std::optional<CorridorCache> corridor;
+  if (args.GetBool("corridor-cache")) {
+    corridor.emplace(env->dataset.network.get(), CorridorOptionsFor(args));
+    server_opts.corridor = &*corridor;
   }
   OfferingServer server(env.get(), ScoreWeights::AWE(),
                         EcoOptionsFor(args, *env), server_opts);
 
   uint64_t num_clients = args.GetU64("clients", 8);
   uint64_t num_requests = args.GetU64("requests", 64);
+  uint64_t refresh_every = args.GetU64("refresh-every", 0);
 
   // --statsz: final JSON dump on stdout; with a period, also a live text
   // dump on stderr while the workload runs (the "statsz page" of the
@@ -759,6 +670,18 @@ int Serve(const Args& args) {
 
   auto start = std::chrono::steady_clock::now();
   for (uint64_t i = 0; i < num_requests; ++i) {
+    if (refresh_every > 0 && i > 0 && i % refresh_every == 0) {
+      // Rotate through the upstreams so every refresh kind gets
+      // exercised; publishes interleave with in-flight requests.
+      const uint64_t kind = (i / refresh_every) % 3;
+      epochs.Publish(states[i % states.size()].time,
+                     [kind](WorldSnapshot* snapshot) {
+                       WorldRevisions& r = snapshot->revisions;
+                       uint64_t* revision[] = {&r.weather, &r.availability,
+                                               &r.traffic};
+                       ++*revision[kind];
+                     });
+    }
     OfferingRequest request;
     request.state = states[i % states.size()];
     request.k = 3;
@@ -786,9 +709,20 @@ int Serve(const Args& args) {
             << "throughput: " << (elapsed_s > 0.0
                                       ? stats.served / elapsed_s
                                       : 0.0)
-            << " req/s\n"
-            << "dynamic-cache adaptations: " << stats.cache_adaptations
-            << "\neis upstream calls: weather=" << eis.weather_api_calls
+            << " req/s\n";
+  if (corridor) {
+    CacheStats cs = corridor->stats();
+    uint64_t lookups = cs.hits + cs.misses;
+    std::cout << "corridor cache: hits=" << cs.hits
+              << " misses=" << cs.misses << " inserts=" << corridor->inserts()
+              << " prewarmed=" << corridor->prewarmed() << " hit-rate="
+              << (lookups > 0 ? static_cast<double>(cs.hits) / lookups : 0.0)
+              << "\n";
+  } else {
+    std::cout << "dynamic-cache adaptations: " << stats.cache_adaptations
+              << "\n";
+  }
+  std::cout << "eis upstream calls: weather=" << eis.weather_api_calls
             << " traffic=" << eis.traffic_api_calls
             << " availability=" << eis.availability_api_calls << "\n";
   if (resilience::ResilientInformationServer* res = server.resilient_eis()) {
@@ -804,6 +738,7 @@ int Serve(const Args& args) {
                 << resilience::BreakerStateName(rs.breaker_state) << "\n";
     }
   }
+  std::cout << "world epoch: " << epochs.current_epoch() << "\n";
   if (statsz_thread.joinable()) {
     statsz_stop.store(true, std::memory_order_release);
     statsz_thread.join();
@@ -832,42 +767,6 @@ int StatsCmd(const Args& args) {
 
   uint64_t num_requests = args.GetU64("requests", 32);
   bool json = args.Get("format", "text") == "json";
-
-  // --shards: run the workload through the fleet runtime and print the
-  // fleet statsz section plus one per-shard section per shard.
-  if (args.Has("shards")) {
-    if (args.GetI64("shards", 1) < 1) {
-      std::cerr << Status::InvalidArgument("--shards must be >= 1") << "\n";
-      return 1;
-    }
-    fleet::FleetServerOptions fleet_opts;
-    fleet_opts.partition.num_shards =
-        static_cast<size_t>(args.GetU64("shards", 1));
-    fleet_opts.threads_per_shard = static_cast<int>(args.GetI64("threads",
-                                                                0));
-    auto fleet_result = fleet::FleetServer::Create(
-        env.get(), ScoreWeights::AWE(), EcoChargeOptions{}, fleet_opts);
-    if (!fleet_result.ok()) {
-      std::cerr << fleet_result.status() << "\n";
-      return 1;
-    }
-    auto fleet = std::move(fleet_result).MoveValueUnsafe();
-    for (uint64_t i = 0; i < num_requests; ++i) {
-      Status st = fleet->Submit(i % 4, states[i % states.size()], 3,
-                                [](const OfferingTable&) {});
-      if (!st.ok() && st.code() != StatusCode::kUnavailable) {
-        std::cerr << st << "\n";
-        return 1;
-      }
-    }
-    fleet->Drain();
-    if (json) {
-      std::cout << fleet->StatszAllJson() << "\n";
-    } else {
-      std::cout << fleet->StatszAllText();
-    }
-    return 0;
-  }
 
   OfferingServerOptions server_opts;
   server_opts.threads = static_cast<int>(args.GetU64("threads", 0));
