@@ -1,19 +1,16 @@
 // CH customization gate: the cost of pricing the hierarchy for a
-// congestion bucket with the pull kernel — one worker, level-parallel,
-// incremental — and the shared plane cache.
+// congestion bucket with the pull kernel — one worker or level-parallel —
+// and the shared plane cache.
 //
 // The binary asserts the customization contract and exits 1 when it breaks:
-//   1. one worker (threads=0 and 1), level-parallel (threads=2 and 4), and
-//      incremental runs produce planes bit-identical — costs AND via
-//      assignments — to the reference push sweep (ChCustomizeReference)
-//      for every weight vector tried (unconditional);
+//   1. one worker (threads=0 and 1) and level-parallel (threads=2 and 4)
+//      runs produce planes bit-identical — costs AND via assignments — to
+//      the reference push sweep (ChCustomizeReference) for every weight
+//      vector tried (unconditional);
 //   2. the 4-thread sweep is >= 2x faster than serial (asserted only when
 //      the machine has >= 4 hardware threads; waived with a message
 //      otherwise — parity above still ran);
-//   3. an incremental re-customization after a 2-class weight delta is
-//      >= 3x faster than a full sweep, and actually took the incremental
-//      path (the dirty estimate stayed under the fallback threshold);
-//   4. N workers hammering the shared ChCustomizationCache over the same
+//   3. N workers hammering the shared ChCustomizationCache over the same
 //      B buckets trigger exactly B builds — the cache eliminated
 //      >= (N-1)/N of the per-worker customizations.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
@@ -68,18 +65,9 @@ bool PlanesSameBits(const ChCustomization& a, const ChCustomization& b) {
 
 /// Local-road city grid with highway/arterial *feeder spurs*: dead-end
 /// chains (on-ramps, service corridors) hanging off boundary nodes, each
-/// attached to the grid at a single node. A single-attachment appendage can
-/// carry no through-triangle — every triangle containing a spur arc has its
-/// apex and both enclosing endpoints inside the spur — so the spur classes
-/// never enter the grid core's shortcut closure, and a highway+arterial
-/// weight delta dirties only the spur records themselves. That is the
-/// sparse-closure regime the incremental sweep exists for: the rare upper
-/// classes re-price between congestion buckets while the dominant local
-/// class holds. (The geometric corridor of bench_micro_ch is the opposite
-/// workload — its arterial anchor mesh threads every cell, so a 2-class
-/// delta dirties nearly every row and incremental correctly falls back;
-/// likewise a grid whose highway cross sits on the top nested-dissection
-/// separators poisons every upper-hierarchy closure.)
+/// attached to the grid at a single node, alternating highway and arterial
+/// so every road class carries weight. The world is unchanged since the
+/// gate's first version, so its timings stay comparable across history.
 Result<std::shared_ptr<RoadNetwork>> MakeSpurGrid(int n) {
   constexpr double kSpacingM = 500.0;
   constexpr double kSpurSpacingM = 300.0;
@@ -182,15 +170,14 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 1. Bit parity: 0/1/2/4 threads and incremental vs the reference push
-  //    sweep, every bucket. Unconditional — this is the contract
+  // 1. Bit parity: 0/1/2/4 threads vs the reference push sweep, every
+  //    bucket. Unconditional — this is the contract
   //    everything else (planes cache, profile queries, Offering Table
   //    parity) rests on.
   // -------------------------------------------------------------------
   // One customizer, re-targeted with set_threads: every strategy shares
   // the same topology, which at full scale is ~100 MB.
   ChCustomizer customizer(*ch, 0);
-  std::shared_ptr<const ChCustomization> prev;
   size_t parity_planes = 0;
   for (const ChClassWeights& w : buckets) {
     auto want = ChCustomizeReference(*ch, w);
@@ -208,13 +195,10 @@ int Main(int argc, char** argv) {
       customizer.set_threads(threads);
       check(name, *customizer.Customize(w));
     }
-    customizer.set_threads(0);
-    prev = customizer.CustomizeFrom(prev, w);
-    check("incremental", *prev);
     ++parity_planes;
   }
   std::cout << "parity: " << parity_planes
-            << " buckets priced 0t/1t/2t/4t/incremental vs reference, planes "
+            << " buckets priced 0t/1t/2t/4t vs reference, planes "
             << (ok ? "bit-identical" : "MISMATCHED") << "\n";
 
   // -------------------------------------------------------------------
@@ -252,68 +236,7 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // 3. Incremental speedup on a 2-class delta: highway + arterial move
-  //    (an accident on the spine), locals stay — the dominant class is
-  //    untouched, so most rows keep their base bits via one memcpy.
-  // -------------------------------------------------------------------
-  ChClassWeights base_w = buckets[0];
-  ChClassWeights delta_w = base_w;
-  delta_w.w[static_cast<int>(RoadClass::kHighway)] *= 1.35;
-  delta_w.w[static_cast<int>(RoadClass::kArterial)] *= 1.2;
-  const uint8_t delta_mask =
-      static_cast<uint8_t>((1u << static_cast<int>(RoadClass::kHighway)) |
-                           (1u << static_cast<int>(RoadClass::kArterial)));
-  customizer.set_threads(0);
-  auto base_plane = customizer.Customize(base_w);
-  const size_t dirty = customizer.DirtyArcEstimate(delta_mask);
-  const size_t total = customizer.total_arcs();
-  {
-    bool flag = false;
-    auto inc_ref = customizer.CustomizeFrom(base_plane, delta_w, &flag);
-    if (!PlanesSameBits(*ChCustomizeReference(*ch, delta_w), *inc_ref)) {
-      std::cerr << "FAIL: incremental 2-class-delta plane differs from a "
-                   "full sweep\n";
-      ok = false;
-    }
-  }
-  bool took_incremental = false;
-  uint64_t full_ns = UINT64_MAX, inc_ns = UINT64_MAX;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int side = 0; side < 2; ++side) {
-      const bool run_inc = (round + side) % 2 == 1;
-      const uint64_t start = NowNs();
-      if (run_inc) {
-        bool flag = false;
-        customizer.CustomizeFrom(base_plane, delta_w, &flag);
-        took_incremental = flag;
-      } else {
-        customizer.Customize(delta_w);
-      }
-      const uint64_t elapsed = NowNs() - start;
-      uint64_t& best = run_inc ? inc_ns : full_ns;
-      best = std::min(best, elapsed);
-    }
-  }
-  const double inc_speedup = static_cast<double>(full_ns) /
-                             static_cast<double>(std::max<uint64_t>(inc_ns, 1));
-  std::cout << "2-class delta: full " << TableWriter::Fmt(full_ns / 1e6, 1)
-            << " ms, incremental " << TableWriter::Fmt(inc_ns / 1e6, 1)
-            << " ms (" << TableWriter::Fmt(inc_speedup, 2) << "x; dirty "
-            << dirty << " / " << total << " arc records)\n";
-  const double inc_floor = 3.0;
-  if (!took_incremental) {
-    std::cerr << "FAIL: 2-class delta fell back to a full sweep (dirty "
-              << dirty << " of " << total << " arc records)\n";
-    ok = false;
-  }
-  if (inc_speedup < inc_floor) {
-    std::cerr << "FAIL: incremental re-customization only " << inc_speedup
-              << "x over a full sweep (floor " << inc_floor << "x)\n";
-    ok = false;
-  }
-
-  // -------------------------------------------------------------------
-  // 4. Shared cache dedup: N workers x B buckets must cost B builds.
+  // 3. Shared cache dedup: N workers x B buckets must cost B builds.
   // -------------------------------------------------------------------
   const size_t kWorkers = 4;
   ChCustomizationCache cache(*ch, /*threads=*/0);
@@ -351,18 +274,13 @@ int Main(int argc, char** argv) {
   json.Str("mode", "ch_customize_gate");
   json.Num("nodes", static_cast<double>(network->NumNodes()));
   json.Num("edges", static_cast<double>(network->NumEdges()));
-  json.Num("arc_records", static_cast<double>(total));
+  json.Num("arc_records", static_cast<double>(customizer.total_arcs()));
   json.Num("levels", static_cast<double>(customizer.num_levels()));
   json.Num("hardware_threads", static_cast<double>(hw));
   json.Num("serial_ns", static_cast<double>(serial_ns));
   json.Num("parallel4_ns", static_cast<double>(par_ns));
   json.Num("parallel_speedup", par_speedup);
   json.Num("parallel_floor", par_floor);
-  json.Num("full_ns", static_cast<double>(full_ns));
-  json.Num("incremental_ns", static_cast<double>(inc_ns));
-  json.Num("incremental_speedup", inc_speedup);
-  json.Num("incremental_floor", inc_floor);
-  json.Num("dirty_arcs", static_cast<double>(dirty));
   json.Num("cache_builds", static_cast<double>(cache.builds()));
   json.Num("cache_hits", static_cast<double>(cache.hits()));
   json.Num("cache_eliminated", eliminated);
@@ -376,7 +294,7 @@ int Main(int argc, char** argv) {
             << " records)\n";
   if (!ok) return 1;
   std::cout << "PASS: customization bit-identical across strategies; "
-            << "incremental " << TableWriter::Fmt(inc_speedup, 1)
+            << "parallel " << TableWriter::Fmt(par_speedup, 1)
             << "x, cache dedup " << TableWriter::Fmt(eliminated, 3) << "\n";
   return 0;
 }

@@ -48,9 +48,9 @@
 #                                    # and the level-parallel sweep are
 #                                    # the racy surface — then the
 #                                    # asserting bench_micro_ch_customize
-#                                    # (bitwise sweep parity, parallel /
-#                                    # incremental speedup floors, cache
-#                                    # dedup floor; emits
+#                                    # (bitwise sweep parity, parallel
+#                                    # speedup floor, cache dedup floor;
+#                                    # emits
 #                                    # BENCH_ch_customize.json)
 #   scripts/check.sh bench           # serving-benchmark contract gate:
 #                                    # perfbench's stream-digest test,
@@ -95,9 +95,8 @@ case "${sanitize}" in
     # RCU-style copy/append/publish (hammered from workers crossing bucket
     # boundaries while eviction churns), and the serving paths that pull
     # planes out of it. Run those suites under TSan, then hold the bitwise
-    # sweep parity and the parallel / incremental / dedup floors with the
-    # asserting bench from a plain Release tree (sanitized timings are
-    # meaningless).
+    # sweep parity and the parallel / dedup floors with the asserting bench
+    # from a plain Release tree (sanitized timings are meaningless).
     shift
     sanitize="thread"
     chpar_gate=1
@@ -313,8 +312,8 @@ if [[ -n "${fault_gate}" ]]; then
 fi
 
 if [[ -n "${chpar_gate}" ]]; then
-  # Bitwise parity across sweep strategies plus the parallel, incremental,
-  # and cache-dedup floors; timing wants a plain Release tree.
+  # Bitwise parity across sweep strategies plus the parallel and
+  # cache-dedup floors; timing wants a plain Release tree.
   plain_dir="${repo_root}/build"
   cmake -B "${plain_dir}" -S "${repo_root}" \
     -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=

@@ -22,28 +22,6 @@ bool SameWeights(const ChClassWeights& a, const ChClassWeights& b) {
   return a.w[0] == b.w[0] && a.w[1] == b.w[1] && a.w[2] == b.w[2];
 }
 
-/// Bitmask of classes whose weight differs between the two vectors.
-uint8_t ChangedClasses(const ChClassWeights& a, const ChClassWeights& b) {
-  uint8_t m = 0;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    if (a.w[c] != b.w[c]) m |= static_cast<uint8_t>(1u << c);
-  }
-  return m;
-}
-
-/// `changed` argument of the kernel selecting every record (a full sweep);
-/// class deltas use only the low kChNumClasses bits.
-constexpr uint8_t kAllRecords = 0xFF;
-
-uint8_t OrigMask(const ChArc& arc) {
-  if (arc.orig == kChShortcutEdge) return 0;
-  uint8_t m = 0;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    if (arc.len[c] != 0.0) m |= static_cast<uint8_t>(1u << c);
-  }
-  return m;
-}
-
 }  // namespace
 
 std::vector<NodeId> ChElimTreeParents(const ChIndex& ch) {
@@ -355,198 +333,75 @@ void ChCustomizer::PrepareScratch(size_t workers) {
   }
 }
 
-template <bool kUp, typename T, typename Fold>
-void ChCustomizer::FoldRuns(NodeId l, const T* rec, T* run, uint32_t* pos,
-                            Fold fold) const {
+template <bool kUp>
+void ChCustomizer::PriceRow(NodeId l, const ChClassWeights& weights,
+                            uint32_t* pos, ChCustomization* plane) {
   const Half& t = kUp ? up_ : down_;
+  const Half& o = kUp ? down_ : up_;
+  double* cw = (kUp ? plane->cw_up : plane->cw_down).data();
+  NodeId* via = (kUp ? plane->via_up : plane->via_down).data();
+  double* run_min = (kUp ? min_up_ : min_down_).data();
+  const double* leg_min = (kUp ? min_down_ : min_up_).data();
+  const uint32_t begin = t.off[l];
+  const uint32_t end = t.off[l + 1];
+  if (begin == end) return;
+  // Base costs, and the run heads into the position map. Only run heads
+  // are ever relaxed, so a non-head record is final here.
+  for (uint32_t i = begin; i < end; ++i) {
+    cw[i] = t.arcs[i].orig == kChShortcutEdge ? kInfiniteCost
+                                              : Dot(t.arcs[i].len, weights);
+    via[i] = kInvalidNode;
+    if (i == begin || t.arcs[i - 1].node != t.arcs[i].node) {
+      pos[t.arcs[i].node] = i;
+    }
+  }
+  // Targets l -> h (kUp) close triangles over apexes x with l in x's down
+  // row (leg l -> x) and h in x's up row (leg x -> h); targets h -> l
+  // mirror it. Only x's runs ranked above l can close a triangle with an
+  // arc of l's row, and by triangle closure each of them does. Apexes
+  // ascend in rank, each target sees one candidate per apex built from the
+  // run minima, and improvement is strict: the reference's candidates in
+  // the reference's order.
+  for (uint32_t e = o.inv_off[l]; e < o.inv_off[l + 1]; ++e) {
+    const LowerRef& lr = o.inv[e];
+    const double leg = leg_min[lr.leg];
+    if (!(leg < kInfiniteCost)) continue;
+    const uint32_t qend = t.run_off[lr.x + 1];
+    for (uint32_t q = lr.suffix; q < qend; ++q) {
+      // Missing only when the index is not closed: skipped, exactly as the
+      // reference's merge finds no target.
+      const uint32_t k = pos[t.run_node[q]];
+      if (k == kChNoArc) continue;
+      const double far = run_min[q];
+      if (!(far < kInfiniteCost)) continue;
+      // The reference's operand order: down leg + up leg.
+      const double cost = kUp ? leg + far : far + leg;
+      if (cost < cw[k]) {
+        cw[k] = cost;
+        via[k] = lr.x;
+      }
+    }
+  }
+  for (uint32_t i = begin; i < end; ++i) pos[t.arcs[i].node] = kChNoArc;
+  // The row is final: publish its run minima for the owners above.
   for (uint32_t p = t.run_off[l]; p < t.run_off[l + 1]; ++p) {
     pos[t.run_node[p]] = p;
   }
-  for (uint32_t i = t.off[l]; i < t.off[l + 1]; ++i) {
-    T& v = run[pos[t.arcs[i].node]];
-    v = i == t.off[l] || t.arcs[i - 1].node != t.arcs[i].node
-            ? rec[i]
-            : fold(v, rec[i]);
+  for (uint32_t i = begin; i < end; ++i) {
+    double& m = run_min[pos[t.arcs[i].node]];
+    m = i == begin || t.arcs[i - 1].node != t.arcs[i].node
+            ? cw[i]
+            : std::min(m, cw[i]);
   }
   for (uint32_t p = t.run_off[l]; p < t.run_off[l + 1]; ++p) {
     pos[t.run_node[p]] = kChNoArc;
   }
 }
 
-template <bool kUp, typename Leg, typename Far>
-void ChCustomizer::ForEachTriangle(NodeId l, const uint32_t* pos, Leg&& leg,
-                                   Far&& far) const {
-  // Targets l -> h (kUp) close triangles over apexes x with l in x's down
-  // row (leg l -> x) and h in x's up row (leg x -> h); targets h -> l
-  // mirror it. Only x's runs ranked above l can close a triangle with an
-  // arc of l's row, and by triangle closure each of them does.
-  const Half& t = kUp ? up_ : down_;
-  const Half& o = kUp ? down_ : up_;
-  for (uint32_t e = o.inv_off[l]; e < o.inv_off[l + 1]; ++e) {
-    const LowerRef& lr = o.inv[e];
-    if (!leg(lr.leg)) continue;
-    const uint32_t end = t.run_off[lr.x + 1];
-    for (uint32_t q = lr.suffix; q < end; ++q) {
-      // Missing only when the index is not closed: skipped, exactly as the
-      // reference's merge finds no target.
-      const uint32_t k = pos[t.run_node[q]];
-      if (k != kChNoArc) far(lr.x, k, q);
-    }
-  }
-}
-
-template <bool kUp>
-void ChCustomizer::PriceRow(NodeId l, const ChClassWeights& weights,
-                            uint8_t changed, uint32_t* pos,
-                            ChCustomization* plane) {
-  const Half& t = kUp ? up_ : down_;
-  double* cw = (kUp ? plane->cw_up : plane->cw_down).data();
-  NodeId* via = (kUp ? plane->via_up : plane->via_down).data();
-  double* run_min = (kUp ? min_up_ : min_down_).data();
-  const uint8_t* mask = (kUp ? mask_up_ : mask_down_).data();
-  const uint32_t begin = t.off[l];
-  const uint32_t end = t.off[l + 1];
-  // Re-initialize the selected records and enter their run heads in the
-  // position map. Only run heads are ever relaxed, so a selected
-  // non-head record is final here.
-  bool any = false;
-  bool heads = false;
-  for (uint32_t i = begin; i < end; ++i) {
-    if (changed != kAllRecords && (mask[i] & changed) == 0) continue;
-    cw[i] = t.arcs[i].orig == kChShortcutEdge ? kInfiniteCost
-                                              : Dot(t.arcs[i].len, weights);
-    via[i] = kInvalidNode;
-    any = true;
-    if (i == begin || t.arcs[i - 1].node != t.arcs[i].node) {
-      pos[t.arcs[i].node] = i;
-      heads = true;
-    }
-  }
-  if (!any) return;
-  if (heads) {
-    // Apexes ascend in rank, each target sees one candidate per apex built
-    // from the run minima, and improvement is strict: the reference's
-    // candidates in the reference's order.
-    const double* leg_min = (kUp ? min_down_ : min_up_).data();
-    double leg = 0.0;
-    ForEachTriangle<kUp>(
-        l, pos,
-        [&](uint32_t p) {
-          leg = leg_min[p];
-          return leg < kInfiniteCost;
-        },
-        [&](NodeId x, uint32_t k, uint32_t q) {
-          const double far = run_min[q];
-          if (!(far < kInfiniteCost)) return;
-          // The reference's operand order: down leg + up leg.
-          const double cost = kUp ? leg + far : far + leg;
-          if (cost < cw[k]) {
-            cw[k] = cost;
-            via[k] = x;
-          }
-        });
-    for (uint32_t i = begin; i < end; ++i) pos[t.arcs[i].node] = kChNoArc;
-  }
-  // The row is final: publish its run minima for the owners above.
-  FoldRuns<kUp>(l, static_cast<const double*>(cw), run_min, pos,
-                [](double a, double b) { return std::min(a, b); });
-}
-
 void ChCustomizer::PriceNode(NodeId l, const ChClassWeights& weights,
-                             uint8_t changed, uint32_t* pos,
-                             ChCustomization* plane) {
-  PriceRow<true>(l, weights, changed, pos, plane);
-  PriceRow<false>(l, weights, changed, pos, plane);
-}
-
-void ChCustomizer::EnsureMasks() {
-  std::call_once(mask_once_, [this] {
-    EnsureTopology();
-    const size_t n = ch_.NumNodes();
-    mask_up_.resize(up_.arcs.size());
-    mask_down_.resize(down_.arcs.size());
-    for (size_t i = 0; i < up_.arcs.size(); ++i) {
-      mask_up_[i] = OrigMask(up_.arcs[i]);
-    }
-    for (size_t i = 0; i < down_.arcs.size(); ++i) {
-      mask_down_[i] = OrigMask(down_.arcs[i]);
-    }
-
-    // Closure sweep: the mask analogue of customization, over the same
-    // triangle enumeration. The cost kernel takes a min over candidate
-    // triangles; which candidate wins depends on the weights, so the mask
-    // is the union over ALL candidates (every record of both legs' runs),
-    // ORed into the target's run head. Owners in ascending rank close the
-    // union transitively: an arc's final mask covers the classes of every
-    // arc reachable through any realization of it.
-    std::vector<uint32_t> pos(n, kChNoArc);
-    std::vector<uint8_t> run_up(up_.run_node.size());
-    std::vector<uint8_t> run_down(down_.run_node.size());
-    const auto close_row = [&]<bool kUp>(NodeId l) {
-      const Half& t = kUp ? up_ : down_;
-      uint8_t* mask = (kUp ? mask_up_ : mask_down_).data();
-      uint8_t* run_mask = (kUp ? run_up : run_down).data();
-      const uint8_t* leg_mask = (kUp ? run_down : run_up).data();
-      for (uint32_t i = t.off[l + 1]; i-- > t.off[l];) {
-        pos[t.arcs[i].node] = i;  // walking backwards, the head writes last
-      }
-      uint8_t leg = 0;
-      ForEachTriangle<kUp>(
-          l, pos.data(),
-          [&](uint32_t p) {
-            leg = leg_mask[p];
-            return true;
-          },
-          [&](NodeId, uint32_t k, uint32_t q) {
-            mask[k] |= static_cast<uint8_t>(leg | run_mask[q]);
-          });
-      for (uint32_t i = t.off[l]; i < t.off[l + 1]; ++i) {
-        pos[t.arcs[i].node] = kChNoArc;
-      }
-      FoldRuns<kUp>(l, static_cast<const uint8_t*>(mask), run_mask,
-                    pos.data(), [](uint8_t a, uint8_t b) {
-                      return static_cast<uint8_t>(a | b);
-                    });
-    };
-    for (const NodeId l : order_) {
-      close_row.template operator()<true>(l);
-      close_row.template operator()<false>(l);
-    }
-
-    // Per-node row masks (the cheap whole-node skip) and the per-delta
-    // dirty-work estimates, counted per record — the incremental kernel
-    // touches exactly the records whose closure intersects the delta.
-    node_mask_.assign(n, 0);
-    for (NodeId v = 0; v < n; ++v) {
-      uint8_t m = 0;
-      for (uint32_t i = up_.off[v]; i < up_.off[v + 1]; ++i) m |= mask_up_[i];
-      for (uint32_t i = down_.off[v]; i < down_.off[v + 1]; ++i) {
-        m |= mask_down_[i];
-      }
-      node_mask_[v] = m;
-    }
-    for (uint8_t delta = 1; delta < 8; ++delta) {
-      size_t dirty = 0;
-      for (uint8_t m : mask_up_) dirty += (m & delta) != 0;
-      for (uint8_t m : mask_down_) dirty += (m & delta) != 0;
-      dirty_arcs_by_mask_[delta] = dirty;
-    }
-  });
-}
-
-size_t ChCustomizer::DirtyArcEstimate(uint8_t changed_mask) {
-  EnsureMasks();
-  return dirty_arcs_by_mask_[changed_mask & 7];
-}
-
-uint8_t ChCustomizer::UpArcMask(size_t i) {
-  EnsureMasks();
-  return mask_up_[i];
-}
-
-uint8_t ChCustomizer::DownArcMask(size_t i) {
-  EnsureMasks();
-  return mask_down_[i];
+                             uint32_t* pos, ChCustomization* plane) {
+  PriceRow<true>(l, weights, pos, plane);
+  PriceRow<false>(l, weights, pos, plane);
 }
 
 void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
@@ -571,7 +426,7 @@ void ChCustomizer::CustomizeParallel(const ChClassWeights& weights,
           begin + static_cast<uint32_t>(static_cast<uint64_t>(span) * (w + 1) /
                                         workers);
       for (uint32_t i = lo; i < hi; ++i) {
-        PriceNode(level_order_[i], weights, kAllRecords, pos, plane);
+        PriceNode(level_order_[i], weights, pos, plane);
       }
       barrier.arrive_and_wait();
     }
@@ -597,62 +452,11 @@ std::shared_ptr<const ChCustomization> ChCustomizer::Customize(
     PrepareScratch(1);
     uint32_t* pos = pos_maps_[0].data();
     for (const NodeId l : order_) {
-      PriceNode(l, weights, kAllRecords, pos, plane.get());
+      PriceNode(l, weights, pos, plane.get());
     }
   } else {
     CustomizeParallel(weights, plane.get());
   }
-  return plane;
-}
-
-std::shared_ptr<const ChCustomization> ChCustomizer::CustomizeFrom(
-    std::shared_ptr<const ChCustomization> base, const ChClassWeights& weights,
-    bool* incremental) {
-  if (incremental != nullptr) *incremental = false;
-  if (base == nullptr) return Customize(weights);
-  const uint8_t changed = ChangedClasses(base->weights, weights);
-  if (changed == 0) return base;
-  // A full-vector delta dirties everything; skip the mask machinery (and
-  // its one-time build) entirely.
-  if (std::popcount(changed) >= kChNumClasses) return Customize(weights);
-  EnsureMasks();
-  // When the dirty records cover most of the plane the memcpy + per-record
-  // skip checks only add overhead, so hand off to the (possibly parallel)
-  // full sweep.
-  if (2 * dirty_arcs_by_mask_[changed] > total_arcs()) {
-    return Customize(weights);
-  }
-  auto plane = std::make_shared<ChCustomization>(*base);
-  plane->weights = weights;
-  PrepareScratch(1);
-  uint32_t* pos = pos_maps_[0].data();
-  // Re-price exactly the records whose class closure intersects the
-  // delta, owners in ascending rank. Clean records keep `base`'s bits,
-  // which equal what a full sweep under the new weights would produce
-  // (every quantity entering a clean arc's min is mask-invariant); dirty
-  // records are recomputed from scratch and their candidates read run
-  // minima of clean (unchanged, valid) and lower dirty (already re-priced)
-  // rows — so the result is bit-identical to Customize(). The minima the
-  // dirty owners read are first folded from the base plane.
-  const auto min = [](double a, double b) { return std::min(a, b); };
-  std::vector<uint8_t> folded(ch_.NumNodes(), 0);
-  for (const NodeId l : order_) {
-    if ((node_mask_[l] & changed) == 0) continue;
-    for (const Half* o : {&up_, &down_}) {
-      for (uint32_t e = o->inv_off[l]; e < o->inv_off[l + 1]; ++e) {
-        const NodeId x = o->inv[e].x;
-        if (folded[x] != 0) continue;
-        folded[x] = 1;
-        FoldRuns<true>(x, plane->cw_up.data(), min_up_.data(), pos, min);
-        FoldRuns<false>(x, plane->cw_down.data(), min_down_.data(), pos, min);
-      }
-    }
-  }
-  for (const NodeId l : order_) {
-    if ((node_mask_[l] & changed) == 0) continue;
-    PriceNode(l, weights, changed, pos, plane.get());
-  }
-  if (incremental != nullptr) *incremental = true;
   return plane;
 }
 
@@ -717,10 +521,8 @@ std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
       return e.plane;  // someone built it while we waited
     }
   }
-  bool incremental = false;
   const auto start = std::chrono::steady_clock::now();
-  std::shared_ptr<const ChCustomization> plane =
-      customizer_.CustomizeFrom(last_built_, weights, &incremental);
+  std::shared_ptr<const ChCustomization> plane = customizer_.Customize(weights);
   const uint64_t ns = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now() - start)
@@ -728,11 +530,6 @@ std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
   builds_.fetch_add(1, std::memory_order_relaxed);
   if (builds_mirror_ != nullptr) builds_mirror_->Add();
   if (customize_ns_ != nullptr) customize_ns_->Record(ns);
-  if (incremental) {
-    incremental_.fetch_add(1, std::memory_order_relaxed);
-    if (incremental_mirror_ != nullptr) incremental_mirror_->Add();
-  }
-  last_built_ = plane;
   if (built != nullptr) *built = true;
   // Publish: copy-on-write successor table (oldest-first eviction keeps the
   // table bounded; evicted planes stay alive while any reader holds them).
@@ -753,15 +550,12 @@ void ChCustomizationCache::AttachMetrics(obs::MetricsRegistry* registry) {
     hits_mirror_ = nullptr;
     misses_mirror_ = nullptr;
     builds_mirror_ = nullptr;
-    incremental_mirror_ = nullptr;
     customize_ns_ = nullptr;
     return;
   }
   hits_mirror_ = registry->GetCounter("ch.cache.hits", "plane fetches");
   misses_mirror_ = registry->GetCounter("ch.cache.misses", "plane fetches");
   builds_mirror_ = registry->GetCounter("ch.cache.builds", "sweeps");
-  incremental_mirror_ =
-      registry->GetCounter("ch.customize_incremental", "sweeps");
   customize_ns_ = registry->GetHistogram("ch.customize_ns", "ns");
 }
 

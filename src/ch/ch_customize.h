@@ -82,7 +82,7 @@ std::shared_ptr<const ChCustomization> ChCustomizeReference(
     const ChIndex& ch, const ChClassWeights& weights);
 
 /// \brief Prices a ChIndex for class-weight vectors with one pull kernel:
-/// serial, level-parallel and incremental runs are all bit-identical to
+/// serial and level-parallel runs are both bit-identical to
 /// ChCustomizeReference.
 ///
 /// Every node *owns* the arc records of its own rows and finalizes them
@@ -100,21 +100,15 @@ std::shared_ptr<const ChCustomization> ChCustomizeReference(
 ///  - for `threads >= 2` level by level: an owner reads only rows of
 ///    strictly lower contraction *level* (level(v) = 1 + max level over
 ///    lower neighbors), so all owners of one level run concurrently with a
-///    barrier between levels;
-///  - in CustomizeFrom() over the records whose class-mask closure (the
-///    union of road classes of every arc in any of their candidate
-///    triangles, transitively) meets the changed classes: those records
-///    are re-initialized and only their run heads enter the position map;
-///    every other record keeps the base plane's bits. Falls back to a full
-///    sweep when all three classes moved or the dirty records exceed half
-///    the total.
+///    barrier between levels.
 ///
 /// The topology (rank order, rank-sorted runs, inverted lower-neighbor
-/// index, levels, class masks; 16 bytes per run plus 20 per node) is
-/// metric-independent and built lazily exactly once. A customizer is safe
-/// to share across threads as long as calls are externally serialized (the
+/// index, levels; 16 bytes per run plus 20 per node) is metric-independent
+/// and built lazily exactly once. A customizer is safe to share across
+/// threads as long as calls are externally serialized (the
 /// ChCustomizationCache holds its build mutex across them): the run minima
-/// and position maps are per-customizer scratch.
+/// and position maps are per-customizer scratch. Serving code never holds
+/// one directly — planes come from a ChCustomizationCache.
 class ChCustomizer {
  public:
   /// \param threads sweep workers: 0 or 1 = one worker in rank order,
@@ -124,31 +118,13 @@ class ChCustomizer {
   /// Full customization of `weights`.
   std::shared_ptr<const ChCustomization> Customize(const ChClassWeights& weights);
 
-  /// Re-customization from `base` (a fully customized plane) to `weights`.
-  /// Incremental when the class delta is small, full otherwise;
-  /// `*incremental` (optional) reports which path ran. Returns `base`
-  /// itself when the weights are unchanged.
-  std::shared_ptr<const ChCustomization> CustomizeFrom(
-      std::shared_ptr<const ChCustomization> base, const ChClassWeights& weights,
-      bool* incremental = nullptr);
-
   int threads() const { return threads_; }
   void set_threads(int threads) { threads_ = threads; }
 
   /// Contraction levels (built on first use).
   size_t num_levels();
 
-  /// Arc records whose class-mask closure intersects `changed_mask` — the
-  /// incremental sweep's work estimate (counted per record: only those
-  /// records are re-priced, the rest keep the base plane's bits).
-  size_t DirtyArcEstimate(uint8_t changed_mask);
-
   size_t total_arcs() const;
-
-  /// Class-mask closure of one arc record (bit c = RoadClass c participates
-  /// in some candidate realization). Exposed for tests.
-  uint8_t UpArcMask(size_t i);
-  uint8_t DownArcMask(size_t i);
 
  private:
   /// One inverted-index entry of owner `l`: apex `x`, the position of the
@@ -173,29 +149,15 @@ class ChCustomizer {
 
   void EnsureTopology();  ///< rank order, sorted runs, inverted index
   void EnsureLevels();
-  void EnsureMasks();     ///< class-mask closure + dirty estimates
 
-  /// Collapses `l`'s `kUp` row into per-run values: `run[p] = fold` over
-  /// the run's records of `rec`, in record order, first record first.
-  template <bool kUp, typename T, typename Fold>
-  void FoldRuns(NodeId l, const T* rec, T* run, uint32_t* pos,
-                Fold fold) const;
-  /// The one triangle enumeration: for each apex `x` of `l`'s `kUp` row
-  /// (ascending rank) calls `leg(p)` with the leg's run position in x's
-  /// other half (false skips the apex), then `far(x, k, q)` for each run
-  /// `q` of x's `kUp` row ranked above `l` whose target head `k` is in
-  /// `pos`.
-  template <bool kUp, typename Leg, typename Far>
-  void ForEachTriangle(NodeId l, const uint32_t* pos, Leg&& leg,
-                       Far&& far) const;
-  /// Prices `l`'s `kUp` row: re-initializes the records selected by
-  /// `changed` (kAllRecords = every record), relaxes their run heads and
-  /// refreshes the row's run minima.
+  /// Prices `l`'s `kUp` row: initializes every record, relaxes the run
+  /// heads over the row's lower triangles and publishes the row's run
+  /// minima.
   template <bool kUp>
-  void PriceRow(NodeId l, const ChClassWeights& weights, uint8_t changed,
-                uint32_t* pos, ChCustomization* plane);
-  void PriceNode(NodeId l, const ChClassWeights& weights, uint8_t changed,
-                 uint32_t* pos, ChCustomization* plane);
+  void PriceRow(NodeId l, const ChClassWeights& weights, uint32_t* pos,
+                ChCustomization* plane);
+  void PriceNode(NodeId l, const ChClassWeights& weights, uint32_t* pos,
+                 ChCustomization* plane);
   void CustomizeParallel(const ChClassWeights& weights, ChCustomization* plane);
   /// Sizes the run-minima scratch and the position maps of `workers`
   /// workers (all kChNoArc between owners).
@@ -213,12 +175,6 @@ class ChCustomizer {
   std::vector<uint32_t> level_offsets_;  ///< CSR into level_order_
   std::vector<NodeId> level_order_;      ///< nodes grouped by level, rank asc
 
-  std::once_flag mask_once_;
-  std::vector<uint8_t> mask_up_;    ///< per up-arc record class closure
-  std::vector<uint8_t> mask_down_;  ///< per down-arc record class closure
-  std::vector<uint8_t> node_mask_;  ///< OR of both rows per node
-  size_t dirty_arcs_by_mask_[8] = {0};
-
   /// Run minima of the plane being priced, per Half run: an owner writes
   /// its own rows' minima once they are final; higher owners read them.
   std::vector<double> min_up_;
@@ -226,9 +182,12 @@ class ChCustomizer {
   std::vector<std::vector<uint32_t>> pos_maps_;  ///< one per worker
 };
 
-/// \brief Shared per-bucket customization cache with RCU-style publication.
+/// \brief The one source of customized planes: a shared per-bucket cache
+/// with RCU-style publication.
 ///
-/// Customized planes are immutable once built and a congestion bucket's
+/// Every plane a query, a derouting batch or an ETA window reads comes
+/// from here, and every build is one full ChCustomizer sweep. Customized
+/// planes are immutable once built and a congestion bucket's
 /// class weights are a pure function of the bucket, so N server workers
 /// asking for the same bucket need exactly one sweep. Readers pin an
 /// immutable snapshot of the plane table by copying one shared_ptr under
@@ -238,11 +197,10 @@ class ChCustomizer {
 /// ring since planes are heavyweight);
 /// writers copy, append, and publish under a single build mutex, which is
 /// also what collapses a thundering herd of concurrent misses into one
-/// build. The last built plane seeds the next build's incremental base, so
-/// bucket-to-bucket deltas re-price only the touched class closure.
+/// build.
 class ChCustomizationCache {
  public:
-  /// \param threads forwarded to the internal ChCustomizer.
+  /// \param threads sweep workers of every build (see ChCustomizer).
   /// \param max_planes retained planes; beyond it the oldest entry is
   ///   dropped (readers holding it keep it alive).
   ChCustomizationCache(const ChIndex& ch, int threads = 0,
@@ -259,12 +217,8 @@ class ChCustomizationCache {
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Sweeps actually run; misses() - builds() is the dedup win.
   uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
-  uint64_t incremental_builds() const {
-    return incremental_.load(std::memory_order_relaxed);
-  }
   size_t size() const;
 
-  ChCustomizer& customizer() { return customizer_; }
   const ChIndex& index() const { return ch_; }
 
   /// Mirrors hit/miss/build counts onto `registry` under `ch.cache.*` and
@@ -296,17 +250,14 @@ class ChCustomizationCache {
   mutable std::mutex table_mu_;
   std::shared_ptr<const Table> table_;  // guarded by table_mu_
   std::mutex build_mu_;
-  std::shared_ptr<const ChCustomization> last_built_;  // guarded by build_mu_
 
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> builds_{0};
-  std::atomic<uint64_t> incremental_{0};
 
   obs::Counter* hits_mirror_ = nullptr;
   obs::Counter* misses_mirror_ = nullptr;
   obs::Counter* builds_mirror_ = nullptr;
-  obs::Counter* incremental_mirror_ = nullptr;
   obs::Histogram* customize_ns_ = nullptr;
 };
 

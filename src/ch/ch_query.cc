@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cassert>
-#include <utility>
 #include <vector>
 
 namespace ecocharge {
@@ -17,17 +16,15 @@ bool SameWeights(const ChClassWeights& a, const ChClassWeights& b) {
 
 }  // namespace
 
-ChQuery::ChQuery(const ChIndex& ch)
-    : ch_(ch),
-      flabel_(ch.NumNodes(), Label{kInfiniteCost, kNoParentArc, kInvalidNode, 0}),
-      blabel_(ch.NumNodes(), Label{kInfiniteCost, kNoParentArc, kInvalidNode, 0}),
-      fsettled_(ch.NumNodes(), 0),
-      bsettled_(ch.NumNodes(), 0) {}
-
-void ChQuery::set_threads(int threads) {
-  threads_ = threads;
-  if (customizer_ != nullptr) customizer_->set_threads(threads);
-}
+ChQuery::ChQuery(ChCustomizationCache& cache)
+    : cache_(cache),
+      ch_(cache.index()),
+      flabel_(ch_.NumNodes(),
+              Label{kInfiniteCost, kNoParentArc, kInvalidNode, 0}),
+      blabel_(ch_.NumNodes(),
+              Label{kInfiniteCost, kNoParentArc, kInvalidNode, 0}),
+      fsettled_(ch_.NumNodes(), 0),
+      bsettled_(ch_.NumNodes(), 0) {}
 
 void ChQuery::AttachMetrics(obs::MetricsRegistry* registry) {
   customizations_mirror_ =
@@ -38,22 +35,11 @@ void ChQuery::AttachMetrics(obs::MetricsRegistry* registry) {
 
 void ChQuery::EnsureCustomized(const ChClassWeights& weights) {
   if (plane_ != nullptr && SameWeights(plane_->weights, weights)) return;
-  if (cache_ != nullptr) {
-    // Shared path: the cache dedups across workers; only a plane this call
-    // actually built counts as this query's customization.
-    bool built = false;
-    plane_ = cache_->Get(weights, &built);
-    if (built) {
-      ++customizations_;
-      if (customizations_mirror_ != nullptr) customizations_mirror_->Add();
-    }
-  } else {
-    if (customizer_ == nullptr) {
-      customizer_ = std::make_unique<ChCustomizer>(ch_, threads_);
-    }
-    // Seeding from the outgoing plane makes a small class delta (the
-    // common bucket-to-bucket step) an incremental re-price.
-    plane_ = customizer_->CustomizeFrom(std::move(plane_), weights);
+  // The cache dedups across workers; only a plane this call actually
+  // built counts as this query's customization.
+  bool built = false;
+  plane_ = cache_.Get(weights, &built);
+  if (built) {
     ++customizations_;
     if (customizations_mirror_ != nullptr) customizations_mirror_->Add();
   }

@@ -33,14 +33,11 @@ struct ChSpace {
 ///
 /// The hierarchy's topology is metric-independent; what a query needs per
 /// class-weight vector is a ChCustomization *plane* (per-arc costs plus the
-/// middle node realizing each shortcut). Planes come from one of two
-/// places: a shared ChCustomizationCache (set_cache — server workers all
-/// point at one cache, so a congestion bucket is priced once per process
-/// instead of once per worker) or a private ChCustomizer built on first
-/// use (the standalone path; set_threads picks its sweep strategy and
-/// bucket-to-bucket changes re-price incrementally). Search() swaps planes
-/// only when the weights actually change, so a query stream at a fixed
-/// traffic bucket pays nothing.
+/// middle node realizing each shortcut). Planes come from the
+/// ChCustomizationCache the query is built over — server workers all point
+/// at one cache, so a congestion bucket is priced once per process instead
+/// of once per worker. Search() swaps planes only when the weights actually
+/// change, so a query stream at a fixed traffic bucket pays nothing.
 ///
 /// Search(): upward Dijkstra from s over UpArcs and downward Dijkstra from
 /// t over DownArcs with stall-on-demand, meeting at the hierarchy peak.
@@ -57,22 +54,13 @@ class ChQuery {
   /// Sentinel arc reference marking a search seed / original-arc leaf.
   static constexpr uint32_t kNoArcRef = 0xFFFFFFFFu;
 
-  explicit ChQuery(const ChIndex& ch);
+  /// Queries `cache.index()` with planes from `cache`, which must outlive
+  /// every call (not owned).
+  explicit ChQuery(ChCustomizationCache& cache);
 
-  /// Prices the hierarchy for `weights` if the current plane does not
-  /// already match. Search() calls this implicitly.
+  /// Fetches the plane for `weights` from the cache if the current plane
+  /// does not already match. Search() calls this implicitly.
   void EnsureCustomized(const ChClassWeights& weights);
-
-  /// Sources planes from `cache` instead of the private customizer; null
-  /// reverts. The active plane survives the switch.
-  void set_cache(ChCustomizationCache* cache) { cache_ = cache; }
-  ChCustomizationCache* cache() const { return cache_; }
-
-  /// Sweep workers of the private customizer (ignored when a cache is
-  /// attached — the cache's own customizer decides): 0 or 1 = one worker,
-  /// N >= 2 = level-parallel. Every setting runs the same pull kernel.
-  void set_threads(int threads);
-  int threads() const { return threads_; }
 
   /// Shortest up-down distance s -> t under `weights`; kInfiniteCost when
   /// unreachable, exactly 0.0 when s == t. Out-of-range ids are
@@ -110,10 +98,10 @@ class ChQuery {
   /// Heap pops of the last Search (exposed for benchmarks).
   size_t last_settled() const { return last_settled_; }
 
-  /// Customization sweeps THIS query ran (cache hits are not counted —
-  /// with a shared cache attached, summing this across workers against the
-  /// cache's builds() shows the dedup). Tests assert a stable query stream
-  /// prices the hierarchy exactly once.
+  /// Customization sweeps THIS query's cache fetches ran (hits are not
+  /// counted — summed over every query on one cache it equals the cache's
+  /// builds()). Tests assert a stable query stream prices the hierarchy
+  /// exactly once.
   size_t customizations() const { return customizations_; }
 
   /// The active plane (null before the first EnsureCustomized); shared so
@@ -150,16 +138,14 @@ class ChQuery {
                : cw_up_[ref];
   }
 
+  ChCustomizationCache& cache_;
   const ChIndex& ch_;
 
   // Active customization plane (shared, immutable) plus its hot-path raw
-  // views; the private customizer exists only on the no-cache path.
+  // views.
   std::shared_ptr<const ChCustomization> plane_;
   const double* cw_up_ = nullptr;
   const double* cw_down_ = nullptr;
-  ChCustomizationCache* cache_ = nullptr;
-  std::unique_ptr<ChCustomizer> customizer_;
-  int threads_ = 0;
   size_t customizations_ = 0;
   obs::Counter* customizations_mirror_ = nullptr;
 

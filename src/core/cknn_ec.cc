@@ -4,6 +4,7 @@
 #include <span>
 
 #include "ch/ch_query.h"
+#include "common/logging.h"
 #include "graph/landmarks.h"
 
 namespace ecocharge {
@@ -151,7 +152,9 @@ CknnEcProcessor::CknnEcProcessor(EcEstimator* estimator,
       charger_index_(charger_index),
       options_(options) {
   if (options_.ch != nullptr) {
-    ch_query_ = std::make_unique<ChQuery>(*options_.ch);
+    const ChCustomizationCache* cache = estimator_->options().ch_cache;
+    ECOCHARGE_CHECK(cache != nullptr && &cache->index() == options_.ch)
+        << "CknnEcOptions::ch must be the estimator's hierarchy";
   }
 }
 
@@ -371,6 +374,12 @@ void CknnEcProcessor::OrderByDeroutingBound(const VehicleState& state,
                         ? state.return_node_b
                         : network.NearestNode(state.return_point_b);
   if (m >= num_nodes || ra >= num_nodes || rb >= num_nodes) return;
+  if (options_.ch != nullptr && ch_query_ == nullptr) {
+    // Built on the first ordering that is not moot, with its length plane
+    // drawn from the estimator's cache: one plane per process, and no label
+    // arrays for a client whose refine set always covers its candidates.
+    ch_query_ = std::make_unique<ChQuery>(*estimator_->options().ch_cache);
+  }
 
   // Lower-bounded derouting cost: LB(m -> b) + min over return points of
   // LB(b -> r). Length-based bounds are admissible for the congested cost

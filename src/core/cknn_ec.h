@@ -94,7 +94,9 @@ struct CknnEcOptions {
   /// as the lower bound instead of the ALT triangle bounds — still
   /// admissible for the congested cost (speed factors never exceed 1) and
   /// strictly tighter, so the refine set hugs the route more closely.
-  /// Takes precedence over `landmarks` for ordering.
+  /// Takes precedence over `landmarks` for ordering. Must be the
+  /// estimator's own hierarchy (EcEstimatorOptions::ch): the length plane
+  /// comes from its ch_cache.
   const ChIndex* ch = nullptr;
 
   /// Vectorized filter/score hot path (DESIGN.md §15): candidate pruning,
@@ -192,6 +194,10 @@ class CknnEcProcessor {
 
   const PipelineMetrics& metrics() const { return metrics_; }
 
+  /// The length-metric CH ordering workspace: null until `options().ch`
+  /// is set and an ordering is not moot.
+  const ChQuery* ordering_query() const { return ch_query_.get(); }
+
  private:
   /// Reorders `ctx->selected` so the `refine_limit` candidates with the
   /// smallest ALT-lower-bounded derouting cost come first (in bound
@@ -206,7 +212,7 @@ class CknnEcProcessor {
   CknnEcOptions options_;
   PipelineMetrics metrics_;
   /// Length-metric CH query workspace for OrderByDeroutingBound; null
-  /// unless options_.ch is set.
+  /// until options_.ch is set and an ordering is not moot.
   std::unique_ptr<ChQuery> ch_query_;
 };
 

@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <cmath>
 
+#include "ch/ch_customize.h"
+#include "common/logging.h"
+
 namespace ecocharge {
 
 EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
@@ -21,7 +24,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       owned_eis_(std::make_unique<InformationServer>(energy, availability,
                                                      congestion)),
       eis_(owned_eis_.get()) {
-  derouting_.set_ch(options.ch, options.ch_cache, options.ch_threads);
+  SetChBackend();
   PickBestSite();
 }
 
@@ -40,8 +43,16 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       derouting_(network_, congestion, /*detour_factor=*/1.3,
                  options.exact_derouting_bucket_s),
       eis_(shared_eis) {
-  derouting_.set_ch(options.ch, options.ch_cache, options.ch_threads);
+  SetChBackend();
   PickBestSite();
+}
+
+void EcEstimator::SetChBackend() {
+  if (options_.ch == nullptr) return;
+  ECOCHARGE_CHECK(options_.ch_cache != nullptr &&
+                  &options_.ch_cache->index() == options_.ch)
+      << "EcEstimatorOptions::ch needs a ch_cache over the same index";
+  derouting_.set_ch(options_.ch_cache);
 }
 
 void EcEstimator::PickBestSite() {

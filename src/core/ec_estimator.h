@@ -35,14 +35,14 @@ struct EcEstimatorOptions {
   /// (not owned).
   const ChIndex* ch = nullptr;
 
-  /// Process-shared customization cache (not owned, must outlive the
-  /// estimator; only meaningful with `ch`). Workers built from the same
-  /// options share planes instead of each re-pricing every congestion
-  /// bucket.
+  /// Process-shared customization cache over `ch`: required whenever `ch`
+  /// is set (not owned, must outlive the estimator). Every CH plane the
+  /// estimator and the processors ranking through it read comes from here,
+  /// so workers built from the same options price a congestion bucket once.
   ChCustomizationCache* ch_cache = nullptr;
 
-  /// Sweep workers of the private customizer when no cache is attached
-  /// (0 or 1 = one worker); forwarded to DeroutingService::set_ch.
+  /// Sweep workers `ch_cache` was built with (0 or 1 = one worker), kept so
+  /// a caller replacing the cache can build its successor alike.
   int ch_threads = 0;
 };
 
@@ -195,6 +195,10 @@ class EcEstimator {
 
  private:
   DeroutingQuery MakeQuery(const VehicleState& state) const;
+
+  /// Points the derouting service at `options_.ch_cache` when `options_.ch`
+  /// is set; aborts unless the cache indexes exactly that hierarchy.
+  void SetChBackend();
 
   /// Finds the fleet site maximizing min(rate, pv) for the L normalization.
   void PickBestSite();

@@ -97,11 +97,9 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
           static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
     }
     est_opts.ch_threads = ch_threads;
-    if (options.ch_shared_cache) {
-      env->ch_cache =
-          std::make_shared<ChCustomizationCache>(*env->ch, ch_threads);
-      est_opts.ch_cache = env->ch_cache.get();
-    }
+    env->ch_cache =
+        std::make_shared<ChCustomizationCache>(*env->ch, ch_threads);
+    est_opts.ch_cache = env->ch_cache.get();
   }
   env->estimator = std::make_unique<EcEstimator>(
       env->dataset.network, &env->chargers, env->energy.get(),

@@ -38,10 +38,10 @@ struct Environment {
   /// derouting_backend == kCh. Loaded zero-copy from the snapshot's CH
   /// section when one exists, contracted from scratch otherwise.
   std::shared_ptr<const ChIndex> ch;
-  /// Process-shared customization cache over `ch` (null unless the CH
-  /// backend is on and ch_shared_cache was left enabled). Estimators built
-  /// from estimator->options() inherit it, so every server worker sources
-  /// congestion-bucket planes here instead of pricing privately.
+  /// Process-shared customization cache over `ch`, the one source of
+  /// customized planes (null unless the CH backend is on). Estimators built
+  /// from estimator->options() inherit it, so every server worker prices a
+  /// congestion bucket once per process.
   std::shared_ptr<ChCustomizationCache> ch_cache;
 };
 
@@ -77,16 +77,12 @@ struct EnvironmentOptions {
   /// bit-identical to kExact.
   DeroutingBackend derouting_backend = DeroutingBackend::kExact;
 
-  /// CH customization sweep threads (CLI --ch-threads): -1 (default) =
+  /// Sweep workers of every Environment::ch_cache build (CLI
+  /// --ch-threads): -1 (default) =
   /// hardware concurrency, 0 or 1 = one worker in rank order, N >= 2 =
   /// level-parallel with N workers. Every setting runs the same pull
   /// kernel and prices bit-identically.
   int ch_threads = -1;
-
-  /// Build the process-shared ChCustomizationCache for the CH backend
-  /// (Environment::ch_cache). Off = every worker prices buckets privately
-  /// (the pre-cache behavior; also what the parity tests compare against).
-  bool ch_shared_cache = true;
 };
 
 /// Climate of each dataset's region (drives the weather Markov chain).

@@ -46,24 +46,15 @@ struct DeroutingService::ChProfileScratch {
   std::vector<uint32_t> bpos;
 };
 
-void DeroutingService::set_ch(const ChIndex* ch, ChCustomizationCache* cache,
-                              int threads) {
-  ch_ = ch;
-  ch_cache_ = ch != nullptr ? cache : nullptr;
-  ch_threads_ = threads;
-  ch_query_ = ch != nullptr ? std::make_unique<ChQuery>(*ch) : nullptr;
-  ch_spaces_ = ch != nullptr ? std::make_unique<ChBatchSpaces>() : nullptr;
-  if (ch_query_ != nullptr) {
-    ch_query_->set_cache(ch_cache_);
-    ch_query_->set_threads(threads);
-    ch_query_->AttachMetrics(ch_metrics_);
-  }
-  ch_customizer_.reset();
-  ch_last_plane_.reset();
+void DeroutingService::set_ch(ChCustomizationCache* cache) {
+  ch_ = cache != nullptr ? &cache->index() : nullptr;
+  ch_query_ = cache != nullptr ? std::make_unique<ChQuery>(*cache) : nullptr;
+  ch_spaces_ = cache != nullptr ? std::make_unique<ChBatchSpaces>() : nullptr;
+  if (ch_query_ != nullptr) ch_query_->AttachMetrics(ch_metrics_);
   ch_profile_.reset();
   ch_planes_.clear();
   ch_profile_scratch_ =
-      ch != nullptr ? std::make_unique<ChProfileScratch>() : nullptr;
+      cache != nullptr ? std::make_unique<ChProfileScratch>() : nullptr;
 }
 
 void DeroutingService::AttachChMetrics(obs::MetricsRegistry* registry) {
@@ -469,25 +460,15 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
   if (nodes.m >= num_nodes || charger.node >= num_nodes) return false;
   const SimTime tau0 = ExactCostTime(query.now);
 
-  // Window planes: the shared cache when attached (one worker's window
-  // prewarms every other worker's bucket transitions), else the private
-  // customizer seeded with the previous lane — consecutive buckets usually
-  // differ in a few classes, so lanes 1..k-1 re-price incrementally.
+  // Window planes come from the shared cache through the point-query
+  // workspace, so one worker's window prewarms every other worker's bucket
+  // transitions and the window's builds count as this worker's
+  // customizations.
   ch_planes_.clear();
   for (size_t j = 0; j < buckets; ++j) {
     const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
-    std::shared_ptr<const ChCustomization> plane;
-    if (ch_cache_ != nullptr) {
-      plane = ch_cache_->Get(weights);
-    } else {
-      if (ch_customizer_ == nullptr) {
-        ch_customizer_ = std::make_unique<ChCustomizer>(*ch_, ch_threads_);
-      }
-      plane = ch_customizer_->CustomizeFrom(ch_last_plane_, weights);
-      ch_last_plane_ = plane;
-    }
-    ch_planes_.push_back(std::move(plane));
+    ch_query_->EnsureCustomized(ChWeightsAt(*congestion_, tau));
+    ch_planes_.push_back(ch_query_->plane());
   }
 
   if (ch_profile_ == nullptr) {

@@ -14,7 +14,6 @@ namespace ecocharge {
 
 class ChIndex;
 class ChQuery;
-class ChCustomizer;
 class ChCustomizationCache;
 class ChProfileQuery;
 struct ChCustomization;
@@ -172,19 +171,14 @@ class DeroutingService {
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
-  /// Switches Exact()/ExactBatch() to the contraction-hierarchy backend.
-  /// `ch` must be built over this service's network and outlive it; nullptr
-  /// reverts to the Dijkstra sweeps. The CH backend does not use the
-  /// backward-sweep memo, so warm-start counters stay flat under it.
-  ///
-  /// `cache` (optional, must outlive the service) makes this worker source
-  /// customized planes from the process-shared ChCustomizationCache
-  /// instead of pricing privately — N workers then customize a congestion
-  /// bucket once total. `threads` is the sweep worker count of the private
-  /// customizer when no cache is given (0 or 1 = one worker; ignored with
-  /// a cache, whose own customizer decides).
-  void set_ch(const ChIndex* ch, ChCustomizationCache* cache = nullptr,
-              int threads = 0);
+  /// Switches Exact()/ExactBatch()/EtaWindow() to the contraction-
+  /// hierarchy backend over `cache->index()`, which must be built over this
+  /// service's network. Every customized plane comes from `cache` (not
+  /// owned, must outlive the service), so N workers sharing one cache
+  /// customize a congestion bucket once total. nullptr reverts to the
+  /// Dijkstra sweeps. The CH backend does not use the backward-sweep memo,
+  /// so warm-start counters stay flat under it.
+  void set_ch(ChCustomizationCache* cache);
 
   /// \brief Profile (ETA-window) query: the estimated drive time from the
   /// vehicle to `charger` under `buckets` consecutive congestion-bucket
@@ -205,6 +199,9 @@ class DeroutingService {
   /// (`ch.customizations`); survives set_ch. Null detaches.
   void AttachChMetrics(obs::MetricsRegistry* registry);
   const ChIndex* ch() const { return ch_; }
+  /// The point-query workspace every CH plane this service reads is
+  /// fetched through; null on the Dijkstra backend.
+  const ChQuery* ch_query() const { return ch_query_.get(); }
   DeroutingBackend backend() const {
     return ch_ != nullptr ? DeroutingBackend::kCh : DeroutingBackend::kExact;
   }
@@ -249,8 +246,9 @@ class DeroutingService {
   uint64_t warm_start_hits_ = 0;
   uint64_t backward_sweep_starts_ = 0;
 
-  // CH backend state: borrowed hierarchy, its reusable query workspace, the
-  // unpacked-edge scratch shared by every CH leg, and the batch's
+  // CH backend state: the cache's hierarchy, the reusable query workspace
+  // every plane is fetched through, the unpacked-edge scratch shared by
+  // every CH leg, and the batch's
   // elimination-tree label spaces (vehicle/return spaces built once per
   // batch, two per-charger spaces reused across the loop).
   const ChIndex* ch_ = nullptr;
@@ -259,14 +257,7 @@ class DeroutingService {
   struct ChBatchSpaces;
   std::unique_ptr<ChBatchSpaces> ch_spaces_;
 
-  // Customization sourcing: the shared cache when attached, else a lazy
-  // private customizer seeded with the last built plane (so consecutive
-  // window buckets re-price incrementally). ch_metrics_ is re-applied to
-  // the query workspace on every set_ch.
-  ChCustomizationCache* ch_cache_ = nullptr;
-  int ch_threads_ = 0;
-  std::unique_ptr<ChCustomizer> ch_customizer_;
-  std::shared_ptr<const ChCustomization> ch_last_plane_;
+  // Re-applied to the query workspace on every set_ch.
   obs::MetricsRegistry* ch_metrics_ = nullptr;
 
   // Profile-query state: the window's plane lanes plus the two reusable

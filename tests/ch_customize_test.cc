@@ -1,10 +1,9 @@
-// Customization subsystem: bitwise parity of the serial, level-parallel,
-// and incremental runs of the pull kernel against the reference push
-// sweep, also on a hand-made index that is not closed under triangles;
-// class-mask closure semantics on a graph where the closure is provably
-// confined; shared-cache dedup under concurrent
-// workers (the TSan hammer — scripts/check.sh chpar runs this suite under
-// -fsanitize=thread); and end-to-end Offering Table / ETA-window parity
+// Customization subsystem: bitwise parity of the serial and level-parallel
+// runs of the pull kernel against the reference push sweep, also on a
+// hand-made index that is not closed under triangles; shared-cache dedup
+// under concurrent workers (the TSan hammer — scripts/check.sh chpar runs
+// this suite under -fsanitize=thread); the cache as the one plane source
+// of every CH consumer; and end-to-end Offering Table / ETA-window parity
 // across derouting backends and sweep strategies. Parity here means
 // memcmp-identical doubles, the same contract ch_test.cc holds ChQuery to.
 
@@ -20,7 +19,9 @@
 #include <vector>
 
 #include "ch/ch_index.h"
+#include "ch/ch_query.h"
 #include "ch/contraction.h"
+#include "core/cknn_ec.h"
 #include "core/offering_service.h"
 #include "graph/generators.h"
 #include "graph/road_network.h"
@@ -70,18 +71,14 @@ ChClassWeights CongestedWeights(const CongestionModel& congestion,
 }
 
 /// Every strategy — one worker (threads 0 and 1), 2 and 4 level-parallel
-/// workers, CustomizeFrom the previous bucket's plane, and one-class deltas
-/// off each bucket — against the reference push sweep, over a sequence of
-/// congestion buckets. Returns how many deltas took the incremental path.
-size_t ExpectStrategiesMatchReference(const ChIndex& ch, uint64_t seed) {
+/// workers — against the reference push sweep, over a sequence of
+/// congestion buckets.
+void ExpectStrategiesMatchReference(const ChIndex& ch, uint64_t seed) {
   CongestionModel congestion(seed);
   ChCustomizer serial0(ch, 0);
   ChCustomizer serial1(ch, 1);
   ChCustomizer par2(ch, 2);
   ChCustomizer par4(ch, 4);
-  ChCustomizer inc(ch, 0);
-  std::shared_ptr<const ChCustomization> prev;
-  size_t incremental = 0;
   for (double hour : {2.0, 8.5, 13.0, 17.5}) {
     const ChClassWeights w = CongestedWeights(congestion, hour * 3600.0);
     auto want = ChCustomizeReference(ch, w);
@@ -89,29 +86,14 @@ size_t ExpectStrategiesMatchReference(const ChIndex& ch, uint64_t seed) {
     EXPECT_TRUE(PlanesSameBits(*want, *serial1.Customize(w))) << "1 thread";
     EXPECT_TRUE(PlanesSameBits(*want, *par2.Customize(w))) << "2 threads";
     EXPECT_TRUE(PlanesSameBits(*want, *par4.Customize(w))) << "4 threads";
-    auto next = inc.CustomizeFrom(prev, w);
-    EXPECT_TRUE(PlanesSameBits(*want, *next))
-        << "incremental from previous bucket";
-    prev = std::move(next);
-    for (int c = 0; c < kChNumClasses; ++c) {
-      ChClassWeights delta = w;
-      delta.w[c] *= 1.25;
-      bool took = false;
-      auto plane = inc.CustomizeFrom(prev, delta, &took);
-      EXPECT_TRUE(PlanesSameBits(*ChCustomizeReference(ch, delta), *plane))
-          << "one-class delta, class " << c;
-      incremental += took;
-    }
   }
-  return incremental;
 }
 
-TEST(ChCustomizerTest, SerialParallelIncrementalBitIdentical) {
-  size_t incremental = 0;
+TEST(ChCustomizerTest, SerialParallelBitIdentical) {
   for (uint64_t seed : {3u, 17u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    incremental += ExpectStrategiesMatchReference(*ch, seed);
+    ExpectStrategiesMatchReference(*ch, seed);
   }
   // A 30x30 grid world: nested dissection gives it near-clique top
   // separators, where the rank-sorted suffixes are longest.
@@ -119,8 +101,7 @@ TEST(ChCustomizerTest, SerialParallelIncrementalBitIdentical) {
       GenerateNetwork("type=grid;nx=30;ny=30;spacing=500;seed=11")
           .MoveValueUnsafe();
   auto ch = BuildChIndex(*grid).MoveValueUnsafe();
-  incremental += ExpectStrategiesMatchReference(*ch, 11);
-  EXPECT_GT(incremental, 0u) << "no delta exercised the incremental path";
+  ExpectStrategiesMatchReference(*ch, 11);
 }
 
 /// Hand-made index over 5 nodes (rank = id) that is NOT closed under
@@ -197,14 +178,6 @@ TEST(ChCustomizerTest, NonClosedIndexSkipsMissingTargets) {
   EXPECT_EQ(want->via_up[5], 0u);
   EXPECT_EQ(want->cw_up[5], 110.0 + 300.0 * 1.5);
   EXPECT_EQ(want->cw_up[6], 950.0 * 2.0);
-
-  // A one-class delta takes the incremental path and still matches.
-  ChCustomizer inc(ch, 0);
-  auto base = inc.Customize(base_w);
-  bool incremental = false;
-  auto delta = inc.CustomizeFrom(base, delta_w, &incremental);
-  EXPECT_TRUE(incremental);
-  EXPECT_TRUE(PlanesSameBits(*ChCustomizeReference(ch, delta_w), *delta));
 }
 
 TEST(ChCustomizerTest, FromViewsRejectsRankViolations) {
@@ -214,118 +187,6 @@ TEST(ChCustomizerTest, FromViewsRejectsRankViolations) {
   NonClosedIndex inverted;
   inverted.rank = {0, 2, 1, 3, 4};  // 1 -> 2 would point down the order
   EXPECT_FALSE(inverted.Build().ok());
-}
-
-TEST(ChCustomizerTest, UnchangedWeightsReturnBaseUnbuilt) {
-  auto network = SmallRgg(5, 150);
-  auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChCustomizer customizer(*ch, 0);
-  auto base = customizer.Customize(kChLengthWeights);
-  bool incremental = true;
-  auto again = customizer.CustomizeFrom(base, kChLengthWeights, &incremental);
-  EXPECT_EQ(again.get(), base.get());
-}
-
-/// A local-road grid with one highway spur and one arterial spur, each
-/// attached at a single node. No triangle can contain a spur arc without
-/// both enclosing endpoints inside the spur, so the grid core's class-mask
-/// closure must exclude the spur classes entirely — the invariant the
-/// incremental sweep's dirty estimate rests on.
-std::shared_ptr<RoadNetwork> SpurGrid(int n, int spur_len) {
-  GraphBuilder b;
-  std::vector<NodeId> grid(static_cast<size_t>(n) * n);
-  for (int y = 0; y < n; ++y) {
-    for (int x = 0; x < n; ++x) {
-      grid[static_cast<size_t>(y) * n + x] =
-          b.AddNode(Point{x * 500.0, y * 500.0});
-    }
-  }
-  auto at = [&](int x, int y) { return grid[static_cast<size_t>(y) * n + x]; };
-  for (int y = 0; y < n; ++y) {
-    for (int x = 0; x + 1 < n; ++x) {
-      EXPECT_TRUE(
-          b.AddBidirectional(at(x, y), at(x + 1, y), RoadClass::kLocal).ok());
-    }
-  }
-  for (int x = 0; x < n; ++x) {
-    for (int y = 0; y + 1 < n; ++y) {
-      EXPECT_TRUE(
-          b.AddBidirectional(at(x, y), at(x, y + 1), RoadClass::kLocal).ok());
-    }
-  }
-  for (int s = 0; s < 2; ++s) {
-    const RoadClass rc = s == 0 ? RoadClass::kHighway : RoadClass::kArterial;
-    NodeId prev = at(s * (n - 1), 0);
-    for (int i = 1; i <= spur_len; ++i) {
-      const NodeId next =
-          b.AddNode(Point{s * (n - 1) * 500.0, -i * 300.0});
-      EXPECT_TRUE(b.AddBidirectional(prev, next, rc).ok());
-      prev = next;
-    }
-  }
-  return b.Build().MoveValueUnsafe();
-}
-
-TEST(ChCustomizerTest, MaskClosureConfinedToSpursAndIncrementalRuns) {
-  constexpr int kN = 12;
-  constexpr int kSpurLen = 4;
-  auto network = SpurGrid(kN, kSpurLen);
-  auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChCustomizer customizer(*ch, 0);
-
-  const uint8_t delta_mask =
-      static_cast<uint8_t>((1u << static_cast<int>(RoadClass::kHighway)) |
-                           (1u << static_cast<int>(RoadClass::kArterial)));
-  // The dirty estimate is the per-record mask intersection count...
-  size_t dirty_by_mask = 0;
-  for (size_t i = 0; i < ch->NumUpArcs(); ++i) {
-    if (customizer.UpArcMask(i) & delta_mask) ++dirty_by_mask;
-  }
-  for (size_t i = 0; i < ch->NumDownArcs(); ++i) {
-    if (customizer.DownArcMask(i) & delta_mask) ++dirty_by_mask;
-  }
-  EXPECT_EQ(customizer.DirtyArcEstimate(delta_mask), dirty_by_mask);
-
-  // ...and the closure stays inside the two spur appendages: at most the
-  // spur arcs themselves plus shortcuts among spur/attachment nodes —
-  // a dead-end chain contracts with no shortcuts, so a generous bound is
-  // a handful of records per spur hop out of ~thousands in the grid.
-  EXPECT_GT(dirty_by_mask, 0u);
-  EXPECT_LE(dirty_by_mask, static_cast<size_t>(8 * kSpurLen));
-  EXPECT_LT(dirty_by_mask, customizer.total_arcs() / 10);
-  // Exact counts, pinned: 12 records per spur, and the local class
-  // reaches every record outside the two spurs.
-  const auto dirty = [&](RoadClass rc) {
-    return customizer.DirtyArcEstimate(
-        static_cast<uint8_t>(1u << static_cast<int>(rc)));
-  };
-  EXPECT_EQ(customizer.total_arcs(), 1918u);
-  EXPECT_EQ(dirty(RoadClass::kHighway), 12u);
-  EXPECT_EQ(dirty(RoadClass::kArterial), 12u);
-  EXPECT_EQ(dirty_by_mask, 24u);
-  EXPECT_EQ(dirty(RoadClass::kLocal), 1918u - 24u);
-
-  // A highway+arterial re-price therefore takes the incremental path and
-  // still matches a full sweep bit-for-bit.
-  CongestionModel congestion(11);
-  const ChClassWeights base_w = CongestedWeights(congestion, 9.0 * 3600.0);
-  ChClassWeights delta_w = base_w;
-  delta_w.w[static_cast<int>(RoadClass::kHighway)] *= 1.4;
-  delta_w.w[static_cast<int>(RoadClass::kArterial)] *= 1.15;
-  auto base = customizer.Customize(base_w);
-  bool incremental = false;
-  auto repriced = customizer.CustomizeFrom(base, delta_w, &incremental);
-  EXPECT_TRUE(incremental);
-  ChCustomizer fresh(*ch, 0);
-  EXPECT_TRUE(PlanesSameBits(*fresh.Customize(delta_w), *repriced));
-
-  // An all-class delta falls back to the full sweep (and still matches).
-  ChClassWeights all_w = base_w;
-  for (int c = 0; c < kChNumClasses; ++c) all_w.w[c] *= 1.0 + 0.05 * (c + 1);
-  incremental = true;
-  auto full = customizer.CustomizeFrom(base, all_w, &incremental);
-  EXPECT_FALSE(incremental);
-  EXPECT_TRUE(PlanesSameBits(*fresh.Customize(all_w), *full));
 }
 
 TEST(ChCustomizationCacheTest, ConcurrentWorkersDedupAcrossBucketBoundaries) {
@@ -413,7 +274,6 @@ TEST(ChCustomizationCacheTest, DedupCollapsesPerWorkerSweepsWithoutEviction) {
 
 std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
                                                 int ch_threads,
-                                                bool shared_cache,
                                                 double bucket_s = 0.0) {
   EnvironmentOptions opts;
   opts.kind = DatasetKind::kOldenburg;
@@ -423,7 +283,6 @@ std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
   opts.seed = 42;
   opts.derouting_backend = backend;
   opts.ch_threads = ch_threads;
-  opts.ch_shared_cache = shared_cache;
   opts.exact_derouting_bucket_s = bucket_s;
   auto result = MakeEnvironment(opts);
   EXPECT_TRUE(result.ok());
@@ -431,17 +290,14 @@ std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
 }
 
 TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
-  // Exact backend vs CH with: serial sweeps, 4-thread sweeps, a shared
-  // plane cache, and no cache (per-worker incremental customizers). One
-  // Offering Table contract: same bits everywhere.
-  auto exact = BackendEnvironment(DeroutingBackend::kExact, 0, false);
-  auto ch_serial = BackendEnvironment(DeroutingBackend::kCh, 0, false);
-  auto ch_par = BackendEnvironment(DeroutingBackend::kCh, 4, false);
-  auto ch_cached = BackendEnvironment(DeroutingBackend::kCh, 0, true);
+  // Exact backend vs CH with serial and 4-thread sweeps behind the shared
+  // plane cache. One Offering Table contract: same bits everywhere.
+  auto exact = BackendEnvironment(DeroutingBackend::kExact, 0);
+  auto ch_serial = BackendEnvironment(DeroutingBackend::kCh, 0);
+  auto ch_par = BackendEnvironment(DeroutingBackend::kCh, 4);
   ASSERT_NE(exact, nullptr);
   ASSERT_NE(ch_serial, nullptr);
   ASSERT_NE(ch_par, nullptr);
-  ASSERT_NE(ch_cached, nullptr);
 
   auto states = testing_util::TinyWorkload(*exact, 5);
   ASSERT_FALSE(states.empty());
@@ -459,8 +315,6 @@ TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
         << "ch serial";
     EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_par, state)))
         << "ch 4-thread";
-    EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_cached, state)))
-        << "ch shared cache";
   }
 }
 
@@ -468,7 +322,7 @@ TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
   // One profile pass over k bucket planes must refold each lane to exactly
   // the eta_s a point query at that bucket's cost time computes.
   constexpr double kBucketS = 900.0;
-  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, true, kBucketS);
+  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
   ASSERT_NE(env, nullptr);
   auto states = testing_util::TinyWorkload(*env, 4);
   ASSERT_FALSE(states.empty());
@@ -497,6 +351,81 @@ TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
   // The space builder may conservatively reject some endpoints; the test
   // is vacuous only if it rejected everything.
   EXPECT_GT(windows, 0u);
+}
+
+TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
+  // Two estimators share env->ch_cache; each drives the batched exact
+  // derouting, an ETA window and a ranking whose candidate ordering is not
+  // moot. Every plane any of them reads comes from the cache, so each
+  // distinct weight vector is swept exactly once, and every sweep is
+  // counted by exactly one ChQuery (the derouting workspaces and the
+  // ordering workspaces).
+  constexpr double kBucketS = 900.0;
+  constexpr size_t kLanes = 3;
+  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
+  ASSERT_NE(env, nullptr);
+  auto states = testing_util::TinyWorkload(*env, 4);
+  ASSERT_FALSE(states.empty());
+  EcEstimator second(env->dataset.network, &env->chargers, env->energy.get(),
+                     env->availability.get(), env->congestion.get(),
+                     env->estimator->options());
+  const std::vector<EcEstimator*> estimators = {env->estimator.get(),
+                                                &second};
+
+  // refine_limit 2 < pool 5: the ordering is not moot. The default (8)
+  // refines the whole pool, so that client never builds its query.
+  CknnEcOptions ordered;
+  ordered.radius_m = 20000.0;
+  ordered.refine_limit = 2;
+  ordered.ch = env->ch.get();
+  CknnEcOptions moot = ordered;
+  moot.refine_limit = 8;
+  std::vector<std::unique_ptr<CknnEcProcessor>> processors;
+  for (EcEstimator* estimator : estimators) {
+    processors.push_back(std::make_unique<CknnEcProcessor>(
+        estimator, env->charger_index.get(), ordered));
+  }
+  CknnEcProcessor moot_processor(&second, env->charger_index.get(), moot);
+
+  std::vector<ChClassWeights> distinct = {kChLengthWeights};
+  const auto request = [&](SimTime tau) {
+    const ChClassWeights w = CongestedWeights(*env->congestion, tau);
+    for (const ChClassWeights& seen : distinct) {
+      if (std::memcmp(seen.w, w.w, sizeof(w.w)) == 0) return;
+    }
+    distinct.push_back(w);
+  };
+  std::vector<ChargerRef> refs;
+  for (size_t c = 0; c < env->chargers.size(); c += 9) {
+    refs.push_back(&env->chargers[c]);
+  }
+  DeroutingBatchScratch scratch;
+  std::vector<DeroutingEstimate> estimates;
+  std::vector<double> etas;
+  for (const VehicleState& state : states) {
+    const SimTime tau0 = std::floor(state.time / kBucketS) * kBucketS;
+    for (size_t e = 0; e < estimators.size(); ++e) {
+      DeroutingService& derouting = estimators[e]->derouting_service();
+      const DeroutingQuery query = estimators[e]->MakeDeroutingQuery(state);
+      derouting.ExactBatch(query, refs, &scratch, &estimates);
+      derouting.EtaWindow(query, *refs.front(), kLanes, &etas);
+      for (size_t j = 0; j < kLanes; ++j) request(tau0 + j * kBucketS);
+      processors[e]->Query(state, 5, ScoreWeights::AWE());
+    }
+    moot_processor.Query(state, 3, ScoreWeights::AWE());
+  }
+  ASSERT_NE(processors[0]->ordering_query(), nullptr);
+  ASSERT_NE(processors[1]->ordering_query(), nullptr);
+  EXPECT_EQ(moot_processor.ordering_query(), nullptr);
+
+  const ChCustomizationCache& cache = *env->ch_cache;
+  EXPECT_EQ(cache.builds(), distinct.size());
+  size_t counted = 0;
+  for (size_t e = 0; e < estimators.size(); ++e) {
+    counted += estimators[e]->derouting_service().ch_query()->customizations();
+    counted += processors[e]->ordering_query()->customizations();
+  }
+  EXPECT_EQ(counted, cache.builds());
 }
 
 }  // namespace

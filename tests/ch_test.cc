@@ -120,7 +120,8 @@ TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    ChQuery query(*ch);
+    ChCustomizationCache cache(*ch);
+    ChQuery query(cache);
     DijkstraSearch dijkstra(*network);
     CongestionModel congestion(seed);
     std::vector<EdgeId> scratch;
@@ -156,7 +157,8 @@ TEST(ChQueryTest, ElimTreeSpacesMatchSearchBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    ChQuery query(*ch);
+    ChCustomizationCache cache(*ch);
+    ChQuery query(cache);
     CongestionModel congestion(seed);
     const ChClassWeights weights = CongestedWeights(congestion, 8.0 * 3600);
     query.EnsureCustomized(weights);
@@ -193,7 +195,8 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
   ASSERT_TRUE(builder.AddEdge(b, c, RoadClass::kLocal).ok());
   auto network = builder.Build().MoveValueUnsafe();
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChQuery query(*ch);
+  ChCustomizationCache cache(*ch);
+  ChQuery query(cache);
 
   EXPECT_EQ(query.Search(a, c, kChLengthWeights), 200.0);
   EXPECT_EQ(query.Search(c, a, kChLengthWeights), kInfiniteCost);
@@ -214,7 +217,9 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
 TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
   auto network = SmallRgg(3, 150);
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
-  ChQuery query(*ch);
+  // A one-plane cache: the workspace and its source keep one metric.
+  ChCustomizationCache cache(*ch, /*threads=*/0, /*max_planes=*/1);
+  ChQuery query(cache);
   CongestionModel congestion(3);
 
   const ChClassWeights rush = CongestedWeights(congestion, 8.0 * 3600);
@@ -240,9 +245,10 @@ TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
     auto network = SmallRgg(seed);
     auto ch = BuildChIndex(*network).MoveValueUnsafe();
     CongestionModel congestion(seed);
+    ChCustomizationCache cache(*ch);
     DeroutingService oracle(network, &congestion);
     DeroutingService hierarchy(network, &congestion);
-    hierarchy.set_ch(ch.get());
+    hierarchy.set_ch(&cache);
     ASSERT_EQ(hierarchy.backend(), DeroutingBackend::kCh);
 
     DeroutingBatchScratch oracle_scratch, ch_scratch;
@@ -295,7 +301,8 @@ TEST(ChSnapshotTest, RoundTripsThroughSnapshotWithQueryParity) {
   ASSERT_EQ(ch->NumDownArcs(), built->NumDownArcs());
 
   // The mmap-ed hierarchy must answer exactly like the built one.
-  ChQuery fresh(*built), reloaded(*ch);
+  ChCustomizationCache fresh_cache(*built), reloaded_cache(*ch);
+  ChQuery fresh(fresh_cache), reloaded(reloaded_cache);
   CongestionModel congestion(19);
   const ChClassWeights weights = CongestedWeights(congestion, 9.0 * 3600);
   std::vector<EdgeId> scratch_a, scratch_b;

@@ -10,7 +10,6 @@
 #include <string>
 #include <vector>
 
-#include "ch/contraction.h"
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "graph/io.h"
@@ -40,6 +39,15 @@ SharedWorld& World() {
     return w;
   }();
   return world;
+}
+
+/// The same world with the contraction-hierarchy derouting engine (the
+/// --derouting=ch serving configuration): built from the same options
+/// except derouting_backend, so network, fleet and workload match World().
+Environment* ChWorld() {
+  static const std::unique_ptr<Environment> env =
+      testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
+  return env.get();
 }
 
 std::unique_ptr<SpatialIndex> BuildIndex(SpatialIndexKind kind) {
@@ -140,17 +148,11 @@ TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
 
   // Swapping the exact-derouting engine (Dijkstra sweeps -> contraction
   // hierarchy, the --derouting=ch serving configuration) must not move a
-  // single bit of any backend's table. The CH world is a second
-  // deterministic environment built from the same options except
-  // derouting_backend — same network, fleet, and workload, different
-  // engine inside the estimator. Candidate ordering is identical in both
-  // arms (neither ranker gets ordering bounds), so the engine swap is the
-  // only difference.
-  static const std::unique_ptr<Environment> ch_env = [] {
-    auto env = testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
-    EXPECT_NE(env, nullptr);
-    return env;
-  }();
+  // single bit of any backend's table. ChWorld() differs from World() only
+  // in the engine inside the estimator. Candidate ordering is identical in
+  // both arms (neither ranker gets ordering bounds), so the engine swap is
+  // the only difference.
+  Environment* ch_env = ChWorld();
   ASSERT_NE(ch_env, nullptr);
   ASSERT_EQ(ch_env->estimator->derouting_service().backend(),
             DeroutingBackend::kCh);
@@ -173,17 +175,19 @@ TEST_P(CrossIndexParityTest, ChOrderingPreservesBatchParity) {
   // With CH bounds ordering the refinement candidates (the --derouting=ch
   // serving configuration), batch vs per-candidate refinement is still a
   // pure execution-strategy change: the ordering runs before the branch.
-  static const std::shared_ptr<ChIndex> ch =
-      BuildChIndex(*w.env->dataset.network).MoveValueUnsafe();
+  // Refining 2 of the 3-deep pool keeps the ordering from being moot.
+  Environment* ch_env = ChWorld();
+  ASSERT_NE(ch_env, nullptr);
   EcoChargeOptions batched_opts;
   batched_opts.radius_m = 20000.0;
-  batched_opts.ch = ch.get();
+  batched_opts.refine_limit = 2;
+  batched_opts.ch = ch_env->ch.get();
   batched_opts.batch_derouting = true;
   EcoChargeOptions per_candidate_opts = batched_opts;
   per_candidate_opts.batch_derouting = false;
-  EcoChargeRanker batched(w.env->estimator.get(), index.get(),
+  EcoChargeRanker batched(ch_env->estimator.get(), index.get(),
                           ScoreWeights::AWE(), batched_opts);
-  EcoChargeRanker per_candidate(w.env->estimator.get(), index.get(),
+  EcoChargeRanker per_candidate(ch_env->estimator.get(), index.get(),
                                 ScoreWeights::AWE(), per_candidate_opts);
   for (const VehicleState& state : w.states) {
     EXPECT_TRUE(TablesBitIdentical(batched.Rank(state, 3),
@@ -244,11 +248,7 @@ TEST_P(CrossIndexParityTest, SimdParityHoldsOnChBackend) {
   // SIMD on/off over the contraction-hierarchy derouting engine: the
   // second exact backend completes the 5 spatial x 2 derouting parity
   // matrix the acceptance contract names.
-  static const std::unique_ptr<Environment> ch_env = [] {
-    auto env = testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
-    EXPECT_NE(env, nullptr);
-    return env;
-  }();
+  Environment* ch_env = ChWorld();
   ASSERT_NE(ch_env, nullptr);
   EcoChargeOptions simd_opts;
   simd_opts.radius_m = 20000.0;
