@@ -33,7 +33,6 @@
 #include "core/ecocharge.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/landmarks.h"
 #include "spatial/index_factory.h"
 #include "traffic/derouting.h"
 

@@ -1,8 +1,8 @@
 // Micro-benchmarks and asserting gates of the road-network substrate.
 //
 // The google-benchmark section times the operations the derouting EC spends
-// its time in: point-to-point searches (Dijkstra vs A*), bounded one-to-many
-// expansion, and ALT lower bounds.
+// its time in: point-to-point searches (Dijkstra vs A*) and bounded
+// one-to-many expansion.
 //
 // Two asserting gates then pin the compact-graph-core contract (the binary
 // exits 1 when either breaks):
@@ -36,7 +36,6 @@
 #include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/landmarks.h"
 #include "graph/shortest_path.h"
 
 namespace ecocharge {
@@ -90,18 +89,6 @@ void BM_OneToManyBounded(benchmark::State& state) {
   state.SetLabel("radius_m=" + std::to_string(state.range(0)));
 }
 BENCHMARK(BM_OneToManyBounded)->Arg(2000)->Arg(8000)->Arg(32000);
-
-void BM_LandmarkLowerBound(benchmark::State& state) {
-  auto network = SharedNetwork();
-  static LandmarkIndex landmarks(*network, 8);
-  Rng rng(11);
-  for (auto _ : state) {
-    NodeId u = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    NodeId v = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    benchmark::DoNotOptimize(landmarks.LowerBound(u, v));
-  }
-}
-BENCHMARK(BM_LandmarkLowerBound);
 
 void BM_SnapshotLoad(benchmark::State& state) {
   static const std::string path = [] {

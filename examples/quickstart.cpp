@@ -2,7 +2,7 @@
 // EcoCharge Offering Tables alongside the Brute-Force optimum.
 //
 // Usage: quickstart [seed] [index]
-//   index: quadtree|rtree|grid|kdtree|linear — charger-index backend; the
+//   index: quadtree|rtree|grid|linear — charger-index backend; the
 //   tables are identical across backends, only the query time changes.
 
 #include <cstdlib>

@@ -3,10 +3,6 @@
 #include <algorithm>
 #include <span>
 
-#include "ch/ch_query.h"
-#include "common/logging.h"
-#include "graph/landmarks.h"
-
 namespace ecocharge {
 
 namespace {
@@ -150,15 +146,7 @@ CknnEcProcessor::CknnEcProcessor(EcEstimator* estimator,
                                  const CknnEcOptions& options)
     : estimator_(estimator),
       charger_index_(charger_index),
-      options_(options) {
-  if (options_.ch != nullptr) {
-    const ChCustomizationCache* cache = estimator_->options().ch_cache;
-    ECOCHARGE_CHECK(cache != nullptr && &cache->index() == options_.ch)
-        << "CknnEcOptions::ch must be the estimator's hierarchy";
-  }
-}
-
-CknnEcProcessor::~CknnEcProcessor() = default;
+      options_(options) {}
 
 const std::vector<ChargerId>& CknnEcProcessor::FilterCandidates(
     const Point& position, QueryContext* ctx) const {
@@ -294,17 +282,11 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
   const size_t refine_count =
       refine_exact_derouting ? std::min(options_.refine_limit, selected.size())
                              : 0;
-  if (refine_count > 0 && (options_.ch || options_.landmarks) &&
-      options_.landmark_refine_order) {
-    OrderByDeroutingBound(state, ctx);
-  }
-
-  if (refine_count > 0 && options_.batch_derouting) {
-    // Batched refinement: one forward sweep covers every outbound leg, one
-    // (possibly warm) backward extension every return leg. The EIS fetch
-    // sequence stays identical to the per-candidate path because the batch
-    // touches no EIS and the EstimateIntervals loop below runs in the same
-    // candidate order.
+  if (refine_count > 0) {
+    // The refine set is the first refine_count selected candidates, in
+    // score order, on every derouting backend. One forward sweep covers
+    // every outbound leg, one (possibly warm) backward extension every
+    // return leg; the batch touches no EIS.
     DeroutingBatchScratch& scratch = ctx->derouting;
     scratch.chargers.clear();
     for (size_t i = 0; i < refine_count; ++i) {
@@ -329,14 +311,6 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
       c.score = ComputeScorePair(c.ecs, weights);
       if (metrics_.exact_refinements) metrics_.exact_refinements->Add();
     }
-  } else {
-    for (size_t i = 0; i < refine_count; ++i) {
-      ScoredCandidate& c = selected[i];
-      c.ecs = estimator_->EstimateWithExactDerouting(
-          state, fleet[c.charger_id], options_.derouting_norm_m);
-      c.score = ComputeScorePair(c.ecs, weights);
-      if (metrics_.exact_refinements) metrics_.exact_refinements->Add();
-    }
   }
 
   out->clear();
@@ -353,87 +327,6 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
   // entry order is total (NaN-safe keys), so this is bit-identical to the
   // former sort-everything-then-truncate.
   SortOfferingEntriesTopK(*out, k);
-}
-
-void CknnEcProcessor::OrderByDeroutingBound(const VehicleState& state,
-                                            QueryContext* ctx) {
-  std::vector<ScoredCandidate>& selected = ctx->selected;
-  const size_t n = selected.size();
-  const size_t refine_count = std::min(options_.refine_limit, n);
-  if (refine_count == 0 || refine_count >= n) return;  // order is moot
-
-  const RoadNetwork& network = estimator_->derouting_service().network();
-  const size_t num_nodes = network.NumNodes();
-  const NodeId m = state.node != kInvalidNode
-                       ? state.node
-                       : network.NearestNode(state.position);
-  const NodeId ra = state.return_node_a != kInvalidNode
-                        ? state.return_node_a
-                        : network.NearestNode(state.return_point_a);
-  const NodeId rb = state.return_node_b != kInvalidNode
-                        ? state.return_node_b
-                        : network.NearestNode(state.return_point_b);
-  if (m >= num_nodes || ra >= num_nodes || rb >= num_nodes) return;
-  if (options_.ch != nullptr && ch_query_ == nullptr) {
-    // Built on the first ordering that is not moot, with its length plane
-    // drawn from the estimator's cache: one plane per process, and no label
-    // arrays for a client whose refine set always covers its candidates.
-    ch_query_ = std::make_unique<ChQuery>(*estimator_->options().ch_cache);
-  }
-
-  // Lower-bounded derouting cost: LB(m -> b) + min over return points of
-  // LB(b -> r). Length-based bounds are admissible for the congested cost
-  // too (the speed factor never exceeds 1, so congested cost >= length).
-  // The CH backend's bound is the exact free-flow network distance — the
-  // tightest length-based bound there is; ALT's triangle bounds are the
-  // fallback.
-  const std::vector<EvCharger>& fleet = estimator_->fleet();
-  std::vector<double>& bounds = ctx->derouting.bounds;
-  std::vector<uint32_t>& order = ctx->derouting.refine_order;
-  bounds.clear();
-  order.resize(n);
-  for (uint32_t i = 0; i < n; ++i) {
-    order[i] = i;
-    const NodeId b = fleet[selected[i].charger_id].node;
-    if (b >= num_nodes) {
-      bounds.push_back(kInfiniteCost);
-    } else if (ch_query_ != nullptr) {
-      const double to_b = ch_query_->Search(m, b, kChLengthWeights);
-      const double back = std::min(ch_query_->Search(b, ra, kChLengthWeights),
-                                   ch_query_->Search(b, rb, kChLengthWeights));
-      bounds.push_back(to_b + back);
-    } else {
-      const LandmarkIndex& lm = *options_.landmarks;
-      bounds.push_back(lm.LowerBound(m, b) +
-                       std::min(lm.LowerBound(b, ra), lm.LowerBound(b, rb)));
-    }
-  }
-  // Ascending-cost total-order keys (NaN/inf bounds rank last, so an
-  // unreachable charger can never displace a reachable one from the refine
-  // set), ties keep the score order via the slot index. Only the
-  // refine_count prefix is observable, so a partial select suffices. The
-  // key lane reuses the intersection's (now idle) scratch.
-  std::vector<uint64_t>& keys = ctx->lanes.keys_min;
-  keys.resize(n);
-  for (size_t i = 0; i < n; ++i) keys[i] = simd::AscendingCostKey(bounds[i]);
-  simd::PartialSelectAscending(keys.data(), /*tiebreak=*/nullptr, order.data(),
-                               n, refine_count);
-
-  // Refine set to the front in bound order; everyone else keeps the score
-  // order. Marks reuse the intersection's epoch array, so nothing clears.
-  if (ctx->member_mark.size() < n) ctx->member_mark.resize(n, 0);
-  const uint64_t epoch = ++ctx->mark_epoch;
-  std::vector<ScoredCandidate>& staged = ctx->reorder;
-  staged.clear();
-  staged.reserve(n);
-  for (size_t i = 0; i < refine_count; ++i) {
-    staged.push_back(selected[order[i]]);
-    ctx->member_mark[order[i]] = epoch;
-  }
-  for (size_t i = 0; i < n; ++i) {
-    if (ctx->member_mark[i] != epoch) staged.push_back(selected[i]);
-  }
-  selected.swap(staged);
 }
 
 std::vector<OfferingEntry> CknnEcProcessor::RefineAndRank(

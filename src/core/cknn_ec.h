@@ -2,7 +2,6 @@
 #define ECOCHARGE_CORE_CKNN_EC_H_
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "core/ec_estimator.h"
@@ -14,7 +13,6 @@
 namespace ecocharge {
 
 class ChIndex;
-class ChQuery;
 class LandmarkIndex;
 
 /// \brief Resolved handles for the query pipeline's phase instrumentation.
@@ -75,28 +73,13 @@ struct CknnEcOptions {
   /// robustness vs a single point estimate).
   bool use_intersection = true;
 
-  /// Batched exact refinement: one multi-target forward sweep plus one
-  /// (possibly warm) backward sweep per query instead of `refine_limit`
-  /// point-to-point searches. Produces bit-identical Offering Tables to
-  /// the per-candidate path (both run on the same sweep primitives); off
-  /// is the escape hatch / A-B baseline.
+  /// Unused; perfbench still copies it.
   bool batch_derouting = true;
-
-  /// Optional ALT lower bounds (borrowed, may be null). With
-  /// `landmark_refine_order`, refinement candidates are picked by
-  /// ascending lower-bounded derouting cost instead of score-midpoint
-  /// order, so the batch target set stays tight around the route.
+  /// Unused; perfbench still copies it.
   const LandmarkIndex* landmarks = nullptr;
-  bool landmark_refine_order = true;  ///< effective with `landmarks` or `ch`
-
-  /// Optional contraction hierarchy (borrowed, may be null). When set, the
-  /// candidate ordering uses exact free-flow (length-metric) CH distances
-  /// as the lower bound instead of the ALT triangle bounds — still
-  /// admissible for the congested cost (speed factors never exceed 1) and
-  /// strictly tighter, so the refine set hugs the route more closely.
-  /// Takes precedence over `landmarks` for ordering. Must be the
-  /// estimator's own hierarchy (EcEstimatorOptions::ch): the length plane
-  /// comes from its ch_cache.
+  /// Unused; perfbench still copies it.
+  bool landmark_refine_order = true;
+  /// Unused; perfbench still copies it.
   const ChIndex* ch = nullptr;
 
   /// Vectorized filter/score hot path (DESIGN.md §15): candidate pruning,
@@ -114,11 +97,12 @@ struct CknnEcOptions {
 /// interval ECs (forecast L, A; closed-form D bounds) folded into the
 /// SC_min/SC_max pair.
 /// Refinement phase: iterative-deepening intersection (eq. 6) selects the
-/// candidates, and the top `refine_limit` get network-exact derouting
-/// before the final ordering.
+/// candidates, and the first `refine_limit` of them in score order get
+/// network-exact derouting from one batched sweep before the final
+/// ordering — the same set on every derouting backend.
 ///
 /// The processor is index-agnostic: any SpatialIndex backend (quadtree,
-/// R-tree, grid, kd-tree, linear scan) produces the same candidate set in
+/// R-tree, grid, linear scan) produces the same candidate set in
 /// the same canonical order, so the resulting Offering Tables are
 /// bit-identical across backends. Each stage has a QueryContext form that
 /// reuses caller-owned buffers — the steady-state zero-allocation path —
@@ -129,7 +113,6 @@ class CknnEcProcessor {
   ///        item ids equal positions in the fleet vector (not owned)
   CknnEcProcessor(EcEstimator* estimator, const SpatialIndex* charger_index,
                   const CknnEcOptions& options);
-  ~CknnEcProcessor();
 
   /// Candidate ids within R of `position` (the filtering phase's spatial
   /// part), exposed so Dynamic Caching can reuse the candidate set.
@@ -194,26 +177,11 @@ class CknnEcProcessor {
 
   const PipelineMetrics& metrics() const { return metrics_; }
 
-  /// The length-metric CH ordering workspace: null until `options().ch`
-  /// is set and an ordering is not moot.
-  const ChQuery* ordering_query() const { return ch_query_.get(); }
-
  private:
-  /// Reorders `ctx->selected` so the `refine_limit` candidates with the
-  /// smallest ALT-lower-bounded derouting cost come first (in bound
-  /// order); the remainder keeps its score order. No-op when every
-  /// selected candidate gets refined anyway or a query node can't be
-  /// resolved. Runs before the batch/per-candidate branch so both paths
-  /// refine the same set.
-  void OrderByDeroutingBound(const VehicleState& state, QueryContext* ctx);
-
   EcEstimator* estimator_;
   const SpatialIndex* charger_index_;
   CknnEcOptions options_;
   PipelineMetrics metrics_;
-  /// Length-metric CH query workspace for OrderByDeroutingBound; null
-  /// until options_.ch is set and an ordering is not moot.
-  std::unique_ptr<ChQuery> ch_query_;
 };
 
 }  // namespace ecocharge

@@ -249,16 +249,6 @@ void EcEstimator::ReviseDerouting(const VehicleState& state,
   ecs->degraded = ecs->degraded || traffic_fetch != EisFetch::kFresh;
 }
 
-EcIntervals EcEstimator::EstimateWithExactDerouting(const VehicleState& state,
-                                                    const EvCharger& charger,
-                                                    double derouting_norm_m) {
-  EcIntervals ecs = EstimateIntervals(state, charger, derouting_norm_m);
-  DeroutingEstimate exact = derouting_.Exact(MakeQuery(state), charger);
-  if (exact_derouting_estimates_) exact_derouting_estimates_->Add();
-  ApplyExactDerouting(exact, derouting_norm_m, &ecs);
-  return ecs;
-}
-
 BatchSweepStats EcEstimator::ExactDeroutingBatch(
     const VehicleState& state, std::span<const ChargerRef> chargers,
     DeroutingBatchScratch* scratch) {

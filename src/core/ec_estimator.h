@@ -116,12 +116,6 @@ class EcEstimator {
                               std::span<const ChargerId> candidate_ids,
                               double derouting_norm_m, QueryContext* ctx);
 
-  /// Like EstimateIntervals but with the derouting interval replaced by the
-  /// network-exact value — the refinement phase's upgrade path.
-  EcIntervals EstimateWithExactDerouting(const VehicleState& state,
-                                         const EvCharger& charger,
-                                         double derouting_norm_m = 0.0);
-
   /// Batched form of the exact-derouting upgrade: one forward sweep plus
   /// one (possibly warm) backward sweep covers every charger in
   /// `chargers`, writing one estimate per charger into
@@ -132,9 +126,8 @@ class EcEstimator {
                                       std::span<const ChargerRef> chargers,
                                       DeroutingBatchScratch* scratch);
 
-  /// Folds a network-exact derouting estimate into `*ecs` exactly the way
-  /// EstimateWithExactDerouting does — shared so the batched and
-  /// per-candidate refinement paths cannot drift.
+  /// Folds a network-exact derouting estimate into `*ecs`: D becomes the
+  /// exact normalized extra distance and the ETA the network ETA.
   void ApplyExactDerouting(const DeroutingEstimate& exact,
                            double derouting_norm_m, EcIntervals* ecs) const;
 

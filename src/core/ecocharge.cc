@@ -10,10 +10,6 @@ CknnEcOptions ProcessorOptions(const EcoChargeOptions& o) {
   c.refine_limit = o.refine_limit;
   c.refine_exact_derouting = o.refine_exact_derouting;
   c.use_intersection = o.use_intersection;
-  c.batch_derouting = o.batch_derouting;
-  c.landmarks = o.landmarks;
-  c.landmark_refine_order = o.landmark_refine_order;
-  c.ch = o.ch;
   c.use_simd = o.use_simd;
   // The user's radius defines the environment the paper normalizes the
   // derouting cost by: D = extra distance / (2R).

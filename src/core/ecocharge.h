@@ -27,19 +27,13 @@ struct EcoChargeOptions {
   /// its Q-opt experiment sweeps), so the default is false.
   bool adapt_revises_derouting = false;
 
-  /// Batched exact refinement (one multi-target sweep per query instead of
-  /// `refine_limit` point-to-point searches); results are bit-identical
-  /// either way. Off is the `--no-batch-derouting` escape hatch.
+  /// Unused; perfbench still copies it.
   bool batch_derouting = true;
-
-  /// Optional ALT landmark bounds for refinement-candidate ordering (see
-  /// CknnEcOptions::landmarks; borrowed, may be null).
+  /// Unused; perfbench still copies it.
   const LandmarkIndex* landmarks = nullptr;
+  /// Unused; perfbench still copies it.
   bool landmark_refine_order = true;
-
-  /// Optional contraction hierarchy for refinement-candidate ordering (see
-  /// CknnEcOptions::ch; borrowed, may be null). Preferred over `landmarks`
-  /// when both are set.
+  /// Unused; perfbench still copies it.
   const ChIndex* ch = nullptr;
 
   /// Vectorized filter/score hot path (see CknnEcOptions::use_simd);

@@ -105,11 +105,6 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
       env->dataset.network, &env->chargers, env->energy.get(),
       env->availability.get(), env->congestion.get(), est_opts);
 
-  if (options.num_landmarks > 0) {
-    env->landmarks = std::make_unique<LandmarkIndex>(*env->dataset.network,
-                                                     options.num_landmarks);
-  }
-
   std::vector<Point> charger_points;
   charger_points.reserve(env->chargers.size());
   for (const EvCharger& c : env->chargers) {

@@ -9,7 +9,6 @@
 #include "common/result.h"
 #include "core/ec_estimator.h"
 #include "energy/production.h"
-#include "graph/landmarks.h"
 #include "spatial/index_factory.h"
 #include "spatial/spatial_index.h"
 #include "traffic/congestion.h"
@@ -33,7 +32,6 @@ struct Environment {
   std::unique_ptr<EcEstimator> estimator;
   SpatialIndexKind index_kind = SpatialIndexKind::kQuadTree;
   std::unique_ptr<SpatialIndex> charger_index;  ///< ids = indices in chargers
-  std::unique_ptr<LandmarkIndex> landmarks;  ///< null unless num_landmarks > 0
   /// Contraction hierarchy backing the CH derouting backend; null unless
   /// derouting_backend == kCh. Loaded zero-copy from the snapshot's CH
   /// section when one exists, contracted from scratch otherwise.
@@ -58,10 +56,6 @@ struct EnvironmentOptions {
   /// trajectory workload. A snapshot of the kind's own network yields a
   /// bit-identical environment.
   std::string graph_snapshot;
-
-  /// ALT landmarks to precompute for refinement-candidate ordering;
-  /// 0 (default) skips the build and leaves Environment::landmarks null.
-  size_t num_landmarks = 0;
 
   /// Exact-derouting cost-time bucket (see
   /// EcEstimatorOptions::exact_derouting_bucket_s); 0 = off.

@@ -41,7 +41,6 @@ struct QueryContext {
   std::vector<ChargerId> candidates;    ///< filtering: surviving charger ids
   std::vector<ScoredCandidate> scored;  ///< scoring: the candidate pool
   std::vector<ScoredCandidate> selected;  ///< intersection winners
-  std::vector<ScoredCandidate> reorder;   ///< ALT refine-order staging
 
   /// Struct-of-arrays candidate lanes for the vectorized filter/score path
   /// (DESIGN.md §15): the gather step transposes neighbors/EC intervals in

@@ -300,15 +300,6 @@ struct DescendingSlotLess {
   }
 };
 
-struct AscendingSlotLess {
-  const uint64_t* keys;
-  const uint32_t* tiebreak;
-  bool operator()(uint32_t a, uint32_t b) const {
-    if (keys[a] != keys[b]) return keys[a] < keys[b];
-    return (tiebreak ? tiebreak[a] : a) < (tiebreak ? tiebreak[b] : b);
-  }
-};
-
 template <typename Less>
 void PartialSelect(uint32_t* idx, size_t n, size_t m, Less less) {
   if (m == 0 || n == 0) return;
@@ -328,11 +319,6 @@ void PartialSelect(uint32_t* idx, size_t n, size_t m, Less less) {
 void PartialSelectDescending(const uint64_t* keys, const uint32_t* tiebreak,
                              uint32_t* idx, size_t n, size_t m) {
   PartialSelect(idx, n, m, DescendingSlotLess{keys, tiebreak});
-}
-
-void PartialSelectAscending(const uint64_t* keys, const uint32_t* tiebreak,
-                            uint32_t* idx, size_t n, size_t m) {
-  PartialSelect(idx, n, m, AscendingSlotLess{keys, tiebreak});
 }
 
 }  // namespace simd

@@ -65,15 +65,6 @@ inline uint64_t DescendingKey(double v) {
   return bits ^ (0x8000000000000000ull | (neg & 0x7FFFFFFFFFFFFFFFull));
 }
 
-/// Ascending-cost key: like DescendingKey but NaN maps ABOVE +inf, so a
-/// NaN-cost candidate sorts last in ascending (cheapest-first) order too.
-inline uint64_t AscendingCostKey(double v) {
-  if (std::isnan(v)) return ~uint64_t{0};
-  const uint64_t bits = std::bit_cast<uint64_t>(v);
-  const uint64_t neg = static_cast<int64_t>(bits) < 0 ? ~uint64_t{0} : 0;
-  return bits ^ (0x8000000000000000ull | (neg & 0x7FFFFFFFFFFFFFFFull));
-}
-
 /// \brief Struct-of-arrays candidate lanes for the filter/score phase.
 ///
 /// The gather step writes one slot per candidate: the six EC interval
@@ -176,11 +167,6 @@ void DescendingKeysScalar(const double* values, size_t n, uint64_t* keys);
 /// null `tiebreak` ties by the slot index itself.
 void PartialSelectDescending(const uint64_t* keys, const uint32_t* tiebreak,
                              uint32_t* idx, size_t n, size_t m);
-
-/// Ascending variant (cheapest-cost-first; used by the refinement-order
-/// sort, where ties keep the prior selection position: pass null).
-void PartialSelectAscending(const uint64_t* keys, const uint32_t* tiebreak,
-                            uint32_t* idx, size_t n, size_t m);
 
 }  // namespace simd
 }  // namespace ecocharge

@@ -13,8 +13,6 @@
 #include <ostream>
 #include <type_traits>
 
-#include "graph/landmarks.h"
-
 namespace ecocharge {
 
 Status SaveRoadNetwork(const RoadNetwork& network, std::ostream& os) {
@@ -134,9 +132,10 @@ enum SectionId : uint32_t {
   kSectionInEdgeIds = 6,
   kSectionLocatorOffsets = 7,
   kSectionLocatorPoints = 8,
+  // 9-11 held ALT landmark tables; no longer written, skipped on load.
   kSectionLandmarkNodes = 9,
-  kSectionLandmarkFrom = 10,  ///< concatenated from_[i] rows, L*N doubles
-  kSectionLandmarkTo = 11,    ///< concatenated to_[i] rows, L*N doubles
+  kSectionLandmarkFrom = 10,
+  kSectionLandmarkTo = 11,
   kSectionChRank = 12,         ///< CH node ranks, N u32
   kSectionChUpOffsets = 13,    ///< upward CSR offsets, (N+1) u32
   kSectionChUpArcs = 14,       ///< upward arcs, kChSnapshotArcBytes each
@@ -208,13 +207,11 @@ Status WriteSection(std::ofstream& out, uint64_t* position,
 namespace {
 
 Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
-                       const LandmarkIndex* landmarks,
                        const ChSnapshotViews* ch) {
   const uint64_t n = network.NumNodes();
   const uint64_t m = network.NumEdges();
   const uint64_t cells =
       static_cast<uint64_t>(network.locator_nx()) * network.locator_ny();
-  const uint64_t num_landmarks = landmarks ? landmarks->num_landmarks() : 0;
   if (ch != nullptr &&
       (ch->rank.size() != n || ch->up_offsets.size() != n + 1 ||
        ch->down_offsets.size() != n + 1 ||
@@ -236,11 +233,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
   add(kSectionInEdgeIds, m * sizeof(EdgeId));
   add(kSectionLocatorOffsets, (cells + 1) * sizeof(uint32_t));
   add(kSectionLocatorPoints, n * sizeof(uint32_t));
-  if (num_landmarks > 0) {
-    add(kSectionLandmarkNodes, num_landmarks * sizeof(NodeId));
-    add(kSectionLandmarkFrom, num_landmarks * n * sizeof(double));
-    add(kSectionLandmarkTo, num_landmarks * n * sizeof(double));
-  }
   if (ch != nullptr) {
     add(kSectionChRank, n * sizeof(uint32_t));
     add(kSectionChUpOffsets, (n + 1) * sizeof(uint32_t));
@@ -270,7 +262,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
   header.locator_nx = network.locator_nx();
   header.locator_ny = network.locator_ny();
   header.locator_cell_m = network.locator_cell_m();
-  header.num_landmarks = static_cast<uint32_t>(num_landmarks);
 
   std::ofstream out(path, std::ios::binary | std::ios::trunc);
   if (!out) return Status::IOError("cannot open " + path + " for writing");
@@ -302,24 +293,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
                                      (cells + 1) * sizeof(uint32_t)));
   ECOCHARGE_RETURN_NOT_OK(write_next(network.locator_cell_points().data(),
                                      n * sizeof(uint32_t)));
-  if (num_landmarks > 0) {
-    ECOCHARGE_RETURN_NOT_OK(write_next(landmarks->landmarks().data(),
-                                       num_landmarks * sizeof(NodeId)));
-    // The from/to sections are row-concatenated; write row by row.
-    for (int table = 0; table < 2; ++table) {
-      const auto& rows =
-          table == 0 ? landmarks->from_tables() : landmarks->to_tables();
-      const SectionPlan& p = plan[next++];
-      uint64_t row_offset = p.offset;
-      for (const std::vector<double>& row : rows) {
-        SectionPlan row_plan = {p.id, row_offset, row.size() * sizeof(double)};
-        ECOCHARGE_RETURN_NOT_OK(WriteSection(out, &position, row_plan,
-                                             row.data(),
-                                             row.size() * sizeof(double)));
-        row_offset += row.size() * sizeof(double);
-      }
-    }
-  }
   if (ch != nullptr) {
     ECOCHARGE_RETURN_NOT_OK(
         write_next(ch->rank.data(), n * sizeof(uint32_t)));
@@ -339,8 +312,7 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
 }  // namespace
 
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
-                    const LandmarkIndex* landmarks,
-                    const ChSnapshotViews* ch) {
+                    std::nullptr_t, const ChSnapshotViews* ch) {
   // Write to a sibling temp file and rename into place: the target may be
   // the very file backing the network's mmap views (`graph ch --in X
   // --out X` re-snapshots a loaded network), and truncating it in place
@@ -348,7 +320,7 @@ Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
   // rename keeps the old inode alive for any open mapping and also makes
   // the save crash-atomic.
   const std::string tmp = path + ".tmp";
-  Status st = WriteSnapshotTo(network, tmp, landmarks, ch);
+  Status st = WriteSnapshotTo(network, tmp, ch);
   if (!st.ok()) {
     std::remove(tmp.c_str());
     return st;
@@ -454,8 +426,7 @@ Result<std::span<const std::byte>> SectionBytes(const ParsedSnapshot& parsed,
 }
 
 Result<LoadedSnapshot> LoadSnapshotImpl(const std::string& path,
-                                        bool want_landmarks,
-                                        bool want_ch = false) {
+                                        bool want_ch) {
   ECOCHARGE_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> mapped,
                              MapFile(path));
   ECOCHARGE_ASSIGN_OR_RETURN(
@@ -502,29 +473,6 @@ Result<LoadedSnapshot> LoadSnapshotImpl(const std::string& path,
   ECOCHARGE_ASSIGN_OR_RETURN(loaded.network,
                              RoadNetwork::FromViews(std::move(views)));
 
-  if (want_landmarks && h.num_landmarks > 0) {
-    const uint64_t L = h.num_landmarks;
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        std::span<const NodeId> ids,
-        SectionSpan<NodeId>(parsed, data, kSectionLandmarkNodes, L, path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        std::span<const double> from_flat,
-        SectionSpan<double>(parsed, data, kSectionLandmarkFrom, L * n, path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        std::span<const double> to_flat,
-        SectionSpan<double>(parsed, data, kSectionLandmarkTo, L * n, path));
-    std::vector<std::vector<double>> from(L), to(L);
-    for (uint64_t i = 0; i < L; ++i) {
-      from[i].assign(from_flat.begin() + i * n,
-                     from_flat.begin() + (i + 1) * n);
-      to[i].assign(to_flat.begin() + i * n, to_flat.begin() + (i + 1) * n);
-    }
-    loaded.landmarks =
-        std::make_unique<LandmarkIndex>(LandmarkIndex::FromTables(
-            std::vector<NodeId>(ids.begin(), ids.end()), std::move(from),
-            std::move(to)));
-  }
-
   if (want_ch && parsed.Find(kSectionChRank) != nullptr) {
     // A CH section set is all-or-nothing: rank present means the other four
     // must parse too, so a truncated save cannot masquerade as "no CH".
@@ -554,16 +502,12 @@ Result<LoadedSnapshot> LoadSnapshotImpl(const std::string& path,
 
 Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path) {
   ECOCHARGE_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
-                             LoadSnapshotImpl(path, /*want_landmarks=*/false));
+                             LoadSnapshotImpl(path, /*want_ch=*/false));
   return loaded.network;
 }
 
-Result<LoadedSnapshot> LoadSnapshotWithLandmarks(const std::string& path) {
-  return LoadSnapshotImpl(path, /*want_landmarks=*/true);
-}
-
 Result<LoadedSnapshot> LoadSnapshotWithAux(const std::string& path) {
-  return LoadSnapshotImpl(path, /*want_landmarks=*/true, /*want_ch=*/true);
+  return LoadSnapshotImpl(path, /*want_ch=*/true);
 }
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {

@@ -16,8 +16,6 @@
 
 namespace ecocharge {
 
-class LandmarkIndex;
-
 /// \brief Text serialization for road networks.
 ///
 /// Format (whitespace separated):
@@ -59,19 +57,21 @@ Result<std::shared_ptr<RoadNetwork>> LoadRoadNetworkFile(
 /// Layout: a fixed header (magic "ECGSNAP\0", version, counts, bounds,
 /// locator shape), a section table, then 64-byte-aligned sections holding
 /// the network's raw arrays — positions, both CSR directions, the
-/// node-locator grid, and optionally the landmark tables. LoadSnapshot
-/// maps the file read-only and serves every array straight out of the
-/// mapping (the landmark tables are the one copied part, since
-/// LandmarkIndex owns vectors). Byte order and Arc layout are
-/// host-native; snapshots are machine-local artifacts, not an exchange
-/// format. Versioning rule: any layout change bumps the version, and
-/// loaders reject versions they were not built for.
+/// node-locator grid, and optionally the contraction hierarchy.
+/// LoadSnapshot maps the file read-only and serves every array straight
+/// out of the mapping. Byte order and Arc layout are host-native;
+/// snapshots are machine-local artifacts, not an exchange format.
+/// Versioning rule: any layout change bumps the version, and loaders
+/// reject versions they were not built for. Loaders skip section ids they
+/// do not read, such as the ALT landmark tables (ids 9-11) older builds
+/// wrote; the header's landmark count is written as 0.
 ///
 /// The save writes `path + ".tmp"` and renames it into place, so saving
 /// over the snapshot a loaded (mmap-backed) network came from is safe —
 /// `graph ch --in X --out X` depends on this.
+/// The third parameter is unused; perfbench still passes nullptr there.
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
-                    const LandmarkIndex* landmarks = nullptr,
+                    std::nullptr_t = nullptr,
                     const ChSnapshotViews* ch = nullptr);
 
 /// Maps a snapshot read-only; the returned network's arrays alias the
@@ -80,18 +80,12 @@ Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path);
 
 struct LoadedSnapshot {
   std::shared_ptr<RoadNetwork> network;
-  /// Present when the snapshot carries landmark tables.
-  std::unique_ptr<LandmarkIndex> landmarks;
   /// Present when the snapshot carries a contraction hierarchy; views alias
   /// the mapping (zero-copy, like the network arrays).
   std::optional<ChSnapshotViews> ch;
 };
 
-/// LoadSnapshot plus rehydration of any stored landmark tables.
-Result<LoadedSnapshot> LoadSnapshotWithLandmarks(const std::string& path);
-
-/// LoadSnapshot plus every auxiliary section: landmark tables and the
-/// contraction-hierarchy views (when stored).
+/// LoadSnapshot plus the contraction-hierarchy views (when stored).
 Result<LoadedSnapshot> LoadSnapshotWithAux(const std::string& path);
 
 /// Header-level metadata, read without mapping the payload (`graph info`).
@@ -99,7 +93,7 @@ struct SnapshotInfo {
   uint32_t version = 0;
   uint64_t num_nodes = 0;
   uint64_t num_edges = 0;
-  uint32_t num_landmarks = 0;
+  uint32_t num_landmarks = 0;  ///< legacy header slot; 0 in new files
   uint64_t file_bytes = 0;
   BoundingBox bounds;
   bool has_ch = false;        ///< carries a contraction-hierarchy section set

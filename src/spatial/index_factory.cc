@@ -4,7 +4,6 @@
 #include <string>
 
 #include "spatial/grid_index.h"
-#include "spatial/kdtree.h"
 #include "spatial/linear_scan.h"
 #include "spatial/quadtree.h"
 #include "spatial/rtree.h"
@@ -19,8 +18,6 @@ std::string_view SpatialIndexKindName(SpatialIndexKind kind) {
       return "rtree";
     case SpatialIndexKind::kGrid:
       return "grid";
-    case SpatialIndexKind::kKdTree:
-      return "kdtree";
     case SpatialIndexKind::kLinear:
       return "linear";
   }
@@ -31,7 +28,7 @@ Result<SpatialIndexKind> ParseSpatialIndexKind(std::string_view name) {
   std::string lower;
   lower.reserve(name.size());
   for (char c : name) {
-    if (c == '-' || c == '_') continue;  // accept "kd-tree", "r_tree", ...
+    if (c == '-' || c == '_') continue;  // accept "quad-tree", "r_tree", ...
     lower.push_back(static_cast<char>(std::tolower(c)));
   }
   for (SpatialIndexKind kind : kAllSpatialIndexKinds) {
@@ -39,7 +36,7 @@ Result<SpatialIndexKind> ParseSpatialIndexKind(std::string_view name) {
   }
   return Status::InvalidArgument(
       "unknown spatial index '" + std::string(name) +
-      "' (quadtree|rtree|grid|kdtree|linear)");
+      "' (quadtree|rtree|grid|linear)");
 }
 
 std::unique_ptr<SpatialIndex> MakeSpatialIndex(SpatialIndexKind kind) {
@@ -50,8 +47,6 @@ std::unique_ptr<SpatialIndex> MakeSpatialIndex(SpatialIndexKind kind) {
       return std::make_unique<RTree>();
     case SpatialIndexKind::kGrid:
       return std::make_unique<GridIndex>();
-    case SpatialIndexKind::kKdTree:
-      return std::make_unique<KdTree>();
     case SpatialIndexKind::kLinear:
       return std::make_unique<LinearScanIndex>();
   }

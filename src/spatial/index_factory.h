@@ -14,22 +14,21 @@ namespace ecocharge {
 ///
 /// The CkNN-EC pipeline programs against SpatialIndex, so any backend can
 /// drive any ranker; the kind only selects which concrete structure holds
-/// the charger positions.
+/// the charger positions. Values are explicit so that retiring a kind
+/// never renumbers the others (3 was the kd-tree).
 enum class SpatialIndexKind {
-  kQuadTree,  ///< point-region quadtree (the paper's baseline index)
-  kRTree,     ///< STR-packed R-tree
-  kGrid,      ///< uniform grid
-  kKdTree,    ///< median-split kd-tree
-  kLinear,    ///< O(n) scan (reference backend)
+  kQuadTree = 0,  ///< point-region quadtree (the paper's baseline index)
+  kRTree = 1,     ///< STR-packed R-tree
+  kGrid = 2,      ///< uniform grid
+  kLinear = 4,    ///< O(n) scan (reference backend)
 };
 
 /// All selectable kinds, in the canonical (CLI/bench) order.
-inline constexpr std::array<SpatialIndexKind, 5> kAllSpatialIndexKinds = {
+inline constexpr std::array<SpatialIndexKind, 4> kAllSpatialIndexKinds = {
     SpatialIndexKind::kQuadTree, SpatialIndexKind::kRTree,
-    SpatialIndexKind::kGrid, SpatialIndexKind::kKdTree,
-    SpatialIndexKind::kLinear};
+    SpatialIndexKind::kGrid, SpatialIndexKind::kLinear};
 
-/// Canonical flag spelling: "quadtree", "rtree", "grid", "kdtree", "linear".
+/// Canonical flag spelling: "quadtree", "rtree", "grid", "linear".
 std::string_view SpatialIndexKindName(SpatialIndexKind kind);
 
 /// Parses a flag value (case-insensitive, canonical spellings above).

@@ -65,15 +65,11 @@ using ChargerRef = const EvCharger*;
 ///
 /// Owned by the caller (the query pipeline keeps one inside QueryContext,
 /// the serving runtime pre-sizes one per worker), so a warm ExactBatch
-/// performs zero heap allocations. The refine_order/bounds buffers are the
-/// pipeline's candidate-ordering scratch (ALT lower bounds), kept here so
-/// all batched-refinement scratch lives in one place.
+/// performs zero heap allocations.
 struct DeroutingBatchScratch {
   std::vector<NodeId> targets;               ///< batch target node ids
   std::vector<ChargerRef> chargers;          ///< caller-side batch staging
   std::vector<DeroutingEstimate> estimates;  ///< batch output
-  std::vector<uint32_t> refine_order;        ///< candidate-ordering scratch
-  std::vector<double> bounds;                ///< ALT lower-bound scratch
 
   /// Pre-grows every buffer to `n` candidates (+1 for the direct-cost
   /// target) so the first batch is already allocation-free.
@@ -81,8 +77,6 @@ struct DeroutingBatchScratch {
     targets.reserve(n + 1);
     chargers.reserve(n);
     estimates.reserve(n);
-    refine_order.reserve(n);
-    bounds.reserve(n);
   }
 };
 

@@ -21,7 +21,6 @@
 #include "ch/ch_index.h"
 #include "ch/ch_query.h"
 #include "ch/contraction.h"
-#include "core/cknn_ec.h"
 #include "core/offering_service.h"
 #include "graph/generators.h"
 #include "graph/road_network.h"
@@ -355,11 +354,9 @@ TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
 
 TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
   // Two estimators share env->ch_cache; each drives the batched exact
-  // derouting, an ETA window and a ranking whose candidate ordering is not
-  // moot. Every plane any of them reads comes from the cache, so each
-  // distinct weight vector is swept exactly once, and every sweep is
-  // counted by exactly one ChQuery (the derouting workspaces and the
-  // ordering workspaces).
+  // derouting and an ETA window. Every plane either of them reads comes
+  // from the cache, so each distinct weight vector is swept exactly once,
+  // and every sweep is counted by exactly one derouting ChQuery.
   constexpr double kBucketS = 900.0;
   constexpr size_t kLanes = 3;
   auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
@@ -372,22 +369,7 @@ TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
   const std::vector<EcEstimator*> estimators = {env->estimator.get(),
                                                 &second};
 
-  // refine_limit 2 < pool 5: the ordering is not moot. The default (8)
-  // refines the whole pool, so that client never builds its query.
-  CknnEcOptions ordered;
-  ordered.radius_m = 20000.0;
-  ordered.refine_limit = 2;
-  ordered.ch = env->ch.get();
-  CknnEcOptions moot = ordered;
-  moot.refine_limit = 8;
-  std::vector<std::unique_ptr<CknnEcProcessor>> processors;
-  for (EcEstimator* estimator : estimators) {
-    processors.push_back(std::make_unique<CknnEcProcessor>(
-        estimator, env->charger_index.get(), ordered));
-  }
-  CknnEcProcessor moot_processor(&second, env->charger_index.get(), moot);
-
-  std::vector<ChClassWeights> distinct = {kChLengthWeights};
+  std::vector<ChClassWeights> distinct;
   const auto request = [&](SimTime tau) {
     const ChClassWeights w = CongestedWeights(*env->congestion, tau);
     for (const ChClassWeights& seen : distinct) {
@@ -410,20 +392,14 @@ TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
       derouting.ExactBatch(query, refs, &scratch, &estimates);
       derouting.EtaWindow(query, *refs.front(), kLanes, &etas);
       for (size_t j = 0; j < kLanes; ++j) request(tau0 + j * kBucketS);
-      processors[e]->Query(state, 5, ScoreWeights::AWE());
     }
-    moot_processor.Query(state, 3, ScoreWeights::AWE());
   }
-  ASSERT_NE(processors[0]->ordering_query(), nullptr);
-  ASSERT_NE(processors[1]->ordering_query(), nullptr);
-  EXPECT_EQ(moot_processor.ordering_query(), nullptr);
 
   const ChCustomizationCache& cache = *env->ch_cache;
   EXPECT_EQ(cache.builds(), distinct.size());
   size_t counted = 0;
   for (size_t e = 0; e < estimators.size(); ++e) {
     counted += estimators[e]->derouting_service().ch_query()->customizations();
-    counted += processors[e]->ordering_query()->customizations();
   }
   EXPECT_EQ(counted, cache.builds());
 }

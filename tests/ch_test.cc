@@ -15,7 +15,6 @@
 #include "ch/contraction.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/landmarks.h"
 #include "graph/shortest_path.h"
 #include "traffic/congestion.h"
 #include "traffic/derouting.h"
@@ -95,12 +94,16 @@ TEST(ChContractionTest, RanksAreAPermutationAndClosureHolds) {
     const auto ups = ch->UpArcs(x);
     for (size_t i = 0; i < ups.size(); ++i) {
       EXPECT_GT(ch->rank(ups[i].node), ch->rank(x));
-      if (i > 0) EXPECT_LE(ups[i - 1].node, ups[i].node);
+      if (i > 0) {
+        EXPECT_LE(ups[i - 1].node, ups[i].node);
+      }
     }
     const auto downs = ch->DownArcs(x);
     for (size_t i = 0; i < downs.size(); ++i) {
       EXPECT_GT(ch->rank(downs[i].node), ch->rank(x));
-      if (i > 0) EXPECT_LE(downs[i - 1].node, downs[i].node);
+      if (i > 0) {
+        EXPECT_LE(downs[i - 1].node, downs[i].node);
+      }
     }
     for (const ChArc& da : downs) {
       for (const ChArc& ua : ups) {

@@ -1,16 +1,18 @@
 #include "graph/io.h"
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "ch/ch_index.h"
 #include "ch/contraction.h"
 #include "graph/generators.h"
-#include "graph/landmarks.h"
 #include "graph/shortest_path.h"
 
 namespace ecocharge {
@@ -116,6 +118,66 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/// Rewrites snapshot `bytes` into the layout of a file from a build that
+/// still wrote ALT landmark tables: header landmark count `num_landmarks`,
+/// and sections 9-11 (the landmark node ids, then the "from" and "to"
+/// distance rows) appended after the existing ones. The section table
+/// grows by three entries, so every existing payload moves back by one
+/// 128-byte step, which keeps the writer's 64-byte alignment. The byte
+/// offsets mirror SnapshotHeader and SectionEntry in graph/io.cc.
+std::string WithLegacyLandmarkSections(const std::string& bytes,
+                                       uint32_t num_landmarks) {
+  constexpr size_t kHeaderBytes = 88;
+  constexpr size_t kSectionCountAt = 12;
+  constexpr size_t kNumNodesAt = 16;
+  constexpr size_t kNumLandmarksAt = 80;
+  constexpr uint64_t kShift = 128;
+  struct Entry {
+    uint32_t id;
+    uint32_t reserved;
+    uint64_t offset;
+    uint64_t byte_size;
+  };
+  static_assert(sizeof(Entry) == 24);
+
+  uint32_t count = 0;
+  uint64_t n = 0;
+  std::memcpy(&count, bytes.data() + kSectionCountAt, sizeof(count));
+  std::memcpy(&n, bytes.data() + kNumNodesAt, sizeof(n));
+  const size_t table_end = kHeaderBytes + count * sizeof(Entry);
+
+  std::string out = bytes.substr(0, kHeaderBytes);
+  const uint32_t new_count = count + 3;
+  std::memcpy(out.data() + kSectionCountAt, &new_count, sizeof(new_count));
+  std::memcpy(out.data() + kNumLandmarksAt, &num_landmarks,
+              sizeof(num_landmarks));
+  const auto append_entry = [&out](const Entry& e) {
+    out.append(reinterpret_cast<const char*>(&e), sizeof(e));
+  };
+  for (uint32_t i = 0; i < count; ++i) {
+    Entry e;
+    std::memcpy(&e, bytes.data() + kHeaderBytes + i * sizeof(Entry),
+                sizeof(e));
+    e.offset += kShift;
+    append_entry(e);
+  }
+  const uint64_t sizes[3] = {num_landmarks * sizeof(NodeId),
+                             num_landmarks * n * sizeof(double),
+                             num_landmarks * n * sizeof(double)};
+  std::string tail;
+  uint64_t end = bytes.size() + kShift;
+  for (uint32_t k = 0; k < 3; ++k) {
+    const uint64_t offset = (end + 63) / 64 * 64;
+    tail.append(offset - end + sizes[k], '\0');  // contents are never read
+    append_entry(Entry{9 + k, 0, offset, sizes[k]});
+    end = offset + sizes[k];
+  }
+  out.append(table_end + kShift - out.size(), '\0');
+  out += bytes.substr(table_end);
+  out += tail;
+  return out;
+}
+
 TEST(SnapshotTest, RoundTripPreservesStructure) {
   auto original = SampleNetwork();
   std::string path = SnapshotPath("roundtrip.ecgs");
@@ -160,35 +222,66 @@ TEST(SnapshotTest, RoundTripPreservesQueries) {
 }
 
 TEST(SnapshotTest, RoundTripPreservesLandmarks) {
+  // Builds that ordered refinement by ALT bounds wrote landmark tables as
+  // sections 9-11. Nothing reads them any more; such a file must still
+  // load in full (network and CH), and `graph info` must still list them.
   auto original = SampleNetwork();
-  LandmarkIndex landmarks(*original, 3);
-  std::string path = SnapshotPath("landmarks.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, path, &landmarks).ok());
+  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
+  const ChSnapshotViews views = ToSnapshotViews(ch);
+  std::string path = SnapshotPath("legacy_landmarks.ecgs");
+  ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
+  WriteFileBytes(path, WithLegacyLandmarkSections(ReadFileBytes(path), 3));
 
-  auto loaded_result = LoadSnapshotWithLandmarks(path);
-  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
-  auto loaded = loaded_result.MoveValueUnsafe();
-  ASSERT_NE(loaded.landmarks, nullptr);
-  ASSERT_EQ(loaded.landmarks->num_landmarks(), landmarks.num_landmarks());
-  EXPECT_EQ(loaded.landmarks->landmarks(), landmarks.landmarks());
-  for (size_t i = 0; i < landmarks.num_landmarks(); ++i) {
-    for (NodeId v = 0; v < original->NumNodes(); ++v) {
-      EXPECT_EQ(loaded.landmarks->FromLandmark(i, v),
-                landmarks.FromLandmark(i, v));
-      EXPECT_EQ(loaded.landmarks->ToLandmark(i, v),
-                landmarks.ToLandmark(i, v));
-    }
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->num_landmarks, 3u);
+  std::vector<uint32_t> ids;
+  for (const auto& [id, bytes] : info->sections) ids.push_back(id);
+  for (uint32_t id : {9u, 10u, 11u}) {
+    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end())
+        << "section " << id;
   }
-  EXPECT_EQ(loaded.landmarks->LowerBound(3, 50), landmarks.LowerBound(3, 50));
+
+  auto loaded = LoadSnapshotWithAux(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  const RoadNetwork& network = *loaded->network;
+  ASSERT_EQ(network.NumNodes(), original->NumNodes());
+  ASSERT_EQ(network.NumEdges(), original->NumEdges());
+  for (NodeId v = 0; v < original->NumNodes(); ++v) {
+    EXPECT_EQ(network.NodePosition(v), original->NodePosition(v));
+  }
+  for (EdgeId e = 0; e < original->NumEdges(); ++e) {
+    EXPECT_EQ(network.edge(e).from, original->edge(e).from);
+    EXPECT_EQ(network.edge(e).to, original->edge(e).to);
+    EXPECT_EQ(network.edge(e).length_m, original->edge(e).length_m);
+  }
+  DijkstraSearch s1(*original), s2(network);
+  EXPECT_EQ(s1.ShortestPath(0, 55).cost, s2.ShortestPath(0, 55).cost);
+  ASSERT_TRUE(loaded->ch.has_value());
+  auto adopted = ChIndexFromSnapshot(*loaded->ch, network.NumEdges());
+  ASSERT_TRUE(adopted.ok()) << adopted.status();
+  EXPECT_EQ((*adopted)->NumUpArcs(), ch->NumUpArcs());
 }
 
 TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
+  // A snapshot written now carries no landmark tables: the header count is
+  // 0, no section 9-11 is listed, and the network still loads.
   auto original = SampleNetwork();
   std::string path = SnapshotPath("nolandmarks.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, path).ok());
-  auto loaded = LoadSnapshotWithLandmarks(path).MoveValueUnsafe();
-  EXPECT_NE(loaded.network, nullptr);
-  EXPECT_EQ(loaded.landmarks, nullptr);
+
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_EQ(info->num_landmarks, 0u);
+  for (const auto& [id, bytes] : info->sections) {
+    EXPECT_TRUE(id < 9 || id > 11) << "section " << id;
+  }
+
+  auto loaded = LoadSnapshotWithAux(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ASSERT_NE(loaded->network, nullptr);
+  EXPECT_EQ(loaded->network->NumNodes(), original->NumNodes());
+  EXPECT_FALSE(loaded->ch.has_value());
 }
 
 TEST(SnapshotTest, InfoReportsCountsAndSections) {
@@ -256,7 +349,6 @@ TEST(SnapshotTest, RejectsMissingFile) {
 
 TEST(SnapshotTest, InfoReportsChAndLandmarkPresence) {
   auto original = SampleNetwork();
-  LandmarkIndex landmarks(*original, 3);
   std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
   const ChSnapshotViews views = ToSnapshotViews(ch);
 
@@ -267,14 +359,18 @@ TEST(SnapshotTest, InfoReportsChAndLandmarkPresence) {
   EXPECT_EQ(plain_info.ch_up_arcs, 0u);
   EXPECT_EQ(plain_info.num_landmarks, 0u);
 
+  // Landmark tables are no longer written; a file from a build that wrote
+  // them still reports their count and sections.
   std::string full = SnapshotPath("info_full.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, full, &landmarks, &views).ok());
+  ASSERT_TRUE(SaveSnapshot(*original, full, nullptr, &views).ok());
+  EXPECT_EQ(ReadSnapshotInfo(full).MoveValueUnsafe().num_landmarks, 0u);
+  WriteFileBytes(full, WithLegacyLandmarkSections(ReadFileBytes(full), 3));
   auto info = ReadSnapshotInfo(full).MoveValueUnsafe();
   EXPECT_TRUE(info.has_ch);
   EXPECT_EQ(info.ch_up_arcs, ch->NumUpArcs());
   EXPECT_EQ(info.ch_down_arcs, ch->NumDownArcs());
   EXPECT_EQ(info.num_landmarks, 3u);
-  // Every CH section shows up in the table with a known name.
+  // Every section, legacy ones included, shows up with a known name.
   size_t ch_sections = 0;
   for (const auto& [id, bytes] : info.sections) {
     const std::string name = SnapshotSectionName(id);

@@ -177,30 +177,27 @@ TEST(QueryContextTest, SteadyStateExactRefinementDoesNotAllocate) {
   // The exact derouting refinement used to be the documented exception to
   // the zero-allocation claim (it ran per-candidate Dijkstra). The sweep
   // workspaces and the batch scratch are persistent now, so the claim
-  // covers refinement too — on both execution strategies.
+  // covers refinement too.
   SharedWorld& w = World();
-  for (bool batch : {true, false}) {
-    EcoChargeOptions opts;
-    opts.radius_m = 20000.0;
-    opts.q_distance_m = 0.0;  // full regeneration every query
-    opts.refine_exact_derouting = true;
-    opts.batch_derouting = batch;
-    EcoChargeRanker eco(w.env->estimator.get(), w.env->charger_index.get(),
-                        ScoreWeights::AWE(), opts);
-    QueryContext ctx;
-    OfferingTable table;
-    for (int pass = 0; pass < 3; ++pass) {
-      for (const VehicleState& state : w.states) {
-        eco.RankInto(state, 3, ctx, &table);
-      }
-    }
-    uint64_t before = g_allocations.load();
+  EcoChargeOptions opts;
+  opts.radius_m = 20000.0;
+  opts.q_distance_m = 0.0;  // full regeneration every query
+  opts.refine_exact_derouting = true;
+  EcoChargeRanker eco(w.env->estimator.get(), w.env->charger_index.get(),
+                      ScoreWeights::AWE(), opts);
+  QueryContext ctx;
+  OfferingTable table;
+  for (int pass = 0; pass < 3; ++pass) {
     for (const VehicleState& state : w.states) {
       eco.RankInto(state, 3, ctx, &table);
     }
-    uint64_t after = g_allocations.load();
-    EXPECT_EQ(after - before, 0u) << "batch_derouting=" << batch;
   }
+  uint64_t before = g_allocations.load();
+  for (const VehicleState& state : w.states) {
+    eco.RankInto(state, 3, ctx, &table);
+  }
+  uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
 }
 
 TEST(QueryContextTest, SteadyStateHoldsInBothSimdModes) {

@@ -13,7 +13,6 @@
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "graph/io.h"
-#include "graph/landmarks.h"
 #include "spatial/index_factory.h"
 #include "tests/test_util.h"
 
@@ -98,50 +97,6 @@ TEST_P(CrossIndexParityTest, EcoChargeTablesBitIdentical) {
   EXPECT_EQ(actual.cache().hits(), expected.cache().hits());
 }
 
-TEST_P(CrossIndexParityTest, BatchedRefinementTablesBitIdentical) {
-  SharedWorld& w = World();
-  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
-
-  // The batched one-to-many refinement must be a pure execution-strategy
-  // change: per backend, flipping it cannot move a single bit of the table.
-  EcoChargeOptions batched_opts;
-  batched_opts.radius_m = 20000.0;
-  batched_opts.batch_derouting = true;
-  EcoChargeOptions per_candidate_opts = batched_opts;
-  per_candidate_opts.batch_derouting = false;
-  EcoChargeRanker batched(w.env->estimator.get(), index.get(),
-                          ScoreWeights::AWE(), batched_opts);
-  EcoChargeRanker per_candidate(w.env->estimator.get(), index.get(),
-                                ScoreWeights::AWE(), per_candidate_opts);
-  for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(batched.Rank(state, 3),
-                                   per_candidate.Rank(state, 3)));
-  }
-}
-
-TEST_P(CrossIndexParityTest, LandmarkOrderingPreservesBatchParity) {
-  SharedWorld& w = World();
-  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
-
-  // ALT ordering runs before the batch/per-candidate branch, so with the
-  // same landmark index both execution strategies still agree bitwise.
-  static const LandmarkIndex landmarks(*w.env->dataset.network, 4);
-  EcoChargeOptions batched_opts;
-  batched_opts.radius_m = 20000.0;
-  batched_opts.landmarks = &landmarks;
-  batched_opts.batch_derouting = true;
-  EcoChargeOptions per_candidate_opts = batched_opts;
-  per_candidate_opts.batch_derouting = false;
-  EcoChargeRanker batched(w.env->estimator.get(), index.get(),
-                          ScoreWeights::AWE(), batched_opts);
-  EcoChargeRanker per_candidate(w.env->estimator.get(), index.get(),
-                                ScoreWeights::AWE(), per_candidate_opts);
-  for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(batched.Rank(state, 3),
-                                   per_candidate.Rank(state, 3)));
-  }
-}
-
 TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
   SharedWorld& w = World();
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
@@ -149,49 +104,33 @@ TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
   // Swapping the exact-derouting engine (Dijkstra sweeps -> contraction
   // hierarchy, the --derouting=ch serving configuration) must not move a
   // single bit of any backend's table. ChWorld() differs from World() only
-  // in the engine inside the estimator. Candidate ordering is identical in
-  // both arms (neither ranker gets ordering bounds), so the engine swap is
-  // the only difference.
+  // in the engine inside the estimator, and the CH arm carries the
+  // hierarchy in its options the way perfbench's regional_ch sets it. At
+  // k = 12 the selection outgrows refine_limit (8), so only part of it is
+  // refined: both engines must refine the same part.
   Environment* ch_env = ChWorld();
   ASSERT_NE(ch_env, nullptr);
   ASSERT_EQ(ch_env->estimator->derouting_service().backend(),
             DeroutingBackend::kCh);
   EcoChargeOptions opts;
   opts.radius_m = 20000.0;
-  EcoChargeRanker exact(w.env->estimator.get(), index.get(),
-                        ScoreWeights::AWE(), opts);
-  EcoChargeRanker hierarchy(ch_env->estimator.get(), index.get(),
-                            ScoreWeights::AWE(), opts);
-  for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(
-        TablesBitIdentical(hierarchy.Rank(state, 3), exact.Rank(state, 3)));
-  }
-}
-
-TEST_P(CrossIndexParityTest, ChOrderingPreservesBatchParity) {
-  SharedWorld& w = World();
-  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
-
-  // With CH bounds ordering the refinement candidates (the --derouting=ch
-  // serving configuration), batch vs per-candidate refinement is still a
-  // pure execution-strategy change: the ordering runs before the branch.
-  // Refining 2 of the 3-deep pool keeps the ordering from being moot.
-  Environment* ch_env = ChWorld();
-  ASSERT_NE(ch_env, nullptr);
-  EcoChargeOptions batched_opts;
-  batched_opts.radius_m = 20000.0;
-  batched_opts.refine_limit = 2;
-  batched_opts.ch = ch_env->ch.get();
-  batched_opts.batch_derouting = true;
-  EcoChargeOptions per_candidate_opts = batched_opts;
-  per_candidate_opts.batch_derouting = false;
-  EcoChargeRanker batched(ch_env->estimator.get(), index.get(),
-                          ScoreWeights::AWE(), batched_opts);
-  EcoChargeRanker per_candidate(ch_env->estimator.get(), index.get(),
-                                ScoreWeights::AWE(), per_candidate_opts);
-  for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(batched.Rank(state, 3),
-                                   per_candidate.Rank(state, 3)));
+  EcoChargeOptions ch_opts = opts;
+  ch_opts.ch = ch_env->ch.get();
+  for (size_t k : {size_t{3}, size_t{12}}) {
+    EcoChargeRanker exact(w.env->estimator.get(), index.get(),
+                          ScoreWeights::AWE(), opts);
+    EcoChargeRanker hierarchy(ch_env->estimator.get(), index.get(),
+                              ScoreWeights::AWE(), ch_opts);
+    size_t partly_refined = 0;
+    for (const VehicleState& state : w.states) {
+      OfferingTable expected = exact.Rank(state, k);
+      EXPECT_TRUE(TablesBitIdentical(hierarchy.Rank(state, k), expected))
+          << "k=" << k;
+      if (expected.size() > opts.refine_limit) ++partly_refined;
+    }
+    if (k > opts.refine_limit) {
+      EXPECT_GT(partly_refined, 0u);
+    }
   }
 }
 
@@ -246,7 +185,7 @@ TEST_P(CrossIndexParityTest, SimdParityHoldsOnChBackend) {
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
 
   // SIMD on/off over the contraction-hierarchy derouting engine: the
-  // second exact backend completes the 5 spatial x 2 derouting parity
+  // second exact backend completes the 4 spatial x 2 derouting parity
   // matrix the acceptance contract names.
   Environment* ch_env = ChWorld();
   ASSERT_NE(ch_env, nullptr);
@@ -366,12 +305,21 @@ TEST(IndexFactoryTest, ParseRoundTripsEveryKind) {
 }
 
 TEST(IndexFactoryTest, ParseAcceptsSeparatorsAndCase) {
-  EXPECT_EQ(ParseSpatialIndexKind("KD-Tree").value(),
-            SpatialIndexKind::kKdTree);
+  EXPECT_EQ(ParseSpatialIndexKind("Quad-Tree").value(),
+            SpatialIndexKind::kQuadTree);
   EXPECT_EQ(ParseSpatialIndexKind("r_tree").value(), SpatialIndexKind::kRTree);
   EXPECT_EQ(ParseSpatialIndexKind("QUADTREE").value(),
             SpatialIndexKind::kQuadTree);
   EXPECT_FALSE(ParseSpatialIndexKind("voronoi").ok());
+}
+
+TEST(IndexFactoryTest, KdTreeIsNotSelectable) {
+  auto parsed = ParseSpatialIndexKind("kdtree");
+  ASSERT_FALSE(parsed.ok());
+  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(parsed.status().message().find("(quadtree|rtree|grid|linear)"),
+            std::string::npos)
+      << parsed.status();
 }
 
 TEST(IndexFactoryTest, MakeProducesWorkingIndex) {

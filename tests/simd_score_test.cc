@@ -76,13 +76,6 @@ TEST(DescendingKeyTest, NanRanksBelowEverything) {
   EXPECT_GT(simd::DescendingKey(-kInf), simd::DescendingKey(kNan));
 }
 
-TEST(AscendingCostKeyTest, NanRanksAboveEverything) {
-  EXPECT_EQ(simd::AscendingCostKey(kNan), ~uint64_t{0});
-  // ... strictly above +inf, so a NaN cost refines last ascending.
-  EXPECT_LT(simd::AscendingCostKey(kInf), simd::AscendingCostKey(kNan));
-  EXPECT_LT(simd::AscendingCostKey(0.0), simd::AscendingCostKey(1.0));
-}
-
 TEST(SimdKernelTest, ScoreIntervalsMatchesScalarOnFuzzedBatches) {
   Rng rng(0x51D5C0DEULL);
   const ScoreWeights presets[] = {ScoreWeights::AWE(), ScoreWeights::OSC(),
@@ -243,21 +236,6 @@ TEST(SimdKernelTest, PartialSelectMatchesFullSortWithTies) {
       }
     }
   }
-}
-
-TEST(SimdKernelTest, PartialSelectAscendingNullTiebreakUsesSlotIndex) {
-  const size_t n = 9;
-  std::vector<uint64_t> keys = {3, 1, 4, 1, 5, 1, 2, 1, 3};
-  std::vector<uint32_t> idx(n);
-  for (uint32_t i = 0; i < n; ++i) idx[i] = i;
-  simd::PartialSelectAscending(keys.data(), /*tiebreak=*/nullptr, idx.data(),
-                               n, 5);
-  // Ascending by key, equal keys by slot: 1@1, 1@3, 1@5, 1@7, 2@6.
-  EXPECT_EQ(idx[0], 1u);
-  EXPECT_EQ(idx[1], 3u);
-  EXPECT_EQ(idx[2], 5u);
-  EXPECT_EQ(idx[3], 7u);
-  EXPECT_EQ(idx[4], 6u);
 }
 
 TEST(ScoreLanesTest, ReserveAndClearKeepCapacity) {

@@ -33,7 +33,6 @@
 #include "core/workload.h"
 #include "graph/generators.h"
 #include "graph/io.h"
-#include "graph/landmarks.h"
 #include "graph/shortest_path.h"
 #include "ch/ch_customize.h"
 #include "ch/ch_index.h"
@@ -118,35 +117,29 @@ int Usage() {
   gen-dataset  --kind oldenburg|california|tdrive|geolife --scale 0.01
                --out PREFIX [--seed N]      (writes PREFIX.ecg, PREFIX.ect)
   graph build  --spec "type=grid;nx=1000;ny=1000;seed=7" --out FILE.ecgs
-               [--landmarks N]
                (spec types: grid|rgg|hyperbolic stream in bounded-memory
                chunks; radial|corridor build in memory. The snapshot is a
-               versioned binary that mmap-loads in O(1); --landmarks also
-               precomputes and embeds N ALT landmark tables)
+               versioned binary that mmap-loads in O(1))
   graph info   --in FILE.ecgs [--load]
                (print a snapshot's version, counts, bounds, and sections —
-               including landmark/CH section presence; --load also
+               including CH section presence; --load also
                mmap-loads the full graph, reports the load time, and runs
                a sanity sweep)
   graph ch     --in FILE.ecgs --out FILE.ecgs [--ch-threads N]
                (contract the snapshot's network and write a copy that also
                embeds the hierarchy: rank array + upward/downward shortcut
-               CSR, mmap-loaded zero-copy by --derouting ch; landmark
-               tables in the input are preserved; the summary also times
-               one full customization sweep with --ch-threads workers,
-               -1 = hardware concurrency, 0 = serial)
+               CSR, mmap-loaded zero-copy by --derouting ch; the summary
+               also times one full customization sweep with --ch-threads
+               workers, -1 = hardware concurrency, 0 = serial)
   rank         --kind KIND [--chargers N] [--k K] [--radius-km R]
-               [--hour H] [--seed N] [--index BACKEND] [--landmarks N]
-               [--no-batch-derouting] [--no-simd]
+               [--hour H] [--seed N] [--index BACKEND] [--no-simd]
                [--graph-snapshot FILE.ecgs] [--derouting ch|exact]
                [--ch-threads N]
-               (query at a sample trip state; --landmarks builds N ALT
-               landmarks that order the refinement candidates by
-               lower-bounded derouting cost; --ch-threads sets the CH
+               (query at a sample trip state; --ch-threads sets the CH
                customization worker count, -1 = hardware concurrency,
                0 = serial — bit-identical either way)
   simulate     --kind KIND [--vehicles N] [--chargers N] [--seed N]
-               [--index BACKEND] [--no-batch-derouting] [--no-simd]
+               [--index BACKEND] [--no-simd]
                (fleet hoarding: EcoCharge vs nearest-charger policies)
   serve        --threads N [--kind KIND] [--chargers N] [--clients N]
                [--requests N] [--queue-depth N] [--io-ms MS] [--seed N]
@@ -155,7 +148,7 @@ int Usage() {
                [--corridor-prewarm N]]
                [--fault-p P] [--fault-spike-p P] [--fault-stall-p P]
                [--fault-seed N] [--retry-attempts N] [--deadline-ms MS]
-               [--resilient] [--no-batch-derouting] [--no-simd]
+               [--resilient] [--no-simd]
                (--threads 0 = synchronous deterministic mode; --statsz
                prints a final JSON metrics dump to stdout, and with a
                period > 0 a live text dump to stderr every SEC seconds;
@@ -177,12 +170,8 @@ int Usage() {
                (run a small serving workload and print the metric catalog)
   info
 
-  BACKEND: quadtree|rtree|grid|kdtree|linear (charger index; every backend
+  BACKEND: quadtree|rtree|grid|linear (charger index; every backend
   produces identical rankings — the choice only affects query time)
-
-  --no-batch-derouting: escape hatch that refines with one point-to-point
-  search per candidate instead of the batched one-sweep-per-query path;
-  rankings are bit-identical either way, only the query time changes.
 
   --no-simd (rank/simulate/serve): escape hatch that routes the filter/
   score phase through the scalar reference kernels instead of the SIMD
@@ -197,7 +186,8 @@ int Usage() {
   backend. `ch` answers refinement legs over a contraction hierarchy
   (loaded from the snapshot's CH section when present, contracted at
   startup otherwise) with Offering Tables bit-identical to `exact`, the
-  Dijkstra-sweep oracle (default).
+  Dijkstra-sweep oracle (default), at every --k: both refine the same
+  first candidates of the eq. 6 selection, in score order.
 )";
   return 2;
 }
@@ -214,22 +204,13 @@ int GraphBuild(const Args& args) {
     std::cerr << network.status() << "\n";
     return 1;
   }
-  std::unique_ptr<LandmarkIndex> landmarks;
-  size_t num_landmarks = static_cast<size_t>(args.GetU64("landmarks", 0));
-  if (num_landmarks > 0) {
-    landmarks =
-        std::make_unique<LandmarkIndex>(**network, num_landmarks);
-  }
-  Status st = SaveSnapshot(**network, out, landmarks.get());
+  Status st = SaveSnapshot(**network, out);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
   }
   std::cout << "wrote " << out << " (" << (*network)->NumNodes()
-            << " nodes, " << (*network)->NumEdges() << " edges";
-  if (landmarks) std::cout << ", " << landmarks->num_landmarks()
-                           << " landmarks";
-  std::cout << ")\n";
+            << " nodes, " << (*network)->NumEdges() << " edges)\n";
   return 0;
 }
 
@@ -321,7 +302,7 @@ int GraphCh(const Args& args) {
                                     customize_start)
           .count();
   ChSnapshotViews views = ToSnapshotViews(*ch);
-  Status st = SaveSnapshot(network, out, loaded->landmarks.get(), &views);
+  Status st = SaveSnapshot(network, out, nullptr, &views);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -333,12 +314,7 @@ int GraphCh(const Args& args) {
             << stats.max_live_degree << "; customized in " << customize_s
             << " s (" << customizer.threads() << " threads, "
             << customizer.num_levels() << " levels, "
-            << customizer.total_arcs() << " arcs)";
-  if (loaded->landmarks) {
-    std::cout << "; " << loaded->landmarks->num_landmarks()
-              << " landmarks preserved";
-  }
-  std::cout << ")\n";
+            << customizer.total_arcs() << " arcs))\n";
   return 0;
 }
 
@@ -418,7 +394,6 @@ Result<std::unique_ptr<Environment>> BuildEnv(const Args& args) {
   opts.num_chargers =
       static_cast<size_t>(args.GetU64("chargers", 500));
   opts.seed = args.GetU64("seed", 42);
-  opts.num_landmarks = static_cast<size_t>(args.GetU64("landmarks", 0));
   opts.graph_snapshot = args.Get("graph-snapshot", "");
   const std::string backend = args.Get("derouting", "exact");
   if (backend == "ch") {
@@ -434,14 +409,10 @@ Result<std::unique_ptr<Environment>> BuildEnv(const Args& args) {
 }
 
 /// The EcoCharge options shared by every ranking subcommand: currently
-/// just the batched-refinement escape hatch plus any landmarks the
-/// environment carries.
-EcoChargeOptions EcoOptionsFor(const Args& args, const Environment& env) {
+/// just the scalar-kernel escape hatch.
+EcoChargeOptions EcoOptionsFor(const Args& args) {
   EcoChargeOptions opts;
-  opts.batch_derouting = !args.GetBool("no-batch-derouting");
   opts.use_simd = !args.GetBool("no-simd");
-  opts.landmarks = env.landmarks.get();
-  opts.ch = env.ch.get();
   return opts;
 }
 
@@ -453,7 +424,7 @@ int Rank(const Args& args) {
   }
   auto env = std::move(env_result).MoveValueUnsafe();
   size_t k = static_cast<size_t>(args.GetU64("k", 3));
-  EcoChargeOptions eco_opts = EcoOptionsFor(args, *env);
+  EcoChargeOptions eco_opts = EcoOptionsFor(args);
   eco_opts.radius_m = args.GetDouble("radius-km", 50.0) * 1000.0;
   EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
                       ScoreWeights::AWE(), eco_opts);
@@ -486,7 +457,7 @@ int Simulate(const Args& args) {
   auto fleet = sim.MakeFleet(static_cast<size_t>(args.GetU64("vehicles", 30)));
 
   EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
-                      ScoreWeights::AWE(), EcoOptionsFor(args, *env));
+                      ScoreWeights::AWE(), EcoOptionsFor(args));
   QuadtreeRanker nearest(env->estimator.get(), env->charger_index.get(),
                          ScoreWeights::AWE(), 1);
   FleetOutcome with_eco = sim.Run(fleet, eco);
@@ -644,7 +615,7 @@ int Serve(const Args& args) {
     server_opts.corridor = &*corridor;
   }
   OfferingServer server(env.get(), ScoreWeights::AWE(),
-                        EcoOptionsFor(args, *env), server_opts);
+                        EcoOptionsFor(args), server_opts);
 
   uint64_t num_clients = args.GetU64("clients", 8);
   uint64_t num_requests = args.GetU64("requests", 64);
