@@ -24,84 +24,6 @@ bool SameWeights(const ChClassWeights& a, const ChClassWeights& b) {
 
 }  // namespace
 
-std::vector<NodeId> ChElimTreeParents(const ChIndex& ch) {
-  const size_t n = ch.NumNodes();
-  std::vector<NodeId> parent(n, kInvalidNode);
-  // Every far endpoint of a node's rows outranks it, so the lowest-ranked
-  // one is the elimination-tree parent; the chain to the root is strictly
-  // rank-increasing.
-  for (NodeId v = 0; v < n; ++v) {
-    uint32_t best_rank = 0xFFFFFFFFu;
-    NodeId best = kInvalidNode;
-    for (const ChArc& a : ch.UpArcs(v)) {
-      if (ch.rank(a.node) < best_rank) {
-        best_rank = ch.rank(a.node);
-        best = a.node;
-      }
-    }
-    for (const ChArc& a : ch.DownArcs(v)) {
-      if (ch.rank(a.node) < best_rank) {
-        best_rank = ch.rank(a.node);
-        best = a.node;
-      }
-    }
-    parent[v] = best;
-  }
-  return parent;
-}
-
-uint32_t ChMinUpRef(const ChIndex& ch, const ChCustomization& plane, NodeId v,
-                    NodeId to) {
-  size_t k = ch.FindUpArc(v, to);
-  assert(k != SIZE_MAX && "unpack: missing up arc");
-  const auto up = ch.up_arcs();
-  size_t best = k;
-  for (size_t i = k + 1; i < ch.up_offsets()[v + 1] && up[i].node == to; ++i) {
-    if (plane.cw_up[i] < plane.cw_up[best]) best = i;
-  }
-  return static_cast<uint32_t>(best);
-}
-
-uint32_t ChMinDownRef(const ChIndex& ch, const ChCustomization& plane,
-                      NodeId v, NodeId from) {
-  size_t k = ch.FindDownArc(v, from);
-  assert(k != SIZE_MAX && "unpack: missing down arc");
-  const auto down = ch.down_arcs();
-  size_t best = k;
-  for (size_t i = k + 1; i < ch.down_offsets()[v + 1] && down[i].node == from;
-       ++i) {
-    if (plane.cw_down[i] < plane.cw_down[best]) best = i;
-  }
-  return ChIndex::kDownBit | static_cast<uint32_t>(best);
-}
-
-void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
-                  const ChUnpackItem& item, std::vector<ChUnpackItem>* stack,
-                  std::vector<EdgeId>* out) {
-  stack->clear();
-  stack->push_back(item);
-  while (!stack->empty()) {
-    const ChUnpackItem it = stack->back();
-    stack->pop_back();
-    const NodeId via = (it.ref & ChIndex::kDownBit) != 0
-                           ? plane.via_down[it.ref & ~ChIndex::kDownBit]
-                           : plane.via_up[it.ref];
-    if (via == kInvalidNode) {
-      // Cheapest realization is the original arc itself.
-      assert(ch.arc(it.ref).orig != kChShortcutEdge);
-      out->push_back(ch.arc(it.ref).orig);
-      continue;
-    }
-    // The via node sits below both endpoints, so the halves live in its own
-    // rows: (from -> via) among its down arcs, (via -> to) among its up
-    // arcs. Their customized costs are the ones the sweep summed, so
-    // re-finding the cheapest records reproduces the priced path exactly.
-    // LIFO: left half on top so it expands first.
-    stack->push_back({ChMinUpRef(ch, plane, via, it.to), via, it.to});
-    stack->push_back({ChMinDownRef(ch, plane, via, it.from), it.from, via});
-  }
-}
-
 std::shared_ptr<const ChCustomization> ChCustomizeReference(
     const ChIndex& ch, const ChClassWeights& weights) {
   const size_t n = ch.NumNodes();
@@ -493,34 +415,40 @@ ChCustomizationCache::SnapshotTable() const {
   return table_;  // copy under the lock; callers scan the snapshot lock-free
 }
 
+std::shared_ptr<const ChCustomization> ChCustomizationCache::Find(
+    uint64_t digest, const ChClassWeights& weights) const {
+  // One short-critical-section pointer copy pins an immutable table
+  // snapshot (publication can proceed concurrently; this reader keeps its
+  // snapshot and the planes inside it alive by refcount).
+  std::shared_ptr<const Table> snap = SnapshotTable();
+  for (const Entry& e : *snap) {
+    if (e.digest == digest && SameWeights(e.plane->weights, weights)) {
+      return e.plane;
+    }
+  }
+  return nullptr;
+}
+
+std::shared_ptr<const ChCustomization> ChCustomizationCache::Probe(
+    uint64_t digest, const ChClassWeights& weights) {
+  std::shared_ptr<const ChCustomization> plane = Find(digest, weights);
+  std::atomic<uint64_t>& count = plane != nullptr ? hits_ : misses_;
+  count.fetch_add(1, std::memory_order_relaxed);
+  if (obs::Counter* mirror = plane != nullptr ? hits_mirror_ : misses_mirror_) {
+    mirror->Add();
+  }
+  return plane;
+}
+
 std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
     const ChClassWeights& weights, bool* built) {
   if (built != nullptr) *built = false;
   const uint64_t digest = WeightsDigest(weights);
-  // Read path: one short-critical-section pointer copy pins an immutable
-  // table snapshot (publication can proceed concurrently; this reader keeps
-  // its snapshot and the planes inside it alive by refcount).
-  {
-    std::shared_ptr<const Table> snap = SnapshotTable();
-    for (const Entry& e : *snap) {
-      if (e.digest == digest && SameWeights(e.plane->weights, weights)) {
-        hits_.fetch_add(1, std::memory_order_relaxed);
-        if (hits_mirror_ != nullptr) hits_mirror_->Add();
-        return e.plane;
-      }
-    }
-  }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  if (misses_mirror_ != nullptr) misses_mirror_->Add();
+  if (auto plane = Probe(digest, weights)) return plane;
   // Build path: one mutex serializes builds, so concurrent misses for the
   // same bucket collapse into a single sweep — the (N-1)/N dedup.
   std::lock_guard<std::mutex> lock(build_mu_);
-  std::shared_ptr<const Table> snap = SnapshotTable();
-  for (const Entry& e : *snap) {
-    if (e.digest == digest && SameWeights(e.plane->weights, weights)) {
-      return e.plane;  // someone built it while we waited
-    }
-  }
+  if (auto plane = Find(digest, weights)) return plane;  // built meanwhile
   const auto start = std::chrono::steady_clock::now();
   std::shared_ptr<const ChCustomization> plane = customizer_.Customize(weights);
   const uint64_t ns = static_cast<uint64_t>(
@@ -533,7 +461,8 @@ std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
   if (built != nullptr) *built = true;
   // Publish: copy-on-write successor table (oldest-first eviction keeps the
   // table bounded; evicted planes stay alive while any reader holds them).
-  auto next = std::make_shared<Table>(*snap);
+  // Only build_mu_ holders publish, so the snapshot is still current.
+  auto next = std::make_shared<Table>(*SnapshotTable());
   next->push_back({digest, plane});
   if (next->size() > max_planes_) next->erase(next->begin());
   {
@@ -543,6 +472,14 @@ std::shared_ptr<const ChCustomization> ChCustomizationCache::Get(
   return plane;
 }
 
+std::shared_ptr<const ChCustomization> ChCustomizationCache::Lookup(
+    const ChClassWeights& weights) {
+  if (auto plane = Probe(WeightsDigest(weights), weights)) return plane;
+  deferred_.fetch_add(1, std::memory_order_relaxed);
+  if (deferred_mirror_ != nullptr) deferred_mirror_->Add();
+  return nullptr;
+}
+
 size_t ChCustomizationCache::size() const { return SnapshotTable()->size(); }
 
 void ChCustomizationCache::AttachMetrics(obs::MetricsRegistry* registry) {
@@ -550,12 +487,15 @@ void ChCustomizationCache::AttachMetrics(obs::MetricsRegistry* registry) {
     hits_mirror_ = nullptr;
     misses_mirror_ = nullptr;
     builds_mirror_ = nullptr;
+    deferred_mirror_ = nullptr;
     customize_ns_ = nullptr;
     return;
   }
   hits_mirror_ = registry->GetCounter("ch.cache.hits", "plane fetches");
   misses_mirror_ = registry->GetCounter("ch.cache.misses", "plane fetches");
   builds_mirror_ = registry->GetCounter("ch.cache.builds", "sweeps");
+  deferred_mirror_ =
+      registry->GetCounter("ch.cache.deferred", "dijkstra batches");
   customize_ns_ = registry->GetHistogram("ch.customize_ns", "ns");
 }
 

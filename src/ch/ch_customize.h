@@ -42,37 +42,6 @@ struct ChCustomization {
   std::vector<NodeId> via_down;
 };
 
-/// Metric-independent elimination-tree parents of `ch`: the lowest-ranked
-/// far endpoint of each node's rows (kInvalidNode at the root). Shared by
-/// ChQuery's batch spaces and ChProfileQuery's multi-plane spaces.
-std::vector<NodeId> ChElimTreeParents(const ChIndex& ch);
-
-/// One pending shortcut/arc expansion step (packed ref + forward
-/// orientation endpoints).
-struct ChUnpackItem {
-  uint32_t ref;  ///< packed ChIndex arc reference
-  NodeId from;   ///< arc tail in forward orientation
-  NodeId to;     ///< arc head
-};
-
-/// Cheapest record of the (possibly parallel) run `v -> to` in v's up row
-/// under `plane`; ties break on the first record. Mirrors the run-minima
-/// collapse of the customization sweep, so expansion re-finds exactly the
-/// records the sweep summed.
-uint32_t ChMinUpRef(const ChIndex& ch, const ChCustomization& plane, NodeId v,
-                    NodeId to);
-/// Cheapest record of the run `from -> v` in v's down row (kDownBit set).
-uint32_t ChMinDownRef(const ChIndex& ch, const ChCustomization& plane,
-                      NodeId v, NodeId from);
-
-/// Expands `item` into original EdgeIds (appended to `*out`, forward
-/// order) by recursing through each priced arc's via node. `*stack` is
-/// caller-owned LIFO scratch (cleared here), so warm calls allocate
-/// nothing. Shared by ChQuery::UnpackPath/UnpackMeet and ChProfileQuery.
-void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
-                  const ChUnpackItem& item, std::vector<ChUnpackItem>* stack,
-                  std::vector<EdgeId>* out);
-
 /// Reference oracle: the bottom-up push sweep. Apexes are processed by
 /// ascending rank and every arc enclosing a triangle below it is relaxed,
 /// with relaxation targets found by merging sorted rows. No option selects
@@ -187,17 +156,22 @@ class ChCustomizer {
 ///
 /// Every plane a query, a derouting batch or an ETA window reads comes
 /// from here, and every build is one full ChCustomizer sweep. Customized
-/// planes are immutable once built and a congestion bucket's
-/// class weights are a pure function of the bucket, so N server workers
-/// asking for the same bucket need exactly one sweep. Readers pin an
-/// immutable snapshot of the plane table by copying one shared_ptr under
-/// a tiny mutex held only for the refcount bump — the probe scan itself
-/// runs lock-free on the snapshot (the WorldEpochs publish-without-
-/// blocking idea, with reference counts standing in for the reader-pin
-/// ring since planes are heavyweight);
-/// writers copy, append, and publish under a single build mutex, which is
-/// also what collapses a thundering herd of concurrent misses into one
-/// build.
+/// planes are immutable once built and a congestion bucket's class weights
+/// are a pure function of the bucket, so N server workers asking for the
+/// same bucket need exactly one sweep. Only callers that know a plane will
+/// be reused build one (Get): the corridor prewarm's ETA window, tests and
+/// benches. A derouting batch only reads published planes (Lookup) and
+/// runs Dijkstra on a miss: a sweep costs far more than the Dijkstra batch
+/// it would replace once, and without exact-cost time bucketing the
+/// weights change with every query instant.
+///
+/// Readers pin an immutable snapshot of the plane table by copying one
+/// shared_ptr under a tiny mutex held only for the refcount bump — the
+/// probe scan itself runs lock-free on the snapshot (the WorldEpochs
+/// publish-without-blocking idea, with reference counts standing in for
+/// the reader-pin ring since planes are heavyweight); writers copy, append,
+/// and publish under a single build mutex, which is also what collapses a
+/// thundering herd of concurrent misses into one build.
 class ChCustomizationCache {
  public:
   /// \param threads sweep workers of every build (see ChCustomizer).
@@ -213,17 +187,26 @@ class ChCustomizationCache {
   std::shared_ptr<const ChCustomization> Get(const ChClassWeights& weights,
                                              bool* built = nullptr);
 
+  /// The published plane for `weights`, or null (counted as deferred: the
+  /// caller runs Dijkstra). Never builds and never takes the build mutex,
+  /// so a lookup does not wait on a running sweep.
+  std::shared_ptr<const ChCustomization> Lookup(const ChClassWeights& weights);
+
   uint64_t hits() const { return hits_.load(std::memory_order_relaxed); }
   uint64_t misses() const { return misses_.load(std::memory_order_relaxed); }
   /// Sweeps actually run; misses() - builds() is the dedup win.
   uint64_t builds() const { return builds_.load(std::memory_order_relaxed); }
+  /// Lookup() misses.
+  uint64_t deferred() const {
+    return deferred_.load(std::memory_order_relaxed);
+  }
   size_t size() const;
 
   const ChIndex& index() const { return ch_; }
 
-  /// Mirrors hit/miss/build counts onto `registry` under `ch.cache.*` and
-  /// records build durations into `ch.customize_ns`; null detaches. Wire
-  /// before traffic starts.
+  /// Mirrors hit/miss/build/deferred counts onto `registry` under
+  /// `ch.cache.*` and records build durations into `ch.customize_ns`; null
+  /// detaches. Wire before traffic starts.
   void AttachMetrics(obs::MetricsRegistry* registry);
 
  private:
@@ -247,6 +230,12 @@ class ChCustomizationCache {
   /// cache-hammer test. A plain mutex gives the same snapshot semantics
   /// with clean happens-before edges.
   std::shared_ptr<const Table> SnapshotTable() const;
+  /// The published plane for `weights`, null when absent; Probe() also
+  /// counts the hit or miss.
+  std::shared_ptr<const ChCustomization> Find(
+      uint64_t digest, const ChClassWeights& weights) const;
+  std::shared_ptr<const ChCustomization> Probe(uint64_t digest,
+                                               const ChClassWeights& weights);
   mutable std::mutex table_mu_;
   std::shared_ptr<const Table> table_;  // guarded by table_mu_
   std::mutex build_mu_;
@@ -254,11 +243,15 @@ class ChCustomizationCache {
   std::atomic<uint64_t> hits_{0};
   std::atomic<uint64_t> misses_{0};
   std::atomic<uint64_t> builds_{0};
+  std::atomic<uint64_t> deferred_{0};
 
   obs::Counter* hits_mirror_ = nullptr;
   obs::Counter* misses_mirror_ = nullptr;
   obs::Counter* builds_mirror_ = nullptr;
+  obs::Counter* deferred_mirror_ = nullptr;
   obs::Histogram* customize_ns_ = nullptr;
+
+  friend class ChCustomizationCacheTestPeer;  // holds build_mu_ in tests
 };
 
 }  // namespace ecocharge

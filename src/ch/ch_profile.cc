@@ -2,12 +2,102 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cstdint>
 
 namespace ecocharge {
 
 namespace {
 
 constexpr uint32_t kNoParentArc = ChProfileQuery::kNoArcRef;
+
+/// Metric-independent elimination-tree parents of `ch`: the lowest-ranked
+/// far endpoint of each node's rows (kInvalidNode at the root).
+std::vector<NodeId> ChElimTreeParents(const ChIndex& ch) {
+  const size_t n = ch.NumNodes();
+  std::vector<NodeId> parent(n, kInvalidNode);
+  // Every far endpoint of a node's rows outranks it, so the lowest-ranked
+  // one is the elimination-tree parent; the chain to the root is strictly
+  // rank-increasing.
+  for (NodeId v = 0; v < n; ++v) {
+    uint32_t best_rank = 0xFFFFFFFFu;
+    NodeId best = kInvalidNode;
+    for (const ChArc& a : ch.UpArcs(v)) {
+      if (ch.rank(a.node) < best_rank) {
+        best_rank = ch.rank(a.node);
+        best = a.node;
+      }
+    }
+    for (const ChArc& a : ch.DownArcs(v)) {
+      if (ch.rank(a.node) < best_rank) {
+        best_rank = ch.rank(a.node);
+        best = a.node;
+      }
+    }
+    parent[v] = best;
+  }
+  return parent;
+}
+
+/// Cheapest record of the (possibly parallel) run `v -> to` in v's up row
+/// under `plane`; ties break on the first record. Mirrors the run-minima
+/// collapse of the customization sweep, so expansion re-finds exactly the
+/// records the sweep summed.
+uint32_t ChMinUpRef(const ChIndex& ch, const ChCustomization& plane, NodeId v,
+                    NodeId to) {
+  size_t k = ch.FindUpArc(v, to);
+  assert(k != SIZE_MAX && "unpack: missing up arc");
+  const auto up = ch.up_arcs();
+  size_t best = k;
+  for (size_t i = k + 1; i < ch.up_offsets()[v + 1] && up[i].node == to; ++i) {
+    if (plane.cw_up[i] < plane.cw_up[best]) best = i;
+  }
+  return static_cast<uint32_t>(best);
+}
+
+/// Cheapest record of the run `from -> v` in v's down row (kDownBit set).
+uint32_t ChMinDownRef(const ChIndex& ch, const ChCustomization& plane,
+                      NodeId v, NodeId from) {
+  size_t k = ch.FindDownArc(v, from);
+  assert(k != SIZE_MAX && "unpack: missing down arc");
+  const auto down = ch.down_arcs();
+  size_t best = k;
+  for (size_t i = k + 1; i < ch.down_offsets()[v + 1] && down[i].node == from;
+       ++i) {
+    if (plane.cw_down[i] < plane.cw_down[best]) best = i;
+  }
+  return ChIndex::kDownBit | static_cast<uint32_t>(best);
+}
+
+/// Expands `item` into original EdgeIds (appended to `*out`, forward
+/// order) by recursing through each priced arc's via node. `*stack` is
+/// caller-owned LIFO scratch (cleared here), so warm calls allocate
+/// nothing.
+void ChExpandItem(const ChIndex& ch, const ChCustomization& plane,
+                  const ChUnpackItem& item, std::vector<ChUnpackItem>* stack,
+                  std::vector<EdgeId>* out) {
+  stack->clear();
+  stack->push_back(item);
+  while (!stack->empty()) {
+    const ChUnpackItem it = stack->back();
+    stack->pop_back();
+    const NodeId via = (it.ref & ChIndex::kDownBit) != 0
+                           ? plane.via_down[it.ref & ~ChIndex::kDownBit]
+                           : plane.via_up[it.ref];
+    if (via == kInvalidNode) {
+      // Cheapest realization is the original arc itself.
+      assert(ch.arc(it.ref).orig != kChShortcutEdge);
+      out->push_back(ch.arc(it.ref).orig);
+      continue;
+    }
+    // The via node sits below both endpoints, so the halves live in its own
+    // rows: (from -> via) among its down arcs, (via -> to) among its up
+    // arcs. Their customized costs are the ones the sweep summed, so
+    // re-finding the cheapest records reproduces the priced path exactly.
+    // LIFO: left half on top so it expands first.
+    stack->push_back({ChMinUpRef(ch, plane, via, it.to), via, it.to});
+    stack->push_back({ChMinDownRef(ch, plane, via, it.from), it.from, via});
+  }
+}
 
 }  // namespace
 
@@ -60,11 +150,10 @@ bool ChProfileQuery::BuildSpace(NodeId v, SweepDirection dir,
   // One in-order chain pass, all lanes in the inner loop. Per lane this
   // executes exactly the single-plane relaxation sequence (same positions,
   // same arcs, same comparisons on the same doubles), so each lane's
-  // labels are bit-identical to a per-plane ChQuery::BuildSpace. The
-  // single-plane builder tolerates an off-chain target when its one plane
-  // prices the arc infinite; here the arc is skipped only if EVERY live
-  // lane prices it infinite — a conservative superset, failure (false)
-  // just means the caller falls back, never a wrong value.
+  // labels are bit-identical to a one-lane build over that plane. An
+  // off-chain target is tolerated only if EVERY live lane prices the arc
+  // infinite — a conservative superset; failure (false) just means the
+  // caller falls back, never a wrong value.
   const auto up_off = ch_.up_offsets();
   const auto down_off = ch_.down_offsets();
   for (size_t i = 0; i < len; ++i) {
@@ -117,8 +206,8 @@ void ChProfileQuery::MeetSpaces(const ChProfileSpace& fwd,
   const size_t lanes = planes_.size();
   assert(fwd.lanes == lanes && bwd.lanes == lanes);
   assert(dist.size() == lanes && fpos.size() == lanes && bpos.size() == lanes);
-  // Same common-suffix scan as ChQuery::MeetSpaces, carried per lane: ties
-  // keep the deepest node (first improvement in the ascending-k scan).
+  // Common-suffix scan per lane: ties keep the deepest node (first
+  // improvement in the ascending-k scan).
   const size_t fn = fwd.chain.size();
   const size_t bn = bwd.chain.size();
   size_t l = 0;

@@ -12,15 +12,23 @@
 
 namespace ecocharge {
 
+/// One pending shortcut/arc expansion step (packed ref + forward
+/// orientation endpoints).
+struct ChUnpackItem {
+  uint32_t ref;  ///< packed ChIndex arc reference
+  NodeId from;   ///< arc tail in forward orientation
+  NodeId to;     ///< arc head
+};
+
 /// \brief One endpoint's elimination-tree label space across k weight
 /// planes (an ETA window's lanes).
 ///
-/// Identical structure to ChSpace with every per-position value widened to
-/// `lanes` doubles: `dist[i * lanes + j]` is the cheapest climb cost from
-/// the source to `chain[i]` under plane j, `pred_*` likewise. Lane j is
-/// bit-identical to the ChSpace a single-plane BuildSpace would produce
-/// under plane j — the window is one chain walk and one arc sweep instead
-/// of k.
+/// `chain` lists the endpoint and its elimination-tree ancestors in
+/// ascending rank; `dist[i * lanes + j]` is the cheapest up-graph (forward)
+/// or reversed-down-graph (backward) climb cost from the source to
+/// `chain[i]` under plane j, `pred_*` likewise. Lane j is bit-identical to
+/// the one-lane space (ChSpace) of plane j — the window is one chain walk
+/// and one arc sweep instead of k.
 struct ChProfileSpace {
   std::vector<NodeId> chain;
   std::vector<double> dist;        ///< position-major, `lanes` per position
@@ -61,21 +69,25 @@ class ChProfileQuery {
   size_t lanes() const { return planes_.size(); }
   const ChCustomization& plane(size_t lane) const { return *planes_[lane]; }
 
-  /// Builds v's label space across every lane. Same contract as
-  /// ChQuery::BuildSpace; returns false when a relax target leaves the
-  /// ancestor chain in ANY lane (conservative: a caller falls back to
-  /// per-lane point-to-point searches).
+  /// Builds v's label space across every lane (`v` must be in range).
+  /// No priority queue and no stall scans: ancestors are relaxed in chain
+  /// order, which is topological for both climb directions. Returns false
+  /// when a relax target leaves the ancestor chain in ANY lane, i.e. the
+  /// fill is not closed (conservative: the caller falls back to the
+  /// Dijkstra sweeps).
   bool BuildSpace(NodeId v, SweepDirection dir, ChProfileSpace* out);
 
-  /// Per-lane cheapest connection over the spaces' common suffix:
-  /// `dist[j]` / `fpos[j]` / `bpos[j]` are lane j's meet (kInfiniteCost
-  /// when unconnected). Spans must have lanes() elements.
+  /// Per-lane cheapest connection over the spaces' common suffix (two
+  /// root paths of a tree meet in exactly that suffix, and the peak of any
+  /// shortest up-down path is a common ancestor): `dist[j]` / `fpos[j]` /
+  /// `bpos[j]` are lane j's meet (kInfiniteCost when unconnected). Spans
+  /// must have lanes() elements.
   void MeetSpaces(const ChProfileSpace& fwd, const ChProfileSpace& bwd,
                   std::span<double> dist, std::span<uint32_t> fpos,
                   std::span<uint32_t> bpos) const;
 
   /// Unpacks lane `lane`'s connection into original EdgeIds in forward
-  /// order (same contract as ChQuery::UnpackMeet).
+  /// (fwd.source -> bwd.source) order; empty when the sources coincide.
   void UnpackMeet(const ChProfileSpace& fwd, uint32_t fpos,
                   const ChProfileSpace& bwd, uint32_t bpos, size_t lane,
                   std::vector<EdgeId>* out);

@@ -169,41 +169,6 @@ ChClassWeights ChWeightsAt(const CongestionModel& congestion, SimTime tau) {
   return weights;
 }
 
-/// min(d(from -> ra), d(from -> rb)), each leg folded the way the backward
-/// multi-source sweep would have accumulated it.
-double ChReturnCost(ChQuery* query, const RoadNetwork& network, NodeId from,
-                    NodeId ra, NodeId rb, const ChClassWeights& weights,
-                    const EdgeCostFn& cost, std::vector<EdgeId>* scratch) {
-  const double ca = ChExactPathCost(query, network, from, ra, weights, cost,
-                                    SweepDirection::kBackward, scratch);
-  const double cb = ChExactPathCost(query, network, from, rb, weights, cost,
-                                    SweepDirection::kBackward, scratch);
-  return std::min(ca, cb);
-}
-
-/// ChExactPathCost over two prebuilt label spaces: meet, unpack, refold in
-/// the reference sweep's association order (same grouping rule as
-/// ChExactPathCost, so the bits match the Dijkstra oracle).
-double SpaceExactPathCost(ChQuery* query, const RoadNetwork& network,
-                          const ChSpace& fwd, const ChSpace& bwd,
-                          const EdgeCostFn& cost, SweepDirection fold,
-                          std::vector<EdgeId>* scratch) {
-  uint32_t fpos = 0;
-  uint32_t bpos = 0;
-  const double d = query->MeetSpaces(fwd, bwd, &fpos, &bpos);
-  if (!(d < kInfiniteCost)) return kInfiniteCost;
-  query->UnpackMeet(fwd, fpos, bwd, bpos, scratch);
-  double acc = 0.0;
-  if (fold == SweepDirection::kForward) {
-    for (EdgeId e : *scratch) acc = acc + cost(network.arc(e));
-  } else {
-    for (auto it = scratch->rbegin(); it != scratch->rend(); ++it) {
-      acc = acc + cost(network.arc(*it));
-    }
-  }
-  return acc;
-}
-
 }  // namespace
 
 DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
@@ -223,27 +188,6 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
     return e.length_m /
            congestion_->ActualSpeedFactor(e.road_class, tau);
   };
-
-  if (ch_ != nullptr) {
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
-    const double to_b =
-        ChExactPathCost(ch_query_.get(), *network_, nodes.m, charger.node,
-                        weights, cost, SweepDirection::kForward, &ch_edges_);
-    if (!std::isfinite(to_b)) return UnreachableEstimate();
-    const double back =
-        ChReturnCost(ch_query_.get(), *network_, charger.node, nodes.ra,
-                     nodes.rb, weights, cost, &ch_edges_);
-    const double direct = ChReturnCost(ch_query_.get(), *network_, nodes.m,
-                                       nodes.ra, nodes.rb, weights, cost,
-                                       &ch_edges_);
-    double extra = to_b + (std::isfinite(back) ? back : 0.0) -
-                   (std::isfinite(direct) ? direct : 0.0);
-    extra = std::max(0.0, extra);
-    DeroutingEstimate est;
-    est.extra_distance_min_m = est.extra_distance_max_m = extra;
-    est.eta_s = to_b / std::max(CruiseSpeed(tau), 1.0);
-    return est;
-  }
 
   // Outbound leg: single-target forward sweep (stops at the charger).
   NodeId fwd_targets[1] = {charger.node};
@@ -277,8 +221,9 @@ bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
   auto cost = [this, tau](const Arc& e) {
     return e.length_m / congestion_->ActualSpeedFactor(e.road_class, tau);
   };
-  const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
-  ch_query_->EnsureCustomized(weights);
+  if (!ch_query_->UsePublished(ChWeightsAt(*congestion_, tau))) {
+    return false;
+  }
   ChBatchSpaces& sp = *ch_spaces_;
 
   // Shared endpoint spaces: one forward space for the vehicle, one backward
@@ -302,14 +247,14 @@ bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
   }
   const auto return_cost = [&](const ChSpace& from_fwd) {
     const double ca =
-        ra_ok ? SpaceExactPathCost(ch_query_.get(), *network_, from_fwd,
-                                   sp.ra_bwd, cost, SweepDirection::kBackward,
-                                   &ch_edges_)
+        ra_ok ? ChExactPathCost(ch_query_.get(), *network_, from_fwd,
+                                sp.ra_bwd, cost, SweepDirection::kBackward,
+                                &ch_edges_)
               : kInfiniteCost;
     const double cb =
-        rb_ok ? SpaceExactPathCost(ch_query_.get(), *network_, from_fwd,
-                                   sp.rb_bwd, cost, SweepDirection::kBackward,
-                                   &ch_edges_)
+        rb_ok ? ChExactPathCost(ch_query_.get(), *network_, from_fwd,
+                                sp.rb_bwd, cost, SweepDirection::kBackward,
+                                &ch_edges_)
               : kInfiniteCost;
     return std::min(ca, cb);
   };
@@ -321,19 +266,16 @@ bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
     double to_b = kInfiniteCost;
     if (m_ok && b < num_nodes) {
       if (!ch_query_->BuildSpace(b, SweepDirection::kBackward, &sp.b_bwd)) {
-        out->clear();
         return false;
       }
-      to_b = SpaceExactPathCost(ch_query_.get(), *network_, sp.m_fwd,
-                                sp.b_bwd, cost, SweepDirection::kForward,
-                                &ch_edges_);
+      to_b = ChExactPathCost(ch_query_.get(), *network_, sp.m_fwd, sp.b_bwd,
+                             cost, SweepDirection::kForward, &ch_edges_);
     }
     if (!std::isfinite(to_b)) {
       out->push_back(UnreachableEstimate());
       continue;
     }
     if (!ch_query_->BuildSpace(b, SweepDirection::kForward, &sp.b_fwd)) {
-      out->clear();
       return false;
     }
     const double back = return_cost(sp.b_fwd);
@@ -364,46 +306,14 @@ BatchSweepStats DeroutingService::ExactBatch(
            congestion_->ActualSpeedFactor(e.road_class, tau);
   };
 
-  if (ch_ != nullptr) {
-    // Space-sharing CH batch first; when the hierarchy rejects the
-    // elimination-tree builder, per-leg bidirectional searches below give
-    // the same (bit-identical) estimates at point-to-point cost.
-    if (ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, tau, out)) {
-      return stats;
-    }
-    out->clear();
-    const ChClassWeights weights = ChWeightsAt(*congestion_, tau);
-    const double direct =
-        nodes.m < num_nodes
-            ? ChReturnCost(ch_query_.get(), *network_, nodes.m, nodes.ra,
-                           nodes.rb, weights, cost, &ch_edges_)
-            : kInfiniteCost;
-    const double cruise = std::max(CruiseSpeed(tau), 1.0);
-    for (ChargerRef charger : chargers) {
-      const NodeId b = charger->node;
-      const double to_b =
-          nodes.m < num_nodes && b < num_nodes
-              ? ChExactPathCost(ch_query_.get(), *network_, nodes.m, b,
-                                weights, cost, SweepDirection::kForward,
-                                &ch_edges_)
-              : kInfiniteCost;
-      if (!std::isfinite(to_b)) {
-        out->push_back(UnreachableEstimate());
-        continue;
-      }
-      const double back = ChReturnCost(ch_query_.get(), *network_, b,
-                                       nodes.ra, nodes.rb, weights, cost,
-                                       &ch_edges_);
-      double extra = to_b + (std::isfinite(back) ? back : 0.0) -
-                     (std::isfinite(direct) ? direct : 0.0);
-      extra = std::max(0.0, extra);
-      DeroutingEstimate est;
-      est.extra_distance_min_m = est.extra_distance_max_m = extra;
-      est.eta_s = to_b / cruise;
-      out->push_back(est);
-    }
+  // The CH batch serves when the cache has the plane published and the
+  // hierarchy accepts the space builder; otherwise the Dijkstra sweep below
+  // gives the same bits.
+  if (ch_ != nullptr &&
+      ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, tau, out)) {
     return stats;
   }
+  out->clear();
 
   // One forward sweep covers every outbound leg: it stops as soon as all
   // distinct charger nodes are settled, instead of re-settling the inner
@@ -460,10 +370,10 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
   if (nodes.m >= num_nodes || charger.node >= num_nodes) return false;
   const SimTime tau0 = ExactCostTime(query.now);
 
-  // Window planes come from the shared cache through the point-query
-  // workspace, so one worker's window prewarms every other worker's bucket
-  // transitions and the window's builds count as this worker's
-  // customizations.
+  // Window planes come from the shared cache through the batch's ChQuery
+  // and are built on a miss: the window exists to price the buckets this
+  // vehicle's corridor (and every other worker's batches) will read, so
+  // its builds count as this worker's customizations.
   ch_planes_.clear();
   for (size_t j = 0; j < buckets; ++j) {
     const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;

@@ -24,10 +24,10 @@ class MetricsRegistry;
 
 /// \brief Which engine answers exact derouting queries.
 ///
-/// kExact runs the PR 5 Dijkstra batch sweeps (the parity oracle); kCh
-/// answers point-to-point legs over a contraction hierarchy and refolds
-/// each unpacked path in the oracle's accumulation order, so both backends
-/// emit bit-identical estimates.
+/// kExact runs the Dijkstra batch sweeps (the parity oracle); kCh answers
+/// a batch over a contraction hierarchy when its plane is already published
+/// (else by the same sweeps) and refolds each unpacked path in the oracle's
+/// accumulation order, so both emit bit-identical estimates.
 enum class DeroutingBackend : uint8_t {
   kExact = 0,
   kCh = 1,
@@ -91,10 +91,11 @@ struct BatchSweepStats {
 ///
 /// Estimate(): closed-form from Euclidean distances x a road-detour factor
 /// x the congestion band — O(1) per charger, used by the CkNN-EC filtering
-/// phase. Exact()/ExactBatch(): time-aware Dijkstra sweeps over the network
-/// — used by the refinement phase and by the Brute-Force oracle (this is
-/// where the baselines spend their CPU time, matching the paper's cost
-/// profile).
+/// phase. ExactBatch(): the refinement phase's network-exact costs, over a
+/// contraction hierarchy when one is set and its plane is published, else by
+/// time-aware Dijkstra sweeps. Exact(): the per-charger Dijkstra oracle
+/// behind the Brute-Force baseline and ground truth (this is where the
+/// baselines spend their CPU time, matching the paper's cost profile).
 ///
 /// The exact path decomposes into one forward sweep from the vehicle node
 /// (outbound legs d(m -> b)) and one backward sweep over the in-adjacency
@@ -131,7 +132,8 @@ class DeroutingService {
                              const EvCharger& charger,
                              const CongestionModel::Band& band) const;
 
-  /// Network-exact cost under realized traffic (min == max).
+  /// Network-exact cost under realized traffic (min == max), always by the
+  /// Dijkstra sweeps, whatever the backend.
   DeroutingEstimate Exact(const DeroutingQuery& query,
                           const EvCharger& charger);
 
@@ -165,13 +167,15 @@ class DeroutingService {
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
-  /// Switches Exact()/ExactBatch()/EtaWindow() to the contraction-
-  /// hierarchy backend over `cache->index()`, which must be built over this
-  /// service's network. Every customized plane comes from `cache` (not
-  /// owned, must outlive the service), so N workers sharing one cache
-  /// customize a congestion bucket once total. nullptr reverts to the
-  /// Dijkstra sweeps. The CH backend does not use the backward-sweep memo,
-  /// so warm-start counters stay flat under it.
+  /// Switches ExactBatch()/EtaWindow() to the contraction-hierarchy
+  /// backend over `cache->index()`, which must be built over this service's
+  /// network. Every plane comes from `cache` (not owned, must outlive the
+  /// service). A batch only reads planes already published there
+  /// (ChCustomizationCache::Lookup); a batch whose plane is missing, or
+  /// whose spaces the hierarchy rejects, runs the Dijkstra sweeps (the only
+  /// batches that move the warm-start counters). EtaWindow() builds its
+  /// planes, once per bucket however many workers share the cache. nullptr
+  /// reverts to the Dijkstra sweeps.
   void set_ch(ChCustomizationCache* cache);
 
   /// \brief Profile (ETA-window) query: the estimated drive time from the
@@ -182,25 +186,25 @@ class DeroutingService {
   /// `ExactCostTime(query.now) + j * exact_time_bucket_s()` would produce
   /// (bit-identical: per-lane labels, unpacked paths, and oracle-order
   /// refolds match the single-plane path), kInfiniteCost where
-  /// unreachable. Returns false — leaving `*etas_s` empty — when the CH
-  /// backend is off, `buckets` is 0, multi-bucket windows are requested
-  /// without time bucketing, a node is out of range, or the hierarchy
-  /// rejects the space builder; callers fall back to per-bucket Exact().
+  /// unreachable. Every lane's plane is built on a miss and published in
+  /// the shared cache, so the window also prices the buckets later batches
+  /// read. Returns false — leaving `*etas_s` empty — when the CH backend is
+  /// off, `buckets` is 0, multi-bucket windows are requested without time
+  /// bucketing, a node is out of range, or the hierarchy rejects the space
+  /// builder (the planes are priced already in that last case); callers
+  /// fall back to per-bucket Exact().
   bool EtaWindow(const DeroutingQuery& query, const EvCharger& charger,
                  size_t buckets, std::vector<double>* etas_s);
 
   /// Mirrors this worker's customization sweeps onto `registry`
   /// (`ch.customizations`); survives set_ch. Null detaches.
   void AttachChMetrics(obs::MetricsRegistry* registry);
-  const ChIndex* ch() const { return ch_; }
-  /// The point-query workspace every CH plane this service reads is
-  /// fetched through; null on the Dijkstra backend.
+  /// The query workspace every CH plane this service reads is fetched
+  /// through; null on the Dijkstra backend.
   const ChQuery* ch_query() const { return ch_query_.get(); }
   DeroutingBackend backend() const {
     return ch_ != nullptr ? DeroutingBackend::kCh : DeroutingBackend::kExact;
   }
-
-  const RoadNetwork& network() const { return *network_; }
 
  private:
   /// The time exact edge costs are evaluated at: `now`, or `now` floored
@@ -213,8 +217,9 @@ class DeroutingService {
 
   /// Space-sharing CH batch: builds the vehicle/return elimination-tree
   /// spaces once and meets each charger's two spaces against them. Returns
-  /// false (with `*out` cleared) when the hierarchy rejects the space
-  /// builder; ExactBatch then falls back to per-leg bidirectional searches.
+  /// false (`*out` partly written) when the cache has no published plane
+  /// or the hierarchy rejects the space builder; ExactBatch then runs the
+  /// Dijkstra sweeps.
   bool ChBatchExact(NodeId m, NodeId ra, NodeId rb,
                     std::span<const ChargerRef> chargers, SimTime tau,
                     std::vector<DeroutingEstimate>* out);

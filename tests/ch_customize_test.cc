@@ -2,9 +2,12 @@
 // runs of the pull kernel against the reference push sweep, also on a
 // hand-made index that is not closed under triangles; shared-cache dedup
 // under concurrent workers (the TSan hammer — scripts/check.sh chpar runs
-// this suite under -fsanitize=thread); the cache as the one plane source
-// of every CH consumer; and end-to-end Offering Table / ETA-window parity
-// across derouting backends and sweep strategies. Parity here means
+// this suite under -fsanitize=thread); the batch's Find-only plane lookup
+// (a miss builds nothing, runs Dijkstra and never waits on a running
+// build; a published plane serves the same bits); the cache as the one
+// plane source of every CH consumer, the corridor prewarm included; and
+// end-to-end Offering Table / ETA-window parity across derouting backends
+// and sweep strategies. Parity here means
 // memcmp-identical doubles, the same contract ch_test.cc holds ChQuery to.
 
 #include "ch/ch_customize.h"
@@ -12,9 +15,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -24,29 +29,28 @@
 #include "core/offering_service.h"
 #include "graph/generators.h"
 #include "graph/road_network.h"
+#include "server/corridor_cache.h"
+#include "server/offering_server.h"
+#include "server/world_epochs.h"
 #include "tests/test_util.h"
 #include "traffic/congestion.h"
 #include "traffic/derouting.h"
 
 namespace ecocharge {
+
+/// Holds the cache's build mutex the way a running sweep does.
+class ChCustomizationCacheTestPeer {
+ public:
+  static std::mutex& build_mu(ChCustomizationCache& cache) {
+    return cache.build_mu_;
+  }
+};
+
 namespace {
 
-std::shared_ptr<RoadNetwork> SmallRgg(uint64_t seed, size_t nodes = 300) {
-  RandomGeometricOptions opts;
-  opts.num_nodes = nodes;
-  opts.k_nearest = 3;
-  opts.seed = seed;
-  return MakeRandomGeometric(opts).MoveValueUnsafe();
-}
-
-ChClassWeights CongestedWeights(const CongestionModel& congestion,
-                                SimTime tau) {
-  ChClassWeights w;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    w.w[c] = 1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
-  }
-  return w;
-}
+using testing_util::CongestedWeights;
+using testing_util::EstimatesSameBits;
+using testing_util::SmallRgg;
 
 ::testing::AssertionResult PlanesSameBits(const ChCustomization& a,
                                           const ChCustomization& b) {
@@ -308,12 +312,22 @@ TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
     service.RankFresh(state, 5, &table);
     return table;
   };
+  // Price every state's plane first, so each CH rank below runs on the
+  // hierarchy (a batch only reads published planes).
+  for (const VehicleState& state : states) {
+    testing_util::WarmChPlane(*ch_serial, state.time);
+    testing_util::WarmChPlane(*ch_par, state.time);
+  }
   for (const VehicleState& state : states) {
     const OfferingTable want = rank(*exact, state);
     EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_serial, state)))
         << "ch serial";
     EXPECT_TRUE(testing_util::TablesBitIdentical(want, rank(*ch_par, state)))
         << "ch 4-thread";
+  }
+  for (const Environment* env : {ch_serial.get(), ch_par.get()}) {
+    EXPECT_GT(env->ch_cache->hits(), 0u);
+    EXPECT_EQ(env->ch_cache->deferred(), 0u);
   }
 }
 
@@ -355,8 +369,9 @@ TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
 TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
   // Two estimators share env->ch_cache; each drives the batched exact
   // derouting and an ETA window. Every plane either of them reads comes
-  // from the cache, so each distinct weight vector is swept exactly once,
-  // and every sweep is counted by exactly one derouting ChQuery.
+  // from the cache, so each distinct weight vector is swept exactly once
+  // (by a window: a batch never builds), and every sweep is counted by
+  // exactly one derouting ChQuery.
   constexpr double kBucketS = 900.0;
   constexpr size_t kLanes = 3;
   auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
@@ -397,11 +412,149 @@ TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
 
   const ChCustomizationCache& cache = *env->ch_cache;
   EXPECT_EQ(cache.builds(), distinct.size());
+  // The first batch ran before any window had priced its bucket.
+  EXPECT_GT(cache.deferred(), 0u);
   size_t counted = 0;
   for (size_t e = 0; e < estimators.size(); ++e) {
     counted += estimators[e]->derouting_service().ch_query()->customizations();
   }
   EXPECT_EQ(counted, cache.builds());
+}
+
+TEST(ChCustomizationCacheTest, MissRunsDijkstraUntilAPlaneIsPublished) {
+  auto network = SmallRgg(31);
+  auto ch = BuildChIndex(*network).MoveValueUnsafe();
+  CongestionModel congestion(31);
+  ChCustomizationCache cache(*ch);
+  DeroutingService oracle(network, &congestion);
+  DeroutingService hierarchy(network, &congestion);
+  hierarchy.set_ch(&cache);
+  const testing_util::ChargerBatch batch =
+      testing_util::MakeChargerBatch(*network, 8.25 * 3600);
+
+  DeroutingBatchScratch oracle_scratch, ch_scratch;
+  std::vector<DeroutingEstimate> want, got;
+  oracle.ExactBatch(batch.query, batch.refs, &oracle_scratch, &want);
+
+  // A miss builds nothing, the first time or any later one, and the batch
+  // runs the Dijkstra sweeps (the backward sweep is started, then resumed).
+  for (uint64_t miss = 1; miss <= 2; ++miss) {
+    hierarchy.ExactBatch(batch.query, batch.refs, &ch_scratch, &got);
+    EXPECT_EQ(cache.builds(), 0u);
+    EXPECT_EQ(cache.size(), 0u);
+    EXPECT_EQ(cache.deferred(), miss);
+    EXPECT_EQ(hierarchy.backward_sweep_starts() + hierarchy.warm_start_hits(),
+              miss);
+    EXPECT_TRUE(EstimatesSameBits(want, got)) << "miss " << miss;
+  }
+
+  // Once the plane is published the hierarchy serves (no further Dijkstra
+  // sweep) with the same bits.
+  cache.Get(CongestedWeights(congestion, batch.query.now));
+  hierarchy.ExactBatch(batch.query, batch.refs, &ch_scratch, &got);
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
+  EXPECT_EQ(cache.deferred(), 2u);
+  EXPECT_EQ(hierarchy.backward_sweep_starts() + hierarchy.warm_start_hits(),
+            2u);
+  EXPECT_EQ(hierarchy.ch_query()->customizations(), 0u);
+  EXPECT_TRUE(EstimatesSameBits(want, got));
+}
+
+TEST(ChCustomizationCacheTest, LookupsNeverWaitOnARunningBuild) {
+  // While a sweep holds the build mutex, N workers' batches miss their
+  // never-seen plane concurrently: every one is answered by Dijkstra while
+  // the mutex is still held, and none builds. Correct code finishes in
+  // milliseconds; the deadline only bounds how long a waiting worker can
+  // hang the test before it fails.
+  auto network = SmallRgg(37);
+  auto ch = BuildChIndex(*network).MoveValueUnsafe();
+  CongestionModel congestion(37);
+  ChCustomizationCache cache(*ch);
+  const testing_util::ChargerBatch batch =
+      testing_util::MakeChargerBatch(*network, 17.5 * 3600);
+  DeroutingService oracle(network, &congestion);
+  DeroutingBatchScratch oracle_scratch;
+  std::vector<DeroutingEstimate> want;
+  oracle.ExactBatch(batch.query, batch.refs, &oracle_scratch, &want);
+
+  constexpr size_t kWorkers = 4;
+  std::vector<std::unique_ptr<DeroutingService>> services;
+  for (size_t i = 0; i < kWorkers; ++i) {
+    services.push_back(std::make_unique<DeroutingService>(network, &congestion));
+    services.back()->set_ch(&cache);
+  }
+  std::vector<std::vector<DeroutingEstimate>> got(kWorkers);
+  std::atomic<size_t> done{0};
+  std::unique_lock<std::mutex> sweep(
+      ChCustomizationCacheTestPeer::build_mu(cache));
+  std::vector<std::thread> workers;
+  for (size_t i = 0; i < kWorkers; ++i) {
+    workers.emplace_back([&, i] {
+      DeroutingBatchScratch scratch;
+      services[i]->ExactBatch(batch.query, batch.refs, &scratch, &got[i]);
+      done.fetch_add(1);
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  while (done.load() < kWorkers && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(done.load(), kWorkers) << "a batch waited on the running build";
+  sweep.unlock();
+  for (std::thread& t : workers) t.join();
+  EXPECT_EQ(cache.builds(), 0u);
+  EXPECT_EQ(cache.deferred(), kWorkers);
+  for (size_t i = 0; i < kWorkers; ++i) {
+    EXPECT_TRUE(EstimatesSameBits(want, got[i])) << "worker " << i;
+  }
+}
+
+TEST(ChCustomizationCacheTest, CorridorPrewarmPricesWindowPlanes) {
+  // A corridor-mode server with prewarm on and exact-cost bucketing: each
+  // corridor miss prices its ETA window's planes (the window builds on
+  // purpose), so the prewarmed future buckets and later requests run their
+  // batches on those planes. Tables stay bit-identical to the exact
+  // backend's server.
+  constexpr double kBucketS = 900.0;
+  auto exact = BackendEnvironment(DeroutingBackend::kExact, 0, kBucketS);
+  auto hierarchy = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
+  ASSERT_NE(exact, nullptr);
+  ASSERT_NE(hierarchy, nullptr);
+  const std::vector<VehicleState> states =
+      testing_util::TinyWorkload(*exact, 6);
+  ASSERT_FALSE(states.empty());
+  auto serve = [&](Environment* env) {
+    WorldEpochs epochs(1);
+    CorridorCacheOptions corridor_options;
+    corridor_options.prewarm_buckets = 2;
+    CorridorCache corridor(env->dataset.network.get(), corridor_options);
+    OfferingServerOptions options;
+    options.epochs = &epochs;
+    options.corridor = &corridor;
+    OfferingServer server(env, ScoreWeights::AWE(), EcoChargeOptions{},
+                          options);
+    std::vector<OfferingTable> tables(states.size());
+    for (size_t i = 0; i < states.size(); ++i) {
+      OfferingTable* slot = &tables[i];
+      EXPECT_TRUE(server
+                      .Submit(0, states[i], 3,
+                              [slot](const OfferingTable& t) { *slot = t; })
+                      .ok());
+    }
+    EXPECT_GT(corridor.prewarmed(), 0u);
+    return tables;
+  };
+  const std::vector<OfferingTable> want = serve(exact.get());
+  const std::vector<OfferingTable> got = serve(hierarchy.get());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(testing_util::TablesBitIdentical(want[i], got[i]))
+        << "request " << i;
+  }
+  const ChCustomizationCache& cache = *hierarchy->ch_cache;
+  EXPECT_GE(cache.builds(), 3u);  // at least one full window
+  EXPECT_GT(cache.hits(), 0u);
 }
 
 }  // namespace

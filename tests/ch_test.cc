@@ -16,19 +16,15 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/shortest_path.h"
+#include "tests/test_util.h"
 #include "traffic/congestion.h"
 #include "traffic/derouting.h"
 
 namespace ecocharge {
 namespace {
 
-std::shared_ptr<RoadNetwork> SmallRgg(uint64_t seed, size_t nodes = 300) {
-  RandomGeometricOptions opts;
-  opts.num_nodes = nodes;
-  opts.k_nearest = 3;
-  opts.seed = seed;
-  return MakeRandomGeometric(opts).MoveValueUnsafe();
-}
+using testing_util::CongestedWeights;
+using testing_util::SmallRgg;
 
 /// The realized derouting metric at time `tau`, as the exact backend
 /// prices it per edge.
@@ -36,16 +32,6 @@ EdgeCostFn CongestedCost(const CongestionModel& congestion, SimTime tau) {
   return [&congestion, tau](const Arc& a) {
     return a.length_m / congestion.ActualSpeedFactor(a.road_class, tau);
   };
-}
-
-/// The matching CH class-weight vector (multipliers, one per RoadClass).
-ChClassWeights CongestedWeights(const CongestionModel& congestion,
-                                SimTime tau) {
-  ChClassWeights w;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    w.w[c] = 1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
-  }
-  return w;
 }
 
 /// Walks `edges` from `s`, checking consecutive endpoints line up; returns
@@ -119,6 +105,18 @@ TEST(ChContractionTest, RanksAreAPermutationAndClosureHolds) {
   }
 }
 
+/// The exact cost of s -> t as a derouting batch prices an outbound leg:
+/// the meet of s's forward and t's backward elimination-tree spaces,
+/// refolded source first (kInfiniteCost when they never meet).
+double SpaceCost(ChQuery* query, const RoadNetwork& network, NodeId s,
+                 NodeId t, const EdgeCostFn& cost, std::vector<EdgeId>* edges) {
+  ChSpace fwd, bwd;
+  EXPECT_TRUE(query->BuildSpace(s, SweepDirection::kForward, &fwd));
+  EXPECT_TRUE(query->BuildSpace(t, SweepDirection::kBackward, &bwd));
+  return ChExactPathCost(query, network, fwd, bwd, cost,
+                         SweepDirection::kForward, edges);
+}
+
 TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
@@ -131,13 +129,11 @@ TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
 
     for (SimTime tau : {0.0, 8.0 * 3600, 17.5 * 3600}) {
       const EdgeCostFn cost = CongestedCost(congestion, tau);
-      const ChClassWeights weights = CongestedWeights(congestion, tau);
+      query.EnsureCustomized(CongestedWeights(congestion, tau));
       for (NodeId s = 1; s < network->NumNodes(); s += 37) {
         const NodeId t = (s * 131) % static_cast<NodeId>(network->NumNodes());
         const PathResult ref = dijkstra.ShortestPath(s, t, cost);
-        const double got = ChExactPathCost(&query, *network, s, t, weights,
-                                           cost, SweepDirection::kForward,
-                                           &scratch);
+        const double got = SpaceCost(&query, *network, s, t, cost, &scratch);
         if (!ref.Reachable()) {
           EXPECT_EQ(got, kInfiniteCost) << "s=" << s << " t=" << t;
           continue;
@@ -153,41 +149,6 @@ TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
   }
 }
 
-TEST(ChQueryTest, ElimTreeSpacesMatchSearchBitwise) {
-  // The batched derouting path answers every leg from prebuilt
-  // elimination-tree label spaces; their customized distances and unpacked
-  // paths must be exactly what the bidirectional Search finds.
-  for (uint64_t seed : {2u, 11u}) {
-    auto network = SmallRgg(seed);
-    auto ch = BuildChIndex(*network).MoveValueUnsafe();
-    ChCustomizationCache cache(*ch);
-    ChQuery query(cache);
-    CongestionModel congestion(seed);
-    const ChClassWeights weights = CongestedWeights(congestion, 8.0 * 3600);
-    query.EnsureCustomized(weights);
-    ChSpace fwd, bwd;
-    std::vector<EdgeId> search_edges, space_edges;
-    size_t finite = 0;
-    for (NodeId s = 1; s < network->NumNodes(); s += 29) {
-      const NodeId t = (s * 173) % static_cast<NodeId>(network->NumNodes());
-      ASSERT_TRUE(query.BuildSpace(s, SweepDirection::kForward, &fwd));
-      ASSERT_TRUE(query.BuildSpace(t, SweepDirection::kBackward, &bwd));
-      uint32_t fpos = 0;
-      uint32_t bpos = 0;
-      const double via_space = query.MeetSpaces(fwd, bwd, &fpos, &bpos);
-      const double via_search = query.Search(s, t, weights);
-      EXPECT_EQ(std::memcmp(&via_space, &via_search, sizeof(double)), 0)
-          << "s=" << s << " t=" << t;
-      if (!(via_search < kInfiniteCost)) continue;
-      ++finite;
-      query.UnpackPath(&search_edges);
-      query.UnpackMeet(fwd, fpos, bwd, bpos, &space_edges);
-      EXPECT_EQ(space_edges, search_edges) << "s=" << s << " t=" << t;
-    }
-    EXPECT_GT(finite, 0u);
-  }
-}
-
 TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
   // One-way pair: a -> b exists, b -> a does not.
   GraphBuilder builder;
@@ -200,21 +161,20 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
   ChCustomizationCache cache(*ch);
   ChQuery query(cache);
+  query.EnsureCustomized(kChLengthWeights);
+  std::vector<EdgeId> edges;
 
-  EXPECT_EQ(query.Search(a, c, kChLengthWeights), 200.0);
-  EXPECT_EQ(query.Search(c, a, kChLengthWeights), kInfiniteCost);
-  EXPECT_EQ(query.Search(b, a, kChLengthWeights), kInfiniteCost);
+  EXPECT_EQ(SpaceCost(&query, *network, a, c, LengthCost, &edges), 200.0);
+  EXPECT_EQ(SpaceCost(&query, *network, c, a, LengthCost, &edges),
+            kInfiniteCost);
+  EXPECT_EQ(SpaceCost(&query, *network, b, a, LengthCost, &edges),
+            kInfiniteCost);
 
   // Coincident endpoints: exactly 0.0 (the sentinel the derouting formulas
   // rely on), and an empty unpacked path.
-  const double zero = query.Search(b, b, kChLengthWeights);
-  EXPECT_EQ(zero, 0.0);
-  std::vector<EdgeId> edges{123};
-  query.UnpackPath(&edges);
+  edges = {123};
+  EXPECT_EQ(SpaceCost(&query, *network, b, b, LengthCost, &edges), 0.0);
   EXPECT_TRUE(edges.empty());
-
-  // Out-of-range ids are unreachable, not UB.
-  EXPECT_EQ(query.Search(a, 99, kChLengthWeights), kInfiniteCost);
 }
 
 TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
@@ -226,20 +186,18 @@ TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
   CongestionModel congestion(3);
 
   const ChClassWeights rush = CongestedWeights(congestion, 8.0 * 3600);
-  for (NodeId s = 0; s < 30; ++s) {
-    query.Search(s, static_cast<NodeId>(149 - s), rush);
-  }
+  for (int i = 0; i < 30; ++i) query.EnsureCustomized(rush);
   EXPECT_EQ(query.customizations(), 1u);
 
   // A different traffic bucket re-prices once; returning to it later does
   // not (EnsureCustomized keys on the weight values, not call order)...
   const ChClassWeights night = CongestedWeights(congestion, 2.0 * 3600);
-  query.Search(5, 140, night);
+  query.EnsureCustomized(night);
   EXPECT_EQ(query.customizations(), 2u);
-  query.Search(6, 141, night);
+  query.EnsureCustomized(night);
   EXPECT_EQ(query.customizations(), 2u);
   // ...so flipping back does re-price: the workspace keeps one metric.
-  query.Search(7, 142, rush);
+  query.EnsureCustomized(rush);
   EXPECT_EQ(query.customizations(), 3u);
 }
 
@@ -253,37 +211,23 @@ TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
     DeroutingService hierarchy(network, &congestion);
     hierarchy.set_ch(&cache);
     ASSERT_EQ(hierarchy.backend(), DeroutingBackend::kCh);
-
+    testing_util::ChargerBatch batch =
+        testing_util::MakeChargerBatch(*network, 0.0);
     DeroutingBatchScratch oracle_scratch, ch_scratch;
-    std::vector<EvCharger> chargers;
-    for (NodeId v = 3; v < network->NumNodes(); v += 17) {
-      EvCharger charger;
-      charger.node = v;
-      charger.position = network->NodePosition(v);
-      chargers.push_back(charger);
-    }
-    std::vector<ChargerRef> refs;
-    for (const EvCharger& charger : chargers) refs.push_back(&charger);
+    std::vector<DeroutingEstimate> want, got;
 
+    // A batch only reads published planes, so each bucket's plane is
+    // priced first; every compared batch then ran on the hierarchy.
     for (SimTime tau : {6.5 * 3600, 18.0 * 3600}) {
-      DeroutingQuery q;
-      q.vehicle_node = 1;
-      q.vehicle_position = network->NodePosition(1);
-      q.return_node_a = 50;
-      q.return_point_a = network->NodePosition(50);
-      q.return_node_b = 120;
-      q.return_point_b = network->NodePosition(120);
-      q.now = tau;
-
-      std::vector<DeroutingEstimate> want, got;
-      oracle.ExactBatch(q, refs, &oracle_scratch, &want);
-      hierarchy.ExactBatch(q, refs, &ch_scratch, &got);
-      ASSERT_EQ(want.size(), got.size());
-      for (size_t i = 0; i < want.size(); ++i) {
-        EXPECT_EQ(std::memcmp(&want[i], &got[i], sizeof(DeroutingEstimate)), 0)
-            << "charger " << i << " tau " << tau;
-      }
+      cache.Get(CongestedWeights(congestion, tau));
+      batch.query.now = tau;
+      oracle.ExactBatch(batch.query, batch.refs, &oracle_scratch, &want);
+      hierarchy.ExactBatch(batch.query, batch.refs, &ch_scratch, &got);
+      EXPECT_TRUE(testing_util::EstimatesSameBits(want, got)) << "tau " << tau;
     }
+    EXPECT_EQ(cache.hits(), 2u);
+    EXPECT_EQ(cache.deferred(), 0u);
+    EXPECT_EQ(hierarchy.backward_sweep_starts(), 0u);
   }
 }
 
@@ -308,15 +252,15 @@ TEST(ChSnapshotTest, RoundTripsThroughSnapshotWithQueryParity) {
   ChQuery fresh(fresh_cache), reloaded(reloaded_cache);
   CongestionModel congestion(19);
   const ChClassWeights weights = CongestedWeights(congestion, 9.0 * 3600);
+  fresh.EnsureCustomized(weights);
+  reloaded.EnsureCustomized(weights);
   std::vector<EdgeId> scratch_a, scratch_b;
   const EdgeCostFn cost = CongestedCost(congestion, 9.0 * 3600);
   for (NodeId s = 0; s < 200; s += 23) {
     const NodeId t = (s * 71 + 5) % 200;
-    const double a = ChExactPathCost(&fresh, *network, s, t, weights, cost,
-                                     SweepDirection::kForward, &scratch_a);
-    const double b = ChExactPathCost(&reloaded, *loaded.network, s, t, weights,
-                                     cost, SweepDirection::kForward,
-                                     &scratch_b);
+    const double a = SpaceCost(&fresh, *network, s, t, cost, &scratch_a);
+    const double b =
+        SpaceCost(&reloaded, *loaded.network, s, t, cost, &scratch_b);
     EXPECT_EQ(std::memcmp(&a, &b, sizeof(double)), 0) << "s=" << s;
     EXPECT_EQ(scratch_a, scratch_b);
   }

@@ -3,8 +3,12 @@
 // preprocessing phases — contraction and customization — with their
 // timing/stats. The CLI is the operational entry point; its summary format
 // is what runbooks and the bench harness grep, so it gets a pinned test.
+// The flag parser is its input boundary: unknown flags and malformed or
+// out-of-range numbers must exit 2 with an InvalidArgument, never run a
+// default configuration or abort.
 
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <cstdio>
 #include <cstdlib>
@@ -59,6 +63,37 @@ TEST(CliSmokeTest, GraphChSummaryReportsContractionAndCustomization) {
   EXPECT_NE(out.find("levels"), std::string::npos) << out;
   EXPECT_NE(out.find("arcs"), std::string::npos) << out;
   EXPECT_NE(out.find("shortcuts"), std::string::npos) << out;
+}
+
+/// Runs `args` and expects exit status 2 with `message` in the output.
+void ExpectRejected(const std::string& args, const std::string& message) {
+  int code = 0;
+  const std::string out = RunCommand(ECOCHARGE_CLI_BIN " " + args, &code);
+  ASSERT_TRUE(WIFEXITED(code)) << args << "\n" << out;
+  EXPECT_EQ(WEXITSTATUS(code), 2) << args << "\n" << out;
+  EXPECT_NE(out.find(message), std::string::npos) << args << "\n" << out;
+}
+
+TEST(CliSmokeTest, RejectsFlagsTheSubcommandDoesNotKnow) {
+  if (std::string(ECOCHARGE_CLI_BIN).empty()) GTEST_SKIP();
+  const std::string rank = "rank --kind oldenburg --chargers 60 --scale 0.003";
+  ExpectRejected(rank + " --k 3 --bogus-flag 7",
+                 "InvalidArgument: unknown flag --bogus-flag");
+  // A flag of another subcommand is unknown here too.
+  ExpectRejected(rank + " --k 3 --statsz",
+                 "InvalidArgument: unknown flag --statsz");
+  ExpectRejected(rank + " --k 3 stray", "InvalidArgument: unexpected argument");
+}
+
+TEST(CliSmokeTest, RejectsMalformedAndOutOfRangeNumbers) {
+  if (std::string(ECOCHARGE_CLI_BIN).empty()) GTEST_SKIP();
+  const std::string rank = "rank --kind oldenburg --chargers 60 --scale 0.003";
+  for (const char* bad : {"--k abc", "--k -1", "--k 3x",
+                          "--k 99999999999999999999999", "--radius-km 1e999",
+                          "--hour"}) {
+    ExpectRejected(rank + " " + bad, "InvalidArgument: --");
+  }
+  ExpectRejected("serve --threads two", "InvalidArgument: --threads");
 }
 
 }  // namespace

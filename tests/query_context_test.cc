@@ -11,6 +11,7 @@
 #include <new>
 #include <vector>
 
+#include "ch/ch_customize.h"
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "core/offering_service.h"
@@ -198,6 +199,36 @@ TEST(QueryContextTest, SteadyStateExactRefinementDoesNotAllocate) {
   }
   uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u);
+}
+
+TEST(QueryContextTest, SteadyStateDeferredChRefinementDoesNotAllocate) {
+  // A CH-configured estimator with no published plane: every batch misses
+  // the cache and runs the Dijkstra sweeps. The plane lookup and the
+  // deferral count must not allocate either.
+  const std::unique_ptr<Environment> env =
+      testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
+  ASSERT_NE(env, nullptr);
+  const std::vector<VehicleState> states = testing_util::TinyWorkload(*env, 8);
+  ASSERT_FALSE(states.empty());
+  EcoChargeOptions opts;
+  opts.radius_m = 20000.0;
+  opts.q_distance_m = 0.0;  // full regeneration every query
+  EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
+                      ScoreWeights::AWE(), opts);
+  QueryContext ctx;
+  OfferingTable table;
+  auto run_pass = [&] {
+    for (const VehicleState& state : states) eco.RankInto(state, 3, ctx, &table);
+  };
+  for (int pass = 0; pass < 3; ++pass) run_pass();
+  const ChCustomizationCache& cache = *env->ch_cache;
+  const uint64_t deferred_before = cache.deferred();
+  uint64_t before = g_allocations.load();
+  run_pass();
+  uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_GT(cache.deferred(), deferred_before);
+  EXPECT_EQ(cache.builds(), 0u);
 }
 
 TEST(QueryContextTest, SteadyStateHoldsInBothSimdModes) {

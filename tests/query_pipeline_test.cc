@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "ch/ch_customize.h"
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "graph/io.h"
@@ -107,11 +108,18 @@ TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
   // in the engine inside the estimator, and the CH arm carries the
   // hierarchy in its options the way perfbench's regional_ch sets it. At
   // k = 12 the selection outgrows refine_limit (8), so only part of it is
-  // refined: both engines must refine the same part.
+  // refined: both engines must refine the same part. Every state's plane
+  // is priced first (a batch only reads published planes), so each CH rank
+  // below runs on the hierarchy.
   Environment* ch_env = ChWorld();
   ASSERT_NE(ch_env, nullptr);
   ASSERT_EQ(ch_env->estimator->derouting_service().backend(),
             DeroutingBackend::kCh);
+  for (const VehicleState& state : w.states) {
+    testing_util::WarmChPlane(*ch_env, state.time);
+  }
+  const uint64_t hits_before = ch_env->ch_cache->hits();
+  const uint64_t deferred_before = ch_env->ch_cache->deferred();
   EcoChargeOptions opts;
   opts.radius_m = 20000.0;
   EcoChargeOptions ch_opts = opts;
@@ -132,6 +140,8 @@ TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
       EXPECT_GT(partly_refined, 0u);
     }
   }
+  EXPECT_GT(ch_env->ch_cache->hits(), hits_before);
+  EXPECT_EQ(ch_env->ch_cache->deferred(), deferred_before);
 }
 
 TEST_P(CrossIndexParityTest, SimdOnOffTablesBitIdentical) {

@@ -18,6 +18,7 @@
 // Run with no arguments for usage.
 
 #include <atomic>
+#include <charconv>
 #include <chrono>
 #include <cmath>
 #include <cstring>
@@ -46,50 +47,99 @@
 namespace ecocharge {
 namespace {
 
-/// Minimal --flag parser. A flag followed by a non-flag token takes that
-/// token as its value; a flag followed by another flag (or the end of the
-/// line) is boolean and stores "1". Values may be negative numbers — only
-/// a leading "--" marks a flag.
+/// The flags one subcommand accepts, as space-separated names per value
+/// kind: text takes any string, a switch no value, a count an unsigned and
+/// an integer a signed 64-bit integer, a number a finite double.
+struct FlagSet {
+  std::string text{}, switches{}, counts{}, integers{}, numbers{};
+};
+
+bool Listed(const std::string& names, const std::string& name) {
+  return (" " + names + " ").find(" " + name + " ") != std::string::npos;
+}
+
+/// Parses the whole of `text` as a T; nullopt when it is malformed or out
+/// of T's range (from_chars takes no sign on unsigned types).
+template <typename T>
+std::optional<T> ParseNumber(const std::string& text) {
+  T value{};
+  const char* end = text.data() + text.size();
+  const auto [ptr, ec] = std::from_chars(text.data(), end, value);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return value;
+}
+
+/// The --flag values of one subcommand, checked against its FlagSet: an
+/// unknown flag, a stray token, a missing value, or a number that is
+/// malformed, out of range or not finite is a kInvalidArgument, so the
+/// getters never see an unparsable value. Values may be negative numbers —
+/// only a leading "--" marks a flag.
 class Args {
  public:
-  Args(int argc, char** argv, int first) {
+  static Result<Args> Parse(int argc, char** argv, int first,
+                            const FlagSet& known) {
+    Args args;
     for (int i = first; i < argc; ++i) {
-      if (std::strncmp(argv[i], "--", 2) != 0) continue;
-      if (i + 1 < argc && std::strncmp(argv[i + 1], "--", 2) != 0) {
-        values_[argv[i] + 2] = argv[i + 1];
-        ++i;
-      } else {
-        values_[argv[i] + 2] = "1";
+      const std::string flag = argv[i];
+      if (flag.rfind("--", 0) != 0) {
+        return Status::InvalidArgument("unexpected argument '" + flag + "'");
       }
+      const std::string name = flag.substr(2);
+      if (Listed(known.switches, name)) {
+        args.values_[name] = "1";
+        continue;
+      }
+      const bool count = Listed(known.counts, name);
+      const bool integer = Listed(known.integers, name);
+      const bool number = Listed(known.numbers, name);
+      if (!count && !integer && !number && !Listed(known.text, name)) {
+        return Status::InvalidArgument("unknown flag " + flag);
+      }
+      if (i + 1 >= argc || std::strncmp(argv[i + 1], "--", 2) == 0) {
+        return Status::InvalidArgument(flag + " needs a value");
+      }
+      const std::string value = argv[++i];
+      const std::optional<double> real = ParseNumber<double>(value);
+      if ((count && !ParseNumber<uint64_t>(value)) ||
+          (integer && !ParseNumber<int64_t>(value)) ||
+          (number && !(real && std::isfinite(*real)))) {
+        return Status::InvalidArgument(flag + " '" + value +
+                                       "' is malformed, out of range or "
+                                       "not finite");
+      }
+      args.values_[name] = value;
     }
+    return args;
   }
+
   std::string Get(const std::string& key, const std::string& fallback) const {
     auto it = values_.find(key);
     return it == values_.end() ? fallback : it->second;
   }
   double GetDouble(const std::string& key, double fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return Number<double>(key, fallback);
   }
   uint64_t GetU64(const std::string& key, uint64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoull(it->second);
+    return Number<uint64_t>(key, fallback);
   }
-  /// Signed parse for flags that must reject negative values: GetU64
-  /// would wrap "--threads -2" into a huge count instead of an error.
+  /// Signed read of a kInteger flag, so a range check can name a negative
+  /// value instead of seeing it wrapped.
   int64_t GetI64(const std::string& key, int64_t fallback) const {
-    auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
-  }
-  bool GetBool(const std::string& key) const {
-    auto it = values_.find(key);
-    return it != values_.end() && it->second != "0";
+    return Number<int64_t>(key, fallback);
   }
   bool Has(const std::string& key) const {
     return values_.find(key) != values_.end();
   }
 
  private:
+  template <typename T>
+  T Number(const std::string& key, T fallback) const {
+    auto it = values_.find(key);
+    return it == values_.end()
+               ? fallback
+               : ParseNumber<T>(it->second).value_or(fallback);
+  }
+
   std::map<std::string, std::string> values_;
 };
 
@@ -182,12 +232,20 @@ int Usage() {
   from a `graph build` snapshot instead of synthesizing it; the dataset
   kind still shapes the trajectory workload.
 
+  Every subcommand rejects flags it does not know, stray arguments, and
+  malformed or out-of-range numbers: InvalidArgument, exit status 2.
+
   --derouting ch|exact (rank/simulate/serve/stats): exact-derouting
   backend. `ch` answers refinement legs over a contraction hierarchy
   (loaded from the snapshot's CH section when present, contracted at
   startup otherwise) with Offering Tables bit-identical to `exact`, the
   Dijkstra-sweep oracle (default), at every --k: both refine the same
-  first candidates of the eq. 6 selection, in score order.
+  first candidates of the eq. 6 selection, in score order. A batch reads
+  a customized plane only when one is already published; planes are
+  built only by the corridor prewarm under exact-cost time bucketing,
+  which these subcommands leave off. Any other batch, and any batch the
+  hierarchy rejects, is answered by the Dijkstra sweeps
+  (ch.cache.deferred counts the plane misses).
 )";
   return 2;
 }
@@ -244,7 +302,7 @@ int GraphInfo(const Args& args) {
     std::cout << "    " << SnapshotSectionName(id) << " (id " << id
               << "): " << bytes << " bytes\n";
   }
-  if (args.GetBool("load")) {
+  if (args.Has("load")) {
     auto start = std::chrono::steady_clock::now();
     auto network = LoadSnapshot(in);
     if (!network.ok()) {
@@ -412,7 +470,7 @@ Result<std::unique_ptr<Environment>> BuildEnv(const Args& args) {
 /// just the scalar-kernel escape hatch.
 EcoChargeOptions EcoOptionsFor(const Args& args) {
   EcoChargeOptions opts;
-  opts.use_simd = !args.GetBool("no-simd");
+  opts.use_simd = !args.Has("no-simd");
   return opts;
 }
 
@@ -490,15 +548,6 @@ CorridorCacheOptions CorridorOptionsFor(const Args& args) {
 /// parse would wrap "--threads -2" into a huge worker count), ignored, or
 /// starting a busy-looping statsz thread (period 0).
 Status ValidateServeArgs(const Args& args) {
-  // NaN passes every ordered comparison below, so rule it out first.
-  for (const char* flag : {"statsz-period", "io-ms", "fault-p",
-                           "fault-spike-p", "fault-stall-p", "deadline-ms",
-                           "corridor-bucket-s"}) {
-    if (args.Has(flag) && !std::isfinite(args.GetDouble(flag, 0.0))) {
-      return Status::InvalidArgument(std::string("--") + flag +
-                                     " must be a finite number");
-    }
-  }
   if (args.GetI64("threads", 0) < 0) {
     return Status::InvalidArgument(
         "--threads must be >= 0 (0 = synchronous deterministic mode)");
@@ -544,7 +593,7 @@ Status ValidateServeArgs(const Args& args) {
     return Status::InvalidArgument(
         "--refresh-every must be >= 0 requests (0 = no refreshes)");
   }
-  if (!args.GetBool("corridor-cache")) {
+  if (!args.Has("corridor-cache")) {
     for (const char* flag : {"corridor-bucket-s", "corridor-prewarm"}) {
       if (args.Has(flag)) {
         return Status::InvalidArgument(std::string("--") + flag +
@@ -591,7 +640,7 @@ int Serve(const Args& args) {
   double spike_p = args.GetDouble("fault-spike-p", 0.0);
   double stall_p = args.GetDouble("fault-stall-p", 0.0);
   bool faulted = fault_p > 0.0 || spike_p > 0.0 || stall_p > 0.0;
-  if (faulted || args.GetBool("resilient")) {
+  if (faulted || args.Has("resilient")) {
     server_opts.resilient_eis = true;
     resilience::FaultProfile profile;
     profile.error_probability = fault_p;
@@ -610,7 +659,7 @@ int Serve(const Args& args) {
   WorldEpochs epochs(static_cast<size_t>(std::max(1, server_opts.threads)));
   server_opts.epochs = &epochs;
   std::optional<CorridorCache> corridor;
-  if (args.GetBool("corridor-cache")) {
+  if (args.Has("corridor-cache")) {
     corridor.emplace(env->dataset.network.get(), CorridorOptionsFor(args));
     server_opts.corridor = &*corridor;
   }
@@ -624,7 +673,7 @@ int Serve(const Args& args) {
   // --statsz: final JSON dump on stdout; with a period, also a live text
   // dump on stderr while the workload runs (the "statsz page" of the
   // serving runtime).
-  bool statsz = args.GetBool("statsz");
+  bool statsz = args.Has("statsz");
   double statsz_period_s = args.GetDouble("statsz-period", 0.0);
   std::atomic<bool> statsz_stop{false};
   std::thread statsz_thread;
@@ -776,26 +825,53 @@ int Info() {
   return 0;
 }
 
+/// `extra` plus the flags of every subcommand that builds an Environment.
+FlagSet EnvFlags(FlagSet extra) {
+  extra.text += " kind graph-snapshot derouting index";
+  extra.counts += " chargers seed";
+  extra.integers += " ch-threads";
+  extra.numbers += " scale";
+  return extra;
+}
+
+struct Command {
+  const char* name;
+  int (*run)(const Args&);
+  FlagSet flags;  // {text, switches, counts, integers, numbers}
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  std::string command = argv[1];
-  Args args(argc, argv, 2);
-  if (command == "gen-network") return GenNetwork(args);
-  if (command == "gen-dataset") return GenDataset(args);
-  if (command == "graph") {
-    if (argc < 3) return Usage();
-    std::string sub = argv[2];
-    Args graph_args(argc, argv, 3);
-    if (sub == "build") return GraphBuild(graph_args);
-    if (sub == "info") return GraphInfo(graph_args);
-    if (sub == "ch") return GraphCh(graph_args);
-    return Usage();
+  const bool graph = std::strcmp(argv[1], "graph") == 0;
+  if (graph && argc < 3) return Usage();
+  const std::string name = graph ? std::string("graph ") + argv[2] : argv[1];
+  const Command commands[] = {
+      {"gen-network", GenNetwork, {"style out", "", "seed"}},
+      {"gen-dataset", GenDataset, {"kind out", "", "seed", "", "scale"}},
+      {"graph build", GraphBuild, {"spec out"}},
+      {"graph info", GraphInfo, {"in", "load"}},
+      {"graph ch", GraphCh, {"in out", "", "", "ch-threads"}},
+      {"rank", Rank, EnvFlags({"", "no-simd", "k", "", "radius-km hour"})},
+      {"simulate", Simulate, EnvFlags({"", "no-simd", "vehicles"})},
+      {"serve", Serve,
+       EnvFlags({"", "resilient corridor-cache statsz no-simd",
+                 "fault-seed corridor-prewarm",
+                 "threads queue-depth clients requests refresh-every "
+                 "retry-attempts",
+                 "io-ms fault-p fault-spike-p fault-stall-p deadline-ms "
+                 "corridor-bucket-s statsz-period"})},
+      {"stats", StatsCmd, EnvFlags({"format", "", "requests threads"})},
+      {"info", [](const Args&) { return Info(); }, {}},
+  };
+  for (const Command& command : commands) {
+    if (name != command.name) continue;
+    Result<Args> args = Args::Parse(argc, argv, graph ? 3 : 2, command.flags);
+    if (!args.ok()) {
+      std::cerr << args.status() << "\n";
+      return 2;
+    }
+    return command.run(*args);
   }
-  if (command == "rank") return Rank(args);
-  if (command == "simulate") return Simulate(args);
-  if (command == "serve") return Serve(args);
-  if (command == "stats") return StatsCmd(args);
-  if (command == "info") return Info();
   return Usage();
 }
 
