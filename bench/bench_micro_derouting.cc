@@ -4,29 +4,36 @@
 // swept over batch size x query states, plus the cross-recomputation-point
 // warm-start of a continuous run.
 //
-// The binary asserts the tentpole's contract and exits 1 when it breaks:
+// The binary asserts the batched path's contract and exits 1 when it breaks:
 //   1. bit-identical estimates between ExactBatch and N x Exact;
 //   2. the batched path is >= 2x faster once the batch holds >= 16 targets;
-//   3. a bucketed multi-segment continuous schedule reuses the backward
+//   3. ExactBatch, which prices one ClassFactors per cost time, is
+//      bit-identical to and >= 2x faster than the same sweeps driven by a
+//      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch;
+//   4. a bucketed multi-segment continuous schedule reuses the backward
 //      sweep (warm_start_hits > 0).
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_derouting.json.
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdint>
 #include <cstring>
 #include <iostream>
 #include <numeric>
+#include <span>
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "core/cknn_ec.h"
 #include "traffic/derouting.h"
 
 namespace ecocharge {
 namespace {
 
 constexpr double kMinSpeedupAt16 = 2.0;
+constexpr double kMinPricingSpeedup = 2.0;
 
 uint64_t NowNs() {
   return static_cast<uint64_t>(
@@ -67,6 +74,71 @@ std::vector<ChargerRef> RefinementCandidates(
   }
   return refs;
 }
+
+/// ExactBatch's sweeps with a cost lambda that calls the congestion model
+/// on every arc relaxation — the pricing ExactBatch replaced with one
+/// ClassFactors per cost time. It keeps the same backward-sweep memo, so
+/// both sides run the same searches. Cost time is the query's `now` (the
+/// service under comparison is unbucketed).
+class PerArcBatch {
+ public:
+  PerArcBatch(const RoadNetwork& network, const CongestionModel& congestion)
+      : congestion_(congestion), forward_(network), backward_(network) {}
+
+  void Run(const DeroutingQuery& q, std::span<const ChargerRef> chargers,
+           std::vector<DeroutingEstimate>* out) {
+    const SimTime tau = q.now;
+    auto cost = [this, tau](const Arc& e) {
+      return e.length_m / congestion_.ActualSpeedFactor(e.road_class, tau);
+    };
+    targets_.clear();
+    for (ChargerRef c : chargers) targets_.push_back(c->node);
+    forward_.OneToMany(q.vehicle_node, std::span<const NodeId>(targets_),
+                       cost);
+    if (q.return_node_a != ra_ || q.return_node_b != rb_ || tau != tau_) {
+      NodeId sources[2] = {q.return_node_a, q.return_node_b};
+      backward_.StartSweep(std::span<const NodeId>(sources, 2),
+                           SweepDirection::kBackward);
+      ra_ = q.return_node_a;
+      rb_ = q.return_node_b;
+      tau_ = tau;
+    }
+    targets_.push_back(q.vehicle_node);
+    backward_.ExtendSweep(std::span<const NodeId>(targets_), cost);
+    const double direct = backward_.CostTo(q.vehicle_node);
+    const double cruise = std::max(
+        FreeFlowSpeed(RoadClass::kArterial) *
+            congestion_.ActualSpeedFactor(RoadClass::kArterial, tau),
+        1.0);
+    out->clear();
+    for (ChargerRef c : chargers) {
+      DeroutingEstimate est;
+      const double to_b = forward_.CostTo(c->node);
+      if (!std::isfinite(to_b)) {
+        est.extra_distance_min_m = est.extra_distance_max_m = kInfiniteCost;
+        est.eta_s = kInfiniteCost;
+        out->push_back(est);
+        continue;
+      }
+      const double back = backward_.CostTo(c->node);
+      const double extra = to_b + (std::isfinite(back) ? back : 0.0) -
+                           (std::isfinite(direct) ? direct : 0.0);
+      est.extra_distance_min_m = est.extra_distance_max_m =
+          std::max(0.0, extra);
+      est.eta_s = to_b / cruise;
+      out->push_back(est);
+    }
+  }
+
+ private:
+  const CongestionModel& congestion_;
+  DijkstraSearch forward_;
+  DijkstraSearch backward_;
+  std::vector<NodeId> targets_;
+  NodeId ra_ = kInvalidNode;
+  NodeId rb_ = kInvalidNode;
+  SimTime tau_ = -1.0;
+};
 
 int Main(int argc, char** argv) {
   bench::BenchConfig cfg = bench::BenchConfig::FromArgs(argc, argv);
@@ -171,6 +243,80 @@ int Main(int argc, char** argv) {
             << " interleaved rounds\n\n";
   tw.RenderText(std::cout);
 
+  // Pricing: a refinement batch (refine_limit candidates per state) through
+  // ExactBatch against the same sweeps priced per arc. Each timed pass
+  // cycles the states several times so a pass outlasts timer noise.
+  {
+    const size_t n = std::min(CknnEcOptions{}.refine_limit, fleet.size());
+    std::vector<std::vector<ChargerRef>> candidates;
+    for (size_t s = 0; s < num_states; ++s) {
+      candidates.push_back(
+          RefinementCandidates(fleet, world.states[s].position, n));
+    }
+    PerArcBatch per_arc(*world.env->dataset.network,
+                        *world.env->congestion);
+    std::vector<DeroutingEstimate> per_arc_out;
+    size_t compared = 0;
+    for (size_t s = 0; s < num_states; ++s) {
+      batched.ExactBatch(queries[s], candidates[s], &scratch, &batch_out);
+      per_arc.Run(queries[s], candidates[s], &per_arc_out);
+      for (size_t i = 0; i < candidates[s].size(); ++i) {
+        if (!SameBits(per_arc_out[i], batch_out[i])) {
+          std::cerr << "FAIL: per-arc pricing mismatch at state " << s
+                    << " candidate " << i << "\n";
+          ok = false;
+        }
+        ++compared;
+      }
+    }
+    const int kPasses = 8;
+    uint64_t per_arc_ns = UINT64_MAX;
+    uint64_t factors_ns = UINT64_MAX;
+    for (int round = 0; round < kRounds; ++round) {
+      for (int side = 0; side < 2; ++side) {
+        const bool run_factors = (round + side) % 2 == 1;
+        const uint64_t start = NowNs();
+        for (int pass = 0; pass < kPasses; ++pass) {
+          for (size_t s = 0; s < num_states; ++s) {
+            if (run_factors) {
+              batched.ExactBatch(queries[s], candidates[s], &scratch,
+                                 &batch_out);
+            } else {
+              per_arc.Run(queries[s], candidates[s], &per_arc_out);
+            }
+          }
+        }
+        const uint64_t elapsed = NowNs() - start;
+        uint64_t& best = run_factors ? factors_ns : per_arc_ns;
+        best = std::min(best, elapsed);
+      }
+    }
+    const double speedup =
+        static_cast<double>(per_arc_ns) /
+        static_cast<double>(std::max<uint64_t>(factors_ns, 1));
+    const double batches = static_cast<double>(kPasses * num_states);
+    std::cout << "\npricing (" << n << " targets, " << num_states
+              << " states): per-arc model "
+              << TableWriter::Fmt(per_arc_ns / 1e3 / batches, 1)
+              << " us/batch, ClassFactors "
+              << TableWriter::Fmt(factors_ns / 1e3 / batches, 1)
+              << " us/batch (" << TableWriter::Fmt(speedup, 2) << "x)\n";
+    json.BeginRecord();
+    json.Str("mode", "class_factors_vs_per_arc");
+    json.Num("targets", static_cast<double>(n));
+    json.Num("states", static_cast<double>(num_states));
+    json.Num("estimates_compared", static_cast<double>(compared));
+    json.Num("per_arc_ns", static_cast<double>(per_arc_ns));
+    json.Num("class_factors_ns", static_cast<double>(factors_ns));
+    json.Num("speedup", speedup);
+    if (speedup < kMinPricingSpeedup) {
+      std::cerr << "FAIL: ClassFactors pricing only " << speedup
+                << "x faster than per-arc pricing (floor "
+                << kMinPricingSpeedup << "x)\n";
+      ok = false;
+    }
+  }
+
   // Continuous-run warm start: each segment's recomputation points share
   // the return pair; with costs bucketed to the congestion noise bucket
   // they also share the cost time, so every point after the segment's
@@ -237,7 +383,9 @@ int Main(int argc, char** argv) {
             << " records)\n";
   if (!ok) return 1;
   std::cout << "PASS: batched refinement bit-identical and >= "
-            << kMinSpeedupAt16 << "x at >= 16 targets, warm start active\n";
+            << kMinSpeedupAt16 << "x at >= 16 targets, ClassFactors pricing "
+            << "bit-identical and >= " << kMinPricingSpeedup
+            << "x, warm start active\n";
   return 0;
 }
 

@@ -20,7 +20,7 @@ inline constexpr EdgeId kChShortcutEdge = 0xFFFFFFFFu;
 inline constexpr uint32_t kChNoArc = 0xFFFFFFFFu;
 
 /// Number of RoadClass values; original arcs store one length per class.
-inline constexpr int kChNumClasses = 3;
+inline constexpr int kChNumClasses = kNumRoadClasses;
 
 /// \brief One arc of the contraction hierarchy's search graphs.
 ///

@@ -166,6 +166,7 @@ void EcEstimator::EstimateIntervalsBatch(
   EisFetch traffic_fetch = EisFetch::kFresh;
   const CongestionModel::Band band = eis_->GetTraffic(
       RoadClass::kArterial, state.time, state.time, &traffic_fetch);
+  const double on_route = DeroutingService::OnRouteDistance(q);
 
   simd::ScoreLanes& lanes = ctx->lanes;
   lanes.Clear();
@@ -174,7 +175,8 @@ void EcEstimator::EstimateIntervalsBatch(
   batch_derouting_.clear();
   for (ChargerId id : candidate_ids) {
     if (id >= fleet.size()) continue;
-    const DeroutingEstimate der = derouting_.Estimate(q, fleet[id], band);
+    const DeroutingEstimate der =
+        derouting_.Estimate(q, fleet[id], band, on_route);
     lanes.ids.push_back(id);
     batch_chargers_.push_back(&fleet[id]);
     batch_targets_.push_back(state.time + der.eta_s);

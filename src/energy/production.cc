@@ -52,46 +52,42 @@ SolarEnergyService::SolarEnergyService(const SolarModel& solar,
       weather_(climate, seed),
       forecaster_(&weather_, seed ^ 0xF0F0F0F0ULL) {}
 
-double SolarEnergyService::IntegrateKwh(const EvCharger& charger, SimTime t0,
-                                        double window_s,
-                                        double transmission_override,
-                                        bool use_realized) {
-  if (window_s <= 0.0) return 0.0;
+EnergyForecast SolarEnergyService::IntegrateKwh(
+    const EvCharger& charger, SimTime t0, double window_s,
+    const WeatherForecaster::Forecast* band) {
+  EnergyForecast out;
+  if (window_s <= 0.0) return out;
   const double step = ProductionTrace::kSlotSeconds;
-  double produced_kwh = 0.0;
   for (double offset = 0.0; offset < window_s; offset += step) {
     double dt = std::min(step, window_s - offset);
     SimTime mid = t0 + offset + dt / 2.0;
-    double transmission = use_realized ? weather_.TransmissionAt(mid)
-                                       : transmission_override;
-    double power_kw = charger.pv_capacity_kw *
-                      (solar_.ClearSkyIrradiance(mid) / 1000.0) *
-                      transmission;
-    produced_kwh += power_kw * dt / kSecondsPerHour;
+    // The clear-sky term depends only on the slot: both edges share it.
+    double clear_kw =
+        charger.pv_capacity_kw * (solar_.ClearSkyIrradiance(mid) / 1000.0);
+    double lo = band ? band->transmission_min : weather_.TransmissionAt(mid);
+    double hi = band ? band->transmission_max : lo;
+    out.min_kwh += clear_kw * lo * dt / kSecondsPerHour;
+    out.max_kwh += clear_kw * hi * dt / kSecondsPerHour;
   }
   // Delivery is capped by the charger's rate over the window.
   double cap_kwh = charger.RateKw() * window_s / kSecondsPerHour;
-  return std::min(produced_kwh, cap_kwh);
+  out.min_kwh = std::min(out.min_kwh, cap_kwh);
+  out.max_kwh = std::min(out.max_kwh, cap_kwh);
+  return out;
 }
 
 double SolarEnergyService::ActualEnergyKwh(const EvCharger& charger,
                                            SimTime t0, double window_s) {
-  return IntegrateKwh(charger, t0, window_s, /*transmission_override=*/0.0,
-                      /*use_realized=*/true);
+  return IntegrateKwh(charger, t0, window_s, /*band=*/nullptr).min_kwh;
 }
 
 EnergyForecast SolarEnergyService::ForecastEnergyKwh(const EvCharger& charger,
                                                      SimTime now,
                                                      SimTime target,
                                                      double window_s) {
-  WeatherForecaster::Forecast f =
+  const WeatherForecaster::Forecast f =
       forecaster_.ForecastTransmission(now, target);
-  EnergyForecast out;
-  out.min_kwh = IntegrateKwh(charger, target, window_s, f.transmission_min,
-                             /*use_realized=*/false);
-  out.max_kwh = IntegrateKwh(charger, target, window_s, f.transmission_max,
-                             /*use_realized=*/false);
-  return out;
+  return IntegrateKwh(charger, target, window_s, &f);
 }
 
 double SolarEnergyService::MaxDeliverableKwh(

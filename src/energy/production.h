@@ -81,8 +81,14 @@ class SolarEnergyService {
   const SolarModel& solar() const { return solar_; }
 
  private:
-  double IntegrateKwh(const EvCharger& charger, SimTime t0, double window_s,
-                      double transmission_override, bool use_realized);
+  /// PV energy over [t0, t0 + window_s], capped by the charger's delivery
+  /// rate, under the forecast transmission band (min_kwh from its lower
+  /// edge, max_kwh from its upper), or under the realized transmission in
+  /// both fields when `band` is null. Each slot's clear-sky irradiance is
+  /// evaluated once for both edges.
+  EnergyForecast IntegrateKwh(const EvCharger& charger, SimTime t0,
+                              double window_s,
+                              const WeatherForecaster::Forecast* band);
 
   SolarModel solar_;
   WeatherProcess weather_;

@@ -39,6 +39,9 @@ enum class RoadClass : uint8_t {
   kLocal = 2,     ///< residential / access road
 };
 
+/// Number of RoadClass values.
+inline constexpr int kNumRoadClasses = 3;
+
 /// Free-flow speed for a road class, meters per second.
 double FreeFlowSpeed(RoadClass road_class);
 

@@ -181,10 +181,9 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
         if (!worker.table.entries.empty()) {
           const ChargerId top = worker.table.entries.front().charger_id;
           if (top < env_->chargers.size()) {
-            std::vector<double> etas;
             worker.estimator->derouting_service().EtaWindow(
                 worker.estimator->MakeDeroutingQuery(anchor),
-                env_->chargers[top], window, &etas);
+                env_->chargers[top], window, &worker.prewarm_etas);
           }
         }
         options_.corridor->Prewarm(

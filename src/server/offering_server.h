@@ -206,6 +206,8 @@ class OfferingServer {
     /// live (it holds the table being returned) while future buckets are
     /// being speculatively filled, so prewarm ranks land here instead.
     OfferingTable prewarm_table;
+    /// The prewarm hook's ETA window output (reused across misses).
+    std::vector<double> prewarm_etas;
     std::unique_ptr<BoundedQueue<Request>> queue;  // null in inline mode
     obs::Gauge* queue_depth = nullptr;  ///< server.queue.depth.w{i}
     std::thread thread;

@@ -51,6 +51,14 @@ double CongestionModel::ActualSpeedFactor(RoadClass road_class,
   return std::clamp(factor, kMinSpeedFactor, 1.0);
 }
 
+ClassFactors CongestionModel::ActualFactors(SimTime t) const {
+  ClassFactors factors;
+  for (int c = 0; c < kNumRoadClasses; ++c) {
+    factors.f[c] = ActualSpeedFactor(static_cast<RoadClass>(c), t);
+  }
+  return factors;
+}
+
 CongestionModel::Band CongestionModel::ForecastSpeedFactor(
     RoadClass road_class, SimTime now, SimTime target) const {
   double actual = ActualSpeedFactor(road_class, target);

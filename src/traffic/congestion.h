@@ -8,6 +8,24 @@
 
 namespace ecocharge {
 
+/// \brief The realized speed factor of every road class at one cost time.
+///
+/// Built by CongestionModel::ActualFactors(tau). A derouting batch prices
+/// every arc at one cost time, so it needs only these three values; Cost()
+/// divides exactly as `a.length_m / ActualSpeedFactor(a.road_class, tau)`
+/// does (a division, not a multiply by the reciprocal), so every sum built
+/// from it keeps its bits.
+struct ClassFactors {
+  double f[kNumRoadClasses] = {1.0, 1.0, 1.0};
+
+  double operator[](RoadClass c) const { return f[static_cast<int>(c)]; }
+
+  /// Congested length of `a`: its length over its class's speed factor.
+  double Cost(const Arc& a) const {
+    return a.length_m / (*this)[a.road_class];
+  }
+};
+
 /// \brief Time-of-day traffic model.
 ///
 /// Produces a speed factor in (0, 1]: the fraction of free-flow speed
@@ -40,8 +58,14 @@ class CongestionModel {
   double ExpectedSpeedFactor(RoadClass road_class, SimTime t) const;
 
   /// Realized factor: profile x noise(seed, class, hour), clamped to
-  /// [0.15, 1].
+  /// [0.15, 1]. Each call evaluates two `exp`s, an hour/day split and a
+  /// seeded Gaussian draw (80-100 ns on a 4-vCPU Xeon), so hot paths do not
+  /// call it per arc: they price one ClassFactors per cost time with
+  /// ActualFactors().
   double ActualSpeedFactor(RoadClass road_class, SimTime t) const;
+
+  /// ActualSpeedFactor of every road class at `t`.
+  ClassFactors ActualFactors(SimTime t) const;
 
   /// \brief Min/max band on the speed factor.
   struct Band {

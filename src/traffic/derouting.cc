@@ -9,11 +9,6 @@
 
 namespace ecocharge {
 
-// The hierarchy is customized per class-weight vector, so the only
-// structural requirement is that ChArc's per-class lengths span RoadClass.
-static_assert(kChNumClasses == 3,
-              "CH per-class lengths must cover every RoadClass");
-
 DeroutingService::DeroutingService(
     std::shared_ptr<const RoadNetwork> network,
     const CongestionModel* congestion, double detour_factor,
@@ -39,6 +34,7 @@ struct DeroutingService::ChBatchSpaces {
 
 /// EtaWindow's reusable multi-lane spaces and per-lane meet scratch.
 struct DeroutingService::ChProfileScratch {
+  std::vector<ClassFactors> factors;  ///< lane j's factors
   ChProfileSpace m_fwd;
   ChProfileSpace b_bwd;
   std::vector<double> dist;
@@ -62,11 +58,6 @@ void DeroutingService::AttachChMetrics(obs::MetricsRegistry* registry) {
   if (ch_query_ != nullptr) ch_query_->AttachMetrics(registry);
 }
 
-double DeroutingService::CruiseSpeed(SimTime t) const {
-  return FreeFlowSpeed(RoadClass::kArterial) *
-         congestion_->ActualSpeedFactor(RoadClass::kArterial, t);
-}
-
 DeroutingEstimate DeroutingService::Estimate(const DeroutingQuery& query,
                                              const EvCharger& charger) const {
   return Estimate(query, charger,
@@ -77,12 +68,20 @@ DeroutingEstimate DeroutingService::Estimate(const DeroutingQuery& query,
 DeroutingEstimate DeroutingService::Estimate(
     const DeroutingQuery& query, const EvCharger& charger,
     const CongestionModel::Band& band) const {
+  return Estimate(query, charger, band, OnRouteDistance(query));
+}
+
+double DeroutingService::OnRouteDistance(const DeroutingQuery& query) {
+  return std::min(Distance(query.vehicle_position, query.return_point_a),
+                  Distance(query.vehicle_position, query.return_point_b));
+}
+
+DeroutingEstimate DeroutingService::Estimate(
+    const DeroutingQuery& query, const EvCharger& charger,
+    const CongestionModel::Band& band, double on_route) const {
   double to_charger = Distance(query.vehicle_position, charger.position);
   double back = std::min(Distance(charger.position, query.return_point_a),
                          Distance(charger.position, query.return_point_b));
-  double on_route =
-      std::min(Distance(query.vehicle_position, query.return_point_a),
-               Distance(query.vehicle_position, query.return_point_b));
   // Euclidean distances are admissible lower bounds on network distance;
   // the detour factor gives the typical upper estimate. The congestion
   // band converts "distance" into "effective cost distance" (congested
@@ -157,16 +156,21 @@ DeroutingEstimate UnreachableEstimate() {
   return est;
 }
 
-/// The per-class weights the exact cost lambda realizes at cost time tau.
+/// The per-class weights the exact cost lambda realizes at one cost time.
 /// The CH search uses them only to pick the argmin path; costs are refolded
 /// over the unpacked edges with the lambda itself.
-ChClassWeights ChWeightsAt(const CongestionModel& congestion, SimTime tau) {
+ChClassWeights ChWeightsAt(const ClassFactors& factors) {
   ChClassWeights weights;
-  for (int c = 0; c < kChNumClasses; ++c) {
-    weights.w[c] =
-        1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
-  }
+  for (int c = 0; c < kChNumClasses; ++c) weights.w[c] = 1.0 / factors.f[c];
   return weights;
+}
+
+/// Speed that turns a congested distance into an ETA, m/s: arterial pace
+/// scaled by the cost time's congestion, floored at 1 m/s.
+double CruiseSpeed(const ClassFactors& factors) {
+  return std::max(
+      FreeFlowSpeed(RoadClass::kArterial) * factors[RoadClass::kArterial],
+      1.0);
 }
 
 }  // namespace
@@ -182,12 +186,12 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   // Cost = congested travel distance: length / speed_factor(class, tau),
   // i.e. congested roads count longer, matching Eq. 3's weighted edges.
   // tau is the (possibly bucketed) cost time, shared with ExactBatch so
-  // both fidelities accumulate the same doubles.
+  // both fidelities accumulate the same doubles. The factors are priced
+  // once; the lambda captures them by reference so std::function keeps
+  // it in its small buffer (no allocation).
   const SimTime tau = ExactCostTime(query.now);
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m /
-           congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
+  const ClassFactors factors = congestion_->ActualFactors(tau);
+  auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
 
   // Outbound leg: single-target forward sweep (stops at the charger).
   NodeId fwd_targets[1] = {charger.node};
@@ -209,19 +213,17 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   extra = std::max(0.0, extra);
   DeroutingEstimate est;
   est.extra_distance_min_m = est.extra_distance_max_m = extra;
-  est.eta_s = to_b / std::max(CruiseSpeed(tau), 1.0);
+  est.eta_s = to_b / CruiseSpeed(factors);
   return est;
 }
 
 bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
                                     std::span<const ChargerRef> chargers,
-                                    SimTime tau,
+                                    const ClassFactors& factors,
                                     std::vector<DeroutingEstimate>* out) {
   const size_t num_nodes = network_->NumNodes();
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m / congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
-  if (!ch_query_->UsePublished(ChWeightsAt(*congestion_, tau))) {
+  auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
+  if (!ch_query_->UsePublished(ChWeightsAt(factors))) {
     return false;
   }
   ChBatchSpaces& sp = *ch_spaces_;
@@ -260,7 +262,7 @@ bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
   };
 
   const double direct = m_ok ? return_cost(sp.m_fwd) : kInfiniteCost;
-  const double cruise = std::max(CruiseSpeed(tau), 1.0);
+  const double cruise = CruiseSpeed(factors);
   for (ChargerRef charger : chargers) {
     const NodeId b = charger->node;
     double to_b = kInfiniteCost;
@@ -301,16 +303,14 @@ BatchSweepStats DeroutingService::ExactBatch(
   const QueryNodes nodes = ResolveNodes(*network_, query);
   const size_t num_nodes = network_->NumNodes();
   const SimTime tau = ExactCostTime(query.now);
-  auto cost = [this, tau](const Arc& e) {
-    return e.length_m /
-           congestion_->ActualSpeedFactor(e.road_class, tau);
-  };
+  const ClassFactors factors = congestion_->ActualFactors(tau);
+  auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
 
   // The CH batch serves when the cache has the plane published and the
   // hierarchy accepts the space builder; otherwise the Dijkstra sweep below
   // gives the same bits.
   if (ch_ != nullptr &&
-      ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, tau, out)) {
+      ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, factors, out)) {
     return stats;
   }
   out->clear();
@@ -335,7 +335,7 @@ BatchSweepStats DeroutingService::ExactBatch(
   const double direct =
       nodes.m < num_nodes ? back_search_.CostTo(nodes.m) : kInfiniteCost;
 
-  const double cruise = std::max(CruiseSpeed(tau), 1.0);
+  const double cruise = CruiseSpeed(factors);
   for (ChargerRef charger : chargers) {
     const NodeId b = charger->node;
     const double to_b = nodes.m < num_nodes && b < num_nodes
@@ -374,10 +374,13 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
   // and are built on a miss: the window exists to price the buckets this
   // vehicle's corridor (and every other worker's batches) will read, so
   // its builds count as this worker's customizations.
+  ChProfileScratch& ps = *ch_profile_scratch_;
+  ps.factors.resize(buckets);
   ch_planes_.clear();
   for (size_t j = 0; j < buckets; ++j) {
     const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
-    ch_query_->EnsureCustomized(ChWeightsAt(*congestion_, tau));
+    ps.factors[j] = congestion_->ActualFactors(tau);
+    ch_query_->EnsureCustomized(ChWeightsAt(ps.factors[j]));
     ch_planes_.push_back(ch_query_->plane());
   }
 
@@ -385,7 +388,6 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
     ch_profile_ = std::make_unique<ChProfileQuery>(*ch_);
   }
   ch_profile_->SetPlanes(ch_planes_);
-  ChProfileScratch& ps = *ch_profile_scratch_;
   if (!ch_profile_->BuildSpace(nodes.m, SweepDirection::kForward, &ps.m_fwd)) {
     return false;
   }
@@ -409,14 +411,10 @@ bool DeroutingService::EtaWindow(const DeroutingQuery& query,
     // Refold lane j the way the reference forward sweep at tau_j would
     // have accumulated it, then convert to seconds — exactly Exact()'s
     // eta_s at that bucket.
-    const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
+    const ClassFactors& factors = ps.factors[j];
     double acc = 0.0;
-    for (EdgeId e : ch_edges_) {
-      const Arc& arc = network_->arc(e);
-      acc = acc + arc.length_m /
-                      congestion_->ActualSpeedFactor(arc.road_class, tau);
-    }
-    (*etas_s)[j] = acc / std::max(CruiseSpeed(tau), 1.0);
+    for (EdgeId e : ch_edges_) acc = acc + factors.Cost(network_->arc(e));
+    (*etas_s)[j] = acc / CruiseSpeed(factors);
   }
   return true;
 }

@@ -132,6 +132,17 @@ class DeroutingService {
                              const EvCharger& charger,
                              const CongestionModel::Band& band) const;
 
+  /// The same estimate with `on_route` = OnRouteDistance(query) supplied
+  /// by the caller, so a batch over one query computes it once.
+  DeroutingEstimate Estimate(const DeroutingQuery& query,
+                             const EvCharger& charger,
+                             const CongestionModel::Band& band,
+                             double on_route) const;
+
+  /// Euclidean distance the vehicle covers on its route anyway: to the
+  /// nearer of the two return points. Depends only on the query.
+  static double OnRouteDistance(const DeroutingQuery& query);
+
   /// Network-exact cost under realized traffic (min == max), always by the
   /// Dijkstra sweeps, whatever the backend.
   DeroutingEstimate Exact(const DeroutingQuery& query,
@@ -148,10 +159,6 @@ class DeroutingService {
                              std::span<const ChargerRef> chargers,
                              DeroutingBatchScratch* scratch,
                              std::vector<DeroutingEstimate>* out);
-
-  /// Cruise speed used to turn distances into ETAs, m/s (arterial pace
-  /// scaled by current congestion).
-  double CruiseSpeed(SimTime t) const;
 
   /// Changes the exact-cost time bucket; resets the warm-start memo (costs
   /// computed under a different bucket are not comparable).
@@ -221,7 +228,8 @@ class DeroutingService {
   /// or the hierarchy rejects the space builder; ExactBatch then runs the
   /// Dijkstra sweeps.
   bool ChBatchExact(NodeId m, NodeId ra, NodeId rb,
-                    std::span<const ChargerRef> chargers, SimTime tau,
+                    std::span<const ChargerRef> chargers,
+                    const ClassFactors& factors,
                     std::vector<DeroutingEstimate>* out);
 
   std::shared_ptr<const RoadNetwork> network_;

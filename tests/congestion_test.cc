@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
+#include "common/rng.h"
+
 namespace ecocharge {
 namespace {
 
@@ -91,6 +97,46 @@ TEST(CongestionTest, ForecastUsuallyContainsRealized) {
     ++total;
   }
   EXPECT_GT(static_cast<double>(contained) / total, 0.85);
+}
+
+TEST(CongestionTest, ClassFactorsCostMatchesPerArcFactorBitwise) {
+  // The derouting hot paths price arcs through ClassFactors; the bits must
+  // be those of the per-arc model call they replace.
+  CongestionModel model(5);
+  const SimTime tue = kSecondsPerDay;
+  const SimTime bucket = 900.0;
+  const SimTime taus[] = {
+      0.0,
+      tue + 8.0 * kSecondsPerHour - 1e-6,   // just before an hour boundary
+      tue + 8.0 * kSecondsPerHour,          // on it
+      tue + 17.0 * kSecondsPerHour - 0.5,
+      5 * kSecondsPerDay + 17.5 * kSecondsPerHour,  // Saturday rush
+      6 * kSecondsPerDay + 8.0 * kSecondsPerHour,   // Sunday rush
+      -100.0,
+      -kSecondsPerHour - 0.5,
+      std::floor((tue + 16.37 * kSecondsPerHour) / bucket) * bucket,
+  };
+  Rng rng(11);
+  for (SimTime tau : taus) {
+    const ClassFactors factors = model.ActualFactors(tau);
+    for (RoadClass rc : {RoadClass::kHighway, RoadClass::kArterial,
+                         RoadClass::kLocal}) {
+      EXPECT_EQ(std::bit_cast<uint64_t>(factors[rc]),
+                std::bit_cast<uint64_t>(model.ActualSpeedFactor(rc, tau)))
+          << "tau=" << tau << " class=" << static_cast<int>(rc);
+      for (int i = 0; i < 50; ++i) {
+        Arc arc;
+        arc.road_class = rc;
+        arc.length_m = i == 0 ? 1e-3 : rng.NextDouble(1.0, 5000.0);
+        const double want =
+            arc.length_m / model.ActualSpeedFactor(arc.road_class, tau);
+        EXPECT_EQ(std::bit_cast<uint64_t>(factors.Cost(arc)),
+                  std::bit_cast<uint64_t>(want))
+            << "tau=" << tau << " class=" << static_cast<int>(rc)
+            << " length=" << arc.length_m;
+      }
+    }
+  }
 }
 
 }  // namespace

@@ -2,11 +2,60 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstring>
+#include <span>
+#include <vector>
+
 #include "common/rng.h"
 #include "graph/generators.h"
 
 namespace ecocharge {
 namespace {
+
+/// Exact()'s decomposition rebuilt from DijkstraSearch driven by the
+/// per-arc model call, independent of ClassFactors: d(m -> b) by a
+/// single-target forward sweep, min(d(b -> r_a), d(b -> r_b)) and the
+/// direct cost by one backward sweep seeded from both return points.
+DeroutingEstimate PerArcReference(const RoadNetwork& network,
+                                  const CongestionModel& congestion,
+                                  NodeId m, NodeId ra, NodeId rb, NodeId b,
+                                  SimTime tau) {
+  auto cost = [&congestion, tau](const Arc& e) {
+    return e.length_m / congestion.ActualSpeedFactor(e.road_class, tau);
+  };
+  DeroutingEstimate est;
+  DijkstraSearch forward(network);
+  NodeId fwd_targets[1] = {b};
+  forward.OneToMany(m, std::span<const NodeId>(fwd_targets, 1), cost);
+  const double to_b = forward.CostTo(b);
+  if (!std::isfinite(to_b)) {
+    est.extra_distance_min_m = est.extra_distance_max_m = kInfiniteCost;
+    est.eta_s = kInfiniteCost;
+    return est;
+  }
+  DijkstraSearch backward(network);
+  NodeId sources[2] = {ra, rb};
+  backward.StartSweep(std::span<const NodeId>(sources, 2),
+                      SweepDirection::kBackward);
+  NodeId back_targets[2] = {b, m};
+  backward.ExtendSweep(std::span<const NodeId>(back_targets, 2), cost);
+  const double back = backward.CostTo(b);
+  const double direct = backward.CostTo(m);
+  const double extra = to_b + (std::isfinite(back) ? back : 0.0) -
+                       (std::isfinite(direct) ? direct : 0.0);
+  est.extra_distance_min_m = est.extra_distance_max_m = std::max(0.0, extra);
+  const double cruise =
+      FreeFlowSpeed(RoadClass::kArterial) *
+      congestion.ActualSpeedFactor(RoadClass::kArterial, tau);
+  est.eta_s = to_b / std::max(cruise, 1.0);
+  return est;
+}
+
+bool SameBits(const DeroutingEstimate& a, const DeroutingEstimate& b) {
+  return std::memcmp(&a, &b, sizeof(DeroutingEstimate)) == 0;
+}
 
 class DeroutingTest : public ::testing::Test {
  protected:
@@ -141,6 +190,58 @@ TEST_F(DeroutingTest, RushHourRaisesExactCost) {
   double rush_eta = service_->Exact(rush, c).eta_s;
   double night_eta = service_->Exact(night, c).eta_s;
   EXPECT_GT(rush_eta, night_eta);
+}
+
+TEST_F(DeroutingTest, ExactAndBatchMatchPerArcModelReferenceBitwise) {
+  // Both exact fidelities share ClassFactors, so comparing them to each
+  // other cannot catch a pricing bug; the reference here calls the model
+  // per arc. Cost times cross hour boundaries, a weekend, tau < 0 and a
+  // bucketed cost time.
+  const SimTime tue = kSecondsPerDay;
+  struct Case {
+    SimTime now;
+    double bucket_s;
+  };
+  const Case cases[] = {
+      {tue + 8.0 * kSecondsPerHour - 1e-6, 0.0},
+      {tue + 8.0 * kSecondsPerHour, 0.0},
+      {tue + 17.0 * kSecondsPerHour - 0.5, 0.0},
+      {5 * kSecondsPerDay + 17.5 * kSecondsPerHour, 0.0},
+      {-250.0, 0.0},
+      {tue + 16.37 * kSecondsPerHour, 900.0},
+  };
+  Rng rng(21);
+  const size_t n = network_->NumNodes();
+  for (const Case& c : cases) {
+    service_->set_exact_time_bucket_s(c.bucket_s);
+    const SimTime tau =
+        c.bucket_s > 0.0 ? std::floor(c.now / c.bucket_s) * c.bucket_s
+                         : c.now;
+    for (int trial = 0; trial < 4; ++trial) {
+      const NodeId m = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId ra = static_cast<NodeId>(rng.NextBounded(n));
+      const NodeId rb = static_cast<NodeId>(rng.NextBounded(n));
+      const DeroutingQuery q = QueryAt(m, ra, rb, c.now);
+      std::vector<EvCharger> chargers;
+      for (int i = 0; i < 12; ++i) {
+        chargers.push_back(ChargerAt(static_cast<NodeId>(rng.NextBounded(n))));
+      }
+      std::vector<ChargerRef> refs;
+      for (const EvCharger& charger : chargers) refs.push_back(&charger);
+      DeroutingBatchScratch scratch;
+      service_->ExactBatch(q, refs, &scratch, &scratch.estimates);
+      ASSERT_EQ(scratch.estimates.size(), chargers.size());
+      for (size_t i = 0; i < chargers.size(); ++i) {
+        const DeroutingEstimate want = PerArcReference(
+            *network_, *congestion_, m, ra, rb, chargers[i].node, tau);
+        EXPECT_TRUE(SameBits(service_->Exact(q, chargers[i]), want))
+            << "Exact, now=" << c.now << " charger node " << chargers[i].node;
+        EXPECT_TRUE(SameBits(scratch.estimates[i], want))
+            << "ExactBatch, now=" << c.now << " charger node "
+            << chargers[i].node;
+      }
+    }
+  }
 }
 
 TEST_F(DeroutingTest, SnapsPositionsWhenNodesMissing) {
