@@ -6,7 +6,9 @@
 //
 // The binary asserts the batched path's contract and exits 1 when it breaks:
 //   1. bit-identical estimates between ExactBatch and N x Exact;
-//   2. the batched path is >= 2x faster once the batch holds >= 16 targets;
+//   2. the batched path is >= 2x faster once the batch holds >= 16 targets,
+//      and its forward sweeps settle at most kMaxSettledShareAt16 of the
+//      nodes the per-candidate searches settle (a timing-free floor);
 //   3. ExactBatch, which prices one ClassFactors per cost time, is
 //      bit-identical to and >= 2x faster than the same sweeps driven by a
 //      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch;
@@ -33,6 +35,9 @@ namespace ecocharge {
 namespace {
 
 constexpr double kMinSpeedupAt16 = 2.0;
+/// Settled-node share of the batched forward sweeps over the per-candidate
+/// ones, at >= 16 targets.
+constexpr double kMaxSettledShareAt16 = 0.25;
 constexpr double kMinPricingSpeedup = 2.0;
 
 uint64_t NowNs() {
@@ -162,7 +167,8 @@ int Main(int argc, char** argv) {
   std::vector<DeroutingEstimate> batch_out;
 
   bench::BenchJsonWriter json;
-  TableWriter tw({"targets", "per-candidate us", "batched us", "speedup"});
+  TableWriter tw({"targets", "per-candidate us", "batched us", "speedup",
+                  "per-candidate settled", "batched settled"});
   bool ok = true;
 
   const size_t batch_sizes[] = {4, 16, 48};
@@ -176,13 +182,20 @@ int Main(int argc, char** argv) {
     }
 
     // Parity first: a batch must be exactly N per-candidate calls fused.
+    // The outbound legs are where the two differ in work: one multi-target
+    // sweep against one single-target search per candidate (the backward
+    // sweep is memoized on both sides).
     size_t compared = 0;
+    uint64_t batched_settled = 0;
+    uint64_t per_candidate_settled = 0;
     for (size_t s = 0; s < num_states; ++s) {
       scratch.Reserve(n);
       batched.ExactBatch(queries[s], candidates[s], &scratch, &batch_out);
+      batched_settled += batched.last_forward_settled();
       for (size_t i = 0; i < candidates[s].size(); ++i) {
         DeroutingEstimate exact =
             per_candidate.Exact(queries[s], *candidates[s][i]);
+        per_candidate_settled += per_candidate.last_forward_settled();
         if (!SameBits(exact, batch_out[i])) {
           std::cerr << "FAIL: estimate mismatch at state " << s
                     << " candidate " << i << " (batch size " << n << ")\n";
@@ -218,10 +231,15 @@ int Main(int argc, char** argv) {
     const double speedup = static_cast<double>(per_candidate_ns) /
                            static_cast<double>(std::max<uint64_t>(
                                batched_ns, 1));
+    const double settled_share =
+        static_cast<double>(batched_settled) /
+        static_cast<double>(std::max<uint64_t>(per_candidate_settled, 1));
     tw.AddRow({std::to_string(n),
                TableWriter::Fmt(per_candidate_ns / 1e3, 1),
                TableWriter::Fmt(batched_ns / 1e3, 1),
-               TableWriter::Fmt(speedup, 2) + "x"});
+               TableWriter::Fmt(speedup, 2) + "x",
+               std::to_string(per_candidate_settled),
+               std::to_string(batched_settled)});
     json.BeginRecord();
     json.Str("mode", "batch_vs_per_candidate");
     json.Num("targets", static_cast<double>(n));
@@ -230,10 +248,20 @@ int Main(int argc, char** argv) {
     json.Num("per_candidate_ns", static_cast<double>(per_candidate_ns));
     json.Num("batched_ns", static_cast<double>(batched_ns));
     json.Num("speedup", speedup);
+    json.Num("per_candidate_settled",
+             static_cast<double>(per_candidate_settled));
+    json.Num("batched_settled", static_cast<double>(batched_settled));
     if (n >= 16 && speedup < kMinSpeedupAt16) {
       std::cerr << "FAIL: batched refinement only " << speedup
                 << "x faster at " << n << " targets (floor "
                 << kMinSpeedupAt16 << "x)\n";
+      ok = false;
+    }
+    if (n >= 16 && settled_share > kMaxSettledShareAt16) {
+      std::cerr << "FAIL: batched forward sweeps settle " << batched_settled
+                << " nodes, " << settled_share << " of the per-candidate "
+                << per_candidate_settled << " at " << n
+                << " targets (ceiling " << kMaxSettledShareAt16 << ")\n";
       ok = false;
     }
   }

@@ -10,10 +10,12 @@
 #                                    # suite under TSan + overhead bench
 #   scripts/check.sh fault           # resilience gate: fault/degradation
 #                                    # suite under TSan + quick fault bench
-#   scripts/check.sh perf            # batched-derouting speedup gate:
-#                                    # Release build + quick-scale
-#                                    # bench_micro_derouting (fails when
-#                                    # the batched path misses its floor)
+#   scripts/check.sh perf            # batched-derouting and weather-
+#                                    # window speedup gates: Release build
+#                                    # + quick-scale bench_micro_derouting,
+#                                    # then bench_micro_eis (each fails
+#                                    # when its fast path breaks parity or
+#                                    # misses its floor)
 #   scripts/check.sh ch              # contraction-hierarchy gate: CH /
 #                                    # derouting / snapshot suites under
 #                                    # ASan and UBSan, then the asserting
@@ -126,13 +128,18 @@ case "${sanitize}" in
     # not noise: the gate binary exits 1 when ExactBatch is no longer
     # bit-identical to per-candidate search, when the batched path drops
     # below its 2x floor at >= 16 targets, or when the bucketed continuous
-    # schedule never warm-starts. Timing wants a plain Release tree.
+    # schedule never warm-starts; bench_micro_eis exits 1 when a cold
+    # forecast batch priced one weather window per target bucket is no
+    # longer bit-identical to per-charger pricing or drops below its 2x
+    # floor. Timing wants a plain Release tree.
     shift
     build_dir="${repo_root}/build"
     cmake -B "${build_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
-    cmake --build "${build_dir}" -j "$(nproc)" --target bench_micro_derouting
+    cmake --build "${build_dir}" -j "$(nproc)" \
+      --target bench_micro_derouting bench_micro_eis
     (cd "${build_dir}/bench" && ./bench_micro_derouting --quick "$@")
+    (cd "${build_dir}/bench" && ./bench_micro_eis --quick)
     echo "check.sh perf: BENCH_*.json artifacts land in build/bench/ and" \
          "are untracked; copy numbers into EXPERIMENTS.md when they move."
     exit 0
@@ -265,6 +272,7 @@ case "${sanitize}" in
     mapfile -t sources < <({ find "${repo_root}/src" "${repo_root}/tools" \
       -name '*.cc'; echo "${repo_root}/bench/bench_micro_obs.cc"; \
       echo "${repo_root}/bench/bench_micro_derouting.cc"; \
+      echo "${repo_root}/bench/bench_micro_eis.cc"; \
       echo "${repo_root}/bench/bench_micro_ch.cc"; \
       echo "${repo_root}/bench/bench_micro_ch_customize.cc"; \
       echo "${repo_root}/bench/bench_micro_score.cc"; \

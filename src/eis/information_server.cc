@@ -106,14 +106,29 @@ InformationServer::InformationServer(SolarEnergyService* energy,
 void InformationServer::ResolveWeather(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, double window_s,
-    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims) {
+    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims,
+    std::vector<SolarWindow>* windows) {
+  // The windows this call priced, keyed by snapped target: now and
+  // window_s are fixed for the call, so the memo never outlives its issue
+  // bucket, window or world revision. Entries past `priced` are storage
+  // left by earlier calls, rebuilt in place.
+  size_t priced = 0;
+  auto window_for = [&](SimTime snapped_now,
+                        SimTime snapped_target) -> const SolarWindow& {
+    for (size_t w = 0; w < priced; ++w) {
+      if ((*windows)[w].target() == snapped_target) return (*windows)[w];
+    }
+    if (priced == windows->size()) windows->emplace_back();
+    SolarWindow& window = (*windows)[priced++];
+    energy_->BuildWindow(snapped_now, snapped_target, window_s, &window);
+    return window;
+  };
   Resolve(&weather_columns_, WeatherColumn(now, window_s), chargers, targets,
           now,
           [&](const EvCharger& c, SimTime snapped_now,
               SimTime snapped_target) -> Result<EnergyForecast> {
             CountWeatherCall();
-            return energy_->ForecastEnergyKwh(c, snapped_now, snapped_target,
-                                              window_s);
+            return window_for(snapped_now, snapped_target).Energy(c);
           },
           NeverDegrades<EnergyForecast>, out, fetch, claims);
 }
@@ -141,7 +156,8 @@ EnergyForecast InformationServer::GetEnergyForecast(const EvCharger& charger,
   EnergyForecast f;
   EisFetch rung = EisFetch::kFresh;
   SlotClaim claim[1];
-  ResolveWeather(one, {&target, 1}, now, window_s, &f, &rung, claim);
+  std::vector<SolarWindow> window;
+  ResolveWeather(one, {&target, 1}, now, window_s, &f, &rung, claim, &window);
   if (fetch) *fetch = rung;
   return f;
 }
@@ -167,7 +183,7 @@ void InformationServer::GetForecastBatch(
   out->fetch.assign(n, EisFetch::kFresh);
   out->claims.resize(n);
   ResolveWeather(chargers, targets, now, window_s, out->energy.data(),
-                 out->fetch.data(), out->claims);
+                 out->fetch.data(), out->claims, &out->windows);
   ResolveAvailability(chargers, targets, now, out->availability.data(),
                       out->fetch.data(), out->claims);
 }

@@ -62,6 +62,8 @@ struct ForecastBatch {
   std::vector<EisFetch> fetch;
   /// Claim scratch of the column stores, one entry per candidate.
   std::vector<SlotClaim> claims;
+  /// Weather windows of one call, one per distinct target bucket missed.
+  std::vector<SolarWindow> windows;
 };
 
 /// \brief The EcoCharge Information Server (EIS).
@@ -171,14 +173,18 @@ class InformationServer {
 
   /// Per-source resolution behind both the Get* calls and
   /// GetForecastBatch: `out[i]` for `chargers[i]` arriving at `targets[i]`,
-  /// `fetch[i]` raised to the rung used, `claims` the caller's scratch.
-  /// Here the upstream is the simulated service itself and cannot fail;
-  /// ResilientInformationServer overrides both with its guarded, degrading
-  /// fetch over the same column slots.
+  /// `fetch[i]` raised to the rung used, `claims` (and for weather
+  /// `windows`) the caller's scratch. Here the upstream is the simulated
+  /// service itself and cannot fail, and a weather call prices one
+  /// SolarWindow per distinct target bucket it misses, shared by every
+  /// charger missing in that bucket; each missed slot still counts one
+  /// upstream call. ResilientInformationServer overrides both with its
+  /// guarded, degrading per-charger fetch over the same column slots.
   virtual void ResolveWeather(std::span<const EvCharger* const> chargers,
                               std::span<const SimTime> targets, SimTime now,
                               double window_s, EnergyForecast* out,
-                              EisFetch* fetch, std::span<SlotClaim> claims);
+                              EisFetch* fetch, std::span<SlotClaim> claims,
+                              std::vector<SolarWindow>* windows);
   virtual void ResolveAvailability(std::span<const EvCharger* const> chargers,
                                    std::span<const SimTime> targets,
                                    SimTime now, AvailabilityForecast* out,

@@ -52,42 +52,60 @@ SolarEnergyService::SolarEnergyService(const SolarModel& solar,
       weather_(climate, seed),
       forecaster_(&weather_, seed ^ 0xF0F0F0F0ULL) {}
 
-EnergyForecast SolarEnergyService::IntegrateKwh(
-    const EvCharger& charger, SimTime t0, double window_s,
-    const WeatherForecaster::Forecast* band) {
+EnergyForecast SolarWindow::Energy(const EvCharger& charger) const {
   EnergyForecast out;
-  if (window_s <= 0.0) return out;
-  const double step = ProductionTrace::kSlotSeconds;
-  for (double offset = 0.0; offset < window_s; offset += step) {
-    double dt = std::min(step, window_s - offset);
-    SimTime mid = t0 + offset + dt / 2.0;
-    // The clear-sky term depends only on the slot: both edges share it.
-    double clear_kw =
-        charger.pv_capacity_kw * (solar_.ClearSkyIrradiance(mid) / 1000.0);
-    double lo = band ? band->transmission_min : weather_.TransmissionAt(mid);
-    double hi = band ? band->transmission_max : lo;
-    out.min_kwh += clear_kw * lo * dt / kSecondsPerHour;
-    out.max_kwh += clear_kw * hi * dt / kSecondsPerHour;
+  if (window_s_ <= 0.0) return out;
+  for (const Slot& slot : slots_) {
+    double clear_kw = charger.pv_capacity_kw * slot.irradiance;
+    out.min_kwh += clear_kw * band_.transmission_min * slot.dt /
+                   kSecondsPerHour;
+    out.max_kwh += clear_kw * band_.transmission_max * slot.dt /
+                   kSecondsPerHour;
   }
   // Delivery is capped by the charger's rate over the window.
-  double cap_kwh = charger.RateKw() * window_s / kSecondsPerHour;
+  double cap_kwh = charger.RateKw() * window_s_ / kSecondsPerHour;
   out.min_kwh = std::min(out.min_kwh, cap_kwh);
   out.max_kwh = std::min(out.max_kwh, cap_kwh);
   return out;
 }
 
+void SolarEnergyService::BuildWindow(SimTime now, SimTime target,
+                                     double window_s, SolarWindow* window) {
+  window->band_ = forecaster_.ForecastTransmission(now, target);
+  window->target_ = target;
+  window->window_s_ = window_s;
+  window->slots_.clear();
+  const double step = ProductionTrace::kSlotSeconds;
+  for (double offset = 0.0; offset < window_s; offset += step) {
+    double dt = std::min(step, window_s - offset);
+    SimTime mid = target + offset + dt / 2.0;
+    window->slots_.push_back({solar_.ClearSkyIrradiance(mid) / 1000.0, dt});
+  }
+}
+
 double SolarEnergyService::ActualEnergyKwh(const EvCharger& charger,
                                            SimTime t0, double window_s) {
-  return IntegrateKwh(charger, t0, window_s, /*band=*/nullptr).min_kwh;
+  if (window_s <= 0.0) return 0.0;
+  double kwh = 0.0;
+  const double step = ProductionTrace::kSlotSeconds;
+  for (double offset = 0.0; offset < window_s; offset += step) {
+    double dt = std::min(step, window_s - offset);
+    SimTime mid = t0 + offset + dt / 2.0;
+    double clear_kw =
+        charger.pv_capacity_kw * (solar_.ClearSkyIrradiance(mid) / 1000.0);
+    kwh += clear_kw * weather_.TransmissionAt(mid) * dt / kSecondsPerHour;
+  }
+  // Delivery is capped by the charger's rate over the window.
+  return std::min(kwh, charger.RateKw() * window_s / kSecondsPerHour);
 }
 
 EnergyForecast SolarEnergyService::ForecastEnergyKwh(const EvCharger& charger,
                                                      SimTime now,
                                                      SimTime target,
                                                      double window_s) {
-  const WeatherForecaster::Forecast f =
-      forecaster_.ForecastTransmission(now, target);
-  return IntegrateKwh(charger, target, window_s, &f);
+  SolarWindow window;
+  BuildWindow(now, target, window_s, &window);
+  return window.Energy(charger);
 }
 
 double SolarEnergyService::MaxDeliverableKwh(

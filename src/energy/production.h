@@ -46,6 +46,36 @@ struct EnergyForecast {
   double max_kwh = 0.0;
 };
 
+/// \brief The charger-independent half of a forecast: the transmission band
+/// issued at `now` for `target`, and each 15-minute slot of [target,
+/// target + window_s] with its clear-sky irradiance (kW per kWp) and length.
+///
+/// SolarEnergyService::BuildWindow prices one; Energy() then answers for
+/// any charger with a few multiply-adds per slot. Only the site's PV
+/// capacity and charge rate vary between chargers, so a batch of chargers
+/// sharing an arrival bucket shares one window.
+class SolarWindow {
+ public:
+  /// The forecast band for `charger` over this window, bit-identical to
+  /// pricing the window for that charger alone.
+  EnergyForecast Energy(const EvCharger& charger) const;
+
+  SimTime target() const { return target_; }
+
+ private:
+  friend class SolarEnergyService;
+
+  struct Slot {
+    double irradiance;  ///< ClearSkyIrradiance(slot middle) / 1000
+    double dt;          ///< slot length, s (the last one may be partial)
+  };
+
+  WeatherForecaster::Forecast band_;
+  SimTime target_ = 0.0;
+  double window_s_ = 0.0;
+  std::vector<Slot> slots_;
+};
+
 /// \brief Answers "how much clean energy will charger b offer in my arrival
 /// window?" — both the realized truth and the forecast interval that forms
 /// the L estimated component.
@@ -67,9 +97,20 @@ class SolarEnergyService {
   double ActualEnergyKwh(const EvCharger& charger, SimTime t0,
                          double window_s);
 
-  /// Forecast interval issued at `now` for [target, target + window_s].
+  /// Forecast interval issued at `now` for [target, target + window_s]:
+  /// BuildWindow, then SolarWindow::Energy. One call costs a forecaster
+  /// draw (a weather-mutex lock, an Rng seed, a Gaussian) plus one
+  /// clear-sky irradiance (5 trig calls, an asin, a pow) per 15-minute
+  /// slot — a 1 h window has 4 — and allocates the window's slot array.
+  /// Batch callers price one SolarWindow per target bucket instead and
+  /// reuse it for every charger arriving in it.
   EnergyForecast ForecastEnergyKwh(const EvCharger& charger, SimTime now,
                                    SimTime target, double window_s);
+
+  /// Prices the charger-independent half of ForecastEnergyKwh(., now,
+  /// target, window_s) into `*window`, reusing its slot storage.
+  void BuildWindow(SimTime now, SimTime target, double window_s,
+                   SolarWindow* window);
 
   /// Upper bound on deliverable energy for any charger in `fleet` over a
   /// window of `window_s` — the normalization constant for the L score
@@ -78,18 +119,10 @@ class SolarEnergyService {
                            double window_s) const;
 
   WeatherProcess& weather() { return weather_; }
+  WeatherForecaster& forecaster() { return forecaster_; }
   const SolarModel& solar() const { return solar_; }
 
  private:
-  /// PV energy over [t0, t0 + window_s], capped by the charger's delivery
-  /// rate, under the forecast transmission band (min_kwh from its lower
-  /// edge, max_kwh from its upper), or under the realized transmission in
-  /// both fields when `band` is null. Each slot's clear-sky irradiance is
-  /// evaluated once for both edges.
-  EnergyForecast IntegrateKwh(const EvCharger& charger, SimTime t0,
-                              double window_s,
-                              const WeatherForecaster::Forecast* band);
-
   SolarModel solar_;
   WeatherProcess weather_;
   WeatherForecaster forecaster_;

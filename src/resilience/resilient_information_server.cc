@@ -94,7 +94,9 @@ void ResilientInformationServer::CountClimatologicalServe(UpstreamKind kind) {
 void ResilientInformationServer::ResolveWeather(
     std::span<const EvCharger* const> chargers,
     std::span<const SimTime> targets, SimTime now, double window_s,
-    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims) {
+    EnergyForecast* out, EisFetch* fetch, std::span<SlotClaim> claims,
+    std::vector<SolarWindow>* /*windows*/) {
+  // Faults are per upstream call, so every charger fetches on its own.
   Resolve(
       &weather_columns_, WeatherColumn(now, window_s), chargers, targets, now,
       [&](const EvCharger& c, SimTime snapped_now, SimTime snapped_target) {

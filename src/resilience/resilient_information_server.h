@@ -160,7 +160,8 @@ class ResilientInformationServer : public InformationServer {
   void ResolveWeather(std::span<const EvCharger* const> chargers,
                       std::span<const SimTime> targets, SimTime now,
                       double window_s, EnergyForecast* out,
-                      EisFetch* fetch, std::span<SlotClaim> claims) override;
+                      EisFetch* fetch, std::span<SlotClaim> claims,
+                      std::vector<SolarWindow>* windows) override;
   void ResolveAvailability(std::span<const EvCharger* const> chargers,
                            std::span<const SimTime> targets, SimTime now,
                            AvailabilityForecast* out, EisFetch* fetch,

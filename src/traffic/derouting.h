@@ -174,6 +174,11 @@ class DeroutingService {
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
+  /// Nodes settled by the last outbound Dijkstra sweep: Exact()'s
+  /// single-target search or ExactBatch()'s multi-target one. A work
+  /// count that does not depend on timing, for benchmarks.
+  size_t last_forward_settled() const { return search_.last_settled_count(); }
+
   /// Switches ExactBatch()/EtaWindow() to the contraction-hierarchy
   /// backend over `cache->index()`, which must be built over this service's
   /// network. Every plane comes from `cache` (not owned, must outlive the

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
 namespace ecocharge {
 namespace {
 
@@ -128,6 +132,90 @@ TEST_F(InformationServerTest, ChargeWindowIsPartOfTheWeatherKey) {
   server_.GetEnergyForecast(c, now, target, 3600.0);
   EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
   EXPECT_EQ(server_.Stats().weather_cache.hits, 2u);
+}
+
+bool SameBits(const EnergyForecast& a, const EnergyForecast& b) {
+  return std::bit_cast<uint64_t>(a.min_kwh) ==
+             std::bit_cast<uint64_t>(b.min_kwh) &&
+         std::bit_cast<uint64_t>(a.max_kwh) ==
+             std::bit_cast<uint64_t>(b.max_kwh);
+}
+
+TEST_F(InformationServerTest, BatchWeatherAccountingMatchesPerChargerCalls) {
+  // A batch prices one window per target bucket, but weather_api_calls is
+  // the modelled upstream load: it, and the column's hit / miss /
+  // expiration counts, must equal those of the same lookups made one
+  // charger at a time.
+  EisOptions opts;
+  opts.weather_ttl_s = 60.0;
+  InformationServer batched(&energy_, &availability_, &congestion_, opts);
+  InformationServer single(&energy_, &availability_, &congestion_, opts);
+  std::vector<EvCharger> fleet;
+  for (ChargerId id = 0; id < 60; ++id) fleet.push_back(Charger(id));
+  const SimTime now = 10.0 * kSecondsPerHour + 30.0;
+  // Three rounds in one issue bucket: cold, a repeat (hits), and one past
+  // the 60 s TTL (expirations). Chargers repeat inside a round, and the
+  // targets span four buckets.
+  ForecastBatch batch;
+  for (double later : {0.0, 20.0, 200.0}) {
+    std::vector<const EvCharger*> chargers;
+    std::vector<SimTime> targets;
+    for (size_t i = 0; i < 90; ++i) {
+      chargers.push_back(&fleet[(i * 7) % fleet.size()]);
+      targets.push_back(now + 1200.0 + static_cast<double>(i % 4) * 900.0);
+    }
+    batched.GetForecastBatch(chargers, targets, now + later, 3600.0, &batch);
+    for (size_t i = 0; i < chargers.size(); ++i) {
+      EnergyForecast one = single.GetEnergyForecast(
+          *chargers[i], now + later, targets[i], 3600.0);
+      EXPECT_TRUE(SameBits(batch.energy[i], one)) << "candidate " << i;
+    }
+    const EisCallStats a = batched.Stats();
+    const EisCallStats b = single.Stats();
+    EXPECT_EQ(a.weather_api_calls, b.weather_api_calls);
+    EXPECT_EQ(a.weather_cache.hits, b.weather_cache.hits);
+    EXPECT_EQ(a.weather_cache.misses, b.weather_cache.misses);
+    EXPECT_EQ(a.weather_cache.expirations, b.weather_cache.expirations);
+  }
+  const EisCallStats stats = batched.Stats();
+  EXPECT_EQ(stats.weather_api_calls, stats.weather_cache.misses);
+  EXPECT_GT(stats.weather_cache.hits, 0u);
+  EXPECT_GT(stats.weather_cache.expirations, 0u);
+}
+
+TEST_F(InformationServerTest, LaterIssueBucketPricesItsOwnWindows) {
+  // The window memo lives in the caller's scratch but is scoped to one
+  // call: a batch issued an hour later, for the same target buckets and
+  // through the same scratch, must price its own forecast band.
+  std::vector<EvCharger> fleet;
+  for (ChargerId id = 0; id < 16; ++id) {
+    fleet.push_back(Charger(id));
+    fleet.back().type = ChargerType::kDc150;  // no rate cap on the band
+    fleet.back().pv_capacity_kw = 8.0 + static_cast<double>(id);
+  }
+  std::vector<const EvCharger*> chargers;
+  std::vector<SimTime> targets;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    chargers.push_back(&fleet[i]);
+    targets.push_back(12.0 * kSecondsPerHour +
+                      static_cast<double>(i % 3) * 900.0);
+  }
+  ForecastBatch batch;
+  const SimTime first = 9.0 * kSecondsPerHour;  // on bucket boundaries
+  const SimTime second = 10.0 * kSecondsPerHour;
+  server_.GetForecastBatch(chargers, targets, first, 3600.0, &batch);
+  const std::vector<EnergyForecast> earlier = batch.energy;
+  server_.GetForecastBatch(chargers, targets, second, 3600.0, &batch);
+  size_t moved = 0;
+  for (size_t i = 0; i < fleet.size(); ++i) {
+    EnergyForecast direct =
+        energy_.ForecastEnergyKwh(fleet[i], second, targets[i], 3600.0);
+    EXPECT_TRUE(SameBits(batch.energy[i], direct)) << "candidate " << i;
+    if (!SameBits(earlier[i], direct)) ++moved;
+  }
+  // The two issue times forecast different bands, so reuse would show.
+  EXPECT_GT(moved, 0u);
+  EXPECT_EQ(server_.Stats().weather_api_calls, 2 * fleet.size());
 }
 
 }  // namespace
