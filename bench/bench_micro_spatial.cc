@@ -1,18 +1,13 @@
-// Micro-benchmarks of the spatial index family: build, kNN, and range
-// queries on quadtree / kd-tree / grid / linear scan, over point-cloud
-// sizes bracketing the paper's charger fleets.
+// Micro-benchmarks of the spatial index: build, kNN, and range queries on
+// the quadtree and its linear-scan oracle, over point-cloud sizes
+// bracketing the paper's charger fleets.
 
 #include <benchmark/benchmark.h>
 
-#include <memory>
+#include <string>
 
 #include "common/rng.h"
-#include "spatial/grid_index.h"
-#include "spatial/kdtree.h"
-#include "spatial/linear_scan.h"
-#include "spatial/quadtree.h"
-#include "spatial/aknn.h"
-#include "spatial/rtree.h"
+#include "spatial/index_factory.h"
 
 namespace ecocharge {
 namespace {
@@ -28,83 +23,48 @@ std::vector<Point> MakeCloud(size_t n, uint64_t seed = 99) {
   return points;
 }
 
-std::unique_ptr<SpatialIndex> MakeIndex(int kind) {
-  switch (kind) {
-    case 0:
-      return std::make_unique<LinearScanIndex>();
-    case 1:
-      return std::make_unique<QuadTree>();
-    case 2:
-      return std::make_unique<KdTree>();
-    case 3:
-      return std::make_unique<GridIndex>();
-    default:
-      return std::make_unique<RTree>();
-  }
-}
-
-const char* IndexName(int kind) {
-  switch (kind) {
-    case 0:
-      return "linear";
-    case 1:
-      return "quadtree";
-    case 2:
-      return "kdtree";
-    case 3:
-      return "grid";
-    default:
-      return "rtree";
-  }
+// state.range(0) indexes kAllSpatialIndexKinds.
+SpatialIndexKind KindArg(const benchmark::State& state) {
+  return kAllSpatialIndexKinds[static_cast<size_t>(state.range(0))];
 }
 
 void BM_IndexBuild(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(1));
   std::vector<Point> cloud = MakeCloud(n);
   for (auto _ : state) {
-    auto index = MakeIndex(static_cast<int>(state.range(0)));
+    auto index = MakeSpatialIndex(KindArg(state));
     index->Build(cloud);
     benchmark::DoNotOptimize(index->size());
   }
-  state.SetLabel(IndexName(static_cast<int>(state.range(0))));
+  state.SetLabel(std::string(SpatialIndexKindName(KindArg(state))));
 }
-BENCHMARK(BM_IndexBuild)
-    ->ArgsProduct({{0, 1, 2, 3, 4}, {1000, 10000}});
+BENCHMARK(BM_IndexBuild)->ArgsProduct({{0, 1}, {1000, 10000}});
 
 void BM_IndexKnn(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(1));
-  auto index = MakeIndex(static_cast<int>(state.range(0)));
+  auto index = MakeSpatialIndex(KindArg(state));
   index->Build(MakeCloud(n));
   Rng rng(7);
   for (auto _ : state) {
     Point q{rng.NextDouble(0.0, 50000.0), rng.NextDouble(0.0, 40000.0)};
     benchmark::DoNotOptimize(index->Knn(q, 8));
   }
-  state.SetLabel(IndexName(static_cast<int>(state.range(0))));
+  state.SetLabel(std::string(SpatialIndexKindName(KindArg(state))));
 }
-BENCHMARK(BM_IndexKnn)->ArgsProduct({{0, 1, 2, 3, 4}, {1000, 10000}});
+BENCHMARK(BM_IndexKnn)->ArgsProduct({{0, 1}, {1000, 10000}});
 
 void BM_IndexRange(benchmark::State& state) {
   size_t n = static_cast<size_t>(state.range(1));
-  auto index = MakeIndex(static_cast<int>(state.range(0)));
+  auto index = MakeSpatialIndex(KindArg(state));
   index->Build(MakeCloud(n));
   Rng rng(7);
   for (auto _ : state) {
     Point q{rng.NextDouble(0.0, 50000.0), rng.NextDouble(0.0, 40000.0)};
     benchmark::DoNotOptimize(index->RangeSearch(q, 5000.0));
   }
-  state.SetLabel(IndexName(static_cast<int>(state.range(0))));
+  state.SetLabel(std::string(SpatialIndexKindName(KindArg(state))));
 }
-BENCHMARK(BM_IndexRange)->ArgsProduct({{0, 1, 2, 3, 4}, {1000, 10000}});
-
-void BM_AllKnnJoin(benchmark::State& state) {
-  size_t n = static_cast<size_t>(state.range(0));
-  std::vector<Point> cloud = MakeCloud(n);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(ComputeAllKnn(cloud, 8));
-  }
-}
-BENCHMARK(BM_AllKnnJoin)->Arg(1000)->Arg(4000)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_IndexRange)->ArgsProduct({{0, 1}, {1000, 10000}});
 
 }  // namespace
 }  // namespace ecocharge

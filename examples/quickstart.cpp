@@ -2,8 +2,9 @@
 // EcoCharge Offering Tables alongside the Brute-Force optimum.
 //
 // Usage: quickstart [seed] [index]
-//   index: quadtree|rtree|grid|linear — charger-index backend; the
-//   tables are identical across backends, only the query time changes.
+//   index: quadtree|linear — charger-index backend (the production
+//   quadtree or the linear-scan oracle); the tables are identical across
+//   both, only the query time changes.
 
 #include <cstdlib>
 #include <iostream>

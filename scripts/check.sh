@@ -15,7 +15,9 @@
 #                                    # + quick-scale bench_micro_derouting,
 #                                    # then bench_micro_eis (each fails
 #                                    # when its fast path breaks parity or
-#                                    # misses its floor)
+#                                    # misses its floor; both always run
+#                                    # and the script exits 1 if either
+#                                    # failed)
 #   scripts/check.sh ch              # contraction-hierarchy gate: CH /
 #                                    # derouting / snapshot suites under
 #                                    # ASan and UBSan, then the asserting
@@ -131,18 +133,23 @@ case "${sanitize}" in
     # schedule never warm-starts; bench_micro_eis exits 1 when a cold
     # forecast batch priced one weather window per target bucket is no
     # longer bit-identical to per-charger pricing or drops below its 2x
-    # floor. Timing wants a plain Release tree.
+    # floor. Both gates always run, so a failure in one never hides the
+    # other's verdict; the script fails if either does. Timing wants a
+    # plain Release tree.
     shift
     build_dir="${repo_root}/build"
     cmake -B "${build_dir}" -S "${repo_root}" \
       -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
     cmake --build "${build_dir}" -j "$(nproc)" \
       --target bench_micro_derouting bench_micro_eis
-    (cd "${build_dir}/bench" && ./bench_micro_derouting --quick "$@")
-    (cd "${build_dir}/bench" && ./bench_micro_eis --quick)
+    status=0
+    (cd "${build_dir}/bench" && ./bench_micro_derouting --quick "$@") ||
+      { echo "check.sh perf: bench_micro_derouting FAILED"; status=1; }
+    (cd "${build_dir}/bench" && ./bench_micro_eis --quick) ||
+      { echo "check.sh perf: bench_micro_eis FAILED"; status=1; }
     echo "check.sh perf: BENCH_*.json artifacts land in build/bench/ and" \
          "are untracked; copy numbers into EXPERIMENTS.md when they move."
-    exit 0
+    exit "${status}"
     ;;
   ch)
     # The contraction hierarchy is the second exact-derouting engine: raw

@@ -101,8 +101,8 @@ struct CknnEcOptions {
 /// network-exact derouting from one batched sweep before the final
 /// ordering — the same set on every derouting backend.
 ///
-/// The processor is index-agnostic: any SpatialIndex backend (quadtree,
-/// R-tree, grid, linear scan) produces the same candidate set in
+/// The processor is index-agnostic: any SpatialIndex backend (the quadtree
+/// or the linear-scan oracle) produces the same candidate set in
 /// the same canonical order, so the resulting Offering Tables are
 /// bit-identical across backends. Each stage has a QueryContext form that
 /// reuses caller-owned buffers — the steady-state zero-allocation path —

@@ -10,7 +10,7 @@
 #include <vector>
 
 #include "common/rng.h"
-#include "spatial/kdtree.h"
+#include "spatial/quadtree.h"
 
 namespace ecocharge {
 
@@ -49,13 +49,13 @@ struct PendingEdge {
 
 /// Adds edges joining components until one component remains: repeatedly
 /// connects each minor component's node to its nearest node in a different
-/// component (via kd-tree over all nodes).
+/// component (via a quadtree over all nodes).
 void PatchConnectivity(const std::vector<Point>& positions,
                        std::vector<PendingEdge>& edges) {
   DisjointSet ds(positions.size());
   for (const PendingEdge& e : edges) ds.Union(e.a, e.b);
 
-  KdTree tree;
+  QuadTree tree;
   tree.Build(positions);
   bool merged = true;
   while (merged) {
@@ -222,7 +222,7 @@ Result<std::shared_ptr<RoadNetwork>> MakeRandomGeometric(
     positions.push_back(Point{rng.NextDouble(0.0, options.width_m),
                               rng.NextDouble(0.0, options.height_m)});
   }
-  KdTree tree;
+  QuadTree tree;
   tree.Build(positions);
   std::vector<PendingEdge> edges;
   for (size_t i = 0; i < positions.size(); ++i) {

@@ -15,20 +15,19 @@ namespace ecocharge {
 /// The CkNN-EC pipeline programs against SpatialIndex, so any backend can
 /// drive any ranker; the kind only selects which concrete structure holds
 /// the charger positions. Values are explicit so that retiring a kind
-/// never renumbers the others (3 was the kd-tree).
+/// never renumbers the others (1 was the R-tree, 2 the grid, 3 the
+/// kd-tree).
 enum class SpatialIndexKind {
-  kQuadTree = 0,  ///< point-region quadtree (the paper's baseline index)
-  kRTree = 1,     ///< STR-packed R-tree
-  kGrid = 2,      ///< uniform grid
-  kLinear = 4,    ///< O(n) scan (reference backend)
+  kQuadTree = 0,  ///< point-region quadtree (production; the paper's
+                  ///< Index-Quadtree baseline)
+  kLinear = 4,    ///< O(n) scan (the oracle the quadtree is checked by)
 };
 
 /// All selectable kinds, in the canonical (CLI/bench) order.
-inline constexpr std::array<SpatialIndexKind, 4> kAllSpatialIndexKinds = {
-    SpatialIndexKind::kQuadTree, SpatialIndexKind::kRTree,
-    SpatialIndexKind::kGrid, SpatialIndexKind::kLinear};
+inline constexpr std::array<SpatialIndexKind, 2> kAllSpatialIndexKinds = {
+    SpatialIndexKind::kQuadTree, SpatialIndexKind::kLinear};
 
-/// Canonical flag spelling: "quadtree", "rtree", "grid", "linear".
+/// Canonical flag spelling: "quadtree", "linear".
 std::string_view SpatialIndexKindName(SpatialIndexKind kind);
 
 /// Parses a flag value (case-insensitive, canonical spellings above).

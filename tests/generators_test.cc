@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -76,14 +77,64 @@ TEST(RadialCityTest, RejectsTooFewSpokes) {
   EXPECT_FALSE(MakeRadialCity(opts).ok());
 }
 
+/// FNV-1a over the edge list (endpoints, class, length bits) in edge-id
+/// order: pins every kNN link and patch edge a generator emits.
+uint64_t EdgeListDigest(const RoadNetwork& network) {
+  uint64_t h = 1469598103934665603ull;
+  auto mix = [&h](uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      h ^= (v >> (8 * byte)) & 0xFFu;
+      h *= 1099511628211ull;
+    }
+  };
+  mix(network.NumNodes());
+  mix(network.NumEdges());
+  for (EdgeId e = 0; e < network.NumEdges(); ++e) {
+    const Edge edge = network.edge(e);
+    mix(edge.from);
+    mix(edge.to);
+    mix(static_cast<uint64_t>(edge.road_class));
+    uint64_t bits;
+    std::memcpy(&bits, &edge.length_m, sizeof(bits));
+    mix(bits);
+  }
+  return h;
+}
+
 TEST(RandomGeometricTest, ConnectivityIsPatched) {
   RandomGeometricOptions opts;
   opts.num_nodes = 300;
-  opts.k_nearest = 2;  // sparse: disconnected components are likely
+  opts.k_nearest = 2;  // sparse: 54 components before patching
   opts.seed = 5;
   auto network = MakeRandomGeometric(opts).MoveValueUnsafe();
   EXPECT_EQ(network->NumNodes(), 300u);
   EXPECT_TRUE(network->IsStronglyConnected());
+  // The kNN links and the patch edges snap nodes through the spatial
+  // index; its (distance, id) order decides every pick, so the digests
+  // pin them.
+  EXPECT_EQ(EdgeListDigest(*network), 0x26392cf4d6d9548aull);
+
+  // The Geolife-shaped network (src/traj/dataset.cc) at seed 3 splits
+  // into 3 components, so the dataset path goes through the patch pass.
+  RandomGeometricOptions geolife;
+  geolife.num_nodes = 1400;
+  geolife.width_m = 50000.0;
+  geolife.height_m = 45000.0;
+  geolife.k_nearest = 4;
+  geolife.seed = 3;
+  auto patched = MakeRandomGeometric(geolife).MoveValueUnsafe();
+  EXPECT_TRUE(patched->IsStronglyConnected());
+  EXPECT_EQ(EdgeListDigest(*patched), 0xb3fe07720cdd6a5bull);
+
+  // A 1-NN input falls into 98 components: 97 of its 199 undirected
+  // edges come from the patch pass's foreign-neighbour search.
+  RandomGeometricOptions forest;
+  forest.num_nodes = 200;
+  forest.k_nearest = 1;
+  forest.seed = 11;
+  auto fragmented = MakeRandomGeometric(forest).MoveValueUnsafe();
+  EXPECT_TRUE(fragmented->IsStronglyConnected());
+  EXPECT_EQ(EdgeListDigest(*fragmented), 0x4b3b32245868d526ull);
 }
 
 TEST(RandomGeometricTest, RejectsBadOptions) {

@@ -317,19 +317,23 @@ TEST(IndexFactoryTest, ParseRoundTripsEveryKind) {
 TEST(IndexFactoryTest, ParseAcceptsSeparatorsAndCase) {
   EXPECT_EQ(ParseSpatialIndexKind("Quad-Tree").value(),
             SpatialIndexKind::kQuadTree);
-  EXPECT_EQ(ParseSpatialIndexKind("r_tree").value(), SpatialIndexKind::kRTree);
+  EXPECT_EQ(ParseSpatialIndexKind("quad_tree").value(),
+            SpatialIndexKind::kQuadTree);
   EXPECT_EQ(ParseSpatialIndexKind("QUADTREE").value(),
             SpatialIndexKind::kQuadTree);
   EXPECT_FALSE(ParseSpatialIndexKind("voronoi").ok());
 }
 
 TEST(IndexFactoryTest, KdTreeIsNotSelectable) {
-  auto parsed = ParseSpatialIndexKind("kdtree");
-  ASSERT_FALSE(parsed.ok());
-  EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(parsed.status().message().find("(quadtree|rtree|grid|linear)"),
-            std::string::npos)
-      << parsed.status();
+  // No retired backend parses.
+  for (const char* retired : {"kdtree", "rtree", "r_tree", "grid"}) {
+    auto parsed = ParseSpatialIndexKind(retired);
+    ASSERT_FALSE(parsed.ok()) << retired;
+    EXPECT_EQ(parsed.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(parsed.status().message().find("(quadtree|linear)"),
+              std::string::npos)
+        << parsed.status();
+  }
 }
 
 TEST(IndexFactoryTest, MakeProducesWorkingIndex) {

@@ -220,8 +220,9 @@ int Usage() {
                (run a small serving workload and print the metric catalog)
   info
 
-  BACKEND: quadtree|rtree|grid|linear (charger index; every backend
-  produces identical rankings — the choice only affects query time)
+  BACKEND: quadtree|linear (charger index: the production quadtree or
+  the linear-scan oracle; both produce identical rankings — the choice
+  only affects query time)
 
   --no-simd (rank/simulate/serve): escape hatch that routes the filter/
   score phase through the scalar reference kernels instead of the SIMD
