@@ -7,7 +7,7 @@
 //      orders of magnitude cheaper than the build) and the loaded hierarchy
 //      answers bit-identically to the freshly built one;
 //   2. CH batch derouting estimates are bit-identical to ExactBatch on the
-//      Dijkstra backend, across traffic buckets;
+//      Dijkstra backend, at two traffic hours;
 //   3. on the full graph (>= 1M nodes) the CH backend is >= 10x faster than
 //      ExactBatch (>= 2x on the --quick 200k-node smoke graph — the sweeps'
 //      advantage shrinks when the whole graph fits in cache);
@@ -44,6 +44,15 @@ uint64_t NowNs() {
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           std::chrono::steady_clock::now().time_since_epoch())
           .count());
+}
+
+/// The class weights of the exact derouting metric at cost time `tau`.
+ChClassWeights WeightsAt(const CongestionModel& congestion, SimTime tau) {
+  ChClassWeights w;
+  for (int c = 0; c < kChNumClasses; ++c) {
+    w.w[c] = 1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c), tau);
+  }
+  return w;
 }
 
 bool SameBits(const DeroutingEstimate& a, const DeroutingEstimate& b) {
@@ -215,13 +224,13 @@ int Main(int argc, char** argv) {
     ChCustomizationCache fresh_cache(*built), reloaded_cache(*loaded);
     ChQuery fresh(fresh_cache), reloaded(reloaded_cache);
     CongestionModel congestion(7);
-    ChClassWeights w;
-    for (int c = 0; c < kChNumClasses; ++c) {
-      w.w[c] = 1.0 / congestion.ActualSpeedFactor(static_cast<RoadClass>(c),
-                                                  8.5 * 3600);
+    const ChClassWeights w = WeightsAt(congestion, 8.5 * 3600);
+    fresh_cache.Get(w);
+    reloaded_cache.Get(w);
+    if (!fresh.UsePublished(w) || !reloaded.UsePublished(w)) {
+      std::cerr << "FAIL: a priced plane is not published\n";
+      ok = false;
     }
-    fresh.EnsureCustomized(w);
-    reloaded.EnsureCustomized(w);
     // Customized meet distances of the two hierarchies' label spaces.
     auto meet = [](ChQuery& query, NodeId s, NodeId t) {
       ChSpace fwd, bwd;
@@ -247,45 +256,41 @@ int Main(int argc, char** argv) {
   }
 
   // -------------------------------------------------------------------
-  // Derouting backend parity + speedup. Both services bucket exact costs
-  // to the congestion noise bucket (the serving configuration), so the
-  // Dijkstra side gets its warm-start memo and the CH side amortizes
-  // customization the same way — an honest comparison of warmed paths.
+  // Derouting backend parity + speedup. Both services price exact costs
+  // at each query's own `now`.
   // -------------------------------------------------------------------
   CongestionModel congestion(7);
-  DeroutingService exact(snap.network, &congestion, 1.3,
-                         CongestionModel::kNoiseBucketSeconds);
-  DeroutingService hierarchy(snap.network, &congestion, 1.3,
-                             CongestionModel::kNoiseBucketSeconds);
+  DeroutingService exact(snap.network, &congestion);
+  DeroutingService hierarchy(snap.network, &congestion);
   // Serve planes through a customization cache so the timed query loop
   // below measures steady-state query cost: a batch only reads published
-  // planes, so the parity pass prices each bucket first the way the
-  // corridor prewarm does (a one-lane ETA window), and every batch after it
-  // runs on the hierarchy. Customization cost is timed on its own further
-  // down.
+  // planes, so the parity pass prices each query's plane first
+  // (ChCustomizationCache::Get), and every batch after it runs on the
+  // hierarchy. Customization cost is timed on its own further down.
   ChCustomizationCache plane_cache(*loaded);
   hierarchy.set_ch(&plane_cache);
 
   Rng rng(23);
   // The pipeline refines EcoChargeOptions::refine_limit (8) candidates per
-  // query — that is the batch size the backend actually serves.
+  // query — that is the batch size the backend actually serves. Every state
+  // queries at 08:00, so one plane per traffic hour serves the whole
+  // workload.
   const size_t kTargets = 8;
   const size_t kStates = 4;
   std::vector<BigQuery> workload;
   for (size_t s = 0; s < kStates; ++s) {
-    workload.push_back(MakeBigQuery(*snap.network, &rng, kTargets,
-                                    /*now=*/8.0 * 3600 + s * 300.0));
+    workload.push_back(
+        MakeBigQuery(*snap.network, &rng, kTargets, /*now=*/8.0 * 3600));
   }
 
   DeroutingBatchScratch exact_scratch, ch_scratch;
   std::vector<DeroutingEstimate> exact_out, ch_out;
   size_t compared = 0;
-  std::vector<double> window_etas;
-  for (SimTime tau_shift : {0.0, 2.0 * 3600}) {  // two traffic buckets
+  for (SimTime tau_shift : {0.0, 2.0 * 3600}) {  // two traffic hours
     for (BigQuery& bq : workload) {
       DeroutingQuery q = bq.query;
       q.now += tau_shift;
-      hierarchy.EtaWindow(q, *bq.refs.front(), 1, &window_etas);
+      plane_cache.Get(WeightsAt(congestion, q.now));
       exact.ExactBatch(q, bq.refs, &exact_scratch, &exact_out);
       hierarchy.ExactBatch(q, bq.refs, &ch_scratch, &ch_out);
       for (size_t i = 0; i < bq.refs.size(); ++i) {
@@ -303,7 +308,7 @@ int Main(int argc, char** argv) {
   const uint64_t fallbacks =
       hierarchy.backward_sweep_starts() + hierarchy.warm_start_hits();
   std::cout << "parity: " << compared
-            << " estimates compared across 2 traffic buckets ("
+            << " estimates compared across 2 traffic hours ("
             << plane_cache.builds() << " planes built, " << fallbacks
             << " Dijkstra fallbacks)\n";
   if (plane_cache.builds() == 0 || fallbacks != 0) {
@@ -349,11 +354,7 @@ int Main(int argc, char** argv) {
     // misses times one full sweep.
     ChCustomizationCache sweeps(*loaded);
     for (int round = 0; round < kRounds; ++round) {
-      ChClassWeights w;
-      for (int c = 0; c < kChNumClasses; ++c) {
-        w.w[c] = 1.0 / congestion.ActualSpeedFactor(
-                           static_cast<RoadClass>(c), (8.5 + round) * 3600);
-      }
+      const ChClassWeights w = WeightsAt(congestion, (8.5 + round) * 3600);
       bool built = false;
       const uint64_t start = NowNs();
       sweeps.Get(w, &built);
@@ -434,12 +435,7 @@ int Main(int argc, char** argv) {
     // Price every state's plane first: a batch only reads published
     // planes, so each CH table below is ranked on the hierarchy.
     for (const VehicleState& state : exact_world.states) {
-      ChClassWeights w;
-      for (int c = 0; c < kChNumClasses; ++c) {
-        w.w[c] = 1.0 / ch_env->congestion->ActualSpeedFactor(
-                           static_cast<RoadClass>(c), state.time);
-      }
-      ch_env->ch_cache->Get(w);
+      ch_env->ch_cache->Get(WeightsAt(*ch_env->congestion, state.time));
     }
     EcoChargeRanker exact_ranker(exact_world.env->estimator.get(),
                                  exact_index.get(), ScoreWeights::AWE(), ro);

@@ -172,7 +172,7 @@ int Main(int argc, char** argv) {
   // -------------------------------------------------------------------
   // 1. Bit parity: 0/1/2/4 threads vs the reference push sweep, every
   //    bucket. Unconditional — this is the contract
-  //    everything else (planes cache, profile queries, Offering Table
+  //    everything else (planes cache, CH batches, Offering Table
   //    parity) rests on.
   // -------------------------------------------------------------------
   // One customizer, re-targeted with set_threads: every strategy shares

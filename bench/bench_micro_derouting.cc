@@ -1,8 +1,7 @@
 // Batched-derouting speedup gate: the refinement phase's ExactBatch (one
 // multi-target forward sweep + one shared backward sweep per query) against
 // the per-candidate baseline (one point-to-point search pair per charger),
-// swept over batch size x query states, plus the cross-recomputation-point
-// warm-start of a continuous run.
+// swept over batch size x query states.
 //
 // The binary asserts the batched path's contract and exits 1 when it breaks:
 //   1. bit-identical estimates between ExactBatch and N x Exact;
@@ -11,9 +10,7 @@
 //      nodes the per-candidate searches settle (a timing-free floor);
 //   3. ExactBatch, which prices one ClassFactors per cost time, is
 //      bit-identical to and >= 2x faster than the same sweeps driven by a
-//      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch;
-//   4. a bucketed multi-segment continuous schedule reuses the backward
-//      sweep (warm_start_hits > 0).
+//      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_derouting.json.
 
@@ -83,8 +80,7 @@ std::vector<ChargerRef> RefinementCandidates(
 /// ExactBatch's sweeps with a cost lambda that calls the congestion model
 /// on every arc relaxation — the pricing ExactBatch replaced with one
 /// ClassFactors per cost time. It keeps the same backward-sweep memo, so
-/// both sides run the same searches. Cost time is the query's `now` (the
-/// service under comparison is unbucketed).
+/// both sides run the same searches. Cost time is the query's `now`.
 class PerArcBatch {
  public:
   PerArcBatch(const RoadNetwork& network, const CongestionModel& congestion)
@@ -345,64 +341,6 @@ int Main(int argc, char** argv) {
     }
   }
 
-  // Continuous-run warm start: each segment's recomputation points share
-  // the return pair; with costs bucketed to the congestion noise bucket
-  // they also share the cost time, so every point after the segment's
-  // first resumes the settled backward sweep instead of rebuilding it.
-  const size_t warm_n = std::min<size_t>(16, fleet.size());
-  const size_t warm_segments = std::min<size_t>(3, world.states.size());
-  const int kPointsPerSegment = 4;
-  const double kRecomputeWindowS = 4.0 * 60.0;
-  uint64_t cold_ns = UINT64_MAX;
-  uint64_t warm_ns = UINT64_MAX;
-  uint64_t warm_hits = 0;
-  for (int round = 0; round < kRounds; ++round) {
-    for (int side = 0; side < 2; ++side) {
-      const bool bucketed = (round + side) % 2 == 1;
-      DeroutingService service(
-          world.env->dataset.network, world.env->congestion.get(), 1.3,
-          bucketed ? CongestionModel::kNoiseBucketSeconds : 0.0);
-      const uint64_t start = NowNs();
-      for (size_t s = 0; s < warm_segments; ++s) {
-        DeroutingQuery q = estimator.MakeDeroutingQuery(world.states[s]);
-        std::vector<ChargerRef> refs =
-            RefinementCandidates(fleet, world.states[s].position, warm_n);
-        for (int p = 0; p < kPointsPerSegment; ++p) {
-          q.now = world.states[s].time + p * kRecomputeWindowS;
-          service.ExactBatch(q, refs, &scratch, &batch_out);
-        }
-      }
-      const uint64_t elapsed = NowNs() - start;
-      uint64_t& best = bucketed ? warm_ns : cold_ns;
-      best = std::min(best, elapsed);
-      if (bucketed) warm_hits = std::max(warm_hits, service.warm_start_hits());
-    }
-  }
-  const double warm_speedup = static_cast<double>(cold_ns) /
-                              static_cast<double>(std::max<uint64_t>(
-                                  warm_ns, 1));
-  std::cout << "\ncontinuous schedule (" << warm_segments << " segments x "
-            << kPointsPerSegment << " recompute points x " << warm_n
-            << " targets): unbucketed "
-            << TableWriter::Fmt(cold_ns / 1e3, 1) << " us, bucketed "
-            << TableWriter::Fmt(warm_ns / 1e3, 1) << " us ("
-            << TableWriter::Fmt(warm_speedup, 2) << "x), warm hits "
-            << warm_hits << "\n";
-  json.BeginRecord();
-  json.Str("mode", "continuous_warm_start");
-  json.Num("targets", static_cast<double>(warm_n));
-  json.Num("segments", static_cast<double>(warm_segments));
-  json.Num("points_per_segment", kPointsPerSegment);
-  json.Num("unbucketed_ns", static_cast<double>(cold_ns));
-  json.Num("bucketed_ns", static_cast<double>(warm_ns));
-  json.Num("speedup", warm_speedup);
-  json.Num("warm_start_hits", static_cast<double>(warm_hits));
-  if (warm_hits == 0) {
-    std::cerr << "FAIL: the bucketed continuous schedule never warm-started "
-                 "the backward sweep\n";
-    ok = false;
-  }
-
   if (!json.WriteFile("BENCH_derouting.json")) {
     std::cerr << "failed to write BENCH_derouting.json\n";
     return 1;
@@ -412,8 +350,7 @@ int Main(int argc, char** argv) {
   if (!ok) return 1;
   std::cout << "PASS: batched refinement bit-identical and >= "
             << kMinSpeedupAt16 << "x at >= 16 targets, ClassFactors pricing "
-            << "bit-identical and >= " << kMinPricingSpeedup
-            << "x, warm start active\n";
+            << "bit-identical and >= " << kMinPricingSpeedup << "x\n";
   return 0;
 }
 

@@ -104,7 +104,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     chpar_gate=1
-    set -- -R 'ChCustomiz|ChQuery|ChDerouting|ChProfile|EtaWindow|CliSmoke' "$@"
+    set -- -R 'ChCustomiz|ChQuery|ChDerouting|CliSmoke' "$@"
     ;;
   obs)
     # The metrics hot path is relaxed atomics shared across worker
@@ -128,9 +128,8 @@ case "${sanitize}" in
   perf)
     # Performance regressions in the refinement phase are contract breaks,
     # not noise: the gate binary exits 1 when ExactBatch is no longer
-    # bit-identical to per-candidate search, when the batched path drops
-    # below its 2x floor at >= 16 targets, or when the bucketed continuous
-    # schedule never warm-starts; bench_micro_eis exits 1 when a cold
+    # bit-identical to per-candidate search or when the batched path drops
+    # below its 2x floor at >= 16 targets; bench_micro_eis exits 1 when a cold
     # forecast batch priced one weather window per target bucket is no
     # longer bit-identical to per-charger pricing or drops below its 2x
     # floor. Both gates always run, so a failure in one never hides the

@@ -154,16 +154,16 @@ class ChCustomizer {
 /// \brief The one source of customized planes: a shared per-bucket cache
 /// with RCU-style publication.
 ///
-/// Every plane a query, a derouting batch or an ETA window reads comes
-/// from here, and every build is one full ChCustomizer sweep. Customized
-/// planes are immutable once built and a congestion bucket's class weights
-/// are a pure function of the bucket, so N server workers asking for the
-/// same bucket need exactly one sweep. Only callers that know a plane will
-/// be reused build one (Get): the corridor prewarm's ETA window, tests and
-/// benches. A derouting batch only reads published planes (Lookup) and
-/// runs Dijkstra on a miss: a sweep costs far more than the Dijkstra batch
-/// it would replace once, and without exact-cost time bucketing the
-/// weights change with every query instant.
+/// Every plane a query or a derouting batch reads comes from here, and
+/// every build is one full ChCustomizer sweep. Customized planes are
+/// immutable once built and a congestion bucket's class weights are a pure
+/// function of the bucket, so N server workers asking for the same bucket
+/// need exactly one sweep. Only callers that know a plane will be reused
+/// build one (Get): tests and benches. A derouting batch only reads
+/// published planes (Lookup) and runs Dijkstra on a miss: a sweep costs
+/// far more than the Dijkstra batch it would replace once, and exact costs
+/// are priced at each query's own instant, so the weights change with
+/// every query.
 ///
 /// Readers pin an immutable snapshot of the plane table by copying one
 /// shared_ptr under a tiny mutex held only for the refcount bump — the
@@ -182,8 +182,7 @@ class ChCustomizationCache {
 
   /// The plane for `weights`: a published one when present, else built
   /// (once, however many workers ask concurrently) and published.
-  /// `*built` (optional) reports whether THIS call ran the sweep — the
-  /// per-worker customization counter's source of truth.
+  /// `*built` (optional) reports whether THIS call ran the sweep.
   std::shared_ptr<const ChCustomization> Get(const ChClassWeights& weights,
                                              bool* built = nullptr);
 

@@ -3,18 +3,13 @@
 #include <algorithm>
 
 #include "common/stopwatch.h"
-#include "core/ec_estimator.h"
 
 namespace ecocharge {
 
 ContinuousTripRunner::ContinuousTripRunner(const RoadNetwork* network,
                                            Ranker* ranker,
-                                           const ContinuousRunOptions& options,
-                                           EcEstimator* estimator)
-    : network_(network),
-      ranker_(ranker),
-      options_(options),
-      estimator_(estimator) {}
+                                           const ContinuousRunOptions& options)
+    : network_(network), ranker_(ranker), options_(options) {}
 
 TripRun ContinuousTripRunner::Run(
     const Trajectory& trip,
@@ -53,19 +48,6 @@ TripRun ContinuousTripRunner::Run(
               return a.time < b.time;
             });
 
-  // Scope the trip's exact-cost time bucket onto the derouting service so
-  // the backward sweep warm-starts across recomputation points; restore
-  // the previous configuration when the trip ends.
-  DeroutingService* derouting =
-      estimator_ && options_.derouting_bucket_s > 0.0
-          ? &estimator_->derouting_service()
-          : nullptr;
-  const double saved_bucket =
-      derouting ? derouting->exact_time_bucket_s() : 0.0;
-  if (derouting) {
-    derouting->set_exact_time_bucket_s(options_.derouting_bucket_s);
-  }
-
   ranker_->Reset();
   Polyline path = trip.AsPolyline();
   ChargerId previous_top = static_cast<ChargerId>(-1);
@@ -90,7 +72,6 @@ TripRun ContinuousTripRunner::Run(
     if (on_table) on_table(state, table);
     run.tables.push_back(std::move(table));
   }
-  if (derouting) derouting->set_exact_time_bucket_s(saved_bucket);
   return run;
 }
 

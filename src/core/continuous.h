@@ -9,8 +9,6 @@
 
 namespace ecocharge {
 
-class EcEstimator;
-
 /// \brief Per-trip outcome of a continuous run.
 struct TripRun {
   uint64_t trip_id = 0;
@@ -29,14 +27,6 @@ struct ContinuousRunOptions {
   double segment_length_m = 4000.0;          ///< Step 1 granularity
   double recompute_window_s = 4.0 * 60.0;    ///< the client's ~3-5 min cycle
   double charge_window_s = kSecondsPerHour;
-
-  /// Exact-derouting cost-time bucket applied for the duration of a trip
-  /// (see DeroutingService::set_exact_time_bucket_s): the refinement
-  /// sweeps then warm-start across the trip's recomputation points,
-  /// invalidating only at bucket boundaries. Takes effect only when the
-  /// runner is given the estimator handle; 0 (default) leaves the
-  /// estimator's configuration untouched.
-  double derouting_bucket_s = 0.0;
 };
 
 /// \brief Drives one vehicle along its scheduled trip, re-ranking at every
@@ -49,14 +39,8 @@ struct ContinuousRunOptions {
 /// regenerate.
 class ContinuousTripRunner {
  public:
-  /// \param estimator optional: when given together with
-  ///        `options.derouting_bucket_s > 0`, each Run() scopes that
-  ///        exact-cost bucket onto the estimator's derouting service
-  ///        (restoring the previous setting afterwards) so the backward
-  ///        sweep warm-starts across recomputation points.
   ContinuousTripRunner(const RoadNetwork* network, Ranker* ranker,
-                       const ContinuousRunOptions& options,
-                       EcEstimator* estimator = nullptr);
+                       const ContinuousRunOptions& options);
 
   /// Runs the full trip; the optional callback observes every table as it
   /// is produced (the "display to the driver" step).
@@ -68,7 +52,6 @@ class ContinuousTripRunner {
   const RoadNetwork* network_;
   Ranker* ranker_;
   ContinuousRunOptions options_;
-  EcEstimator* estimator_;  ///< may be null (no bucket scoping)
 };
 
 }  // namespace ecocharge

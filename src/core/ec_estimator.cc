@@ -19,8 +19,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       energy_(energy),
       availability_(availability),
       options_(options),
-      derouting_(network_, congestion, /*detour_factor=*/1.3,
-                 options.exact_derouting_bucket_s),
+      derouting_(network_, congestion, /*detour_factor=*/1.3),
       owned_eis_(std::make_unique<InformationServer>(energy, availability,
                                                      congestion)),
       eis_(owned_eis_.get()) {
@@ -40,8 +39,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       energy_(energy),
       availability_(availability),
       options_(options),
-      derouting_(network_, congestion, /*detour_factor=*/1.3,
-                 options.exact_derouting_bucket_s),
+      derouting_(network_, congestion, /*detour_factor=*/1.3),
       eis_(shared_eis) {
   SetChBackend();
   PickBestSite();
@@ -314,7 +312,6 @@ void EcEstimator::AttachMetrics(obs::MetricsRegistry* registry) {
     availability_estimates_ = nullptr;
     derouting_estimates_ = nullptr;
     exact_derouting_estimates_ = nullptr;
-    derouting_.AttachChMetrics(nullptr);
     if (owned_eis_) owned_eis_->AttachMetrics(nullptr);
     return;
   }
@@ -326,7 +323,6 @@ void EcEstimator::AttachMetrics(obs::MetricsRegistry* registry) {
       registry->GetCounter("estimator.estimates.derouting", "estimates");
   exact_derouting_estimates_ = registry->GetCounter(
       "estimator.estimates.exact_derouting", "estimates");
-  derouting_.AttachChMetrics(registry);
   if (owned_eis_) owned_eis_->AttachMetrics(registry);
 }
 

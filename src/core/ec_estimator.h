@@ -22,13 +22,6 @@ struct EcEstimatorOptions {
   /// distance" of Eq. 3's discussion. Callers typically set it to 2R.
   double max_derouting_m = 100000.0;
 
-  /// Time bucket for exact derouting costs (see
-  /// DeroutingService::set_exact_time_bucket_s): > 0 quantizes the exact
-  /// cost time so the backward-sweep warm-start memo survives across the
-  /// recomputation points of a continuous query, invalidating only at
-  /// bucket boundaries. 0 (default) evaluates at each query's exact time.
-  double exact_derouting_bucket_s = 0.0;
-
   /// When non-null, exact derouting runs on the contraction-hierarchy
   /// backend (DeroutingBackend::kCh) instead of the Dijkstra sweeps. The
   /// hierarchy must be built over the estimator's network and outlive it

@@ -86,7 +86,6 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
 
   EcEstimatorOptions est_opts;
   est_opts.max_derouting_m = options.max_derouting_m;
-  est_opts.exact_derouting_bucket_s = options.exact_derouting_bucket_s;
   est_opts.ch = env->ch.get();
   if (env->ch != nullptr) {
     // -1 resolves to the machine; 0 stays one worker. Every setting

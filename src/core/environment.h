@@ -57,10 +57,6 @@ struct EnvironmentOptions {
   /// bit-identical environment.
   std::string graph_snapshot;
 
-  /// Exact-derouting cost-time bucket (see
-  /// EcEstimatorOptions::exact_derouting_bucket_s); 0 = off.
-  double exact_derouting_bucket_s = 0.0;
-
   /// Spatial index backend for the charger index. Every backend yields
   /// bit-identical Offering Tables; the choice is a performance knob.
   SpatialIndexKind index_kind = SpatialIndexKind::kQuadTree;

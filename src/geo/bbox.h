@@ -9,7 +9,7 @@
 namespace ecocharge {
 
 /// \brief Axis-aligned rectangle; the unit of space partitioning for the
-/// quadtree and grid indexes.
+/// quadtree index.
 struct BoundingBox {
   Point min{std::numeric_limits<double>::infinity(),
             std::numeric_limits<double>::infinity()};
@@ -46,13 +46,6 @@ struct BoundingBox {
     max.y = std::max(max.y, p.y);
   }
 
-  /// Grows the box (in place) to cover another box.
-  void Extend(const BoundingBox& o) {
-    if (o.IsEmpty()) return;
-    Extend(o.min);
-    Extend(o.max);
-  }
-
   /// Box expanded by `margin` on every side.
   BoundingBox Expanded(double margin) const {
     return BoundingBox{{min.x - margin, min.y - margin},
@@ -64,13 +57,6 @@ struct BoundingBox {
     double dx = std::max({min.x - p.x, 0.0, p.x - max.x});
     double dy = std::max({min.y - p.y, 0.0, p.y - max.y});
     return std::hypot(dx, dy);
-  }
-
-  /// Squared form of DistanceTo, for pruning without sqrt.
-  double DistanceSquaredTo(const Point& p) const {
-    double dx = std::max({min.x - p.x, 0.0, p.x - max.x});
-    double dy = std::max({min.y - p.y, 0.0, p.y - max.y});
-    return dx * dx + dy * dy;
   }
 };
 

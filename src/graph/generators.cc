@@ -7,6 +7,7 @@
 #include <map>
 #include <numeric>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/rng.h"
@@ -224,20 +225,35 @@ Result<std::shared_ptr<RoadNetwork>> MakeRandomGeometric(
   }
   QuadTree tree;
   tree.Build(positions);
+  // Every node links to its k nearest neighbours, whichever id is lower.
+  // Links are collected as undirected pairs (lower id first) and a pair
+  // both endpoints chose becomes one road, arterial when it is either
+  // endpoint's nearest neighbour (kArterial sorts before kLocal, and
+  // std::unique keeps the first of a run).
   std::vector<PendingEdge> edges;
   for (size_t i = 0; i < positions.size(); ++i) {
     std::vector<Neighbor> nn = tree.Knn(
         positions[i], static_cast<size_t>(options.k_nearest) + 1);
+    const NodeId self = static_cast<NodeId>(i);
     int linked = 0;
     for (const Neighbor& cand : nn) {
-      if (cand.id == i) continue;
+      if (cand.id == self) continue;
       RoadClass rc = linked == 0 ? RoadClass::kArterial : RoadClass::kLocal;
-      if (cand.id > i) {  // avoid duplicate undirected pairs
-        edges.push_back({static_cast<NodeId>(i), cand.id, rc});
-      }
+      edges.push_back(
+          {std::min(self, cand.id), std::max(self, cand.id), rc});
       if (++linked >= options.k_nearest) break;
     }
   }
+  std::sort(edges.begin(), edges.end(),
+            [](const PendingEdge& x, const PendingEdge& y) {
+              return std::tie(x.a, x.b, x.road_class) <
+                     std::tie(y.a, y.b, y.road_class);
+            });
+  edges.erase(std::unique(edges.begin(), edges.end(),
+                          [](const PendingEdge& x, const PendingEdge& y) {
+                            return x.a == y.a && x.b == y.b;
+                          }),
+              edges.end());
   return BuildFrom(positions, std::move(edges));
 }
 

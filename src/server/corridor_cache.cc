@@ -158,42 +158,6 @@ void CorridorCache::Put(uint64_t key, const OfferingTable& table,
   if (inserts_mirror_) inserts_mirror_->Add();
 }
 
-bool CorridorCache::HasFresh(uint64_t key, SimTime now) {
-  Shard& shard = ShardFor(key);
-  std::lock_guard<std::mutex> lock(shard.mu);
-  auto it = shard.entries.find(key);
-  if (it == shard.entries.end()) return false;
-  const double age = now - it->second.inserted_at;
-  return age <= options_.ttl_s && age >= 0.0;
-}
-
-size_t CorridorCache::Prewarm(const VehicleState& state, size_t k,
-                              const WorldRevisions& revisions, SimTime now,
-                              const PrewarmFill& fill,
-                              OfferingTable* scratch) {
-  if (options_.prewarm_buckets == 0) return 0;
-  size_t filled = 0;
-  OfferingTable local;
-  OfferingTable& table = scratch != nullptr ? *scratch : local;
-  for (size_t j = 1; j <= options_.prewarm_buckets; ++j) {
-    // Shift the state one ETA bucket ahead; KeyFor/CanonicalState then
-    // derive the future bucket's key and anchor exactly as the on-demand
-    // miss path would when a vehicle arrives there, so the bytes stored
-    // here are the bytes that vehicle would have computed.
-    VehicleState future = state;
-    future.time =
-        state.time + static_cast<double>(j) * options_.eta_bucket_s;
-    const uint64_t key = KeyFor(future, k, revisions);
-    if (HasFresh(key, now)) continue;
-    if (!fill(CanonicalState(future), k, &table)) break;
-    Put(key, table, now);
-    prewarmed_.fetch_add(1, std::memory_order_relaxed);
-    if (prewarmed_mirror_) prewarmed_mirror_->Add();
-    ++filled;
-  }
-  return filled;
-}
-
 CacheStats CorridorCache::stats() const { return stats_.Snapshot(); }
 
 size_t CorridorCache::size() const {
@@ -210,14 +174,11 @@ void CorridorCache::AttachMetrics(obs::MetricsRegistry* registry) {
     hits_mirror_ = nullptr;
     misses_mirror_ = nullptr;
     inserts_mirror_ = nullptr;
-    prewarmed_mirror_ = nullptr;
     return;
   }
   hits_mirror_ = registry->GetCounter("server.corridor.hits", "lookups");
   misses_mirror_ = registry->GetCounter("server.corridor.misses", "lookups");
   inserts_mirror_ = registry->GetCounter("server.corridor.inserts", "tables");
-  prewarmed_mirror_ =
-      registry->GetCounter("server.corridor.prewarmed", "tables");
 }
 
 }  // namespace ecocharge

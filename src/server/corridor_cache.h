@@ -3,7 +3,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <unordered_map>
 #include <vector>
@@ -37,11 +36,6 @@ struct CorridorCacheOptions {
   /// Per-shard entry cap; at capacity a shard drops expired entries and,
   /// if still full, clears (the corridor working set is re-derivable).
   size_t max_entries_per_shard = 1 << 14;
-
-  /// Future ETA buckets to speculatively fill after a corridor miss
-  /// (Prewarm): a vehicle that missed bucket t seeds buckets t+1..t+N for
-  /// everyone behind it on the same segment. 0 (default) = off.
-  size_t prewarm_buckets = 0;
 
   /// InvalidArgument unless eta_bucket_s is finite and > 0 and ttl_s is
   /// finite and >= eta_bucket_s. Check options that come from outside
@@ -100,32 +94,9 @@ class CorridorCache {
   /// duplicate inserts are benign: every writer computed the same bytes.
   void Put(uint64_t key, const OfferingTable& table, SimTime now);
 
-  /// Ranks the canonical anchor of one future ETA bucket into `*out`;
-  /// false aborts the prewarm pass (the remaining buckets are skipped).
-  using PrewarmFill =
-      std::function<bool(const VehicleState& anchor, size_t k,
-                         OfferingTable* out)>;
-
-  /// Speculatively fills the next `options().prewarm_buckets` ETA buckets
-  /// of `state`'s corridor: for each future bucket whose entry is absent
-  /// or expired, ranks the bucket's canonical anchor via `fill` and Puts
-  /// the result — vehicles arriving in those buckets then hit instead of
-  /// recomputing. Stored bytes are canonical (same anchor rule as the miss
-  /// path shifted in time), so prewarmed and demand-filled entries are
-  /// bit-identical. Existing fresh entries are left untouched and do not
-  /// count hits/misses. Returns buckets actually filled. `scratch`, when
-  /// non-null, is the table `fill` ranks into (callers with a long-lived
-  /// buffer stay allocation-free); null uses a call-local table.
-  size_t Prewarm(const VehicleState& state, size_t k,
-                 const WorldRevisions& revisions, SimTime now,
-                 const PrewarmFill& fill, OfferingTable* scratch = nullptr);
-
   CacheStats stats() const;
   uint64_t inserts() const {
     return inserts_.load(std::memory_order_relaxed);
-  }
-  uint64_t prewarmed() const {
-    return prewarmed_.load(std::memory_order_relaxed);
   }
   size_t size() const;
   const CorridorCacheOptions& options() const { return options_; }
@@ -152,16 +123,11 @@ class CorridorCache {
   CorridorCacheOptions options_;
   std::vector<Shard> shards_;
 
-  /// Non-counting freshness probe (Prewarm must not skew hit/miss rates).
-  bool HasFresh(uint64_t key, SimTime now);
-
   AtomicCacheStats stats_;
   std::atomic<uint64_t> inserts_{0};
-  std::atomic<uint64_t> prewarmed_{0};
   obs::Counter* hits_mirror_ = nullptr;
   obs::Counter* misses_mirror_ = nullptr;
   obs::Counter* inserts_mirror_ = nullptr;
-  obs::Counter* prewarmed_mirror_ = nullptr;
 };
 
 }  // namespace ecocharge

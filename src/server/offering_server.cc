@@ -169,32 +169,6 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
       VehicleState anchor = options_.corridor->CanonicalState(state);
       worker.service->RankFresh(anchor, k, &worker.table);
       options_.corridor->Put(key, worker.table, state.time);
-      if (options_.corridor->options().prewarm_buckets > 0) {
-        // Prewarm the corridor ahead of this vehicle. First price the ETA
-        // window's customization planes in one profile pass (EtaWindow runs
-        // a ChProfileQuery over the window's buckets, sourcing every plane
-        // through the shared cache), so the per-bucket ranks below hit
-        // already-priced planes instead of each re-customizing; then rank
-        // each future bucket's canonical anchor into the prewarm scratch.
-        const size_t window =
-            options_.corridor->options().prewarm_buckets + 1;
-        if (!worker.table.entries.empty()) {
-          const ChargerId top = worker.table.entries.front().charger_id;
-          if (top < env_->chargers.size()) {
-            worker.estimator->derouting_service().EtaWindow(
-                worker.estimator->MakeDeroutingQuery(anchor),
-                env_->chargers[top], window, &worker.prewarm_etas);
-          }
-        }
-        options_.corridor->Prewarm(
-            state, k, revs, state.time,
-            [&worker](const VehicleState& bucket_anchor, size_t bucket_k,
-                      OfferingTable* out) {
-              worker.service->RankFresh(bucket_anchor, bucket_k, out);
-              return true;
-            },
-            &worker.prewarm_table);
-      }
     }
     return;
   }

@@ -202,12 +202,6 @@ class OfferingServer {
     std::unique_ptr<EcEstimator> estimator;
     std::unique_ptr<OfferingService> service;
     OfferingTable table;  ///< reusable reply buffer for the table path
-    /// Scratch table for corridor prewarm ranks: the reply buffer above is
-    /// live (it holds the table being returned) while future buckets are
-    /// being speculatively filled, so prewarm ranks land here instead.
-    OfferingTable prewarm_table;
-    /// The prewarm hook's ETA window output (reused across misses).
-    std::vector<double> prewarm_etas;
     std::unique_ptr<BoundedQueue<Request>> queue;  // null in inline mode
     obs::Gauge* queue_depth = nullptr;  ///< server.queue.depth.w{i}
     std::thread thread;

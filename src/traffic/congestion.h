@@ -40,13 +40,6 @@ struct ClassFactors {
 /// the serving workers need no synchronization.
 class CongestionModel {
  public:
-  /// Width of the realized-factor noise buckets: ActualSpeedFactor's noise
-  /// term is seeded per hour, so costs quantized to this bucket stay inside
-  /// one noise regime. The derouting warm-start memo uses it as the natural
-  /// invalidation boundary for reusing settled sweep costs across the
-  /// recomputation points of a continuous query.
-  static constexpr double kNoiseBucketSeconds = kSecondsPerHour;
-
   /// Hard floor of the realized speed factor: ActualSpeedFactor clamps to
   /// [kMinSpeedFactor, 1], so every derouting class weight lies in
   /// [1, 1/kMinSpeedFactor].

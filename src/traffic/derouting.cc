@@ -4,19 +4,16 @@
 #include <cmath>
 
 #include "ch/ch_customize.h"
-#include "ch/ch_profile.h"
 #include "ch/ch_query.h"
 
 namespace ecocharge {
 
 DeroutingService::DeroutingService(
     std::shared_ptr<const RoadNetwork> network,
-    const CongestionModel* congestion, double detour_factor,
-    double exact_time_bucket_s)
+    const CongestionModel* congestion, double detour_factor)
     : network_(std::move(network)),
       congestion_(congestion),
       detour_factor_(detour_factor),
-      exact_time_bucket_s_(exact_time_bucket_s),
       search_(*network_),
       back_search_(*network_) {}
 
@@ -32,30 +29,10 @@ struct DeroutingService::ChBatchSpaces {
   ChSpace b_fwd;
 };
 
-/// EtaWindow's reusable multi-lane spaces and per-lane meet scratch.
-struct DeroutingService::ChProfileScratch {
-  std::vector<ClassFactors> factors;  ///< lane j's factors
-  ChProfileSpace m_fwd;
-  ChProfileSpace b_bwd;
-  std::vector<double> dist;
-  std::vector<uint32_t> fpos;
-  std::vector<uint32_t> bpos;
-};
-
 void DeroutingService::set_ch(ChCustomizationCache* cache) {
   ch_ = cache != nullptr ? &cache->index() : nullptr;
   ch_query_ = cache != nullptr ? std::make_unique<ChQuery>(*cache) : nullptr;
   ch_spaces_ = cache != nullptr ? std::make_unique<ChBatchSpaces>() : nullptr;
-  if (ch_query_ != nullptr) ch_query_->AttachMetrics(ch_metrics_);
-  ch_profile_.reset();
-  ch_planes_.clear();
-  ch_profile_scratch_ =
-      cache != nullptr ? std::make_unique<ChProfileScratch>() : nullptr;
-}
-
-void DeroutingService::AttachChMetrics(obs::MetricsRegistry* registry) {
-  ch_metrics_ = registry;
-  if (ch_query_ != nullptr) ch_query_->AttachMetrics(registry);
 }
 
 DeroutingEstimate DeroutingService::Estimate(const DeroutingQuery& query,
@@ -102,14 +79,9 @@ DeroutingEstimate DeroutingService::Estimate(
   return est;
 }
 
-SimTime DeroutingService::ExactCostTime(SimTime now) const {
-  if (exact_time_bucket_s_ <= 0.0) return now;
-  return std::floor(now / exact_time_bucket_s_) * exact_time_bucket_s_;
-}
-
 bool DeroutingService::EnsureBackwardSweep(NodeId ra, NodeId rb,
-                                           SimTime tau) {
-  BackwardKey key{ra, rb, tau};
+                                           SimTime now) {
+  BackwardKey key{ra, rb, now};
   if (key == back_key_) {
     ++warm_start_hits_;
     return true;
@@ -183,14 +155,13 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
     return UnreachableEstimate();
   }
 
-  // Cost = congested travel distance: length / speed_factor(class, tau),
+  // Cost = congested travel distance: length / speed_factor(class, now),
   // i.e. congested roads count longer, matching Eq. 3's weighted edges.
-  // tau is the (possibly bucketed) cost time, shared with ExactBatch so
-  // both fidelities accumulate the same doubles. The factors are priced
-  // once; the lambda captures them by reference so std::function keeps
-  // it in its small buffer (no allocation).
-  const SimTime tau = ExactCostTime(query.now);
-  const ClassFactors factors = congestion_->ActualFactors(tau);
+  // ExactBatch prices the same factors, so both fidelities accumulate the
+  // same doubles. The factors are priced once; the lambda captures them
+  // by reference so std::function keeps it in its small buffer (no
+  // allocation).
+  const ClassFactors factors = congestion_->ActualFactors(query.now);
   auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
 
   // Outbound leg: single-target forward sweep (stops at the charger).
@@ -202,7 +173,7 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   // Return leg + direct cost from the shared backward sweep: extending to
   // {b, m} settles min(d(b -> r_a), d(b -> r_b)) and the on-route cost
   // d(m -> {r_a, r_b}) in one pass.
-  EnsureBackwardSweep(nodes.ra, nodes.rb, tau);
+  EnsureBackwardSweep(nodes.ra, nodes.rb, query.now);
   NodeId back_targets[2] = {charger.node, nodes.m};
   back_search_.ExtendSweep(std::span<const NodeId>(back_targets, 2), cost);
   const double back = back_search_.CostTo(charger.node);
@@ -302,8 +273,7 @@ BatchSweepStats DeroutingService::ExactBatch(
 
   const QueryNodes nodes = ResolveNodes(*network_, query);
   const size_t num_nodes = network_->NumNodes();
-  const SimTime tau = ExactCostTime(query.now);
-  const ClassFactors factors = congestion_->ActualFactors(tau);
+  const ClassFactors factors = congestion_->ActualFactors(query.now);
   auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
 
   // The CH batch serves when the cache has the plane published and the
@@ -328,7 +298,7 @@ BatchSweepStats DeroutingService::ExactBatch(
 
   // One backward extension covers every return leg plus the direct cost
   // (m is just one more target of the multi-source return sweep).
-  stats.warm_start = EnsureBackwardSweep(nodes.ra, nodes.rb, tau);
+  stats.warm_start = EnsureBackwardSweep(nodes.ra, nodes.rb, query.now);
   targets.push_back(nodes.m);
   back_search_.ExtendSweep(std::span<const NodeId>(targets), cost);
   targets.pop_back();
@@ -355,68 +325,6 @@ BatchSweepStats DeroutingService::ExactBatch(
     out->push_back(est);
   }
   return stats;
-}
-
-bool DeroutingService::EtaWindow(const DeroutingQuery& query,
-                                 const EvCharger& charger, size_t buckets,
-                                 std::vector<double>* etas_s) {
-  etas_s->clear();
-  if (ch_ == nullptr || buckets == 0) return false;
-  // Multi-bucket windows only mean something under time bucketing (lane j
-  // IS bucket j); a single lane degenerates to the current cost time.
-  if (buckets > 1 && exact_time_bucket_s_ <= 0.0) return false;
-  const QueryNodes nodes = ResolveNodes(*network_, query);
-  const size_t num_nodes = network_->NumNodes();
-  if (nodes.m >= num_nodes || charger.node >= num_nodes) return false;
-  const SimTime tau0 = ExactCostTime(query.now);
-
-  // Window planes come from the shared cache through the batch's ChQuery
-  // and are built on a miss: the window exists to price the buckets this
-  // vehicle's corridor (and every other worker's batches) will read, so
-  // its builds count as this worker's customizations.
-  ChProfileScratch& ps = *ch_profile_scratch_;
-  ps.factors.resize(buckets);
-  ch_planes_.clear();
-  for (size_t j = 0; j < buckets; ++j) {
-    const SimTime tau = tau0 + static_cast<double>(j) * exact_time_bucket_s_;
-    ps.factors[j] = congestion_->ActualFactors(tau);
-    ch_query_->EnsureCustomized(ChWeightsAt(ps.factors[j]));
-    ch_planes_.push_back(ch_query_->plane());
-  }
-
-  if (ch_profile_ == nullptr) {
-    ch_profile_ = std::make_unique<ChProfileQuery>(*ch_);
-  }
-  ch_profile_->SetPlanes(ch_planes_);
-  if (!ch_profile_->BuildSpace(nodes.m, SweepDirection::kForward, &ps.m_fwd)) {
-    return false;
-  }
-  if (!ch_profile_->BuildSpace(charger.node, SweepDirection::kBackward,
-                               &ps.b_bwd)) {
-    return false;
-  }
-  ps.dist.resize(buckets);
-  ps.fpos.resize(buckets);
-  ps.bpos.resize(buckets);
-  ch_profile_->MeetSpaces(ps.m_fwd, ps.b_bwd, ps.dist, ps.fpos, ps.bpos);
-
-  etas_s->resize(buckets);
-  for (size_t j = 0; j < buckets; ++j) {
-    if (!(ps.dist[j] < kInfiniteCost)) {
-      (*etas_s)[j] = kInfiniteCost;
-      continue;
-    }
-    ch_profile_->UnpackMeet(ps.m_fwd, ps.fpos[j], ps.b_bwd, ps.bpos[j], j,
-                            &ch_edges_);
-    // Refold lane j the way the reference forward sweep at tau_j would
-    // have accumulated it, then convert to seconds — exactly Exact()'s
-    // eta_s at that bucket.
-    const ClassFactors& factors = ps.factors[j];
-    double acc = 0.0;
-    for (EdgeId e : ch_edges_) acc = acc + factors.Cost(network_->arc(e));
-    (*etas_s)[j] = acc / CruiseSpeed(factors);
-  }
-  return true;
 }
 
 }  // namespace ecocharge

@@ -15,12 +15,6 @@ namespace ecocharge {
 class ChIndex;
 class ChQuery;
 class ChCustomizationCache;
-class ChProfileQuery;
-struct ChCustomization;
-
-namespace obs {
-class MetricsRegistry;
-}  // namespace obs
 
 /// \brief Which engine answers exact derouting queries.
 ///
@@ -97,28 +91,23 @@ struct BatchSweepStats {
 /// behind the Brute-Force baseline and ground truth (this is where the
 /// baselines spend their CPU time, matching the paper's cost profile).
 ///
-/// The exact path decomposes into one forward sweep from the vehicle node
-/// (outbound legs d(m -> b)) and one backward sweep over the in-adjacency
-/// seeded from both return points (return legs min d(b -> r_i) for every
-/// charger, plus the on-route direct cost d(m -> {r_a, r_b}) for free at
-/// the vehicle node). The backward sweep is resumable and memoized on
-/// (r_a, r_b, cost time): Brute-Force loops, the batched refinement, and
-/// the recomputation points of a continuous query all reuse its settled
-/// costs instead of re-running it per charger. Exact() and ExactBatch()
-/// share the same sweep primitives and therefore produce bit-identical
-/// costs — a batch is exactly N per-candidate calls fused.
+/// Exact costs are priced under the realized traffic at the query's
+/// `now`. The exact path decomposes into one forward sweep from the
+/// vehicle node (outbound legs d(m -> b)) and one backward sweep over the
+/// in-adjacency seeded from both return points (return legs
+/// min d(b -> r_i) for every charger, plus the on-route direct cost
+/// d(m -> {r_a, r_b}) for free at the vehicle node). The backward sweep is
+/// resumable and memoized on (r_a, r_b, now): a Brute-Force or ground-truth
+/// loop of Exact() calls over one query, and a batch after them, reuse its
+/// settled costs instead of re-running it per charger. Exact() and
+/// ExactBatch() share the same sweep primitives and therefore produce
+/// bit-identical costs — a batch is exactly N per-candidate calls fused.
 class DeroutingService {
  public:
   /// \param detour_factor typical network/Euclidean distance ratio (~1.3)
-  /// \param exact_time_bucket_s when > 0, exact costs are computed at
-  ///        `now` quantized down to this bucket, so every query inside one
-  ///        bucket shares edge costs — the cross-segment warm-start. 0
-  ///        (default) evaluates at the query's exact `now`. The natural
-  ///        bucket is CongestionModel::kNoiseBucketSeconds.
   DeroutingService(std::shared_ptr<const RoadNetwork> network,
                    const CongestionModel* congestion,
-                   double detour_factor = 1.3,
-                   double exact_time_bucket_s = 0.0);
+                   double detour_factor = 1.3);
   ~DeroutingService();
 
   /// O(1) interval estimate; fetches the congestion band itself.
@@ -160,17 +149,9 @@ class DeroutingService {
                              DeroutingBatchScratch* scratch,
                              std::vector<DeroutingEstimate>* out);
 
-  /// Changes the exact-cost time bucket; resets the warm-start memo (costs
-  /// computed under a different bucket are not comparable).
-  void set_exact_time_bucket_s(double bucket_s) {
-    exact_time_bucket_s_ = bucket_s;
-    back_key_ = BackwardKey{};
-  }
-  double exact_time_bucket_s() const { return exact_time_bucket_s_; }
-
   /// Cumulative backward-sweep accounting: how many exact calls reused the
   /// settled backward costs vs. rebuilding them. Warm hits require the same
-  /// return pair at the same (bucketed) cost time.
+  /// return pair at the same `now`.
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
@@ -179,53 +160,24 @@ class DeroutingService {
   /// count that does not depend on timing, for benchmarks.
   size_t last_forward_settled() const { return search_.last_settled_count(); }
 
-  /// Switches ExactBatch()/EtaWindow() to the contraction-hierarchy
-  /// backend over `cache->index()`, which must be built over this service's
-  /// network. Every plane comes from `cache` (not owned, must outlive the
-  /// service). A batch only reads planes already published there
+  /// Switches ExactBatch() to the contraction-hierarchy backend over
+  /// `cache->index()`, which must be built over this service's network.
+  /// Every plane comes from `cache` (not owned, must outlive the service).
+  /// A batch only reads planes already published there
   /// (ChCustomizationCache::Lookup); a batch whose plane is missing, or
   /// whose spaces the hierarchy rejects, runs the Dijkstra sweeps (the only
-  /// batches that move the warm-start counters). EtaWindow() builds its
-  /// planes, once per bucket however many workers share the cache. nullptr
-  /// reverts to the Dijkstra sweeps.
+  /// batches that move the warm-start counters). nullptr reverts to the
+  /// Dijkstra sweeps.
   void set_ch(ChCustomizationCache* cache);
 
-  /// \brief Profile (ETA-window) query: the estimated drive time from the
-  /// vehicle to `charger` under `buckets` consecutive congestion-bucket
-  /// weight planes, in one elimination-tree search.
-  ///
-  /// `(*etas_s)[j]` equals the `eta_s` an exact CH call evaluated at
-  /// `ExactCostTime(query.now) + j * exact_time_bucket_s()` would produce
-  /// (bit-identical: per-lane labels, unpacked paths, and oracle-order
-  /// refolds match the single-plane path), kInfiniteCost where
-  /// unreachable. Every lane's plane is built on a miss and published in
-  /// the shared cache, so the window also prices the buckets later batches
-  /// read. Returns false — leaving `*etas_s` empty — when the CH backend is
-  /// off, `buckets` is 0, multi-bucket windows are requested without time
-  /// bucketing, a node is out of range, or the hierarchy rejects the space
-  /// builder (the planes are priced already in that last case); callers
-  /// fall back to per-bucket Exact().
-  bool EtaWindow(const DeroutingQuery& query, const EvCharger& charger,
-                 size_t buckets, std::vector<double>* etas_s);
-
-  /// Mirrors this worker's customization sweeps onto `registry`
-  /// (`ch.customizations`); survives set_ch. Null detaches.
-  void AttachChMetrics(obs::MetricsRegistry* registry);
-  /// The query workspace every CH plane this service reads is fetched
-  /// through; null on the Dijkstra backend.
-  const ChQuery* ch_query() const { return ch_query_.get(); }
   DeroutingBackend backend() const {
     return ch_ != nullptr ? DeroutingBackend::kCh : DeroutingBackend::kExact;
   }
 
  private:
-  /// The time exact edge costs are evaluated at: `now`, or `now` floored
-  /// to the bucket when warm-start bucketing is on.
-  SimTime ExactCostTime(SimTime now) const;
-
   /// Resumes (warm hit) or restarts the backward sweep for the return pair
-  /// at cost time `tau`; returns true on a warm hit.
-  bool EnsureBackwardSweep(NodeId ra, NodeId rb, SimTime tau);
+  /// at cost time `now`; returns true on a warm hit.
+  bool EnsureBackwardSweep(NodeId ra, NodeId rb, SimTime now);
 
   /// Space-sharing CH batch: builds the vehicle/return elimination-tree
   /// spaces once and meets each charger's two spaces against them. Returns
@@ -240,18 +192,16 @@ class DeroutingService {
   std::shared_ptr<const RoadNetwork> network_;
   const CongestionModel* congestion_;
   double detour_factor_;
-  double exact_time_bucket_s_;
   DijkstraSearch search_;       ///< forward sweeps (outbound legs)
   DijkstraSearch back_search_;  ///< resumable backward sweep (return legs)
 
   // Warm-start memo: the backward sweep is valid while the return pair and
-  // the (bucketed) cost time are unchanged. Settled costs persist inside
-  // back_search_'s epoch; invalidation is just a key mismatch, which
-  // happens exactly at time-bucket boundaries on a continuous run.
+  // the cost time are unchanged. Settled costs persist inside back_search_'s
+  // epoch; invalidation is just a key mismatch.
   struct BackwardKey {
     NodeId ra = kInvalidNode;
     NodeId rb = kInvalidNode;
-    SimTime tau = -1.0;
+    SimTime now = -1.0;
     bool operator==(const BackwardKey&) const = default;
   };
   BackwardKey back_key_;
@@ -260,24 +210,14 @@ class DeroutingService {
 
   // CH backend state: the cache's hierarchy, the reusable query workspace
   // every plane is fetched through, the unpacked-edge scratch shared by
-  // every CH leg, and the batch's
-  // elimination-tree label spaces (vehicle/return spaces built once per
-  // batch, two per-charger spaces reused across the loop).
+  // every CH leg, and the batch's elimination-tree label spaces
+  // (vehicle/return spaces built once per batch, two per-charger spaces
+  // reused across the loop).
   const ChIndex* ch_ = nullptr;
   std::unique_ptr<ChQuery> ch_query_;
   std::vector<EdgeId> ch_edges_;
   struct ChBatchSpaces;
   std::unique_ptr<ChBatchSpaces> ch_spaces_;
-
-  // Re-applied to the query workspace on every set_ch.
-  obs::MetricsRegistry* ch_metrics_ = nullptr;
-
-  // Profile-query state: the window's plane lanes plus the two reusable
-  // multi-lane spaces and per-lane meet scratch.
-  std::unique_ptr<ChProfileQuery> ch_profile_;
-  std::vector<std::shared_ptr<const ChCustomization>> ch_planes_;
-  struct ChProfileScratch;
-  std::unique_ptr<ChProfileScratch> ch_profile_scratch_;
 };
 
 }  // namespace ecocharge

@@ -5,9 +5,8 @@
 // this suite under -fsanitize=thread); the batch's Find-only plane lookup
 // (a miss builds nothing, runs Dijkstra and never waits on a running
 // build; a published plane serves the same bits); the cache as the one
-// plane source of every CH consumer, the corridor prewarm included; and
-// end-to-end Offering Table / ETA-window parity across derouting backends
-// and sweep strategies. Parity here means
+// plane source of every CH consumer; and end-to-end Offering Table parity
+// across derouting backends and sweep strategies. Parity here means
 // memcmp-identical doubles, the same contract ch_test.cc holds ChQuery to.
 
 #include "ch/ch_customize.h"
@@ -16,7 +15,6 @@
 
 #include <atomic>
 #include <chrono>
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <mutex>
@@ -29,9 +27,6 @@
 #include "core/offering_service.h"
 #include "graph/generators.h"
 #include "graph/road_network.h"
-#include "server/corridor_cache.h"
-#include "server/offering_server.h"
-#include "server/world_epochs.h"
 #include "tests/test_util.h"
 #include "traffic/congestion.h"
 #include "traffic/derouting.h"
@@ -276,8 +271,7 @@ TEST(ChCustomizationCacheTest, DedupCollapsesPerWorkerSweepsWithoutEviction) {
 }
 
 std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
-                                                int ch_threads,
-                                                double bucket_s = 0.0) {
+                                                int ch_threads) {
   EnvironmentOptions opts;
   opts.kind = DatasetKind::kOldenburg;
   opts.dataset_scale = 0.003;
@@ -286,7 +280,6 @@ std::unique_ptr<Environment> BackendEnvironment(DeroutingBackend backend,
   opts.seed = 42;
   opts.derouting_backend = backend;
   opts.ch_threads = ch_threads;
-  opts.exact_derouting_bucket_s = bucket_s;
   auto result = MakeEnvironment(opts);
   EXPECT_TRUE(result.ok());
   return result.ok() ? std::move(result).MoveValueUnsafe() : nullptr;
@@ -331,94 +324,61 @@ TEST(ChCustomizeParityTest, OfferingTablesBitIdenticalAcrossStrategies) {
   }
 }
 
-TEST(ChCustomizeParityTest, EtaWindowMatchesPerBucketExact) {
-  // One profile pass over k bucket planes must refold each lane to exactly
-  // the eta_s a point query at that bucket's cost time computes.
-  constexpr double kBucketS = 900.0;
-  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
-  ASSERT_NE(env, nullptr);
-  auto states = testing_util::TinyWorkload(*env, 4);
-  ASSERT_FALSE(states.empty());
-
-  DeroutingService& derouting = env->estimator->derouting_service();
-  constexpr size_t kLanes = 3;
-  std::vector<double> etas;
-  size_t windows = 0;
-  for (const VehicleState& state : states) {
-    const DeroutingQuery query = env->estimator->MakeDeroutingQuery(state);
-    for (size_t c = 0; c < env->chargers.size(); c += 7) {
-      const EvCharger& charger = env->chargers[c];
-      if (!derouting.EtaWindow(query, charger, kLanes, &etas)) continue;
-      ASSERT_EQ(etas.size(), kLanes);
-      ++windows;
-      for (size_t j = 0; j < kLanes; ++j) {
-        DeroutingQuery at_bucket = query;
-        at_bucket.now =
-            std::floor(query.now / kBucketS) * kBucketS + j * kBucketS;
-        const DeroutingEstimate want = derouting.Exact(at_bucket, charger);
-        EXPECT_EQ(std::memcmp(&etas[j], &want.eta_s, sizeof(double)), 0)
-            << "state t=" << state.time << " charger " << c << " lane " << j;
-      }
-    }
-  }
-  // The space builder may conservatively reject some endpoints; the test
-  // is vacuous only if it rejected everything.
-  EXPECT_GT(windows, 0u);
-}
-
 TEST(ChCustomizationCacheTest, OnePlaneSourceForEveryChConsumer) {
-  // Two estimators share env->ch_cache; each drives the batched exact
-  // derouting and an ETA window. Every plane either of them reads comes
-  // from the cache, so each distinct weight vector is swept exactly once
-  // (by a window: a batch never builds), and every sweep is counted by
-  // exactly one derouting ChQuery.
-  constexpr double kBucketS = 900.0;
-  constexpr size_t kLanes = 3;
-  auto env = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
+  // Two estimators share env->ch_cache. Every other state's plane is priced
+  // through Get once per estimator, as two workers would; then both run the
+  // batched exact derouting over every state. Each priced weight vector is
+  // swept exactly once, and a batch never builds: it reads a priced plane
+  // or defers to Dijkstra, with the Dijkstra backend's bits either way.
+  auto env = BackendEnvironment(DeroutingBackend::kCh, 0);
   ASSERT_NE(env, nullptr);
-  auto states = testing_util::TinyWorkload(*env, 4);
-  ASSERT_FALSE(states.empty());
+  auto states = testing_util::TinyWorkload(*env, 6);
+  ASSERT_GE(states.size(), 2u);
   EcEstimator second(env->dataset.network, &env->chargers, env->energy.get(),
                      env->availability.get(), env->congestion.get(),
                      env->estimator->options());
   const std::vector<EcEstimator*> estimators = {env->estimator.get(),
                                                 &second};
+  ChCustomizationCache& cache = *env->ch_cache;
 
-  std::vector<ChClassWeights> distinct;
-  const auto request = [&](SimTime tau) {
-    const ChClassWeights w = CongestedWeights(*env->congestion, tau);
-    for (const ChClassWeights& seen : distinct) {
-      if (std::memcmp(seen.w, w.w, sizeof(w.w)) == 0) return;
+  std::vector<ChClassWeights> priced;
+  const auto is_priced = [&](const ChClassWeights& w) {
+    for (const ChClassWeights& seen : priced) {
+      if (std::memcmp(seen.w, w.w, sizeof(w.w)) == 0) return true;
     }
-    distinct.push_back(w);
+    return false;
   };
+  for (size_t s = 0; s < states.size(); s += 2) {
+    const ChClassWeights w = CongestedWeights(*env->congestion, states[s].time);
+    for (size_t e = 0; e < estimators.size(); ++e) cache.Get(w);
+    if (!is_priced(w)) priced.push_back(w);
+  }
+  EXPECT_EQ(cache.builds(), priced.size());
+
   std::vector<ChargerRef> refs;
   for (size_t c = 0; c < env->chargers.size(); c += 9) {
     refs.push_back(&env->chargers[c]);
   }
-  DeroutingBatchScratch scratch;
-  std::vector<DeroutingEstimate> estimates;
-  std::vector<double> etas;
+  DeroutingService oracle(env->dataset.network, env->congestion.get());
+  DeroutingBatchScratch scratch, oracle_scratch;
+  std::vector<DeroutingEstimate> got, want;
+  uint64_t deferred = 0;
   for (const VehicleState& state : states) {
-    const SimTime tau0 = std::floor(state.time / kBucketS) * kBucketS;
-    for (size_t e = 0; e < estimators.size(); ++e) {
-      DeroutingService& derouting = estimators[e]->derouting_service();
-      const DeroutingQuery query = estimators[e]->MakeDeroutingQuery(state);
-      derouting.ExactBatch(query, refs, &scratch, &estimates);
-      derouting.EtaWindow(query, *refs.front(), kLanes, &etas);
-      for (size_t j = 0; j < kLanes; ++j) request(tau0 + j * kBucketS);
+    const bool published =
+        is_priced(CongestedWeights(*env->congestion, state.time));
+    for (EcEstimator* estimator : estimators) {
+      const DeroutingQuery query = estimator->MakeDeroutingQuery(state);
+      estimator->derouting_service().ExactBatch(query, refs, &scratch, &got);
+      oracle.ExactBatch(query, refs, &oracle_scratch, &want);
+      EXPECT_TRUE(EstimatesSameBits(want, got)) << "t=" << state.time;
+      if (!published) ++deferred;
     }
   }
-
-  const ChCustomizationCache& cache = *env->ch_cache;
-  EXPECT_EQ(cache.builds(), distinct.size());
-  // The first batch ran before any window had priced its bucket.
-  EXPECT_GT(cache.deferred(), 0u);
-  size_t counted = 0;
-  for (size_t e = 0; e < estimators.size(); ++e) {
-    counted += estimators[e]->derouting_service().ch_query()->customizations();
-  }
-  EXPECT_EQ(counted, cache.builds());
+  EXPECT_EQ(cache.builds(), priced.size());
+  EXPECT_EQ(cache.deferred(), deferred);
+  EXPECT_GT(deferred, 0u);
+  // The priced states' batches read their planes from the cache.
+  EXPECT_GE(cache.hits(), priced.size() * (2 * estimators.size() - 1));
 }
 
 TEST(ChCustomizationCacheTest, MissRunsDijkstraUntilAPlaneIsPublished) {
@@ -457,7 +417,6 @@ TEST(ChCustomizationCacheTest, MissRunsDijkstraUntilAPlaneIsPublished) {
   EXPECT_EQ(cache.deferred(), 2u);
   EXPECT_EQ(hierarchy.backward_sweep_starts() + hierarchy.warm_start_hits(),
             2u);
-  EXPECT_EQ(hierarchy.ch_query()->customizations(), 0u);
   EXPECT_TRUE(EstimatesSameBits(want, got));
 }
 
@@ -509,52 +468,6 @@ TEST(ChCustomizationCacheTest, LookupsNeverWaitOnARunningBuild) {
   for (size_t i = 0; i < kWorkers; ++i) {
     EXPECT_TRUE(EstimatesSameBits(want, got[i])) << "worker " << i;
   }
-}
-
-TEST(ChCustomizationCacheTest, CorridorPrewarmPricesWindowPlanes) {
-  // A corridor-mode server with prewarm on and exact-cost bucketing: each
-  // corridor miss prices its ETA window's planes (the window builds on
-  // purpose), so the prewarmed future buckets and later requests run their
-  // batches on those planes. Tables stay bit-identical to the exact
-  // backend's server.
-  constexpr double kBucketS = 900.0;
-  auto exact = BackendEnvironment(DeroutingBackend::kExact, 0, kBucketS);
-  auto hierarchy = BackendEnvironment(DeroutingBackend::kCh, 0, kBucketS);
-  ASSERT_NE(exact, nullptr);
-  ASSERT_NE(hierarchy, nullptr);
-  const std::vector<VehicleState> states =
-      testing_util::TinyWorkload(*exact, 6);
-  ASSERT_FALSE(states.empty());
-  auto serve = [&](Environment* env) {
-    WorldEpochs epochs(1);
-    CorridorCacheOptions corridor_options;
-    corridor_options.prewarm_buckets = 2;
-    CorridorCache corridor(env->dataset.network.get(), corridor_options);
-    OfferingServerOptions options;
-    options.epochs = &epochs;
-    options.corridor = &corridor;
-    OfferingServer server(env, ScoreWeights::AWE(), EcoChargeOptions{},
-                          options);
-    std::vector<OfferingTable> tables(states.size());
-    for (size_t i = 0; i < states.size(); ++i) {
-      OfferingTable* slot = &tables[i];
-      EXPECT_TRUE(server
-                      .Submit(0, states[i], 3,
-                              [slot](const OfferingTable& t) { *slot = t; })
-                      .ok());
-    }
-    EXPECT_GT(corridor.prewarmed(), 0u);
-    return tables;
-  };
-  const std::vector<OfferingTable> want = serve(exact.get());
-  const std::vector<OfferingTable> got = serve(hierarchy.get());
-  for (size_t i = 0; i < want.size(); ++i) {
-    EXPECT_TRUE(testing_util::TablesBitIdentical(want[i], got[i]))
-        << "request " << i;
-  }
-  const ChCustomizationCache& cache = *hierarchy->ch_cache;
-  EXPECT_GE(cache.builds(), 3u);  // at least one full window
-  EXPECT_GT(cache.hits(), 0u);
 }
 
 }  // namespace

@@ -117,6 +117,14 @@ double SpaceCost(ChQuery* query, const RoadNetwork& network, NodeId s,
                          SweepDirection::kForward, edges);
 }
 
+/// Prices `weights` in `cache` (Get) and makes it `query`'s active plane,
+/// the way a derouting batch reads a published one.
+void UsePlane(ChCustomizationCache& cache, ChQuery& query,
+              const ChClassWeights& weights) {
+  cache.Get(weights);
+  ASSERT_TRUE(query.UsePublished(weights));
+}
+
 TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
   for (uint64_t seed : {2u, 11u}) {
     auto network = SmallRgg(seed);
@@ -129,7 +137,7 @@ TEST(ChQueryTest, DistancesAndPathsMatchDijkstraBitwise) {
 
     for (SimTime tau : {0.0, 8.0 * 3600, 17.5 * 3600}) {
       const EdgeCostFn cost = CongestedCost(congestion, tau);
-      query.EnsureCustomized(CongestedWeights(congestion, tau));
+      UsePlane(cache, query, CongestedWeights(congestion, tau));
       for (NodeId s = 1; s < network->NumNodes(); s += 37) {
         const NodeId t = (s * 131) % static_cast<NodeId>(network->NumNodes());
         const PathResult ref = dijkstra.ShortestPath(s, t, cost);
@@ -161,7 +169,7 @@ TEST(ChQueryTest, UnreachableAndCoincidentEndpoints) {
   auto ch = BuildChIndex(*network).MoveValueUnsafe();
   ChCustomizationCache cache(*ch);
   ChQuery query(cache);
-  query.EnsureCustomized(kChLengthWeights);
+  UsePlane(cache, query, kChLengthWeights);
   std::vector<EdgeId> edges;
 
   EXPECT_EQ(SpaceCost(&query, *network, a, c, LengthCost, &edges), 200.0);
@@ -185,20 +193,27 @@ TEST(ChQueryTest, StableWeightStreamCustomizesOnce) {
   ChQuery query(cache);
   CongestionModel congestion(3);
 
+  // A stable stream prices its plane once and fetches it once: the
+  // workspace swaps planes only when the weight values change.
   const ChClassWeights rush = CongestedWeights(congestion, 8.0 * 3600);
-  for (int i = 0; i < 30; ++i) query.EnsureCustomized(rush);
-  EXPECT_EQ(query.customizations(), 1u);
+  cache.Get(rush);
+  for (int i = 0; i < 30; ++i) ASSERT_TRUE(query.UsePublished(rush));
+  EXPECT_EQ(cache.builds(), 1u);
+  EXPECT_EQ(cache.hits(), 1u);
 
-  // A different traffic bucket re-prices once; returning to it later does
-  // not (EnsureCustomized keys on the weight values, not call order)...
+  // A different traffic bucket re-prices once; asking for it again does
+  // not (the cache keys on the weight values, not call order)...
   const ChClassWeights night = CongestedWeights(congestion, 2.0 * 3600);
-  query.EnsureCustomized(night);
-  EXPECT_EQ(query.customizations(), 2u);
-  query.EnsureCustomized(night);
-  EXPECT_EQ(query.customizations(), 2u);
-  // ...so flipping back does re-price: the workspace keeps one metric.
-  query.EnsureCustomized(rush);
-  EXPECT_EQ(query.customizations(), 3u);
+  UsePlane(cache, query, night);
+  EXPECT_EQ(cache.builds(), 2u);
+  cache.Get(night);
+  EXPECT_EQ(cache.builds(), 2u);
+  // ...so flipping back does re-price: the evicted plane is not published,
+  // and the workspace keeps the one it has until it is.
+  EXPECT_FALSE(query.UsePublished(rush));
+  EXPECT_EQ(cache.deferred(), 1u);
+  UsePlane(cache, query, rush);
+  EXPECT_EQ(cache.builds(), 3u);
 }
 
 TEST(ChDeroutingTest, ExactBatchMatchesDijkstraBackendBitwise) {
@@ -252,8 +267,8 @@ TEST(ChSnapshotTest, RoundTripsThroughSnapshotWithQueryParity) {
   ChQuery fresh(fresh_cache), reloaded(reloaded_cache);
   CongestionModel congestion(19);
   const ChClassWeights weights = CongestedWeights(congestion, 9.0 * 3600);
-  fresh.EnsureCustomized(weights);
-  reloaded.EnsureCustomized(weights);
+  UsePlane(fresh_cache, fresh, weights);
+  UsePlane(reloaded_cache, reloaded, weights);
   std::vector<EdgeId> scratch_a, scratch_b;
   const EdgeCostFn cost = CongestedCost(congestion, 9.0 * 3600);
   for (NodeId s = 0; s < 200; s += 23) {

@@ -2,10 +2,8 @@
 
 #include <gtest/gtest.h>
 
-#include "core/ec_estimator.h"
 #include "core/ecocharge.h"
 #include "tests/test_util.h"
-#include "traffic/congestion.h"
 
 namespace ecocharge {
 namespace {
@@ -98,30 +96,6 @@ TEST_F(ContinuousTest, TopChangePositionsAreOnTheTrip) {
     EXPECT_GE(pos, 0.0);
     EXPECT_LE(pos, length + 1e-6);
   }
-}
-
-TEST_F(ContinuousTest, DeroutingBucketWarmStartsAcrossRecomputePoints) {
-  // With the exact-cost bucket scoped onto the estimator for the trip,
-  // recomputation points inside one segment share their backward sweep.
-  // Dynamic Caching would absorb those points before refinement ever
-  // runs, so force full regeneration to expose the sweep reuse itself.
-  EcoChargeOptions eco_opts;
-  eco_opts.q_distance_m = 0.0;
-  EcoChargeRanker ranker(env_->estimator.get(), env_->charger_index.get(),
-                         weights_, eco_opts);
-  ContinuousRunOptions opts;
-  opts.recompute_window_s = 60.0;  // several points per segment
-  opts.derouting_bucket_s = CongestionModel::kNoiseBucketSeconds;
-  ContinuousTripRunner runner(env_->dataset.network.get(), &ranker, opts,
-                              env_->estimator.get());
-  DeroutingService& derouting = env_->estimator->derouting_service();
-  const double bucket_before = derouting.exact_time_bucket_s();
-  const uint64_t hits_before = derouting.warm_start_hits();
-  TripRun run = runner.Run(*trip_);
-  EXPECT_FALSE(run.tables.empty());
-  EXPECT_GT(derouting.warm_start_hits(), hits_before);
-  // Run() restores the estimator's previous bucket configuration.
-  EXPECT_EQ(derouting.exact_time_bucket_s(), bucket_before);
 }
 
 TEST_F(ContinuousTest, DegenerateTripYieldsNothing) {

@@ -1,7 +1,7 @@
 // ExactBatch vs. per-candidate Exact: the batch must be exactly N
 // point-to-point calls fused (bit-identical doubles, not just close), and
-// the backward-sweep warm-start memo must invalidate exactly at return-pair
-// changes and traffic time-bucket boundaries.
+// the backward-sweep warm-start memo must serve every further call of one
+// query and invalidate exactly at return-pair and cost-time changes.
 
 #include "traffic/derouting.h"
 
@@ -206,42 +206,35 @@ class WarmStartTest : public ::testing::Test {
   std::vector<DeroutingEstimate> out_;
 };
 
-TEST_F(WarmStartTest, BucketedQueriesReuseTheBackwardSweep) {
-  const double bucket = CongestionModel::kNoiseBucketSeconds;
-  DeroutingService service(network_, congestion_.get(), 1.3, bucket);
-
+TEST_F(WarmStartTest, ExactLoopReusesTheBackwardSweep) {
+  // A Brute-Force or ground-truth loop: N Exact() calls over one query
+  // start the backward sweep once and resume it for every further charger,
+  // and a batch over the same query resumes it too.
+  DeroutingService service(network_, congestion_.get());
   const SimTime t0 = 8.0 * kSecondsPerHour + 60.0;
-  EXPECT_FALSE(RunBatch(service, t0).warm_start);
-  std::vector<DeroutingEstimate> first = out_;
-
-  // Later recomputation point inside the same bucket: warm hit, and the
-  // bucketed cost time makes the estimates identical.
-  EXPECT_TRUE(RunBatch(service, t0 + bucket * 0.5).warm_start);
-  EXPECT_EQ(service.warm_start_hits(), 1u);
+  const DeroutingQuery q = QueryAt(*network_, 0, 99, 90, t0);
+  for (const EvCharger& c : fleet_) service.Exact(q, c);
   EXPECT_EQ(service.backward_sweep_starts(), 1u);
-  ASSERT_EQ(out_.size(), first.size());
-  for (size_t i = 0; i < out_.size(); ++i) {
-    EXPECT_TRUE(SameBits(first[i], out_[i])) << i;
-  }
+  EXPECT_EQ(service.warm_start_hits(), fleet_.size() - 1);
+  EXPECT_TRUE(RunBatch(service, t0).warm_start);
+  EXPECT_EQ(service.backward_sweep_starts(), 1u);
 }
 
-TEST_F(WarmStartTest, BucketBoundaryInvalidatesTheMemo) {
-  const double bucket = CongestionModel::kNoiseBucketSeconds;
-  DeroutingService service(network_, congestion_.get(), 1.3, bucket);
-
+TEST_F(WarmStartTest, LaterCostTimeInvalidatesTheMemo) {
+  DeroutingService service(network_, congestion_.get());
   const SimTime t0 = 8.0 * kSecondsPerHour + 60.0;
-  RunBatch(service, t0);
-  RunBatch(service, t0 + 120.0);
-  EXPECT_EQ(service.backward_sweep_starts(), 1u);
+  EXPECT_FALSE(RunBatch(service, t0).warm_start);
 
-  // Crossing into the next congestion bucket rebuilds the sweep...
-  const SimTime t1 = 9.0 * kSecondsPerHour + 30.0;
+  // One second later the realized traffic is priced anew: the sweep
+  // restarts...
+  const SimTime t1 = t0 + 1.0;
   EXPECT_FALSE(RunBatch(service, t1).warm_start);
   EXPECT_EQ(service.backward_sweep_starts(), 2u);
+  EXPECT_EQ(service.warm_start_hits(), 0u);
 
-  // ...and the rebuilt costs match a cold service queried at the same time.
-  DeroutingService cold(network_, congestion_.get(), 1.3, bucket);
-  std::vector<DeroutingEstimate> warm_path = out_;
+  // ...and the restarted costs match a cold service queried at that time.
+  DeroutingService cold(network_, congestion_.get());
+  const std::vector<DeroutingEstimate> warm_path = out_;
   for (size_t i = 0; i < fleet_.size(); ++i) {
     DeroutingQuery q = QueryAt(*network_, 0, 99, 90, t1);
     EXPECT_TRUE(SameBits(cold.Exact(q, fleet_[i]), warm_path[i])) << i;
@@ -249,42 +242,13 @@ TEST_F(WarmStartTest, BucketBoundaryInvalidatesTheMemo) {
 }
 
 TEST_F(WarmStartTest, ReturnPairChangeInvalidatesTheMemo) {
-  const double bucket = CongestionModel::kNoiseBucketSeconds;
-  DeroutingService service(network_, congestion_.get(), 1.3, bucket);
+  DeroutingService service(network_, congestion_.get());
 
   const SimTime t0 = 8.0 * kSecondsPerHour;
   RunBatch(service, t0, 99, 90);
   EXPECT_FALSE(RunBatch(service, t0, 99, 80).warm_start);
   EXPECT_EQ(service.backward_sweep_starts(), 2u);
   EXPECT_EQ(service.warm_start_hits(), 0u);
-}
-
-TEST_F(WarmStartTest, ChangingTheBucketResetsTheMemo) {
-  DeroutingService service(network_, congestion_.get(), 1.3,
-                           CongestionModel::kNoiseBucketSeconds);
-  const SimTime t0 = 8.0 * kSecondsPerHour;
-  RunBatch(service, t0);
-  service.set_exact_time_bucket_s(0.0);
-  EXPECT_FALSE(RunBatch(service, t0).warm_start);
-  EXPECT_EQ(service.backward_sweep_starts(), 2u);
-}
-
-TEST_F(WarmStartTest, BucketedCostEqualsExactCostAtBucketStart) {
-  // Quantization semantics: a bucketed query at time t is the unbucketed
-  // query evaluated at floor(t / B) * B, nothing more.
-  const double bucket = CongestionModel::kNoiseBucketSeconds;
-  DeroutingService bucketed(network_, congestion_.get(), 1.3, bucket);
-  DeroutingService unbucketed(network_, congestion_.get(), 1.3, 0.0);
-
-  const SimTime t = 8.0 * kSecondsPerHour + 1234.5;
-  const SimTime t_floor = std::floor(t / bucket) * bucket;
-  for (const EvCharger& c : fleet_) {
-    DeroutingEstimate a =
-        bucketed.Exact(QueryAt(*network_, 0, 99, 90, t), c);
-    DeroutingEstimate b =
-        unbucketed.Exact(QueryAt(*network_, 0, 99, 90, t_floor), c);
-    EXPECT_TRUE(SameBits(a, b)) << "node=" << c.node;
-  }
 }
 
 }  // namespace

@@ -195,33 +195,25 @@ TEST_F(DeroutingTest, RushHourRaisesExactCost) {
 TEST_F(DeroutingTest, ExactAndBatchMatchPerArcModelReferenceBitwise) {
   // Both exact fidelities share ClassFactors, so comparing them to each
   // other cannot catch a pricing bug; the reference here calls the model
-  // per arc. Cost times cross hour boundaries, a weekend, tau < 0 and a
-  // bucketed cost time.
+  // per arc at the query's own time. Cost times cross hour boundaries, a
+  // weekend and now < 0.
   const SimTime tue = kSecondsPerDay;
-  struct Case {
-    SimTime now;
-    double bucket_s;
-  };
-  const Case cases[] = {
-      {tue + 8.0 * kSecondsPerHour - 1e-6, 0.0},
-      {tue + 8.0 * kSecondsPerHour, 0.0},
-      {tue + 17.0 * kSecondsPerHour - 0.5, 0.0},
-      {5 * kSecondsPerDay + 17.5 * kSecondsPerHour, 0.0},
-      {-250.0, 0.0},
-      {tue + 16.37 * kSecondsPerHour, 900.0},
+  const SimTime times[] = {
+      tue + 8.0 * kSecondsPerHour - 1e-6,
+      tue + 8.0 * kSecondsPerHour,
+      tue + 17.0 * kSecondsPerHour - 0.5,
+      5 * kSecondsPerDay + 17.5 * kSecondsPerHour,
+      -250.0,
+      tue + 16.37 * kSecondsPerHour,
   };
   Rng rng(21);
   const size_t n = network_->NumNodes();
-  for (const Case& c : cases) {
-    service_->set_exact_time_bucket_s(c.bucket_s);
-    const SimTime tau =
-        c.bucket_s > 0.0 ? std::floor(c.now / c.bucket_s) * c.bucket_s
-                         : c.now;
+  for (const SimTime now : times) {
     for (int trial = 0; trial < 4; ++trial) {
       const NodeId m = static_cast<NodeId>(rng.NextBounded(n));
       const NodeId ra = static_cast<NodeId>(rng.NextBounded(n));
       const NodeId rb = static_cast<NodeId>(rng.NextBounded(n));
-      const DeroutingQuery q = QueryAt(m, ra, rb, c.now);
+      const DeroutingQuery q = QueryAt(m, ra, rb, now);
       std::vector<EvCharger> chargers;
       for (int i = 0; i < 12; ++i) {
         chargers.push_back(ChargerAt(static_cast<NodeId>(rng.NextBounded(n))));
@@ -233,11 +225,11 @@ TEST_F(DeroutingTest, ExactAndBatchMatchPerArcModelReferenceBitwise) {
       ASSERT_EQ(scratch.estimates.size(), chargers.size());
       for (size_t i = 0; i < chargers.size(); ++i) {
         const DeroutingEstimate want = PerArcReference(
-            *network_, *congestion_, m, ra, rb, chargers[i].node, tau);
+            *network_, *congestion_, m, ra, rb, chargers[i].node, now);
         EXPECT_TRUE(SameBits(service_->Exact(q, chargers[i]), want))
-            << "Exact, now=" << c.now << " charger node " << chargers[i].node;
+            << "Exact, now=" << now << " charger node " << chargers[i].node;
         EXPECT_TRUE(SameBits(scratch.estimates[i], want))
-            << "ExactBatch, now=" << c.now << " charger node "
+            << "ExactBatch, now=" << now << " charger node "
             << chargers[i].node;
       }
     }

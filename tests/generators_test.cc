@@ -3,8 +3,11 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <vector>
 
 #include <gtest/gtest.h>
+
+#include "spatial/linear_scan.h"
 
 namespace ecocharge {
 namespace {
@@ -104,7 +107,7 @@ uint64_t EdgeListDigest(const RoadNetwork& network) {
 TEST(RandomGeometricTest, ConnectivityIsPatched) {
   RandomGeometricOptions opts;
   opts.num_nodes = 300;
-  opts.k_nearest = 2;  // sparse: 54 components before patching
+  opts.k_nearest = 2;  // sparse: 17 components before patching
   opts.seed = 5;
   auto network = MakeRandomGeometric(opts).MoveValueUnsafe();
   EXPECT_EQ(network->NumNodes(), 300u);
@@ -112,10 +115,10 @@ TEST(RandomGeometricTest, ConnectivityIsPatched) {
   // The kNN links and the patch edges snap nodes through the spatial
   // index; its (distance, id) order decides every pick, so the digests
   // pin them.
-  EXPECT_EQ(EdgeListDigest(*network), 0x26392cf4d6d9548aull);
+  EXPECT_EQ(EdgeListDigest(*network), 0x09b248b58ff1e40full);
 
   // The Geolife-shaped network (src/traj/dataset.cc) at seed 3 splits
-  // into 3 components, so the dataset path goes through the patch pass.
+  // into 2 components, so the dataset path goes through the patch pass.
   RandomGeometricOptions geolife;
   geolife.num_nodes = 1400;
   geolife.width_m = 50000.0;
@@ -124,9 +127,9 @@ TEST(RandomGeometricTest, ConnectivityIsPatched) {
   geolife.seed = 3;
   auto patched = MakeRandomGeometric(geolife).MoveValueUnsafe();
   EXPECT_TRUE(patched->IsStronglyConnected());
-  EXPECT_EQ(EdgeListDigest(*patched), 0xb3fe07720cdd6a5bull);
+  EXPECT_EQ(EdgeListDigest(*patched), 0xe3211f8f8ca1ab08ull);
 
-  // A 1-NN input falls into 98 components: 97 of its 199 undirected
+  // A 1-NN input falls into 62 components: 61 of its 199 undirected
   // edges come from the patch pass's foreign-neighbour search.
   RandomGeometricOptions forest;
   forest.num_nodes = 200;
@@ -134,7 +137,48 @@ TEST(RandomGeometricTest, ConnectivityIsPatched) {
   forest.seed = 11;
   auto fragmented = MakeRandomGeometric(forest).MoveValueUnsafe();
   EXPECT_TRUE(fragmented->IsStronglyConnected());
-  EXPECT_EQ(EdgeListDigest(*fragmented), 0x4b3b32245868d526ull);
+  EXPECT_EQ(EdgeListDigest(*fragmented), 0x272b58c0915d466aull);
+}
+
+TEST(RandomGeometricTest, EveryNodeLinksToItsKNearest) {
+  // The header's promise, whichever endpoint has the lower id: each node
+  // has a road to each of its k nearest neighbours. The linear scan is the
+  // oracle; the patch pass only adds roads.
+  struct Case {
+    size_t nodes;
+    int k;
+    uint64_t seed;
+  };
+  for (const Case& c : {Case{300, 2, 5}, Case{200, 1, 11}, Case{400, 4, 3}}) {
+    RandomGeometricOptions opts;
+    opts.num_nodes = c.nodes;
+    opts.k_nearest = c.k;
+    opts.seed = c.seed;
+    auto network = MakeRandomGeometric(opts).MoveValueUnsafe();
+    std::vector<Point> positions;
+    for (NodeId v = 0; v < network->NumNodes(); ++v) {
+      positions.push_back(network->NodePosition(v));
+    }
+    LinearScanIndex oracle;
+    oracle.Build(positions);
+    size_t missing = 0;
+    for (NodeId v = 0; v < network->NumNodes(); ++v) {
+      int checked = 0;
+      for (const Neighbor& cand :
+           oracle.Knn(positions[v], static_cast<size_t>(c.k) + 1)) {
+        if (cand.id == v) continue;
+        const auto arcs = network->OutArcs(v);
+        if (std::none_of(arcs.begin(), arcs.end(), [&](const Arc& arc) {
+              return arc.node == cand.id;
+            })) {
+          ++missing;
+        }
+        if (++checked >= c.k) break;
+      }
+    }
+    EXPECT_EQ(missing, 0u) << "n=" << c.nodes << " k=" << c.k
+                           << " seed=" << c.seed;
+  }
 }
 
 TEST(RandomGeometricTest, RejectsBadOptions) {

@@ -93,7 +93,6 @@ TEST(BoundingBoxTest, DistanceToPoint) {
   EXPECT_EQ(box.DistanceTo({1, 1}), 0.0);  // inside
   EXPECT_EQ(box.DistanceTo({4, 1}), 2.0);  // right of box
   EXPECT_DOUBLE_EQ(box.DistanceTo({5, 6}), 5.0);  // corner 3-4-5
-  EXPECT_DOUBLE_EQ(box.DistanceSquaredTo({5, 6}), 25.0);
 }
 
 TEST(BoundingBoxTest, ExpandedAddsMargin) {
@@ -101,16 +100,6 @@ TEST(BoundingBoxTest, ExpandedAddsMargin) {
   BoundingBox bigger = box.Expanded(0.5);
   EXPECT_TRUE(bigger.Contains({-0.4, -0.4}));
   EXPECT_TRUE(bigger.Contains({1.4, 1.4}));
-}
-
-TEST(BoundingBoxTest, ExtendWithBox) {
-  BoundingBox a{{0, 0}, {1, 1}};
-  BoundingBox b{{3, -2}, {4, 0.5}};
-  a.Extend(b);
-  EXPECT_TRUE(a.Contains({4, -2}));
-  BoundingBox empty;
-  a.Extend(empty);  // extending with empty is a no-op
-  EXPECT_EQ(a.min, (Point{0, -2}));
 }
 
 }  // namespace

@@ -3,7 +3,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstring>
 #include <memory>
 #include <vector>
@@ -59,10 +58,7 @@ inline ChClassWeights CongestedWeights(const CongestionModel& congestion,
 /// exact derouting batch of `env` at `now` reads, so the batch runs on the
 /// hierarchy instead of the Dijkstra fallback.
 inline void WarmChPlane(Environment& env, SimTime now) {
-  const double bucket =
-      env.estimator->derouting_service().exact_time_bucket_s();
-  const SimTime tau = bucket > 0.0 ? std::floor(now / bucket) * bucket : now;
-  env.ch_cache->Get(CongestedWeights(*env.congestion, tau));
+  env.ch_cache->Get(CongestedWeights(*env.congestion, now));
 }
 
 /// A refinement batch over a network of at least 121 nodes: the vehicle at

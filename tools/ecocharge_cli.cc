@@ -194,8 +194,7 @@ int Usage() {
   serve        --threads N [--kind KIND] [--chargers N] [--clients N]
                [--requests N] [--queue-depth N] [--io-ms MS] [--seed N]
                [--statsz] [--statsz-period SEC] [--refresh-every N]
-               [--corridor-cache [--corridor-bucket-s SEC]
-               [--corridor-prewarm N]]
+               [--corridor-cache [--corridor-bucket-s SEC]]
                [--fault-p P] [--fault-spike-p P] [--fault-stall-p P]
                [--fault-seed N] [--retry-attempts N] [--deadline-ms MS]
                [--resilient] [--no-simd]
@@ -211,10 +210,8 @@ int Usage() {
                availability and traffic; --corridor-cache shares
                Offering Tables across vehicles on the same corridor,
                bucketed by --corridor-bucket-s seconds of ETA (default
-               300, at most the 900 s entry TTL), and --corridor-prewarm
-               speculatively fills that many future ETA buckets after
-               each corridor miss; rankings are bit-identical at every
-               --threads either way)
+               300, at most the 900 s entry TTL); rankings are
+               bit-identical at every --threads either way)
   stats        [--kind KIND] [--chargers N] [--requests N] [--threads N]
                [--format text|json] [--seed N]
                (run a small serving workload and print the metric catalog)
@@ -242,11 +239,11 @@ int Usage() {
   startup otherwise) with Offering Tables bit-identical to `exact`, the
   Dijkstra-sweep oracle (default), at every --k: both refine the same
   first candidates of the eq. 6 selection, in score order. A batch reads
-  a customized plane only when one is already published; planes are
-  built only by the corridor prewarm under exact-cost time bucketing,
-  which these subcommands leave off. Any other batch, and any batch the
-  hierarchy rejects, is answered by the Dijkstra sweeps
-  (ch.cache.deferred counts the plane misses).
+  a customized plane only when one is already published, and these
+  subcommands publish none: exact costs are priced at each query's own
+  instant, so every batch, like any batch the hierarchy rejects, is
+  answered by the Dijkstra sweeps (ch.cache.deferred counts the plane
+  misses).
 )";
   return 2;
 }
@@ -539,8 +536,6 @@ CorridorCacheOptions CorridorOptionsFor(const Args& args) {
   CorridorCacheOptions options;
   options.eta_bucket_s =
       args.GetDouble("corridor-bucket-s", options.eta_bucket_s);
-  options.prewarm_buckets =
-      static_cast<size_t>(args.GetU64("corridor-prewarm", 0));
   return options;
 }
 
@@ -595,11 +590,9 @@ Status ValidateServeArgs(const Args& args) {
         "--refresh-every must be >= 0 requests (0 = no refreshes)");
   }
   if (!args.Has("corridor-cache")) {
-    for (const char* flag : {"corridor-bucket-s", "corridor-prewarm"}) {
-      if (args.Has(flag)) {
-        return Status::InvalidArgument(std::string("--") + flag +
-                                       " needs --corridor-cache");
-      }
+    if (args.Has("corridor-bucket-s")) {
+      return Status::InvalidArgument(
+          "--corridor-bucket-s needs --corridor-cache");
     }
   } else if (Status st = CorridorOptionsFor(args).Validate(); !st.ok()) {
     return Status::InvalidArgument("--corridor-bucket-s: " + st.message());
@@ -736,7 +729,7 @@ int Serve(const Args& args) {
     uint64_t lookups = cs.hits + cs.misses;
     std::cout << "corridor cache: hits=" << cs.hits
               << " misses=" << cs.misses << " inserts=" << corridor->inserts()
-              << " prewarmed=" << corridor->prewarmed() << " hit-rate="
+              << " hit-rate="
               << (lookups > 0 ? static_cast<double>(cs.hits) / lookups : 0.0)
               << "\n";
   } else {
@@ -856,7 +849,7 @@ int Main(int argc, char** argv) {
       {"simulate", Simulate, EnvFlags({"", "no-simd", "vehicles"})},
       {"serve", Serve,
        EnvFlags({"", "resilient corridor-cache statsz no-simd",
-                 "fault-seed corridor-prewarm",
+                 "fault-seed",
                  "threads queue-depth clients requests refresh-every "
                  "retry-attempts",
                  "io-ms fault-p fault-spike-p fault-stall-p deadline-ms "
