@@ -148,8 +148,8 @@ int Main(int argc, char** argv) {
         ok = false;
       }
     }
-    const EisCallStats a = windowed->Stats();
-    const EisCallStats b = reference->Stats();
+    const EisCallStats a = windowed->Snapshot();
+    const EisCallStats b = reference->Snapshot();
     if (a.weather_api_calls != b.weather_api_calls ||
         a.weather_cache.hits != b.weather_cache.hits ||
         a.weather_cache.misses != b.weather_cache.misses) {

@@ -43,14 +43,14 @@ int main() {
                       opts);
 
   // Measure the algorithm itself and the upstream traffic behind it.
-  EisCallStats before = env->estimator->information_server().Stats();
+  EisCallStats before = env->estimator->information_server().Snapshot();
   RunningStats compute_ms;
   for (const VehicleState& state : states) {
     Stopwatch timer;
     eco.Rank(state, 3);
     compute_ms.Add(timer.ElapsedMillis());
   }
-  EisCallStats after = env->estimator->information_server().Stats();
+  EisCallStats after = env->estimator->information_server().Snapshot();
   uint64_t upstream = (after.weather_api_calls - before.weather_api_calls) +
                       (after.availability_api_calls -
                        before.availability_api_calls) +

@@ -78,7 +78,7 @@ int main() {
   std::cout << "\nEcoCharge dynamic cache: " << eco.cache().hits()
             << " adaptations / "
             << eco.cache().hits() + eco.cache().misses() << " queries\n";
-  EisCallStats eis = env->estimator->information_server().Stats();
+  EisCallStats eis = env->estimator->information_server().Snapshot();
   std::cout << "EIS upstream calls: weather=" << eis.weather_api_calls
             << " availability=" << eis.availability_api_calls
             << " traffic=" << eis.traffic_api_calls

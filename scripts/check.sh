@@ -18,12 +18,6 @@
 #                                    # misses its floor; both always run
 #                                    # and the script exits 1 if either
 #                                    # failed)
-#   scripts/check.sh ch              # contraction-hierarchy gate: CH /
-#                                    # derouting / snapshot suites under
-#                                    # ASan and UBSan, then the asserting
-#                                    # bench_micro_ch (bitwise backend
-#                                    # parity + speedup floor; emits
-#                                    # BENCH_ch.json)
 #   scripts/check.sh graph           # compact graph core gate: graph /
 #                                    # snapshot / generator suites under
 #                                    # ASan and UBSan, then the asserting
@@ -44,18 +38,6 @@
 #                                    # (fleet-trace parity, corridor
 #                                    # hit-rate and QPS scaling floors;
 #                                    # emits BENCH_server.json)
-#   scripts/check.sh chpar           # customization gate: the CH
-#                                    # customization / plane-cache /
-#                                    # parity suites (plus the CLI smoke)
-#                                    # under TSan — the shared
-#                                    # ChCustomizationCache's RCU publish
-#                                    # and the level-parallel sweep are
-#                                    # the racy surface — then the
-#                                    # asserting bench_micro_ch_customize
-#                                    # (bitwise sweep parity, parallel
-#                                    # speedup floor, cache dedup floor;
-#                                    # emits
-#                                    # BENCH_ch_customize.json)
 #   scripts/check.sh bench           # serving-benchmark contract gate:
 #                                    # perfbench's stream-digest test,
 #                                    # then every workload for 3 s on
@@ -78,7 +60,6 @@ sanitize="${1:-}"
 obs_gate=""
 fault_gate=""
 serve_gate=""
-chpar_gate=""
 case "${sanitize}" in
   address|undefined|thread) shift ;;
   serve)
@@ -92,19 +73,6 @@ case "${sanitize}" in
     sanitize="thread"
     serve_gate=1
     set -- -R 'WorldEpochs|Corridor|OfferingServer|ForecastColumns|EstimateBatch|TtlCache|QueryContext' "$@"
-    ;;
-  chpar)
-    # The customization subsystem's concurrency surface: the level-parallel
-    # pull sweep's barrier rounds, the shared ChCustomizationCache's
-    # RCU-style copy/append/publish (hammered from workers crossing bucket
-    # boundaries while eviction churns), and the serving paths that pull
-    # planes out of it. Run those suites under TSan, then hold the bitwise
-    # sweep parity and the parallel / dedup floors with the asserting bench
-    # from a plain Release tree (sanitized timings are meaningless).
-    shift
-    sanitize="thread"
-    chpar_gate=1
-    set -- -R 'ChCustomiz|ChQuery|ChDerouting|CliSmoke' "$@"
     ;;
   obs)
     # The metrics hot path is relaxed atomics shared across worker
@@ -149,33 +117,6 @@ case "${sanitize}" in
     echo "check.sh perf: BENCH_*.json artifacts land in build/bench/ and" \
          "are untracked; copy numbers into EXPERIMENTS.md when they move."
     exit "${status}"
-    ;;
-  ch)
-    # The contraction hierarchy is the second exact-derouting engine: raw
-    # mmap-ed CSR sections, a triangle-closure customization, and unpacking
-    # that must reproduce the Dijkstra oracle bit for bit. Run the CH,
-    # derouting, snapshot, and pipeline-parity suites under ASan and UBSan,
-    # then hold the backend-parity and speedup floors with the asserting
-    # bench from a plain Release tree (sanitized timings are meaningless).
-    shift
-    ch_filter='Ch|Derouting|Snapshot|GraphIo|CrossIndexParity|Dijkstra'
-    for san in address undefined; do
-      san_dir="${repo_root}/build-${san/undefined/ubsan}"
-      san_dir="${san_dir/address/asan}"
-      cmake -B "${san_dir}" -S "${repo_root}" \
-        -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE="${san}"
-      cmake --build "${san_dir}" -j "$(nproc)"
-      ctest --test-dir "${san_dir}" --output-on-failure -j "$(nproc)" \
-        -R "${ch_filter}" "$@"
-    done
-    plain_dir="${repo_root}/build"
-    cmake -B "${plain_dir}" -S "${repo_root}" \
-      -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
-    cmake --build "${plain_dir}" -j "$(nproc)" --target bench_micro_ch
-    (cd "${plain_dir}/bench" && ./bench_micro_ch --quick)
-    echo "check.sh ch: BENCH_ch.json lands in build/bench/ and is" \
-         "untracked; copy numbers into EXPERIMENTS.md when they move."
-    exit 0
     ;;
   graph)
     # The graph core is raw spans over mmap-ed bytes plus hand-rolled
@@ -279,8 +220,6 @@ case "${sanitize}" in
       -name '*.cc'; echo "${repo_root}/bench/bench_micro_obs.cc"; \
       echo "${repo_root}/bench/bench_micro_derouting.cc"; \
       echo "${repo_root}/bench/bench_micro_eis.cc"; \
-      echo "${repo_root}/bench/bench_micro_ch.cc"; \
-      echo "${repo_root}/bench/bench_micro_ch_customize.cc"; \
       echo "${repo_root}/bench/bench_micro_score.cc"; \
       echo "${repo_root}/bench/bench_server_throughput.cc"; } | sort)
     clang-tidy -p "${build_dir}" --quiet "${sources[@]}" "$@"
@@ -323,18 +262,6 @@ if [[ -n "${fault_gate}" ]]; then
     -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
   cmake --build "${plain_dir}" -j "$(nproc)" --target bench_fault_resilience
   (cd "${plain_dir}/bench" && ./bench_fault_resilience --quick)
-fi
-
-if [[ -n "${chpar_gate}" ]]; then
-  # Bitwise parity across sweep strategies plus the parallel and
-  # cache-dedup floors; timing wants a plain Release tree.
-  plain_dir="${repo_root}/build"
-  cmake -B "${plain_dir}" -S "${repo_root}" \
-    -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE=
-  cmake --build "${plain_dir}" -j "$(nproc)" --target bench_micro_ch_customize
-  (cd "${plain_dir}/bench" && ./bench_micro_ch_customize --quick)
-  echo "check.sh chpar: BENCH_ch_customize.json lands in build/bench/ and" \
-       "is untracked; copy numbers into EXPERIMENTS.md when they move."
 fi
 
 if [[ -n "${serve_gate}" ]]; then

@@ -1,7 +1,5 @@
 #include "ch/ch_index.h"
 
-#include <algorithm>
-#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -46,8 +44,7 @@ Status CheckArcs(std::span<const uint32_t> offsets, std::span<const ChArc> arcs,
                                      " original edge id out of range");
     }
   }
-  // Rows must be sorted by far endpoint — customization and unpacking
-  // binary-search them.
+  // Rows must be sorted by far endpoint (the ChArc layout contract).
   for (size_t v = 0; v < n; ++v) {
     for (size_t i = offsets[v] + 1; i < offsets[v + 1]; ++i) {
       if (arcs[i - 1].node > arcs[i].node) {
@@ -59,25 +56,7 @@ Status CheckArcs(std::span<const uint32_t> offsets, std::span<const ChArc> arcs,
   return Status::OK();
 }
 
-size_t FindInRow(std::span<const ChArc> row, NodeId node) {
-  const auto it =
-      std::lower_bound(row.begin(), row.end(), node,
-                       [](const ChArc& a, NodeId n) { return a.node < n; });
-  if (it == row.end() || it->node != node) return SIZE_MAX;
-  return static_cast<size_t>(it - row.begin());
-}
-
 }  // namespace
-
-size_t ChIndex::FindUpArc(NodeId v, NodeId to) const {
-  const size_t i = FindInRow(UpArcs(v), to);
-  return i == SIZE_MAX ? SIZE_MAX : up_offsets_[v] + i;
-}
-
-size_t ChIndex::FindDownArc(NodeId v, NodeId from) const {
-  const size_t i = FindInRow(DownArcs(v), from);
-  return i == SIZE_MAX ? SIZE_MAX : down_offsets_[v] + i;
-}
 
 Result<std::shared_ptr<ChIndex>> ChIndex::FromViews(Views views,
                                                     uint64_t num_graph_edges) {
@@ -92,8 +71,7 @@ Result<std::shared_ptr<ChIndex>> ChIndex::FromViews(Views views,
   ECOCHARGE_RETURN_NOT_OK(CheckArcs(views.down_offsets, views.down_arcs, n,
                                     num_graph_edges, "ch down"));
   // Ranks must be a permutation and every row's far endpoints must outrank
-  // its owner: customization walks nodes in rank order and reads only
-  // rows of lower-ranked nodes.
+  // its owner.
   std::vector<bool> seen(n, false);
   for (uint32_t r : views.rank) {
     if (r >= n) return Status::InvalidArgument("ch rank out of range");
@@ -131,35 +109,6 @@ ChSnapshotViews ToSnapshotViews(std::shared_ptr<const ChIndex> ch) {
   views.down_arcs = std::as_bytes(ch->down_arcs());
   views.backing = std::move(ch);
   return views;
-}
-
-Result<std::shared_ptr<ChIndex>> ChIndexFromSnapshot(
-    const ChSnapshotViews& snapshot, uint64_t num_graph_edges) {
-  if (snapshot.up_arcs.size() % sizeof(ChArc) != 0 ||
-      snapshot.down_arcs.size() % sizeof(ChArc) != 0) {
-    return Status::InvalidArgument("ch arc section not a whole arc count");
-  }
-  // mmap-ed sections are 64-byte aligned, comfortably above alignof(ChArc);
-  // guard against hand-built views anyway.
-  if (reinterpret_cast<uintptr_t>(snapshot.up_arcs.data()) % alignof(ChArc) !=
-          0 ||
-      reinterpret_cast<uintptr_t>(snapshot.down_arcs.data()) %
-              alignof(ChArc) !=
-          0) {
-    return Status::InvalidArgument("ch arc section misaligned");
-  }
-  ChIndex::Views views;
-  views.rank = snapshot.rank;
-  views.up_offsets = snapshot.up_offsets;
-  views.down_offsets = snapshot.down_offsets;
-  views.up_arcs = std::span<const ChArc>(
-      reinterpret_cast<const ChArc*>(snapshot.up_arcs.data()),
-      snapshot.up_arcs.size() / sizeof(ChArc));
-  views.down_arcs = std::span<const ChArc>(
-      reinterpret_cast<const ChArc*>(snapshot.down_arcs.data()),
-      snapshot.down_arcs.size() / sizeof(ChArc));
-  views.backing = snapshot.backing;
-  return ChIndex::FromViews(std::move(views), num_graph_edges);
 }
 
 }  // namespace ecocharge

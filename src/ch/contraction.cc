@@ -243,11 +243,6 @@ void Contractor::Contract(NodeId x) {
       if (stats_ != nullptr) ++stats_->shortcuts;
     }
   }
-  if (stats_ != nullptr) {
-    stats_->max_live_degree =
-        std::max(stats_->max_live_degree,
-                 static_cast<uint64_t>(live_ins_.size() + live_outs_.size()));
-  }
   contracted_[x] = 1;
   rank_[x] = next_rank_++;
   // Deleted-neighbor heuristic: every still-live neighbor loses x.
@@ -268,8 +263,7 @@ Result<std::shared_ptr<ChIndex>> Contractor::Finalize() {
 
   // Pass 1: per-node degrees. An arc climbs the hierarchy (up CSR at its
   // tail) or descends (down CSR at its head); ranks are distinct, so every
-  // arc lands in exactly one array. Parallel original arcs all survive —
-  // customization takes the per-pair minimum at query weights.
+  // arc lands in exactly one array. Parallel original arcs all survive.
   auto count_arc = [&](NodeId from, NodeId to) {
     if (owned->rank[from] < owned->rank[to]) {
       ++owned->up_offsets[from + 1];
@@ -319,12 +313,12 @@ Result<std::shared_ptr<ChIndex>> Contractor::Finalize() {
     }
   }
   for (size_t i = 0; i < fill_tail_.size(); ++i) {
-    ChArc rec{};  // orig = kChShortcutEdge, len = 0: weighted at query time
+    ChArc rec{};  // orig = kChShortcutEdge, len = 0: no static weight
     place_arc(fill_tail_[i], fill_head_[i], rec);
   }
 
-  // Pass 3: sort each row by far endpoint (parallel originals by EdgeId) so
-  // lookups can binary-search and customization can merge rows.
+  // Pass 3: sort each row by far endpoint (parallel originals by EdgeId),
+  // the order ChIndex::FromViews checks.
   auto row_order = [](const ChArc& a, const ChArc& b) {
     if (a.node != b.node) return a.node < b.node;
     return a.orig < b.orig;
@@ -362,7 +356,6 @@ Result<std::shared_ptr<ChIndex>> Contractor::Run() {
     const NodeId x = heap.back().node;
     heap.pop_back();
     if (contracted_[x] != 0) continue;
-    if (stats_ != nullptr) ++stats_->ordering_pops;
     // Lazy update: neighbors contracted since this entry was pushed may
     // have changed x's priority. Recompute; reinsert unless it still wins.
     const double p = Priority(x);

@@ -10,11 +10,9 @@
 
 namespace ecocharge {
 
-/// \brief What the contraction did (CLI/bench reporting).
+/// \brief What the contraction did (checked by ChContractionTest).
 struct ChBuildStats {
-  uint64_t shortcuts = 0;        ///< triangle-closure arcs added
-  uint64_t ordering_pops = 0;    ///< lazy-queue pops (incl. reinsertions)
-  uint64_t max_live_degree = 0;  ///< largest in+out degree when contracted
+  uint64_t shortcuts = 0;  ///< triangle-closure arcs added
 };
 
 /// \brief Contracts `network` into a metric-independent ChIndex.
@@ -30,21 +28,13 @@ struct ChBuildStats {
 /// contraction) and the node reinserted when it no longer beats the queue
 /// head; in near-clique separator remnants the edge difference is
 /// approximated by the pair count so a pop stays sub-quadratic.
-/// Contracting node x inserts one
-/// shortcut (a -> b) for every live in/out neighbor pair not already
-/// adjacent, which keeps the arc set closed under lower triangles — the
-/// property ChQuery's customization sweep needs to price the hierarchy for
-/// an arbitrary per-class weight vector after the fact.
+/// Contracting node x inserts one shortcut (a -> b) for every live in/out
+/// neighbor pair not already adjacent, which keeps the arc set closed under
+/// lower triangles. Shortcuts carry no static weight.
 ///
-/// Shortcuts deliberately carry no static weight. The derouting metric's
-/// class weights move independently in [1, 1/min_speed_factor] per class,
-/// so a witness path could only ever suppress a shortcut by dominating the
-/// candidate on that entire weight box at once; on mixed-class networks
-/// that essentially never holds, and the weight-incomparable shortcut
-/// variants pile up into parallel Pareto sets whose in x out pairing makes
-/// the fill quadratic (measured on the grid generator — see DESIGN.md §14).
-/// The unweighted elimination closure stays sparse under the same ordering
-/// heuristics and defers all weighting to customization.
+/// Nothing queries the result (exact derouting runs the Dijkstra sweeps);
+/// perfbench's regional_ch setup contracts its network and snapshots the
+/// hierarchy, and `ChContractionTest` checks the invariants above.
 ///
 /// Deterministic: ties in the priority queue break on node id, and each CSR
 /// row is emitted sorted by far endpoint (parallel originals by EdgeId).

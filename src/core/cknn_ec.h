@@ -84,9 +84,9 @@ struct CknnEcOptions {
 
   /// Vectorized filter/score hot path (DESIGN.md §15): candidate pruning,
   /// eq. 4–5 interval scoring, and ranking-key conversion run as SIMD
-  /// kernels over the QueryContext's SoA lanes. Off (`--no-simd`) routes
-  /// the same lanes through the scalar reference kernels — the parity
-  /// oracle; Offering Tables are bit-identical either way.
+  /// kernels over the QueryContext's SoA lanes. Off routes the same lanes
+  /// through the scalar reference kernels — the parity oracle the tests
+  /// select; Offering Tables are bit-identical either way.
   bool use_simd = true;
 };
 

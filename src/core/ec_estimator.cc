@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ch/ch_customize.h"
-#include "common/logging.h"
-
 namespace ecocharge {
 
 EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
@@ -23,7 +20,6 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       owned_eis_(std::make_unique<InformationServer>(energy, availability,
                                                      congestion)),
       eis_(owned_eis_.get()) {
-  SetChBackend();
   PickBestSite();
 }
 
@@ -41,16 +37,7 @@ EcEstimator::EcEstimator(std::shared_ptr<const RoadNetwork> network,
       options_(options),
       derouting_(network_, congestion, /*detour_factor=*/1.3),
       eis_(shared_eis) {
-  SetChBackend();
   PickBestSite();
-}
-
-void EcEstimator::SetChBackend() {
-  if (options_.ch == nullptr) return;
-  ECOCHARGE_CHECK(options_.ch_cache != nullptr &&
-                  &options_.ch_cache->index() == options_.ch)
-      << "EcEstimatorOptions::ch needs a ch_cache over the same index";
-  derouting_.set_ch(options_.ch_cache);
 }
 
 void EcEstimator::PickBestSite() {

@@ -16,26 +16,17 @@
 
 namespace ecocharge {
 
+class ChCustomizationCache;
+
 /// \brief Knobs of the EC normalization.
 struct EcEstimatorOptions {
   /// Normalization constant for D: the "environment's maximum derouting
   /// distance" of Eq. 3's discussion. Callers typically set it to 2R.
   double max_derouting_m = 100000.0;
 
-  /// When non-null, exact derouting runs on the contraction-hierarchy
-  /// backend (DeroutingBackend::kCh) instead of the Dijkstra sweeps. The
-  /// hierarchy must be built over the estimator's network and outlive it
-  /// (not owned).
-  const ChIndex* ch = nullptr;
-
-  /// Process-shared customization cache over `ch`: required whenever `ch`
-  /// is set (not owned, must outlive the estimator). Every CH plane the
-  /// estimator and the processors ranking through it read comes from here,
-  /// so workers built from the same options price a congestion bucket once.
+  /// Unused; perfbench still sets it.
   ChCustomizationCache* ch_cache = nullptr;
-
-  /// Sweep workers `ch_cache` was built with (0 or 1 = one worker), kept so
-  /// a caller replacing the cache can build its successor alike.
+  /// Unused; perfbench still reads it.
   int ch_threads = 0;
 };
 
@@ -181,10 +172,6 @@ class EcEstimator {
 
  private:
   DeroutingQuery MakeQuery(const VehicleState& state) const;
-
-  /// Points the derouting service at `options_.ch_cache` when `options_.ch`
-  /// is set; aborts unless the cache indexes exactly that hierarchy.
-  void SetChBackend();
 
   /// Finds the fleet site maximizing min(rate, pv) for the L normalization.
   void PickBestSite();

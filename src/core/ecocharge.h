@@ -38,7 +38,7 @@ struct EcoChargeOptions {
 
   /// Vectorized filter/score hot path (see CknnEcOptions::use_simd);
   /// Offering Tables are bit-identical with it on or off. Off is the
-  /// `--no-simd` escape hatch / scalar parity oracle.
+  /// scalar parity oracle the tests select; perfbench copies the field.
   bool use_simd = true;
 
   /// Per-client Dynamic Caching (Section IV-C) on/off. The fleet

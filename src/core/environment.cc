@@ -1,11 +1,5 @@
 #include "core/environment.h"
 
-#include <thread>
-
-#include "ch/ch_customize.h"
-#include "ch/contraction.h"
-#include "graph/io.h"
-
 namespace ecocharge {
 
 ClimateParams DefaultClimate(DatasetKind kind) {
@@ -66,40 +60,8 @@ Result<std::unique_ptr<Environment>> MakeEnvironment(
   env->congestion =
       std::make_unique<CongestionModel>(options.seed ^ 0x7AFF1CULL);
 
-  if (options.derouting_backend == DeroutingBackend::kCh) {
-    if (!options.graph_snapshot.empty()) {
-      // Reuse a preprocessed hierarchy when the snapshot carries one (the
-      // `graph ch` artifact) — zero-copy, no re-contraction.
-      ECOCHARGE_ASSIGN_OR_RETURN(LoadedSnapshot snap,
-                                 LoadSnapshotWithAux(options.graph_snapshot));
-      if (snap.ch.has_value()) {
-        ECOCHARGE_ASSIGN_OR_RETURN(
-            env->ch,
-            ChIndexFromSnapshot(*snap.ch, env->dataset.network->NumEdges()));
-      }
-    }
-    if (env->ch == nullptr) {
-      ECOCHARGE_ASSIGN_OR_RETURN(env->ch,
-                                 BuildChIndex(*env->dataset.network));
-    }
-  }
-
   EcEstimatorOptions est_opts;
   est_opts.max_derouting_m = options.max_derouting_m;
-  est_opts.ch = env->ch.get();
-  if (env->ch != nullptr) {
-    // -1 resolves to the machine; 0 stays one worker. Every setting
-    // prices bit-identically, so this is purely a latency knob.
-    int ch_threads = options.ch_threads;
-    if (ch_threads < 0) {
-      ch_threads =
-          static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-    }
-    est_opts.ch_threads = ch_threads;
-    env->ch_cache =
-        std::make_shared<ChCustomizationCache>(*env->ch, ch_threads);
-    est_opts.ch_cache = env->ch_cache.get();
-  }
   env->estimator = std::make_unique<EcEstimator>(
       env->dataset.network, &env->chargers, env->energy.get(),
       env->availability.get(), env->congestion.get(), est_opts);

@@ -1,6 +1,7 @@
 #ifndef ECOCHARGE_CORE_ENVIRONMENT_H_
 #define ECOCHARGE_CORE_ENVIRONMENT_H_
 
+#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +16,16 @@
 #include "traj/dataset.h"
 
 namespace ecocharge {
+
+class ChIndex;
+class ChCustomizationCache;
+
+/// Unused; perfbench still sets EnvironmentOptions::derouting_backend to
+/// kCh. Exact derouting runs the Dijkstra sweeps whatever the value.
+enum class DeroutingBackend : uint8_t {
+  kExact = 0,
+  kCh = 1,
+};
 
 /// \brief One fully-wired simulation world: dataset + chargers + the
 /// ground-truth/forecast services + the EC estimator + the charger index.
@@ -32,14 +43,9 @@ struct Environment {
   std::unique_ptr<EcEstimator> estimator;
   SpatialIndexKind index_kind = SpatialIndexKind::kQuadTree;
   std::unique_ptr<SpatialIndex> charger_index;  ///< ids = indices in chargers
-  /// Contraction hierarchy backing the CH derouting backend; null unless
-  /// derouting_backend == kCh. Loaded zero-copy from the snapshot's CH
-  /// section when one exists, contracted from scratch otherwise.
+  /// Unused (always null); perfbench still reads it.
   std::shared_ptr<const ChIndex> ch;
-  /// Process-shared customization cache over `ch`, the one source of
-  /// customized planes (null unless the CH backend is on). Estimators built
-  /// from estimator->options() inherit it, so every server worker prices a
-  /// congestion bucket once per process.
+  /// Unused (always null); perfbench still reads it.
   std::shared_ptr<ChCustomizationCache> ch_cache;
 };
 
@@ -61,17 +67,9 @@ struct EnvironmentOptions {
   /// bit-identical Offering Tables; the choice is a performance knob.
   SpatialIndexKind index_kind = SpatialIndexKind::kQuadTree;
 
-  /// Exact-derouting engine (CLI --derouting=ch|exact). kCh loads the
-  /// snapshot's CH section when `graph_snapshot` carries one (zero-copy),
-  /// contracts the network at build time otherwise; both produce estimates
-  /// bit-identical to kExact.
+  /// Unused; perfbench still sets it.
   DeroutingBackend derouting_backend = DeroutingBackend::kExact;
-
-  /// Sweep workers of every Environment::ch_cache build (CLI
-  /// --ch-threads): -1 (default) =
-  /// hardware concurrency, 0 or 1 = one worker in rank order, N >= 2 =
-  /// level-parallel with N workers. Every setting runs the same pull
-  /// kernel and prices bit-identically.
+  /// Unused; perfbench still sets it.
   int ch_threads = -1;
 };
 

@@ -12,8 +12,8 @@
 // Compile-time ISA dispatch: the widest vector extension the *target*
 // guarantees is baked in at build time (no runtime cpuid probing — the
 // pipeline's hot loop cannot afford an indirect call per batch, and the
-// scalar reference path stays available behind a runtime flag for parity
-// oracles and the --no-simd escape hatch). Exactly one of the macros below
+// scalar reference path stays available behind a runtime option for the
+// parity oracles). Exactly one of the macros below
 // is set to 1; kScalarOnly builds still compile every entry point, backed
 // by the reference loops.
 #if defined(__AVX2__)

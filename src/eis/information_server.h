@@ -139,9 +139,6 @@ class InformationServer {
   /// Safe to call concurrently with serving traffic.
   EisCallStats Snapshot() const;
 
-  /// Legacy name for Snapshot().
-  EisCallStats Stats() const { return Snapshot(); }
-
   /// Wires the upstream-call counters and the three response caches onto
   /// `registry` under the `eis.{weather,availability,traffic}.*` names,
   /// so a statsz export reports live call volumes and hit rates. Wire

@@ -136,6 +136,8 @@ enum SectionId : uint32_t {
   kSectionLandmarkNodes = 9,
   kSectionLandmarkFrom = 10,
   kSectionLandmarkTo = 11,
+  // 12-16 hold a contraction hierarchy: written when SaveSnapshot gets one,
+  // skipped on load (only ReadSnapshotInfo reports them).
   kSectionChRank = 12,         ///< CH node ranks, N u32
   kSectionChUpOffsets = 13,    ///< upward CSR offsets, (N+1) u32
   kSectionChUpArcs = 14,       ///< upward arcs, kChSnapshotArcBytes each
@@ -314,11 +316,10 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
                     std::nullptr_t, const ChSnapshotViews* ch) {
   // Write to a sibling temp file and rename into place: the target may be
-  // the very file backing the network's mmap views (`graph ch --in X
-  // --out X` re-snapshots a loaded network), and truncating it in place
-  // would corrupt the bytes still being read out of the mapping. The
-  // rename keeps the old inode alive for any open mapping and also makes
-  // the save crash-atomic.
+  // the very file backing the network's mmap views (re-snapshotting a
+  // loaded network), and truncating it in place would corrupt the bytes
+  // still being read out of the mapping. The rename keeps the old inode
+  // alive for any open mapping and also makes the save crash-atomic.
   const std::string tmp = path + ".tmp";
   Status st = WriteSnapshotTo(network, tmp, ch);
   if (!st.ok()) {
@@ -405,28 +406,9 @@ Result<std::span<const T>> SectionSpan(const ParsedSnapshot& parsed,
                             expected_count);
 }
 
-/// The section's payload as raw bytes, validated to hold a whole number of
-/// `record_bytes`-sized records.
-Result<std::span<const std::byte>> SectionBytes(const ParsedSnapshot& parsed,
-                                                const uint8_t* data,
-                                                uint32_t id,
-                                                uint64_t record_bytes,
-                                                const std::string& path) {
-  const SectionEntry* s = parsed.Find(id);
-  if (s == nullptr) {
-    return Status::IOError("snapshot missing section " + std::to_string(id) +
-                           ": " + path);
-  }
-  if (s->byte_size % record_bytes != 0) {
-    return Status::IOError("snapshot section " + std::to_string(id) +
-                           " is not a whole number of records: " + path);
-  }
-  return std::span<const std::byte>(
-      reinterpret_cast<const std::byte*>(data + s->offset), s->byte_size);
-}
+}  // namespace
 
-Result<LoadedSnapshot> LoadSnapshotImpl(const std::string& path,
-                                        bool want_ch) {
+Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path) {
   ECOCHARGE_ASSIGN_OR_RETURN(std::shared_ptr<MappedFile> mapped,
                              MapFile(path));
   ECOCHARGE_ASSIGN_OR_RETURN(
@@ -469,45 +451,7 @@ Result<LoadedSnapshot> LoadSnapshotImpl(const std::string& path,
   views.locator_cell_m = h.locator_cell_m;
   views.backing = mapped;
 
-  LoadedSnapshot loaded;
-  ECOCHARGE_ASSIGN_OR_RETURN(loaded.network,
-                             RoadNetwork::FromViews(std::move(views)));
-
-  if (want_ch && parsed.Find(kSectionChRank) != nullptr) {
-    // A CH section set is all-or-nothing: rank present means the other four
-    // must parse too, so a truncated save cannot masquerade as "no CH".
-    ChSnapshotViews ch;
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        ch.rank, SectionSpan<uint32_t>(parsed, data, kSectionChRank, n, path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        ch.up_offsets,
-        SectionSpan<uint32_t>(parsed, data, kSectionChUpOffsets, n + 1, path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        ch.up_arcs, SectionBytes(parsed, data, kSectionChUpArcs,
-                                 kChSnapshotArcBytes, path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        ch.down_offsets, SectionSpan<uint32_t>(parsed, data,
-                                               kSectionChDownOffsets, n + 1,
-                                               path));
-    ECOCHARGE_ASSIGN_OR_RETURN(
-        ch.down_arcs, SectionBytes(parsed, data, kSectionChDownArcs,
-                                   kChSnapshotArcBytes, path));
-    ch.backing = mapped;
-    loaded.ch = std::move(ch);
-  }
-  return loaded;
-}
-
-}  // namespace
-
-Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path) {
-  ECOCHARGE_ASSIGN_OR_RETURN(LoadedSnapshot loaded,
-                             LoadSnapshotImpl(path, /*want_ch=*/false));
-  return loaded.network;
-}
-
-Result<LoadedSnapshot> LoadSnapshotWithAux(const std::string& path) {
-  return LoadSnapshotImpl(path, /*want_ch=*/true);
+  return RoadNetwork::FromViews(std::move(views));
 }
 
 Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {

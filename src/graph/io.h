@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <optional>
 #include <span>
 #include <string>
 #include <utility>
@@ -30,10 +29,9 @@ namespace ecocharge {
 /// stays ignorant of the CH internals while still validating section sizes.
 inline constexpr uint64_t kChSnapshotArcBytes = 32;
 
-/// \brief Zero-copy views of a snapshot's contraction-hierarchy section
-/// set: the node rank permutation plus the upward/downward shortcut CSR.
-/// Arc payloads are opaque bytes (kChSnapshotArcBytes per record);
-/// `ChIndexFromSnapshot` (ch/ch_index.h) reinterprets and validates them.
+/// \brief Views of a contraction hierarchy's arrays for SaveSnapshot to
+/// write: the node rank permutation plus the upward/downward shortcut CSR.
+/// Arc payloads are opaque bytes (kChSnapshotArcBytes per record).
 struct ChSnapshotViews {
   std::span<const uint32_t> rank;
   std::span<const uint32_t> up_offsets;
@@ -57,18 +55,19 @@ Result<std::shared_ptr<RoadNetwork>> LoadRoadNetworkFile(
 /// Layout: a fixed header (magic "ECGSNAP\0", version, counts, bounds,
 /// locator shape), a section table, then 64-byte-aligned sections holding
 /// the network's raw arrays — positions, both CSR directions, the
-/// node-locator grid, and optionally the contraction hierarchy.
+/// node-locator grid, and optionally a contraction hierarchy (sections
+/// 12-16, written for perfbench's regional_ch).
 /// LoadSnapshot maps the file read-only and serves every array straight
 /// out of the mapping. Byte order and Arc layout are host-native;
 /// snapshots are machine-local artifacts, not an exchange format.
 /// Versioning rule: any layout change bumps the version, and loaders
 /// reject versions they were not built for. Loaders skip section ids they
-/// do not read, such as the ALT landmark tables (ids 9-11) older builds
-/// wrote; the header's landmark count is written as 0.
+/// do not read: the ALT landmark tables (ids 9-11) older builds wrote, and
+/// the contraction hierarchy; every section-table entry is still bounds
+/// checked against the file. The header's landmark count is written as 0.
 ///
 /// The save writes `path + ".tmp"` and renames it into place, so saving
-/// over the snapshot a loaded (mmap-backed) network came from is safe —
-/// `graph ch --in X --out X` depends on this.
+/// over the snapshot a loaded (mmap-backed) network came from is safe.
 /// The third parameter is unused; perfbench still passes nullptr there.
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
                     std::nullptr_t = nullptr,
@@ -77,16 +76,6 @@ Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
 /// Maps a snapshot read-only; the returned network's arrays alias the
 /// mapping, which stays alive for the network's lifetime.
 Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path);
-
-struct LoadedSnapshot {
-  std::shared_ptr<RoadNetwork> network;
-  /// Present when the snapshot carries a contraction hierarchy; views alias
-  /// the mapping (zero-copy, like the network arrays).
-  std::optional<ChSnapshotViews> ch;
-};
-
-/// LoadSnapshot plus the contraction-hierarchy views (when stored).
-Result<LoadedSnapshot> LoadSnapshotWithAux(const std::string& path);
 
 /// Header-level metadata, read without mapping the payload (`graph info`).
 struct SnapshotInfo {

@@ -6,7 +6,6 @@
 #include <string>
 #include <utility>
 
-#include "ch/ch_customize.h"
 #include "common/logging.h"
 #include "core/protocol.h"
 
@@ -46,11 +45,6 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
   queue_wait_ = metrics_.GetHistogram("server.queue_wait_ns", "ns");
   service_time_ = metrics_.GetHistogram("server.service_ns", "ns");
   shared_eis_->AttachMetrics(&metrics_);
-  if (env_->ch_cache != nullptr) {
-    // The process-shared plane cache serves every worker; surface its
-    // hit/miss/build counters on this server's registry (statsz) too.
-    env_->ch_cache->AttachMetrics(&metrics_);
-  }
   if (options_.corridor != nullptr) {
     options_.corridor->AttachMetrics(&metrics_);
   }

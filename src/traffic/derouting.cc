@@ -3,9 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "ch/ch_customize.h"
-#include "ch/ch_query.h"
-
 namespace ecocharge {
 
 DeroutingService::DeroutingService(
@@ -16,24 +13,6 @@ DeroutingService::DeroutingService(
       detour_factor_(detour_factor),
       search_(*network_),
       back_search_(*network_) {}
-
-DeroutingService::~DeroutingService() = default;
-
-/// The batch's reusable elimination-tree label spaces: the three shared
-/// endpoint spaces plus the two per-charger ones the loop overwrites.
-struct DeroutingService::ChBatchSpaces {
-  ChSpace m_fwd;
-  ChSpace ra_bwd;
-  ChSpace rb_bwd;
-  ChSpace b_bwd;
-  ChSpace b_fwd;
-};
-
-void DeroutingService::set_ch(ChCustomizationCache* cache) {
-  ch_ = cache != nullptr ? &cache->index() : nullptr;
-  ch_query_ = cache != nullptr ? std::make_unique<ChQuery>(*cache) : nullptr;
-  ch_spaces_ = cache != nullptr ? std::make_unique<ChBatchSpaces>() : nullptr;
-}
 
 DeroutingEstimate DeroutingService::Estimate(const DeroutingQuery& query,
                                              const EvCharger& charger) const {
@@ -128,15 +107,6 @@ DeroutingEstimate UnreachableEstimate() {
   return est;
 }
 
-/// The per-class weights the exact cost lambda realizes at one cost time.
-/// The CH search uses them only to pick the argmin path; costs are refolded
-/// over the unpacked edges with the lambda itself.
-ChClassWeights ChWeightsAt(const ClassFactors& factors) {
-  ChClassWeights weights;
-  for (int c = 0; c < kChNumClasses; ++c) weights.w[c] = 1.0 / factors.f[c];
-  return weights;
-}
-
 /// Speed that turns a congested distance into an ETA, m/s: arterial pace
 /// scaled by the cost time's congestion, floored at 1 m/s.
 double CruiseSpeed(const ClassFactors& factors) {
@@ -188,81 +158,6 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   return est;
 }
 
-bool DeroutingService::ChBatchExact(NodeId m, NodeId ra, NodeId rb,
-                                    std::span<const ChargerRef> chargers,
-                                    const ClassFactors& factors,
-                                    std::vector<DeroutingEstimate>* out) {
-  const size_t num_nodes = network_->NumNodes();
-  auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
-  if (!ch_query_->UsePublished(ChWeightsAt(factors))) {
-    return false;
-  }
-  ChBatchSpaces& sp = *ch_spaces_;
-
-  // Shared endpoint spaces: one forward space for the vehicle, one backward
-  // space per return point. Every charger leg below is a meet against one
-  // of these plus one per-charger space — for a refine_limit-sized batch
-  // that is 3 + 2k half-spaces instead of 3k bidirectional searches.
-  const bool m_ok = m < num_nodes;
-  const bool ra_ok = ra < num_nodes;
-  const bool rb_ok = rb < num_nodes;
-  if (m_ok &&
-      !ch_query_->BuildSpace(m, SweepDirection::kForward, &sp.m_fwd)) {
-    return false;
-  }
-  if (ra_ok &&
-      !ch_query_->BuildSpace(ra, SweepDirection::kBackward, &sp.ra_bwd)) {
-    return false;
-  }
-  if (rb_ok &&
-      !ch_query_->BuildSpace(rb, SweepDirection::kBackward, &sp.rb_bwd)) {
-    return false;
-  }
-  const auto return_cost = [&](const ChSpace& from_fwd) {
-    const double ca =
-        ra_ok ? ChExactPathCost(ch_query_.get(), *network_, from_fwd,
-                                sp.ra_bwd, cost, SweepDirection::kBackward,
-                                &ch_edges_)
-              : kInfiniteCost;
-    const double cb =
-        rb_ok ? ChExactPathCost(ch_query_.get(), *network_, from_fwd,
-                                sp.rb_bwd, cost, SweepDirection::kBackward,
-                                &ch_edges_)
-              : kInfiniteCost;
-    return std::min(ca, cb);
-  };
-
-  const double direct = m_ok ? return_cost(sp.m_fwd) : kInfiniteCost;
-  const double cruise = CruiseSpeed(factors);
-  for (ChargerRef charger : chargers) {
-    const NodeId b = charger->node;
-    double to_b = kInfiniteCost;
-    if (m_ok && b < num_nodes) {
-      if (!ch_query_->BuildSpace(b, SweepDirection::kBackward, &sp.b_bwd)) {
-        return false;
-      }
-      to_b = ChExactPathCost(ch_query_.get(), *network_, sp.m_fwd, sp.b_bwd,
-                             cost, SweepDirection::kForward, &ch_edges_);
-    }
-    if (!std::isfinite(to_b)) {
-      out->push_back(UnreachableEstimate());
-      continue;
-    }
-    if (!ch_query_->BuildSpace(b, SweepDirection::kForward, &sp.b_fwd)) {
-      return false;
-    }
-    const double back = return_cost(sp.b_fwd);
-    double extra = to_b + (std::isfinite(back) ? back : 0.0) -
-                   (std::isfinite(direct) ? direct : 0.0);
-    extra = std::max(0.0, extra);
-    DeroutingEstimate est;
-    est.extra_distance_min_m = est.extra_distance_max_m = extra;
-    est.eta_s = to_b / cruise;
-    out->push_back(est);
-  }
-  return true;
-}
-
 BatchSweepStats DeroutingService::ExactBatch(
     const DeroutingQuery& query, std::span<const ChargerRef> chargers,
     DeroutingBatchScratch* scratch, std::vector<DeroutingEstimate>* out) {
@@ -275,15 +170,6 @@ BatchSweepStats DeroutingService::ExactBatch(
   const size_t num_nodes = network_->NumNodes();
   const ClassFactors factors = congestion_->ActualFactors(query.now);
   auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
-
-  // The CH batch serves when the cache has the plane published and the
-  // hierarchy accepts the space builder; otherwise the Dijkstra sweep below
-  // gives the same bits.
-  if (ch_ != nullptr &&
-      ChBatchExact(nodes.m, nodes.ra, nodes.rb, chargers, factors, out)) {
-    return stats;
-  }
-  out->clear();
 
   // One forward sweep covers every outbound leg: it stops as soon as all
   // distinct charger nodes are settled, instead of re-settling the inner

@@ -12,21 +12,6 @@
 
 namespace ecocharge {
 
-class ChIndex;
-class ChQuery;
-class ChCustomizationCache;
-
-/// \brief Which engine answers exact derouting queries.
-///
-/// kExact runs the Dijkstra batch sweeps (the parity oracle); kCh answers
-/// a batch over a contraction hierarchy when its plane is already published
-/// (else by the same sweeps) and refolds each unpacked path in the oracle's
-/// accumulation order, so both emit bit-identical estimates.
-enum class DeroutingBackend : uint8_t {
-  kExact = 0,
-  kCh = 1,
-};
-
 /// \brief The derouting estimated component D for one charger.
 ///
 /// Extra distance = d(m -> b) + min(d(b -> r_i), d(b -> r_{i+1})) minus the
@@ -85,8 +70,7 @@ struct BatchSweepStats {
 ///
 /// Estimate(): closed-form from Euclidean distances x a road-detour factor
 /// x the congestion band — O(1) per charger, used by the CkNN-EC filtering
-/// phase. ExactBatch(): the refinement phase's network-exact costs, over a
-/// contraction hierarchy when one is set and its plane is published, else by
+/// phase. ExactBatch(): the refinement phase's network-exact costs by
 /// time-aware Dijkstra sweeps. Exact(): the per-charger Dijkstra oracle
 /// behind the Brute-Force baseline and ground truth (this is where the
 /// baselines spend their CPU time, matching the paper's cost profile).
@@ -108,7 +92,6 @@ class DeroutingService {
   DeroutingService(std::shared_ptr<const RoadNetwork> network,
                    const CongestionModel* congestion,
                    double detour_factor = 1.3);
-  ~DeroutingService();
 
   /// O(1) interval estimate; fetches the congestion band itself.
   DeroutingEstimate Estimate(const DeroutingQuery& query,
@@ -132,8 +115,7 @@ class DeroutingService {
   /// nearer of the two return points. Depends only on the query.
   static double OnRouteDistance(const DeroutingQuery& query);
 
-  /// Network-exact cost under realized traffic (min == max), always by the
-  /// Dijkstra sweeps, whatever the backend.
+  /// Network-exact cost under realized traffic (min == max).
   DeroutingEstimate Exact(const DeroutingQuery& query,
                           const EvCharger& charger);
 
@@ -160,34 +142,10 @@ class DeroutingService {
   /// count that does not depend on timing, for benchmarks.
   size_t last_forward_settled() const { return search_.last_settled_count(); }
 
-  /// Switches ExactBatch() to the contraction-hierarchy backend over
-  /// `cache->index()`, which must be built over this service's network.
-  /// Every plane comes from `cache` (not owned, must outlive the service).
-  /// A batch only reads planes already published there
-  /// (ChCustomizationCache::Lookup); a batch whose plane is missing, or
-  /// whose spaces the hierarchy rejects, runs the Dijkstra sweeps (the only
-  /// batches that move the warm-start counters). nullptr reverts to the
-  /// Dijkstra sweeps.
-  void set_ch(ChCustomizationCache* cache);
-
-  DeroutingBackend backend() const {
-    return ch_ != nullptr ? DeroutingBackend::kCh : DeroutingBackend::kExact;
-  }
-
  private:
   /// Resumes (warm hit) or restarts the backward sweep for the return pair
   /// at cost time `now`; returns true on a warm hit.
   bool EnsureBackwardSweep(NodeId ra, NodeId rb, SimTime now);
-
-  /// Space-sharing CH batch: builds the vehicle/return elimination-tree
-  /// spaces once and meets each charger's two spaces against them. Returns
-  /// false (`*out` partly written) when the cache has no published plane
-  /// or the hierarchy rejects the space builder; ExactBatch then runs the
-  /// Dijkstra sweeps.
-  bool ChBatchExact(NodeId m, NodeId ra, NodeId rb,
-                    std::span<const ChargerRef> chargers,
-                    const ClassFactors& factors,
-                    std::vector<DeroutingEstimate>* out);
 
   std::shared_ptr<const RoadNetwork> network_;
   const CongestionModel* congestion_;
@@ -207,17 +165,6 @@ class DeroutingService {
   BackwardKey back_key_;
   uint64_t warm_start_hits_ = 0;
   uint64_t backward_sweep_starts_ = 0;
-
-  // CH backend state: the cache's hierarchy, the reusable query workspace
-  // every plane is fetched through, the unpacked-edge scratch shared by
-  // every CH leg, and the batch's elimination-tree label spaces
-  // (vehicle/return spaces built once per batch, two per-charger spaces
-  // reused across the loop).
-  const ChIndex* ch_ = nullptr;
-  std::unique_ptr<ChQuery> ch_query_;
-  std::vector<EdgeId> ch_edges_;
-  struct ChBatchSpaces;
-  std::unique_ptr<ChBatchSpaces> ch_spaces_;
 };
 
 }  // namespace ecocharge

@@ -1,11 +1,7 @@
-// End-to-end smoke of the ecocharge_cli binary: `graph build` a small
-// snapshot, `graph ch` it, and check the summary line reports BOTH
-// preprocessing phases — contraction and customization — with their
-// timing/stats. The CLI is the operational entry point; its summary format
-// is what runbooks and the bench harness grep, so it gets a pinned test.
-// The flag parser is its input boundary: unknown flags and malformed or
-// out-of-range numbers must exit 2 with an InvalidArgument, never run a
-// default configuration or abort.
+// End-to-end smoke of the ecocharge_cli binary's input boundary: unknown
+// subcommands, unknown flags and malformed or out-of-range numbers must
+// exit 2 (flags and numbers with an InvalidArgument), never run a default
+// configuration or abort.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -36,35 +32,6 @@ std::string RunCommand(const std::string& cmd, int* exit_code) {
   return out;
 }
 
-TEST(CliSmokeTest, GraphChSummaryReportsContractionAndCustomization) {
-  const std::string bin = ECOCHARGE_CLI_BIN;
-  if (bin.empty()) GTEST_SKIP() << "ecocharge_cli path not configured";
-
-  const std::string dir = ::testing::TempDir();
-  const std::string raw = dir + "/smoke_raw.ecgs";
-  const std::string ch = dir + "/smoke_ch.ecgs";
-
-  int code = 0;
-  std::string out = RunCommand(bin +
-                            " graph build --spec"
-                            " \"type=grid;nx=20;ny=20;seed=3\" --out " +
-                        raw, &code);
-  ASSERT_EQ(code, 0) << out;
-  ASSERT_NE(out.find("wrote"), std::string::npos) << out;
-
-  out = RunCommand(bin + " graph ch --in " + raw + " --out " + ch +
-            " --ch-threads 2", &code);
-  ASSERT_EQ(code, 0) << out;
-  // One line, both phases: "...; contracted in X s, ...; customized in
-  // Y s (T threads, L levels, A arcs)".
-  EXPECT_NE(out.find("contracted in"), std::string::npos) << out;
-  EXPECT_NE(out.find("customized in"), std::string::npos) << out;
-  EXPECT_NE(out.find("2 threads"), std::string::npos) << out;
-  EXPECT_NE(out.find("levels"), std::string::npos) << out;
-  EXPECT_NE(out.find("arcs"), std::string::npos) << out;
-  EXPECT_NE(out.find("shortcuts"), std::string::npos) << out;
-}
-
 /// Runs `args` and expects exit status 2 with `message` in the output.
 void ExpectRejected(const std::string& args, const std::string& message) {
   int code = 0;
@@ -83,6 +50,24 @@ TEST(CliSmokeTest, RejectsFlagsTheSubcommandDoesNotKnow) {
   ExpectRejected(rank + " --k 3 --statsz",
                  "InvalidArgument: unknown flag --statsz");
   ExpectRejected(rank + " --k 3 stray", "InvalidArgument: unexpected argument");
+  // Retired flags: the CH derouting backend, its sweep workers and the
+  // scalar-kernel switch.
+  ExpectRejected(rank + " --k 3 --derouting ch",
+                 "InvalidArgument: unknown flag --derouting");
+  ExpectRejected(rank + " --k 3 --ch-threads 2",
+                 "InvalidArgument: unknown flag --ch-threads");
+  ExpectRejected(rank + " --k 3 --no-simd",
+                 "InvalidArgument: unknown flag --no-simd");
+  ExpectRejected("serve --threads 0 --requests 4 --no-simd",
+                 "InvalidArgument: unknown flag --no-simd");
+  // `graph ch` (the CH contraction subcommand) is gone: an unknown
+  // subcommand, followed by the usage text, which no longer lists it.
+  ExpectRejected("graph ch --in a.ecgs --out b.ecgs",
+                 "InvalidArgument: unknown subcommand 'graph ch'");
+  int code = 0;
+  const std::string usage = RunCommand(ECOCHARGE_CLI_BIN " graph ch", &code);
+  EXPECT_NE(usage.find("  graph build"), std::string::npos) << usage;
+  EXPECT_EQ(usage.find("  graph ch"), std::string::npos) << usage;
 }
 
 TEST(CliSmokeTest, RejectsMalformedAndOutOfRangeNumbers) {

@@ -159,7 +159,7 @@ void RunDifferential(const EisOptions& eis_options, uint64_t seed) {
   // Same per-source lookup sequence, so the column stores count exactly
   // what the per-key lookups count (traffic differs by design: the batch
   // fetches the band once per request).
-  ExpectSameColumnAccounting(batch_eis.Stats(), oracle_eis.Stats());
+  ExpectSameColumnAccounting(batch_eis.Snapshot(), oracle_eis.Snapshot());
 }
 
 TEST(EstimateBatchTest, MatchesPerCandidateOracleBitForBit) {
@@ -180,9 +180,9 @@ TEST(EstimateBatchTest, MatchesOracleAcrossOneSecondSlotExpiry) {
   eis.GetAvailability(c, 100.0, 100.0);
   eis.GetAvailability(c, 101.0, 100.0);  // age 1 s: still fresh
   eis.GetAvailability(c, 102.5, 100.0);  // age 2.5 s: expired
-  EXPECT_EQ(eis.Stats().availability_cache.hits, 1u);
-  EXPECT_EQ(eis.Stats().availability_cache.expirations, 1u);
-  EXPECT_EQ(eis.Stats().availability_api_calls, 2u);
+  EXPECT_EQ(eis.Snapshot().availability_cache.hits, 1u);
+  EXPECT_EQ(eis.Snapshot().availability_cache.expirations, 1u);
+  EXPECT_EQ(eis.Snapshot().availability_api_calls, 2u);
 }
 
 // ---------------------------------------------------------------------------
@@ -259,8 +259,8 @@ TEST(ResilientBatchTest, FaultFreeBatchMatchesPlainServer) {
       EXPECT_EQ(r.fetch[i], EisFetch::kFresh);
     }
   }
-  const EisCallStats ps = plain.Stats();
-  const EisCallStats rs = resilient.Stats();
+  const EisCallStats ps = plain.Snapshot();
+  const EisCallStats rs = resilient.Snapshot();
   ExpectSameColumnAccounting(ps, rs);
   EXPECT_GT(ps.weather_cache.hits, 0u);
   for (UpstreamKind kind : resilience::kAllUpstreamKinds) {
@@ -342,7 +342,7 @@ TEST(ResilientBatchTest, FailuresWalkTheLadderPerCandidate) {
     EXPECT_EQ(b.climatological_serves, o.climatological_serves);
     EXPECT_EQ(b.retries, o.retries);
   }
-  ExpectSameColumnAccounting(batch.Stats(), oracle.Stats());
+  ExpectSameColumnAccounting(batch.Snapshot(), oracle.Snapshot());
 }
 
 // ---------------------------------------------------------------------------
@@ -620,7 +620,7 @@ TEST(ForecastColumnsTest, ConcurrentBatchesFillOverlappingColumns) {
   }
   for (std::thread& t : workers) t.join();
   EXPECT_EQ(mismatches.load(), 0u);
-  const EisCallStats stats = shared.Stats();
+  const EisCallStats stats = shared.Snapshot();
   // Exactly one upstream call per distinct (charger, bucket) slot: the
   // workers' candidate streams are seeded, so replay them to count.
   std::set<std::pair<ChargerId, size_t>> slots;

@@ -179,27 +179,47 @@ std::string WithLegacyLandmarkSections(const std::string& bytes,
 }
 
 TEST(SnapshotTest, RoundTripPreservesStructure) {
+  // Once plain, once carrying a contraction hierarchy the way perfbench's
+  // regional_ch saves it: the loader skips the CH sections, so both files
+  // load into the same arrays.
   auto original = SampleNetwork();
-  std::string path = SnapshotPath("roundtrip.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  const ChSnapshotViews views =
+      ToSnapshotViews(BuildChIndex(*original).MoveValueUnsafe());
+  const ChSnapshotViews* const variants[] = {nullptr, &views};
+  for (const ChSnapshotViews* ch : variants) {
+    SCOPED_TRACE(ch == nullptr ? "plain" : "with ch");
+    std::string path = SnapshotPath(ch == nullptr ? "roundtrip.ecgs"
+                                                  : "roundtrip_ch.ecgs");
+    ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, ch).ok());
 
-  auto loaded_result = LoadSnapshot(path);
-  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
-  auto loaded = loaded_result.MoveValueUnsafe();
+    auto loaded_result = LoadSnapshot(path);
+    ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
+    auto loaded = loaded_result.MoveValueUnsafe();
 
-  ASSERT_EQ(loaded->NumNodes(), original->NumNodes());
-  ASSERT_EQ(loaded->NumEdges(), original->NumEdges());
-  for (NodeId v = 0; v < original->NumNodes(); ++v) {
-    EXPECT_EQ(loaded->NodePosition(v), original->NodePosition(v));
+    ASSERT_EQ(loaded->NumNodes(), original->NumNodes());
+    ASSERT_EQ(loaded->NumEdges(), original->NumEdges());
+    for (NodeId v = 0; v < original->NumNodes(); ++v) {
+      EXPECT_EQ(loaded->NodePosition(v), original->NodePosition(v));
+      ASSERT_EQ(loaded->OutArcs(v).size(), original->OutArcs(v).size());
+      ASSERT_EQ(loaded->InArcs(v).size(), original->InArcs(v).size());
+      for (size_t i = 0; i < original->OutArcs(v).size(); ++i) {
+        EXPECT_EQ(loaded->OutArcs(v)[i].node, original->OutArcs(v)[i].node);
+        EXPECT_EQ(loaded->OutArcs(v)[i].length_m,
+                  original->OutArcs(v)[i].length_m);
+      }
+      for (size_t i = 0; i < original->InArcs(v).size(); ++i) {
+        EXPECT_EQ(loaded->InArcs(v)[i].node, original->InArcs(v)[i].node);
+      }
+    }
+    for (EdgeId e = 0; e < original->NumEdges(); ++e) {
+      EXPECT_EQ(loaded->edge(e).from, original->edge(e).from);
+      EXPECT_EQ(loaded->edge(e).to, original->edge(e).to);
+      EXPECT_EQ(loaded->edge(e).length_m, original->edge(e).length_m);
+      EXPECT_EQ(loaded->edge(e).road_class, original->edge(e).road_class);
+    }
+    EXPECT_EQ(loaded->Bounds().min.x, original->Bounds().min.x);
+    EXPECT_EQ(loaded->Bounds().max.y, original->Bounds().max.y);
   }
-  for (EdgeId e = 0; e < original->NumEdges(); ++e) {
-    EXPECT_EQ(loaded->edge(e).from, original->edge(e).from);
-    EXPECT_EQ(loaded->edge(e).to, original->edge(e).to);
-    EXPECT_EQ(loaded->edge(e).length_m, original->edge(e).length_m);
-    EXPECT_EQ(loaded->edge(e).road_class, original->edge(e).road_class);
-  }
-  EXPECT_EQ(loaded->Bounds().min.x, original->Bounds().min.x);
-  EXPECT_EQ(loaded->Bounds().max.y, original->Bounds().max.y);
 }
 
 TEST(SnapshotTest, RoundTripPreservesQueries) {
@@ -223,8 +243,9 @@ TEST(SnapshotTest, RoundTripPreservesQueries) {
 
 TEST(SnapshotTest, RoundTripPreservesLandmarks) {
   // Builds that ordered refinement by ALT bounds wrote landmark tables as
-  // sections 9-11. Nothing reads them any more; such a file must still
-  // load in full (network and CH), and `graph info` must still list them.
+  // sections 9-11. Nothing reads them any more; such a file (here also
+  // carrying a contraction hierarchy) must still load, and `graph info`
+  // must still list them.
   auto original = SampleNetwork();
   std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
   const ChSnapshotViews views = ToSnapshotViews(ch);
@@ -242,9 +263,9 @@ TEST(SnapshotTest, RoundTripPreservesLandmarks) {
         << "section " << id;
   }
 
-  auto loaded = LoadSnapshotWithAux(path);
+  auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const RoadNetwork& network = *loaded->network;
+  const RoadNetwork& network = **loaded;
   ASSERT_EQ(network.NumNodes(), original->NumNodes());
   ASSERT_EQ(network.NumEdges(), original->NumEdges());
   for (NodeId v = 0; v < original->NumNodes(); ++v) {
@@ -257,10 +278,7 @@ TEST(SnapshotTest, RoundTripPreservesLandmarks) {
   }
   DijkstraSearch s1(*original), s2(network);
   EXPECT_EQ(s1.ShortestPath(0, 55).cost, s2.ShortestPath(0, 55).cost);
-  ASSERT_TRUE(loaded->ch.has_value());
-  auto adopted = ChIndexFromSnapshot(*loaded->ch, network.NumEdges());
-  ASSERT_TRUE(adopted.ok()) << adopted.status();
-  EXPECT_EQ((*adopted)->NumUpArcs(), ch->NumUpArcs());
+  EXPECT_EQ(info->ch_up_arcs, ch->NumUpArcs());
 }
 
 TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
@@ -277,11 +295,11 @@ TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
     EXPECT_TRUE(id < 9 || id > 11) << "section " << id;
   }
 
-  auto loaded = LoadSnapshotWithAux(path);
+  auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  ASSERT_NE(loaded->network, nullptr);
-  EXPECT_EQ(loaded->network->NumNodes(), original->NumNodes());
-  EXPECT_FALSE(loaded->ch.has_value());
+  ASSERT_NE(*loaded, nullptr);
+  EXPECT_EQ((*loaded)->NumNodes(), original->NumNodes());
+  EXPECT_FALSE(info->has_ch);
 }
 
 TEST(SnapshotTest, InfoReportsCountsAndSections) {
@@ -381,27 +399,27 @@ TEST(SnapshotTest, InfoReportsChAndLandmarkPresence) {
 }
 
 TEST(SnapshotTest, ResaveOverOwnBackingFileIsSafe) {
-  // `graph ch --in X --out X` loads a snapshot (mmap-backed views) and
-  // saves the contracted result over the same path: the save must not
-  // truncate the file its own source arrays are still mapped from.
+  // Re-snapshotting a loaded (mmap-backed) network over the file it came
+  // from, with a hierarchy added: the save must not truncate the file its
+  // own source arrays are still mapped from.
   auto original = SampleNetwork();
   std::string path = SnapshotPath("resave_in_place.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, path).ok());
 
-  auto loaded = LoadSnapshotWithAux(path).MoveValueUnsafe();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*loaded.network).MoveValueUnsafe();
+  auto loaded = LoadSnapshot(path).MoveValueUnsafe();
+  std::shared_ptr<ChIndex> ch = BuildChIndex(*loaded).MoveValueUnsafe();
   const ChSnapshotViews views = ToSnapshotViews(ch);
-  ASSERT_TRUE(SaveSnapshot(*loaded.network, path, nullptr, &views).ok());
+  ASSERT_TRUE(SaveSnapshot(*loaded, path, nullptr, &views).ok());
 
-  auto reloaded = LoadSnapshotWithAux(path);
+  auto reloaded = LoadSnapshot(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ(reloaded->network->NumNodes(), original->NumNodes());
-  EXPECT_EQ(reloaded->network->NumEdges(), original->NumEdges());
-  ASSERT_TRUE(reloaded->ch.has_value());
-  auto adopted =
-      ChIndexFromSnapshot(*reloaded->ch, reloaded->network->NumEdges());
-  ASSERT_TRUE(adopted.ok()) << adopted.status();
-  EXPECT_EQ((*adopted)->NumUpArcs(), ch->NumUpArcs());
+  EXPECT_EQ((*reloaded)->NumNodes(), original->NumNodes());
+  EXPECT_EQ((*reloaded)->NumEdges(), original->NumEdges());
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  EXPECT_TRUE(info->has_ch);
+  EXPECT_EQ(info->ch_up_arcs, ch->NumUpArcs());
+  EXPECT_EQ(info->ch_down_arcs, ch->NumDownArcs());
 }
 
 TEST(SnapshotTest, RejectsTruncatedChSection) {
@@ -410,35 +428,19 @@ TEST(SnapshotTest, RejectsTruncatedChSection) {
   const ChSnapshotViews views = ToSnapshotViews(ch);
   std::string path = SnapshotPath("truncated_ch.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
-  ASSERT_TRUE(LoadSnapshotWithAux(path).ok());  // intact file loads
+  ASSERT_TRUE(LoadSnapshot(path).ok());  // intact file loads
 
-  // Cut into the trailing CH arc section: the load must fail cleanly
-  // instead of handing out-of-file views to the query kernel.
+  // Cut into the trailing CH arc section: the loader skips its payload,
+  // but the section table still points past the end of the file, so the
+  // load must fail with a typed IOError.
   std::string bytes = ReadFileBytes(path);
   WriteFileBytes(path, bytes.substr(0, bytes.size() - 100));
-  EXPECT_FALSE(LoadSnapshotWithAux(path).ok());
-}
-
-TEST(SnapshotTest, RejectsChArcBytesThatAreNotWholeRecords) {
-  auto original = SampleNetwork();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
-  const ChSnapshotViews views = ToSnapshotViews(ch);
-  std::string path = SnapshotPath("oddsize_ch.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
-  auto loaded = LoadSnapshotWithAux(path).MoveValueUnsafe();
-  ASSERT_TRUE(loaded.ch.has_value());
-
-  // A CH arc blob whose byte count is not a whole number of records must
-  // be rejected by the rehydration validation, not reinterpreted.
-  ChSnapshotViews corrupt = *loaded.ch;
-  corrupt.up_arcs = corrupt.up_arcs.subspan(0, corrupt.up_arcs.size() - 1);
-  EXPECT_FALSE(ChIndexFromSnapshot(corrupt, loaded.network->NumEdges()).ok());
-
-  // Same for a rank array that no longer covers every node.
-  ChSnapshotViews short_rank = *loaded.ch;
-  short_rank.rank = short_rank.rank.subspan(0, short_rank.rank.size() - 1);
-  EXPECT_FALSE(
-      ChIndexFromSnapshot(short_rank, loaded.network->NumEdges()).ok());
+  auto result = LoadSnapshot(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_NE(result.status().message().find("out of bounds"), std::string::npos)
+      << result.status();
+  EXPECT_FALSE(ReadSnapshotInfo(path).ok());
 }
 
 }  // namespace

@@ -39,7 +39,7 @@ TEST_F(InformationServerTest, CachesIdenticalRequests) {
   EnergyForecast b = server_.GetEnergyForecast(c, now, target, 3600.0);
   EXPECT_EQ(a.min_kwh, b.min_kwh);
   EXPECT_EQ(a.max_kwh, b.max_kwh);
-  EisCallStats stats = server_.Stats();
+  EisCallStats stats = server_.Snapshot();
   EXPECT_EQ(stats.weather_api_calls, 1u);
   EXPECT_EQ(stats.weather_cache.hits, 1u);
 }
@@ -50,7 +50,7 @@ TEST_F(InformationServerTest, SameBucketSharesResponse) {
   SimTime now = 9.0 * kSecondsPerHour;
   server_.GetEnergyForecast(c, now, now + 60.0, 3600.0);
   server_.GetEnergyForecast(c, now, now + 500.0, 3600.0);
-  EXPECT_EQ(server_.Stats().weather_api_calls, 1u);
+  EXPECT_EQ(server_.Snapshot().weather_api_calls, 1u);
 }
 
 TEST_F(InformationServerTest, DifferentBucketsDifferentCalls) {
@@ -58,14 +58,14 @@ TEST_F(InformationServerTest, DifferentBucketsDifferentCalls) {
   SimTime now = 9.0 * kSecondsPerHour;
   server_.GetEnergyForecast(c, now, now + 60.0, 3600.0);
   server_.GetEnergyForecast(c, now, now + 2000.0, 3600.0);  // next bucket
-  EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
+  EXPECT_EQ(server_.Snapshot().weather_api_calls, 2u);
 }
 
 TEST_F(InformationServerTest, DifferentChargersDifferentCalls) {
   SimTime now = 9.0 * kSecondsPerHour;
   server_.GetAvailability(Charger(1), now, now + 600.0);
   server_.GetAvailability(Charger(2), now, now + 600.0);
-  EXPECT_EQ(server_.Stats().availability_api_calls, 2u);
+  EXPECT_EQ(server_.Snapshot().availability_api_calls, 2u);
 }
 
 TEST_F(InformationServerTest, ResponsesArePureFunctionsOfKey) {
@@ -84,14 +84,14 @@ TEST_F(InformationServerTest, ResponsesArePureFunctionsOfKey) {
       fresh.GetAvailability(c, now + 30.0, now + 630.0);
   EXPECT_EQ(first.min, second.min);
   EXPECT_EQ(first.max, second.max);
-  EXPECT_EQ(fresh.Stats().availability_api_calls, 2u);
+  EXPECT_EQ(fresh.Snapshot().availability_api_calls, 2u);
 }
 
 TEST_F(InformationServerTest, TrafficKeyedByRoadClass) {
   SimTime now = 8.0 * kSecondsPerHour;
   auto highway = server_.GetTraffic(RoadClass::kHighway, now, now);
   auto local = server_.GetTraffic(RoadClass::kLocal, now, now);
-  EXPECT_EQ(server_.Stats().traffic_api_calls, 2u);
+  EXPECT_EQ(server_.Snapshot().traffic_api_calls, 2u);
   // Rush hour: highways slower than locals.
   EXPECT_LT(highway.max, local.max + 1e-12);
 }
@@ -117,7 +117,7 @@ TEST_F(InformationServerTest, ChargeWindowIsPartOfTheWeatherKey) {
   SimTime target = now + 1800.0;         // also on a boundary
   EnergyForecast hour = server_.GetEnergyForecast(c, now, target, 3600.0);
   EnergyForecast half = server_.GetEnergyForecast(c, now, target, 1800.0);
-  EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
+  EXPECT_EQ(server_.Snapshot().weather_api_calls, 2u);
   EnergyForecast direct_hour =
       energy_.ForecastEnergyKwh(c, now, target, 3600.0);
   EnergyForecast direct_half =
@@ -130,8 +130,8 @@ TEST_F(InformationServerTest, ChargeWindowIsPartOfTheWeatherKey) {
   // Repeats of either window hit their own slot.
   server_.GetEnergyForecast(c, now, target, 1800.0);
   server_.GetEnergyForecast(c, now, target, 3600.0);
-  EXPECT_EQ(server_.Stats().weather_api_calls, 2u);
-  EXPECT_EQ(server_.Stats().weather_cache.hits, 2u);
+  EXPECT_EQ(server_.Snapshot().weather_api_calls, 2u);
+  EXPECT_EQ(server_.Snapshot().weather_cache.hits, 2u);
 }
 
 bool SameBits(const EnergyForecast& a, const EnergyForecast& b) {
@@ -170,14 +170,14 @@ TEST_F(InformationServerTest, BatchWeatherAccountingMatchesPerChargerCalls) {
           *chargers[i], now + later, targets[i], 3600.0);
       EXPECT_TRUE(SameBits(batch.energy[i], one)) << "candidate " << i;
     }
-    const EisCallStats a = batched.Stats();
-    const EisCallStats b = single.Stats();
+    const EisCallStats a = batched.Snapshot();
+    const EisCallStats b = single.Snapshot();
     EXPECT_EQ(a.weather_api_calls, b.weather_api_calls);
     EXPECT_EQ(a.weather_cache.hits, b.weather_cache.hits);
     EXPECT_EQ(a.weather_cache.misses, b.weather_cache.misses);
     EXPECT_EQ(a.weather_cache.expirations, b.weather_cache.expirations);
   }
-  const EisCallStats stats = batched.Stats();
+  const EisCallStats stats = batched.Snapshot();
   EXPECT_EQ(stats.weather_api_calls, stats.weather_cache.misses);
   EXPECT_GT(stats.weather_cache.hits, 0u);
   EXPECT_GT(stats.weather_cache.expirations, 0u);
@@ -215,7 +215,7 @@ TEST_F(InformationServerTest, LaterIssueBucketPricesItsOwnWindows) {
   }
   // The two issue times forecast different bands, so reuse would show.
   EXPECT_GT(moved, 0u);
-  EXPECT_EQ(server_.Stats().weather_api_calls, 2 * fleet.size());
+  EXPECT_EQ(server_.Snapshot().weather_api_calls, 2 * fleet.size());
 }
 
 }  // namespace

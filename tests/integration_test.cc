@@ -96,10 +96,10 @@ TEST_F(IntegrationTest, EisCachesCutUpstreamCalls) {
   EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
                       weights_, opts);
   for (const VehicleState& s : states_) eco.Rank(s, 3);
-  EisCallStats after_first = env_->estimator->information_server().Stats();
+  EisCallStats after_first = env_->estimator->information_server().Snapshot();
   eco.Reset();
   for (const VehicleState& s : states_) eco.Rank(s, 3);
-  EisCallStats after_second = env_->estimator->information_server().Stats();
+  EisCallStats after_second = env_->estimator->information_server().Snapshot();
   uint64_t second_pass_calls =
       (after_second.weather_api_calls - after_first.weather_api_calls) +
       (after_second.availability_api_calls -

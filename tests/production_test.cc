@@ -256,7 +256,7 @@ TEST(SolarWindowTest, ForecastBatchMatchesPerChargerLoopBitwise) {
           << "window " << window_s << " candidate " << i;
       if (want.max_kwh > 0.0) ++producing;
     }
-    EXPECT_EQ(eis.Stats().weather_api_calls, fleet.size());
+    EXPECT_EQ(eis.Snapshot().weather_api_calls, fleet.size());
     if (window_s > 0.0) {
       EXPECT_GT(producing, 0u);
     }

@@ -11,7 +11,6 @@
 #include <new>
 #include <vector>
 
-#include "ch/ch_customize.h"
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "core/offering_service.h"
@@ -201,36 +200,6 @@ TEST(QueryContextTest, SteadyStateExactRefinementDoesNotAllocate) {
   EXPECT_EQ(after - before, 0u);
 }
 
-TEST(QueryContextTest, SteadyStateDeferredChRefinementDoesNotAllocate) {
-  // A CH-configured estimator with no published plane: every batch misses
-  // the cache and runs the Dijkstra sweeps. The plane lookup and the
-  // deferral count must not allocate either.
-  const std::unique_ptr<Environment> env =
-      testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
-  ASSERT_NE(env, nullptr);
-  const std::vector<VehicleState> states = testing_util::TinyWorkload(*env, 8);
-  ASSERT_FALSE(states.empty());
-  EcoChargeOptions opts;
-  opts.radius_m = 20000.0;
-  opts.q_distance_m = 0.0;  // full regeneration every query
-  EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
-                      ScoreWeights::AWE(), opts);
-  QueryContext ctx;
-  OfferingTable table;
-  auto run_pass = [&] {
-    for (const VehicleState& state : states) eco.RankInto(state, 3, ctx, &table);
-  };
-  for (int pass = 0; pass < 3; ++pass) run_pass();
-  const ChCustomizationCache& cache = *env->ch_cache;
-  const uint64_t deferred_before = cache.deferred();
-  uint64_t before = g_allocations.load();
-  run_pass();
-  uint64_t after = g_allocations.load();
-  EXPECT_EQ(after - before, 0u);
-  EXPECT_GT(cache.deferred(), deferred_before);
-  EXPECT_EQ(cache.builds(), 0u);
-}
-
 TEST(QueryContextTest, SteadyStateHoldsInBothSimdModes) {
   // The SoA score lanes live inside the context (plain std::vector, so
   // this file's counting operator new sees them): after warm-up neither
@@ -353,7 +322,7 @@ TEST(QueryContextTest, SteadyStateResilientEisPathDoesNotAllocate) {
   uint64_t after = g_allocations.load();
   EXPECT_EQ(after - before, 0u);
   // The decorated path really served the queries.
-  EXPECT_GT(eis.Stats().availability_api_calls, 0u);
+  EXPECT_GT(eis.Snapshot().availability_api_calls, 0u);
 }
 
 TEST(QueryContextTest, WarmColumnarBatchDoesNotAllocate) {
@@ -381,7 +350,7 @@ TEST(QueryContextTest, WarmColumnarBatchDoesNotAllocate) {
         estimator.EstimateIntervalsBatch(state, ids, 0.0, &ctx);
       }
     }
-    const EisCallStats warm = eis->Stats();
+    const EisCallStats warm = eis->Snapshot();
     uint64_t before = g_allocations.load();
     for (const VehicleState& state : w.states) {
       estimator.EstimateIntervalsBatch(state, ids, 0.0, &ctx);
@@ -390,8 +359,8 @@ TEST(QueryContextTest, WarmColumnarBatchDoesNotAllocate) {
     EXPECT_EQ(after - before, 0u);
     EXPECT_EQ(ctx.scored.size(), ids.size());
     // Every lookup of the measured pass was a column hit.
-    EXPECT_EQ(eis->Stats().weather_api_calls, warm.weather_api_calls);
-    EXPECT_EQ(eis->Stats().weather_cache.hits,
+    EXPECT_EQ(eis->Snapshot().weather_api_calls, warm.weather_api_calls);
+    EXPECT_EQ(eis->Snapshot().weather_cache.hits,
               warm.weather_cache.hits + w.states.size() * ids.size());
   }
 }

@@ -10,7 +10,8 @@
 #include <string>
 #include <vector>
 
-#include "ch/ch_customize.h"
+#include "ch/ch_index.h"
+#include "ch/contraction.h"
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "graph/io.h"
@@ -39,15 +40,6 @@ SharedWorld& World() {
     return w;
   }();
   return world;
-}
-
-/// The same world with the contraction-hierarchy derouting engine (the
-/// --derouting=ch serving configuration): built from the same options
-/// except derouting_backend, so network, fleet and workload match World().
-Environment* ChWorld() {
-  static const std::unique_ptr<Environment> env =
-      testing_util::TinyEnvironment(80, 42, DeroutingBackend::kCh);
-  return env.get();
 }
 
 std::unique_ptr<SpatialIndex> BuildIndex(SpatialIndexKind kind) {
@@ -98,58 +90,12 @@ TEST_P(CrossIndexParityTest, EcoChargeTablesBitIdentical) {
   EXPECT_EQ(actual.cache().hits(), expected.cache().hits());
 }
 
-TEST_P(CrossIndexParityTest, ChBackendTablesBitIdentical) {
-  SharedWorld& w = World();
-  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
-
-  // Swapping the exact-derouting engine (Dijkstra sweeps -> contraction
-  // hierarchy, the --derouting=ch serving configuration) must not move a
-  // single bit of any backend's table. ChWorld() differs from World() only
-  // in the engine inside the estimator, and the CH arm carries the
-  // hierarchy in its options the way perfbench's regional_ch sets it. At
-  // k = 12 the selection outgrows refine_limit (8), so only part of it is
-  // refined: both engines must refine the same part. Every state's plane
-  // is priced first (a batch only reads published planes), so each CH rank
-  // below runs on the hierarchy.
-  Environment* ch_env = ChWorld();
-  ASSERT_NE(ch_env, nullptr);
-  ASSERT_EQ(ch_env->estimator->derouting_service().backend(),
-            DeroutingBackend::kCh);
-  for (const VehicleState& state : w.states) {
-    testing_util::WarmChPlane(*ch_env, state.time);
-  }
-  const uint64_t hits_before = ch_env->ch_cache->hits();
-  const uint64_t deferred_before = ch_env->ch_cache->deferred();
-  EcoChargeOptions opts;
-  opts.radius_m = 20000.0;
-  EcoChargeOptions ch_opts = opts;
-  ch_opts.ch = ch_env->ch.get();
-  for (size_t k : {size_t{3}, size_t{12}}) {
-    EcoChargeRanker exact(w.env->estimator.get(), index.get(),
-                          ScoreWeights::AWE(), opts);
-    EcoChargeRanker hierarchy(ch_env->estimator.get(), index.get(),
-                              ScoreWeights::AWE(), ch_opts);
-    size_t partly_refined = 0;
-    for (const VehicleState& state : w.states) {
-      OfferingTable expected = exact.Rank(state, k);
-      EXPECT_TRUE(TablesBitIdentical(hierarchy.Rank(state, k), expected))
-          << "k=" << k;
-      if (expected.size() > opts.refine_limit) ++partly_refined;
-    }
-    if (k > opts.refine_limit) {
-      EXPECT_GT(partly_refined, 0u);
-    }
-  }
-  EXPECT_GT(ch_env->ch_cache->hits(), hits_before);
-  EXPECT_EQ(ch_env->ch_cache->deferred(), deferred_before);
-}
-
 TEST_P(CrossIndexParityTest, SimdOnOffTablesBitIdentical) {
   SharedWorld& w = World();
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
 
   // The SIMD filter/score hot path vs the scalar reference kernels must be
-  // a pure execution-strategy change: per backend, flipping --no-simd
+  // a pure execution-strategy change: per backend, flipping use_simd
   // cannot move a single bit of any table — the scalar path is the parity
   // oracle of DESIGN.md §15. Caching stays on so the sequence covers both
   // the full-regeneration and the adaptation ranking paths.
@@ -186,29 +132,6 @@ TEST_P(CrossIndexParityTest, SimdParityHoldsWithoutIntersection) {
   EcoChargeRanker scalar(w.env->estimator.get(), index.get(),
                          ScoreWeights::AWE(), scalar_opts);
   for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(vectorized.Rank(state, 3),
-                                   scalar.Rank(state, 3)));
-  }
-}
-
-TEST_P(CrossIndexParityTest, SimdParityHoldsOnChBackend) {
-  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
-
-  // SIMD on/off over the contraction-hierarchy derouting engine: the
-  // second exact backend completes the 4 spatial x 2 derouting parity
-  // matrix the acceptance contract names.
-  Environment* ch_env = ChWorld();
-  ASSERT_NE(ch_env, nullptr);
-  EcoChargeOptions simd_opts;
-  simd_opts.radius_m = 20000.0;
-  simd_opts.use_simd = true;
-  EcoChargeOptions scalar_opts = simd_opts;
-  scalar_opts.use_simd = false;
-  EcoChargeRanker vectorized(ch_env->estimator.get(), index.get(),
-                             ScoreWeights::AWE(), simd_opts);
-  EcoChargeRanker scalar(ch_env->estimator.get(), index.get(),
-                         ScoreWeights::AWE(), scalar_opts);
-  for (const VehicleState& state : World().states) {
     EXPECT_TRUE(TablesBitIdentical(vectorized.Rank(state, 3),
                                    scalar.Rank(state, 3)));
   }
@@ -253,13 +176,19 @@ TEST_P(CrossIndexParityTest, SnapshotLoadedGraphTablesBitIdentical) {
 
   // Rebuild the whole world on top of an mmap-loaded snapshot of the same
   // network: the snapshot round-trips the graph exactly, so every backend
-  // must still produce bit-identical Offering Tables.
+  // must still produce bit-identical Offering Tables. The world is built
+  // the way perfbench's regional_ch builds its own: the snapshot carries a
+  // contraction hierarchy and the options ask for the (inert) CH backend,
+  // and neither may move a bit or load a hierarchy.
   // The path carries the pid: ctest runs each parameterization as its own
   // process, and concurrent writers of one shared file would race.
   static const std::string path = [] {
     std::string p = ::testing::TempDir() + "/query_pipeline_graph." +
                     std::to_string(::getpid()) + ".ecgs";
-    EXPECT_TRUE(SaveSnapshot(*World().env->dataset.network, p).ok());
+    const RoadNetwork& network = *World().env->dataset.network;
+    const ChSnapshotViews views =
+        ToSnapshotViews(BuildChIndex(network).MoveValueUnsafe());
+    EXPECT_TRUE(SaveSnapshot(network, p, nullptr, &views).ok());
     return p;
   }();
   static const SharedWorld snapshot_world = [] {
@@ -271,12 +200,16 @@ TEST_P(CrossIndexParityTest, SnapshotLoadedGraphTablesBitIdentical) {
     opts.max_derouting_m = 60000.0;
     opts.seed = 42;  // mirror testing_util::TinyEnvironment
     opts.graph_snapshot = path;
+    opts.derouting_backend = DeroutingBackend::kCh;
+    opts.ch_threads = 0;
     auto result = MakeEnvironment(opts);
     EXPECT_TRUE(result.ok()) << result.status();
     if (result.ok()) sw.env = std::move(result).MoveValueUnsafe();
     return sw;
   }();
   ASSERT_NE(snapshot_world.env, nullptr);
+  EXPECT_EQ(snapshot_world.env->ch, nullptr);
+  EXPECT_EQ(snapshot_world.env->ch_cache, nullptr);
 
   std::unique_ptr<SpatialIndex> reference = BuildIndex(GetParam());
   std::vector<Point> points;

@@ -460,7 +460,7 @@ TEST_F(DegradationLadderTest, PersistentFailureTripsTheBreaker) {
   EXPECT_GT(stats.retries, 0u);
   // Short-circuited calls spend no upstream quota: fewer attempts than
   // calls * max_attempts.
-  EXPECT_LT(server.Stats().availability_api_calls, 12u);
+  EXPECT_LT(server.Snapshot().availability_api_calls, 12u);
 }
 
 TEST_F(DegradationLadderTest, DeadlineBudgetStopsRetries) {
@@ -475,7 +475,7 @@ TEST_F(DegradationLadderTest, DeadlineBudgetStopsRetries) {
   // immediately: exactly one upstream attempt.
   ScopedRequestDeadline deadline(0.0);
   server.GetAvailability(TestCharger(20), 0.0, 0.0);
-  EXPECT_EQ(server.Stats().availability_api_calls, 1u);
+  EXPECT_EQ(server.Snapshot().availability_api_calls, 1u);
   EXPECT_EQ(
       server.ResilienceSnapshot(UpstreamKind::kAvailability, 0.0).retries,
       0u);
@@ -518,8 +518,8 @@ TEST(ResilientParityTest, FaultFreeDecoratorIsBitIdenticalToPlainServer) {
 
   // Same upstream call counts and same cache hit/miss accounting: the
   // decorator changes nothing about cost either.
-  EisCallStats ps = plain.Stats();
-  EisCallStats rs = resilient.Stats();
+  EisCallStats ps = plain.Snapshot();
+  EisCallStats rs = resilient.Snapshot();
   EXPECT_EQ(ps.weather_api_calls, rs.weather_api_calls);
   EXPECT_EQ(ps.availability_api_calls, rs.availability_api_calls);
   EXPECT_EQ(ps.traffic_api_calls, rs.traffic_api_calls);

@@ -35,9 +35,6 @@
 #include "graph/generators.h"
 #include "graph/io.h"
 #include "graph/shortest_path.h"
-#include "ch/ch_customize.h"
-#include "ch/ch_index.h"
-#include "ch/contraction.h"
 #include "obs/statsz.h"
 #include "server/corridor_cache.h"
 #include "server/offering_server.h"
@@ -175,21 +172,12 @@ int Usage() {
                including CH section presence; --load also
                mmap-loads the full graph, reports the load time, and runs
                a sanity sweep)
-  graph ch     --in FILE.ecgs --out FILE.ecgs [--ch-threads N]
-               (contract the snapshot's network and write a copy that also
-               embeds the hierarchy: rank array + upward/downward shortcut
-               CSR, mmap-loaded zero-copy by --derouting ch; the summary
-               also times one full customization sweep with --ch-threads
-               workers, -1 = hardware concurrency, 0 = serial)
   rank         --kind KIND [--chargers N] [--k K] [--radius-km R]
-               [--hour H] [--seed N] [--index BACKEND] [--no-simd]
-               [--graph-snapshot FILE.ecgs] [--derouting ch|exact]
-               [--ch-threads N]
-               (query at a sample trip state; --ch-threads sets the CH
-               customization worker count, -1 = hardware concurrency,
-               0 = serial — bit-identical either way)
+               [--hour H] [--seed N] [--index BACKEND]
+               [--graph-snapshot FILE.ecgs]
+               (query at a sample trip state)
   simulate     --kind KIND [--vehicles N] [--chargers N] [--seed N]
-               [--index BACKEND] [--no-simd]
+               [--index BACKEND]
                (fleet hoarding: EcoCharge vs nearest-charger policies)
   serve        --threads N [--kind KIND] [--chargers N] [--clients N]
                [--requests N] [--queue-depth N] [--io-ms MS] [--seed N]
@@ -197,7 +185,7 @@ int Usage() {
                [--corridor-cache [--corridor-bucket-s SEC]]
                [--fault-p P] [--fault-spike-p P] [--fault-stall-p P]
                [--fault-seed N] [--retry-attempts N] [--deadline-ms MS]
-               [--resilient] [--no-simd]
+               [--resilient]
                (--threads 0 = synchronous deterministic mode; --statsz
                prints a final JSON metrics dump to stdout, and with a
                period > 0 a live text dump to stderr every SEC seconds;
@@ -221,29 +209,12 @@ int Usage() {
   the linear-scan oracle; both produce identical rankings — the choice
   only affects query time)
 
-  --no-simd (rank/simulate/serve): escape hatch that routes the filter/
-  score phase through the scalar reference kernels instead of the SIMD
-  hot path; rankings are bit-identical either way (the scalar path is the
-  parity oracle), only the query time changes.
-
   --graph-snapshot (rank/simulate/serve/stats): mmap-load the road network
   from a `graph build` snapshot instead of synthesizing it; the dataset
   kind still shapes the trajectory workload.
 
   Every subcommand rejects flags it does not know, stray arguments, and
   malformed or out-of-range numbers: InvalidArgument, exit status 2.
-
-  --derouting ch|exact (rank/simulate/serve/stats): exact-derouting
-  backend. `ch` answers refinement legs over a contraction hierarchy
-  (loaded from the snapshot's CH section when present, contracted at
-  startup otherwise) with Offering Tables bit-identical to `exact`, the
-  Dijkstra-sweep oracle (default), at every --k: both refine the same
-  first candidates of the eq. 6 selection, in score order. A batch reads
-  a customized plane only when one is already published, and these
-  subcommands publish none: exact costs are priced at each query's own
-  instant, so every batch, like any batch the hierarchy rejects, is
-  answered by the Dijkstra sweeps (ch.cache.deferred counts the plane
-  misses).
 )";
   return 2;
 }
@@ -316,61 +287,6 @@ int GraphInfo(const Args& args) {
               << (*network)->NumNodes() << " nodes; sanity sweep from node "
               << "0 settled " << settled << " within 10 km)\n";
   }
-  return 0;
-}
-
-int GraphCh(const Args& args) {
-  std::string in = args.Get("in", "");
-  std::string out = args.Get("out", "");
-  if (in.empty() || out.empty()) {
-    std::cerr << "graph ch needs --in FILE.ecgs --out FILE.ecgs\n";
-    return 1;
-  }
-  auto loaded = LoadSnapshotWithAux(in);
-  if (!loaded.ok()) {
-    std::cerr << loaded.status() << "\n";
-    return 1;
-  }
-  const RoadNetwork& network = *loaded->network;
-  ChBuildStats stats;
-  auto start = std::chrono::steady_clock::now();
-  auto ch = BuildChIndex(network, &stats);
-  if (!ch.ok()) {
-    std::cerr << ch.status() << "\n";
-    return 1;
-  }
-  double build_s = std::chrono::duration<double>(
-                       std::chrono::steady_clock::now() - start)
-                       .count();
-  // Time one full metric customization of the freshly contracted
-  // hierarchy (the per-bucket cost every serving process will pay): the
-  // summary line then covers both preprocessing phases.
-  int ch_threads = static_cast<int>(args.GetI64("ch-threads", -1));
-  if (ch_threads < 0) {
-    ch_threads =
-        static_cast<int>(std::max(1u, std::thread::hardware_concurrency()));
-  }
-  ChCustomizer customizer(**ch, ch_threads);
-  auto customize_start = std::chrono::steady_clock::now();
-  customizer.Customize(kChLengthWeights);
-  double customize_s =
-      std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                    customize_start)
-          .count();
-  ChSnapshotViews views = ToSnapshotViews(*ch);
-  Status st = SaveSnapshot(network, out, nullptr, &views);
-  if (!st.ok()) {
-    std::cerr << st << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << out << " (" << network.NumNodes() << " nodes, "
-            << network.NumEdges() << " edges, " << stats.shortcuts
-            << " shortcuts; contracted in " << build_s << " s, "
-            << stats.ordering_pops << " queue pops, max live degree "
-            << stats.max_live_degree << "; customized in " << customize_s
-            << " s (" << customizer.threads() << " threads, "
-            << customizer.num_levels() << " levels, "
-            << customizer.total_arcs() << " arcs))\n";
   return 0;
 }
 
@@ -451,25 +367,9 @@ Result<std::unique_ptr<Environment>> BuildEnv(const Args& args) {
       static_cast<size_t>(args.GetU64("chargers", 500));
   opts.seed = args.GetU64("seed", 42);
   opts.graph_snapshot = args.Get("graph-snapshot", "");
-  const std::string backend = args.Get("derouting", "exact");
-  if (backend == "ch") {
-    opts.derouting_backend = DeroutingBackend::kCh;
-  } else if (backend != "exact") {
-    return Status::InvalidArgument("unknown derouting backend '" + backend +
-                                   "' (ch|exact)");
-  }
-  opts.ch_threads = static_cast<int>(args.GetI64("ch-threads", -1));
   ECOCHARGE_ASSIGN_OR_RETURN(
       opts.index_kind, ParseSpatialIndexKind(args.Get("index", "quadtree")));
   return MakeEnvironment(opts);
-}
-
-/// The EcoCharge options shared by every ranking subcommand: currently
-/// just the scalar-kernel escape hatch.
-EcoChargeOptions EcoOptionsFor(const Args& args) {
-  EcoChargeOptions opts;
-  opts.use_simd = !args.Has("no-simd");
-  return opts;
 }
 
 int Rank(const Args& args) {
@@ -480,7 +380,7 @@ int Rank(const Args& args) {
   }
   auto env = std::move(env_result).MoveValueUnsafe();
   size_t k = static_cast<size_t>(args.GetU64("k", 3));
-  EcoChargeOptions eco_opts = EcoOptionsFor(args);
+  EcoChargeOptions eco_opts;
   eco_opts.radius_m = args.GetDouble("radius-km", 50.0) * 1000.0;
   EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
                       ScoreWeights::AWE(), eco_opts);
@@ -513,7 +413,7 @@ int Simulate(const Args& args) {
   auto fleet = sim.MakeFleet(static_cast<size_t>(args.GetU64("vehicles", 30)));
 
   EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
-                      ScoreWeights::AWE(), EcoOptionsFor(args));
+                      ScoreWeights::AWE(), EcoChargeOptions{});
   QuadtreeRanker nearest(env->estimator.get(), env->charger_index.get(),
                          ScoreWeights::AWE(), 1);
   FleetOutcome with_eco = sim.Run(fleet, eco);
@@ -658,7 +558,7 @@ int Serve(const Args& args) {
     server_opts.corridor = &*corridor;
   }
   OfferingServer server(env.get(), ScoreWeights::AWE(),
-                        EcoOptionsFor(args), server_opts);
+                        EcoChargeOptions{}, server_opts);
 
   uint64_t num_clients = args.GetU64("clients", 8);
   uint64_t num_requests = args.GetU64("requests", 64);
@@ -821,9 +721,8 @@ int Info() {
 
 /// `extra` plus the flags of every subcommand that builds an Environment.
 FlagSet EnvFlags(FlagSet extra) {
-  extra.text += " kind graph-snapshot derouting index";
+  extra.text += " kind graph-snapshot index";
   extra.counts += " chargers seed";
-  extra.integers += " ch-threads";
   extra.numbers += " scale";
   return extra;
 }
@@ -844,11 +743,10 @@ int Main(int argc, char** argv) {
       {"gen-dataset", GenDataset, {"kind out", "", "seed", "", "scale"}},
       {"graph build", GraphBuild, {"spec out"}},
       {"graph info", GraphInfo, {"in", "load"}},
-      {"graph ch", GraphCh, {"in out", "", "", "ch-threads"}},
-      {"rank", Rank, EnvFlags({"", "no-simd", "k", "", "radius-km hour"})},
-      {"simulate", Simulate, EnvFlags({"", "no-simd", "vehicles"})},
+      {"rank", Rank, EnvFlags({"", "", "k", "", "radius-km hour"})},
+      {"simulate", Simulate, EnvFlags({"", "", "vehicles"})},
       {"serve", Serve,
-       EnvFlags({"", "resilient corridor-cache statsz no-simd",
+       EnvFlags({"", "resilient corridor-cache statsz",
                  "fault-seed",
                  "threads queue-depth clients requests refresh-every "
                  "retry-attempts",
@@ -866,6 +764,8 @@ int Main(int argc, char** argv) {
     }
     return command.run(*args);
   }
+  std::cerr << Status::InvalidArgument("unknown subcommand '" + name + "'")
+            << "\n";
   return Usage();
 }
 
