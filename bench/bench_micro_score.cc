@@ -1,17 +1,18 @@
-// Filter/score hot-path gate: the SoA + SIMD scoring/ranking kernels
+// Filter/score hot-path gate: the SoA scoring/ranking kernels
 // (DESIGN.md §15) against a faithful replica of the pre-refactor AoS path
 // (per-candidate ComputeScorePair + full std::sort ranking), swept over
-// candidate batch sizes, plus end-to-end scalar-vs-SIMD Offering Table
-// parity across every spatial backend.
+// candidate batch sizes, plus end-to-end Offering Table parity between
+// columnar and per-candidate EC estimation across every spatial backend.
 //
-// The binary asserts the tentpole's contract and exits 1 when it breaks:
-//   1. the vector kernels are bit-identical to the scalar reference
-//      kernels (scores, midpoints, total-order keys), and the keyed
-//      partial select returns exactly the AoS full-sort prefix;
+// The binary asserts the hot path's contract and exits 1 when it breaks:
+//   1. the SoA score kernel is bit-identical to ComputeScorePair, and the
+//      keyed partial select returns exactly the AoS full-sort prefix;
 //   2. the SoA path is >= 1.5x faster than the AoS replica once the batch
-//      holds >= 64 candidates;
-//   3. with SIMD on and off, EcoChargeRanker produces bitwise-identical
-//      Offering Tables on all five spatial backends.
+//      holds >= 64 candidates (the layout and the partial select carry
+//      the win, not intrinsics);
+//   3. with columnar and per-candidate estimation, EcoChargeRanker
+//      produces bitwise-identical Offering Tables on every spatial
+//      backend.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_score.json.
 
@@ -103,25 +104,16 @@ void AosScoreAndRank(const std::vector<EcIntervals>& aos,
 }
 
 /// The new shape: SoA kernels + total-order keys + partial top-k select.
-void SoaScoreAndRank(Batch* b, const ScoreWeights& w, size_t k, bool simd,
+void SoaScoreAndRank(Batch* b, const ScoreWeights& w, size_t k,
                      std::vector<uint32_t>* top) {
   simd::ScoreLanes& L = b->lanes;
   const size_t n = L.level_lo.size();
-  if (simd) {
-    simd::ScoreIntervals(L.level_lo.data(), L.level_hi.data(),
-                         L.avail_lo.data(), L.avail_hi.data(),
-                         L.der_lo.data(), L.der_hi.data(), n, w,
-                         L.sc_min.data(), L.sc_max.data());
-    simd::Midpoints(L.sc_min.data(), L.sc_max.data(), n, L.mid.data());
-    simd::DescendingKeys(L.mid.data(), n, L.keys_mid.data());
-  } else {
-    simd::ScoreIntervalsScalar(L.level_lo.data(), L.level_hi.data(),
-                               L.avail_lo.data(), L.avail_hi.data(),
-                               L.der_lo.data(), L.der_hi.data(), n, w,
-                               L.sc_min.data(), L.sc_max.data());
-    simd::MidpointsScalar(L.sc_min.data(), L.sc_max.data(), n, L.mid.data());
-    simd::DescendingKeysScalar(L.mid.data(), n, L.keys_mid.data());
-  }
+  simd::ScoreIntervals(L.level_lo.data(), L.level_hi.data(),
+                       L.avail_lo.data(), L.avail_hi.data(), L.der_lo.data(),
+                       L.der_hi.data(), n, w, L.sc_min.data(),
+                       L.sc_max.data());
+  simd::Midpoints(L.sc_min.data(), L.sc_max.data(), n, L.mid.data());
+  simd::DescendingKeys(L.mid.data(), n, L.keys_mid.data());
   top->resize(n);
   std::iota(top->begin(), top->end(), 0u);
   simd::PartialSelectDescending(L.keys_mid.data(), L.ids.data(), top->data(),
@@ -157,7 +149,7 @@ int Main(int argc, char** argv) {
   const ScoreWeights w = ScoreWeights::AWE();
 
   bench::BenchJsonWriter json;
-  TableWriter tw({"candidates", "aos+sort us", "soa+simd us", "speedup"});
+  TableWriter tw({"candidates", "aos+sort us", "soa+select us", "speedup"});
   bool ok = true;
 
   // --- Part 1: kernel parity + speedup over the AoS replica. -------------
@@ -167,16 +159,16 @@ int Main(int argc, char** argv) {
   for (size_t n : batch_sizes) {
     Batch batch = Batch::Fuzzed(n, cfg.seed ^ (n * 0x9E3779B97F4A7C15ull));
     std::vector<ScorePair> aos_scores;
-    std::vector<uint32_t> aos_top, soa_top, scalar_top;
+    std::vector<uint32_t> aos_top, soa_top;
 
-    // Parity first: SIMD kernels vs scalar reference, bit for bit, and the
+    // Parity first: SoA scores vs ComputeScorePair, bit for bit, and the
     // keyed partial select vs the AoS full-sort prefix.
     AosScoreAndRank(batch.aos, w, kTopK, &aos_scores, &aos_top);
-    SoaScoreAndRank(&batch, w, kTopK, /*simd=*/true, &soa_top);
+    SoaScoreAndRank(&batch, w, kTopK, &soa_top);
     for (size_t i = 0; i < n; ++i) {
       if (Bits(batch.lanes.sc_min[i]) != Bits(aos_scores[i].sc_min) ||
           Bits(batch.lanes.sc_max[i]) != Bits(aos_scores[i].sc_max)) {
-        std::cerr << "FAIL: SIMD score differs from ComputeScorePair at lane "
+        std::cerr << "FAIL: SoA score differs from ComputeScorePair at lane "
                   << i << " (n=" << n << ")\n";
         ok = false;
       }
@@ -184,13 +176,6 @@ int Main(int argc, char** argv) {
     if (soa_top != aos_top) {
       std::cerr << "FAIL: partial select prefix differs from full-sort "
                    "prefix (n="
-                << n << ")\n";
-      ok = false;
-    }
-    SoaScoreAndRank(&batch, w, kTopK, /*simd=*/false, &scalar_top);
-    if (scalar_top != soa_top) {
-      std::cerr << "FAIL: scalar-oracle ranking differs from SIMD ranking "
-                   "(n="
                 << n << ")\n";
       ok = false;
     }
@@ -204,7 +189,7 @@ int Main(int argc, char** argv) {
         const uint64_t start = NowNs();
         for (int pass = 0; pass < kPassesPerRound; ++pass) {
           if (run_soa) {
-            SoaScoreAndRank(&batch, w, kTopK, /*simd=*/true, &soa_top);
+            SoaScoreAndRank(&batch, w, kTopK, &soa_top);
           } else {
             AosScoreAndRank(batch.aos, w, kTopK, &aos_scores, &aos_top);
           }
@@ -221,8 +206,6 @@ int Main(int argc, char** argv) {
                TableWriter::Fmt(speedup, 2) + "x"});
     json.BeginRecord();
     json.Str("mode", "soa_vs_aos");
-    json.Str("isa", simd::kIsaName);
-    json.Num("lane_width", static_cast<double>(simd::kLaneWidth));
     json.Num("candidates", static_cast<double>(n));
     json.Num("top_k", static_cast<double>(kTopK));
     json.Num("passes", static_cast<double>(kPassesPerRound));
@@ -236,14 +219,13 @@ int Main(int argc, char** argv) {
     }
   }
 
-  std::cout << "bench_micro_score: isa " << simd::kIsaName << " (x"
-            << simd::kLaneWidth << " lanes), top-" << kTopK << ", min of "
-            << kRounds << " interleaved rounds x " << kPassesPerRound
-            << " passes\n\n";
+  std::cout << "bench_micro_score: top-" << kTopK << ", min of " << kRounds
+            << " interleaved rounds x " << kPassesPerRound << " passes\n\n";
   tw.RenderText(std::cout);
 
-  // --- Part 2: end-to-end table parity, SIMD on vs off, all backends. ----
-  std::cout << "\nbackend parity (SIMD on vs off, bitwise tables):\n";
+  // --- Part 2: table parity, columnar vs per-candidate estimation. ------
+  std::cout << "\nbackend parity (columnar vs per-candidate estimation, "
+               "bitwise tables):\n";
   for (SpatialIndexKind kind : kAllSpatialIndexKinds) {
     bench::BenchConfig backend_cfg = cfg;
     backend_cfg.index_kind = kind;
@@ -253,21 +235,21 @@ int Main(int argc, char** argv) {
     opts.radius_m = cfg.radius_m;
     opts.q_distance_m = 0.0;  // regenerate every query: exercise the path
     opts.refine_exact_derouting = true;
-    EcoChargeOptions scalar_opts = opts;
-    scalar_opts.use_simd = false;
-    EcoChargeRanker simd_ranker(world.env->estimator.get(),
-                                world.env->charger_index.get(), w, opts);
-    EcoChargeRanker scalar_ranker(world.env->estimator.get(),
+    EcoChargeOptions oracle_opts = opts;
+    oracle_opts.use_simd = false;
+    EcoChargeRanker columnar_ranker(world.env->estimator.get(),
+                                    world.env->charger_index.get(), w, opts);
+    EcoChargeRanker oracle_ranker(world.env->estimator.get(),
                                   world.env->charger_index.get(), w,
-                                  scalar_opts);
-    QueryContext simd_ctx, scalar_ctx;
-    OfferingTable simd_table, scalar_table;
+                                  oracle_opts);
+    QueryContext columnar_ctx, oracle_ctx;
+    OfferingTable columnar_table, oracle_table;
     size_t compared = 0;
     size_t mismatches = 0;
     for (const VehicleState& state : world.states) {
-      simd_ranker.RankInto(state, cfg.k, simd_ctx, &simd_table);
-      scalar_ranker.RankInto(state, cfg.k, scalar_ctx, &scalar_table);
-      if (!TablesBitwiseEqual(simd_table, scalar_table, &compared)) {
+      columnar_ranker.RankInto(state, cfg.k, columnar_ctx, &columnar_table);
+      oracle_ranker.RankInto(state, cfg.k, oracle_ctx, &oracle_table);
+      if (!TablesBitwiseEqual(columnar_table, oracle_table, &compared)) {
         ++mismatches;
       }
     }
@@ -295,7 +277,8 @@ int Main(int argc, char** argv) {
   std::cout << "\nwrote BENCH_score.json (" << json.num_records()
             << " records)\n";
   if (!ok) return 1;
-  std::cout << "PASS: scalar/SIMD bit parity on all backends, SoA >= "
+  std::cout << "PASS: columnar/per-candidate bit parity on all backends, "
+               "SoA >= "
             << kMinSpeedupAt64 << "x at >= 64 candidates\n";
   return 0;
 }

@@ -25,12 +25,13 @@
 #                                    # snapshot load >= 10x; emits
 #                                    # BENCH_graph.json)
 #   scripts/check.sh simd            # filter/score hot-path gate: the
-#                                    # SIMD kernel / ranking / parity
+#                                    # score kernel / ranking / parity
 #                                    # suites under ASan and UBSan, then
 #                                    # the asserting bench_micro_score
-#                                    # (scalar-vs-SIMD bit parity on all
-#                                    # spatial backends + SoA speedup
-#                                    # floor; emits BENCH_score.json)
+#                                    # (columnar-vs-per-candidate bit
+#                                    # parity on all spatial backends +
+#                                    # SoA speedup floor; emits
+#                                    # BENCH_score.json)
 #   scripts/check.sh serve           # fleet-serving gate: epoch /
 #                                    # corridor / server / EIS column
 #                                    # suites under TSan, then the
@@ -134,7 +135,7 @@ case "${sanitize}" in
         -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE="${san}"
       cmake --build "${san_dir}" -j "$(nproc)"
       ctest --test-dir "${san_dir}" --output-on-failure -j "$(nproc)" \
-        -R "${graph_filter}" "$@"
+        --no-tests=error -R "${graph_filter}" "$@"
     done
     plain_dir="${repo_root}/build"
     cmake -B "${plain_dir}" -S "${repo_root}" \
@@ -144,15 +145,17 @@ case "${sanitize}" in
     exit 0
     ;;
   simd)
-    # The SoA score lanes are raw-pointer kernels over unaligned batches —
-    # exactly where an off-by-one tail loop or misaligned load would live —
-    # and the parity contract (scalar oracle bit-identical to the vector
-    # kernels, DESIGN.md §15) is checked by the test suites themselves. Run
-    # them under ASan and UBSan, then hold the bit-parity and speedup
-    # floors with the asserting bench from a plain Release tree (sanitized
-    # timings are meaningless).
+    # The SoA score lanes are raw-pointer kernels over caller-sized
+    # batches — exactly where an off-by-one loop bound would live — and the
+    # parity contract (ScoreIntervals bit-identical to ComputeScorePair,
+    # columnar estimation to the per-candidate oracle, DESIGN.md §15) is
+    # checked by the test suites themselves. Run them under ASan and
+    # UBSan, then hold the bit-parity and speedup floors with the
+    # asserting bench from a plain Release tree (sanitized timings are
+    # meaningless). --no-tests=error makes a filter that matches nothing
+    # fail instead of passing.
     shift
-    simd_filter='SimdKernel|SimdIsa|ScoreLanes|DescendingKey|AscendingCostKey|Score|IterativeDeepening|CknnProcessor|OfferingTable|QueryContext|CrossIndexParity|QueryPipeline|SimdOnOff|SimdParity'
+    simd_filter='Score|DescendingKey|PartialSelect|IterativeDeepening|CknnProcessor|OfferingTable|QueryContext|CrossIndexParity|EstimateBatch'
     for san in address undefined; do
       san_dir="${repo_root}/build-${san/undefined/ubsan}"
       san_dir="${san_dir/address/asan}"
@@ -160,7 +163,7 @@ case "${sanitize}" in
         -DCMAKE_BUILD_TYPE=Release -DECOCHARGE_SANITIZE="${san}"
       cmake --build "${san_dir}" -j "$(nproc)"
       ctest --test-dir "${san_dir}" --output-on-failure -j "$(nproc)" \
-        -R "${simd_filter}" "$@"
+        --no-tests=error -R "${simd_filter}" "$@"
     done
     plain_dir="${repo_root}/build"
     cmake -B "${plain_dir}" -S "${repo_root}" \

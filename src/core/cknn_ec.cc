@@ -24,19 +24,13 @@ void GatherScoreLanes(const std::vector<ScoredCandidate>& candidates,
 }
 
 /// Midpoint lane + its descending total-order keys from the sc lanes.
-void BuildMidpointKeys(bool use_simd, simd::ScoreLanes* lanes) {
+void BuildMidpointKeys(simd::ScoreLanes* lanes) {
   const size_t n = lanes->sc_min.size();
   lanes->mid.resize(n);
   lanes->keys_mid.resize(n);
-  if (use_simd) {
-    simd::Midpoints(lanes->sc_min.data(), lanes->sc_max.data(), n,
-                    lanes->mid.data());
-    simd::DescendingKeys(lanes->mid.data(), n, lanes->keys_mid.data());
-  } else {
-    simd::MidpointsScalar(lanes->sc_min.data(), lanes->sc_max.data(), n,
-                          lanes->mid.data());
-    simd::DescendingKeysScalar(lanes->mid.data(), n, lanes->keys_mid.data());
-  }
+  simd::Midpoints(lanes->sc_min.data(), lanes->sc_max.data(), n,
+                  lanes->mid.data());
+  simd::DescendingKeys(lanes->mid.data(), n, lanes->keys_mid.data());
 }
 
 void Iota(std::vector<uint32_t>* order, size_t n) {
@@ -63,14 +57,12 @@ PipelineMetrics PipelineMetrics::FromRegistry(obs::MetricsRegistry* registry) {
   m.batch_targets = registry->GetCounter("pipeline.batch_targets", "chargers");
   m.warm_start_hits =
       registry->GetCounter("pipeline.warm_start_hits", "sweeps");
-  m.simd_batches = registry->GetCounter("pipeline.simd.batches", "batches");
-  m.simd_lanes = registry->GetCounter("pipeline.simd.lanes", "candidates");
   return m;
 }
 
 void IterativeDeepeningIntersection(
     const std::vector<ScoredCandidate>& candidates, size_t k,
-    QueryContext* ctx, std::vector<ScoredCandidate>* out, bool use_simd) {
+    QueryContext* ctx, std::vector<ScoredCandidate>* out) {
   out->clear();
   if (candidates.empty() || k == 0) return;
 
@@ -83,13 +75,8 @@ void IterativeDeepeningIntersection(
   GatherScoreLanes(candidates, &lanes);
   lanes.keys_min.resize(n);
   lanes.keys_max.resize(n);
-  if (use_simd) {
-    simd::DescendingKeys(lanes.sc_min.data(), n, lanes.keys_min.data());
-    simd::DescendingKeys(lanes.sc_max.data(), n, lanes.keys_max.data());
-  } else {
-    simd::DescendingKeysScalar(lanes.sc_min.data(), n, lanes.keys_min.data());
-    simd::DescendingKeysScalar(lanes.sc_max.data(), n, lanes.keys_max.data());
-  }
+  simd::DescendingKeys(lanes.sc_min.data(), n, lanes.keys_min.data());
+  simd::DescendingKeys(lanes.sc_max.data(), n, lanes.keys_max.data());
 
   // Deepen: take the top-d of both rankings, intersect, and grow d until
   // the intersection holds k chargers or everything has been considered.
@@ -124,7 +111,7 @@ void IterativeDeepeningIntersection(
   // Order the common chargers by score midpoint (the final sort of eq. 6)
   // and keep k — a partial select again, since only the kept prefix's
   // order is observable.
-  BuildMidpointKeys(use_simd, &lanes);
+  BuildMidpointKeys(&lanes);
   const size_t keep = std::min(k, common.size());
   simd::PartialSelectDescending(lanes.keys_mid.data(), lanes.ids.data(),
                                 common.data(), common.size(), keep);
@@ -153,29 +140,10 @@ const std::vector<ChargerId>& CknnEcProcessor::FilterCandidates(
   obs::ScopedTimer timer(metrics_.filter_ns);
   charger_index_->RangeSearchInto(position, options_.radius_m, &ctx->spatial,
                                   &ctx->neighbors);
-  // SoA gather + radius mask. Every backend already guarantees
-  // distance <= R, so the mask is a revalidation of that contract — but
-  // running it on both paths keeps the scalar oracle and the SIMD kernel
-  // byte-for-byte interchangeable, and it is what prunes when a caller
-  // feeds a wider neighbor set (kNN results) through the same lanes.
-  simd::ScoreLanes& lanes = ctx->lanes;
-  SplitNeighborLanes(ctx->neighbors, &lanes.ids, &lanes.distance);
-  const size_t n = lanes.ids.size();
-  lanes.keep.resize(n);
-  if (options_.use_simd) {
-    simd::LeMask(lanes.distance.data(), options_.radius_m, n,
-                 lanes.keep.data());
-    if (metrics_.simd_batches) metrics_.simd_batches->Add();
-    if (metrics_.simd_lanes && n > 0) metrics_.simd_lanes->Add(n);
-  } else {
-    simd::LeMaskScalar(lanes.distance.data(), options_.radius_m, n,
-                       lanes.keep.data());
-  }
+  // Both backends return only neighbors with distance <= R (a NaN
+  // distance fails that test), so every neighbor is a candidate.
   ctx->candidates.clear();
-  ctx->candidates.reserve(n);
-  for (size_t i = 0; i < n; ++i) {
-    if (lanes.keep[i]) ctx->candidates.push_back(lanes.ids[i]);
-  }
+  for (const Neighbor& nb : ctx->neighbors) ctx->candidates.push_back(nb.id);
   return ctx->candidates;
 }
 
@@ -193,7 +161,7 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
   std::vector<ScoredCandidate>& scored = ctx->scored;
   if (options_.use_simd) {
     // One columnar batch fills the EC lanes (one EIS call per request),
-    // then the eq. 4–5 arithmetic runs as one vector batch over them.
+    // then the eq. 4–5 arithmetic runs as one pass over them.
     simd::ScoreLanes& lanes = ctx->lanes;
     estimator_->EstimateIntervalsBatch(state, candidate_ids,
                                        options_.derouting_norm_m, ctx);
@@ -208,10 +176,8 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
       scored[i].score.sc_min = lanes.sc_min[i];
       scored[i].score.sc_max = lanes.sc_max[i];
     }
-    if (metrics_.simd_batches) metrics_.simd_batches->Add();
-    if (metrics_.simd_lanes && n > 0) metrics_.simd_lanes->Add(n);
   } else {
-    // Scalar oracle: the per-candidate AoS path, byte-for-byte the ECs and
+    // Per-candidate oracle: the AoS path, byte-for-byte the ECs and
     // scores the columnar batch above must reproduce.
     const std::vector<EvCharger>& fleet = estimator_->fleet();
     scored.clear();
@@ -253,15 +219,14 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
       refine_exact_derouting ? std::max(k, options_.refine_limit) : k;
   std::vector<ScoredCandidate>& selected = ctx->selected;
   if (options_.use_intersection) {
-    IterativeDeepeningIntersection(*scored, pool, ctx, &selected,
-                                   options_.use_simd);
+    IterativeDeepeningIntersection(*scored, pool, ctx, &selected);
   } else {
     // Ablation path: plain top-`pool` by score midpoint, via the same key
     // lanes and partial select as the intersection. Rank the indices so
     // `*scored` (often a live cache entry) stays untouched.
     simd::ScoreLanes& lanes = ctx->lanes;
     GatherScoreLanes(*scored, &lanes);
-    BuildMidpointKeys(options_.use_simd, &lanes);
+    BuildMidpointKeys(&lanes);
     const size_t n = scored->size();
     std::vector<uint32_t>& order = ctx->order_min;
     Iota(&order, n);

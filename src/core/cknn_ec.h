@@ -32,8 +32,6 @@ struct PipelineMetrics {
   obs::Histogram* batch_derouting_ns = nullptr;  ///< batched-sweep wall time
   obs::Counter* batch_targets = nullptr;     ///< chargers covered per batch
   obs::Counter* warm_start_hits = nullptr;   ///< backward sweeps reused
-  obs::Counter* simd_batches = nullptr;  ///< vector-kernel invocations
-  obs::Counter* simd_lanes = nullptr;    ///< candidate lanes they streamed
 
   /// Resolves the canonical `pipeline.*` names on `registry`.
   static PipelineMetrics FromRegistry(obs::MetricsRegistry* registry);
@@ -45,13 +43,10 @@ struct PipelineMetrics {
 /// ordered by descending score midpoint, using `ctx` rank/mark buffers
 /// (zero allocations once the context is warm). `out` must not alias
 /// `candidates`. Both rankings are built over SoA key lanes and selected
-/// with a partial top-d select; `use_simd` picks the vector kernels for the
-/// key/midpoint conversions, false the scalar reference — the selection
-/// order is bit-identical either way (shared integer-key machinery).
+/// with a partial top-d select.
 void IterativeDeepeningIntersection(
     const std::vector<ScoredCandidate>& candidates, size_t k,
-    QueryContext* ctx, std::vector<ScoredCandidate>* out,
-    bool use_simd = true);
+    QueryContext* ctx, std::vector<ScoredCandidate>* out);
 
 /// Allocating convenience form of the above.
 std::vector<ScoredCandidate> IterativeDeepeningIntersection(
@@ -82,11 +77,12 @@ struct CknnEcOptions {
   /// Unused; perfbench still copies it.
   const ChIndex* ch = nullptr;
 
-  /// Vectorized filter/score hot path (DESIGN.md §15): candidate pruning,
-  /// eq. 4–5 interval scoring, and ranking-key conversion run as SIMD
-  /// kernels over the QueryContext's SoA lanes. Off routes the same lanes
-  /// through the scalar reference kernels — the parity oracle the tests
-  /// select; Offering Tables are bit-identical either way.
+  /// Selects how the filtering phase estimates its candidates (DESIGN.md
+  /// §15). True: one columnar EstimateIntervalsBatch call fills the SoA
+  /// lanes and ScoreIntervals scores them. False: per-candidate
+  /// EstimateIntervals + ComputeScorePair — the estimation oracle the
+  /// tests compare against. Offering Tables are bit-identical either way.
+  /// It keeps this name because perfbench copies the field.
   bool use_simd = true;
 };
 
@@ -145,8 +141,9 @@ class CknnEcProcessor {
   std::vector<OfferingEntry> Query(const VehicleState& state, size_t k,
                                    const ScoreWeights& weights);
 
-  /// Refinement on an already-scored pool in `*scored` (typically
-  /// `&ctx->scored`; used by the cached path, which skips filtering).
+  /// Refinement on an already-scored pool in `*scored` (`&ctx->scored`
+  /// after scoring, or a Dynamic Cache entry on the cached path, which
+  /// skips filtering).
   /// `refine_exact_derouting` toggles the network-exact refinement for
   /// this call — the Dynamic-Caching hit path passes false to keep the
   /// adaptation cheap. `*scored` itself is left unmodified; winners are

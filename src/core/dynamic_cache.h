@@ -26,11 +26,11 @@ struct DynamicCacheOptions {
 ///
 /// Stores the scored candidate set (the solved sub-problems) behind the
 /// last Offering Table. While the vehicle stays within Q of the cache
-/// anchor and the entry is fresh, the solution is adapted: the cached L/A
-/// estimates are kept as-is (they may be slightly stale — the accuracy
-/// cost the paper's Q-opt experiment measures) and only the derouting
-/// component is revised for the new position — O_1 adapted into O_2
-/// without re-running the spatial filter or the forecast fetches.
+/// anchor and the entry is fresh, the solution is adapted: the cached
+/// L/A/D estimates are kept as-is (they may be slightly stale — the
+/// accuracy cost the paper's Q-opt experiment measures) and re-ranked for
+/// the request — O_1 adapted into O_2 without re-running the spatial
+/// filter, the forecast fetches or the derouting estimate.
 class DynamicCache {
  public:
   explicit DynamicCache(const DynamicCacheOptions& options);

@@ -218,24 +218,6 @@ void EcEstimator::EstimateIntervalsBatch(
   }
 }
 
-void EcEstimator::ReviseDerouting(const VehicleState& state,
-                                  const EvCharger& charger, EcIntervals* ecs,
-                                  double derouting_norm_m) {
-  DeroutingQuery q = MakeQuery(state);
-  EisFetch traffic_fetch = EisFetch::kFresh;
-  CongestionModel::Band band = eis_->GetTraffic(
-      RoadClass::kArterial, state.time, state.time, &traffic_fetch);
-  DeroutingEstimate der = derouting_.Estimate(q, charger, band);
-  if (derouting_estimates_) derouting_estimates_->Add();
-  ecs->derouting = Interval::FromUnordered(
-      NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
-      NormalizeDerouting(der.extra_distance_max_m, derouting_norm_m));
-  ecs->eta_s = der.eta_s;
-  // Adaptation keeps the cached L/A estimates: a degraded flag can only be
-  // added to, never cleared by, the refreshed derouting component.
-  ecs->degraded = ecs->degraded || traffic_fetch != EisFetch::kFresh;
-}
-
 BatchSweepStats EcEstimator::ExactDeroutingBatch(
     const VehicleState& state, std::span<const ChargerRef> chargers,
     DeroutingBatchScratch* scratch) {

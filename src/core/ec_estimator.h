@@ -95,7 +95,7 @@ class EcEstimator {
   /// Ids outside the fleet are skipped. Writes `ctx->scored` (ids and
   /// ECs; scores zeroed) and the EC lanes plus `ids` of `ctx->lanes`,
   /// in candidate order — bit-identical to per-candidate
-  /// EstimateIntervals calls, which stay as the scalar oracle.
+  /// EstimateIntervals calls, which stay as the estimation oracle.
   void EstimateIntervalsBatch(const VehicleState& state,
                               std::span<const ChargerId> candidate_ids,
                               double derouting_norm_m, QueryContext* ctx);
@@ -114,12 +114,6 @@ class EcEstimator {
   /// exact normalized extra distance and the ETA the network ETA.
   void ApplyExactDerouting(const DeroutingEstimate& exact,
                            double derouting_norm_m, EcIntervals* ecs) const;
-
-  /// Recomputes only the derouting interval and ETA of `ecs` for a new
-  /// vehicle state, keeping the (possibly stale) L and A estimates — the
-  /// Dynamic Caching adaptation step.
-  void ReviseDerouting(const VehicleState& state, const EvCharger& charger,
-                       EcIntervals* ecs, double derouting_norm_m = 0.0);
 
   /// Realized normalized components.
   EcTruth Truth(const VehicleState& state, const EvCharger& charger);

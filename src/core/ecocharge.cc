@@ -23,8 +23,7 @@ EcoChargeRanker::EcoChargeRanker(EcEstimator* estimator,
                                  const SpatialIndex* charger_index,
                                  const ScoreWeights& weights,
                                  const EcoChargeOptions& options)
-    : estimator_(estimator),
-      weights_(weights),
+    : weights_(weights),
       options_(options),
       processor_(estimator, charger_index, ProcessorOptions(options)),
       cache_(DynamicCacheOptions{options.q_distance_m, options.cache_ttl_s}) {}
@@ -42,23 +41,12 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
           options_.use_dynamic_cache
               ? cache_.TryReuse(state.position, state.time)
               : nullptr) {
-    // Adaptation: reuse the previously solved sub-problems. By default the
+    // Adaptation: reuse the previously solved sub-problems. The
     // recalculation is skipped entirely (the cached L/A/D stay as computed
-    // at the anchor position — the staleness the Q parameter trades away);
-    // optionally the derouting component is revised for the new position.
-    // The adaptation path also trades a little accuracy for speed:
-    // estimated intervals only, no network-exact refinement.
-    ctx.scored.assign(cached->begin(), cached->end());
-    if (options_.adapt_revises_derouting) {
-      const std::vector<EvCharger>& fleet = estimator_->fleet();
-      for (ScoredCandidate& c : ctx.scored) {
-        if (c.charger_id >= fleet.size()) continue;
-        estimator_->ReviseDerouting(state, fleet[c.charger_id], &c.ecs,
-                                    2.0 * options_.radius_m);
-        c.score = ComputeScorePair(c.ecs, weights_);
-      }
-    }
-    processor_.RefineAndRank(state, &ctx.scored, k, weights_,
+    // at the anchor position — the staleness the Q parameter trades away),
+    // and the cache entry itself is re-ranked: estimated intervals only,
+    // no network-exact refinement, so RefineAndRank only reads it.
+    processor_.RefineAndRank(state, cached, k, weights_,
                              /*refine_exact_derouting=*/false, &ctx,
                              &out->entries);
     out->adapted_from_cache = true;

@@ -21,12 +21,6 @@ struct EcoChargeOptions {
   /// Eq. 6 intersection on/off (see CknnEcOptions::use_intersection).
   bool use_intersection = true;
 
-  /// If true, the cache-adaptation path revises the derouting component
-  /// for the new position before re-ranking. The paper skips the
-  /// recalculation entirely while within Q (the accuracy/time trade-off
-  /// its Q-opt experiment sweeps), so the default is false.
-  bool adapt_revises_derouting = false;
-
   /// Unused; perfbench still copies it.
   bool batch_derouting = true;
   /// Unused; perfbench still copies it.
@@ -36,9 +30,10 @@ struct EcoChargeOptions {
   /// Unused; perfbench still copies it.
   const ChIndex* ch = nullptr;
 
-  /// Vectorized filter/score hot path (see CknnEcOptions::use_simd);
-  /// Offering Tables are bit-identical with it on or off. Off is the
-  /// scalar parity oracle the tests select; perfbench copies the field.
+  /// Columnar (true) or per-candidate (false) EC estimation; see
+  /// CknnEcOptions::use_simd. Offering Tables are bit-identical either
+  /// way; false is the estimation oracle the tests select. perfbench
+  /// copies the field.
   bool use_simd = true;
 
   /// Per-client Dynamic Caching (Section IV-C) on/off. The fleet
@@ -92,7 +87,6 @@ class EcoChargeRanker : public Ranker {
   }
 
  private:
-  EcEstimator* estimator_;
   ScoreWeights weights_;
   EcoChargeOptions options_;
   CknnEcProcessor processor_;

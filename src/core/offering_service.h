@@ -60,7 +60,7 @@ class OfferingService {
   }
 
   /// Pre-grows the SoA candidate lanes to `candidates` slots, so the first
-  /// ranked query's vectorized filter/score phase performs no allocations.
+  /// ranked query's columnar filter/score phase performs no allocations.
   /// The concurrent runtime calls this once per worker with its expected
   /// per-query candidate volume.
   void ReserveScoreLanes(size_t candidates) { ctx_.lanes.Reserve(candidates); }

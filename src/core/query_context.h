@@ -42,10 +42,10 @@ struct QueryContext {
   std::vector<ScoredCandidate> scored;  ///< scoring: the candidate pool
   std::vector<ScoredCandidate> selected;  ///< intersection winners
 
-  /// Struct-of-arrays candidate lanes for the vectorized filter/score path
-  /// (DESIGN.md §15): the gather step transposes neighbors/EC intervals in
-  /// here once per query; the SIMD kernels stream over the lanes. Grows to
-  /// the high-water mark like every other buffer.
+  /// Struct-of-arrays candidate lanes for the filter/score path (DESIGN.md
+  /// §15): the columnar estimate writes the EC intervals in here once per
+  /// query; the score kernels stream over the lanes. Grows to the
+  /// high-water mark like every other buffer.
   simd::ScoreLanes lanes;
 
   /// Batched exact-derouting scratch: target ids, charger refs, and the

@@ -9,41 +9,8 @@
 
 #include "core/score.h"
 
-// Compile-time ISA dispatch: the widest vector extension the *target*
-// guarantees is baked in at build time (no runtime cpuid probing — the
-// pipeline's hot loop cannot afford an indirect call per batch, and the
-// scalar reference path stays available behind a runtime option for the
-// parity oracles). Exactly one of the macros below
-// is set to 1; kScalarOnly builds still compile every entry point, backed
-// by the reference loops.
-#if defined(__AVX2__)
-#define ECOCHARGE_SIMD_AVX2 1
-#elif defined(__SSE2__) || defined(_M_X64) || \
-    (defined(__x86_64__) && !defined(__SSE2__))
-#define ECOCHARGE_SIMD_SSE2 1
-#elif defined(__aarch64__) && defined(__ARM_NEON)
-#define ECOCHARGE_SIMD_NEON 1
-#else
-#define ECOCHARGE_SIMD_SCALAR 1
-#endif
-
 namespace ecocharge {
 namespace simd {
-
-/// Doubles per vector register on the compiled ISA (1 = scalar fallback).
-#if defined(ECOCHARGE_SIMD_AVX2)
-inline constexpr size_t kLaneWidth = 4;
-inline constexpr const char* kIsaName = "avx2";
-#elif defined(ECOCHARGE_SIMD_SSE2)
-inline constexpr size_t kLaneWidth = 2;
-inline constexpr const char* kIsaName = "sse2";
-#elif defined(ECOCHARGE_SIMD_NEON)
-inline constexpr size_t kLaneWidth = 2;
-inline constexpr const char* kIsaName = "neon";
-#else
-inline constexpr size_t kLaneWidth = 1;
-inline constexpr const char* kIsaName = "scalar";
-#endif
 
 /// \brief Total-order sort key for a score value, descending-friendly.
 ///
@@ -56,8 +23,8 @@ inline constexpr const char* kIsaName = "scalar";
 ///    naive `double` comparator has.
 ///  - -0.0 maps below +0.0 (they differ in one bit; any deterministic
 ///    total order must pick a side).
-/// Integer keys make every downstream comparison branch-light and keep
-/// scalar and SIMD rankings identical by construction.
+/// Integer keys make every downstream comparison branch-light and give
+/// every ranking one tie order.
 inline uint64_t DescendingKey(double v) {
   if (std::isnan(v)) return 0;
   const uint64_t bits = std::bit_cast<uint64_t>(v);
@@ -67,21 +34,18 @@ inline uint64_t DescendingKey(double v) {
 
 /// \brief Struct-of-arrays candidate lanes for the filter/score phase.
 ///
-/// The gather step writes one slot per candidate: the six EC interval
-/// endpoints, the spatial distance from the filtering range search, and
-/// the charger id (the deterministic tiebreak lane). The kernels below
-/// then produce the SC_min/SC_max/mid score lanes and their total-order
-/// keys in bulk. Buffers are plain vectors that grow to the workload's
-/// high-water mark and stay — a warm QueryContext performs zero heap
-/// allocations per query, SoA lanes included. Loads are unaligned
-/// (loadu/ld1) by design, so lane counts need no padding discipline.
+/// The columnar estimate writes one slot per candidate: the six EC
+/// interval endpoints and the charger id (the deterministic tiebreak
+/// lane). The kernels below then produce the SC_min/SC_max/mid score
+/// lanes and their total-order keys in bulk. Buffers are plain vectors
+/// that grow to the workload's high-water mark and stay — a warm
+/// QueryContext performs zero heap allocations per query, SoA lanes
+/// included.
 struct ScoreLanes {
   std::vector<double> level_lo, level_hi;
   std::vector<double> avail_lo, avail_hi;
   std::vector<double> der_lo, der_hi;
-  std::vector<double> distance;  ///< filter phase: spatial distance lane
-  std::vector<uint32_t> ids;     ///< charger ids (sort tiebreak lane)
-  std::vector<uint8_t> keep;     ///< pruning mask output (1 = survives)
+  std::vector<uint32_t> ids;  ///< charger ids (sort tiebreak lane)
   std::vector<double> sc_min, sc_max, mid;
   /// Total-order keys of the three rankings eq. 6 consumes (by SC_min, by
   /// SC_max, by midpoint) — separate lanes because the intersection needs
@@ -94,11 +58,10 @@ struct ScoreLanes {
   void Reserve(size_t n) {
     for (std::vector<double>* lane :
          {&level_lo, &level_hi, &avail_lo, &avail_hi, &der_lo, &der_hi,
-          &distance, &sc_min, &sc_max, &mid}) {
+          &sc_min, &sc_max, &mid}) {
       lane->reserve(n);
     }
     ids.reserve(n);
-    keep.reserve(n);
     for (std::vector<uint64_t>* lane : {&keys_min, &keys_max, &keys_mid}) {
       lane->reserve(n);
     }
@@ -108,11 +71,10 @@ struct ScoreLanes {
   void Clear() {
     for (std::vector<double>* lane :
          {&level_lo, &level_hi, &avail_lo, &avail_hi, &der_lo, &der_hi,
-          &distance, &sc_min, &sc_max, &mid}) {
+          &sc_min, &sc_max, &mid}) {
       lane->clear();
     }
     ids.clear();
-    keep.clear();
     for (std::vector<uint64_t>* lane : {&keys_min, &keys_max, &keys_mid}) {
       lane->clear();
     }
@@ -122,8 +84,8 @@ struct ScoreLanes {
 /// \brief Eq. (4)/(5) over SoA lanes:
 ///   sc_min[i] = l_lo[i] w1 + a_lo[i] w2 + (1 - d_lo[i]) w3
 ///   sc_max[i] = l_hi[i] w1 + a_hi[i] w2 + (1 - d_hi[i]) w3
-/// Bit-identical to per-candidate ComputeScorePair: the kernel performs
-/// the same IEEE multiply/add sequence per lane (this translation unit and
+/// Bit-identical to per-candidate ComputeScorePair: both perform the same
+/// IEEE multiply/add sequence per lane (this translation unit and
 /// score.cc are built with FP contraction off, so neither side fuses).
 /// Output pointers must not alias the inputs.
 void ScoreIntervals(const double* level_lo, const double* level_hi,
@@ -131,29 +93,13 @@ void ScoreIntervals(const double* level_lo, const double* level_hi,
                     const double* der_lo, const double* der_hi, size_t n,
                     const ScoreWeights& w, double* sc_min, double* sc_max);
 
-/// Scalar reference implementation (the parity oracle).
-void ScoreIntervalsScalar(const double* level_lo, const double* level_hi,
-                          const double* avail_lo, const double* avail_hi,
-                          const double* der_lo, const double* der_hi,
-                          size_t n, const ScoreWeights& w, double* sc_min,
-                          double* sc_max);
-
 /// mid[i] = (sc_min[i] + sc_max[i]) * 0.5 — identical bits to
 /// ScorePair::Mid()'s (a + b) / 2.0 (division by two is exact scaling).
 void Midpoints(const double* sc_min, const double* sc_max, size_t n,
                double* mid);
-void MidpointsScalar(const double* sc_min, const double* sc_max, size_t n,
-                     double* mid);
-
-/// Pruning mask: mask[i] = 1 iff values[i] <= bound (NaN compares false,
-/// so a NaN distance is pruned on both the scalar and the SIMD side).
-void LeMask(const double* values, double bound, size_t n, uint8_t* mask);
-void LeMaskScalar(const double* values, double bound, size_t n,
-                  uint8_t* mask);
 
 /// keys[i] = DescendingKey(values[i]) in bulk.
 void DescendingKeys(const double* values, size_t n, uint64_t* keys);
-void DescendingKeysScalar(const double* values, size_t n, uint64_t* keys);
 
 /// \brief Branch-light partial top-m select over total-order keys.
 ///
@@ -162,9 +108,9 @@ void DescendingKeysScalar(const double* values, size_t n, uint64_t* keys);
 /// ascending), sorted in that order; the suffix order is unspecified.
 /// Because (key, tiebreak) is a strict total order — integer compares, no
 /// NaN branches — the selected prefix is unique: a partial select is
-/// bit-identical to a full sort followed by truncation, on every ISA and
-/// every standard library. `tiebreak` is typically the charger-id lane; a
-/// null `tiebreak` ties by the slot index itself.
+/// bit-identical to a full sort followed by truncation on every standard
+/// library. `tiebreak` is typically the charger-id lane; a null
+/// `tiebreak` ties by the slot index itself.
 void PartialSelectDescending(const uint64_t* keys, const uint32_t* tiebreak,
                              uint32_t* idx, size_t n, size_t m);
 

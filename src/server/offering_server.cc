@@ -71,7 +71,7 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
     // limit so no worker allocates in the refinement phase, even on its
     // very first request.
     worker->service->ReserveBatchScratch(eco_options.refine_limit);
-    // Likewise the SoA candidate lanes of the vectorized filter/score
+    // Likewise the SoA candidate lanes of the columnar filter/score
     // phase: the fleet size bounds any query's candidate volume, so the
     // very first request already streams through pre-grown lanes.
     worker->service->ReserveScoreLanes(env_->chargers.size());

@@ -90,25 +90,6 @@ class SpatialIndex {
   std::vector<uint32_t> BoxSearch(const BoundingBox& box) const;
 };
 
-/// \brief Splits AoS range/kNN results into id and distance lanes.
-///
-/// The SoA gather step of the vectorized filter phase (DESIGN.md §15): the
-/// backends answer in the canonical AoS `Neighbor` order, and the pipeline
-/// transposes once into caller-owned lanes the pruning kernels stream over.
-/// Both output vectors are resized to `neighbors.size()`; capacity persists
-/// across calls, so a warm caller allocates nothing.
-inline void SplitNeighborLanes(const std::vector<Neighbor>& neighbors,
-                               std::vector<uint32_t>* ids,
-                               std::vector<double>* distances) {
-  const size_t n = neighbors.size();
-  ids->resize(n);
-  distances->resize(n);
-  for (size_t i = 0; i < n; ++i) {
-    (*ids)[i] = neighbors[i].id;
-    (*distances)[i] = neighbors[i].distance;
-  }
-}
-
 namespace spatial_internal {
 
 /// Canonical ordering shared by implementations: ascending distance, then id.

@@ -90,50 +90,50 @@ TEST_P(CrossIndexParityTest, EcoChargeTablesBitIdentical) {
   EXPECT_EQ(actual.cache().hits(), expected.cache().hits());
 }
 
-TEST_P(CrossIndexParityTest, SimdOnOffTablesBitIdentical) {
+TEST_P(CrossIndexParityTest, ColumnarVsPerCandidateTablesBitIdentical) {
   SharedWorld& w = World();
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
 
-  // The SIMD filter/score hot path vs the scalar reference kernels must be
-  // a pure execution-strategy change: per backend, flipping use_simd
-  // cannot move a single bit of any table — the scalar path is the parity
+  // Columnar EC estimation vs per-candidate estimation must be a pure
+  // execution-strategy change: per backend, flipping use_simd cannot move
+  // a single bit of any table — the per-candidate path is the estimation
   // oracle of DESIGN.md §15. Caching stays on so the sequence covers both
   // the full-regeneration and the adaptation ranking paths.
-  EcoChargeOptions simd_opts;
-  simd_opts.radius_m = 20000.0;
-  simd_opts.use_simd = true;
-  EcoChargeOptions scalar_opts = simd_opts;
-  scalar_opts.use_simd = false;
-  EcoChargeRanker vectorized(w.env->estimator.get(), index.get(),
-                             ScoreWeights::AWE(), simd_opts);
-  EcoChargeRanker scalar(w.env->estimator.get(), index.get(),
-                         ScoreWeights::AWE(), scalar_opts);
+  EcoChargeOptions columnar_opts;
+  columnar_opts.radius_m = 20000.0;
+  columnar_opts.use_simd = true;
+  EcoChargeOptions oracle_opts = columnar_opts;
+  oracle_opts.use_simd = false;
+  EcoChargeRanker columnar(w.env->estimator.get(), index.get(),
+                           ScoreWeights::AWE(), columnar_opts);
+  EcoChargeRanker oracle(w.env->estimator.get(), index.get(),
+                         ScoreWeights::AWE(), oracle_opts);
   for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(vectorized.Rank(state, 3),
-                                   scalar.Rank(state, 3)));
+    EXPECT_TRUE(TablesBitIdentical(columnar.Rank(state, 3),
+                                   oracle.Rank(state, 3)));
   }
-  EXPECT_EQ(vectorized.cache().hits(), scalar.cache().hits());
+  EXPECT_EQ(columnar.cache().hits(), oracle.cache().hits());
 }
 
-TEST_P(CrossIndexParityTest, SimdParityHoldsWithoutIntersection) {
+TEST_P(CrossIndexParityTest, ColumnarVsPerCandidateHoldsWithoutIntersection) {
   SharedWorld& w = World();
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
 
   // The ablation ranking (midpoint-only, no eq. 6 intersection) goes
   // through its own partial-select path — hold it to the same oracle.
-  EcoChargeOptions simd_opts;
-  simd_opts.radius_m = 20000.0;
-  simd_opts.use_intersection = false;
-  simd_opts.use_simd = true;
-  EcoChargeOptions scalar_opts = simd_opts;
-  scalar_opts.use_simd = false;
-  EcoChargeRanker vectorized(w.env->estimator.get(), index.get(),
-                             ScoreWeights::AWE(), simd_opts);
-  EcoChargeRanker scalar(w.env->estimator.get(), index.get(),
-                         ScoreWeights::AWE(), scalar_opts);
+  EcoChargeOptions columnar_opts;
+  columnar_opts.radius_m = 20000.0;
+  columnar_opts.use_intersection = false;
+  columnar_opts.use_simd = true;
+  EcoChargeOptions oracle_opts = columnar_opts;
+  oracle_opts.use_simd = false;
+  EcoChargeRanker columnar(w.env->estimator.get(), index.get(),
+                           ScoreWeights::AWE(), columnar_opts);
+  EcoChargeRanker oracle(w.env->estimator.get(), index.get(),
+                         ScoreWeights::AWE(), oracle_opts);
   for (const VehicleState& state : w.states) {
-    EXPECT_TRUE(TablesBitIdentical(vectorized.Rank(state, 3),
-                                   scalar.Rank(state, 3)));
+    EXPECT_TRUE(TablesBitIdentical(columnar.Rank(state, 3),
+                                   oracle.Rank(state, 3)));
   }
 }
 

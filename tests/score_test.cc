@@ -119,8 +119,8 @@ TEST(ScorePairTest, ExactIntervalsCollapsePair) {
 // (NaN from a failed estimate, inf from an unreachable charger) propagate
 // into the score pair unchanged, and the *ranking* layer — not the scorer —
 // pins their order via the total-order key: NaN strictly last, -inf below
-// every finite score. The SIMD kernels must reproduce these mask-for-mask
-// (asserted in simd_score_test.cc).
+// every finite score. The SoA score kernels must reproduce these bit for
+// bit (asserted in simd_score_test.cc).
 
 TEST(ScorePairDegenerateTest, ZeroWidthIntervalsGiveZeroWidthPair) {
   // SC_min == SC_max bitwise, and Mid() reproduces them bitwise too (no

@@ -1,9 +1,10 @@
-// Scalar-vs-SIMD kernel parity (DESIGN.md §15): the vector kernels must
-// reproduce the scalar reference bit for bit — scores, midpoints, pruning
-// masks, and ranking keys — on fuzzed batches covering unaligned tails,
-// all-pruned inputs, ties, and non-finite lanes from degraded estimates.
-// The partial selects must match full-sort-then-truncate exactly, because
-// the (key, tiebreak) order is total.
+// Score-kernel checks (DESIGN.md §15): the SoA kernels must reproduce
+// the per-candidate AoS arithmetic bit for bit — ScoreIntervals against
+// ComputeScorePair, Midpoints against ScorePair::Mid(), DescendingKeys
+// against per-element DescendingKey — on batches covering every small
+// size, ties, and non-finite lanes from degraded estimates. The partial
+// selects must match full-sort-then-truncate exactly, because the
+// (key, tiebreak) order is total.
 
 #include "core/simd_score.h"
 
@@ -22,9 +23,9 @@ namespace {
 constexpr double kNan = std::numeric_limits<double>::quiet_NaN();
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
-/// Bitwise equality. The keys and masks are deterministic functions of the
-/// input *bits*, so even NaN inputs must produce exactly equal outputs;
-/// score arithmetic on NaN inputs may legally differ in payload bits only,
+/// Bitwise equality. The keys are deterministic functions of the input
+/// *bits*, so even NaN inputs must produce exactly equal outputs; score
+/// arithmetic on NaN inputs may legally differ in payload bits only,
 /// which SameOrBothNan() accounts for where it applies.
 bool SameBits(double a, double b) {
   return std::bit_cast<uint64_t>(a) == std::bit_cast<uint64_t>(b);
@@ -34,7 +35,7 @@ bool SameOrBothNan(double a, double b) {
   return SameBits(a, b) || (std::isnan(a) && std::isnan(b));
 }
 
-/// Batch sizes exercising every tail shape of the 2- and 4-lane ISAs.
+/// Batch sizes: empty, every small size, and a few odd larger ones.
 const size_t kSizes[] = {0, 1, 2, 3, 4, 5, 7, 8, 15, 16, 17, 31, 64, 100, 257};
 
 /// A fuzzed EC lane value: mostly in [0, 1], sometimes degenerate.
@@ -76,46 +77,12 @@ TEST(DescendingKeyTest, NanRanksBelowEverything) {
   EXPECT_GT(simd::DescendingKey(-kInf), simd::DescendingKey(kNan));
 }
 
-TEST(SimdKernelTest, ScoreIntervalsMatchesScalarOnFuzzedBatches) {
-  Rng rng(0x51D5C0DEULL);
-  const ScoreWeights presets[] = {ScoreWeights::AWE(), ScoreWeights::OSC(),
-                                  ScoreWeights::OA(), ScoreWeights::ODC(),
-                                  {0.2, 0.5, 0.3}};
-  for (size_t n : kSizes) {
-    for (const ScoreWeights& w : presets) {
-      std::vector<double> llo(n), lhi(n), alo(n), ahi(n), dlo(n), dhi(n);
-      for (size_t i = 0; i < n; ++i) {
-        llo[i] = FuzzComponent(&rng);
-        lhi[i] = FuzzComponent(&rng);
-        alo[i] = FuzzComponent(&rng);
-        ahi[i] = FuzzComponent(&rng);
-        dlo[i] = FuzzComponent(&rng);
-        dhi[i] = FuzzComponent(&rng);
-      }
-      std::vector<double> min_v(n), max_v(n), min_s(n), max_s(n);
-      simd::ScoreIntervals(llo.data(), lhi.data(), alo.data(), ahi.data(),
-                           dlo.data(), dhi.data(), n, w, min_v.data(),
-                           max_v.data());
-      simd::ScoreIntervalsScalar(llo.data(), lhi.data(), alo.data(),
-                                 ahi.data(), dlo.data(), dhi.data(), n, w,
-                                 min_s.data(), max_s.data());
-      for (size_t i = 0; i < n; ++i) {
-        EXPECT_TRUE(SameOrBothNan(min_v[i], min_s[i]))
-            << "n=" << n << " lane " << i << ": " << min_v[i] << " vs "
-            << min_s[i];
-        EXPECT_TRUE(SameOrBothNan(max_v[i], max_s[i]))
-            << "n=" << n << " lane " << i;
-      }
-    }
-  }
-}
-
 TEST(SimdKernelTest, ScoreIntervalsMatchesComputeScorePair) {
-  // The lane kernel vs the AoS production oracle, on well-formed inputs:
-  // exact bit equality, no NaN escape hatch.
+  // The lane kernel vs the AoS production oracle. Well-formed inputs
+  // first: exact bit equality, no NaN escape hatch.
   Rng rng(0xB17AB17ULL);
   const ScoreWeights w = ScoreWeights::AWE();
-  const size_t n = 129;  // unaligned on every ISA
+  const size_t n = 129;
   std::vector<double> llo(n), lhi(n), alo(n), ahi(n), dlo(n), dhi(n);
   std::vector<EcIntervals> ecs(n);
   for (size_t i = 0; i < n; ++i) {
@@ -140,56 +107,54 @@ TEST(SimdKernelTest, ScoreIntervalsMatchesComputeScorePair) {
     EXPECT_TRUE(SameBits(min_v[i], sc.sc_min)) << "lane " << i;
     EXPECT_TRUE(SameBits(max_v[i], sc.sc_max)) << "lane " << i;
   }
-}
 
-TEST(SimdKernelTest, MidpointsMatchScalarAndScorePairMid) {
-  Rng rng(0x1D01ULL);
-  for (size_t n : kSizes) {
-    std::vector<double> lo(n), hi(n), mid_v(n), mid_s(n);
-    for (size_t i = 0; i < n; ++i) {
-      lo[i] = FuzzComponent(&rng);
-      hi[i] = FuzzComponent(&rng);
-    }
-    simd::Midpoints(lo.data(), hi.data(), n, mid_v.data());
-    simd::MidpointsScalar(lo.data(), hi.data(), n, mid_s.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_TRUE(SameOrBothNan(mid_v[i], mid_s[i])) << "n=" << n;
-      // (a+b)*0.5 must also equal ScorePair::Mid()'s (a+b)/2.0 exactly.
-      const ScorePair sc{lo[i], hi[i]};
-      EXPECT_TRUE(SameOrBothNan(mid_s[i], sc.Mid())) << "n=" << n;
-    }
-  }
-}
-
-TEST(SimdKernelTest, LeMaskMatchesScalarIncludingNanAndTies) {
-  Rng rng(0x3A5CULL);
-  for (size_t n : kSizes) {
-    std::vector<double> values(n);
-    for (size_t i = 0; i < n; ++i) {
-      const uint64_t shape = rng.NextBounded(8);
-      if (shape == 0) values[i] = kNan;
-      else if (shape == 1) values[i] = kInf;
-      else if (shape == 2) values[i] = 10.0;  // exactly the bound: kept
-      else values[i] = rng.NextDouble(0.0, 20.0);
-    }
-    std::vector<uint8_t> mask_v(n, 0xAA), mask_s(n, 0x55);
-    simd::LeMask(values.data(), 10.0, n, mask_v.data());
-    simd::LeMaskScalar(values.data(), 10.0, n, mask_s.data());
-    for (size_t i = 0; i < n; ++i) {
-      EXPECT_EQ(mask_v[i], mask_s[i]) << "n=" << n << " lane " << i;
-      if (std::isnan(values[i])) {
-        EXPECT_EQ(mask_v[i], 0) << "NaN must prune";
+  // Fuzzed batches of every size under every weight preset, degenerate
+  // lanes (NaN, ±inf, ±0, unordered endpoints) included; a NaN result
+  // may differ in payload bits only.
+  const ScoreWeights presets[] = {ScoreWeights::AWE(), ScoreWeights::OSC(),
+                                  ScoreWeights::OA(), ScoreWeights::ODC(),
+                                  {0.2, 0.5, 0.3}};
+  for (size_t m : kSizes) {
+    for (const ScoreWeights& pw : presets) {
+      std::vector<EcIntervals> fuzz(m);
+      std::vector<double> flo(m), fhi(m), falo(m), fahi(m), fdlo(m), fdhi(m);
+      for (size_t i = 0; i < m; ++i) {
+        flo[i] = fuzz[i].level.lo = FuzzComponent(&rng);
+        fhi[i] = fuzz[i].level.hi = FuzzComponent(&rng);
+        falo[i] = fuzz[i].availability.lo = FuzzComponent(&rng);
+        fahi[i] = fuzz[i].availability.hi = FuzzComponent(&rng);
+        fdlo[i] = fuzz[i].derouting.lo = FuzzComponent(&rng);
+        fdhi[i] = fuzz[i].derouting.hi = FuzzComponent(&rng);
+      }
+      std::vector<double> fmin(m), fmax(m);
+      simd::ScoreIntervals(flo.data(), fhi.data(), falo.data(), fahi.data(),
+                           fdlo.data(), fdhi.data(), m, pw, fmin.data(),
+                           fmax.data());
+      for (size_t i = 0; i < m; ++i) {
+        const ScorePair sc = ComputeScorePair(fuzz[i], pw);
+        EXPECT_TRUE(SameOrBothNan(fmin[i], sc.sc_min))
+            << "n=" << m << " lane " << i;
+        EXPECT_TRUE(SameOrBothNan(fmax[i], sc.sc_max))
+            << "n=" << m << " lane " << i;
       }
     }
   }
 }
 
-TEST(SimdKernelTest, LeMaskAllPrunedBatch) {
+TEST(SimdKernelTest, MidpointsMatchScalarAndScorePairMid) {
+  Rng rng(0x1D01ULL);
   for (size_t n : kSizes) {
-    std::vector<double> values(n, 5.0);
-    std::vector<uint8_t> mask(n, 1);
-    simd::LeMask(values.data(), /*bound=*/1.0, n, mask.data());
-    for (size_t i = 0; i < n; ++i) EXPECT_EQ(mask[i], 0);
+    std::vector<double> lo(n), hi(n), mid(n);
+    for (size_t i = 0; i < n; ++i) {
+      lo[i] = FuzzComponent(&rng);
+      hi[i] = FuzzComponent(&rng);
+    }
+    simd::Midpoints(lo.data(), hi.data(), n, mid.data());
+    for (size_t i = 0; i < n; ++i) {
+      // (a+b)*0.5 must equal ScorePair::Mid()'s (a+b)/2.0 exactly.
+      const ScorePair sc{lo[i], hi[i]};
+      EXPECT_TRUE(SameOrBothNan(mid[i], sc.Mid())) << "n=" << n;
+    }
   }
 }
 
@@ -198,13 +163,12 @@ TEST(SimdKernelTest, DescendingKeysBulkMatchesScalar) {
   for (size_t n : kSizes) {
     std::vector<double> values(n);
     for (size_t i = 0; i < n; ++i) values[i] = FuzzComponent(&rng);
-    std::vector<uint64_t> keys_v(n, 1), keys_s(n, 2);
-    simd::DescendingKeys(values.data(), n, keys_v.data());
-    simd::DescendingKeysScalar(values.data(), n, keys_s.data());
+    std::vector<uint64_t> keys(n, 1);
+    simd::DescendingKeys(values.data(), n, keys.data());
     for (size_t i = 0; i < n; ++i) {
       // Keys are functions of the input bits: exact equality, NaN included.
-      EXPECT_EQ(keys_v[i], keys_s[i]) << "n=" << n << " lane " << i;
-      EXPECT_EQ(keys_s[i], simd::DescendingKey(values[i]));
+      EXPECT_EQ(keys[i], simd::DescendingKey(values[i]))
+          << "n=" << n << " lane " << i;
     }
   }
 }
@@ -251,18 +215,6 @@ TEST(ScoreLanesTest, ReserveAndClearKeepCapacity) {
   EXPECT_TRUE(lanes.level_lo.empty());
   EXPECT_TRUE(lanes.ids.empty());
   EXPECT_EQ(lanes.level_lo.capacity(), cap);
-}
-
-TEST(SimdIsaTest, LaneWidthMatchesCompiledIsa) {
-  // Sanity: the dispatch picked exactly one ISA and its lane width.
-#if defined(ECOCHARGE_SIMD_AVX2)
-  EXPECT_EQ(simd::kLaneWidth, 4u);
-#elif defined(ECOCHARGE_SIMD_SSE2) || defined(ECOCHARGE_SIMD_NEON)
-  EXPECT_EQ(simd::kLaneWidth, 2u);
-#else
-  EXPECT_EQ(simd::kLaneWidth, 1u);
-#endif
-  EXPECT_NE(simd::kIsaName, nullptr);
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 
 #include "spatial/spatial_index.h"
 
+#include <algorithm>
+#include <limits>
 #include <memory>
 
 #include <gtest/gtest.h>
@@ -121,6 +123,20 @@ TEST_P(SpatialIndexTest, RangeMatchesLinearScan) {
       EXPECT_EQ(actual[i].id, expected[i].id);
     }
   }
+  // The range contract the filtering phase relies on: a point at exactly
+  // distance R is returned (d <= R), and a NaN query position fails every
+  // d <= R test, so it returns nothing even for a radius covering all.
+  for (uint32_t id : {0u, 57u, 399u}) {
+    const Point q{cloud[id].x + 312.5, cloud[id].y - 71.25};
+    const double radius = Distance(cloud[id], q);
+    auto actual = index->RangeSearch(q, radius);
+    EXPECT_TRUE(std::any_of(actual.begin(), actual.end(),
+                            [&](const Neighbor& nb) { return nb.id == id; }))
+        << "point at exactly R dropped: id " << id;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_TRUE(index->RangeSearch({nan, nan}, 1e9).empty());
+  EXPECT_TRUE(index->RangeSearch({nan, 4000.0}, 1e9).empty());
 }
 
 TEST_P(SpatialIndexTest, BoxMatchesLinearScan) {
