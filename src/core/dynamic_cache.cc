@@ -7,13 +7,8 @@ DynamicCache::DynamicCache(const DynamicCacheOptions& options)
 
 const std::vector<ScoredCandidate>* DynamicCache::TryReuse(
     const Point& position, SimTime now) {
-  if (!has_solution_) {
-    ++misses_;
-    return nullptr;
-  }
-  bool moved_too_far = Distance(position, anchor_) > options_.q_distance_m;
-  bool stale = now - stored_at_ > options_.ttl_s || now < stored_at_;
-  if (moved_too_far || stale) {
+  if (Expired(now) || now < stored_at_ ||
+      Distance(position, anchor_) > options_.q_distance_m) {
     ++misses_;
     return nullptr;
   }

@@ -40,6 +40,14 @@ class DynamicCache {
   const std::vector<ScoredCandidate>* TryReuse(const Point& position,
                                                SimTime now);
 
+  /// True when no stored solution is reusable at `now` or later: none is
+  /// stored, or it is older than the TTL (TryReuse's staleness test).
+  /// With non-decreasing query times an expired cache misses exactly as a
+  /// new one does, so the serving runtime can drop it.
+  bool Expired(SimTime now) const {
+    return !has_solution_ || now - stored_at_ > options_.ttl_s;
+  }
+
   /// Replaces the cached solution, anchored at (position, now). Copies
   /// into the existing cache storage, so steady-state stores reuse its
   /// capacity instead of allocating.

@@ -26,10 +26,17 @@ EcoChargeRanker::EcoChargeRanker(EcEstimator* estimator,
     : weights_(weights),
       options_(options),
       processor_(estimator, charger_index, ProcessorOptions(options)),
-      cache_(DynamicCacheOptions{options.q_distance_m, options.cache_ttl_s}) {}
+      cache_(options.cache_options()) {}
 
 void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
                                QueryContext& ctx, OfferingTable* out) {
+  RankInto(state, k, options_.use_dynamic_cache ? &cache_ : nullptr, ctx,
+           out);
+}
+
+void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
+                               DynamicCache* cache, QueryContext& ctx,
+                               OfferingTable* out) {
   out->generated_at = state.time;
   out->location = state.position;
   out->segment_index = state.segment_index;
@@ -38,9 +45,7 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
   out->entries.clear();
 
   if (const std::vector<ScoredCandidate>* cached =
-          options_.use_dynamic_cache
-              ? cache_.TryReuse(state.position, state.time)
-              : nullptr) {
+          cache ? cache->TryReuse(state.position, state.time) : nullptr) {
     // Adaptation: reuse the previously solved sub-problems. The
     // recalculation is skipped entirely (the cached L/A/D stay as computed
     // at the anchor position — the staleness the Q parameter trades away),
@@ -61,9 +66,7 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
       processor_.FilterCandidates(state.position, &ctx);
   const std::vector<ScoredCandidate>& scored =
       processor_.ScoreCandidates(state, candidates, weights_, &ctx);
-  if (options_.use_dynamic_cache) {
-    cache_.Store(state.position, state.time, scored);
-  }
+  if (cache) cache->Store(state.position, state.time, scored);
   processor_.RefineAndRank(state, &scored, k, weights_,
                            options_.refine_exact_derouting, &ctx,
                            &out->entries);

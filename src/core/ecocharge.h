@@ -41,6 +41,11 @@ struct EcoChargeOptions {
   /// off, so a stored corridor table is a pure function of (corridor key,
   /// world epoch) — independent of which vehicle computed it first.
   bool use_dynamic_cache = true;
+
+  /// The tuning of a Dynamic Cache serving these options.
+  DynamicCacheOptions cache_options() const {
+    return {q_distance_m, cache_ttl_s};
+  }
 };
 
 /// \brief The EcoCharge renewable-hoarding algorithm.
@@ -66,8 +71,16 @@ class EcoChargeRanker : public Ranker {
                   const EcoChargeOptions& options);
 
   std::string_view name() const override { return "EcoCharge"; }
+  /// Ranks with the ranker's own Dynamic Cache, or fresh when
+  /// `use_dynamic_cache` is off.
   void RankInto(const VehicleState& state, size_t k, QueryContext& ctx,
                 OfferingTable* out) override;
+  /// Ranks against `cache`: adapts its solution when reusable, else
+  /// regenerates and stores the new one. A null cache ranks fresh, a pure
+  /// function of the state and the world. The serving runtime shares one
+  /// ranker across clients and passes each client's own cache.
+  void RankInto(const VehicleState& state, size_t k, DynamicCache* cache,
+                QueryContext& ctx, OfferingTable* out);
   void Reset() override;
 
   const DynamicCache& cache() const { return cache_; }

@@ -236,100 +236,6 @@ size_t DijkstraSearch::ExtendSweep(std::span<const NodeId> targets,
   return settled_targets;
 }
 
-PathResult BidirectionalShortestPath(const RoadNetwork& network,
-                                     NodeId source, NodeId target,
-                                     const EdgeCostFn& cost) {
-  PathResult result;
-  size_t n = network.NumNodes();
-  if (source >= n || target >= n) return result;
-  if (source == target) {
-    result.cost = 0.0;
-    result.nodes = {source};
-    return result;
-  }
-
-  // State per direction: 0 = forward from source, 1 = backward from target.
-  std::vector<double> dist[2] = {std::vector<double>(n, kInfiniteCost),
-                                 std::vector<double>(n, kInfiniteCost)};
-  std::vector<NodeId> parent[2] = {std::vector<NodeId>(n, kInvalidNode),
-                                   std::vector<NodeId>(n, kInvalidNode)};
-  std::vector<char> settled[2] = {std::vector<char>(n, 0),
-                                  std::vector<char>(n, 0)};
-  MinHeap heap[2];
-  dist[0][source] = 0.0;
-  dist[1][target] = 0.0;
-  heap[0].push({0.0, source});
-  heap[1].push({0.0, target});
-
-  double best = kInfiniteCost;
-  NodeId meeting = kInvalidNode;
-
-  while (!heap[0].empty() || !heap[1].empty()) {
-    // Alternate on the smaller frontier top.
-    int side;
-    if (heap[0].empty()) {
-      side = 1;
-    } else if (heap[1].empty()) {
-      side = 0;
-    } else {
-      side = heap[0].top().priority <= heap[1].top().priority ? 0 : 1;
-    }
-    auto [d, v] = heap[side].top();
-    heap[side].pop();
-    if (settled[side][v]) continue;
-    settled[side][v] = 1;
-
-    // Termination: once the two settled radii together exceed the best
-    // connection found, no better path exists.
-    double other_top =
-        heap[1 - side].empty() ? kInfiniteCost : heap[1 - side].top().priority;
-    if (d + (std::isfinite(other_top) ? other_top : 0.0) >= best &&
-        std::isfinite(best)) {
-      break;
-    }
-
-    bool forward = side == 0;
-    auto arcs = forward ? network.OutArcs(v) : network.InArcs(v);
-    for (const Arc& a : arcs) {
-      NodeId w = a.node;
-      double nd = d + cost(a);
-      if (nd < dist[side][w]) {
-        dist[side][w] = nd;
-        parent[side][w] = v;
-        heap[side].push({nd, w});
-      }
-      // Candidate connection through w.
-      double via = dist[side][w] + dist[1 - side][w];
-      if (via < best) {
-        best = via;
-        meeting = w;
-      }
-    }
-  }
-
-  if (meeting == kInvalidNode || !std::isfinite(best)) return result;
-  // Report the cost consistent with the final parent pointers (distances
-  // can only have improved since `best` was last updated).
-  result.cost = dist[0][meeting] + dist[1][meeting];
-  // Forward half: meeting back to source.
-  std::vector<NodeId> forward_half;
-  for (NodeId v = meeting; v != kInvalidNode; v = parent[0][v]) {
-    forward_half.push_back(v);
-    if (v == source) break;
-  }
-  std::reverse(forward_half.begin(), forward_half.end());
-  // Backward half: meeting toward target (parents lead to target).
-  std::vector<NodeId> backward_half;
-  for (NodeId v = parent[1][meeting]; v != kInvalidNode; v = parent[1][v]) {
-    backward_half.push_back(v);
-    if (v == target) break;
-  }
-  result.nodes = std::move(forward_half);
-  result.nodes.insert(result.nodes.end(), backward_half.begin(),
-                      backward_half.end());
-  return result;
-}
-
 PathResult BellmanFordShortestPath(const RoadNetwork& network, NodeId source,
                                    NodeId target, const EdgeCostFn& cost) {
   PathResult result;

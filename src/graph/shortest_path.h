@@ -152,14 +152,6 @@ PathResult BellmanFordShortestPath(const RoadNetwork& network, NodeId source,
                                    NodeId target,
                                    const EdgeCostFn& cost = LengthCost);
 
-/// \brief Bidirectional Dijkstra: alternating forward and backward
-/// expansions meeting in the middle; settles roughly half the nodes of the
-/// unidirectional search on long queries. Cost function must be symmetric
-/// in time (it is evaluated once per edge, like the other searches).
-PathResult BidirectionalShortestPath(const RoadNetwork& network,
-                                     NodeId source, NodeId target,
-                                     const EdgeCostFn& cost = LengthCost);
-
 }  // namespace ecocharge
 
 #endif  // ECOCHARGE_GRAPH_SHORTEST_PATH_H_

@@ -14,7 +14,10 @@ namespace ecocharge {
 OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
                                const EcoChargeOptions& eco_options,
                                const OfferingServerOptions& options)
-    : env_(env), threads_(std::max(0, options.threads)), options_(options) {
+    : env_(env),
+      threads_(std::max(0, options.threads)),
+      options_(options),
+      cache_options_(eco_options.cache_options()) {
   EisOptions eis_options;
   eis_options.cache_shards = options_.eis_cache_shards;
   if (options_.resilient_eis) {
@@ -40,6 +43,7 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
   degraded_tables_ =
       metrics_.GetCounter("server.requests.degraded", "tables");
   queue_depth_total_ = metrics_.GetGauge("server.queue.depth", "requests");
+  clients_ = metrics_.GetGauge("server.clients", "caches");
   request_latency_ =
       metrics_.GetHistogram("server.request_latency_ns", "ns");
   queue_wait_ = metrics_.GetHistogram("server.queue_wait_ns", "ns");
@@ -64,19 +68,17 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
         env_->dataset.network, &env_->chargers, env_->energy.get(),
         env_->availability.get(), env_->congestion.get(),
         env_->estimator->options(), shared_eis_.get());
-    worker->service = std::make_unique<OfferingService>(
+    worker->ranker = std::make_unique<EcoChargeRanker>(
         worker->estimator.get(), env_->charger_index.get(), weights,
-        eco_options, options_.client_ttl_s);
+        eco_options);
     // Pre-size the batched-refinement scratch to the configured refine
-    // limit so no worker allocates in the refinement phase, even on its
-    // very first request.
-    worker->service->ReserveBatchScratch(eco_options.refine_limit);
-    // Likewise the SoA candidate lanes of the columnar filter/score
-    // phase: the fleet size bounds any query's candidate volume, so the
-    // very first request already streams through pre-grown lanes.
-    worker->service->ReserveScoreLanes(env_->chargers.size());
+    // limit and the SoA candidate lanes to the fleet size (which bounds
+    // any query's candidate volume), so even a worker's very first
+    // request allocates nothing in the pipeline.
+    worker->ctx.derouting.Reserve(eco_options.refine_limit);
+    worker->ctx.lanes.Reserve(env_->chargers.size());
     worker->estimator->AttachMetrics(&metrics_);
-    worker->service->AttachMetrics(&metrics_);
+    worker->ranker->AttachMetrics(&metrics_);
     worker->queue_depth = metrics_.GetGauge(
         "server.queue.depth.w" + std::to_string(i), "requests");
     workers_.push_back(std::move(worker));
@@ -104,12 +106,27 @@ size_t OfferingServer::WorkerIndexFor(uint64_t client_id) const {
   return static_cast<size_t>(h % workers_.size());
 }
 
+SimTime OfferingServer::AdvanceClock(uint64_t client_id, SimTime time) {
+  std::lock_guard<std::mutex> lock(clock_mu_);
+  if (client_id == lead_client_) {
+    lead_time_ = std::max(lead_time_, time);
+  } else if (time > lead_time_) {
+    clock_ = lead_time_;
+    lead_time_ = time;
+    lead_client_ = client_id;
+  } else {
+    clock_ = std::max(clock_, time);
+  }
+  return clock_;
+}
+
 Status OfferingServer::Submit(uint64_t client_id, const VehicleState& state,
                               size_t k, TableCallback on_table) {
   Request request;
   request.client_id = client_id;
   request.state = state;
   request.k = k;
+  request.clock = AdvanceClock(client_id, state.time);
   request.on_table = std::move(on_table);
   return SubmitRequest(std::move(request));
 }
@@ -119,7 +136,14 @@ Status OfferingServer::SubmitWire(uint64_t client_id, std::string wire,
   Request request;
   request.client_id = client_id;
   request.is_wire = true;
-  request.wire = std::move(wire);
+  Result<OfferingRequest> decoded = DecodeOfferingRequest(wire);
+  if (decoded.ok()) {
+    request.state = decoded.value().state;
+    request.k = decoded.value().k;
+    request.clock = AdvanceClock(client_id, request.state.time);
+  } else {
+    request.wire_error = decoded.status();
+  }
   request.on_reply = std::move(on_reply);
   return SubmitRequest(std::move(request));
 }
@@ -149,7 +173,7 @@ Status OfferingServer::SubmitRequest(Request request) {
 }
 
 void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
-                                size_t k, uint64_t client_id,
+                                size_t k, uint64_t client_id, SimTime clock,
                                 const WorldRevisions* revisions) {
   if (options_.corridor != nullptr) {
     // Corridor mode: serve the canonical corridor table — the paper's
@@ -161,14 +185,43 @@ void OfferingServer::ServeTable(Worker& worker, const VehicleState& state,
     uint64_t key = options_.corridor->KeyFor(state, k, revs);
     if (!options_.corridor->GetInto(key, state.time, &worker.table)) {
       VehicleState anchor = options_.corridor->CanonicalState(state);
-      worker.service->RankFresh(anchor, k, &worker.table);
+      worker.ranker->RankInto(anchor, k, /*cache=*/nullptr, worker.ctx,
+                              &worker.table);
       options_.corridor->Put(key, worker.table, state.time);
     }
     return;
   }
   // worker.table is the worker's long-lived reply buffer (like the
   // QueryContext, it reaches its high-water capacity and stays there).
-  worker.service->RankInto(client_id, state, k, &worker.table);
+  DynamicCache* cache = worker.ranker->options().use_dynamic_cache
+                            ? &CacheFor(worker, client_id, clock)
+                            : nullptr;
+  worker.ranker->RankInto(state, k, cache, worker.ctx, &worker.table);
+}
+
+DynamicCache& OfferingServer::CacheFor(Worker& worker, uint64_t client_id,
+                                       SimTime clock) {
+  // Expiry on the server clock (see the class comment). Erasing frees
+  // nodes and allocates nothing.
+  if (clock >= worker.next_sweep) {
+    const size_t before = worker.caches.size();
+    std::erase_if(worker.caches, [clock](const auto& entry) {
+      return entry.second.Droppable(clock);
+    });
+    clients_->Sub(static_cast<int64_t>(before - worker.caches.size()));
+    worker.next_sweep = clock + cache_options_.ttl_s;
+  }
+  auto [it, inserted] = worker.caches.try_emplace(client_id, cache_options_);
+  ClientCache& client = it->second;
+  if (inserted) {
+    clients_->Add(1);
+  } else if (client.Droppable(clock)) {
+    // What a sweep would have erased: with another worker count it may
+    // have run, so the table must not depend on whether it did.
+    client.cache.Clear();
+  }
+  client.touched = clock;
+  return client.cache;
 }
 
 void OfferingServer::Serve(Worker& worker, Request& request) {
@@ -199,28 +252,22 @@ void OfferingServer::Serve(Worker& worker, Request& request) {
     revisions = &pin->snapshot().revisions;
     world.emplace(*revisions);
   }
-  if (request.is_wire) {
-    // Decode on the worker, then serve through the same table core as the
-    // in-process form; the reply is the encoded table.
-    Result<OfferingRequest> decoded = DecodeOfferingRequest(request.wire);
-    if (!decoded.ok()) {
-      malformed_->Add();
-      if (request.on_reply) request.on_reply(decoded.status());
-    } else {
-      ServeTable(worker, decoded.value().state, decoded.value().k,
-                 request.client_id, revisions);
-      if (worker.table.adapted_from_cache) cache_adaptations_->Add();
-      if (worker.table.degraded) degraded_tables_->Add();
+  if (!request.wire_error.ok()) {
+    malformed_->Add();
+    if (request.on_reply) request.on_reply(request.wire_error);
+  } else {
+    ServeTable(worker, request.state, request.k, request.client_id,
+               request.clock, revisions);
+    if (worker.table.adapted_from_cache) cache_adaptations_->Add();
+    if (worker.table.degraded) degraded_tables_->Add();
+    // The wire form's reply is the encoded table.
+    if (request.is_wire) {
       if (request.on_reply) {
         request.on_reply(EncodeOfferingTable(worker.table));
       }
+    } else if (request.on_table) {
+      request.on_table(worker.table);
     }
-  } else {
-    ServeTable(worker, request.state, request.k, request.client_id,
-               revisions);
-    if (worker.table.adapted_from_cache) cache_adaptations_->Add();
-    if (worker.table.degraded) degraded_tables_->Add();
-    if (request.on_table) request.on_table(worker.table);
   }
   served_->Add();
   const auto replied_at = std::chrono::steady_clock::now();
@@ -275,6 +322,7 @@ OfferingServerStats OfferingServer::Stats() const {
   stats.malformed = malformed_->Value();
   stats.cache_adaptations = cache_adaptations_->Value();
   stats.degraded_tables = degraded_tables_->Value();
+  stats.clients = clients_->Value();
   return stats;
 }
 

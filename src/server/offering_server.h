@@ -6,15 +6,17 @@
 #include <condition_variable>
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "common/result.h"
+#include "core/ecocharge.h"
 #include "core/environment.h"
-#include "core/offering_service.h"
 #include "core/protocol.h"
 #include "obs/metrics.h"
 #include "eis/world_revisions.h"
@@ -39,9 +41,6 @@ struct OfferingServerOptions {
 
   /// Shards of the EIS traffic cache (see EisOptions::cache_shards).
   size_t eis_cache_shards = 16;
-
-  /// Per-client ranker state is dropped after this much idle sim time.
-  double client_ttl_s = kSecondsPerHour;
 
   /// When > 0, each request handler blocks this long to emulate the
   /// upstream-fetch / response-write I/O of the real Mode-2 deployment
@@ -89,6 +88,7 @@ struct OfferingServerStats {
   uint64_t malformed = 0;  ///< wire requests that failed to decode
   uint64_t cache_adaptations = 0;  ///< tables served via Dynamic Caching
   uint64_t degraded_tables = 0;  ///< tables carrying a degradation flag
+  int64_t clients = 0;  ///< live per-client Dynamic Caches, all workers
 };
 
 /// \brief The concurrent Offering Table serving runtime (the paper's
@@ -96,8 +96,8 @@ struct OfferingServerStats {
 ///
 /// A fixed pool of worker threads serves ranking requests from many
 /// vehicles. Each worker owns a full single-threaded serving stack — an
-/// EcEstimator (Dijkstra scratch, derouting memo, fleet-energy cache), an
-/// OfferingService (per-client EcoCharge rankers + Dynamic Caches), and
+/// EcEstimator (Dijkstra scratch, derouting memo, fleet-energy cache), one
+/// EcoChargeRanker for all its clients, one Dynamic Cache per client, and
 /// one long-lived QueryContext — so the steady-state zero-allocation
 /// property of the query pipeline holds per worker with no locking on the
 /// compute path. Workers share exactly three things, each engineered for
@@ -116,6 +116,22 @@ struct OfferingServerStats {
 /// (DESIGN.md §16). Each worker's queue is bounded: when it fills, Submit
 /// returns kUnavailable immediately and the caller sheds load
 /// (reject-with-status beats OOM).
+///
+/// Serving state stays bounded too. The server clock is the latest sim
+/// time that two different clients have reached, so one vehicle with a
+/// skewed clock cannot move it. Submit and SubmitWire (which decodes on the
+/// calling thread) advance it and stamp the request with it. A client
+/// cache is dropped once its client has been idle for cache_ttl_s on that
+/// clock and its solution has expired on it: cleared when the client
+/// returns, and erased by the worker's sweep, which runs once cache_ttl_s
+/// has passed on the clock since the last one. The clock never passes the
+/// latest submitted time, so when request times never decrease (a
+/// deployment's clock does not go backwards; perfbench sorts its streams
+/// by time) a dropped cache would have missed anyway and no table moves.
+/// When they jump back (a trace replaying trips out of order), a request
+/// can find the cache it would have adapted dropped; as the stamps follow
+/// submission order, the tables of submissions from one thread still do
+/// not depend on the worker count.
 ///
 /// Callbacks run on the worker thread that served the request (or inline
 /// when threads = 0); they must be fast and must synchronize any state
@@ -140,9 +156,9 @@ class OfferingServer {
   Status Submit(uint64_t client_id, const VehicleState& state, size_t k,
                 TableCallback on_table);
 
-  /// Wire-protocol form: decodes an OfferingRequest on the worker, serves
-  /// it like Submit, and hands `on_reply` the encoded Offering Table (or
-  /// the decode error, counted as malformed).
+  /// Wire-protocol form: decodes an OfferingRequest on the calling thread,
+  /// serves it like Submit, and hands `on_reply` the encoded Offering Table
+  /// (or the decode error, counted as malformed) on the serving worker.
   Status SubmitWire(uint64_t client_id, std::string wire,
                     ReplyCallback on_reply);
 
@@ -184,10 +200,11 @@ class OfferingServer {
  private:
   struct Request {
     uint64_t client_id = 0;
-    bool is_wire = false;
-    std::string wire;    // wire form
-    VehicleState state;  // table form
+    bool is_wire = false;  ///< reply through on_reply, encoded
+    Status wire_error;     ///< the decode error of a malformed wire request
+    VehicleState state;
     size_t k = 3;
+    SimTime clock = 0.0;  ///< the server clock at submission
     TableCallback on_table;
     ReplyCallback on_reply;
     /// Stamped at submission; the latency histogram spans queue wait +
@@ -195,12 +212,30 @@ class OfferingServer {
     std::chrono::steady_clock::time_point submitted_at{};
   };
 
+  /// One client's Dynamic Cache and the server clock at its last request.
+  struct ClientCache {
+    explicit ClientCache(const DynamicCacheOptions& options)
+        : cache(options) {}
+    /// Idle for a TTL on `clock` with an expired solution (see the class
+    /// comment); monotone in `clock`.
+    bool Droppable(SimTime clock) const {
+      return clock - touched > cache.options().ttl_s && cache.Expired(clock);
+    }
+    DynamicCache cache;
+    SimTime touched = 0.0;
+  };
+
   /// One worker's single-threaded serving stack. Only its owning thread
-  /// (or the caller, in inline mode) ever touches estimator/service.
+  /// (or the caller, in inline mode) ever touches it.
   struct Worker {
     size_t index = 0;  ///< position in workers_, = epoch reader offset
     std::unique_ptr<EcEstimator> estimator;
-    std::unique_ptr<OfferingService> service;
+    std::unique_ptr<EcoChargeRanker> ranker;  ///< serves every client
+    /// Per-client Dynamic Caches; stays empty with Dynamic Caching off.
+    std::unordered_map<uint64_t, ClientCache> caches;
+    /// Server clock of the next expiry sweep.
+    SimTime next_sweep = -std::numeric_limits<SimTime>::infinity();
+    QueryContext ctx;
     OfferingTable table;  ///< reusable reply buffer for the table path
     std::unique_ptr<BoundedQueue<Request>> queue;  // null in inline mode
     obs::Gauge* queue_depth = nullptr;  ///< server.queue.depth.w{i}
@@ -208,16 +243,22 @@ class OfferingServer {
   };
 
   size_t WorkerIndexFor(uint64_t client_id) const;
+  /// Advances the server clock with `client_id`'s request at `time` and
+  /// returns the clock.
+  SimTime AdvanceClock(uint64_t client_id, SimTime time);
   Status SubmitRequest(Request request);
   void Serve(Worker& worker, Request& request);
   void ServeTable(Worker& worker, const VehicleState& state, size_t k,
-                  uint64_t client_id, const WorldRevisions* revisions);
+                  uint64_t client_id, SimTime clock,
+                  const WorldRevisions* revisions);
+  DynamicCache& CacheFor(Worker& worker, uint64_t client_id, SimTime clock);
   void WorkerLoop(Worker& worker);
   void FinishOne();
 
   Environment* env_;
   int threads_;
   OfferingServerOptions options_;
+  DynamicCacheOptions cache_options_;  ///< of every per-client cache
 
   // Declared before the EIS and the workers so it is destroyed after them:
   // everything below records into registry-owned instruments until the
@@ -230,6 +271,13 @@ class OfferingServer {
   std::vector<std::unique_ptr<Worker>> workers_;
 
   std::atomic<bool> shutdown_{false};
+  /// The server clock (see the class comment): the second-latest of the
+  /// clients' latest submitted times. lead_time_ is the latest, reached by
+  /// lead_client_.
+  std::mutex clock_mu_;
+  SimTime clock_ = -std::numeric_limits<SimTime>::infinity();
+  SimTime lead_time_ = -std::numeric_limits<SimTime>::infinity();
+  uint64_t lead_client_ = 0;
 
   // Request accounting lives on the registry (sharded counters); these are
   // resolved handles, set once in the constructor. Stats() reads them back.
@@ -240,6 +288,7 @@ class OfferingServer {
   obs::Counter* cache_adaptations_ = nullptr;
   obs::Counter* degraded_tables_ = nullptr;    ///< server.requests.degraded
   obs::Gauge* queue_depth_total_ = nullptr;    ///< server.queue.depth
+  obs::Gauge* clients_ = nullptr;              ///< server.clients
   obs::Histogram* request_latency_ = nullptr;  ///< server.request_latency_ns
   obs::Histogram* queue_wait_ = nullptr;       ///< server.queue_wait_ns
   obs::Histogram* service_time_ = nullptr;     ///< server.service_ns

@@ -3,6 +3,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "common/rng.h"
 #include "core/cknn_ec.h"
 #include "core/ecocharge.h"
@@ -121,9 +124,12 @@ INSTANTIATE_TEST_SUITE_P(
                       SweepParam{3, 50000.0}, SweepParam{5, 20000.0},
                       SweepParam{10, 50000.0}),
     [](const auto& info) {
-      return "k" + std::to_string(info.param.k) + "_R" +
-             std::to_string(static_cast<int>(info.param.radius_m / 1000.0)) +
-             "km";
+      // Formatted in place: a std::string operator+ chain here trips
+      // GCC 12's -Wrestrict false positive in char_traits.
+      char name[48];
+      std::snprintf(name, sizeof(name), "k%zu_R%dkm", info.param.k,
+                    static_cast<int>(info.param.radius_m / 1000.0));
+      return std::string(name);
     });
 
 TEST(IntersectionFuzzTest, NeverCrashesAndAlwaysOrdered) {

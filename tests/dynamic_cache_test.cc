@@ -55,8 +55,11 @@ TEST(DynamicCacheTest, MissBeyondQ) {
 
 TEST(DynamicCacheTest, MissAfterTtl) {
   DynamicCache cache(Opts(5000.0, 900.0));
+  EXPECT_TRUE(cache.Expired(0.0));  // no solution at all counts as expired
   cache.Store({0, 0}, 100.0, Candidates({1}));
+  EXPECT_FALSE(cache.Expired(1000.0));
   EXPECT_NE(cache.TryReuse({0, 0}, 1000.0), nullptr);   // age 900 = ttl
+  EXPECT_TRUE(cache.Expired(1000.1));
   EXPECT_EQ(cache.TryReuse({0, 0}, 1000.1), nullptr);   // age > ttl
 }
 

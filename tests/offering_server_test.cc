@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include <gtest/gtest.h>
 
-#include "core/offering_service.h"
+#include "core/ecocharge.h"
 #include "core/protocol.h"
 #include "server/corridor_cache.h"
 #include "server/world_epochs.h"
@@ -29,37 +30,176 @@ class OfferingServerTest : public ::testing::Test {
     ASSERT_GE(states_.size(), 4u);
   }
 
+  // The churn replay: round r serves clients [r * kShift, r * kShift +
+  // kWindow) at start + r * kRoundS, each client always at one position,
+  // so its second round adapts its cache. With `skewed`, client kSkewed
+  // (a vehicle whose clock is ~11 days ahead) sends one request in the
+  // middle round, before the fleet's. Fills
+  // `tables` with the fleet's tables and `live` with Stats().clients
+  // after each round, and returns the drained server.
+  static constexpr uint64_t kRounds = 12;
+  static constexpr uint64_t kWindow = 8;  // clients per round
+  static constexpr uint64_t kShift = 4;   // clients replaced each round
+  static constexpr double kRoundS = 200.0;
+  static constexpr double kChurnTtlS = 300.0;
+  static constexpr uint64_t kSkewed = 1u << 20;
+
+  VehicleState ChurnState(uint64_t client, uint64_t round) const {
+    VehicleState state = states_[client % states_.size()];
+    state.time = states_[0].time + static_cast<double>(round) * kRoundS;
+    return state;
+  }
+
+  std::unique_ptr<OfferingServer> ChurnReplay(
+      int threads, bool skewed, std::vector<OfferingTable>* tables,
+      std::vector<int64_t>* live) {
+    EcoChargeOptions eco_options;
+    eco_options.cache_ttl_s = kChurnTtlS;
+    OfferingServerOptions options;
+    options.threads = threads;
+    options.queue_depth = kWindow + 1;  // one round fits; nothing shed
+    auto server = std::make_unique<OfferingServer>(
+        env_.get(), ScoreWeights::AWE(), eco_options, options);
+    tables->assign(kRounds * kWindow, OfferingTable{});
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      if (skewed && round == kRounds / 2) {
+        VehicleState ahead = ChurnState(kSkewed, round);
+        ahead.time += 1e6;
+        EXPECT_TRUE(server->Submit(kSkewed, ahead, 3, nullptr).ok());
+      }
+      for (uint64_t i = 0; i < kWindow; ++i) {
+        const uint64_t client = round * kShift + i;
+        OfferingTable* slot = &(*tables)[round * kWindow + i];
+        EXPECT_TRUE(server
+                        ->Submit(client, ChurnState(client, round), 3,
+                                 [slot](const OfferingTable& t) { *slot = t; })
+                        .ok());
+      }
+      server->Drain();
+      live->push_back(server->Stats().clients);
+    }
+    return server;
+  }
+
+  // (kRounds - 1) * kShift + kWindow = 52 clients are served; a cache
+  // lives at most TTL + one sweep period (600 s, three rounds), so at most
+  // the clients of four consecutive rounds are ever live.
+  static void ExpectBounded(const std::vector<int64_t>& live, int64_t extra) {
+    const int64_t bound = static_cast<int64_t>(kWindow + 3 * kShift) + extra;
+    for (size_t round = 0; round < live.size(); ++round) {
+      EXPECT_GT(live[round], 0) << "round " << round;
+      EXPECT_LE(live[round], bound) << "round " << round;
+    }
+  }
+
   std::unique_ptr<Environment> env_;
   std::vector<VehicleState> states_;
 };
 
-// The server's per-worker stacks (own estimator, shared sharded EIS) must
-// be invisible in the output: inline mode reproduces a plain
-// OfferingService bit for bit, including Dynamic Caching behavior across
-// a client's request sequence.
-TEST_F(OfferingServerTest, InlineModeMatchesOfferingService) {
+// The server's per-worker stack (own estimator, shared sharded EIS, one
+// ranker shared by all clients, one Dynamic Cache per client) must be
+// invisible in the output: inline mode reproduces one EcoChargeRanker per
+// client bit for bit, including Dynamic Caching behavior across each
+// client's request sequence while the clients interleave. The workload,
+// its states 100 s apart, is replayed forwards, then backwards with every
+// state twice: the times go back by more than a TTL, but no client is ever
+// idle for a TTL, so no cache is dropped.
+TEST_F(OfferingServerTest, InlineModeMatchesOneRankerPerClient) {
+  constexpr uint64_t kClients = 3;
   ScoreWeights weights = ScoreWeights::AWE();
   EcoChargeOptions eco_options;
+  eco_options.cache_ttl_s = 300.0;
   OfferingServer server(env_.get(), weights, eco_options, {});
-  OfferingService reference(env_->estimator.get(), env_->charger_index.get(),
-                            weights, eco_options);
+  std::vector<std::unique_ptr<EcoChargeRanker>> reference;
+  for (uint64_t client = 0; client < kClients; ++client) {
+    reference.push_back(std::make_unique<EcoChargeRanker>(
+        env_->estimator.get(), env_->charger_index.get(), weights,
+        eco_options));
+  }
+  QueryContext ctx;
+  std::vector<VehicleState> stream = states_;
+  for (size_t i = 0; i < stream.size(); ++i) {
+    stream[i].time = states_[0].time + 100.0 * static_cast<double>(i);
+  }
+  for (size_t i = states_.size(); i-- > 0;) {
+    stream.push_back(stream[i]);  // fresh unless adapted from i + 1
+    stream.push_back(stream[i]);  // adapts
+  }
 
-  for (uint64_t client = 0; client < 3; ++client) {
-    for (const VehicleState& state : states_) {
+  for (const VehicleState& state : stream) {
+    for (uint64_t client = 0; client < kClients; ++client) {
       OfferingTable from_server;
       ASSERT_TRUE(server
                       .Submit(client, state, 3,
                               [&](const OfferingTable& t) { from_server = t; })
                       .ok());
       OfferingTable expected;
-      reference.RankInto(client, state, 3, &expected);
+      reference[client]->RankInto(state, 3, ctx, &expected);
       EXPECT_TRUE(TablesBitIdentical(from_server, expected));
     }
   }
   OfferingServerStats stats = server.Stats();
-  EXPECT_EQ(stats.accepted, 3 * states_.size());
-  EXPECT_EQ(stats.served, 3 * states_.size());
+  EXPECT_EQ(stats.accepted, kClients * stream.size());
+  EXPECT_EQ(stats.served, kClients * stream.size());
   EXPECT_EQ(stats.rejected, 0u);
+  EXPECT_GT(stats.cache_adaptations, 0u);
+}
+
+// Serving state stays bounded: many more clients than workers come and go
+// over several cache TTLs, and each worker drops the caches that expired.
+// Dropping is invisible in the tables — threads = 2 matches the inline
+// run, and a client returning after expiry is served exactly like one
+// the server has never seen.
+TEST_F(OfferingServerTest, ExpiredClientCachesAreDropped) {
+  std::vector<OfferingTable> inline_tables, threaded_tables;
+  std::vector<int64_t> inline_live, threaded_live;
+  ChurnReplay(0, /*skewed=*/false, &inline_tables, &inline_live);
+  std::unique_ptr<OfferingServer> server =
+      ChurnReplay(2, /*skewed=*/false, &threaded_tables, &threaded_live);
+  EXPECT_GT(server->Stats().cache_adaptations, 0u);
+  for (size_t i = 0; i < inline_tables.size(); ++i) {
+    EXPECT_TRUE(TablesBitIdentical(inline_tables[i], threaded_tables[i]))
+        << "round " << i / kWindow << " slot " << i % kWindow;
+  }
+  ExpectBounded(inline_live, 0);
+  ExpectBounded(threaded_live, 0);
+
+  // Client 0 was last seen in round 1; long after its cache expired it
+  // returns next to a client the server has never seen.
+  const uint64_t never_seen = kRounds * kShift + kWindow;
+  VehicleState late = ChurnState(0, kRounds + 10);
+  OfferingTable returning, fresh;
+  EXPECT_TRUE(server
+                  ->Submit(0, late, 3,
+                           [&](const OfferingTable& t) { returning = t; })
+                  .ok());
+  EXPECT_TRUE(server
+                  ->Submit(never_seen, late, 3,
+                           [&](const OfferingTable& t) { fresh = t; })
+                  .ok());
+  server->Drain();
+  EXPECT_FALSE(returning.adapted_from_cache);
+  EXPECT_FALSE(fresh.adapted_from_cache);
+  EXPECT_TRUE(TablesBitIdentical(returning, fresh));
+}
+
+// One request from a vehicle whose clock is far ahead of the fleet moves
+// neither the server clock nor the sweeps: the rest of the fleet gets the
+// tables (adaptations included) it gets without that vehicle, and the
+// caches stay bounded.
+TEST_F(OfferingServerTest, SkewedClientClockLeavesOthersCaching) {
+  std::vector<OfferingTable> plain_tables, skewed_tables;
+  std::vector<int64_t> plain_live, skewed_live;
+  ChurnReplay(2, /*skewed=*/false, &plain_tables, &plain_live);
+  ChurnReplay(2, /*skewed=*/true, &skewed_tables, &skewed_live);
+  size_t adapted = 0;
+  for (size_t i = 0; i < plain_tables.size(); ++i) {
+    EXPECT_TRUE(TablesBitIdentical(plain_tables[i], skewed_tables[i]))
+        << "round " << i / kWindow << " slot " << i % kWindow;
+    adapted += skewed_tables[i].adapted_from_cache ? 1 : 0;
+  }
+  EXPECT_GT(adapted, 0u);
+  ExpectBounded(skewed_live, /*extra=*/1);  // the skewed vehicle's cache
 }
 
 // The end-to-end latency splits into queue residency and service time:
@@ -127,6 +267,73 @@ TEST_F(OfferingServerTest, FourThreadsBitIdenticalToInline) {
   for (size_t i = 0; i < inline_tables.size(); ++i) {
     EXPECT_TRUE(TablesBitIdentical(inline_tables[i], threaded_tables[i]))
         << "client " << i / per_client << " seq " << i % per_client;
+  }
+}
+
+// Request times that go backwards: half the fleet reports sim times
+// 250 s behind the other half, so the stream keeps jumping back by most of
+// a cache TTL. Each client sits out every third block of three rounds and
+// its own clock stands still meanwhile, so it returns idle for longer than
+// the TTL on the server clock yet within the TTL on its own. Workers sweep
+// in other rounds than the inline server does; caches expire on the server
+// clock, stamped in submission order by Submit and SubmitWire alike, so
+// which worker swept when cannot change a table.
+TEST_F(OfferingServerTest, BackwardsTimesStillMatchInline) {
+  constexpr uint64_t kClients = 16;  // odd ids lag
+  constexpr uint64_t kRounds = 16;
+  constexpr double kRoundS = 100.0;
+  constexpr double kLagS = 250.0;
+  EcoChargeOptions eco_options;
+  eco_options.cache_ttl_s = 300.0;
+  const SimTime start = states_[0].time;
+
+  // Each slot receives its request's encoded table.
+  auto run = [&](int threads, bool wire) {
+    OfferingServerOptions options;
+    options.threads = threads;
+    options.queue_depth = kClients * kRounds;  // nothing shed
+    OfferingServer server(env_.get(), ScoreWeights::AWE(), eco_options,
+                          options);
+    std::vector<std::string> tables(kClients * kRounds);
+    std::vector<uint64_t> active(kClients, 0);  // rounds each client served
+    for (uint64_t round = 0; round < kRounds; ++round) {
+      for (uint64_t client = 0; client < kClients; ++client) {
+        if ((round / 3 + client) % 3 == 0) continue;
+        OfferingRequest request;
+        request.state = states_[client % states_.size()];
+        request.state.time =
+            start + static_cast<double>(active[client]++) * kRoundS -
+            (client % 2 == 1 ? kLagS : 0.0);
+        request.k = 3;
+        std::string* slot = &tables[round * kClients + client];
+        Status st =
+            wire ? server.SubmitWire(client, EncodeOfferingRequest(request),
+                                     [slot](const Result<std::string>& r) {
+                                       EXPECT_TRUE(r.ok());
+                                       if (r.ok()) *slot = r.value();
+                                     })
+                 : server.Submit(client, request.state, request.k,
+                                 [slot](const OfferingTable& t) {
+                                   *slot = EncodeOfferingTable(t);
+                                 });
+        EXPECT_TRUE(st.ok());
+      }
+    }
+    server.Drain();
+    EXPECT_GT(server.Stats().cache_adaptations, 0u);
+    return tables;
+  };
+
+  for (bool wire : {false, true}) {
+    const std::vector<std::string> reference = run(0, wire);
+    for (int threads : {2, 4}) {
+      const std::vector<std::string> tables = run(threads, wire);
+      for (size_t i = 0; i < tables.size(); ++i) {
+        EXPECT_EQ(tables[i], reference[i])
+            << (wire ? "wire" : "submit") << " threads=" << threads
+            << " round " << i / kClients << " client " << i % kClients;
+      }
+    }
   }
 }
 
@@ -370,6 +577,95 @@ TEST_F(OfferingServerTest, CorridorModeWithPublishesBitIdenticalAcrossThreads) {
           << "threads=" << threads << " slot=" << i;
     }
   }
+}
+
+// The Mode-2 offering service as a vehicle sees it: wire frames in,
+// Offering Tables out, one Dynamic Cache per client, all served by an
+// inline OfferingServer.
+class OfferingServiceTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    env_ = TinyEnvironment(50);
+    ASSERT_NE(env_, nullptr);
+    states_ = TinyWorkload(*env_, 4);
+    ASSERT_FALSE(states_.empty());
+    server_ = std::make_unique<OfferingServer>(
+        env_.get(), ScoreWeights::AWE(), EcoChargeOptions{});
+  }
+
+  Result<std::string> HandleWire(uint64_t client_id, const std::string& wire) {
+    Result<std::string> reply = Status::Internal("no reply");
+    EXPECT_TRUE(server_
+                    ->SubmitWire(client_id, wire,
+                                 [&](const Result<std::string>& r) {
+                                   reply = r;
+                                 })
+                    .ok());
+    return reply;
+  }
+
+  OfferingTable Rank(uint64_t client_id, const VehicleState& state) {
+    OfferingTable table;
+    EXPECT_TRUE(server_
+                    ->Submit(client_id, state, 3,
+                             [&](const OfferingTable& t) { table = t; })
+                    .ok());
+    return table;
+  }
+
+  std::unique_ptr<Environment> env_;
+  std::vector<VehicleState> states_;
+  std::unique_ptr<OfferingServer> server_;
+};
+
+TEST_F(OfferingServiceTest, WireRoundTripServesTable) {
+  OfferingRequest request;
+  request.state = states_[0];
+  request.k = 3;
+  auto reply = HandleWire(7, EncodeOfferingRequest(request));
+  ASSERT_TRUE(reply.ok()) << reply.status();
+  auto table = DecodeOfferingTable(reply.value());
+  ASSERT_TRUE(table.ok());
+  EXPECT_EQ(table.value().size(), 3u);
+  EXPECT_EQ(server_->Stats().served, 1u);
+  EXPECT_EQ(server_->Stats().malformed, 0u);
+}
+
+TEST_F(OfferingServiceTest, WireMatchesInProcessRanking) {
+  OfferingRequest request;
+  request.state = states_[0];
+  request.k = 3;
+  auto reply = HandleWire(1, EncodeOfferingRequest(request));
+  ASSERT_TRUE(reply.ok());
+  auto via_wire = DecodeOfferingTable(reply.value()).MoveValueUnsafe();
+  // A different client gets its own cache but the same deterministic
+  // answer for the same state.
+  OfferingTable direct = Rank(2, states_[0]);
+  EXPECT_TRUE(TablesBitIdentical(via_wire, direct));
+}
+
+TEST_F(OfferingServiceTest, MalformedRequestCounted) {
+  auto reply = HandleWire(7, "garbage");
+  EXPECT_FALSE(reply.ok());
+  EXPECT_EQ(server_->Stats().malformed, 1u);
+  EXPECT_EQ(server_->Stats().cache_adaptations, 0u);
+  EXPECT_EQ(server_->Stats().degraded_tables, 0u);
+  EXPECT_EQ(server_->Stats().clients, 0);
+}
+
+TEST_F(OfferingServiceTest, PerClientCachesAreIsolated) {
+  // Client A queries twice from the same spot: second is adapted. Client
+  // B's first query from that spot must NOT be adapted (it has no cache).
+  VehicleState s0 = states_[0];
+  Rank(100, s0);
+  VehicleState s1 = s0;
+  s1.time += 60.0;
+  OfferingTable a2 = Rank(100, s1);
+  EXPECT_TRUE(a2.adapted_from_cache);
+  OfferingTable b1 = Rank(200, s1);
+  EXPECT_FALSE(b1.adapted_from_cache);
+  EXPECT_EQ(server_->Stats().clients, 2);
+  EXPECT_EQ(server_->Stats().cache_adaptations, 1u);
 }
 
 }  // namespace

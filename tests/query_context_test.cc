@@ -13,7 +13,6 @@
 
 #include "core/baselines.h"
 #include "core/ecocharge.h"
-#include "core/offering_service.h"
 #include "resilience/resilient_information_server.h"
 #include "server/corridor_cache.h"
 #include "tests/test_util.h"
@@ -372,13 +371,14 @@ TEST(QueryContextTest, SteadyStateCorridorHitPathDoesNotAllocate) {
   SharedWorld& w = World();
   CorridorCacheOptions options;
   CorridorCache cache(w.env->dataset.network.get(), options);
-  OfferingService service(w.env->estimator.get(), w.env->charger_index.get(),
-                          ScoreWeights::AWE(), EcoChargeOptions{});
+  EcoChargeOptions fresh;
+  fresh.use_dynamic_cache = false;
+  EcoChargeRanker ranker(w.env->estimator.get(), w.env->charger_index.get(),
+                         ScoreWeights::AWE(), fresh);
   WorldRevisions revisions;
   const VehicleState& state = w.states.front();
   uint64_t key = cache.KeyFor(state, 3, revisions);
-  OfferingTable table;
-  service.RankFresh(cache.CanonicalState(state), 3, &table);
+  OfferingTable table = ranker.Rank(cache.CanonicalState(state), 3);
   cache.Put(key, table, state.time);
   OfferingTable out;
   ASSERT_TRUE(cache.GetInto(key, state.time, &out));  // warm the buffer

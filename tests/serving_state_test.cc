@@ -11,7 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "core/offering_service.h"
+#include "core/ecocharge.h"
 #include "server/corridor_cache.h"
 #include "server/world_epochs.h"
 #include "tests/test_util.h"
@@ -147,13 +147,15 @@ TEST_F(CorridorCacheTest, HitReturnsBitIdenticalTableAndTtlExpires) {
   CorridorCache cache(env_->dataset.network.get(), options);
   WorldRevisions revs;
 
-  OfferingService service(env_->estimator.get(), env_->charger_index.get(),
-                          ScoreWeights::AWE(), EcoChargeOptions{});
+  EcoChargeOptions fresh;
+  fresh.use_dynamic_cache = false;
+  EcoChargeRanker ranker(env_->estimator.get(), env_->charger_index.get(),
+                         ScoreWeights::AWE(), fresh);
   const VehicleState& state = states_[0];
   uint64_t key = cache.KeyFor(state, 3, revs);
   OfferingTable table;
   EXPECT_FALSE(cache.GetInto(key, state.time, &table));
-  service.RankFresh(cache.CanonicalState(state), 3, &table);
+  table = ranker.Rank(cache.CanonicalState(state), 3);
   cache.Put(key, table, state.time);
   EXPECT_EQ(cache.inserts(), 1u);
 

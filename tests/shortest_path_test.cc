@@ -266,58 +266,6 @@ TEST(DijkstraTest, EpochReuseIsolatesQueries) {
   EXPECT_NEAR(search.CostTo(42), d_before, 1e-12);
 }
 
-TEST(BidirectionalTest, MatchesDijkstraOnRandomPairs) {
-  auto network = SmallGrid();
-  DijkstraSearch search(*network);
-  Rng rng(51);
-  for (int trial = 0; trial < 40; ++trial) {
-    NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    PathResult uni = search.ShortestPath(s, t);
-    PathResult bi = BidirectionalShortestPath(*network, s, t);
-    ASSERT_EQ(uni.Reachable(), bi.Reachable()) << s << "->" << t;
-    if (uni.Reachable()) {
-      EXPECT_NEAR(uni.cost, bi.cost, 1e-6) << s << "->" << t;
-    }
-  }
-}
-
-TEST(BidirectionalTest, PathIsValidAndCostConsistent) {
-  auto network = SmallGrid();
-  Rng rng(53);
-  for (int trial = 0; trial < 20; ++trial) {
-    NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    PathResult bi = BidirectionalShortestPath(*network, s, t);
-    if (!bi.Reachable()) continue;
-    ASSERT_FALSE(bi.nodes.empty());
-    EXPECT_EQ(bi.nodes.front(), s);
-    EXPECT_EQ(bi.nodes.back(), t);
-    double total = 0.0;
-    for (size_t i = 1; i < bi.nodes.size(); ++i) {
-      bool found = false;
-      for (EdgeId e : network->OutEdges(bi.nodes[i - 1])) {
-        if (network->edge(e).to == bi.nodes[i]) {
-          total += network->edge(e).length_m;
-          found = true;
-          break;
-        }
-      }
-      ASSERT_TRUE(found);
-    }
-    EXPECT_NEAR(total, bi.cost, 1e-6);
-  }
-}
-
-TEST(BidirectionalTest, TrivialAndInvalidCases) {
-  auto network = SmallGrid();
-  PathResult same = BidirectionalShortestPath(*network, 4, 4);
-  EXPECT_EQ(same.cost, 0.0);
-  ASSERT_EQ(same.nodes.size(), 1u);
-  EXPECT_FALSE(
-      BidirectionalShortestPath(*network, 0, 1000000).Reachable());
-}
-
 TEST(DijkstraTest, CustomCostChangesRoute) {
   // Two routes a->b: direct long local road vs detour over fast highway.
   GraphBuilder builder;

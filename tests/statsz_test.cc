@@ -160,6 +160,9 @@ TEST(StatszTest, OfferingServerExportCarriesServingMetrics) {
   EXPECT_EQ(stats.served, submitted);
   EXPECT_EQ(static_cast<double>(stats.cache_adaptations),
             JsonNumber(json, "server.requests.cache_adaptations"));
+  EXPECT_GT(stats.clients, 0);
+  EXPECT_EQ(static_cast<double>(stats.clients),
+            JsonNumber(json, "server.clients"));
 }
 
 }  // namespace
