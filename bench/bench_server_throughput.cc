@@ -1,5 +1,5 @@
 // Serving-runtime bench: OfferingServer throughput and latency under a
-// sweep of worker threads x EIS cache shards x queue depth.
+// sweep of worker threads x queue depth.
 //
 // Each request carries a per-request simulated I/O stall (default 4 ms)
 // emulating the upstream-fetch / response-write blocking of the real
@@ -48,7 +48,6 @@ namespace {
 
 struct SweepPoint {
   int threads = 0;
-  size_t shards = 16;
   size_t queue_depth = 0;  // 0 = large enough that nothing is shed
   double io_ms = -1.0;     // <0 = use the bench-wide default
   bool corridor = false;   // serve through a shared corridor cache
@@ -91,7 +90,6 @@ SweepResult RunPoint(bench::PreparedWorld& world, const SweepPoint& point,
   }
   OfferingServerOptions opts;
   opts.threads = point.threads;
-  opts.eis_cache_shards = point.shards;
   opts.queue_depth =
       point.queue_depth == 0 ? num_requests : point.queue_depth;
   opts.simulated_io_ms = point.io_ms < 0.0 ? default_io_ms : point.io_ms;
@@ -179,7 +177,7 @@ void RunFleetPhase(bench::PreparedWorld& world, bool quick,
             << " clients, a refresh every " << kRefreshEvery << " ===\n"
             << "parity over " << parity_requests << " requests\n";
   auto point = [&](int workers, double io_ms, bool corridor) {
-    return SweepPoint{workers, 16, 0, io_ms, corridor, kRefreshEvery};
+    return SweepPoint{workers, 0, io_ms, corridor, kRefreshEvery};
   };
   bool parity_ok = true;
   for (bool corridor : {false, true}) {
@@ -258,7 +256,7 @@ void RunFleetPhase(bench::PreparedWorld& world, bool quick,
   std::cout << "\n=== Bulk corridor trace (" << bulk_requests
             << " requests, 16 workers, no stall) ===\n";
   const SweepResult bulk =
-      RunPoint(world, SweepPoint{16, 16, 0, 0.0, true, 8192}, bulk_requests,
+      RunPoint(world, SweepPoint{16, 0, 0.0, true, 8192}, bulk_requests,
                kClients, 0.0);
   std::cout << "  " << bulk.stats.served << " served in "
             << TableWriter::Fmt(bulk.elapsed_s, 2) << " s ("
@@ -302,7 +300,7 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::cout << "=== Serving runtime: threads x shards x queue depth ===\n"
+  std::cout << "=== Serving runtime: threads x queue depth ===\n"
             << num_requests << " requests from " << num_clients
             << " clients; per-request simulated I/O stall "
             << default_io_ms << " ms (rows marked io=0 are pure compute)\n\n";
@@ -310,24 +308,21 @@ int main(int argc, char** argv) {
   bench::PreparedWorld world = bench::Prepare(DatasetKind::kOldenburg, cfg);
 
   std::vector<SweepPoint> sweep = {
-      // Thread scaling at the default shard count, nothing shed.
-      {0, 16, 0, -1.0},
-      {1, 16, 0, -1.0},
-      {2, 16, 0, -1.0},
-      {4, 16, 0, -1.0},
-      // Shard sweep at 4 workers (contention on the EIS caches).
-      {4, 1, 0, -1.0},
-      {4, 4, 0, -1.0},
+      // Thread scaling, nothing shed.
+      {0, 0, -1.0},
+      {1, 0, -1.0},
+      {2, 0, -1.0},
+      {4, 0, -1.0},
       // Queue-depth sweep: small queues shed load instead of buffering.
-      {4, 16, 8, -1.0},
-      {4, 16, 32, -1.0},
+      {4, 8, -1.0},
+      {4, 32, -1.0},
       // Pure-compute reference rows (single core: expect ~1x scaling).
-      {0, 16, 0, 0.0},
-      {4, 16, 0, 0.0},
+      {0, 0, 0.0},
+      {4, 0, 0.0},
   };
 
-  TableWriter table({"Threads", "Shards", "Queue", "I/O [ms]", "QPS",
-                     "p50 [ms]", "p95 [ms]", "p99 [ms]", "Served", "Shed"});
+  TableWriter table({"Threads", "Queue", "I/O [ms]", "QPS", "p50 [ms]",
+                     "p95 [ms]", "p99 [ms]", "Served", "Shed"});
   bench::BenchJsonWriter json;
   double qps_inline = 0.0;
   double qps_4t = 0.0;
@@ -337,13 +332,12 @@ int main(int argc, char** argv) {
     double io_ms = point.io_ms < 0.0 ? default_io_ms : point.io_ms;
     size_t depth = point.queue_depth == 0 ? num_requests : point.queue_depth;
     if (io_ms > 0.0 && depth >= num_requests) {
-      if (point.threads == 0 && point.shards == 16) qps_inline = r.qps;
-      if (point.threads == 4 && point.shards == 16) qps_4t = r.qps;
+      if (point.threads == 0) qps_inline = r.qps;
+      if (point.threads == 4) qps_4t = r.qps;
     }
     ECOCHARGE_CHECK(
         table
-            .AddRow({std::to_string(point.threads),
-                     std::to_string(point.shards), std::to_string(depth),
+            .AddRow({std::to_string(point.threads), std::to_string(depth),
                      TableWriter::Fmt(io_ms, 1), TableWriter::Fmt(r.qps, 1),
                      TableWriter::Fmt(r.p50_ms, 2),
                      TableWriter::Fmt(r.p95_ms, 2),
@@ -355,7 +349,6 @@ int main(int argc, char** argv) {
     json.Str("bench", "server_throughput");
     json.Str("dataset", "Oldenburg");
     json.Num("threads", point.threads);
-    json.Num("eis_cache_shards", static_cast<double>(point.shards));
     json.Num("queue_depth", static_cast<double>(depth));
     json.Num("simulated_io_ms", io_ms);
     json.Num("requests", static_cast<double>(num_requests));

@@ -73,7 +73,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     serve_gate=1
-    set -- -R 'WorldEpochs|Corridor|OfferingServer|ForecastColumns|EstimateBatch|TtlCache|QueryContext' "$@"
+    set -- -R 'WorldEpochs|Corridor|OfferingServer|ForecastColumns|EstimateBatch|QueryContext' "$@"
     ;;
   obs)
     # The metrics hot path is relaxed atomics shared across worker
@@ -82,7 +82,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     obs_gate=1
-    set -- -R 'Metrics|Statsz|TtlCache|ForecastColumns|EstimateBatch|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous' "$@"
+    set -- -R 'Metrics|Statsz|ForecastColumns|EstimateBatch|BoundedQueue|OfferingServer|InformationServer|QueryContext|Continuous' "$@"
     ;;
   fault)
     # The resilience stack (fault injector, retry state, breakers, stale
@@ -92,7 +92,7 @@ case "${sanitize}" in
     shift
     sanitize="thread"
     fault_gate=1
-    set -- -R 'Resilien|FaultInjector|CircuitBreaker|RetryPolicy|ScopedRequestDeadline|Degrad|TtlCache|ForecastColumns|EstimateBatch|OfferingServer|InformationServer' "$@"
+    set -- -R 'Resilien|FaultInjector|CircuitBreaker|RetryPolicy|ScopedRequestDeadline|Degrad|ForecastColumns|EstimateBatch|OfferingServer|InformationServer' "$@"
     ;;
   perf)
     # Performance regressions in the refinement phase are contract breaks,

@@ -267,10 +267,10 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
     if (metrics_.warm_start_hits && stats.warm_start) {
       metrics_.warm_start_hits->Add();
     }
+    // selected[i].ecs are the ECs ScoreCandidates estimated at `state`
+    // (the precondition), so only their derouting component is replaced.
     for (size_t i = 0; i < refine_count; ++i) {
       ScoredCandidate& c = selected[i];
-      c.ecs = estimator_->EstimateIntervals(state, fleet[c.charger_id],
-                                            options_.derouting_norm_m);
       estimator_->ApplyExactDerouting(scratch.estimates[i],
                                       options_.derouting_norm_m, &c.ecs);
       c.score = ComputeScorePair(c.ecs, weights);

@@ -148,6 +148,11 @@ class CknnEcProcessor {
   /// this call — the Dynamic-Caching hit path passes false to keep the
   /// adaptation cheap. `*scored` itself is left unmodified; winners are
   /// copied through `ctx->selected` into `*out`.
+  ///
+  /// Precondition when `refine_exact_derouting` is true: `*scored` was
+  /// scored at `state` (ScoreCandidates with this `state`), because the
+  /// refined candidates keep those estimated L and A intervals and only
+  /// their derouting is replaced by the exact one.
   void RefineAndRank(const VehicleState& state,
                      const std::vector<ScoredCandidate>* scored, size_t k,
                      const ScoreWeights& weights, bool refine_exact_derouting,

@@ -12,14 +12,14 @@
 #include <vector>
 
 #include "common/simtime.h"
-#include "eis/ttl_cache.h"
+#include "eis/cache_stats.h"
 #include "energy/charger.h"
 #include "obs/metrics.h"
 
 namespace ecocharge {
 
-/// \brief Outer key of one forecast column: everything a per-charger
-/// forecast depends on except the charger itself.
+/// \brief Outer key of one forecast column: everything a response depends
+/// on except the charger (or road class) it is about.
 struct ColumnKey {
   uint64_t issue_bucket = 0;   ///< 15-minute bucket of the request time
   uint64_t target_bucket = 0;  ///< 15-minute bucket of the arrival time
@@ -29,7 +29,8 @@ struct ColumnKey {
   bool operator==(const ColumnKey&) const = default;
 };
 
-/// The slot a Resolve candidate reads: arrival bucket and charger id.
+/// The slot a Resolve candidate reads: arrival bucket and charger id (for
+/// traffic, the road class).
 struct SlotKey {
   uint64_t target_bucket = 0;
   ChargerId id = 0;
@@ -47,27 +48,26 @@ enum class SlotClaim : uint8_t {
   kDone,     ///< out[i] holds the answer
 };
 
-/// \brief Dense per-charger response columns of one EIS source — the
-/// store behind the weather (L) and availability (A) forecasts.
+/// \brief Dense response columns of one EIS source — the store behind the
+/// weather (L), availability (A) and traffic (D) forecasts.
 ///
 /// Every key maps to a column of slots indexed by charger id, so a fresh
 /// request's ~1000 lookups are array reads under two lock holds instead of
 /// ~1000 hashed, individually locked probes. A slot holds {value,
 /// inserted_at, present, pending}; it is fresh while
-/// `now - inserted_at <= ttl` — the same strict `age > ttl` boundary
-/// TtlCache pins — and an expired slot counts one expiration plus one
-/// miss, exactly as the per-key cache counts it, so hit rates are
-/// unchanged for the same lookup sequence.
+/// `now - inserted_at <= ttl` — the exact deadline is a hit, and so is a
+/// negative age — and an expired slot counts one expiration plus one
+/// miss. Traffic columns are indexed by road class, so each holds at most
+/// three slots.
 ///
 /// Memory is bounded by about `max_slots` allocated slots: a column's
 /// dense array grows to the largest id put into it, ids at or beyond
 /// `max_slots` go to the column's small sparse map (so a stray huge id
 /// never allocates in proportion to itself), and a claim into a store at
 /// its budget first drops every column whose newest slot has expired,
-/// then — if that is not enough — every column (TtlCache::Put's policy),
-/// sparing columns with a pending claim. When concurrent claims pin more
-/// than the budget, the next sweep waits until the store has grown by
-/// another eighth of it.
+/// then — if that is not enough — every column, sparing columns with a
+/// pending claim. When concurrent claims pin more than the budget, the
+/// next sweep waits until the store has grown by another eighth of it.
 ///
 /// Thread safety: one mutex guards the store but is never held across an
 /// upstream call. Resolve (1) under the lock serves fresh slots and marks
@@ -165,8 +165,10 @@ class ForecastColumns {
   /// Counter snapshot (by value; safe to call concurrently with traffic).
   CacheStats stats() const { return stats_.Snapshot(); }
 
-  /// Mirrors hits/misses/expirations onto registry-owned counters (null
-  /// detaches), like TtlCache::AttachCounters.
+  /// Mirrors hits/misses/expirations onto registry-owned counters, in
+  /// addition to stats(), so a statsz export sees live cache rates. Null
+  /// detaches. Wire before serving traffic starts; the counters must
+  /// outlive the store's use of them.
   void AttachCounters(obs::Counter* hits, obs::Counter* misses,
                       obs::Counter* expirations) {
     hits_mirror_ = hits;

@@ -14,22 +14,7 @@ SimTime InformationServer::SnapToBucket(SimTime t) {
   return static_cast<double>(TimeBucket(t)) * kBucketSeconds;
 }
 
-uint64_t InformationServer::MixKey(uint64_t a, uint64_t b, uint64_t c) {
-  uint64_t h = a * 0x9E3779B97F4A7C15ULL ^ (b + 0xC2B2AE3D27D4EB4FULL);
-  return (h ^ (h >> 29)) * 0xBF58476D1CE4E5B9ULL + c * 0x94D049BB133111EBULL;
-}
-
 namespace {
-
-// Re-keys `key` under revision `rev` of its upstream data set. rev + 1
-// keeps revision 0 distinct from the no-op fold of a missing scope only
-// through the branch below — when no scope is installed the key passes
-// through untouched, preserving the pre-fleet key space bit for bit.
-uint64_t FoldRevision(uint64_t key, uint64_t rev) {
-  uint64_t h = key ^ (rev + 1) * 0xD6E8FEB86659FD93ULL;
-  h ^= h >> 32;
-  return h * 0x2545F4914F6CDD1DULL;
-}
 
 // The revision component of a column key: 0 when no scope is installed,
 // so stand-alone callers keep the classic key space.
@@ -55,14 +40,15 @@ ColumnKey InformationServer::AvailabilityColumn(SimTime now) {
   return key;
 }
 
-uint64_t InformationServer::TrafficKey(RoadClass road_class, SimTime now,
-                                       SimTime target) {
-  uint64_t key = MixKey(static_cast<uint64_t>(road_class) + 1,
-                        TimeBucket(target), TimeBucket(now));
-  if (const WorldRevisions* revs = ScopedWorldRevisions::Current()) {
-    key = FoldRevision(key, revs->traffic);
-  }
+ColumnKey InformationServer::TrafficColumn(SimTime now) {
+  ColumnKey key;
+  key.issue_bucket = TimeBucket(now);
+  key.revision = ColumnRevision(&WorldRevisions::traffic);
   return key;
+}
+
+SlotKey InformationServer::TrafficSlot(RoadClass road_class, SimTime target) {
+  return SlotKey{TimeBucket(target), static_cast<ChargerId>(road_class)};
 }
 
 void InformationServer::CountWeatherCall() {
@@ -100,8 +86,7 @@ InformationServer::InformationServer(SolarEnergyService* energy,
       congestion_(congestion),
       weather_columns_(options.weather_ttl_s, kStoreCapacity),
       availability_columns_(options.availability_ttl_s, kStoreCapacity),
-      traffic_cache_(options.traffic_ttl_s, kStoreCapacity,
-                     options.cache_shards) {}
+      traffic_columns_(options.traffic_ttl_s, kStoreCapacity) {}
 
 void InformationServer::ResolveWeather(
     std::span<const EvCharger* const> chargers,
@@ -188,17 +173,33 @@ void InformationServer::GetForecastBatch(
                       out->fetch.data(), out->claims);
 }
 
+void InformationServer::ResolveTraffic(RoadClass road_class, SimTime now,
+                                       SimTime target,
+                                       CongestionModel::Band* out,
+                                       EisFetch* /*fetch*/) {
+  SlotClaim claim[1];
+  traffic_columns_.Resolve(
+      TrafficColumn(now), now, claim, out,
+      [&](size_t) { return TrafficSlot(road_class, target); },
+      [&](size_t, uint64_t bucket) -> Result<CongestionModel::Band> {
+        CountTrafficCall();
+        return congestion_->ForecastSpeedFactor(
+            road_class, SnapToBucket(now),
+            static_cast<double>(bucket) * kBucketSeconds);
+      },
+      [](size_t, const CongestionModel::Band* stale) {
+        return stale ? *stale : CongestionModel::Band{};
+      });
+}
+
 CongestionModel::Band InformationServer::GetTraffic(RoadClass road_class,
                                                     SimTime now,
                                                     SimTime target,
                                                     EisFetch* fetch) {
-  if (fetch) *fetch = EisFetch::kFresh;
-  uint64_t key = TrafficKey(road_class, now, target);
-  if (auto cached = traffic_cache_.Get(key, now)) return *cached;
-  CountTrafficCall();
-  CongestionModel::Band band = congestion_->ForecastSpeedFactor(
-      road_class, SnapToBucket(now), SnapToBucket(target));
-  traffic_cache_.Put(key, band, now);
+  CongestionModel::Band band;
+  EisFetch rung = EisFetch::kFresh;
+  ResolveTraffic(road_class, now, target, &band, &rung);
+  if (fetch) *fetch = rung;
   return band;
 }
 
@@ -209,7 +210,7 @@ void InformationServer::AttachMetrics(obs::MetricsRegistry* registry) {
     traffic_calls_mirror_ = nullptr;
     weather_columns_.AttachCounters(nullptr, nullptr, nullptr);
     availability_columns_.AttachCounters(nullptr, nullptr, nullptr);
-    traffic_cache_.AttachCounters(nullptr, nullptr, nullptr);
+    traffic_columns_.AttachCounters(nullptr, nullptr, nullptr);
     return;
   }
   auto wire = [registry](const std::string& source, auto& cache,
@@ -223,7 +224,7 @@ void InformationServer::AttachMetrics(obs::MetricsRegistry* registry) {
   };
   wire("weather", weather_columns_, &weather_calls_mirror_);
   wire("availability", availability_columns_, &availability_calls_mirror_);
-  wire("traffic", traffic_cache_, &traffic_calls_mirror_);
+  wire("traffic", traffic_columns_, &traffic_calls_mirror_);
 }
 
 EisCallStats InformationServer::Snapshot() const {
@@ -234,7 +235,7 @@ EisCallStats InformationServer::Snapshot() const {
   stats.traffic_api_calls = traffic_calls_.load(std::memory_order_relaxed);
   stats.weather_cache = weather_columns_.stats();
   stats.availability_cache = availability_columns_.stats();
-  stats.traffic_cache = traffic_cache_.stats();
+  stats.traffic_cache = traffic_columns_.stats();
   return stats;
 }
 

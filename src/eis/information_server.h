@@ -10,8 +10,8 @@
 
 #include "availability/availability_service.h"
 #include "common/result.h"
+#include "eis/cache_stats.h"
 #include "eis/forecast_columns.h"
-#include "eis/ttl_cache.h"
 #include "eis/world_revisions.h"
 #include "energy/production.h"
 #include "traffic/congestion.h"
@@ -19,16 +19,13 @@
 namespace ecocharge {
 
 /// \brief TTLs for the three upstream "APIs" (weather, busy timetables,
-/// traffic), mirroring how often the real services refresh, plus the lock
-/// granularity of the traffic cache.
+/// traffic), mirroring how often the real services refresh.
 struct EisOptions {
   double weather_ttl_s = 30.0 * kSecondsPerMinute;
   double availability_ttl_s = 15.0 * kSecondsPerMinute;
   double traffic_ttl_s = 5.0 * kSecondsPerMinute;
 
-  /// Shards of the traffic TTL cache (rounded up to a power of two). The
-  /// weather and availability column stores take one lock per batch and
-  /// are not sharded.
+  /// Unused; perfbench still sets it.
   size_t cache_shards = 1;
 };
 
@@ -75,19 +72,19 @@ struct ForecastBatch {
 /// adds caching and accounting, exactly like the Laravel/Nginx deployment
 /// it stands in for.
 ///
-/// The weather (L) and availability (A) responses live in dense
-/// per-charger ForecastColumns (DESIGN.md §18): a fresh request resolves
-/// all its candidates with one GetForecastBatch call, and the single-
-/// charger Get* calls are one-element uses of the same store. Traffic (D)
-/// keeps a TtlCache over its three road classes.
+/// All three responses live in ForecastColumns stores (DESIGN.md §18):
+/// weather (L) and availability (A) columns are indexed by charger id, so
+/// a fresh request resolves all its candidates with one GetForecastBatch
+/// call and the single-charger Get* calls are one-element uses of the
+/// same store; traffic (D) columns are indexed by road class.
 ///
 /// Thread safety: one InformationServer may be shared by all serving
 /// workers. Each column store is guarded by one mutex that is never held
-/// across an upstream call: a batch claims its missing slots, fetches
-/// them unlocked and publishes them, and a concurrent batch wanting a
+/// across an upstream call: a call claims its missing slots, fetches
+/// them unlocked and publishes them, and a concurrent call wanting a
 /// claimed slot waits for that publish, so no upstream call is ever
-/// duplicated (ForecastColumns); the traffic cache is sharded; call
-/// counters are relaxed atomics; and the upstream services are either
+/// duplicated (ForecastColumns); call counters are relaxed atomics; and
+/// the upstream services are either
 /// const and pure in their inputs (AvailabilityService, CongestionModel)
 /// or internally synchronized (SolarEnergyService via WeatherProcess).
 /// Every response is a pure function of its key, so the caches change
@@ -102,10 +99,10 @@ class InformationServer {
 
   /// The Get* methods and GetForecastBatch are virtual decoration seams
   /// (a tracing subclass can time them). The resilience layer decorates
-  /// underneath them: ResilientInformationServer overrides GetTraffic and
-  /// the per-source Resolve* steps that GetEnergyForecast, GetAvailability
-  /// and GetForecastBatch share, with a fetch path that can fail, retry,
-  /// trip breakers, and degrade. When `fetch` is non-null it reports which
+  /// underneath them: ResilientInformationServer overrides only the three
+  /// per-source Resolve* steps the Get* calls and GetForecastBatch go
+  /// through, with a fetch path that can fail, retry, trip breakers, and
+  /// degrade. When `fetch` is non-null it reports which
   /// rung of the degradation ladder produced the response — this base
   /// implementation cannot degrade and always reports kFresh.
 
@@ -154,19 +151,19 @@ class InformationServer {
   /// from the undecorated one.
   static uint64_t TimeBucket(SimTime t);
   static SimTime SnapToBucket(SimTime t);
-  static uint64_t MixKey(uint64_t a, uint64_t b, uint64_t c);
 
-  /// Column keys (target bucket left 0: it varies per candidate) of the
-  /// two column stores, and the traffic cache key. They fold in the
-  /// thread's active world revision (ScopedWorldRevisions) when one is
-  /// installed: a published refresh bumps the revision, which re-keys the
-  /// affected upstream so stale responses become unreachable without a
-  /// sweep. The weather key also carries the charge window, because the
-  /// forecast integrates over it.
+  /// Column keys (target bucket left 0: it varies per slot) of the three
+  /// column stores. They fold in the thread's active world revision
+  /// (ScopedWorldRevisions) when one is installed: a published refresh
+  /// bumps the revision, which re-keys the affected upstream so stale
+  /// responses become unreachable without a sweep. The weather key also
+  /// carries the charge window, because the forecast integrates over it.
   static ColumnKey WeatherColumn(SimTime now, double window_s);
   static ColumnKey AvailabilityColumn(SimTime now);
-  static uint64_t TrafficKey(RoadClass road_class, SimTime now,
-                             SimTime target);
+  static ColumnKey TrafficColumn(SimTime now);
+
+  /// The slot of `road_class` arriving at `target` in a traffic column.
+  static SlotKey TrafficSlot(RoadClass road_class, SimTime target);
 
   /// Per-source resolution behind both the Get* calls and
   /// GetForecastBatch: `out[i]` for `chargers[i]` arriving at `targets[i]`,
@@ -175,8 +172,9 @@ class InformationServer {
   /// service itself and cannot fail, and a weather call prices one
   /// SolarWindow per distinct target bucket it misses, shared by every
   /// charger missing in that bucket; each missed slot still counts one
-  /// upstream call. ResilientInformationServer overrides both with its
-  /// guarded, degrading per-charger fetch over the same column slots.
+  /// upstream call. ResilientInformationServer overrides all three
+  /// Resolve* steps with its guarded, degrading fetch over the same
+  /// column slots.
   virtual void ResolveWeather(std::span<const EvCharger* const> chargers,
                               std::span<const SimTime> targets, SimTime now,
                               double window_s, EnergyForecast* out,
@@ -187,6 +185,13 @@ class InformationServer {
                                    SimTime now, AvailabilityForecast* out,
                                    EisFetch* fetch,
                                    std::span<SlotClaim> claims);
+
+  /// The traffic step behind GetTraffic: `*out` for `road_class` arriving
+  /// at `target`, `*fetch` raised to the rung used. Traffic has no
+  /// charger span, so this resolves one slot of `traffic_columns_`.
+  virtual void ResolveTraffic(RoadClass road_class, SimTime now,
+                              SimTime target, CongestionModel::Band* out,
+                              EisFetch* fetch);
 
   /// Bumps the per-upstream call counter (atomic + registry mirror).
   void CountWeatherCall();
@@ -232,17 +237,16 @@ class InformationServer {
   const AvailabilityService* availability_;
   const CongestionModel* congestion_;
 
-  /// Capacity of each response store: column slots for weather and
-  /// availability, entries for traffic.
+  /// Slot budget of each column store.
   static constexpr size_t kStoreCapacity = 1 << 16;
 
   // Column keys quantize both the issue time and the target to the
-  // forecast bucket and slots are indexed by charger id, so a cached
-  // response equals what the upstream service would return — the cache
-  // changes cost, never answers.
+  // forecast bucket and slots are indexed by charger id (traffic: road
+  // class), so a cached response equals what the upstream service would
+  // return — the cache changes cost, never answers.
   ForecastColumns<EnergyForecast> weather_columns_;
   ForecastColumns<AvailabilityForecast> availability_columns_;
-  TtlCache<uint64_t, CongestionModel::Band> traffic_cache_;
+  ForecastColumns<CongestionModel::Band> traffic_columns_;
 
  private:
   std::atomic<uint64_t> weather_calls_{0};

@@ -1,7 +1,6 @@
 #include "resilience/resilient_information_server.h"
 
 #include <algorithm>
-#include <optional>
 
 namespace ecocharge {
 namespace resilience {
@@ -137,35 +136,28 @@ void ResilientInformationServer::ResolveAvailability(
       out, fetch, claims);
 }
 
-CongestionModel::Band ResilientInformationServer::GetTraffic(
-    RoadClass road_class, SimTime now, SimTime target, EisFetch* fetch) {
-  uint64_t key = TrafficKey(road_class, now, target);
-  bool fresh = false;
-  std::optional<CongestionModel::Band> cached =
-      traffic_cache_.GetAllowStale(key, now, &fresh);
-  if (cached && fresh) {
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *cached;
-  }
-  Result<CongestionModel::Band> fetched =
-      FetchWithResilience<CongestionModel::Band>(
-          UpstreamKind::kTraffic, now,
-          [&]() -> Result<CongestionModel::Band> {
-            CountTrafficCall();
-            return source_->FetchTraffic(road_class, SnapToBucket(now),
-                                         SnapToBucket(target));
-          });
-  if (fetched.ok()) {
-    traffic_cache_.Put(key, *fetched, now);
-    if (fetch) *fetch = EisFetch::kFresh;
-    return *fetched;
-  }
-  EisFetch rung = EisFetch::kFresh;
-  CongestionModel::Band band =
-      Degrade(UpstreamKind::kTraffic, cached ? &*cached : nullptr,
-              ClimatologicalTraffic(), &rung);
-  if (fetch) *fetch = rung;
-  return band;
+void ResilientInformationServer::ResolveTraffic(RoadClass road_class,
+                                                SimTime now, SimTime target,
+                                                CongestionModel::Band* out,
+                                                EisFetch* fetch) {
+  SlotClaim claim[1];
+  traffic_columns_.Resolve(
+      TrafficColumn(now), now, claim, out,
+      [&](size_t) { return TrafficSlot(road_class, target); },
+      [&](size_t, uint64_t bucket) {
+        return FetchWithResilience<CongestionModel::Band>(
+            UpstreamKind::kTraffic, now,
+            [&]() -> Result<CongestionModel::Band> {
+              CountTrafficCall();
+              return source_->FetchTraffic(
+                  road_class, SnapToBucket(now),
+                  static_cast<double>(bucket) * kBucketSeconds);
+            });
+      },
+      [&](size_t, const CongestionModel::Band* stale) {
+        return Degrade(UpstreamKind::kTraffic, stale, ClimatologicalTraffic(),
+                       fetch);
+      });
 }
 
 void ResilientInformationServer::AttachMetrics(obs::MetricsRegistry* registry) {

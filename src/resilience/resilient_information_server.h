@@ -48,10 +48,12 @@ struct UpstreamResilienceStats {
 
 /// \brief InformationServer decorated with the resilience ladder.
 ///
-/// Same stores, same keys, same upstream accounting as the base class —
-/// but the cache-miss path goes through an EisSource that can fail
-/// (normally the owned FaultInjector), guarded by a retry policy with
-/// capped decorrelated-jitter backoff and a per-upstream circuit breaker.
+/// Same stores, same keys, same upstream accounting as the base class.
+/// On the lookup path it overrides only the base class's three Resolve*
+/// steps (weather, availability, traffic): the cache-miss path goes
+/// through an EisSource that can fail (normally the owned FaultInjector),
+/// guarded by a retry policy with capped decorrelated-jitter backoff and a
+/// per-upstream circuit breaker.
 /// When the upstream cannot be reached the server degrades instead of
 /// failing, walking down the ladder (DESIGN.md §11):
 ///
@@ -91,10 +93,6 @@ class ResilientInformationServer : public InformationServer {
                              const CongestionModel* congestion,
                              const EisOptions& eis_options = {},
                              const ResilienceOptions& options = {});
-
-  CongestionModel::Band GetTraffic(RoadClass road_class, SimTime now,
-                                   SimTime target,
-                                   EisFetch* fetch = nullptr) override;
 
   /// Wires the base EIS instruments plus, per upstream,
   /// `resilience.<kind>.{retries,backoff_ms,stale_serves,
@@ -152,11 +150,11 @@ class ResilientInformationServer : public InformationServer {
     return climatological;
   }
 
-  /// The batch and the single-charger calls of the L and A sources both
-  /// land here, on the base class's column slots read with GetAllowStale
-  /// semantics: a fresh slot is served, a miss goes through the guarded
-  /// upstream, and a failure walks the ladder for that candidate only
-  /// (stale slot, else the climatological default).
+  /// Every call of the three sources lands here, on the base class's
+  /// column slots: a fresh slot is served, a miss (absent or expired)
+  /// goes through the guarded upstream, and a failure walks the ladder
+  /// for that slot only (the expired value, else the climatological
+  /// default).
   void ResolveWeather(std::span<const EvCharger* const> chargers,
                       std::span<const SimTime> targets, SimTime now,
                       double window_s, EnergyForecast* out,
@@ -166,6 +164,8 @@ class ResilientInformationServer : public InformationServer {
                            std::span<const SimTime> targets, SimTime now,
                            AvailabilityForecast* out, EisFetch* fetch,
                            std::span<SlotClaim> claims) override;
+  void ResolveTraffic(RoadClass road_class, SimTime now, SimTime target,
+                      CongestionModel::Band* out, EisFetch* fetch) override;
 
   /// One guarded upstream request: breaker admission, then attempt /
   /// backoff / retry until success, retry exhaustion, deadline-budget

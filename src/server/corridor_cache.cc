@@ -103,9 +103,9 @@ bool CorridorCache::GetInto(uint64_t key, SimTime now, OfferingTable* out) {
     if (misses_mirror_) misses_mirror_->Add();
     return false;
   }
-  // Same pinned boundary as TtlCache: age == ttl is still a hit. Negative
-  // age (an entry from this key's future — only possible across replayed
-  // sim clocks) is stale.
+  // Same pinned boundary as the EIS column stores: age == ttl is still a
+  // hit. Unlike there, a negative age (an entry from this key's future —
+  // only possible across replayed sim clocks) is stale.
   double age = now - it->second.inserted_at;
   if (age > options_.ttl_s || age < 0.0) {
     stats_.AddExpiration();

@@ -10,7 +10,7 @@
 #include "common/status.h"
 #include "core/offering_table.h"
 #include "core/vehicle_state.h"
-#include "eis/ttl_cache.h"
+#include "eis/cache_stats.h"
 #include "eis/world_revisions.h"
 #include "obs/metrics.h"
 
@@ -29,8 +29,7 @@ struct CorridorCacheOptions {
   /// vehicles minutes apart see the same L/A/D forecasts anyway).
   double eta_bucket_s = 5.0 * kSecondsPerMinute;
 
-  /// Lock shards (rounded up to a power of two), mirroring
-  /// EisOptions::cache_shards.
+  /// Lock shards (rounded up to a power of two).
   size_t num_shards = 16;
 
   /// Per-shard entry cap; at capacity a shard drops expired entries and,

@@ -18,18 +18,15 @@ OfferingServer::OfferingServer(Environment* env, const ScoreWeights& weights,
       threads_(std::max(0, options.threads)),
       options_(options),
       cache_options_(eco_options.cache_options()) {
-  EisOptions eis_options;
-  eis_options.cache_shards = options_.eis_cache_shards;
   if (options_.resilient_eis) {
     auto resilient = std::make_unique<resilience::ResilientInformationServer>(
         env_->energy.get(), env_->availability.get(), env_->congestion.get(),
-        eis_options, options_.resilience);
+        EisOptions{}, options_.resilience);
     resilient_eis_ = resilient.get();
     shared_eis_ = std::move(resilient);
   } else {
     shared_eis_ = std::make_unique<InformationServer>(
-        env_->energy.get(), env_->availability.get(), env_->congestion.get(),
-        eis_options);
+        env_->energy.get(), env_->availability.get(), env_->congestion.get());
   }
 
   // All instrument registration happens here, before any worker thread

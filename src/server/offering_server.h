@@ -39,7 +39,7 @@ struct OfferingServerOptions {
   /// with kUnavailable (admission control) instead of buffering unboundedly.
   size_t queue_depth = 256;
 
-  /// Shards of the EIS traffic cache (see EisOptions::cache_shards).
+  /// Unused; perfbench still reads it.
   size_t eis_cache_shards = 16;
 
   /// When > 0, each request handler blocks this long to emulate the
@@ -103,8 +103,8 @@ struct OfferingServerStats {
 /// compute path. Workers share exactly three things, each engineered for
 /// concurrent reads: the immutable environment (network, chargers,
 /// spatial index), the pure-function forecast services, and one
-/// InformationServer whose column stores never hold their lock across an
-/// upstream fetch and whose traffic cache is sharded.
+/// InformationServer whose three column stores never hold their lock
+/// across an upstream fetch.
 ///
 /// Requests are routed to workers by client id hash, which gives every
 /// client a stable worker and therefore FIFO processing of its own
@@ -175,7 +175,7 @@ class OfferingServer {
   /// Counter snapshot; safe to call concurrently with traffic.
   OfferingServerStats Stats() const;
 
-  /// The shared, sharded Information Server all workers account against.
+  /// The shared Information Server all workers account against.
   const InformationServer& information_server() const { return *shared_eis_; }
 
   /// The resilient EIS decorator, or null when `resilient_eis` is off.

@@ -58,6 +58,36 @@ TEST_F(EcoChargeTest, CacheAdaptsNearbyQueries) {
   EXPECT_EQ(eco.cache().hits(), 1u);
 }
 
+TEST_F(EcoChargeTest, FreshQueryLooksUpEachSourceOncePerCandidate) {
+  // A fresh query estimates its candidates in one batch: one traffic
+  // lookup, and one weather and one availability lookup per candidate.
+  // The exact-derouting refinement keeps those estimates and looks up
+  // nothing more.
+  EcoChargeOptions opts = DefaultOpts();
+  EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
+                      weights_, opts);
+  CknnEcOptions filter;
+  filter.radius_m = opts.radius_m;
+  const size_t candidates =
+      CknnEcProcessor(env_->estimator.get(), env_->charger_index.get(),
+                      filter)
+          .FilterCandidates(states_[0].position)
+          .size();
+  ASSERT_GT(candidates, opts.refine_limit);  // the refinement runs in full
+  const InformationServer& eis = env_->estimator->information_server();
+  const EisCallStats before = eis.Snapshot();
+  OfferingTable table = eco.Rank(states_[0], 3);
+  ASSERT_FALSE(table.adapted_from_cache);
+  const EisCallStats after = eis.Snapshot();
+  auto lookups = [](const CacheStats& a, const CacheStats& b) {
+    return (b.hits + b.misses) - (a.hits + a.misses);
+  };
+  EXPECT_EQ(lookups(before.traffic_cache, after.traffic_cache), 1u);
+  EXPECT_EQ(lookups(before.weather_cache, after.weather_cache), candidates);
+  EXPECT_EQ(lookups(before.availability_cache, after.availability_cache),
+            candidates);
+}
+
 TEST_F(EcoChargeTest, FarQueryRegenerates) {
   EcoChargeOptions opts = DefaultOpts();
   opts.q_distance_m = 1000.0;

@@ -373,6 +373,29 @@ std::vector<AvailabilityForecast> ResolveSlots(
   return out;
 }
 
+TEST(CacheStatsTest, HitRateComputation) {
+  CacheStats stats;
+  EXPECT_EQ(stats.HitRate(), 0.0);  // no lookups yet
+  stats.hits = 3;
+  stats.misses = 1;
+  EXPECT_DOUBLE_EQ(stats.HitRate(), 0.75);
+}
+
+TEST(AtomicCacheStatsTest, SnapshotReflectsCounts) {
+  AtomicCacheStats stats;
+  stats.AddHit();
+  stats.AddHit();
+  stats.AddMiss();
+  stats.AddExpiration();
+  CacheStats snapshot = stats.Snapshot();
+  EXPECT_EQ(snapshot.hits, 2u);
+  EXPECT_EQ(snapshot.misses, 1u);
+  EXPECT_EQ(snapshot.expirations, 1u);
+  EXPECT_DOUBLE_EQ(snapshot.HitRate(), 2.0 / 3.0);
+  stats.Add(1, 0, 0);
+  EXPECT_DOUBLE_EQ(stats.Snapshot().HitRate(), 0.75);
+}
+
 TEST(ForecastColumnsTest, HugeChargerIdDoesNotAllocateInProportion) {
   ForecastColumns<AvailabilityForecast> store(60.0, 1 << 16);
   std::atomic<int> calls{0};

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <vector>
 
@@ -87,13 +88,166 @@ TEST_F(InformationServerTest, ResponsesArePureFunctionsOfKey) {
   EXPECT_EQ(fresh.Snapshot().availability_api_calls, 2u);
 }
 
-TEST_F(InformationServerTest, TrafficKeyedByRoadClass) {
+TEST_F(InformationServerTest, TrafficSlotPerRoadClass) {
   SimTime now = 8.0 * kSecondsPerHour;
   auto highway = server_.GetTraffic(RoadClass::kHighway, now, now);
   auto local = server_.GetTraffic(RoadClass::kLocal, now, now);
   EXPECT_EQ(server_.Snapshot().traffic_api_calls, 2u);
   // Rush hour: highways slower than locals.
   EXPECT_LT(highway.max, local.max + 1e-12);
+}
+
+TEST_F(InformationServerTest, TrafficMissThenHit) {
+  // Two traffic targets inside one 15-minute bucket share a slot: a miss
+  // with one upstream call, then a hit with the same answer.
+  const SimTime now = 9.0 * kSecondsPerHour;
+  const CongestionModel::Band first =
+      server_.GetTraffic(RoadClass::kLocal, now, now + 60.0);
+  const CongestionModel::Band second =
+      server_.GetTraffic(RoadClass::kLocal, now, now + 500.0);
+  EXPECT_EQ(second.min, first.min);
+  EXPECT_EQ(second.max, first.max);
+  const EisCallStats stats = server_.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 1u);
+  EXPECT_EQ(stats.traffic_cache.hits, 1u);
+  EXPECT_EQ(stats.traffic_cache.misses, 1u);
+}
+
+/// One traffic TTL and a start time whose whole test span stays inside
+/// the 15-minute bucket starting at 08:00, so only the age decides.
+constexpr double kTrafficTtl = 60.0;
+constexpr SimTime kTrafficT0 = 8.0 * kSecondsPerHour + 100.0;
+
+TEST_F(InformationServerTest, TrafficExpiresStrictlyAfterItsTtl) {
+  // A slot inserted at t is fresh while now - t <= ttl: the exact
+  // deadline is a hit, one second past it is an expiration plus a miss
+  // and one upstream call, which answers the same.
+  EisOptions opts;
+  opts.traffic_ttl_s = kTrafficTtl;
+  InformationServer eis(&energy_, &availability_, &congestion_, opts);
+  const SimTime t0 = kTrafficT0;
+  const RoadClass road = RoadClass::kArterial;
+  const CongestionModel::Band first = eis.GetTraffic(road, t0, t0);
+  eis.GetTraffic(road, t0 + kTrafficTtl, t0);  // exact deadline
+  EisCallStats stats = eis.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 1u);
+  EXPECT_EQ(stats.traffic_cache.hits, 1u);
+  EXPECT_EQ(stats.traffic_cache.expirations, 0u);
+
+  const CongestionModel::Band refetched =
+      eis.GetTraffic(road, t0 + kTrafficTtl + 1.0, t0);
+  stats = eis.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 2u);
+  EXPECT_EQ(stats.traffic_cache.hits, 1u);
+  EXPECT_EQ(stats.traffic_cache.misses, 2u);
+  EXPECT_EQ(stats.traffic_cache.expirations, 1u);
+  EXPECT_EQ(refetched.min, first.min);
+  EXPECT_EQ(refetched.max, first.max);
+}
+
+TEST_F(InformationServerTest, TrafficExactDeadlineIsHitOnEveryRoadClass) {
+  // The boundary is the same for every slot of the column: at exactly
+  // the deadline each road class hits, one tick past it each expires.
+  EisOptions opts;
+  opts.traffic_ttl_s = kTrafficTtl;
+  InformationServer eis(&energy_, &availability_, &congestion_, opts);
+  const SimTime t0 = kTrafficT0;
+  const RoadClass roads[] = {RoadClass::kHighway, RoadClass::kArterial,
+                             RoadClass::kLocal};
+  for (RoadClass road : roads) eis.GetTraffic(road, t0, t0);
+  for (RoadClass road : roads) eis.GetTraffic(road, t0 + kTrafficTtl, t0);
+  EisCallStats stats = eis.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 3u);
+  EXPECT_EQ(stats.traffic_cache.hits, 3u);
+  EXPECT_EQ(stats.traffic_cache.expirations, 0u);
+
+  const SimTime past = std::nextafter(t0 + kTrafficTtl, 1e9);
+  for (RoadClass road : roads) eis.GetTraffic(road, past, t0);
+  stats = eis.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 6u);
+  EXPECT_EQ(stats.traffic_cache.hits, 3u);
+  EXPECT_EQ(stats.traffic_cache.expirations, 3u);
+}
+
+TEST_F(InformationServerTest, TrafficNegativeAgeIsFresh) {
+  // Simulation time can restart (a new repetition); a slot stamped in
+  // the "future" stays valid, since the answer is a pure function of
+  // its key.
+  EisOptions opts;
+  opts.traffic_ttl_s = 10.0;
+  InformationServer eis(&energy_, &availability_, &congestion_, opts);
+  const SimTime t0 = kTrafficT0;
+  eis.GetTraffic(RoadClass::kLocal, t0, t0);
+  eis.GetTraffic(RoadClass::kLocal, t0 - 90.0, t0);  // age -90 s
+  const EisCallStats stats = eis.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 1u);
+  EXPECT_EQ(stats.traffic_cache.hits, 1u);
+  EXPECT_EQ(stats.traffic_cache.expirations, 0u);
+}
+
+TEST_F(InformationServerTest, TrafficCountersMirrorStats) {
+  // The eis.traffic.* registry counters mirror Snapshot() while attached;
+  // detached, the snapshot keeps counting and the mirrors freeze.
+  EisOptions opts;
+  opts.traffic_ttl_s = kTrafficTtl;
+  InformationServer eis(&energy_, &availability_, &congestion_, opts);
+  obs::MetricsRegistry registry(1);
+  eis.AttachMetrics(&registry);
+  obs::Counter* calls = registry.GetCounter("eis.traffic.calls");
+  obs::Counter* hits = registry.GetCounter("eis.traffic.cache.hits");
+  obs::Counter* misses = registry.GetCounter("eis.traffic.cache.misses");
+  obs::Counter* expirations =
+      registry.GetCounter("eis.traffic.cache.expirations");
+  const SimTime t0 = kTrafficT0;
+  const RoadClass road = RoadClass::kHighway;
+  eis.GetTraffic(road, t0, t0);                        // miss
+  eis.GetTraffic(road, t0 + 30.0, t0);                 // hit
+  eis.GetTraffic(road, t0 + kTrafficTtl + 40.0, t0);  // expiration + miss
+  EisCallStats stats = eis.Snapshot();
+  EXPECT_EQ(calls->Value(), stats.traffic_api_calls);
+  EXPECT_EQ(hits->Value(), stats.traffic_cache.hits);
+  EXPECT_EQ(misses->Value(), stats.traffic_cache.misses);
+  EXPECT_EQ(expirations->Value(), stats.traffic_cache.expirations);
+  EXPECT_EQ(calls->Value(), 2u);
+  EXPECT_EQ(hits->Value(), 1u);
+  EXPECT_EQ(misses->Value(), 2u);
+  EXPECT_EQ(expirations->Value(), 1u);
+
+  eis.AttachMetrics(nullptr);
+  eis.GetTraffic(RoadClass::kLocal, t0, t0);
+  stats = eis.Snapshot();
+  EXPECT_EQ(misses->Value(), 2u);
+  EXPECT_EQ(calls->Value(), 2u);
+  EXPECT_EQ(stats.traffic_cache.misses, 3u);
+  EXPECT_EQ(stats.traffic_api_calls, 3u);
+}
+
+TEST_F(InformationServerTest, TrafficRevisionBumpReKeys) {
+  // Only a bump of the traffic revision re-keys traffic; the scope's
+  // revision 0 keys apart from no scope at all.
+  const SimTime now = 8.0 * kSecondsPerHour;
+  const RoadClass road = RoadClass::kHighway;
+  const CongestionModel::Band unscoped = server_.GetTraffic(road, now, now);
+  WorldRevisions revs;
+  auto lookup = [&] {
+    ScopedWorldRevisions scope(revs);
+    return server_.GetTraffic(road, now, now);
+  };
+  lookup();
+  lookup();
+  EXPECT_EQ(server_.Snapshot().traffic_api_calls, 2u);
+  revs.weather = 1;
+  revs.availability = 1;
+  lookup();
+  EXPECT_EQ(server_.Snapshot().traffic_api_calls, 2u);
+  revs.traffic = 1;
+  const CongestionModel::Band bumped = lookup();
+  const EisCallStats stats = server_.Snapshot();
+  EXPECT_EQ(stats.traffic_api_calls, 3u);
+  EXPECT_EQ(stats.traffic_cache.hits, 2u);
+  // A revision re-keys the response; the simulated upstream is unchanged.
+  EXPECT_EQ(bumped.min, unscoped.min);
+  EXPECT_EQ(bumped.max, unscoped.max);
 }
 
 TEST_F(InformationServerTest, ForecastMatchesUnderlyingService) {

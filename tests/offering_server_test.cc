@@ -499,7 +499,6 @@ TEST_F(OfferingServerTest, ShutdownServesAcceptedRequests) {
 TEST_F(OfferingServerTest, WorkersShareOneInformationServer) {
   OfferingServerOptions options;
   options.threads = 4;
-  options.eis_cache_shards = 8;
   OfferingServer server(env_.get(), ScoreWeights::AWE(), EcoChargeOptions{},
                         options);
   for (uint64_t client = 0; client < 8; ++client) {

@@ -328,7 +328,7 @@ TEST(FaultInjectorTest, StallBurstFailsConsecutiveCalls) {
 // ---------------------------------------------------------------------------
 // Degradation ladder (scripted upstream through the test seam)
 
-/// Upstream whose availability can be toggled by the test.
+/// Upstream whose three sources can be toggled down by the test.
 class ToggleSource : public FixedSource {
  public:
   Result<AvailabilityForecast> FetchAvailability(const EvCharger& charger,
@@ -342,6 +342,12 @@ class ToggleSource : public FixedSource {
                                              double window_s) override {
     if (fail) return Status::Unavailable("scripted outage");
     return FixedSource::FetchEnergyForecast(charger, now, target, window_s);
+  }
+  Result<CongestionModel::Band> FetchTraffic(RoadClass road_class,
+                                             SimTime now,
+                                             SimTime target) override {
+    if (fail) return Status::Unavailable("scripted outage");
+    return FixedSource::FetchTraffic(road_class, now, target);
   }
   bool fail = false;
 };
@@ -402,6 +408,31 @@ TEST_F(DegradationLadderTest, OutageServesStaleCacheEntry) {
             1u);
 }
 
+TEST_F(DegradationLadderTest, OutageServesStaleTrafficSlot) {
+  ResilientInformationServer server = MakeServer();
+  // Populate the traffic slot, then let it expire (same 15-minute
+  // bucket, past the 1 s TTL) while the upstream is down.
+  server.GetTraffic(RoadClass::kArterial, 0.0, 0.0);
+  source_.fail = true;
+  EisFetch fetch = EisFetch::kFresh;
+  CongestionModel::Band band =
+      server.GetTraffic(RoadClass::kArterial, 30.0, 0.0, &fetch);
+  EXPECT_EQ(fetch, EisFetch::kStale);
+  EXPECT_DOUBLE_EQ(band.min, 0.4);
+  EXPECT_DOUBLE_EQ(band.max, 0.9);
+  EXPECT_EQ(
+      server.ResilienceSnapshot(UpstreamKind::kTraffic, 30.0).stale_serves,
+      1u);
+  // The failed refresh left the expired slot in place: it is served
+  // stale again, counted as one more expiration and miss.
+  server.GetTraffic(RoadClass::kArterial, 31.0, 0.0, &fetch);
+  EXPECT_EQ(fetch, EisFetch::kStale);
+  const CacheStats traffic = server.Snapshot().traffic_cache;
+  EXPECT_EQ(traffic.hits, 0u);
+  EXPECT_EQ(traffic.misses, 3u);
+  EXPECT_EQ(traffic.expirations, 2u);
+}
+
 TEST_F(DegradationLadderTest, OutageWithoutCacheServesWidenedDefaults) {
   ResilientInformationServer server = MakeServer();
   source_.fail = true;
@@ -421,6 +452,15 @@ TEST_F(DegradationLadderTest, OutageWithoutCacheServesWidenedDefaults) {
                        kSecondsPerHour);
   EXPECT_EQ(server
                 .ResilienceSnapshot(UpstreamKind::kAvailability, 0.0)
+                .climatological_serves,
+            1u);
+
+  CongestionModel::Band band =
+      server.GetTraffic(RoadClass::kLocal, 0.0, 0.0, &fetch);
+  EXPECT_EQ(fetch, EisFetch::kClimatological);
+  EXPECT_DOUBLE_EQ(band.min, CongestionModel::Band{}.min);  // full range
+  EXPECT_DOUBLE_EQ(band.max, CongestionModel::Band{}.max);
+  EXPECT_EQ(server.ResilienceSnapshot(UpstreamKind::kTraffic, 0.0)
                 .climatological_serves,
             1u);
 }

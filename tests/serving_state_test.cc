@@ -163,8 +163,7 @@ TEST_F(CorridorCacheTest, HitReturnsBitIdenticalTableAndTtlExpires) {
   ASSERT_TRUE(cache.GetInto(key, state.time + 1.0, &hit));
   EXPECT_TRUE(TablesBitIdentical(hit, table));
 
-  // Pinned expiry boundary (matches TtlCache): age > ttl or time moving
-  // backwards is a miss.
+  // Pinned expiry boundary: age > ttl or time moving backwards is a miss.
   EXPECT_FALSE(cache.GetInto(key, state.time + 200.0, &hit));
   CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 1u);

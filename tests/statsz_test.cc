@@ -64,7 +64,7 @@ TEST(StatszTest, JsonShapeAndValues) {
   std::string json = StatszJson(registry);
 
   for (const char* section : {"counters", "gauges", "rates", "histograms"}) {
-    EXPECT_NE(json.find("\"" + std::string(section) + "\": {"),
+    EXPECT_NE(json.find(std::string("\"") + section + "\": {"),
               std::string::npos);
   }
   EXPECT_EQ(JsonNumber(json, "c.hits"), 9.0);

@@ -83,7 +83,9 @@ class Args {
       }
       const std::string name = flag.substr(2);
       if (Listed(known.switches, name)) {
-        args.values_[name] = "1";
+        // Move-assigned: assigning the literal trips GCC 12's -Wrestrict
+        // false positive in char_traits.
+        args.values_[name] = std::string("1");
         continue;
       }
       const bool count = Listed(known.counts, name);
