@@ -149,13 +149,14 @@ case "${sanitize}" in
     # batches — exactly where an off-by-one loop bound would live — and the
     # parity contract (ScoreIntervals bit-identical to ComputeScorePair,
     # columnar estimation to the per-candidate oracle, DESIGN.md §15) is
-    # checked by the test suites themselves. Run them under ASan and
-    # UBSan, then hold the bit-parity and speedup floors with the
-    # asserting bench from a plain Release tree (sanitized timings are
-    # meaningless). --no-tests=error makes a filter that matches nothing
+    # checked by the test suites themselves, and so is the Dynamic Cache
+    # serving the table eq. 6 selects (DynamicCache, EcoCharge, CknnEc).
+    # Run them under ASan and UBSan, then hold the bit-parity and speedup
+    # floors with the asserting bench from a plain Release tree (sanitized
+    # timings are meaningless). --no-tests=error makes a filter that matches nothing
     # fail instead of passing.
     shift
-    simd_filter='Score|DescendingKey|PartialSelect|IterativeDeepening|CknnProcessor|OfferingTable|QueryContext|CrossIndexParity|EstimateBatch'
+    simd_filter='Score|DescendingKey|PartialSelect|IterativeDeepening|CknnEc|CknnProcessor|DynamicCache|EcoCharge|OfferingTable|QueryContext|CrossIndexParity|EstimateBatch'
     for san in address undefined; do
       san_dir="${repo_root}/build-${san/undefined/ubsan}"
       san_dir="${san_dir/address/asan}"

@@ -8,8 +8,9 @@ namespace ecocharge {
 namespace {
 
 /// Transposes the pool's score pairs and ids into SoA lanes — the gather
-/// step for rankings over pools that arrive AoS (scored candidates,
-/// cache-adapted pools). Sizes sc_min/sc_max/ids to the pool.
+/// step for rankings over pools that arrive AoS (the per-candidate
+/// oracle's scores, RefineAndRank's caller-owned pools). Sizes
+/// sc_min/sc_max/ids to the pool.
 void GatherScoreLanes(const std::vector<ScoredCandidate>& candidates,
                       simd::ScoreLanes* lanes) {
   const size_t n = candidates.size();
@@ -23,11 +24,19 @@ void GatherScoreLanes(const std::vector<ScoredCandidate>& candidates,
   }
 }
 
-/// Midpoint lane + its descending total-order keys from the sc lanes.
-void BuildMidpointKeys(simd::ScoreLanes* lanes) {
+/// Total-order keys of eq. 6's three rankings (by SC_min, by SC_max and by
+/// midpoint) from the pool's sc lanes, so every ranking after this is pure
+/// index/key work: no double compares, no branches on unordered values,
+/// and NaN ranks last deterministically. Sizes mid and the key lanes to the
+/// pool.
+void KeyScoreLanes(simd::ScoreLanes* lanes) {
   const size_t n = lanes->sc_min.size();
   lanes->mid.resize(n);
+  lanes->keys_min.resize(n);
+  lanes->keys_max.resize(n);
   lanes->keys_mid.resize(n);
+  simd::DescendingKeys(lanes->sc_min.data(), n, lanes->keys_min.data());
+  simd::DescendingKeys(lanes->sc_max.data(), n, lanes->keys_max.data());
   simd::Midpoints(lanes->sc_min.data(), lanes->sc_max.data(), n,
                   lanes->mid.data());
   simd::DescendingKeys(lanes->mid.data(), n, lanes->keys_mid.data());
@@ -36,6 +45,55 @@ void BuildMidpointKeys(simd::ScoreLanes* lanes) {
 void Iota(std::vector<uint32_t>* order, size_t n) {
   order->resize(n);
   for (uint32_t i = 0; i < n; ++i) (*order)[i] = i;
+}
+
+/// Leaves in `ctx->common` the pool slots of at most k winners over the
+/// keyed lanes, best first by midpoint: eq. 6's intersection, or with
+/// `intersect` off the plain midpoint top-k (the ablation).
+void SelectSlots(size_t k, bool intersect, QueryContext* ctx) {
+  const simd::ScoreLanes& lanes = ctx->lanes;
+  const size_t n = lanes.keys_mid.size();
+  std::vector<uint32_t>& common = ctx->common;
+  common.clear();
+  if (n == 0 || k == 0) return;
+  if (!intersect) {
+    Iota(&common, n);
+  } else {
+    // Deepen: take the top-d of both rankings, intersect, and grow d until
+    // the intersection holds k chargers or everything has been considered.
+    // Each round selects just the top-d it needs (from a fresh iota, since
+    // selection permutes the index array; the doubling schedule keeps the
+    // total select work within O(n log n)). Membership in the top-d of
+    // by_min is tracked by stamping member_mark with a per-round epoch — no
+    // hash set, no clearing.
+    std::vector<uint32_t>& by_min = ctx->order_min;
+    std::vector<uint32_t>& by_max = ctx->order_max;
+    if (ctx->member_mark.size() < n) ctx->member_mark.resize(n, 0);
+    size_t depth = std::min(k, n);
+    while (true) {
+      Iota(&by_min, n);
+      Iota(&by_max, n);
+      simd::PartialSelectDescending(lanes.keys_min.data(), lanes.ids.data(),
+                                    by_min.data(), n, depth);
+      simd::PartialSelectDescending(lanes.keys_max.data(), lanes.ids.data(),
+                                    by_max.data(), n, depth);
+      const uint64_t epoch = ++ctx->mark_epoch;
+      for (size_t i = 0; i < depth; ++i) ctx->member_mark[by_min[i]] = epoch;
+      common.clear();
+      for (size_t i = 0; i < depth; ++i) {
+        if (ctx->member_mark[by_max[i]] == epoch) common.push_back(by_max[i]);
+      }
+      if (common.size() >= k || depth == n) break;
+      depth = std::min(n, depth * 2);
+    }
+  }
+  // Order the winners by score midpoint (the final sort of eq. 6) and keep
+  // k — a partial select again, since only the kept prefix's order is
+  // observable.
+  const size_t keep = std::min(k, common.size());
+  simd::PartialSelectDescending(lanes.keys_mid.data(), lanes.ids.data(),
+                                common.data(), common.size(), keep);
+  common.resize(keep);
 }
 
 }  // namespace
@@ -65,59 +123,11 @@ void IterativeDeepeningIntersection(
     QueryContext* ctx, std::vector<ScoredCandidate>* out) {
   out->clear();
   if (candidates.empty() || k == 0) return;
-
-  // Gather once into SoA lanes, convert both score lanes to total-order
-  // integer keys (NaN ranks last, deterministically), and from then on the
-  // rankings are pure index/key work: no double compares, no branches on
-  // unordered values.
-  const size_t n = candidates.size();
-  simd::ScoreLanes& lanes = ctx->lanes;
-  GatherScoreLanes(candidates, &lanes);
-  lanes.keys_min.resize(n);
-  lanes.keys_max.resize(n);
-  simd::DescendingKeys(lanes.sc_min.data(), n, lanes.keys_min.data());
-  simd::DescendingKeys(lanes.sc_max.data(), n, lanes.keys_max.data());
-
-  // Deepen: take the top-d of both rankings, intersect, and grow d until
-  // the intersection holds k chargers or everything has been considered.
-  // Each round partial-selects just the top-d it needs (the selects are
-  // re-run from a fresh iota because selection permutes the index array;
-  // the doubling schedule keeps the total select work O(n log n) worst
-  // case, same as one full sort). Membership in the top-d of by_min is
-  // tracked by stamping member_mark with a per-iteration epoch — no hash
-  // set, no clearing.
-  std::vector<uint32_t>& by_min = ctx->order_min;
-  std::vector<uint32_t>& by_max = ctx->order_max;
-  if (ctx->member_mark.size() < n) ctx->member_mark.resize(n, 0);
-  size_t depth = std::min(k, n);
-  std::vector<uint32_t>& common = ctx->common;
-  while (true) {
-    Iota(&by_min, n);
-    Iota(&by_max, n);
-    simd::PartialSelectDescending(lanes.keys_min.data(), lanes.ids.data(),
-                                  by_min.data(), n, depth);
-    simd::PartialSelectDescending(lanes.keys_max.data(), lanes.ids.data(),
-                                  by_max.data(), n, depth);
-    uint64_t epoch = ++ctx->mark_epoch;
-    for (size_t i = 0; i < depth; ++i) ctx->member_mark[by_min[i]] = epoch;
-    common.clear();
-    for (size_t i = 0; i < depth; ++i) {
-      if (ctx->member_mark[by_max[i]] == epoch) common.push_back(by_max[i]);
-    }
-    if (common.size() >= k || depth == n) break;
-    depth = std::min(n, depth * 2);
-  }
-
-  // Order the common chargers by score midpoint (the final sort of eq. 6)
-  // and keep k — a partial select again, since only the kept prefix's
-  // order is observable.
-  BuildMidpointKeys(&lanes);
-  const size_t keep = std::min(k, common.size());
-  simd::PartialSelectDescending(lanes.keys_mid.data(), lanes.ids.data(),
-                                common.data(), common.size(), keep);
-  common.resize(keep);
-  out->reserve(common.size());
-  for (uint32_t idx : common) out->push_back(candidates[idx]);
+  GatherScoreLanes(candidates, &ctx->lanes);
+  KeyScoreLanes(&ctx->lanes);
+  SelectSlots(k, /*intersect=*/true, ctx);
+  out->reserve(ctx->common.size());
+  for (uint32_t idx : ctx->common) out->push_back(candidates[idx]);
 }
 
 std::vector<ScoredCandidate> IterativeDeepeningIntersection(
@@ -191,6 +201,7 @@ const std::vector<ScoredCandidate>& CknnEcProcessor::ScoreCandidates(
       c.score = ComputeScorePair(c.ecs, weights);
       scored.push_back(c);
     }
+    GatherScoreLanes(scored, &ctx->lanes);
   }
   if (metrics_.candidates_scored && !scored.empty()) {
     metrics_.candidates_scored->Add(scored.size());
@@ -206,6 +217,15 @@ std::vector<ScoredCandidate> CknnEcProcessor::ScoreCandidates(
   return std::move(ctx.scored);
 }
 
+void CknnEcProcessor::SelectKeyed(const std::vector<ScoredCandidate>& scored,
+                                  size_t pool, QueryContext* ctx,
+                                  std::vector<ScoredCandidate>* out) const {
+  SelectSlots(pool, options_.use_intersection, ctx);
+  out->clear();
+  out->reserve(ctx->common.size());
+  for (uint32_t idx : ctx->common) out->push_back(scored[idx]);
+}
+
 void CknnEcProcessor::RefineAndRank(const VehicleState& state,
                                     const std::vector<ScoredCandidate>* scored,
                                     size_t k, const ScoreWeights& weights,
@@ -213,34 +233,26 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
                                     QueryContext* ctx,
                                     std::vector<OfferingEntry>* out) {
   obs::ScopedTimer timer(metrics_.refine_ns);
+  GatherScoreLanes(*scored, &ctx->lanes);
+  KeyScoreLanes(&ctx->lanes);
+  RefineKeyed(state, *scored, k, weights, refine_exact_derouting, ctx, out);
+}
+
+void CknnEcProcessor::RefineKeyed(const VehicleState& state,
+                                  const std::vector<ScoredCandidate>& scored,
+                                  size_t k, const ScoreWeights& weights,
+                                  bool refine_exact_derouting,
+                                  QueryContext* ctx,
+                                  std::vector<OfferingEntry>* out) {
   // Intersection over a pool slightly deeper than k, so the exact-derouting
   // refinement has alternatives to promote.
-  size_t pool =
+  const size_t pool =
       refine_exact_derouting ? std::max(k, options_.refine_limit) : k;
   std::vector<ScoredCandidate>& selected = ctx->selected;
-  if (options_.use_intersection) {
-    IterativeDeepeningIntersection(*scored, pool, ctx, &selected);
-  } else {
-    // Ablation path: plain top-`pool` by score midpoint, via the same key
-    // lanes and partial select as the intersection. Rank the indices so
-    // `*scored` (often a live cache entry) stays untouched.
-    simd::ScoreLanes& lanes = ctx->lanes;
-    GatherScoreLanes(*scored, &lanes);
-    BuildMidpointKeys(&lanes);
-    const size_t n = scored->size();
-    std::vector<uint32_t>& order = ctx->order_min;
-    Iota(&order, n);
-    const size_t keep = std::min(pool, n);
-    simd::PartialSelectDescending(lanes.keys_mid.data(), lanes.ids.data(),
-                                  order.data(), n, keep);
-    order.resize(keep);
-    selected.clear();
-    selected.reserve(order.size());
-    for (uint32_t idx : order) selected.push_back((*scored)[idx]);
-  }
+  SelectKeyed(scored, pool, ctx, &selected);
 
-  if (metrics_.candidates_pruned && scored->size() > selected.size()) {
-    metrics_.candidates_pruned->Add(scored->size() - selected.size());
+  if (metrics_.candidates_pruned && scored.size() > selected.size()) {
+    metrics_.candidates_pruned->Add(scored.size() - selected.size());
   }
 
   const std::vector<EvCharger>& fleet = estimator_->fleet();
@@ -280,14 +292,7 @@ void CknnEcProcessor::RefineAndRank(const VehicleState& state,
 
   out->clear();
   out->reserve(selected.size());
-  for (const ScoredCandidate& c : selected) {
-    OfferingEntry e;
-    e.charger_id = c.charger_id;
-    e.score = c.score;
-    e.ecs = c.ecs;
-    e.eta_s = c.ecs.eta_s;
-    out->push_back(e);
-  }
+  for (const ScoredCandidate& c : selected) out->push_back(c.Entry());
   // Partial top-k: only the k kept rows' order is observable, and the
   // entry order is total (NaN-safe keys), so this is bit-identical to the
   // former sort-everything-then-truncate.
@@ -306,13 +311,20 @@ std::vector<OfferingEntry> CknnEcProcessor::RefineAndRank(
 
 void CknnEcProcessor::Query(const VehicleState& state, size_t k,
                             const ScoreWeights& weights, QueryContext* ctx,
-                            std::vector<OfferingEntry>* out) {
+                            std::vector<OfferingEntry>* out,
+                            std::vector<ScoredCandidate>* adapted) {
   const std::vector<ChargerId>& candidates =
       FilterCandidates(state.position, ctx);
   const std::vector<ScoredCandidate>& scored =
       ScoreCandidates(state, candidates, weights, ctx);
-  RefineAndRank(state, &scored, k, weights, options_.refine_exact_derouting,
-                ctx, out);
+  obs::ScopedTimer timer(metrics_.refine_ns);
+  // ScoreCandidates left the pool's scores and ids in the lanes: key them
+  // once, then select twice (pool k for the adapted table, the refine pool
+  // for this table) — the depth schedules differ, the lanes do not.
+  KeyScoreLanes(&ctx->lanes);
+  if (adapted != nullptr) SelectKeyed(scored, k, ctx, adapted);
+  RefineKeyed(state, scored, k, weights, options_.refine_exact_derouting, ctx,
+              out);
 }
 
 std::vector<OfferingEntry> CknnEcProcessor::Query(const VehicleState& state,

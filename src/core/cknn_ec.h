@@ -121,7 +121,8 @@ class CknnEcProcessor {
 
   /// Scores `candidate_ids` with estimated interval ECs into
   /// `ctx->scored`; the returned reference aliases it. `candidate_ids`
-  /// may alias `ctx->candidates`.
+  /// may alias `ctx->candidates`. Also leaves the pool's score pairs and
+  /// ids in `ctx->lanes` (sc_min, sc_max, ids), which Query ranks from.
   const std::vector<ScoredCandidate>& ScoreCandidates(
       const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
       const ScoreWeights& weights, QueryContext* ctx);
@@ -133,21 +134,24 @@ class CknnEcProcessor {
 
   /// Full query: filter, score, intersect, refine. Writes the top-k
   /// entries best-first into `*out` (typically `&ctx->entries` or a
-  /// reused OfferingTable's entry vector).
+  /// reused OfferingTable's entry vector). A non-null `adapted` also
+  /// receives the pool = k selection without refinement, best first: the
+  /// table RefineAndRank(scored pool, k, refine=false) would produce, and
+  /// what a Dynamic Cache stores. Both selections run over the lanes
+  /// ScoreCandidates filled, keyed once.
   void Query(const VehicleState& state, size_t k, const ScoreWeights& weights,
-             QueryContext* ctx, std::vector<OfferingEntry>* out);
+             QueryContext* ctx, std::vector<OfferingEntry>* out,
+             std::vector<ScoredCandidate>* adapted = nullptr);
 
   /// Allocating convenience form.
   std::vector<OfferingEntry> Query(const VehicleState& state, size_t k,
                                    const ScoreWeights& weights);
 
-  /// Refinement on an already-scored pool in `*scored` (`&ctx->scored`
-  /// after scoring, or a Dynamic Cache entry on the cached path, which
-  /// skips filtering).
+  /// Refinement on an already-scored pool in `*scored`: gathers and keys
+  /// its score lanes, then selects and refines as Query does.
   /// `refine_exact_derouting` toggles the network-exact refinement for
-  /// this call — the Dynamic-Caching hit path passes false to keep the
-  /// adaptation cheap. `*scored` itself is left unmodified; winners are
-  /// copied through `ctx->selected` into `*out`.
+  /// this call. `*scored` itself is left unmodified; winners are copied
+  /// through `ctx->selected` into `*out`.
   ///
   /// Precondition when `refine_exact_derouting` is true: `*scored` was
   /// scored at `state` (ScoreCandidates with this `state`), because the
@@ -180,6 +184,18 @@ class CknnEcProcessor {
   const PipelineMetrics& metrics() const { return metrics_; }
 
  private:
+  /// Copies the at most `pool` candidates of `scored` that eq. 6 (or, with
+  /// use_intersection off, the midpoint ranking) selects into `*out`, best
+  /// first. `ctx->lanes` must hold `scored`'s keyed lanes.
+  void SelectKeyed(const std::vector<ScoredCandidate>& scored, size_t pool,
+                   QueryContext* ctx, std::vector<ScoredCandidate>* out) const;
+
+  /// RefineAndRank after its lanes are keyed: select, refine, order.
+  void RefineKeyed(const VehicleState& state,
+                   const std::vector<ScoredCandidate>& scored, size_t k,
+                   const ScoreWeights& weights, bool refine_exact_derouting,
+                   QueryContext* ctx, std::vector<OfferingEntry>* out);
+
   EcEstimator* estimator_;
   const SpatialIndex* charger_index_;
   CknnEcOptions options_;

@@ -6,27 +6,28 @@ DynamicCache::DynamicCache(const DynamicCacheOptions& options)
     : options_(options) {}
 
 const std::vector<ScoredCandidate>* DynamicCache::TryReuse(
-    const Point& position, SimTime now) {
-  if (Expired(now) || now < stored_at_ ||
+    const Point& position, SimTime now, size_t k) {
+  if (Expired(now) || now < stored_at_ || k != k_ ||
       Distance(position, anchor_) > options_.q_distance_m) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  return &candidates_;
+  return &table_;
 }
 
-void DynamicCache::Store(const Point& position, SimTime now,
-                         const std::vector<ScoredCandidate>& candidates) {
+void DynamicCache::Store(const Point& position, SimTime now, size_t k,
+                         const std::vector<ScoredCandidate>& table) {
   has_solution_ = true;
   anchor_ = position;
   stored_at_ = now;
-  candidates_.assign(candidates.begin(), candidates.end());
+  k_ = k;
+  table_.assign(table.begin(), table.end());
 }
 
 void DynamicCache::Clear() {
   has_solution_ = false;
-  candidates_.clear();
+  table_.clear();
 }
 
 }  // namespace ecocharge

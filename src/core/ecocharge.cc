@@ -44,32 +44,25 @@ void EcoChargeRanker::RankInto(const VehicleState& state, size_t k,
   out->degraded = false;
   out->entries.clear();
 
-  if (const std::vector<ScoredCandidate>* cached =
-          cache ? cache->TryReuse(state.position, state.time) : nullptr) {
-    // Adaptation: reuse the previously solved sub-problems. The
-    // recalculation is skipped entirely (the cached L/A/D stay as computed
-    // at the anchor position — the staleness the Q parameter trades away),
-    // and the cache entry itself is re-ranked: estimated intervals only,
-    // no network-exact refinement, so RefineAndRank only reads it.
-    processor_.RefineAndRank(state, cached, k, weights_,
-                             /*refine_exact_derouting=*/false, &ctx,
-                             &out->entries);
-    out->adapted_from_cache = true;
-    for (const OfferingEntry& e : out->entries) {
-      out->NoteEntryDegradation(e.ecs);
+  if (const std::vector<ScoredCandidate>* adapted =
+          cache ? cache->TryReuse(state.position, state.time, k) : nullptr) {
+    // Adaptation: serve the stored Offering Table. The recalculation is
+    // skipped entirely: the cached L/A/D stay as computed at the anchor
+    // position (the staleness the Q parameter trades away), and the table
+    // was selected from them when it was stored.
+    for (const ScoredCandidate& c : *adapted) {
+      out->entries.push_back(c.Entry());
+      out->NoteEntryDegradation(c.ecs);
     }
+    out->adapted_from_cache = true;
     return;
   }
 
-  // Full regeneration: filter within R, score, intersect, refine.
-  const std::vector<ChargerId>& candidates =
-      processor_.FilterCandidates(state.position, &ctx);
-  const std::vector<ScoredCandidate>& scored =
-      processor_.ScoreCandidates(state, candidates, weights_, &ctx);
-  if (cache) cache->Store(state.position, state.time, scored);
-  processor_.RefineAndRank(state, &scored, k, weights_,
-                           options_.refine_exact_derouting, &ctx,
-                           &out->entries);
+  // Full regeneration: filter within R, score, intersect, refine; the
+  // same scored lanes also yield the adapted table the cache keeps.
+  processor_.Query(state, k, weights_, &ctx, &out->entries,
+                   cache ? &ctx.adapted : nullptr);
+  if (cache) cache->Store(state.position, state.time, k, ctx.adapted);
   for (const OfferingEntry& e : out->entries) {
     out->NoteEntryDegradation(e.ecs);
   }

@@ -55,10 +55,11 @@ struct EcoChargeOptions {
 ///  2. per vehicle state, the filtering phase collects chargers within R
 ///     and scores interval ECs, the refinement phase intersects the
 ///     SC_min/SC_max rankings (eq. 6) and exact-refines the leaders;
-///  3. Dynamic Caching adapts the previous Offering Table while the
-///     vehicle has moved less than Q and the estimates are fresh — the
-///     cached path skips the spatial filter and, via the per-call
-///     refinement flag, the exact derouting refinement.
+///  3. Dynamic Caching re-uses the previous Offering Table while the
+///     vehicle has moved less than Q, the estimates are fresh and k is
+///     unchanged — the cached path copies the stored adapted table (eq. 6
+///     at pool = k over the last scored pool, no exact refinement) and
+///     skips filtering, scoring and selection.
 ///
 /// The ranker works against any SpatialIndex backend and spends no heap
 /// allocations per query once the caller's QueryContext is warm — the
@@ -75,10 +76,11 @@ class EcoChargeRanker : public Ranker {
   /// `use_dynamic_cache` is off.
   void RankInto(const VehicleState& state, size_t k, QueryContext& ctx,
                 OfferingTable* out) override;
-  /// Ranks against `cache`: adapts its solution when reusable, else
-  /// regenerates and stores the new one. A null cache ranks fresh, a pure
-  /// function of the state and the world. The serving runtime shares one
-  /// ranker across clients and passes each client's own cache.
+  /// Ranks against `cache`: serves its adapted table when reusable, else
+  /// regenerates and stores the new request's adapted table. A null cache
+  /// ranks fresh, a pure function of the state and the world. The serving
+  /// runtime shares one ranker across clients and passes each client's
+  /// own cache.
   void RankInto(const VehicleState& state, size_t k, DynamicCache* cache,
                 QueryContext& ctx, OfferingTable* out);
   void Reset() override;
@@ -86,9 +88,8 @@ class EcoChargeRanker : public Ranker {
   const DynamicCache& cache() const { return cache_; }
   const EcoChargeOptions& options() const { return options_; }
 
-  /// Installs phase timers/counters on the underlying CkNN-EC processor
-  /// (both the full-regeneration and the cached adaptation path record
-  /// through the same handles).
+  /// Installs phase timers/counters on the underlying CkNN-EC processor.
+  /// Only full regenerations record; a cache hit runs no pipeline phase.
   void set_metrics(const PipelineMetrics& metrics) {
     processor_.set_metrics(metrics);
   }

@@ -16,6 +16,9 @@ struct ScoredCandidate {
   ChargerId charger_id = 0;
   ScorePair score;
   EcIntervals ecs;
+
+  /// The Offering Table row this candidate becomes.
+  OfferingEntry Entry() const { return {charger_id, score, ecs, ecs.eta_s}; }
 };
 
 /// \brief Reusable per-query scratch for the whole ranking pipeline.
@@ -41,6 +44,7 @@ struct QueryContext {
   std::vector<ChargerId> candidates;    ///< filtering: surviving charger ids
   std::vector<ScoredCandidate> scored;  ///< scoring: the candidate pool
   std::vector<ScoredCandidate> selected;  ///< intersection winners
+  std::vector<ScoredCandidate> adapted;   ///< pool = k table to cache
 
   /// Struct-of-arrays candidate lanes for the filter/score path (DESIGN.md
   /// §15): the columnar estimate writes the EC intervals in here once per

@@ -51,17 +51,32 @@ struct DescendingSlotLess {
 
 void PartialSelectDescending(const uint64_t* keys, const uint32_t* tiebreak,
                              uint32_t* idx, size_t n, size_t m) {
-  if (m == 0 || n == 0) return;
-  const DescendingSlotLess less{keys, tiebreak};
-  if (m < n) {
-    // nth_element partitions in O(n); only the selected prefix then pays
-    // for ordering. The total order makes the prefix *set and order*
-    // identical to full-sort-then-truncate.
-    std::nth_element(idx, idx + (m - 1), idx + n, less);
-    std::sort(idx, idx + m, less);
-  } else {
-    std::sort(idx, idx + n, less);
+  m = std::min(m, n);
+  if (m == 0) return;
+  const DescendingSlotLess better{keys, tiebreak};
+  // Bounded heap over idx[0..m) with the worst kept slot at the root. One
+  // pass over the rest: a slot whose key sorts below the root's is
+  // rejected by a single integer compare (almost every slot once the heap
+  // holds good ones); a better slot swaps places with the root and sifts
+  // down, so idx stays a permutation. The total order makes the kept set
+  // and its sorted order those of a full sort followed by truncation.
+  std::make_heap(idx, idx + m, better);
+  uint64_t root_key = keys[idx[0]];
+  for (size_t i = m; i < n; ++i) {
+    const uint32_t slot = idx[i];
+    if (keys[slot] < root_key || !better(slot, idx[0])) continue;
+    idx[i] = idx[0];
+    size_t hole = 0;
+    for (size_t child = 1; child < m; child = 2 * hole + 1) {
+      if (child + 1 < m && better(idx[child], idx[child + 1])) ++child;
+      if (!better(slot, idx[child])) break;
+      idx[hole] = idx[child];
+      hole = child;
+    }
+    idx[hole] = slot;
+    root_key = keys[idx[0]];
   }
+  std::sort_heap(idx, idx + m, better);
 }
 
 }  // namespace simd

@@ -101,11 +101,14 @@ void Midpoints(const double* sc_min, const double* sc_max, size_t n,
 /// keys[i] = DescendingKey(values[i]) in bulk.
 void DescendingKeys(const double* values, size_t n, uint64_t* keys);
 
-/// \brief Branch-light partial top-m select over total-order keys.
+/// \brief One-pass partial top-m select over total-order keys.
 ///
 /// Reorders `idx[0..n)` (any permutation of candidate slots) so that
 /// `idx[0..m)` holds the m best slots by (key descending, tiebreak
 /// ascending), sorted in that order; the suffix order is unspecified.
+/// m >= n sorts all n. A bounded heap of the first m slots scans the rest
+/// once, rejecting most slots with one key compare against its root:
+/// O(n + m log m) when few slots displace the root, O(n log m) at worst.
 /// Because (key, tiebreak) is a strict total order — integer compares, no
 /// NaN branches — the selected prefix is unique: a partial select is
 /// bit-identical to a full sort followed by truncation on every standard

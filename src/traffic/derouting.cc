@@ -137,6 +137,7 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   // Outbound leg: single-target forward sweep (stops at the charger).
   NodeId fwd_targets[1] = {charger.node};
   search_.OneToMany(nodes.m, std::span<const NodeId>(fwd_targets, 1), cost);
+  ++forward_sweeps_;
   const double to_b = search_.CostTo(charger.node);
   if (!std::isfinite(to_b)) return UnreachableEstimate();
 
@@ -180,6 +181,7 @@ BatchSweepStats DeroutingService::ExactBatch(
   for (ChargerRef charger : chargers) targets.push_back(charger->node);
   if (nodes.m < num_nodes) {
     search_.OneToMany(nodes.m, std::span<const NodeId>(targets), cost);
+    ++forward_sweeps_;
   }
 
   // One backward extension covers every return leg plus the direct cost

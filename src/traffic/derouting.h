@@ -137,6 +137,11 @@ class DeroutingService {
   uint64_t warm_start_hits() const { return warm_start_hits_; }
   uint64_t backward_sweep_starts() const { return backward_sweep_starts_; }
 
+  /// Cumulative outbound Dijkstra sweeps: one per Exact() call that
+  /// reaches the search, one per ExactBatch() call with a valid vehicle
+  /// node. A work count that does not depend on timing.
+  uint64_t forward_sweeps() const { return forward_sweeps_; }
+
   /// Nodes settled by the last outbound Dijkstra sweep: Exact()'s
   /// single-target search or ExactBatch()'s multi-target one. A work
   /// count that does not depend on timing, for benchmarks.
@@ -165,6 +170,7 @@ class DeroutingService {
   BackwardKey back_key_;
   uint64_t warm_start_hits_ = 0;
   uint64_t backward_sweep_starts_ = 0;
+  uint64_t forward_sweeps_ = 0;
 };
 
 }  // namespace ecocharge

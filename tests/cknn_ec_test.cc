@@ -167,6 +167,99 @@ TEST(IterativeDeepeningTest, NanScoresRankLastDeterministically) {
   EXPECT_EQ(out[4].charger_id, 9u);
 }
 
+/// Eq. 6 as it ran before the one-pass select: re-iota both index arrays
+/// every round and partition each with nth_element, then order the common
+/// set by midpoint the same way. Kept as the reference the production
+/// select must reproduce bit for bit.
+std::vector<ScoredCandidate> ReselectIntersection(
+    const std::vector<ScoredCandidate>& candidates, size_t k) {
+  std::vector<ScoredCandidate> out;
+  if (candidates.empty() || k == 0) return out;
+  const size_t n = candidates.size();
+  std::vector<uint64_t> keys_min(n), keys_max(n), keys_mid(n);
+  std::vector<uint32_t> ids(n);
+  for (size_t i = 0; i < n; ++i) {
+    const ScorePair& s = candidates[i].score;
+    keys_min[i] = simd::DescendingKey(s.sc_min);
+    keys_max[i] = simd::DescendingKey(s.sc_max);
+    keys_mid[i] = simd::DescendingKey((s.sc_min + s.sc_max) * 0.5);
+    ids[i] = candidates[i].charger_id;
+  }
+  auto select = [&ids](const std::vector<uint64_t>& keys,
+                       std::vector<uint32_t>* idx, size_t m) {
+    auto less = [&](uint32_t a, uint32_t b) {
+      if (keys[a] != keys[b]) return keys[a] > keys[b];
+      return ids[a] < ids[b];
+    };
+    if (m == 0) return;
+    if (m < idx->size()) {
+      std::nth_element(idx->begin(), idx->begin() + (m - 1), idx->end(),
+                       less);
+      std::sort(idx->begin(), idx->begin() + m, less);
+    } else {
+      std::sort(idx->begin(), idx->end(), less);
+    }
+  };
+  std::vector<uint32_t> by_min(n), by_max(n), common;
+  std::vector<bool> in_min(n);
+  size_t depth = std::min(k, n);
+  while (true) {
+    for (uint32_t i = 0; i < n; ++i) by_min[i] = by_max[i] = i;
+    select(keys_min, &by_min, depth);
+    select(keys_max, &by_max, depth);
+    std::fill(in_min.begin(), in_min.end(), false);
+    for (size_t i = 0; i < depth; ++i) in_min[by_min[i]] = true;
+    common.clear();
+    for (size_t i = 0; i < depth; ++i) {
+      if (in_min[by_max[i]]) common.push_back(by_max[i]);
+    }
+    if (common.size() >= k || depth == n) break;
+    depth = std::min(n, depth * 2);
+  }
+  const size_t keep = std::min(k, common.size());
+  select(keys_mid, &common, keep);
+  common.resize(keep);
+  for (uint32_t idx : common) out.push_back(candidates[idx]);
+  return out;
+}
+
+TEST(CknnEcTest, IntersectionMatchesReselectReferenceBitwise) {
+  // Pools mixing a tiny score alphabet (heavy key ties), NaN and signed
+  // zeros with distinct random scores, under shuffled distinct ids.
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double alphabet[] = {0.25, 0.5, 0.75, 0.0, -0.0, nan};
+  Rng rng(0x1D5E1EC7ULL);
+  QueryContext ctx;  // one context across every call, as a worker keeps
+  std::vector<ScoredCandidate> out;
+  for (size_t n : {1u, 7u, 64u, 1000u}) {
+    std::vector<ChargerId> ids(n);
+    for (size_t i = 0; i < n; ++i) ids[i] = static_cast<ChargerId>(3 * i + 1);
+    rng.Shuffle(ids);
+    std::vector<ScoredCandidate> pool;
+    for (size_t i = 0; i < n; ++i) {
+      auto draw = [&]() {
+        return rng.NextBool(0.6) ? alphabet[rng.NextBounded(6)]
+                                 : rng.NextDouble();
+      };
+      pool.push_back(Candidate(ids[i], draw(), draw()));
+    }
+    for (size_t k = 1; k <= n + 3; ++k) {
+      const std::vector<ScoredCandidate> expected =
+          ReselectIntersection(pool, k);
+      IterativeDeepeningIntersection(pool, k, &ctx, &out);
+      ASSERT_EQ(out.size(), expected.size()) << "n=" << n << " k=" << k;
+      for (size_t i = 0; i < out.size(); ++i) {
+        ASSERT_EQ(out[i].charger_id, expected[i].charger_id)
+            << "n=" << n << " k=" << k << " row " << i;
+        ASSERT_EQ(std::bit_cast<uint64_t>(out[i].score.sc_min),
+                  std::bit_cast<uint64_t>(expected[i].score.sc_min));
+        ASSERT_EQ(std::bit_cast<uint64_t>(out[i].score.sc_max),
+                  std::bit_cast<uint64_t>(expected[i].score.sc_max));
+      }
+    }
+  }
+}
+
 class CknnProcessorTest : public ::testing::Test {
  protected:
   void SetUp() override {

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+
+#include "common/rng.h"
 #include "core/baselines.h"
 #include "tests/test_util.h"
 
@@ -55,6 +58,95 @@ TEST_F(EcoChargeTest, CacheAdaptsNearbyQueries) {
   nearby.time += 60.0;
   OfferingTable second = eco.Rank(nearby, 3);
   EXPECT_TRUE(second.adapted_from_cache);
+  EXPECT_EQ(eco.cache().hits(), 1u);
+}
+
+TEST_F(EcoChargeTest, StoredAdaptedTableMatchesFullPoolAdaptationBitwise) {
+  // The cache keeps only the adapted table (eq. 6 at pool = k, no exact
+  // refinement). A hit must serve, bit for bit, what adapting the whole
+  // scored pool at k gives — over random states and weights, and over the
+  // weights that make keys tie (all scores 0, or one component only) or
+  // go NaN (a NaN weight; an infinite one, which makes 0 * inf = NaN).
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  std::vector<ScoreWeights> weight_sets = {
+      ScoreWeights::AWE(), ScoreWeights::OSC(), ScoreWeights::ODC(),
+      {0.0, 0.0, 0.0},     {nan, 0.5, 0.5},     {inf, 0.0, 0.0}};
+  Rng rng(0xADA97EDULL);
+  for (int i = 0; i < 4; ++i) {
+    const double a = rng.NextDouble(), b = rng.NextDouble(),
+                 c = rng.NextDouble();
+    weight_sets.push_back({a / (a + b + c), b / (a + b + c), c / (a + b + c)});
+  }
+  for (bool use_simd : {true, false}) {
+    for (const ScoreWeights& weights : weight_sets) {
+      EcoChargeOptions opts = DefaultOpts();
+      opts.use_simd = use_simd;
+      opts.q_distance_m = 1e9;  // every second query is a hit
+      opts.cache_ttl_s = 1e12;
+      EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
+                          weights, opts);
+      CknnEcOptions popts;
+      popts.radius_m = opts.radius_m;
+      popts.derouting_norm_m = 2.0 * opts.radius_m;
+      popts.use_simd = use_simd;
+      CknnEcProcessor reference(env_->estimator.get(),
+                                env_->charger_index.get(), popts);
+      for (size_t k : {1u, 3u, 8u, 20u}) {
+        VehicleState state =
+            states_[rng.NextBounded(states_.size())];
+        state.position =
+            state.position + Point{rng.NextDouble(-2000.0, 2000.0),
+                                   rng.NextDouble(-2000.0, 2000.0)};
+        state.time += rng.NextDouble(0.0, 3600.0);
+        eco.Reset();
+        ASSERT_FALSE(eco.Rank(state, k).adapted_from_cache);
+        VehicleState later = state;
+        later.time += 60.0;
+        OfferingTable served = eco.Rank(later, k);
+        ASSERT_TRUE(served.adapted_from_cache);
+
+        std::vector<ScoredCandidate> pool = reference.ScoreCandidates(
+            state, reference.FilterCandidates(state.position), weights);
+        QueryContext ctx;
+        OfferingTable adapted;
+        reference.RefineAndRank(later, &pool, k, weights,
+                                /*refine_exact_derouting=*/false, &ctx,
+                                &adapted.entries);
+        adapted.generated_at = later.time;
+        adapted.location = later.position;
+        adapted.segment_index = later.segment_index;
+        adapted.adapted_from_cache = true;
+        for (const OfferingEntry& e : adapted.entries) {
+          adapted.NoteEntryDegradation(e.ecs);
+        }
+        EXPECT_TRUE(testing_util::TablesBitIdentical(served, adapted))
+            << "use_simd=" << use_simd << " k=" << k << " weights=("
+            << weights.w_level << ", " << weights.w_availability << ", "
+            << weights.w_derouting << ")";
+      }
+    }
+  }
+}
+
+TEST_F(EcoChargeTest, HitAtAnotherKRegenerates) {
+  // The stored table was adapted for one k, so a request for another k is
+  // a miss: it regenerates (and matches a fresh ranker), then its own k
+  // hits.
+  EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
+                      weights_, DefaultOpts());
+  ASSERT_FALSE(eco.Rank(states_[0], 3).adapted_from_cache);
+  VehicleState nearby = states_[0];
+  nearby.time += 60.0;
+  OfferingTable wider = eco.Rank(nearby, 5);
+  EXPECT_FALSE(wider.adapted_from_cache);
+  EXPECT_EQ(eco.cache().hits(), 0u);
+  EXPECT_EQ(eco.cache().misses(), 2u);
+  EcoChargeRanker fresh(env_->estimator.get(), env_->charger_index.get(),
+                        weights_, DefaultOpts());
+  EXPECT_TRUE(testing_util::TablesBitIdentical(wider, fresh.Rank(nearby, 5)));
+  nearby.time += 60.0;
+  EXPECT_TRUE(eco.Rank(nearby, 5).adapted_from_cache);
   EXPECT_EQ(eco.cache().hits(), 1u);
 }
 

@@ -137,8 +137,8 @@ TEST(StatszTest, OfferingServerExportCarriesServingMetrics) {
   EXPECT_LE(p50, p95);
   EXPECT_LE(p95, p99);
 
-  // Pipeline phase timers saw every full regeneration; the cached path
-  // records refine only, so refine >= filter > 0.
+  // Pipeline phase timers saw every full regeneration, which records
+  // filter and refine once each; a cache hit records neither.
   size_t filter = JsonObjectStart(json, "pipeline.filter_ns");
   size_t refine = JsonObjectStart(json, "pipeline.refine_ns");
   double filter_count = JsonNumber(json, "count", filter);

@@ -3,6 +3,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 #include <vector>
 
@@ -75,11 +77,20 @@ inline ::testing::AssertionResult TablesBitIdentical(const OfferingTable& a,
              << "entry " << i << ": charger " << x.charger_id << " vs "
              << y.charger_id;
     }
-    if (x.score.sc_min != y.score.sc_min || x.score.sc_max != y.score.sc_max ||
-        !(x.ecs.level == y.ecs.level) ||
-        !(x.ecs.availability == y.ecs.availability) ||
-        !(x.ecs.derouting == y.ecs.derouting) || x.ecs.eta_s != y.ecs.eta_s ||
-        x.ecs.degraded != y.ecs.degraded || x.eta_s != y.eta_s) {
+    // Compared as bits: NaN scores must match too, and -0.0 is not +0.0.
+    auto same = [](double u, double v) {
+      return std::bit_cast<uint64_t>(u) == std::bit_cast<uint64_t>(v);
+    };
+    auto same_interval = [&same](const Interval& u, const Interval& v) {
+      return same(u.lo, v.lo) && same(u.hi, v.hi);
+    };
+    if (!same(x.score.sc_min, y.score.sc_min) ||
+        !same(x.score.sc_max, y.score.sc_max) ||
+        !same_interval(x.ecs.level, y.ecs.level) ||
+        !same_interval(x.ecs.availability, y.ecs.availability) ||
+        !same_interval(x.ecs.derouting, y.ecs.derouting) ||
+        !same(x.ecs.eta_s, y.ecs.eta_s) ||
+        x.ecs.degraded != y.ecs.degraded || !same(x.eta_s, y.eta_s)) {
       return ::testing::AssertionFailure()
              << "entry " << i << " (charger " << x.charger_id
              << "): score/EC fields differ";
