@@ -1,10 +1,12 @@
-// Micro-benchmarks of the spatial index: build, kNN, and range queries on
-// the quadtree and its linear-scan oracle, over point-cloud sizes
-// bracketing the paper's charger fleets.
+// Micro-benchmarks of the spatial index: build, kNN, and range queries
+// (the sorted allocating form and the unordered `...Into` form) on the
+// quadtree and its linear-scan oracle, over point-cloud sizes bracketing
+// the paper's charger fleets.
 
 #include <benchmark/benchmark.h>
 
 #include <string>
+#include <vector>
 
 #include "common/rng.h"
 #include "spatial/index_factory.h"
@@ -65,6 +67,25 @@ void BM_IndexRange(benchmark::State& state) {
   state.SetLabel(std::string(SpatialIndexKindName(KindArg(state))));
 }
 BENCHMARK(BM_IndexRange)->ArgsProduct({{0, 1}, {1000, 10000}});
+
+// The unordered form the filtering phase calls: caller-owned scratch and
+// output, no sort. BM_IndexRange minus this is what canonical order costs.
+void BM_IndexRangeInto(benchmark::State& state) {
+  size_t n = static_cast<size_t>(state.range(1));
+  auto index = MakeSpatialIndex(KindArg(state));
+  index->Build(MakeCloud(n));
+  IndexScratch scratch;
+  std::vector<Neighbor> out;
+  Rng rng(7);
+  for (auto _ : state) {
+    Point q{rng.NextDouble(0.0, 50000.0), rng.NextDouble(0.0, 40000.0)};
+    index->RangeSearchInto(q, 5000.0, &scratch, &out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetLabel(std::string(SpatialIndexKindName(KindArg(state))));
+}
+BENCHMARK(BM_IndexRangeInto)->ArgsProduct({{0, 1}, {1000, 10000}});
 
 }  // namespace
 }  // namespace ecocharge

@@ -94,6 +94,11 @@ void RandomRanker::RankInto(const VehicleState& state, size_t k,
                             QueryContext& ctx, OfferingTable* out) {
   charger_index_->RangeSearchInto(state.position, radius_m_, &ctx.spatial,
                                   &ctx.neighbors);
+  // The shuffle permutes whatever order it is given: start from the
+  // canonical one, so identical seeds draw identical tables on every
+  // backend.
+  std::sort(ctx.neighbors.begin(), ctx.neighbors.end(),
+            spatial_internal::NeighborLess);
   std::vector<uint32_t>& ids = ctx.candidates;
   ids.clear();
   ids.reserve(ctx.neighbors.size());

@@ -1,6 +1,7 @@
 #include "core/cknn_ec.h"
 
 #include <algorithm>
+#include <bit>
 #include <span>
 
 namespace ecocharge {
@@ -151,9 +152,24 @@ const std::vector<ChargerId>& CknnEcProcessor::FilterCandidates(
   charger_index_->RangeSearchInto(position, options_.radius_m, &ctx->spatial,
                                   &ctx->neighbors);
   // Both backends return only neighbors with distance <= R (a NaN
-  // distance fails that test), so every neighbor is a candidate.
+  // distance fails that test), so every neighbor is a candidate. They
+  // return them in traversal order, which differs between backends; the
+  // candidates go out in ascending id order instead, so per-fetch fault
+  // draws and EIS eviction see one order on every backend. A bitset
+  // yields it in O(fleet/64 + hits), where a sort costs O(hits log hits).
+  std::vector<uint64_t>& bits = ctx->candidate_bits;
+  bits.resize((charger_index_->size() + 63) / 64);
+  for (const Neighbor& nb : ctx->neighbors) {
+    bits[nb.id >> 6] |= uint64_t{1} << (nb.id & 63);
+  }
   ctx->candidates.clear();
-  for (const Neighbor& nb : ctx->neighbors) ctx->candidates.push_back(nb.id);
+  for (size_t w = 0; w < bits.size(); ++w) {
+    for (uint64_t word = bits[w]; word != 0; word &= word - 1) {
+      ctx->candidates.push_back(
+          static_cast<ChargerId>(w * 64 + std::countr_zero(word)));
+    }
+    bits[w] = 0;
+  }
   return ctx->candidates;
 }
 

@@ -111,8 +111,10 @@ class CknnEcProcessor {
                   const CknnEcOptions& options);
 
   /// Candidate ids within R of `position` (the filtering phase's spatial
-  /// part), exposed so Dynamic Caching can reuse the candidate set.
-  /// Results land in `ctx->candidates`; the returned reference aliases it.
+  /// part), in strictly ascending id order on every backend: the order in
+  /// which candidates reach the EIS decides where injected faults and
+  /// column evictions land. Results land in `ctx->candidates`; the
+  /// returned reference aliases it.
   const std::vector<ChargerId>& FilterCandidates(const Point& position,
                                                  QueryContext* ctx) const;
 

@@ -178,17 +178,24 @@ void EcEstimator::EstimateIntervalsBatch(
         &lanes.der_lo, &lanes.der_hi}) {
     lane->resize(n);
   }
-  // Candidates of one request share a handful of ETA buckets: memoize the
-  // fleet maximum of the last bucket (the same key MaxFleetEnergyKwh uses).
-  uint64_t denom_bucket = ~uint64_t{0};
-  double denom = 0.0;
+  // Candidates of one request share a handful of ETA buckets, but in
+  // candidate (id) order consecutive candidates hop between them: a
+  // direct-mapped memo per bucket (the key MaxFleetEnergyKwh uses) keeps
+  // the hashed fleet-max lookup off the per-candidate path.
+  constexpr size_t kDenomMemoSize = 8;
+  struct DenomMemo {
+    uint64_t bucket = ~uint64_t{0};
+    double denom = 0.0;
+  };
+  DenomMemo memo[kDenomMemoSize];
   for (size_t i = 0; i < n; ++i) {
     const SimTime eta_time = batch_targets_[i];
     const uint64_t bucket = EnergyBucket(eta_time);
-    if (bucket != denom_bucket) {
-      denom = MaxFleetEnergyKwh(eta_time, state.charge_window_s);
-      denom_bucket = bucket;
+    DenomMemo& slot = memo[bucket % kDenomMemoSize];
+    if (slot.bucket != bucket) {
+      slot = {bucket, MaxFleetEnergyKwh(eta_time, state.charge_window_s)};
     }
+    const double denom = slot.denom;
     const EnergyForecast& energy = batch_forecasts_.energy[i];
     const AvailabilityForecast& avail = batch_forecasts_.availability[i];
     const DeroutingEstimate& der = batch_derouting_[i];

@@ -42,6 +42,9 @@ struct QueryContext {
 
   std::vector<Neighbor> neighbors;      ///< filtering: range/kNN results
   std::vector<ChargerId> candidates;    ///< filtering: surviving charger ids
+  /// Filtering: one bit per indexed charger, set per neighbor and read
+  /// back in ascending id order; every word is zero between queries.
+  std::vector<uint64_t> candidate_bits;
   std::vector<ScoredCandidate> scored;  ///< scoring: the candidate pool
   std::vector<ScoredCandidate> selected;  ///< intersection winners
   std::vector<ScoredCandidate> adapted;   ///< pool = k table to cache

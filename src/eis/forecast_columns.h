@@ -61,13 +61,15 @@ enum class SlotClaim : uint8_t {
 /// three slots.
 ///
 /// Memory is bounded by about `max_slots` allocated slots: a column's
-/// dense array grows to the largest id put into it, ids at or beyond
-/// `max_slots` go to the column's small sparse map (so a stray huge id
-/// never allocates in proportion to itself), and a claim into a store at
-/// its budget first drops every column whose newest slot has expired,
-/// then — if that is not enough — every column, sparing columns with a
-/// pending claim. When concurrent claims pin more than the budget, the
-/// next sweep waits until the store has grown by another eighth of it.
+/// dense array grows to the largest id put into it (a column is created
+/// with room for the largest id of the call creating it, so a call that
+/// lists its ids in ascending order does not regrow it id by id), ids at
+/// or beyond `max_slots` go to the column's small sparse map (so a stray
+/// huge id never allocates in proportion to itself), and a claim into a
+/// store at its budget first drops every column whose newest slot has
+/// expired, then — if that is not enough — every column, sparing columns
+/// with a pending claim. When concurrent claims pin more than the budget,
+/// the next sweep waits until the store has grown by another eighth of it.
 ///
 /// Thread safety: one mutex guards the store but is never held across an
 /// upstream call. Resolve (1) under the lock serves fresh slots and marks
@@ -101,7 +103,16 @@ class ForecastColumns {
   void Resolve(const ColumnKey& base, SimTime now,
                std::span<SlotClaim> claims, Value* out, KeyOf&& key_of,
                Fetch&& fetch, Degrade&& degrade) {
-    Batch batch(this, base, now);
+    // A fresh request lists its candidates in ascending id order, so a
+    // column grown id by id would reallocate through every power of two,
+    // in step with the call's other new columns, and fragment the heap; a
+    // column this call creates is sized once for its largest dense id.
+    size_t width = 0;
+    for (size_t i = 0; i < claims.size(); ++i) {
+      const size_t id = key_of(i).id;
+      if (id < max_slots_) width = std::max(width, id + 1);
+    }
+    Batch batch(this, base, now, width);
     for (size_t open = claims.size(), round = 0; open > 0; ++round) {
       // 1. Serve fresh slots, claim absent or expired ones (the first
       //    round probes every candidate).
@@ -231,8 +242,13 @@ class ForecastColumns {
   /// fetches), the column family, and the call's counters.
   class Batch {
    public:
-    Batch(ForecastColumns* store, const ColumnKey& base, SimTime now)
-        : store_(store), lock_(store->mu_), base_(base), now_(now) {}
+    Batch(ForecastColumns* store, const ColumnKey& base, SimTime now,
+          size_t width)
+        : store_(store),
+          lock_(store->mu_),
+          base_(base),
+          now_(now),
+          width_(width) {}
 
     ~Batch() { store_->Count(hits_, misses_, expirations_); }
 
@@ -338,7 +354,7 @@ class ForecastColumns {
       }
       ColumnKey key = base_;
       key.target_bucket = target_bucket;
-      Column* col = create ? store_->FindOrCreate(key)
+      Column* col = create ? store_->FindOrCreate(key, width_)
                            : store_->FindColumn(key);
       if (col != nullptr) memo = Memo{col, target_bucket, store_->epoch_};
       return col;
@@ -355,6 +371,7 @@ class ForecastColumns {
     std::unique_lock<std::mutex> lock_;
     ColumnKey base_;
     SimTime now_;
+    size_t width_;  ///< dense capacity of a column this call creates
     Memo memo_[kMemoSize];
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
@@ -378,10 +395,12 @@ class ForecastColumns {
     return it == columns_.end() ? nullptr : it->second.get();
   }
 
-  Column* FindOrCreate(const ColumnKey& key) {
+  Column* FindOrCreate(const ColumnKey& key, size_t width) {
     if (Column* col = FindColumn(key)) return col;
-    return columns_.emplace(key, std::make_unique<Column>())
-        .first->second.get();
+    Column* col =
+        columns_.emplace(key, std::make_unique<Column>()).first->second.get();
+    col->dense.reserve(width);
+    return col;
   }
 
   void Evict(SimTime now) {

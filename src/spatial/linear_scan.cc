@@ -1,6 +1,6 @@
 #include "spatial/linear_scan.h"
 
-#include <algorithm>
+#include <utility>
 
 namespace ecocharge {
 
@@ -30,7 +30,6 @@ void LinearScanIndex::RangeSearchInto(const Point& query, double radius,
     double d = Distance(points_[i], query);
     if (d <= radius) out->push_back({static_cast<uint32_t>(i), d});
   }
-  std::sort(out->begin(), out->end(), spatial_internal::NeighborLess);
 }
 
 void LinearScanIndex::BoxSearchInto(const BoundingBox& box,

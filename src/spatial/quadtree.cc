@@ -153,7 +153,6 @@ void QuadTree::RangeSearchInto(const Point& query, double radius,
       for (uint32_t child : node.children) stack.push_back(child);
     }
   }
-  std::sort(out->begin(), out->end(), spatial_internal::NeighborLess);
 }
 
 void QuadTree::BoxSearchInto(const BoundingBox& box, IndexScratch* scratch,

@@ -1,5 +1,7 @@
 #include "spatial/spatial_index.h"
 
+#include <algorithm>
+
 namespace ecocharge {
 
 std::vector<Neighbor> SpatialIndex::Knn(const Point& query, size_t k) const {
@@ -14,6 +16,7 @@ std::vector<Neighbor> SpatialIndex::RangeSearch(const Point& query,
   IndexScratch scratch;
   std::vector<Neighbor> out;
   RangeSearchInto(query, radius, &scratch, &out);
+  std::sort(out.begin(), out.end(), spatial_internal::NeighborLess);
   return out;
 }
 

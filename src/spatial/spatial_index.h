@@ -43,10 +43,16 @@ struct IndexScratch {
 ///
 /// Items are identified by their index in the point vector handed to
 /// Build(); payloads (chargers, graph nodes, ...) live outside the index.
-/// All implementations return kNN results sorted ascending by distance with
-/// ties broken by id, so results are comparable across index types in tests
-/// — and, downstream, so the query pipeline produces bit-identical Offering
-/// Tables no matter which backend retrieved the candidates.
+/// kNN results come back in one canonical order, ascending by distance
+/// with ties broken by id (NeighborLess), on every backend. Range and box
+/// queries are set queries: their `...Into` forms return the matching
+/// items in the backend's traversal order, which differs between
+/// backends, and the allocating RangeSearch sorts its result into the
+/// canonical order. A caller whose output depends on range order
+/// canonicalizes it itself — CknnEcProcessor::FilterCandidates reads the
+/// ids back in ascending order, RandomRanker sorts by NeighborLess — so
+/// the query pipeline produces bit-identical Offering Tables no matter
+/// which backend retrieved the candidates.
 ///
 /// Each query comes in two forms:
 ///  - an allocating convenience form returning a fresh vector, and
@@ -74,8 +80,11 @@ class SpatialIndex {
   virtual void KnnInto(const Point& query, size_t k, IndexScratch* scratch,
                        std::vector<Neighbor>* out) const = 0;
 
-  /// All items within `radius` of `query`, written into `*out` (cleared
-  /// first) sorted ascending by distance.
+  /// All items within `radius` of `query` (`d <= radius`; a NaN distance
+  /// fails that test), written into `*out` (cleared first) unordered: the
+  /// order is the backend's traversal order. Sorting ~1,000 neighbors
+  /// cost more than the traversal, and the filtering phase never reads
+  /// the order; RangeSearch is the sorted form.
   virtual void RangeSearchInto(const Point& query, double radius,
                                IndexScratch* scratch,
                                std::vector<Neighbor>* out) const = 0;
@@ -85,6 +94,8 @@ class SpatialIndex {
                              std::vector<uint32_t>* out) const = 0;
 
   /// Allocating convenience wrappers around the `...Into` forms.
+  /// RangeSearch returns the canonical order (ascending distance, ties by
+  /// id); BoxSearch stays unordered.
   std::vector<Neighbor> Knn(const Point& query, size_t k) const;
   std::vector<Neighbor> RangeSearch(const Point& query, double radius) const;
   std::vector<uint32_t> BoxSearch(const BoundingBox& box) const;

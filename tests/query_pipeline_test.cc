@@ -1,11 +1,16 @@
 // Cross-index parity of the query pipeline: every SpatialIndex backend
-// must drive every ranker to bit-identical Offering Tables. The canonical
-// result ordering (ascending distance, ties by id) is the contract that
-// makes the pipeline index-agnostic; these tests pin it end to end.
+// must drive every ranker to bit-identical Offering Tables. Range queries
+// return neighbors in each backend's own traversal order; the pipeline
+// makes itself index-agnostic by canonicalizing that order (the filter
+// emits ascending ids, the Random baseline sorts by distance then id).
+// These tests pin it end to end, including under injected EIS faults,
+// where the order of upstream fetches decides which charger degrades.
 
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -15,6 +20,7 @@
 #include "core/baselines.h"
 #include "core/ecocharge.h"
 #include "graph/io.h"
+#include "resilience/resilient_information_server.h"
 #include "spatial/index_factory.h"
 #include "tests/test_util.h"
 
@@ -160,7 +166,7 @@ TEST_P(CrossIndexParityTest, RandomRankerTablesBitIdentical) {
   std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
 
   // Identical seeds shuffle identical candidate lists identically — which
-  // requires the backends to agree on the range-search result order.
+  // requires the ranker to sort the unordered range result first.
   RandomRanker expected(w.env->estimator.get(), reference.get(), 20000.0,
                         /*seed=*/99);
   RandomRanker actual(w.env->estimator.get(), index.get(), 20000.0,
@@ -168,6 +174,111 @@ TEST_P(CrossIndexParityTest, RandomRankerTablesBitIdentical) {
   for (const VehicleState& state : w.states) {
     EXPECT_TRUE(TablesBitIdentical(actual.Rank(state, 3),
                                    expected.Rank(state, 3)));
+  }
+}
+
+TEST_P(CrossIndexParityTest, FilterCandidatesAscendingAndBackendInvariant) {
+  SharedWorld& w = World();
+  std::unique_ptr<SpatialIndex> reference =
+      BuildIndex(SpatialIndexKind::kQuadTree);
+  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
+
+  // The filter emits candidates in strictly ascending id order on every
+  // backend, whatever order the range query returned them in; one context
+  // is reused across queries, so its bitset must come back clean.
+  QueryContext ctx;
+  for (double radius : {0.0, 3000.0, 8000.0, 20000.0, 1e9}) {
+    CknnEcOptions opts;
+    opts.radius_m = radius;
+    CknnEcProcessor expected(w.env->estimator.get(), reference.get(), opts);
+    CknnEcProcessor actual(w.env->estimator.get(), index.get(), opts);
+    for (const VehicleState& state : w.states) {
+      const std::vector<ChargerId> want =
+          expected.FilterCandidates(state.position);
+      const std::vector<ChargerId>& got =
+          actual.FilterCandidates(state.position, &ctx);
+      EXPECT_EQ(got, want) << "radius " << radius;
+      EXPECT_TRUE(std::adjacent_find(got.begin(), got.end(),
+                                     std::greater_equal<ChargerId>()) ==
+                  got.end())
+          << "candidates not strictly ascending at radius " << radius;
+      // Exactly the chargers within R.
+      std::vector<ChargerId> in_range;
+      for (const Neighbor& nb : index->RangeSearch(state.position, radius)) {
+        in_range.push_back(nb.id);
+      }
+      std::sort(in_range.begin(), in_range.end());
+      EXPECT_EQ(got, in_range) << "radius " << radius;
+    }
+  }
+}
+
+TEST_P(CrossIndexParityTest, FaultyEisTablesBitIdentical) {
+  SharedWorld& w = World();
+  Environment& env = *w.env;
+  std::unique_ptr<SpatialIndex> reference =
+      BuildIndex(SpatialIndexKind::kQuadTree);
+  std::unique_ptr<SpatialIndex> index = BuildIndex(GetParam());
+
+  // Weather and availability fail at random. Each upstream draws its
+  // faults from one seeded stream in fetch order, and a short TTL makes
+  // later requests miss again, so the charger a fault lands on follows the
+  // candidate order. The tables match bitwise only because that order is
+  // the same on every backend.
+  EisOptions eis;
+  eis.weather_ttl_s = 60.0;
+  eis.availability_ttl_s = 60.0;
+  resilience::ResilienceOptions res;
+  resilience::FaultProfile noisy;
+  noisy.error_probability = 0.4;
+  res.faults.weather = noisy;
+  res.faults.availability = noisy;
+  res.retry.max_attempts = 2;
+  resilience::ResilientInformationServer expected_eis(
+      env.energy.get(), env.availability.get(), env.congestion.get(), eis,
+      res);
+  resilience::ResilientInformationServer actual_eis(
+      env.energy.get(), env.availability.get(), env.congestion.get(), eis,
+      res);
+  EcEstimator expected_estimator(env.dataset.network, &env.chargers,
+                                 env.energy.get(), env.availability.get(),
+                                 env.congestion.get(),
+                                 env.estimator->options(), &expected_eis);
+  EcEstimator actual_estimator(env.dataset.network, &env.chargers,
+                               env.energy.get(), env.availability.get(),
+                               env.congestion.get(), env.estimator->options(),
+                               &actual_eis);
+  EcoChargeOptions opts;
+  opts.radius_m = 20000.0;
+  opts.use_dynamic_cache = false;  // every request fetches
+  EcoChargeRanker expected(&expected_estimator, reference.get(),
+                           ScoreWeights::AWE(), opts);
+  EcoChargeRanker actual(&actual_estimator, index.get(), ScoreWeights::AWE(),
+                         opts);
+  size_t degraded = 0;
+  for (int pass = 0; pass < 3; ++pass) {
+    for (VehicleState state : w.states) {
+      state.time += pass * 600.0;
+      const OfferingTable want = expected.Rank(state, 3);
+      EXPECT_TRUE(TablesBitIdentical(actual.Rank(state, 3), want))
+          << "pass " << pass;
+      if (want.degraded) ++degraded;
+    }
+  }
+  // The faults really fired and really reached the tables.
+  EXPECT_GT(degraded, 0u);
+  for (resilience::UpstreamKind kind :
+       {resilience::UpstreamKind::kWeather,
+        resilience::UpstreamKind::kAvailability}) {
+    const resilience::UpstreamResilienceStats want =
+        expected_eis.ResilienceSnapshot(kind, 0.0);
+    const resilience::UpstreamResilienceStats got =
+        actual_eis.ResilienceSnapshot(kind, 0.0);
+    EXPECT_GT(want.retries, 0u);
+    EXPECT_GT(want.stale_serves + want.climatological_serves, 0u);
+    EXPECT_EQ(got.retries, want.retries);
+    EXPECT_EQ(got.stale_serves, want.stale_serves);
+    EXPECT_EQ(got.climatological_serves, want.climatological_serves);
   }
 }
 

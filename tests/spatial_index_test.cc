@@ -139,6 +139,67 @@ TEST_P(SpatialIndexTest, RangeMatchesLinearScan) {
   EXPECT_TRUE(index->RangeSearch({nan, 4000.0}, 1e9).empty());
 }
 
+TEST_P(SpatialIndexTest, RangeSearchIntoMatchesLinearScanAsASet) {
+  // RangeSearchInto is a set query: each backend returns the neighbors in
+  // its own traversal order, so the contract is the set of (id, distance)
+  // pairs, compared here after sorting. RangeSearch is the canonical form:
+  // the same set, ascending by distance with ties broken by id. The
+  // lattice makes many neighbors equidistant, so the tie-break shows.
+  std::vector<Point> lattice;
+  for (int y = 0; y < 20; ++y) {
+    for (int x = 0; x < 25; ++x) lattice.push_back({x * 250.0, y * 250.0});
+  }
+  auto sorted = [](std::vector<Neighbor> v) {
+    std::sort(v.begin(), v.end(), spatial_internal::NeighborLess);
+    return v;
+  };
+  for (bool on_lattice : {false, true}) {
+    std::vector<Point> cloud =
+        on_lattice ? lattice : testing_util::RandomCloud(400);
+    auto truth = std::make_unique<LinearScanIndex>();
+    auto index = MakeIndex(GetParam());
+    truth->Build(cloud);
+    index->Build(cloud);
+    IndexScratch truth_scratch, scratch;  // reused across queries
+    std::vector<Neighbor> expected, actual;
+    Rng rng(31);
+    for (int trial = 0; trial < 40; ++trial) {
+      Point q = on_lattice ? Point{125.0 * rng.NextBounded(50),
+                                   125.0 * rng.NextBounded(40)}
+                           : Point{rng.NextDouble(0.0, 10000.0),
+                                   rng.NextDouble(0.0, 8000.0)};
+      double radius = on_lattice ? 250.0 * (1 + rng.NextBounded(8))
+                                 : rng.NextDouble(100.0, 4000.0);
+      truth->RangeSearchInto(q, radius, &truth_scratch, &expected);
+      index->RangeSearchInto(q, radius, &scratch, &actual);
+      EXPECT_EQ(sorted(actual), sorted(expected))
+          << (on_lattice ? "lattice" : "cloud") << " trial " << trial;
+      const std::vector<Neighbor> canonical = index->RangeSearch(q, radius);
+      EXPECT_EQ(canonical, sorted(actual)) << "trial " << trial;
+      EXPECT_TRUE(std::is_sorted(canonical.begin(), canonical.end(),
+                                 spatial_internal::NeighborLess));
+    }
+    // A point at exactly distance R is returned (d <= R); a NaN query
+    // position fails every d <= R test and returns nothing.
+    for (uint32_t id : {0u, 57u, 399u}) {
+      const Point q{cloud[id].x + 312.5, cloud[id].y - 71.25};
+      const double radius = Distance(cloud[id], q);
+      index->RangeSearchInto(q, radius, &scratch, &actual);
+      truth->RangeSearchInto(q, radius, &truth_scratch, &expected);
+      EXPECT_TRUE(std::any_of(actual.begin(), actual.end(),
+                              [&](const Neighbor& nb) { return nb.id == id; }))
+          << "point at exactly R dropped: id " << id;
+      EXPECT_EQ(sorted(actual), sorted(expected)) << "boundary id " << id;
+    }
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    for (Point q : {Point{nan, nan}, Point{nan, 4000.0}}) {
+      actual.assign(3, Neighbor{});  // cleared, not appended to
+      index->RangeSearchInto(q, 1e9, &scratch, &actual);
+      EXPECT_TRUE(actual.empty());
+    }
+  }
+}
+
 TEST_P(SpatialIndexTest, BoxMatchesLinearScan) {
   auto truth = std::make_unique<LinearScanIndex>();
   auto index = MakeIndex(GetParam());
