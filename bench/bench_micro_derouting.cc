@@ -11,6 +11,8 @@
 //   3. ExactBatch, which prices one ClassFactors per cost time, is
 //      bit-identical to and >= 2x faster than the same sweeps driven by a
 //      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch.
+// Report-only beside the forward columns: the nodes ExactBatch's backward
+// extension settles and what that extension costs on its own per pass.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_derouting.json.
 
@@ -141,6 +143,33 @@ class PerArcBatch {
   SimTime tau_ = -1.0;
 };
 
+/// ExactBatch's backward extension on its own: a cold multi-source sweep
+/// from the return pair to every charger and the vehicle node, priced with
+/// one ClassFactors like ExactBatch. It times the backward half of a
+/// batched row.
+class BackwardOnly {
+ public:
+  BackwardOnly(const RoadNetwork& network, const CongestionModel& congestion)
+      : congestion_(congestion), backward_(network) {}
+
+  void Run(const DeroutingQuery& q, std::span<const ChargerRef> chargers) {
+    const ClassFactors factors = congestion_.ActualFactors(q.now);
+    auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
+    targets_.clear();
+    for (ChargerRef c : chargers) targets_.push_back(c->node);
+    targets_.push_back(q.vehicle_node);
+    NodeId sources[2] = {q.return_node_a, q.return_node_b};
+    backward_.StartSweep(std::span<const NodeId>(sources, 2),
+                         SweepDirection::kBackward);
+    backward_.ExtendSweep(std::span<const NodeId>(targets_), cost);
+  }
+
+ private:
+  const CongestionModel& congestion_;
+  DijkstraSearch backward_;
+  std::vector<NodeId> targets_;
+};
+
 int Main(int argc, char** argv) {
   bench::BenchConfig cfg = bench::BenchConfig::FromArgs(argc, argv);
   bench::PreparedWorld world = bench::Prepare(DatasetKind::kOldenburg, cfg);
@@ -163,8 +192,11 @@ int Main(int argc, char** argv) {
   std::vector<DeroutingEstimate> batch_out;
 
   bench::BenchJsonWriter json;
+  BackwardOnly backward_only(*world.env->dataset.network,
+                             *world.env->congestion);
   TableWriter tw({"targets", "per-candidate us", "batched us", "speedup",
-                  "per-candidate settled", "batched settled"});
+                  "per-candidate fwd settled", "batched fwd settled",
+                  "batched bwd settled", "bwd us"});
   bool ok = true;
 
   const size_t batch_sizes[] = {4, 16, 48};
@@ -183,11 +215,13 @@ int Main(int argc, char** argv) {
     // sweep is memoized on both sides).
     size_t compared = 0;
     uint64_t batched_settled = 0;
+    uint64_t batched_backward_settled = 0;
     uint64_t per_candidate_settled = 0;
     for (size_t s = 0; s < num_states; ++s) {
       scratch.Reserve(n);
       batched.ExactBatch(queries[s], candidates[s], &scratch, &batch_out);
       batched_settled += batched.last_forward_settled();
+      batched_backward_settled += batched.last_backward_settled();
       for (size_t i = 0; i < candidates[s].size(); ++i) {
         DeroutingEstimate exact =
             per_candidate.Exact(queries[s], *candidates[s][i]);
@@ -224,6 +258,15 @@ int Main(int argc, char** argv) {
       }
     }
 
+    uint64_t backward_ns = UINT64_MAX;
+    for (int round = 0; round < kRounds; ++round) {
+      const uint64_t start = NowNs();
+      for (size_t s = 0; s < num_states; ++s) {
+        backward_only.Run(queries[s], candidates[s]);
+      }
+      backward_ns = std::min(backward_ns, NowNs() - start);
+    }
+
     const double speedup = static_cast<double>(per_candidate_ns) /
                            static_cast<double>(std::max<uint64_t>(
                                batched_ns, 1));
@@ -235,7 +278,9 @@ int Main(int argc, char** argv) {
                TableWriter::Fmt(batched_ns / 1e3, 1),
                TableWriter::Fmt(speedup, 2) + "x",
                std::to_string(per_candidate_settled),
-               std::to_string(batched_settled)});
+               std::to_string(batched_settled),
+               std::to_string(batched_backward_settled),
+               TableWriter::Fmt(backward_ns / 1e3, 1)});
     json.BeginRecord();
     json.Str("mode", "batch_vs_per_candidate");
     json.Num("targets", static_cast<double>(n));
@@ -247,6 +292,9 @@ int Main(int argc, char** argv) {
     json.Num("per_candidate_settled",
              static_cast<double>(per_candidate_settled));
     json.Num("batched_settled", static_cast<double>(batched_settled));
+    json.Num("batched_backward_settled",
+             static_cast<double>(batched_backward_settled));
+    json.Num("backward_ns", static_cast<double>(backward_ns));
     if (n >= 16 && speedup < kMinSpeedupAt16) {
       std::cerr << "FAIL: batched refinement only " << speedup
                 << "x faster at " << n << " targets (floor "

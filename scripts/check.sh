@@ -28,8 +28,10 @@
 #                                    # score kernel / ranking / parity
 #                                    # suites under ASan and UBSan, then
 #                                    # the asserting bench_micro_score
-#                                    # (columnar-vs-per-candidate bit
-#                                    # parity on all spatial backends +
+#                                    # (pruned columnar vs unpruned
+#                                    # per-candidate bit parity on all
+#                                    # spatial backends, the bound
+#                                    # stage's scored-share ceiling +
 #                                    # SoA speedup floor; emits
 #                                    # BENCH_score.json)
 #   scripts/check.sh serve           # fleet-serving gate: epoch /

@@ -26,7 +26,8 @@ struct PipelineMetrics {
   obs::Histogram* filter_ns = nullptr;  ///< filtering-phase wall time
   obs::Histogram* score_ns = nullptr;   ///< interval-EC scoring wall time
   obs::Histogram* refine_ns = nullptr;  ///< refinement-phase wall time
-  obs::Counter* candidates_scored = nullptr;  ///< survivors of filtering
+  obs::Counter* candidates_scored = nullptr;  ///< candidates fetched+scored
+  obs::Counter* candidates_bounded = nullptr;  ///< dropped by EC bounds
   obs::Counter* candidates_pruned = nullptr;  ///< dropped by eq. 6 ranking
   obs::Counter* exact_refinements = nullptr;  ///< network-exact upgrades
   obs::Histogram* batch_derouting_ns = nullptr;  ///< batched-sweep wall time
@@ -89,9 +90,11 @@ struct CknnEcOptions {
 /// \brief The CkNN-EC query processor (Section III-C).
 ///
 /// Filtering phase: a range query against the injected SpatialIndex keeps
-/// only chargers within R of the vehicle, and each survivor gets cheap
-/// interval ECs (forecast L, A; closed-form D bounds) folded into the
-/// SC_min/SC_max pair.
+/// only chargers within R of the vehicle, EC bounds (exact D, L at the
+/// EIS's energy ceiling, A at 1) drop those that cannot reach a selection
+/// (Query's bound stage), and each survivor gets cheap interval ECs
+/// (forecast L, A; closed-form D bounds) folded into the SC_min/SC_max
+/// pair.
 /// Refinement phase: iterative-deepening intersection (eq. 6) selects the
 /// candidates, and the first `refine_limit` of them in score order get
 /// network-exact derouting from one batched sweep before the final
@@ -134,13 +137,16 @@ class CknnEcProcessor {
       const VehicleState& state, const std::vector<ChargerId>& candidate_ids,
       const ScoreWeights& weights);
 
-  /// Full query: filter, score, intersect, refine. Writes the top-k
-  /// entries best-first into `*out` (typically `&ctx->entries` or a
+  /// Full query: filter, bound, score, intersect, refine. Writes the
+  /// top-k entries best-first into `*out` (typically `&ctx->entries` or a
   /// reused OfferingTable's entry vector). A non-null `adapted` also
   /// receives the pool = k selection without refinement, best first: the
   /// table RefineAndRank(scored pool, k, refine=false) would produce, and
-  /// what a Dynamic Cache stores. Both selections run over the lanes
-  /// ScoreCandidates filled, keyed once.
+  /// what a Dynamic Cache stores. On the columnar path with eq. 6 on and
+  /// no negative weight, the bound stage scores only the candidates that
+  /// can reach either selection; both tables are bit-identical to those
+  /// of scoring every candidate. Both selections run over the keyed
+  /// lanes of the scored set.
   void Query(const VehicleState& state, size_t k, const ScoreWeights& weights,
              QueryContext* ctx, std::vector<OfferingEntry>* out,
              std::vector<ScoredCandidate>* adapted = nullptr);
@@ -191,6 +197,17 @@ class CknnEcProcessor {
   /// first. `ctx->lanes` must hold `scored`'s keyed lanes.
   void SelectKeyed(const std::vector<ScoredCandidate>& scored, size_t pool,
                    QueryContext* ctx, std::vector<ScoredCandidate>* out) const;
+
+  /// The bound stage (DESIGN.md §15): Query's columnar scoring, which
+  /// fetches and scores only the candidates whose score upper bounds can
+  /// still reach a top-d of the selections with pools `refine_pool` and
+  /// `cache_pool` (equal when the request runs one). Leaves the scored
+  /// set in `ctx->scored` and its keyed lanes in `ctx->lanes`, such that
+  /// both selections over it equal those over every candidate.
+  void ScoreBounded(const VehicleState& state,
+                    const std::vector<ChargerId>& candidates,
+                    const ScoreWeights& weights, size_t refine_pool,
+                    size_t cache_pool, QueryContext* ctx);
 
   /// RefineAndRank after its lanes are keyed: select, refine, order.
   void RefineKeyed(const VehicleState& state,

@@ -1,6 +1,7 @@
 #include "core/ec_estimator.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 namespace ecocharge {
@@ -65,17 +66,20 @@ uint64_t EnergyBucket(SimTime t) {
 }  // namespace
 
 double EcEstimator::MaxFleetEnergyKwh(SimTime t, double window_s) {
-  uint64_t bucket = EnergyBucket(t);
-  uint64_t key = bucket * 1000003ULL +
-                 static_cast<uint64_t>(window_s / kSecondsPerMinute);
-  auto it = max_energy_cache_.find(key);
-  if (it != max_energy_cache_.end()) return it->second;
   if (fleet_->empty()) return 0.0;
-  double value = energy_->ActualEnergyKwh(
-      (*fleet_)[best_site_index_], static_cast<double>(bucket) * kEnergyBucketS,
-      window_s);
-  max_energy_cache_[key] = value;
-  return value;
+  const uint64_t bucket = EnergyBucket(t);
+  const uint64_t window_bits = std::bit_cast<uint64_t>(window_s);
+  // Fibonacci hashing: consecutive buckets land in different entries.
+  FleetEnergyEntry& entry =
+      fleet_energy_memo_[((bucket ^ window_bits) * 0x9E3779B97F4A7C15ULL) >>
+                         58];
+  if (entry.bucket != bucket || entry.window_bits != window_bits) {
+    entry = {bucket, window_bits,
+             energy_->ActualEnergyKwh(
+                 (*fleet_)[best_site_index_],
+                 static_cast<double>(bucket) * kEnergyBucketS, window_s)};
+  }
+  return entry.kwh;
 }
 
 double EcEstimator::EnergyShare(double kwh, double denom) {
@@ -146,71 +150,129 @@ EcIntervals EcEstimator::EstimateIntervals(const VehicleState& state,
 void EcEstimator::EstimateIntervalsBatch(
     const VehicleState& state, std::span<const ChargerId> candidate_ids,
     double derouting_norm_m, QueryContext* ctx) {
+  PrepareIntervalsBatch(state, candidate_ids, derouting_norm_m, ctx);
+  std::vector<uint32_t>& all = ctx->lanes.round;
+  all.resize(batch_chargers_.size());
+  for (uint32_t i = 0; i < all.size(); ++i) all[i] = i;
+  EstimatePreparedBatch(state, all, ctx);
+}
+
+void EcEstimator::PrepareIntervalsBatch(
+    const VehicleState& state, std::span<const ChargerId> candidate_ids,
+    double derouting_norm_m, QueryContext* ctx) {
   const std::vector<EvCharger>& fleet = *fleet_;
   const DeroutingQuery q = MakeQuery(state);
-  EisFetch traffic_fetch = EisFetch::kFresh;
+  batch_traffic_fetch_ = EisFetch::kFresh;
   const CongestionModel::Band band = eis_->GetTraffic(
-      RoadClass::kArterial, state.time, state.time, &traffic_fetch);
+      RoadClass::kArterial, state.time, state.time, &batch_traffic_fetch_);
   const double on_route = DeroutingService::OnRouteDistance(q);
 
   simd::ScoreLanes& lanes = ctx->lanes;
   lanes.Clear();
+  ctx->scored.clear();
   batch_chargers_.clear();
+  batch_eta_.clear();
   batch_targets_.clear();
-  batch_derouting_.clear();
+  batch_bucket_.clear();
+  bucket_starts_.clear();
+  bucket_denom_.clear();
+  // Candidates of one request share a handful of ETA buckets, but in id
+  // order consecutive candidates hop between them: a direct-mapped hint
+  // per bucket finds each candidate's entry without a search.
+  constexpr uint32_t kNoHint = ~uint32_t{0};
+  uint32_t hint[16];
+  std::fill(std::begin(hint), std::end(hint), kNoHint);
   for (ChargerId id : candidate_ids) {
     if (id >= fleet.size()) continue;
     const DeroutingEstimate der =
         derouting_.Estimate(q, fleet[id], band, on_route);
-    lanes.ids.push_back(id);
+    const Interval d = Interval::FromUnordered(
+        NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
+        NormalizeDerouting(der.extra_distance_max_m, derouting_norm_m));
+    const SimTime target = state.time + der.eta_s;
+    const uint64_t bucket = EnergyBucket(target);
+    const SimTime start = static_cast<double>(bucket) * kEnergyBucketS;
+    uint32_t& entry = hint[bucket % 16];
+    if (entry == kNoHint || bucket_starts_[entry] != start) {
+      entry = static_cast<uint32_t>(
+          std::find(bucket_starts_.begin(), bucket_starts_.end(), start) -
+          bucket_starts_.begin());
+      if (entry == bucket_starts_.size()) {
+        bucket_starts_.push_back(start);
+        bucket_denom_.push_back(
+            MaxFleetEnergyKwh(target, state.charge_window_s));
+      }
+    }
+    lanes.cand_ids.push_back(id);
+    lanes.cand_der_lo.push_back(d.lo);
+    lanes.cand_der_hi.push_back(d.hi);
     batch_chargers_.push_back(&fleet[id]);
-    batch_targets_.push_back(state.time + der.eta_s);
-    batch_derouting_.push_back(der);
+    batch_eta_.push_back(der.eta_s);
+    batch_targets_.push_back(target);
+    batch_bucket_.push_back(entry);
   }
-  eis_->GetForecastBatch(batch_chargers_, batch_targets_, state.time,
+  if (derouting_estimates_ && !batch_chargers_.empty()) {
+    derouting_estimates_->Add(batch_chargers_.size());
+  }
+}
+
+void EcEstimator::BoundLevelsBatch(const VehicleState& state,
+                                   QueryContext* ctx) {
+  const double window_s = state.charge_window_s;
+  eis_->GetEnergyCeilingBatch(bucket_starts_, state.time, window_s,
+                              &batch_forecasts_);
+  const std::vector<double>& kwh_per_kwp = batch_forecasts_.kwh_per_kwp;
+  std::vector<double>& level_ub = ctx->lanes.cand_level_ub;
+  level_ub.resize(batch_chargers_.size());
+  for (size_t i = 0; i < level_ub.size(); ++i) {
+    const uint32_t b = batch_bucket_[i];
+    level_ub[i] = EnergyShare(
+        EnergyCeilingKwh(*batch_chargers_[i], kwh_per_kwp[b], window_s),
+        bucket_denom_[b]);
+  }
+}
+
+void EcEstimator::EstimatePreparedBatch(const VehicleState& state,
+                                        std::span<const uint32_t> slots,
+                                        QueryContext* ctx) {
+  fetch_chargers_.clear();
+  fetch_targets_.clear();
+  for (uint32_t slot : slots) {
+    fetch_chargers_.push_back(batch_chargers_[slot]);
+    fetch_targets_.push_back(batch_targets_[slot]);
+  }
+  eis_->GetForecastBatch(fetch_chargers_, fetch_targets_, state.time,
                          state.charge_window_s, &batch_forecasts_);
 
-  const size_t n = batch_chargers_.size();
+  simd::ScoreLanes& lanes = ctx->lanes;
   std::vector<ScoredCandidate>& scored = ctx->scored;
-  scored.resize(n);
+  const size_t base = scored.size();
+  const size_t n = slots.size();
+  scored.resize(base + n);
+  lanes.ids.resize(base + n);
   for (std::vector<double>* lane :
        {&lanes.level_lo, &lanes.level_hi, &lanes.avail_lo, &lanes.avail_hi,
         &lanes.der_lo, &lanes.der_hi}) {
-    lane->resize(n);
+    lane->resize(base + n);
   }
-  // Candidates of one request share a handful of ETA buckets, but in
-  // candidate (id) order consecutive candidates hop between them: a
-  // direct-mapped memo per bucket (the key MaxFleetEnergyKwh uses) keeps
-  // the hashed fleet-max lookup off the per-candidate path.
-  constexpr size_t kDenomMemoSize = 8;
-  struct DenomMemo {
-    uint64_t bucket = ~uint64_t{0};
-    double denom = 0.0;
-  };
-  DenomMemo memo[kDenomMemoSize];
-  for (size_t i = 0; i < n; ++i) {
-    const SimTime eta_time = batch_targets_[i];
-    const uint64_t bucket = EnergyBucket(eta_time);
-    DenomMemo& slot = memo[bucket % kDenomMemoSize];
-    if (slot.bucket != bucket) {
-      slot = {bucket, MaxFleetEnergyKwh(eta_time, state.charge_window_s)};
-    }
-    const double denom = slot.denom;
-    const EnergyForecast& energy = batch_forecasts_.energy[i];
-    const AvailabilityForecast& avail = batch_forecasts_.availability[i];
-    const DeroutingEstimate& der = batch_derouting_[i];
+  for (size_t j = 0; j < n; ++j) {
+    const uint32_t slot = slots[j];
+    const double denom = bucket_denom_[batch_bucket_[slot]];
+    const EnergyForecast& energy = batch_forecasts_.energy[j];
+    const AvailabilityForecast& avail = batch_forecasts_.availability[j];
+    const size_t i = base + j;
     ScoredCandidate& c = scored[i];
-    c.charger_id = lanes.ids[i];
+    c.charger_id = lanes.cand_ids[slot];
     c.score = ScorePair{};
     c.ecs.level = Interval::FromUnordered(EnergyShare(energy.min_kwh, denom),
                                           EnergyShare(energy.max_kwh, denom));
     c.ecs.availability = Interval::FromUnordered(avail.min, avail.max);
-    c.ecs.derouting = Interval::FromUnordered(
-        NormalizeDerouting(der.extra_distance_min_m, derouting_norm_m),
-        NormalizeDerouting(der.extra_distance_max_m, derouting_norm_m));
-    c.ecs.eta_s = der.eta_s;
-    c.ecs.degraded = traffic_fetch != EisFetch::kFresh ||
-                     batch_forecasts_.fetch[i] != EisFetch::kFresh;
+    c.ecs.derouting = Interval{lanes.cand_der_lo[slot],
+                               lanes.cand_der_hi[slot]};
+    c.ecs.eta_s = batch_eta_[slot];
+    c.ecs.degraded = batch_traffic_fetch_ != EisFetch::kFresh ||
+                     batch_forecasts_.fetch[j] != EisFetch::kFresh;
+    lanes.ids[i] = c.charger_id;
     lanes.level_lo[i] = c.ecs.level.lo;
     lanes.level_hi[i] = c.ecs.level.hi;
     lanes.avail_lo[i] = c.ecs.availability.lo;
@@ -221,7 +283,6 @@ void EcEstimator::EstimateIntervalsBatch(
   if (n > 0) {
     if (level_estimates_) level_estimates_->Add(n);
     if (availability_estimates_) availability_estimates_->Add(n);
-    if (derouting_estimates_) derouting_estimates_->Add(n);
   }
 }
 

@@ -1,9 +1,9 @@
 #ifndef ECOCHARGE_CORE_EC_ESTIMATOR_H_
 #define ECOCHARGE_CORE_EC_ESTIMATOR_H_
 
+#include <array>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "availability/availability_service.h"
@@ -88,17 +88,38 @@ class EcEstimator {
                                 double derouting_norm_m = 0.0);
 
   /// EstimateIntervals for a whole candidate set, as one columnar batch:
-  /// the arterial band is fetched once, every Euclidean derouting
-  /// estimate and ETA is computed, L and A come from one
-  /// InformationServer::GetForecastBatch call, L is normalized with a
-  /// fleet-max memo per ETA bucket, and each counter is bumped once.
-  /// Ids outside the fleet are skipped. Writes `ctx->scored` (ids and
-  /// ECs; scores zeroed) and the EC lanes plus `ids` of `ctx->lanes`,
-  /// in candidate order — bit-identical to per-candidate
+  /// PrepareIntervalsBatch, then EstimatePreparedBatch over every
+  /// candidate. Ids outside the fleet are skipped. Writes `ctx->scored`
+  /// (ids and ECs; scores zeroed) and the EC lanes plus `ids` of
+  /// `ctx->lanes`, in candidate order — bit-identical to per-candidate
   /// EstimateIntervals calls, which stay as the estimation oracle.
   void EstimateIntervalsBatch(const VehicleState& state,
                               std::span<const ChargerId> candidate_ids,
                               double derouting_norm_m, QueryContext* ctx);
+
+  /// The fetch-free half of a columnar batch: the arterial band is
+  /// fetched once and every candidate's Euclidean derouting estimate and
+  /// ETA computed. Clears `ctx->scored` and `ctx->lanes`, then fills the
+  /// candidate lanes `cand_ids`, `cand_der_lo` and `cand_der_hi` in
+  /// candidate order (ids outside the fleet skipped). The estimator keeps
+  /// each candidate's charger and ETA until the next prepare.
+  void PrepareIntervalsBatch(const VehicleState& state,
+                             std::span<const ChargerId> candidate_ids,
+                             double derouting_norm_m, QueryContext* ctx);
+
+  /// Fills `ctx->lanes.cand_level_ub` for the prepared candidates: the
+  /// EIS's L ceiling (InformationServer::GetEnergyCeilingBatch) as a
+  /// share of the fleet maximum, at least the L interval's upper end the
+  /// candidate's fetch would give. Fetches nothing.
+  void BoundLevelsBatch(const VehicleState& state, QueryContext* ctx);
+
+  /// Fetches L and A for the prepared candidate slots `slots` (ascending)
+  /// with one InformationServer::GetForecastBatch call, normalizes L with
+  /// the fleet-max memo, and appends their ECs to `ctx->scored` and the
+  /// EC lanes plus `ids` of `ctx->lanes`, in `slots` order.
+  void EstimatePreparedBatch(const VehicleState& state,
+                             std::span<const uint32_t> slots,
+                             QueryContext* ctx);
 
   /// Batched form of the exact-derouting upgrade: one forward sweep plus
   /// one (possibly warm) backward sweep covers every charger in
@@ -146,6 +167,13 @@ class EcEstimator {
   /// Eq. 1, L(B) = max{s_t^b}). Returns 0 when nothing produces (night).
   double NormalizeEnergy(double kwh, double window_s, SimTime t);
 
+  /// Fleet-max deliverable energy for a window anchored at `t`'s
+  /// 15-minute bucket: the best site's actual energy, eq. 1's L
+  /// denominator. An environment property, kept in a fixed direct-mapped
+  /// memo keyed by (bucket, window): lookups never allocate, and a long
+  /// run does not grow it.
+  double MaxFleetEnergyKwh(SimTime t, double window_s);
+
   /// Normalizes raw extra meters into the D score; `norm_m` <= 0 uses the
   /// estimator-wide default.
   double NormalizeDerouting(double extra_m, double norm_m = 0.0) const;
@@ -170,10 +198,6 @@ class EcEstimator {
   /// Finds the fleet site maximizing min(rate, pv) for the L normalization.
   void PickBestSite();
 
-  /// Fleet-max deliverable energy for a window anchored at `t`'s
-  /// 15-minute bucket (cached; this is an environment property).
-  double MaxFleetEnergyKwh(SimTime t, double window_s);
-
   /// Eq. 1's share of the fleet maximum `denom` (0 when nothing produces).
   static double EnergyShare(double kwh, double denom);
 
@@ -186,12 +210,29 @@ class EcEstimator {
   std::unique_ptr<InformationServer> owned_eis_;  ///< null when borrowing
   InformationServer* eis_;
   size_t best_site_index_ = 0;  // fleet index maximizing min(rate, pv)
-  std::unordered_map<uint64_t, double> max_energy_cache_;
 
-  // EstimateIntervalsBatch staging (capacity only; reused across calls).
+  /// MaxFleetEnergyKwh's memo; a collision recomputes the evicted entry.
+  struct FleetEnergyEntry {
+    uint64_t bucket = ~uint64_t{0};
+    uint64_t window_bits = 0;
+    double kwh = 0.0;
+  };
+  std::array<FleetEnergyEntry, 64> fleet_energy_memo_{};
+
+  // Columnar batch staging (capacity only; reused across calls): per
+  // prepared candidate its charger, ETA offset, arrival time and arrival
+  // bucket (an index into the request's distinct energy buckets, each with
+  // its start time and L denominator), the traffic rung of the prepare,
+  // and one fetch round's gathered inputs.
   std::vector<const EvCharger*> batch_chargers_;
+  std::vector<double> batch_eta_;
   std::vector<SimTime> batch_targets_;
-  std::vector<DeroutingEstimate> batch_derouting_;
+  std::vector<uint32_t> batch_bucket_;
+  std::vector<SimTime> bucket_starts_;
+  std::vector<double> bucket_denom_;
+  EisFetch batch_traffic_fetch_ = EisFetch::kFresh;
+  std::vector<const EvCharger*> fetch_chargers_;
+  std::vector<SimTime> fetch_targets_;
   ForecastBatch batch_forecasts_;
 
   // Observability (null until AttachMetrics): one count per estimated

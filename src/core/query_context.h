@@ -61,8 +61,12 @@ struct QueryContext {
 
   // Eq. 6 rank orders and the membership marks replacing the per-depth
   // hash set (mark_epoch stamps entries instead of clearing the array).
+  // order_min/order_max hold the pool's slots with their first
+  // `ordered_depth` entries sorted best first by each ranking; keying the
+  // lanes resets it, so every selection over the same keys shares them.
   std::vector<uint32_t> order_min;
   std::vector<uint32_t> order_max;
+  size_t ordered_depth = 0;
   std::vector<uint32_t> common;
   std::vector<uint64_t> member_mark;
   uint64_t mark_epoch = 0;

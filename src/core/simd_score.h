@@ -52,32 +52,59 @@ struct ScoreLanes {
   /// the first two alive at once.
   std::vector<uint64_t> keys_min, keys_max, keys_mid;
 
+  /// The bound stage's lanes (DESIGN.md §15): one slot per candidate of
+  /// the request, in candidate order, filled before any forecast is
+  /// fetched. A different slot space from the lanes above, which hold
+  /// only the scored candidates, in the order they were fetched.
+  std::vector<uint32_t> cand_ids;
+  std::vector<double> cand_der_lo, cand_der_hi;  ///< the exact D interval
+  std::vector<double> cand_level_ub;  ///< L upper bound: EIS ceiling share
+  /// Keys of each candidate's SC_min and SC_max upper bounds.
+  std::vector<uint64_t> bound_min, bound_max;
+  std::vector<uint8_t> cand_scored;  ///< 1 once a round has taken it
+  /// One round's candidate slots in ascending order (the order they go to
+  /// the EIS in), and samples of both bound keys that pick a round's cuts.
+  std::vector<uint32_t> round;
+  std::vector<uint64_t> sample_min, sample_max;
+
   /// Pre-grows every lane to `n` slots (capacity only; sizes are set by
   /// each query's gather). The serving runtime calls this per worker so
   /// the first ranked query already runs allocation-free.
   void Reserve(size_t n) {
     for (std::vector<double>* lane :
          {&level_lo, &level_hi, &avail_lo, &avail_hi, &der_lo, &der_hi,
-          &sc_min, &sc_max, &mid}) {
+          &sc_min, &sc_max, &mid, &cand_der_lo, &cand_der_hi,
+          &cand_level_ub}) {
       lane->reserve(n);
     }
-    ids.reserve(n);
-    for (std::vector<uint64_t>* lane : {&keys_min, &keys_max, &keys_mid}) {
+    for (std::vector<uint32_t>* lane : {&ids, &cand_ids, &round}) {
       lane->reserve(n);
     }
+    for (std::vector<uint64_t>* lane :
+         {&keys_min, &keys_max, &keys_mid, &bound_min, &bound_max,
+          &sample_min, &sample_max}) {
+      lane->reserve(n);
+    }
+    cand_scored.reserve(n);
   }
 
   /// Drops per-query contents, keeping capacity (called by the gather).
   void Clear() {
     for (std::vector<double>* lane :
          {&level_lo, &level_hi, &avail_lo, &avail_hi, &der_lo, &der_hi,
-          &sc_min, &sc_max, &mid}) {
+          &sc_min, &sc_max, &mid, &cand_der_lo, &cand_der_hi,
+          &cand_level_ub}) {
       lane->clear();
     }
-    ids.clear();
-    for (std::vector<uint64_t>* lane : {&keys_min, &keys_max, &keys_mid}) {
+    for (std::vector<uint32_t>* lane : {&ids, &cand_ids, &round}) {
       lane->clear();
     }
+    for (std::vector<uint64_t>* lane :
+         {&keys_min, &keys_max, &keys_mid, &bound_min, &bound_max,
+          &sample_min, &sample_max}) {
+      lane->clear();
+    }
+    cand_scored.clear();
   }
 };
 

@@ -106,7 +106,8 @@ class ForecastColumns {
     // A fresh request lists its candidates in ascending id order, so a
     // column grown id by id would reallocate through every power of two,
     // in step with the call's other new columns, and fragment the heap; a
-    // column this call creates is sized once for its largest dense id.
+    // column this call claims in is sized once, for at least its largest
+    // dense id.
     size_t width = 0;
     for (size_t i = 0; i < claims.size(); ++i) {
       const size_t id = key_of(i).id;
@@ -371,7 +372,7 @@ class ForecastColumns {
     std::unique_lock<std::mutex> lock_;
     ColumnKey base_;
     SimTime now_;
-    size_t width_;  ///< dense capacity of a column this call creates
+    size_t width_;  ///< largest dense id + 1 of this call
     Memo memo_[kMemoSize];
     uint64_t hits_ = 0;
     uint64_t misses_ = 0;
@@ -396,10 +397,17 @@ class ForecastColumns {
   }
 
   Column* FindOrCreate(const ColumnKey& key, size_t width) {
-    if (Column* col = FindColumn(key)) return col;
-    Column* col =
-        columns_.emplace(key, std::make_unique<Column>()).first->second.get();
-    col->dense.reserve(width);
+    // Columns are reserved, exactly, for the widest call the store has
+    // seen: the bound stage fetches a request in rounds whose first ones
+    // reach only part of the fleet's ids, and a column a later round
+    // widened would reallocate and leave its old buffer as a heap hole.
+    widest_ = std::max(widest_, width);
+    Column* col = FindColumn(key);
+    if (col == nullptr) {
+      col = columns_.emplace(key, std::make_unique<Column>())
+                .first->second.get();
+    }
+    col->dense.reserve(widest_);
     return col;
   }
 
@@ -443,6 +451,7 @@ class ForecastColumns {
   size_t waiters_ = 0;      ///< calls inside AwaitPublish
   std::unordered_map<ColumnKey, std::unique_ptr<Column>, KeyHash> columns_;
   size_t slots_ = 0;    ///< allocated slots across columns (dense + sparse)
+  size_t widest_ = 0;   ///< largest dense width a Resolve call has asked for
   size_t evict_at_;     ///< slot count that triggers the next Evict
   size_t claims_ = 0;   ///< pending slots across columns
   uint64_t epoch_ = 0;  ///< bumped by Evict: invalidates Batch memos

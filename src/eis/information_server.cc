@@ -173,6 +173,35 @@ void InformationServer::GetForecastBatch(
                       out->fetch.data(), out->claims);
 }
 
+void InformationServer::GetEnergyCeilingBatch(std::span<const SimTime> targets,
+                                              SimTime now, double window_s,
+                                              ForecastBatch* out) {
+  // The windows ResolveWeather would price: snapped issue time and target,
+  // so each band is the one a fetch would see. Requests of one issue
+  // bucket share them; a window priced for another issue time or charge
+  // window is rebuilt in place.
+  const SimTime snapped_now = SnapToBucket(now);
+  std::vector<SolarWindow>& windows = out->ceiling_windows;
+  out->kwh_per_kwp.resize(targets.size());
+  for (size_t b = 0; b < targets.size(); ++b) {
+    const SimTime snapped_target = SnapToBucket(targets[b]);
+    auto priced = [&](const SolarWindow& w) {
+      return w.PricedFor(snapped_now, snapped_target, window_s);
+    };
+    auto it = std::find_if(windows.begin(), windows.end(), priced);
+    if (it == windows.end()) {
+      it = std::find_if(windows.begin(), windows.end(),
+                        [&](const SolarWindow& w) {
+                          return !w.PricedFor(snapped_now, w.target(),
+                                              window_s);
+                        });
+      if (it == windows.end()) it = windows.emplace(windows.end());
+      energy_->BuildWindow(snapped_now, snapped_target, window_s, &*it);
+    }
+    out->kwh_per_kwp[b] = it->MaxKwhPerKwp();
+  }
+}
+
 void InformationServer::ResolveTraffic(RoadClass road_class, SimTime now,
                                        SimTime target,
                                        CongestionModel::Band* out,

@@ -61,6 +61,12 @@ struct ForecastBatch {
   std::vector<SlotClaim> claims;
   /// Weather windows of one call, one per distinct target bucket missed.
   std::vector<SolarWindow> windows;
+  /// GetEnergyCeilingBatch's windows, kept across calls: a later call at
+  /// the same snapped issue time and charge window reuses a window its
+  /// target needs, and rebuilds a window priced for another in place.
+  std::vector<SolarWindow> ceiling_windows;
+  /// GetEnergyCeilingBatch's output, one entry per target.
+  std::vector<double> kwh_per_kwp;
 };
 
 /// \brief The EcoCharge Information Server (EIS).
@@ -131,6 +137,20 @@ class InformationServer {
   virtual void GetForecastBatch(std::span<const EvCharger* const> chargers,
                                 std::span<const SimTime> targets, SimTime now,
                                 double window_s, ForecastBatch* out);
+
+  /// L ceilings per target bucket, before anything is fetched: for each
+  /// of the distinct bucket starts `targets`, `out->kwh_per_kwp[b]` such
+  /// that every L response this server can give for a charger c arriving
+  /// in bucket b, issued at `now` for a `window_s` charge, has `max_kwh`
+  /// (and so `min_kwh`) at most EnergyCeilingKwh(c, out->kwh_per_kwp[b],
+  /// window_s). The bound stage of the CkNN-EC filter (DESIGN.md §15)
+  /// prunes by it. Touches no column and counts no upstream call. Here
+  /// every response is the snapped window's forecast, so each bucket
+  /// takes that window's SolarWindow::MaxKwhPerKwp, priced into (or
+  /// found in) `out->ceiling_windows`.
+  virtual void GetEnergyCeilingBatch(std::span<const SimTime> targets,
+                                     SimTime now, double window_s,
+                                     ForecastBatch* out);
 
   /// Upstream call and cache counters, materialized from the atomics.
   /// Safe to call concurrently with serving traffic.

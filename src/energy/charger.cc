@@ -20,20 +20,6 @@ std::string_view ChargerTypeName(ChargerType type) {
   return "?";
 }
 
-double ChargerRateKw(ChargerType type) {
-  switch (type) {
-    case ChargerType::kAc11:
-      return 11.0;
-    case ChargerType::kAc22:
-      return 22.0;
-    case ChargerType::kDc50:
-      return 50.0;
-    case ChargerType::kDc150:
-      return 150.0;
-  }
-  return 11.0;
-}
-
 Result<std::vector<EvCharger>> GenerateChargerFleet(
     const RoadNetwork& network, const ChargerFleetOptions& options) {
   if (options.num_chargers == 0) {

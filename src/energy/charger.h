@@ -22,8 +22,21 @@ enum class ChargerType : uint8_t {
 
 std::string_view ChargerTypeName(ChargerType type);
 
-/// Maximum delivery rate of a charger type, kW.
-double ChargerRateKw(ChargerType type);
+/// Maximum delivery rate of a charger type, kW (inline: the bound stage
+/// of the CkNN-EC filter reads it once per candidate).
+inline double ChargerRateKw(ChargerType type) {
+  switch (type) {
+    case ChargerType::kAc11:
+      return 11.0;
+    case ChargerType::kAc22:
+      return 22.0;
+    case ChargerType::kDc50:
+      return 50.0;
+    case ChargerType::kDc150:
+      return 150.0;
+  }
+  return 11.0;
+}
 
 /// \brief One public charging site linked to a renewable source.
 struct EvCharger {

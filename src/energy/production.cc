@@ -72,15 +72,20 @@ EnergyForecast SolarWindow::Energy(const EvCharger& charger) const {
 void SolarEnergyService::BuildWindow(SimTime now, SimTime target,
                                      double window_s, SolarWindow* window) {
   window->band_ = forecaster_.ForecastTransmission(now, target);
+  window->now_ = now;
   window->target_ = target;
   window->window_s_ = window_s;
   window->slots_.clear();
+  double kwh_per_kwp = 0.0;
   const double step = ProductionTrace::kSlotSeconds;
   for (double offset = 0.0; offset < window_s; offset += step) {
     double dt = std::min(step, window_s - offset);
     SimTime mid = target + offset + dt / 2.0;
     window->slots_.push_back({solar_.ClearSkyIrradiance(mid) / 1000.0, dt});
+    kwh_per_kwp += window->slots_.back().irradiance *
+                   window->band_.transmission_max * dt / kSecondsPerHour;
   }
+  window->max_kwh_per_kwp_ = kwh_per_kwp * (1.0 + 1e-9);
 }
 
 double SolarEnergyService::ActualEnergyKwh(const EvCharger& charger,

@@ -1,6 +1,7 @@
 #ifndef ECOCHARGE_ENERGY_PRODUCTION_H_
 #define ECOCHARGE_ENERGY_PRODUCTION_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -60,7 +61,20 @@ class SolarWindow {
   /// pricing the window for that charger alone.
   EnergyForecast Energy(const EvCharger& charger) const;
 
+  /// The window's clear-sky kWh per kWp at the band's upper
+  /// transmission, raised by a 1e-9 relative margin: EnergyCeilingKwh(c,
+  /// this, window) >= Energy(c).max_kwh for every charger c. The margin is
+  /// far above the few ulps by which rounding can put Energy's per-slot
+  /// sum of pv * irradiance terms above pv times the sum.
+  double MaxKwhPerKwp() const { return max_kwh_per_kwp_; }
+
   SimTime target() const { return target_; }
+
+  /// True when BuildWindow last priced this window for exactly these
+  /// arguments: a window is a pure function of them.
+  bool PricedFor(SimTime now, SimTime target, double window_s) const {
+    return now_ == now && target_ == target && window_s_ == window_s;
+  }
 
  private:
   friend class SolarEnergyService;
@@ -71,10 +85,23 @@ class SolarWindow {
   };
 
   WeatherForecaster::Forecast band_;
+  SimTime now_ = -1.0;
   SimTime target_ = 0.0;
   double window_s_ = 0.0;
+  double max_kwh_per_kwp_ = 0.0;  ///< MaxEnergyKwh's margined sum
   std::vector<Slot> slots_;
 };
+
+/// The L ceiling of `charger` over a `window_s` charge whose clear-sky
+/// energy per kWp is at most `kwh_per_kwp`: one multiply, capped by the
+/// charge rate over the window exactly as every forecast is (0 for an
+/// empty window, whose forecast is 0).
+inline double EnergyCeilingKwh(const EvCharger& charger, double kwh_per_kwp,
+                               double window_s) {
+  if (!(window_s > 0.0)) return 0.0;
+  return std::min(charger.pv_capacity_kw * kwh_per_kwp,
+                  charger.RateKw() * window_s / kSecondsPerHour);
+}
 
 /// \brief Answers "how much clean energy will charger b offer in my arrival
 /// window?" — both the realized truth and the forecast interval that forms

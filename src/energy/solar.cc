@@ -31,7 +31,8 @@ double SolarModel::ClearSkyIrradiance(int day_of_year,
   // Kasten-Young style air-mass attenuation collapsed to a simple
   // transmittance power law: tau^(1/sin(h)) with tau = 0.75.
   double air_mass = 1.0 / std::max(sin_elev, 1e-3);
-  double transmittance = std::pow(0.75, std::min(air_mass, 38.0));
+  double transmittance =
+      std::pow(kClearSkyTransmittance, std::min(air_mass, 38.0));
   return kSolarConstant * sin_elev * transmittance;
 }
 

@@ -29,6 +29,17 @@ struct SolarModel {
 /// Solar constant at the top of the atmosphere, W/m^2.
 inline constexpr double kSolarConstant = 1361.0;
 
+/// Zenith transmittance of the clear-sky air-mass law (tau above).
+inline constexpr double kClearSkyTransmittance = 0.75;
+
+/// The clear-sky model's largest irradiance, W/m^2: the sun at the zenith
+/// (sin h = 1, air mass 1). Irradiance grows with elevation, so no
+/// latitude, day or hour exceeds it; it is 1020.75, above the 1000 W/m^2
+/// of a nominal kWp wherever the sun climbs past ~79.8 degrees, which
+/// happens within +-33.6 degrees of the equator.
+inline constexpr double kPeakClearSkyIrradiance =
+    kSolarConstant * kClearSkyTransmittance;
+
 }  // namespace ecocharge
 
 #endif  // ECOCHARGE_ENERGY_SOLAR_H_

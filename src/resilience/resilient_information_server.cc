@@ -25,11 +25,17 @@ uint64_t MixRetrySeed(uint64_t seed, uint64_t kind) {
 EnergyForecast ClimatologicalEnergy(const EvCharger& charger,
                                     double window_s) {
   // Zero clean energy up to the site's physical ceiling: delivery capped
-  // by both the charger rate and the attached PV capacity over the window.
+  // by the charger rate and by the attached PV capacity at the clear-sky
+  // peak over the window. The peak (the sun at the zenith) exceeds a
+  // nominal kWp's 1000 W/m^2 at low latitudes, so the capacity alone is
+  // no ceiling there; the 1e-9 margin covers the rounding of a forecast's
+  // per-slot sum.
   EnergyForecast f;
   f.min_kwh = 0.0;
-  f.max_kwh = std::min(charger.RateKw(), charger.pv_capacity_kw) * window_s /
-              kSecondsPerHour;
+  f.max_kwh = std::min(charger.RateKw(),
+                       charger.pv_capacity_kw *
+                           (kPeakClearSkyIrradiance / 1000.0) * (1.0 + 1e-9)) *
+              window_s / kSecondsPerHour;
   return f;
 }
 
@@ -111,6 +117,14 @@ void ResilientInformationServer::ResolveWeather(
                        ClimatologicalEnergy(c, window_s), rung);
       },
       out, fetch, claims);
+}
+
+void ResilientInformationServer::GetEnergyCeilingBatch(
+    std::span<const SimTime> targets, SimTime /*now*/, double window_s,
+    ForecastBatch* out) {
+  out->kwh_per_kwp.assign(targets.size(), (kPeakClearSkyIrradiance / 1000.0) *
+                                              (1.0 + 2e-9) * window_s /
+                                              kSecondsPerHour);
 }
 
 void ResilientInformationServer::ResolveAvailability(

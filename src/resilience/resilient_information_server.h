@@ -100,6 +100,16 @@ class ResilientInformationServer : public InformationServer {
   /// and the injector's `fault.<kind>.*` counters. Null detaches.
   void AttachMetrics(obs::MetricsRegistry* registry) override;
 
+  /// The ladder's widest L answer bounds all three rungs: the
+  /// climatological ceiling, the PV capacity at the clear-sky peak over
+  /// the window, which no fresh or stale forecast of a physical source
+  /// exceeds (a stale entry is an earlier fresh answer for the same slot,
+  /// at most the clear sky at full transmission). Its margin is twice the
+  /// climatological answer's, so the ceiling also covers that answer's
+  /// own rounding.
+  void GetEnergyCeilingBatch(std::span<const SimTime> targets, SimTime now,
+                             double window_s, ForecastBatch* out) override;
+
   /// Resilience accounting for one upstream; safe under traffic.
   UpstreamResilienceStats ResilienceSnapshot(UpstreamKind kind,
                                              SimTime now) const;

@@ -146,7 +146,9 @@ DeroutingEstimate DeroutingService::Exact(const DeroutingQuery& query,
   // d(m -> {r_a, r_b}) in one pass.
   EnsureBackwardSweep(nodes.ra, nodes.rb, query.now);
   NodeId back_targets[2] = {charger.node, nodes.m};
+  const size_t settled_before = back_search_.last_settled_count();
   back_search_.ExtendSweep(std::span<const NodeId>(back_targets, 2), cost);
+  last_backward_settled_ = back_search_.last_settled_count() - settled_before;
   const double back = back_search_.CostTo(charger.node);
   const double direct = back_search_.CostTo(nodes.m);
 
@@ -188,7 +190,9 @@ BatchSweepStats DeroutingService::ExactBatch(
   // (m is just one more target of the multi-source return sweep).
   stats.warm_start = EnsureBackwardSweep(nodes.ra, nodes.rb, query.now);
   targets.push_back(nodes.m);
+  const size_t settled_before = back_search_.last_settled_count();
   back_search_.ExtendSweep(std::span<const NodeId>(targets), cost);
+  last_backward_settled_ = back_search_.last_settled_count() - settled_before;
   targets.pop_back();
   const double direct =
       nodes.m < num_nodes ? back_search_.CostTo(nodes.m) : kInfiniteCost;

@@ -147,6 +147,11 @@ class DeroutingService {
   /// count that does not depend on timing, for benchmarks.
   size_t last_forward_settled() const { return search_.last_settled_count(); }
 
+  /// Nodes settled by the last backward extension: the return-leg sweep
+  /// of Exact() or ExactBatch(), counting only what that call added to a
+  /// warm sweep. A work count that does not depend on timing.
+  size_t last_backward_settled() const { return last_backward_settled_; }
+
  private:
   /// Resumes (warm hit) or restarts the backward sweep for the return pair
   /// at cost time `now`; returns true on a warm hit.
@@ -171,6 +176,7 @@ class DeroutingService {
   uint64_t warm_start_hits_ = 0;
   uint64_t backward_sweep_starts_ = 0;
   uint64_t forward_sweeps_ = 0;
+  size_t last_backward_settled_ = 0;
 };
 
 }  // namespace ecocharge

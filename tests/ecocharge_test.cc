@@ -151,33 +151,46 @@ TEST_F(EcoChargeTest, HitAtAnotherKRegenerates) {
 }
 
 TEST_F(EcoChargeTest, FreshQueryLooksUpEachSourceOncePerCandidate) {
-  // A fresh query estimates its candidates in one batch: one traffic
-  // lookup, and one weather and one availability lookup per candidate.
-  // The exact-derouting refinement keeps those estimates and looks up
-  // nothing more.
+  // A fresh query estimates its candidates in columnar batches: one
+  // traffic lookup, and one weather and one availability lookup per
+  // *scored* candidate. The bound stage scores fewer chargers than the
+  // radius admits (a fleet larger than its first round, so it can prune),
+  // and the exact-derouting refinement keeps the scored estimates and
+  // looks up nothing more.
+  std::unique_ptr<Environment> env = testing_util::TinyEnvironment(400);
+  ASSERT_NE(env, nullptr);
+  const std::vector<VehicleState> states = testing_util::TinyWorkload(*env, 1);
+  ASSERT_FALSE(states.empty());
   EcoChargeOptions opts = DefaultOpts();
-  EcoChargeRanker eco(env_->estimator.get(), env_->charger_index.get(),
+  EcoChargeRanker eco(env->estimator.get(), env->charger_index.get(),
                       weights_, opts);
+  obs::MetricsRegistry registry;
+  eco.AttachMetrics(&registry);
   CknnEcOptions filter;
   filter.radius_m = opts.radius_m;
   const size_t candidates =
-      CknnEcProcessor(env_->estimator.get(), env_->charger_index.get(),
-                      filter)
-          .FilterCandidates(states_[0].position)
+      CknnEcProcessor(env->estimator.get(), env->charger_index.get(), filter)
+          .FilterCandidates(states[0].position)
           .size();
   ASSERT_GT(candidates, opts.refine_limit);  // the refinement runs in full
-  const InformationServer& eis = env_->estimator->information_server();
+  const InformationServer& eis = env->estimator->information_server();
   const EisCallStats before = eis.Snapshot();
-  OfferingTable table = eco.Rank(states_[0], 3);
+  OfferingTable table = eco.Rank(states[0], 3);
   ASSERT_FALSE(table.adapted_from_cache);
   const EisCallStats after = eis.Snapshot();
   auto lookups = [](const CacheStats& a, const CacheStats& b) {
     return (b.hits + b.misses) - (a.hits + a.misses);
   };
-  EXPECT_EQ(lookups(before.traffic_cache, after.traffic_cache), 1u);
-  EXPECT_EQ(lookups(before.weather_cache, after.weather_cache), candidates);
-  EXPECT_EQ(lookups(before.availability_cache, after.availability_cache),
+  const uint64_t scored =
+      registry.FindCounter("pipeline.candidates_scored")->Value();
+  EXPECT_EQ(scored + registry.FindCounter("pipeline.candidates_bounded")
+                         ->Value(),
             candidates);
+  EXPECT_LT(scored, candidates);
+  EXPECT_EQ(lookups(before.traffic_cache, after.traffic_cache), 1u);
+  EXPECT_EQ(lookups(before.weather_cache, after.weather_cache), scored);
+  EXPECT_EQ(lookups(before.availability_cache, after.availability_cache),
+            scored);
 }
 
 TEST_F(EcoChargeTest, FarQueryRegenerates) {

@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <bit>
 #include <cstdlib>
 #include <memory>
 #include <new>
@@ -144,7 +146,66 @@ TEST(QueryContextTest, ConvenienceRankMatchesRankInto) {
   }
 }
 
+/// The L denominator the estimator memoizes, computed afresh: the actual
+/// energy of the best site by min(rate, pv) (first on ties) over the
+/// window anchored at `bucket`'s start.
+double FleetMaxEnergy(Environment* env, uint64_t bucket, double window_s) {
+  size_t best = 0;
+  double best_deliverable = -1.0;
+  for (size_t i = 0; i < env->chargers.size(); ++i) {
+    const EvCharger& c = env->chargers[i];
+    const double deliverable = std::min(c.RateKw(), c.pv_capacity_kw);
+    if (deliverable > best_deliverable) {
+      best_deliverable = deliverable;
+      best = i;
+    }
+  }
+  return env->energy->ActualEnergyKwh(
+      env->chargers[best], static_cast<double>(bucket) * 900.0, window_s);
+}
+
+TEST(QueryContextTest, FleetEnergyMemoMatchesActualEnergyBitwise) {
+  // Far more distinct (bucket, window) keys than the fixed memo holds,
+  // visited twice and out of order: every value, recomputed after an
+  // eviction or not, is the actual energy bit for bit.
+  SharedWorld& w = World();
+  EcEstimator& estimator = *w.env->estimator;
+  for (int pass = 0; pass < 2; ++pass) {
+    for (uint64_t i = 0; i < 600; ++i) {
+      const uint64_t bucket = (i * 37) % 600;
+      for (double window_s : {1800.0, 3600.0}) {
+        const double got =
+            estimator.MaxFleetEnergyKwh(bucket * 900.0 + 450.0, window_s);
+        const double want = FleetMaxEnergy(w.env.get(), bucket, window_s);
+        ASSERT_EQ(std::bit_cast<uint64_t>(got), std::bit_cast<uint64_t>(want))
+            << "bucket " << bucket << " window " << window_s;
+      }
+    }
+  }
+}
+
 #if ECOCHARGE_COUNT_ALLOCS
+
+TEST(QueryContextTest, FleetEnergyMemoInANewBucketDoesNotAllocate) {
+  // The memo is a fixed array: a request arriving in buckets it has never
+  // seen evicts entries instead of growing a map.
+  SharedWorld& w = World();
+  EcEstimator& estimator = *w.env->estimator;
+  const uint64_t first = 5000;  // beyond every other test's buckets
+  // Extend the weather process over the span first: its lazy hour
+  // sequence is the one allocation on this path, and it is not the memo.
+  for (uint64_t b = first; b < first + 300; ++b) {
+    FleetMaxEnergy(w.env.get(), b, 3600.0);
+  }
+  const uint64_t before = g_allocations.load();
+  double sum = 0.0;
+  for (uint64_t b = first; b < first + 300; ++b) {
+    sum += estimator.MaxFleetEnergyKwh(b * 900.0, 3600.0);
+  }
+  const uint64_t after = g_allocations.load();
+  EXPECT_EQ(after - before, 0u);
+  EXPECT_GT(sum, 0.0);
+}
 
 TEST(QueryContextTest, SteadyStateEstimatedPathDoesNotAllocate) {
   SharedWorld& w = World();

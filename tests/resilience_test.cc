@@ -465,6 +465,54 @@ TEST_F(DegradationLadderTest, OutageWithoutCacheServesWidenedDefaults) {
             1u);
 }
 
+TEST(ClimatologicalEnergyTest, CeilingHoldsAtLowLatitude) {
+  // At 20 degrees N the June sun climbs past 86 degrees, where clear-sky
+  // irradiance beats a nominal kWp's 1000 W/m^2, so the PV capacity alone
+  // is no ceiling there. A fresh forecast's max_kwh never exceeds the
+  // climatological one, and each server's L ceiling covers its answers.
+  SolarModel solar;
+  solar.latitude_deg = 20.0;
+  SolarEnergyService energy(solar, ClimateParams{/*sunny_bias=*/0.9, 0.85},
+                            7);
+  InformationServer fresh(&energy, nullptr, nullptr);
+  ResilienceOptions opts;
+  opts.faults.weather.error_probability = 1.0;
+  opts.retry.max_attempts = 1;
+  ResilientInformationServer outage(&energy, nullptr, nullptr, EisOptions{},
+                                    opts);
+  EvCharger c;
+  c.type = ChargerType::kDc150;
+  c.pv_capacity_kw = 100.0;  // PV-bound: the 150 kW rate never caps it
+  const double window_s = 3600.0;
+  double fresh_peak = 0.0;
+  ForecastBatch ceilings;
+  for (int day = 0; day < 30; ++day) {  // the epoch is June 16
+    for (double hour = 10.0; hour <= 13.0; hour += 0.25) {
+      const SimTime target = day * kSecondsPerDay + hour * kSecondsPerHour;
+      // Issued six hours ahead: a wide band whose upper end reaches a
+      // clear sky.
+      const SimTime now = target - 6.0 * kSecondsPerHour;
+      EisFetch rung = EisFetch::kFresh;
+      const EnergyForecast f =
+          fresh.GetEnergyForecast(c, now, target, window_s);
+      const EnergyForecast clim =
+          outage.GetEnergyForecast(c, now, target, window_s, &rung);
+      ASSERT_EQ(rung, EisFetch::kClimatological);
+      EXPECT_LE(f.max_kwh, clim.max_kwh) << "day " << day << " h " << hour;
+      fresh.GetEnergyCeilingBatch({&target, 1}, now, window_s, &ceilings);
+      EXPECT_LE(f.max_kwh,
+                EnergyCeilingKwh(c, ceilings.kwh_per_kwp[0], window_s));
+      outage.GetEnergyCeilingBatch({&target, 1}, now, window_s, &ceilings);
+      EXPECT_LE(clim.max_kwh,
+                EnergyCeilingKwh(c, ceilings.kwh_per_kwp[0], window_s));
+      fresh_peak = std::max(fresh_peak, f.max_kwh);
+    }
+  }
+  // The old climatological ceiling, the capacity at 1000 W/m^2 over the
+  // window, would have been broken.
+  EXPECT_GT(fresh_peak, c.pv_capacity_kw * window_s / kSecondsPerHour);
+}
+
 TEST_F(DegradationLadderTest, RecoveryClimbsBackToFresh) {
   ResilientInformationServer server = MakeServer();
   EvCharger c = TestCharger(6);
