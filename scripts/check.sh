@@ -49,9 +49,14 @@
 #                                    # "correct": true, 0 failed requests
 #                                    # and the pinned seed-1 table digest
 #                                    # (builds under .bench_build/)
-#   scripts/check.sh lint            # clang-tidy over src/, tools/, and
-#                                    # the asserting bench gates (skips
-#                                    # with exit 0 when clang-tidy absent)
+#   scripts/check.sh lint            # orphan-header check (fails when a
+#                                    # src/ header is included by no file
+#                                    # in src/, tools/, bench/, examples/
+#                                    # or perfbench/ but its own .cc),
+#                                    # then clang-tidy over src/, tools/,
+#                                    # and the asserting bench gates
+#                                    # (skips with exit 0 when clang-tidy
+#                                    # is absent)
 #
 # Extra arguments after the sanitizer are forwarded to ctest, e.g.
 #   scripts/check.sh address -R QueryContext
@@ -212,6 +217,23 @@ case "${sanitize}" in
     ;;
   lint)
     shift
+    # A header that nothing but its own .cc includes is code no entry
+    # point reaches: delete it rather than keep it compiling.
+    orphans=()
+    while IFS= read -r header; do
+      rel="${header#"${repo_root}/src/"}"
+      includers="$(grep -rlF --include='*.h' --include='*.cc' \
+        --include='*.cpp' "#include \"${rel}\"" "${repo_root}/src" \
+        "${repo_root}/tools" "${repo_root}/bench" "${repo_root}/examples" \
+        "${repo_root}/perfbench" | grep -vxF "${header%.h}.cc" || true)"
+      [[ -n "${includers}" ]] || orphans+=("src/${rel}")
+    done < <(find "${repo_root}/src" -name '*.h' | sort)
+    if ((${#orphans[@]})); then
+      printf 'check.sh lint: orphan header (no includer): %s\n' \
+        "${orphans[@]}"
+      exit 1
+    fi
+    echo "check.sh lint: every src/ header has an includer (ok)."
     if ! command -v clang-tidy >/dev/null 2>&1; then
       echo "check.sh lint: clang-tidy not installed; skipping (ok)."
       exit 0

@@ -70,7 +70,7 @@ class EcEstimator {
   /// Like above, but borrows `shared_eis` (not owned; must outlive this)
   /// instead of constructing a private InformationServer — the shape the
   /// OfferingServer uses so all workers account upstream calls against,
-  /// and benefit from, one set of sharded response caches.
+  /// and benefit from, one set of forecast-column stores.
   EcEstimator(std::shared_ptr<const RoadNetwork> network,
               const std::vector<EvCharger>* fleet,
               SolarEnergyService* energy,

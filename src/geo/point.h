@@ -8,9 +8,8 @@ namespace ecocharge {
 
 /// \brief A point in the library's planar working frame, in meters.
 ///
-/// All spatial computation (indexes, shortest paths, derouting) happens in a
-/// locally projected Cartesian frame; geo::Projection converts to and from
-/// WGS-84 latitude/longitude at the boundary.
+/// All spatial computation (indexes, shortest paths, derouting) happens in
+/// this planar frame.
 struct Point {
   double x = 0.0;  ///< easting, meters
   double y = 0.0;  ///< northing, meters

@@ -7,8 +7,6 @@ namespace ecocharge {
 
 double LengthCost(const Arc& a) { return a.length_m; }
 
-double FreeFlowTimeCost(const Arc& a) { return a.FreeFlowSeconds(); }
-
 DijkstraSearch::DijkstraSearch(const RoadNetwork& network)
     : network_(network),
       labels_(network.NumNodes(), NodeLabel{kInfiniteCost, kInvalidNode, 0}),

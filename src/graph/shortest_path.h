@@ -22,9 +22,6 @@ using EdgeCostFn = std::function<double(const Arc&)>;
 /// Edge cost = length in meters.
 double LengthCost(const Arc& a);
 
-/// Edge cost = free-flow travel time in seconds.
-double FreeFlowTimeCost(const Arc& a);
-
 /// \brief A shortest path: total cost plus the node sequence.
 struct PathResult {
   double cost = kInfiniteCost;

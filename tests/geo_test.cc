@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include "geo/bbox.h"
-#include "geo/latlng.h"
 #include "geo/point.h"
 
 namespace ecocharge {
@@ -27,34 +26,6 @@ TEST(PointTest, DotAndCross) {
 TEST(PointTest, DistanceIsEuclidean) {
   EXPECT_DOUBLE_EQ(Distance({0, 0}, {3, 4}), 5.0);
   EXPECT_DOUBLE_EQ(DistanceSquared({0, 0}, {3, 4}), 25.0);
-}
-
-TEST(LatLngTest, HaversineKnownDistance) {
-  // Berlin (52.52, 13.405) to Munich (48.1351, 11.582): ~504 km.
-  double d = HaversineMeters({52.52, 13.405}, {48.1351, 11.582});
-  EXPECT_NEAR(d, 504000.0, 5000.0);
-}
-
-TEST(LatLngTest, HaversineZeroAndSymmetry) {
-  LatLng a{40.0, -75.0}, b{41.0, -73.0};
-  EXPECT_DOUBLE_EQ(HaversineMeters(a, a), 0.0);
-  EXPECT_DOUBLE_EQ(HaversineMeters(a, b), HaversineMeters(b, a));
-}
-
-TEST(ProjectionTest, RoundTripNearOrigin) {
-  Projection proj(LatLng{53.14, 8.21});  // Oldenburg
-  LatLng sample{53.20, 8.30};
-  LatLng back = proj.Inverse(proj.Forward(sample));
-  EXPECT_NEAR(back.lat, sample.lat, 1e-9);
-  EXPECT_NEAR(back.lng, sample.lng, 1e-9);
-}
-
-TEST(ProjectionTest, DistancesMatchHaversineLocally) {
-  Projection proj(LatLng{37.0, -120.0});
-  LatLng a{37.05, -120.1}, b{36.95, -119.9};
-  double planar = Distance(proj.Forward(a), proj.Forward(b));
-  double sphere = HaversineMeters(a, b);
-  EXPECT_NEAR(planar / sphere, 1.0, 0.01);
 }
 
 TEST(BoundingBoxTest, EmptyByDefault) {

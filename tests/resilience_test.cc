@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include "core/protocol.h"
+#include "energy/solar.h"
 #include "resilience/circuit_breaker.h"
 #include "resilience/deadline.h"
 #include "resilience/eis_source.h"
@@ -450,6 +451,17 @@ TEST_F(DegradationLadderTest, OutageWithoutCacheServesWidenedDefaults) {
   EXPECT_DOUBLE_EQ(e.max_kwh,
                    std::min(c.RateKw(), c.pv_capacity_kw) * 3600.0 /
                        kSecondsPerHour);
+  // A PV-bound charger (40 kWp behind a 150 kW rate): the ceiling is the
+  // PV capacity at the clear-sky peak, with the 1e-9 rounding margin.
+  EvCharger pv_bound = TestCharger(6);
+  pv_bound.type = ChargerType::kDc150;
+  e = server.GetEnergyForecast(pv_bound, 0.0, 0.0, 3600.0, &fetch);
+  EXPECT_EQ(fetch, EisFetch::kClimatological);
+  EXPECT_DOUBLE_EQ(e.min_kwh, 0.0);
+  EXPECT_DOUBLE_EQ(e.max_kwh, pv_bound.pv_capacity_kw *
+                                  (kPeakClearSkyIrradiance / 1000.0) *
+                                  (1.0 + 1e-9) * 3600.0 / kSecondsPerHour);
+  EXPECT_GT(e.max_kwh, pv_bound.pv_capacity_kw);  // the peak term counts
   EXPECT_EQ(server
                 .ResilienceSnapshot(UpstreamKind::kAvailability, 0.0)
                 .climatological_serves,

@@ -110,12 +110,13 @@ TEST(AStarTest, TimeCostWithScaledHeuristicIsExact) {
   DijkstraSearch search(*network);
   // For time costs the admissible heuristic divides by the max speed.
   double inv_max_speed = 1.0 / FreeFlowSpeed(RoadClass::kHighway);
+  auto free_flow = [](const Arc& a) { return a.FreeFlowSeconds(); };
   Rng rng(15);
   for (int trial = 0; trial < 20; ++trial) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    double dij = search.ShortestPath(s, t, FreeFlowTimeCost).cost;
-    double astar = search.AStar(s, t, FreeFlowTimeCost, inv_max_speed).cost;
+    double dij = search.ShortestPath(s, t, free_flow).cost;
+    double astar = search.AStar(s, t, free_flow, inv_max_speed).cost;
     EXPECT_NEAR(dij, astar, 1e-6);
   }
 }
@@ -280,7 +281,8 @@ TEST(DijkstraTest, CustomCostChangesRoute) {
   // By length the direct road wins.
   EXPECT_EQ(search.ShortestPath(a, b, LengthCost).nodes.size(), 2u);
   // By time the highway detour wins (1400m @ 120km/h < 1000m @ 30km/h).
-  EXPECT_EQ(search.ShortestPath(a, b, FreeFlowTimeCost).nodes.size(), 3u);
+  auto free_flow = [](const Arc& a) { return a.FreeFlowSeconds(); };
+  EXPECT_EQ(search.ShortestPath(a, b, free_flow).nodes.size(), 3u);
 }
 
 }  // namespace
