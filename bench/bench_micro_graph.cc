@@ -1,16 +1,17 @@
 // Micro-benchmarks and asserting gates of the road-network substrate.
 //
-// The google-benchmark section times the operations the derouting EC spends
-// its time in: point-to-point searches (Dijkstra vs A*) and bounded
-// one-to-many expansion.
+// The google-benchmark section times the searches the rest of the program
+// runs: the multi-target sweep the derouting EC is computed with, A* (the
+// trajectory generator's point-to-point search) and snapshot loading.
 //
 // Two asserting gates then pin the compact-graph-core contract (the binary
 // exits 1 when either breaks):
-//   1. the inlined CSR relax loop sweeps >= 1.3x faster than a faithful
-//      replica of the sweep as it shipped pre-refactor (per-node EdgeId
-//      lists indirecting into a 24-byte full-edge array, three parallel
-//      label arrays, a per-call O(V) settled buffer), at identical settled
-//      sets and cost sums;
+//   1. the production multi-target sweep (inlined CSR arcs, packed labels)
+//      runs >= 1.3x faster than a faithful replica of the sweep as it
+//      shipped pre-refactor (per-node EdgeId lists indirecting into a
+//      24-byte full-edge array, three parallel label arrays, a per-call
+//      O(V) settled buffer) given the same stop rule, at identical settled
+//      counts and target costs;
 //   2. mmap-loading a >= 1M-node snapshot is >= 10x faster than
 //      regenerating the same graph.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
@@ -24,6 +25,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <functional>
@@ -53,17 +55,23 @@ std::shared_ptr<RoadNetwork> SharedNetwork() {
   return network;
 }
 
-void BM_Dijkstra(benchmark::State& state) {
+/// One forward sweep from a random source until `state.range(0)` random
+/// targets have settled: the derouting EC's search.
+void BM_Sweep(benchmark::State& state) {
   auto network = SharedNetwork();
   DijkstraSearch search(*network);
   Rng rng(11);
+  std::vector<NodeId> targets(static_cast<size_t>(state.range(0)));
   for (auto _ : state) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    benchmark::DoNotOptimize(search.ShortestPath(s, t));
+    for (NodeId& t : targets) {
+      t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
+    }
+    benchmark::DoNotOptimize(search.OneToMany(s, targets, LengthCost));
   }
+  state.SetLabel("targets=" + std::to_string(state.range(0)));
 }
-BENCHMARK(BM_Dijkstra);
+BENCHMARK(BM_Sweep)->Arg(1)->Arg(8);
 
 void BM_AStar(benchmark::State& state) {
   auto network = SharedNetwork();
@@ -76,19 +84,6 @@ void BM_AStar(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_AStar);
-
-void BM_OneToManyBounded(benchmark::State& state) {
-  auto network = SharedNetwork();
-  DijkstraSearch search(*network);
-  Rng rng(11);
-  double max_cost = static_cast<double>(state.range(0));
-  for (auto _ : state) {
-    NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    benchmark::DoNotOptimize(search.OneToMany(s, max_cost, LengthCost));
-  }
-  state.SetLabel("radius_m=" + std::to_string(state.range(0)));
-}
-BENCHMARK(BM_OneToManyBounded)->Arg(2000)->Arg(8000)->Arg(32000);
 
 void BM_SnapshotLoad(benchmark::State& state) {
   static const std::string path = [] {
@@ -155,11 +150,13 @@ LegacyLayout MakeLegacy(const RoadNetwork& network) {
   return legacy;
 }
 
-/// The bounded one-to-many sweep exactly as it shipped before the refactor
-/// (see src/graph/shortest_path.cc at the previous release): EdgeId
-/// indirection into the full-edge array, three parallel label arrays, a
-/// per-call O(V) settled buffer, a per-edge dist_[v] reload, and a
-/// std::function cost over the 24-byte Edge record.
+/// The sweep exactly as it shipped before the refactor (see
+/// src/graph/shortest_path.cc at the previous release): EdgeId indirection
+/// into the full-edge array, three parallel label arrays, a per-call O(V)
+/// settled buffer, a per-edge dist_[v] reload, and a std::function cost
+/// over the 24-byte Edge record. It is given the production sweep's stop
+/// rule: stop once every target has settled, the targets kept in a sorted
+/// list.
 class LegacySweeper {
  public:
   explicit LegacySweeper(const LegacyLayout& layout)
@@ -169,9 +166,13 @@ class LegacySweeper {
         parent_(num_nodes_, kInvalidNode),
         version_(num_nodes_, 0) {}
 
-  size_t OneToMany(NodeId source, double max_cost,
+  /// Returns the number of settled nodes.
+  size_t OneToMany(NodeId source, std::vector<NodeId> targets,
                    const std::function<double(const Edge&)>& cost) {
     ++epoch_;
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    size_t pending = targets.size();
     struct Entry {
       double d;
       NodeId v;
@@ -185,20 +186,17 @@ class LegacySweeper {
     heap.push({0.0, source});
     std::vector<char> settled(num_nodes_, 0);
     size_t settled_count = 0;
-    cost_sum_ = 0.0;
-    while (!heap.empty()) {
+    while (pending > 0 && !heap.empty()) {
       auto [d, v] = heap.top();
       heap.pop();
       if (settled[v]) continue;
-      if (d > max_cost) break;
       settled[v] = 1;
       ++settled_count;
-      cost_sum_ += d;
+      if (std::binary_search(targets.begin(), targets.end(), v)) --pending;
       for (uint32_t i = layout_.out_offsets[v];
            i < layout_.out_offsets[v + 1]; ++i) {
         const Edge& e = layout_.edges[layout_.out_edge_ids[i]];
         double nd = dist_[v] + cost(e);
-        if (nd > max_cost) continue;
         if (version_[e.to] != epoch_ || nd < dist_[e.to]) {
           version_[e.to] = epoch_;
           dist_[e.to] = nd;
@@ -210,7 +208,9 @@ class LegacySweeper {
     return settled_count;
   }
 
-  double cost_sum() const { return cost_sum_; }
+  double CostTo(NodeId v) const {
+    return version_[v] == epoch_ ? dist_[v] : kInfiniteCost;
+  }
 
  private:
   const LegacyLayout& layout_;
@@ -219,7 +219,12 @@ class LegacySweeper {
   std::vector<NodeId> parent_;
   std::vector<uint32_t> version_;
   uint32_t epoch_ = 0;
-  double cost_sum_ = 0.0;
+};
+
+/// One gate query: a source and the targets it sweeps to.
+struct SweepQuery {
+  NodeId source;
+  std::vector<NodeId> targets;
 };
 
 bool SweepLayoutGate(bench::BenchJsonWriter& json, bool quick) {
@@ -235,66 +240,88 @@ bool SweepLayoutGate(bench::BenchJsonWriter& json, bool quick) {
   opts.seed = 31;
   opts.num_chunks = 64;
   auto network = MakeStreamingGeometric(opts).MoveValueUnsafe();
-  const double radius_m = quick ? 100000.0 : 120000.0;
+  constexpr double kTargetDistanceM = 70000.0;
+  constexpr size_t kTargetsPerSweep = 8;
   const size_t num_sources = quick ? 6 : 8;
-  const int rounds = quick ? 3 : 5;
+  const int rounds = quick ? 5 : 7;
 
   LegacyLayout legacy = MakeLegacy(*network);
   LegacySweeper legacy_sweep(legacy);
   DijkstraSearch inlined_sweep(*network);
 
+  // Each source lies at least kTargetDistanceM inside the bounds; its
+  // targets are the nodes nearest a ring of that radius, at evenly spaced
+  // bearings with a random phase.
   Rng rng(77);
-  auto draw_sources = [&] {
-    std::vector<NodeId> sources;
+  const BoundingBox inner = network->Bounds().Expanded(-kTargetDistanceM);
+  auto draw_queries = [&] {
+    std::vector<SweepQuery> queries;
     for (size_t i = 0; i < num_sources; ++i) {
-      sources.push_back(
-          static_cast<NodeId>(rng.NextBounded(network->NumNodes())));
+      const Point at{rng.NextDouble(inner.min.x, inner.max.x),
+                     rng.NextDouble(inner.min.y, inner.max.y)};
+      SweepQuery q{network->NearestNode(at), {}};
+      const Point center = network->NodePosition(q.source);
+      const double phase = rng.NextDouble();
+      for (size_t k = 0; k < kTargetsPerSweep; ++k) {
+        const double bearing = 2.0 * M_PI * (static_cast<double>(k) + phase) /
+                               static_cast<double>(kTargetsPerSweep);
+        q.targets.push_back(network->NearestNode(
+            center + Point{kTargetDistanceM * std::cos(bearing),
+                           kTargetDistanceM * std::sin(bearing)}));
+      }
+      queries.push_back(std::move(q));
     }
-    return sources;
+    return queries;
   };
   std::function<double(const Edge&)> legacy_cost = [](const Edge& e) {
     return e.length_m;
   };
 
-  // Parity: both layouts must settle the same nodes at the same costs.
+  // Parity: both layouts must settle the same number of nodes and reach
+  // every target at the same cost.
   bool ok = true;
   size_t settled_total = 0;
-  for (NodeId s : draw_sources()) {
-    std::vector<NodeId> settled;
-    size_t n_inlined = inlined_sweep.OneToMany(s, radius_m, LengthCost,
-                                               &settled);
-    double inlined_sum = 0.0;
-    for (NodeId v : settled) inlined_sum += inlined_sweep.CostTo(v);
+  for (const SweepQuery& q : draw_queries()) {
+    inlined_sweep.OneToMany(q.source, q.targets, LengthCost);
+    const size_t n_inlined = inlined_sweep.last_settled_count();
+    const size_t n_legacy =
+        legacy_sweep.OneToMany(q.source, q.targets, legacy_cost);
     settled_total += n_inlined;
-    size_t n_legacy = legacy_sweep.OneToMany(s, radius_m, legacy_cost);
-    if (n_inlined != n_legacy || inlined_sum != legacy_sweep.cost_sum()) {
-      std::cerr << "FAIL: layout sweep mismatch from node " << s << " ("
-                << n_inlined << "/" << inlined_sum << " vs " << n_legacy
-                << "/" << legacy_sweep.cost_sum() << ")\n";
+    bool costs_match = true;
+    for (NodeId t : q.targets) {
+      costs_match = costs_match &&
+                    inlined_sweep.CostTo(t) == legacy_sweep.CostTo(t) &&
+                    inlined_sweep.CostTo(t) < kInfiniteCost;
+    }
+    if (n_inlined != n_legacy || !costs_match) {
+      std::cerr << "FAIL: layout sweep mismatch from node " << q.source
+                << " (settled " << n_inlined << " vs " << n_legacy
+                << ", target costs " << (costs_match ? "equal" : "differ")
+                << ")\n";
       ok = false;
     }
   }
 
-  // Each round draws fresh sources (so no layout inherits a warm cache from
-  // the previous round) and times both sides over the same source set in
+  // Each round draws fresh queries (so no layout inherits a warm cache from
+  // the previous round) and times both sides over the same queries in
   // alternating order; the per-round ratio is therefore noise-paired, and
   // the median ratio is the verdict.
   uint64_t legacy_best_ns = UINT64_MAX;
   uint64_t inlined_best_ns = UINT64_MAX;
   std::vector<double> ratios;
   for (int round = 0; round < rounds; ++round) {
-    std::vector<NodeId> sources = draw_sources();
+    const std::vector<SweepQuery> queries = draw_queries();
     uint64_t side_ns[2] = {0, 0};  // [0] legacy, [1] inlined
     for (int slot = 0; slot < 2; ++slot) {
       const int side = (round + slot) % 2;
       const uint64_t start = NowNs();
-      for (NodeId s : sources) {
+      for (const SweepQuery& q : queries) {
         if (side == 1) {
           benchmark::DoNotOptimize(
-              inlined_sweep.OneToMany(s, radius_m, LengthCost));
+              inlined_sweep.OneToMany(q.source, q.targets, LengthCost));
         } else {
           benchmark::DoNotOptimize(
-              legacy_sweep.OneToMany(s, radius_m, legacy_cost));
+              legacy_sweep.OneToMany(q.source, q.targets, legacy_cost));
         }
       }
       side_ns[side] = NowNs() - start;
@@ -308,8 +335,9 @@ bool SweepLayoutGate(bench::BenchJsonWriter& json, bool quick) {
   const double speedup = ratios[ratios.size() / 2];
 
   std::cout << "sweep layout gate: " << network->NumNodes() << " nodes, "
-            << network->NumEdges() << " edges, radius " << radius_m / 1000.0
-            << " km, ~" << settled_total / num_sources
+            << network->NumEdges() << " edges, " << kTargetsPerSweep
+            << " targets " << kTargetDistanceM / 1000.0 << " km out, ~"
+            << settled_total / num_sources
             << " settled/sweep: legacy " << legacy_best_ns / 1e6
             << " ms, inlined " << inlined_best_ns / 1e6
             << " ms/round, median speedup " << speedup << "x\n";
@@ -317,7 +345,8 @@ bool SweepLayoutGate(bench::BenchJsonWriter& json, bool quick) {
   json.Str("mode", "sweep_layout");
   json.Num("nodes", static_cast<double>(network->NumNodes()));
   json.Num("edges", static_cast<double>(network->NumEdges()));
-  json.Num("radius_m", radius_m);
+  json.Num("targets_per_sweep", static_cast<double>(kTargetsPerSweep));
+  json.Num("target_distance_m", kTargetDistanceM);
   json.Num("settled_per_sweep",
            static_cast<double>(settled_total / num_sources));
   json.Num("legacy_ns", static_cast<double>(legacy_best_ns));
@@ -380,8 +409,10 @@ bool SnapshotLoadGate(bench::BenchJsonWriter& json, bool quick) {
 
   // Sanity: the mapped graph answers queries identically.
   DijkstraSearch a(*generated), b(*loaded);
-  NodeId far_node = static_cast<NodeId>(generated->NumNodes() - 1);
-  if (a.ShortestPath(0, far_node).cost != b.ShortestPath(0, far_node).cost) {
+  const NodeId far_node[] = {static_cast<NodeId>(generated->NumNodes() - 1)};
+  a.OneToMany(0, far_node, LengthCost);
+  b.OneToMany(0, far_node, LengthCost);
+  if (a.CostTo(far_node[0]) != b.CostTo(far_node[0])) {
     std::cerr << "FAIL: snapshot-loaded graph disagrees with generator\n";
     ok = false;
   }

@@ -134,7 +134,7 @@ case "${sanitize}" in
     # and snapshot-load floors with the asserting bench from a plain
     # Release tree (sanitized timings are meaningless).
     shift
-    graph_filter='RoadNetwork|GraphBuilder|GraphCounts|ChunkedBuild|GraphIo|Snapshot|Grid|Radial|Corridor|Geometric|Hyperbolic|GenerateNetwork|Dijkstra|AStar|OneToMany|Sweep|Route|Edge|RoadClass'
+    graph_filter='RoadNetwork|GraphBuilder|GraphCounts|ChunkedBuild|Snapshot|Grid|Radial|Corridor|Geometric|Hyperbolic|GenerateNetwork|Dijkstra|AStar|OneToMany|Sweep|Route|Edge|RoadClass'
     for san in address undefined; do
       san_dir="${repo_root}/build-${san/undefined/ubsan}"
       san_dir="${san_dir/address/asan}"

@@ -8,86 +8,9 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
-#include <iomanip>
-#include <istream>
-#include <ostream>
 #include <type_traits>
 
 namespace ecocharge {
-
-Status SaveRoadNetwork(const RoadNetwork& network, std::ostream& os) {
-  os << "ecg 1\n";
-  os << network.NumNodes() << " " << network.NumEdges() << "\n";
-  os << std::setprecision(17);
-  for (NodeId v = 0; v < network.NumNodes(); ++v) {
-    const Point& p = network.NodePosition(v);
-    os << p.x << " " << p.y << "\n";
-  }
-  for (NodeId v = 0; v < network.NumNodes(); ++v) {
-    for (const Arc& a : network.OutArcs(v)) {
-      os << v << " " << a.node << " " << a.length_m << " "
-         << static_cast<int>(a.road_class) << "\n";
-    }
-  }
-  if (!os) return Status::IOError("stream write failed");
-  return Status::OK();
-}
-
-Status SaveRoadNetworkFile(const RoadNetwork& network,
-                           const std::string& path) {
-  std::ofstream out(path);
-  if (!out) return Status::IOError("cannot open " + path);
-  return SaveRoadNetwork(network, out);
-}
-
-Result<std::shared_ptr<RoadNetwork>> LoadRoadNetwork(std::istream& is) {
-  std::string magic;
-  int version = 0;
-  if (!(is >> magic >> version) || magic != "ecg" || version != 1) {
-    return Status::IOError("bad header: expected 'ecg 1'");
-  }
-  size_t num_nodes = 0, num_edges = 0;
-  if (!(is >> num_nodes >> num_edges)) {
-    return Status::IOError("bad counts line");
-  }
-  GraphBuilder builder;
-  for (size_t i = 0; i < num_nodes; ++i) {
-    double x, y;
-    if (!(is >> x >> y)) {
-      return Status::IOError("truncated node section at node " +
-                             std::to_string(i));
-    }
-    builder.AddNode(Point{x, y});
-  }
-  for (size_t i = 0; i < num_edges; ++i) {
-    NodeId from, to;
-    double length;
-    int road_class;
-    if (!(is >> from >> to >> length >> road_class)) {
-      return Status::IOError("truncated edge section at edge " +
-                             std::to_string(i));
-    }
-    if (road_class < 0 || road_class > 2) {
-      return Status::IOError("invalid road class " +
-                             std::to_string(road_class));
-    }
-    ECOCHARGE_RETURN_NOT_OK(builder.AddEdge(
-        from, to, static_cast<RoadClass>(road_class), length));
-  }
-  return builder.Build();
-}
-
-Result<std::shared_ptr<RoadNetwork>> LoadRoadNetworkFile(
-    const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return Status::IOError("cannot open " + path);
-  return LoadRoadNetwork(in);
-}
-
-
-// ---------------------------------------------------------------------------
-// Binary snapshot format.
-// ---------------------------------------------------------------------------
 
 namespace {
 
@@ -129,6 +52,8 @@ enum SectionId : uint32_t {
   kSectionOutArcs = 3,
   kSectionInOffsets = 4,
   kSectionInArcs = 5,
+  // 6 held the forward edge id of each in-arc; no longer written, skipped
+  // on load.
   kSectionInEdgeIds = 6,
   kSectionLocatorOffsets = 7,
   kSectionLocatorPoints = 8,
@@ -232,7 +157,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
   add(kSectionOutArcs, m * sizeof(Arc));
   add(kSectionInOffsets, (n + 1) * sizeof(uint32_t));
   add(kSectionInArcs, m * sizeof(Arc));
-  add(kSectionInEdgeIds, m * sizeof(EdgeId));
   add(kSectionLocatorOffsets, (cells + 1) * sizeof(uint32_t));
   add(kSectionLocatorPoints, n * sizeof(uint32_t));
   if (ch != nullptr) {
@@ -289,8 +213,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
       write_next(network.in_offsets().data(), (n + 1) * sizeof(uint32_t)));
   ECOCHARGE_RETURN_NOT_OK(
       write_next(network.in_arcs().data(), m * sizeof(Arc)));
-  ECOCHARGE_RETURN_NOT_OK(
-      write_next(network.in_edge_ids().data(), m * sizeof(EdgeId)));
   ECOCHARGE_RETURN_NOT_OK(write_next(network.locator_cell_offsets().data(),
                                      (cells + 1) * sizeof(uint32_t)));
   ECOCHARGE_RETURN_NOT_OK(write_next(network.locator_cell_points().data(),
@@ -435,9 +357,6 @@ Result<std::shared_ptr<RoadNetwork>> LoadSnapshot(const std::string& path) {
       SectionSpan<uint32_t>(parsed, data, kSectionInOffsets, n + 1, path));
   ECOCHARGE_ASSIGN_OR_RETURN(
       views.in_arcs, SectionSpan<Arc>(parsed, data, kSectionInArcs, m, path));
-  ECOCHARGE_ASSIGN_OR_RETURN(
-      views.in_edge_ids,
-      SectionSpan<EdgeId>(parsed, data, kSectionInEdgeIds, m, path));
   ECOCHARGE_ASSIGN_OR_RETURN(
       views.locator_cell_offsets,
       SectionSpan<uint32_t>(parsed, data, kSectionLocatorOffsets, cells + 1,

@@ -3,7 +3,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <iosfwd>
 #include <memory>
 #include <span>
 #include <string>
@@ -15,14 +14,6 @@
 
 namespace ecocharge {
 
-/// \brief Text serialization for road networks.
-///
-/// Format (whitespace separated):
-///   ecg 1                 -- magic + version
-///   <num_nodes> <num_edges>
-///   x y                   -- one line per node
-///   from to length class  -- one line per edge; class in {0,1,2}
-///
 /// Byte size of one contraction-hierarchy arc record as stored in a
 /// snapshot. The graph layer treats CH arcs as opaque fixed-width records
 /// (the ch subsystem static_asserts its ChArc layout against this), so io
@@ -41,30 +32,24 @@ struct ChSnapshotViews {
   std::shared_ptr<const void> backing;  ///< keeps the spans alive
 };
 
-/// Chosen over a binary format for diffability of the checked-in fixtures.
-Status SaveRoadNetwork(const RoadNetwork& network, std::ostream& os);
-Status SaveRoadNetworkFile(const RoadNetwork& network,
-                           const std::string& path);
-
-Result<std::shared_ptr<RoadNetwork>> LoadRoadNetwork(std::istream& is);
-Result<std::shared_ptr<RoadNetwork>> LoadRoadNetworkFile(
-    const std::string& path);
-
-/// \brief Versioned binary snapshot with zero-copy mmap load.
+/// \brief Versioned binary snapshot with zero-copy mmap load: the road
+/// network's one file format.
 ///
 /// Layout: a fixed header (magic "ECGSNAP\0", version, counts, bounds,
 /// locator shape), a section table, then 64-byte-aligned sections holding
-/// the network's raw arrays — positions, both CSR directions, the
-/// node-locator grid, and optionally a contraction hierarchy (sections
-/// 12-16, written for perfbench's regional_ch).
+/// the network's raw arrays — positions, both CSR directions (offsets and
+/// inlined arcs), the node-locator grid, and optionally a contraction
+/// hierarchy (sections 12-16, written for perfbench's regional_ch).
 /// LoadSnapshot maps the file read-only and serves every array straight
 /// out of the mapping. Byte order and Arc layout are host-native;
 /// snapshots are machine-local artifacts, not an exchange format.
-/// Versioning rule: any layout change bumps the version, and loaders
-/// reject versions they were not built for. Loaders skip section ids they
-/// do not read: the ALT landmark tables (ids 9-11) older builds wrote, and
-/// the contraction hierarchy; every section-table entry is still bounds
-/// checked against the file. The header's landmark count is written as 0.
+/// Versioning rule: any change to a section's layout bumps the version,
+/// and loaders reject versions they were not built for. Dropping a section
+/// does not, because loaders skip section ids they do not read: the
+/// in-edge id map (id 6) and the ALT landmark tables (ids 9-11) older
+/// builds wrote, and the contraction hierarchy; every section-table entry
+/// is still bounds checked against the file. The header's landmark count
+/// is written as 0.
 ///
 /// The save writes `path + ".tmp"` and renames it into place, so saving
 /// over the snapshot a loaded (mmap-backed) network came from is safe.

@@ -45,7 +45,6 @@ struct OwnedArrays {
   std::vector<Arc> out_arcs;
   std::vector<uint32_t> in_offsets;
   std::vector<Arc> in_arcs;
-  std::vector<EdgeId> in_edge_ids;
   std::vector<uint32_t> locator_cell_offsets;
   std::vector<uint32_t> locator_cell_points;
 };
@@ -155,7 +154,6 @@ Result<std::shared_ptr<RoadNetwork>> FinishAssembly(
     owned->in_offsets[v + 1] += owned->in_offsets[v];
   }
   owned->in_arcs.resize(m);
-  owned->in_edge_ids.resize(m);
   {
     std::vector<uint32_t> cursor(owned->in_offsets.begin(),
                                  owned->in_offsets.end() - 1);
@@ -163,10 +161,8 @@ Result<std::shared_ptr<RoadNetwork>> FinishAssembly(
       for (uint32_t slot = owned->out_offsets[v];
            slot < owned->out_offsets[v + 1]; ++slot) {
         const Arc& a = owned->out_arcs[slot];
-        uint32_t islot = cursor[a.node]++;
-        owned->in_arcs[islot] =
+        owned->in_arcs[cursor[a.node]++] =
             Arc{static_cast<NodeId>(v), a.road_class, a.length_m};
-        owned->in_edge_ids[islot] = slot;
       }
     }
   }
@@ -183,7 +179,6 @@ Result<std::shared_ptr<RoadNetwork>> FinishAssembly(
   views.out_arcs = owned->out_arcs;
   views.in_offsets = owned->in_offsets;
   views.in_arcs = owned->in_arcs;
-  views.in_edge_ids = owned->in_edge_ids;
   views.bounds = bounds;
   views.locator_nx = shape.nx;
   views.locator_ny = shape.ny;
@@ -214,7 +209,7 @@ Result<std::shared_ptr<RoadNetwork>> RoadNetwork::FromViews(Views views) {
   if (views.out_offsets.size() != n + 1 || views.in_offsets.size() != n + 1) {
     return Status::InvalidArgument("CSR offset array size mismatch");
   }
-  if (views.in_arcs.size() != m || views.in_edge_ids.size() != m) {
+  if (views.in_arcs.size() != m) {
     return Status::InvalidArgument("backward stream size mismatch");
   }
   if (!OffsetsValid(views.out_offsets, m) ||
@@ -237,7 +232,6 @@ Result<std::shared_ptr<RoadNetwork>> RoadNetwork::FromViews(Views views) {
   network->out_arcs_ = views.out_arcs;
   network->in_offsets_ = views.in_offsets;
   network->in_arcs_ = views.in_arcs;
-  network->in_edge_ids_ = views.in_edge_ids;
   network->bounds_ = views.bounds;
   network->locator_nx_ = views.locator_nx;
   network->locator_ny_ = views.locator_ny;
@@ -246,11 +240,6 @@ Result<std::shared_ptr<RoadNetwork>> RoadNetwork::FromViews(Views views) {
   network->locator_cell_points_ = views.locator_cell_points;
   network->backing_ = std::move(views.backing);
   return network;
-}
-
-NodeId RoadNetwork::EdgeSource(EdgeId e) const {
-  auto it = std::upper_bound(out_offsets_.begin(), out_offsets_.end(), e);
-  return static_cast<NodeId>((it - out_offsets_.begin()) - 1);
 }
 
 NodeId RoadNetwork::NearestNode(const Point& p) const {

@@ -2,7 +2,6 @@
 #define ECOCHARGE_GRAPH_ROAD_NETWORK_H_
 
 #include <cstdint>
-#include <iterator>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -47,8 +46,8 @@ double FreeFlowSpeed(RoadClass road_class);
 
 /// \brief One directed edge of the road network, endpoint-qualified.
 ///
-/// This is the builder/serialization/introspection record. The query hot
-/// paths never touch it — they stream over the inlined Arc records below.
+/// This is GraphBuilder's input record. The network itself stores only the
+/// inlined Arc records below.
 struct Edge {
   NodeId from = 0;
   NodeId to = 0;
@@ -83,47 +82,6 @@ struct Arc {
 static_assert(sizeof(Arc) == 16, "Arc must stay a 16-byte snapshot record");
 static_assert(std::is_trivially_copyable_v<Arc>, "Arc must be mmap-able");
 
-/// \brief Iterable range of consecutive EdgeIds.
-///
-/// Edge ids are exactly the forward-CSR slot indices, so a node's out-edge
-/// ids form a contiguous run; this keeps the historical
-/// `for (EdgeId e : network.OutEdges(v))` call sites working without
-/// materializing an id array.
-class EdgeIdRange {
- public:
-  class Iterator {
-   public:
-    using iterator_category = std::forward_iterator_tag;
-    using value_type = EdgeId;
-    using difference_type = std::ptrdiff_t;
-    using pointer = const EdgeId*;
-    using reference = EdgeId;
-
-    explicit Iterator(EdgeId id) : id_(id) {}
-    EdgeId operator*() const { return id_; }
-    Iterator& operator++() {
-      ++id_;
-      return *this;
-    }
-    bool operator==(const Iterator& o) const { return id_ == o.id_; }
-    bool operator!=(const Iterator& o) const { return id_ != o.id_; }
-
-   private:
-    EdgeId id_;
-  };
-
-  EdgeIdRange(EdgeId begin, EdgeId end) : begin_(begin), end_(end) {}
-  Iterator begin() const { return Iterator(begin_); }
-  Iterator end() const { return Iterator(end_); }
-  size_t size() const { return end_ - begin_; }
-  bool empty() const { return begin_ == end_; }
-  EdgeId operator[](size_t i) const { return begin_ + static_cast<EdgeId>(i); }
-
- private:
-  EdgeId begin_;
-  EdgeId end_;
-};
-
 /// \brief Immutable directed road network G = (V, E) in inlined CSR layout.
 ///
 /// Matches the paper's system model: nodes carry planar coordinates, edges
@@ -150,7 +108,6 @@ class RoadNetwork {
     std::span<const Arc> out_arcs;          ///< size edges
     std::span<const uint32_t> in_offsets;   ///< size nodes+1
     std::span<const Arc> in_arcs;           ///< size edges
-    std::span<const EdgeId> in_edge_ids;    ///< forward id of each in-arc
     BoundingBox bounds;
     uint32_t locator_nx = 0;
     uint32_t locator_ny = 0;
@@ -191,29 +148,6 @@ class RoadNetwork {
   /// `FirstOutEdge(v) + i`.
   EdgeId FirstOutEdge(NodeId v) const { return out_offsets_[v]; }
 
-  /// Source node of edge `e`, recovered by binary search over the offsets
-  /// (O(log V) — use arc()/OutArcs() in hot loops).
-  NodeId EdgeSource(EdgeId e) const;
-
-  /// Full endpoint-qualified record of edge `e`, materialized by value.
-  /// Kept for serialization, route resolution, and tests; hot loops use
-  /// OutArcs/InArcs.
-  Edge edge(EdgeId e) const {
-    const Arc& a = out_arcs_[e];
-    return Edge{EdgeSource(e), a.node, a.length_m, a.road_class};
-  }
-
-  /// Ids of edges leaving `v` (a contiguous run of the forward stream).
-  EdgeIdRange OutEdges(NodeId v) const {
-    return EdgeIdRange(out_offsets_[v], out_offsets_[v + 1]);
-  }
-
-  /// Ids of edges entering `v`.
-  std::span<const EdgeId> InEdges(NodeId v) const {
-    return in_edge_ids_.subspan(in_offsets_[v],
-                                in_offsets_[v + 1] - in_offsets_[v]);
-  }
-
   /// The network's bounding box.
   const BoundingBox& Bounds() const { return bounds_; }
 
@@ -231,7 +165,6 @@ class RoadNetwork {
   std::span<const Arc> out_arcs() const { return out_arcs_; }
   std::span<const uint32_t> in_offsets() const { return in_offsets_; }
   std::span<const Arc> in_arcs() const { return in_arcs_; }
-  std::span<const EdgeId> in_edge_ids() const { return in_edge_ids_; }
   uint32_t locator_nx() const { return locator_nx_; }
   uint32_t locator_ny() const { return locator_ny_; }
   double locator_cell_m() const { return locator_cell_m_; }
@@ -250,7 +183,6 @@ class RoadNetwork {
   std::span<const Arc> out_arcs_;
   std::span<const uint32_t> in_offsets_;
   std::span<const Arc> in_arcs_;
-  std::span<const EdgeId> in_edge_ids_;
   BoundingBox bounds_;
 
   // Flat uniform-grid node locator (mmap-able, unlike the pointer-heavy

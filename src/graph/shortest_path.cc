@@ -51,41 +51,6 @@ using MinHeap =
 
 }  // namespace
 
-PathResult DijkstraSearch::ShortestPath(NodeId source, NodeId target,
-                                        const EdgeCostFn& cost) {
-  PathResult result;
-  if (source >= network_.NumNodes() || target >= network_.NumNodes()) {
-    return result;
-  }
-  NewEpoch();
-  MinHeap heap;
-  labels_[source] = {0.0, kInvalidNode, epoch_};
-  heap.push({0.0, source});
-
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    if (settled_version_[v] == epoch_) continue;  // stale heap entry
-    settled_version_[v] = epoch_;
-    ++last_settled_;
-    if (v == target) {
-      result.cost = labels_[v].dist;
-      result.nodes = ReconstructPath(source, target);
-      return result;
-    }
-    const double dv = labels_[v].dist;  // loop-invariant: no self-loops
-    for (const Arc& a : network_.OutArcs(v)) {
-      double nd = dv + cost(a);
-      NodeLabel& lw = labels_[a.node];
-      if (lw.version != epoch_ || nd < lw.dist) {
-        lw = {nd, v, epoch_};
-        heap.push({nd, a.node});
-      }
-    }
-  }
-  return result;  // unreachable
-}
-
 PathResult DijkstraSearch::AStar(NodeId source, NodeId target,
                                  const EdgeCostFn& cost,
                                  double heuristic_scale) {
@@ -124,38 +89,6 @@ PathResult DijkstraSearch::AStar(NodeId source, NodeId target,
     }
   }
   return result;
-}
-
-size_t DijkstraSearch::OneToMany(NodeId source, double max_cost,
-                                 const EdgeCostFn& cost,
-                                 std::vector<NodeId>* settled_out) {
-  if (source >= network_.NumNodes()) return 0;
-  NewEpoch();
-  if (settled_out) settled_out->clear();
-  MinHeap heap;
-  labels_[source] = {0.0, kInvalidNode, epoch_};
-  heap.push({0.0, source});
-
-  while (!heap.empty()) {
-    auto [d, v] = heap.top();
-    heap.pop();
-    if (settled_version_[v] == epoch_) continue;  // stale heap entry
-    if (d > max_cost) break;
-    settled_version_[v] = epoch_;
-    ++last_settled_;
-    if (settled_out) settled_out->push_back(v);
-    const double dv = labels_[v].dist;  // loop-invariant: no self-loops
-    for (const Arc& a : network_.OutArcs(v)) {
-      double nd = dv + cost(a);
-      if (nd > max_cost) continue;
-      NodeLabel& lw = labels_[a.node];
-      if (lw.version != epoch_ || nd < lw.dist) {
-        lw = {nd, v, epoch_};
-        heap.push({nd, a.node});
-      }
-    }
-  }
-  return last_settled_;
 }
 
 size_t DijkstraSearch::OneToMany(NodeId source,
@@ -197,11 +130,10 @@ size_t DijkstraSearch::ExtendSweep(std::span<const NodeId> targets,
     ++pending;
   }
 
-  // The settle/relax loop is byte-for-byte the work ShortestPath does; the
-  // target set only decides when to STOP, never what gets relaxed. That is
-  // the property the derouting batch relies on for bit-identical costs: a
-  // sweep asked for one target and a sweep asked for many perform the same
-  // pop/relax prefix, so every settled distance is the same double.
+  // The target set only decides when to STOP, never what gets relaxed.
+  // That is the property the derouting batch relies on for bit-identical
+  // costs: a sweep asked for one target and a sweep asked for many perform
+  // the same pop/relax prefix, so every settled distance is the same double.
   const bool forward = direction_ == SweepDirection::kForward;
   while (pending > 0 && !frontier_.empty()) {
     std::pop_heap(frontier_.begin(), frontier_.end(), SweepLater);

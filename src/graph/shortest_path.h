@@ -44,21 +44,12 @@ class DijkstraSearch {
  public:
   explicit DijkstraSearch(const RoadNetwork& network);
 
-  /// Single-source single-target; stops as soon as `target` is settled.
-  PathResult ShortestPath(NodeId source, NodeId target,
-                          const EdgeCostFn& cost = LengthCost);
-
   /// A* with a Euclidean-distance admissible heuristic (only valid for
   /// length costs, or time costs divided by max speed — the caller passes
   /// `heuristic_scale` = 1/max_speed for time costs, 1.0 for length).
   PathResult AStar(NodeId source, NodeId target,
                    const EdgeCostFn& cost = LengthCost,
                    double heuristic_scale = 1.0);
-
-  /// Single-source costs to every node within `max_cost` (unreached nodes
-  /// report kInfiniteCost). Returns the settled node count.
-  size_t OneToMany(NodeId source, double max_cost, const EdgeCostFn& cost,
-                   std::vector<NodeId>* settled = nullptr);
 
   /// Multi-target one-to-many: settles outward from `source` and stops as
   /// soon as every reachable node in `targets` is final (instead of
@@ -85,20 +76,15 @@ class DijkstraSearch {
   /// costs (including ones settled by earlier extensions).
   size_t ExtendSweep(std::span<const NodeId> targets, const EdgeCostFn& cost);
 
-  /// True when `v` has a final cost in the current sweep. CostTo() on an
-  /// unsettled-but-reached node returns its tentative distance, which a
-  /// resumable sweep may still improve — batch readers check this first.
-  bool Settled(NodeId v) const {
-    return v < settled_version_.size() && settled_version_[v] == epoch_;
-  }
-
-  /// Cost to `v` after the last OneToMany/ShortestPath call that settled it
-  /// in the current epoch; kInfiniteCost otherwise.
+  /// Cost to `v` in the current sweep (or the last AStar call): final once
+  /// a sweep extension has settled `v`, tentative if `v` was only reached,
+  /// and kInfiniteCost if it was not reached at all.
   double CostTo(NodeId v) const {
     return labels_[v].version == epoch_ ? labels_[v].dist : kInfiniteCost;
   }
 
-  /// Number of heap pops in the last query (exposed for benchmarks).
+  /// Nodes settled by the current sweep or the last AStar call (exposed
+  /// for benchmarks).
   size_t last_settled_count() const { return last_settled_; }
 
  private:

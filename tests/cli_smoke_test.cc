@@ -1,7 +1,8 @@
 // End-to-end smoke of the ecocharge_cli binary's input boundary: unknown
 // subcommands, unknown flags and malformed or out-of-range numbers must
 // exit 2 (flags and numbers with an InvalidArgument), never run a default
-// configuration or abort.
+// configuration or abort; and the files one subcommand writes load in the
+// others.
 
 #include <gtest/gtest.h>
 #include <sys/wait.h>
@@ -79,6 +80,37 @@ TEST(CliSmokeTest, RejectsMalformedAndOutOfRangeNumbers) {
     ExpectRejected(rank + " " + bad, "InvalidArgument: --");
   }
   ExpectRejected("serve --threads two", "InvalidArgument: --threads");
+}
+
+/// Runs `args` and expects exit status 0; returns the output.
+std::string ExpectSucceeds(const std::string& args) {
+  int code = 0;
+  const std::string out = RunCommand(ECOCHARGE_CLI_BIN " " + args, &code);
+  EXPECT_TRUE(WIFEXITED(code) && WEXITSTATUS(code) == 0) << args << "\n"
+                                                         << out;
+  return out;
+}
+
+TEST(CliSmokeTest, GenDatasetNetworkLoadsAsSnapshot) {
+  // gen-dataset writes its network as a snapshot, which `rank
+  // --graph-snapshot` and `graph info` read back.
+  if (std::string(ECOCHARGE_CLI_BIN).empty()) GTEST_SKIP();
+  const std::string prefix = ::testing::TempDir() + "/cli_smoke_dataset";
+  const std::string snapshot = prefix + ".ecgs";
+  const std::string wrote = ExpectSucceeds(
+      "gen-dataset --kind oldenburg --scale 0.01 --out " + prefix);
+  EXPECT_NE(wrote.find(snapshot), std::string::npos) << wrote;
+  const std::string table = ExpectSucceeds(
+      "rank --kind oldenburg --chargers 60 --k 3 --graph-snapshot " +
+      snapshot);
+  EXPECT_FALSE(table.empty());
+  const std::string info = ExpectSucceeds("graph info --load --in " + snapshot);
+  EXPECT_NE(info.find("out_arcs (id 3)"), std::string::npos) << info;
+  EXPECT_EQ(info.find("in_edge_ids"), std::string::npos) << info;
+  EXPECT_NE(info.find("sanity sweep from node 0 reached"), std::string::npos)
+      << info;
+  std::remove(snapshot.c_str());
+  std::remove((prefix + ".ect").c_str());
 }
 
 }  // namespace

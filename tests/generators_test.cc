@@ -39,8 +39,10 @@ TEST(GridNetworkTest, ContainsAllRoadClasses) {
   opts.ny = 11;
   auto network = MakeGridNetwork(opts).MoveValueUnsafe();
   bool has[3] = {false, false, false};
-  for (EdgeId e = 0; e < network->NumEdges(); ++e) {
-    has[static_cast<int>(network->edge(e).road_class)] = true;
+  for (NodeId v = 0; v < network->NumNodes(); ++v) {
+    for (const Arc& a : network->OutArcs(v)) {
+      has[static_cast<int>(a.road_class)] = true;
+    }
   }
   EXPECT_TRUE(has[0]);  // highway
   EXPECT_TRUE(has[1]);  // arterial
@@ -81,7 +83,8 @@ TEST(RadialCityTest, RejectsTooFewSpokes) {
 }
 
 /// FNV-1a over the edge list (endpoints, class, length bits) in edge-id
-/// order: pins every kNN link and patch edge a generator emits.
+/// order, i.e. the forward arc stream node by node: pins every kNN link and
+/// patch edge a generator emits.
 uint64_t EdgeListDigest(const RoadNetwork& network) {
   uint64_t h = 1469598103934665603ull;
   auto mix = [&h](uint64_t v) {
@@ -92,14 +95,15 @@ uint64_t EdgeListDigest(const RoadNetwork& network) {
   };
   mix(network.NumNodes());
   mix(network.NumEdges());
-  for (EdgeId e = 0; e < network.NumEdges(); ++e) {
-    const Edge edge = network.edge(e);
-    mix(edge.from);
-    mix(edge.to);
-    mix(static_cast<uint64_t>(edge.road_class));
-    uint64_t bits;
-    std::memcpy(&bits, &edge.length_m, sizeof(bits));
-    mix(bits);
+  for (NodeId v = 0; v < network.NumNodes(); ++v) {
+    for (const Arc& a : network.OutArcs(v)) {
+      mix(v);
+      mix(a.node);
+      mix(static_cast<uint64_t>(a.road_class));
+      uint64_t bits;
+      std::memcpy(&bits, &a.length_m, sizeof(bits));
+      mix(bits);
+    }
   }
   return h;
 }
@@ -201,10 +205,9 @@ TEST(CorridorRegionTest, CitiesPlusCorridors) {
   EXPECT_TRUE(network->IsStronglyConnected());
   // Corridors must contribute highway edges.
   bool has_highway = false;
-  for (EdgeId e = 0; e < network->NumEdges(); ++e) {
-    if (network->edge(e).road_class == RoadClass::kHighway) {
-      has_highway = true;
-      break;
+  for (NodeId v = 0; v < network->NumNodes(); ++v) {
+    for (const Arc& a : network->OutArcs(v)) {
+      has_highway = has_highway || a.road_class == RoadClass::kHighway;
     }
   }
   EXPECT_TRUE(has_highway);
@@ -215,18 +218,20 @@ TEST(CorridorRegionTest, CitiesPlusCorridors) {
 // ---------------------------------------------------------------------------
 
 /// The CSR arrays are canonically ordered, so two identical graphs have
-/// identical per-EdgeId tuples.
+/// identical arc streams.
 void ExpectSameNetwork(const RoadNetwork& a, const RoadNetwork& b) {
   ASSERT_EQ(a.NumNodes(), b.NumNodes());
   ASSERT_EQ(a.NumEdges(), b.NumEdges());
   for (NodeId v = 0; v < a.NumNodes(); ++v) {
     ASSERT_EQ(a.NodePosition(v), b.NodePosition(v)) << "node " << v;
   }
+  for (NodeId v = 0; v < a.NumNodes(); ++v) {
+    ASSERT_EQ(a.FirstOutEdge(v), b.FirstOutEdge(v)) << "node " << v;
+  }
   for (EdgeId e = 0; e < a.NumEdges(); ++e) {
-    ASSERT_EQ(a.edge(e).from, b.edge(e).from) << "edge " << e;
-    ASSERT_EQ(a.edge(e).to, b.edge(e).to) << "edge " << e;
-    ASSERT_EQ(a.edge(e).length_m, b.edge(e).length_m) << "edge " << e;
-    ASSERT_EQ(a.edge(e).road_class, b.edge(e).road_class) << "edge " << e;
+    ASSERT_EQ(a.arc(e).node, b.arc(e).node) << "edge " << e;
+    ASSERT_EQ(a.arc(e).length_m, b.arc(e).length_m) << "edge " << e;
+    ASSERT_EQ(a.arc(e).road_class, b.arc(e).road_class) << "edge " << e;
   }
 }
 
@@ -330,8 +335,10 @@ TEST(StreamingHyperbolicTest, ConnectedWithHubSkew) {
 
   // Hub links carry highway/arterial classes.
   bool has[3] = {false, false, false};
-  for (EdgeId e = 0; e < network->NumEdges(); ++e) {
-    has[static_cast<int>(network->edge(e).road_class)] = true;
+  for (NodeId v = 0; v < network->NumNodes(); ++v) {
+    for (const Arc& a : network->OutArcs(v)) {
+      has[static_cast<int>(a.road_class)] = true;
+    }
   }
   EXPECT_TRUE(has[0] && has[1] && has[2]);
 }

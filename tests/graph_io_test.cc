@@ -4,8 +4,9 @@
 #include <cstdint>
 #include <cstring>
 #include <fstream>
-#include <sstream>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -17,83 +18,6 @@
 
 namespace ecocharge {
 namespace {
-
-TEST(GraphIoTest, RoundTripPreservesStructure) {
-  GridNetworkOptions opts;
-  opts.nx = 6;
-  opts.ny = 5;
-  opts.seed = 4;
-  auto original = MakeGridNetwork(opts).MoveValueUnsafe();
-
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveRoadNetwork(*original, buffer).ok());
-  auto loaded_result = LoadRoadNetwork(buffer);
-  ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
-  auto loaded = loaded_result.MoveValueUnsafe();
-
-  ASSERT_EQ(loaded->NumNodes(), original->NumNodes());
-  ASSERT_EQ(loaded->NumEdges(), original->NumEdges());
-  for (NodeId v = 0; v < original->NumNodes(); ++v) {
-    EXPECT_EQ(loaded->NodePosition(v), original->NodePosition(v));
-  }
-  for (EdgeId e = 0; e < original->NumEdges(); ++e) {
-    EXPECT_EQ(loaded->edge(e).from, original->edge(e).from);
-    EXPECT_EQ(loaded->edge(e).to, original->edge(e).to);
-    EXPECT_EQ(loaded->edge(e).length_m, original->edge(e).length_m);
-    EXPECT_EQ(loaded->edge(e).road_class, original->edge(e).road_class);
-  }
-}
-
-TEST(GraphIoTest, RoundTripPreservesShortestPaths) {
-  GridNetworkOptions opts;
-  opts.nx = 7;
-  opts.ny = 7;
-  auto original = MakeGridNetwork(opts).MoveValueUnsafe();
-  std::stringstream buffer;
-  ASSERT_TRUE(SaveRoadNetwork(*original, buffer).ok());
-  auto loaded = LoadRoadNetwork(buffer).MoveValueUnsafe();
-
-  DijkstraSearch s1(*original), s2(*loaded);
-  EXPECT_DOUBLE_EQ(s1.ShortestPath(0, 48).cost, s2.ShortestPath(0, 48).cost);
-}
-
-TEST(GraphIoTest, RejectsBadMagic) {
-  std::stringstream buffer("xyz 1\n1 0\n0 0\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, RejectsWrongVersion) {
-  std::stringstream buffer("ecg 99\n1 0\n0 0\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, RejectsTruncatedNodes) {
-  std::stringstream buffer("ecg 1\n3 0\n0 0\n1 1\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, RejectsTruncatedEdges) {
-  std::stringstream buffer("ecg 1\n2 2\n0 0\n1 1\n0 1 10.0 0\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, RejectsInvalidRoadClass) {
-  std::stringstream buffer("ecg 1\n2 1\n0 0\n1 1\n0 1 10.0 7\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, RejectsOutOfRangeEdge) {
-  std::stringstream buffer("ecg 1\n2 1\n0 0\n1 1\n0 9 10.0 0\n");
-  EXPECT_FALSE(LoadRoadNetwork(buffer).ok());
-}
-
-TEST(GraphIoTest, FileApiFailsOnMissingPath) {
-  EXPECT_FALSE(LoadRoadNetworkFile("/no/such/file.ecg").ok());
-}
-
-// ---------------------------------------------------------------------------
-// Binary snapshots.
-// ---------------------------------------------------------------------------
 
 std::shared_ptr<RoadNetwork> SampleNetwork() {
   GridNetworkOptions opts;
@@ -118,39 +42,75 @@ void WriteFileBytes(const std::string& path, const std::string& bytes) {
   out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
-/// Rewrites snapshot `bytes` into the layout of a file from a build that
-/// still wrote ALT landmark tables: header landmark count `num_landmarks`,
-/// and sections 9-11 (the landmark node ids, then the "from" and "to"
-/// distance rows) appended after the existing ones. The section table
-/// grows by three entries, so every existing payload moves back by one
-/// 128-byte step, which keeps the writer's 64-byte alignment. The byte
-/// offsets mirror SnapshotHeader and SectionEntry in graph/io.cc.
-std::string WithLegacyLandmarkSections(const std::string& bytes,
-                                       uint32_t num_landmarks) {
-  constexpr size_t kHeaderBytes = 88;
-  constexpr size_t kSectionCountAt = 12;
-  constexpr size_t kNumNodesAt = 16;
-  constexpr size_t kNumLandmarksAt = 80;
-  constexpr uint64_t kShift = 128;
-  struct Entry {
-    uint32_t id;
-    uint32_t reserved;
-    uint64_t offset;
-    uint64_t byte_size;
+/// Positions and both arc streams, field by field.
+void ExpectSameGraph(const RoadNetwork& a, const RoadNetwork& b) {
+  ASSERT_EQ(a.NumNodes(), b.NumNodes());
+  ASSERT_EQ(a.NumEdges(), b.NumEdges());
+  auto expect_same_arcs = [](std::span<const Arc> x, std::span<const Arc> y,
+                             NodeId v) {
+    ASSERT_EQ(x.size(), y.size()) << "node " << v;
+    for (size_t i = 0; i < x.size(); ++i) {
+      EXPECT_EQ(x[i].node, y[i].node) << "node " << v << " arc " << i;
+      EXPECT_EQ(x[i].length_m, y[i].length_m) << "node " << v << " arc " << i;
+      EXPECT_EQ(x[i].road_class, y[i].road_class)
+          << "node " << v << " arc " << i;
+    }
   };
-  static_assert(sizeof(Entry) == 24);
+  for (NodeId v = 0; v < a.NumNodes(); ++v) {
+    EXPECT_EQ(a.NodePosition(v), b.NodePosition(v));
+    expect_same_arcs(a.OutArcs(v), b.OutArcs(v), v);
+    expect_same_arcs(a.InArcs(v), b.InArcs(v), v);
+  }
+}
 
+/// Costs of a sweep from `source` that settles every node.
+std::vector<double> SweepCosts(const RoadNetwork& network, NodeId source) {
+  std::vector<NodeId> all(network.NumNodes());
+  for (NodeId v = 0; v < all.size(); ++v) all[v] = v;
+  DijkstraSearch search(network);
+  search.OneToMany(source, all, LengthCost);
+  std::vector<double> costs;
+  for (NodeId v : all) costs.push_back(search.CostTo(v));
+  return costs;
+}
+
+/// Byte offsets mirroring SnapshotHeader and SectionEntry in graph/io.cc.
+constexpr size_t kHeaderBytes = 88;
+constexpr size_t kSectionCountAt = 12;
+constexpr size_t kNumNodesAt = 16;
+constexpr size_t kNumEdgesAt = 24;
+constexpr size_t kNumLandmarksAt = 80;
+struct Entry {
+  uint32_t id;
+  uint32_t reserved;
+  uint64_t offset;
+  uint64_t byte_size;
+};
+static_assert(sizeof(Entry) == 24);
+
+uint64_t HeaderCount(const std::string& bytes, size_t at) {
+  uint64_t value = 0;
+  std::memcpy(&value, bytes.data() + at, sizeof(value));
+  return value;
+}
+
+/// Rewrites snapshot `bytes` into the layout of a file from an older build
+/// that also wrote the sections in `extra` (id, byte size; contents zero,
+/// since nothing reads them) after the existing ones. The section table
+/// grows by one entry per extra section, so every existing payload moves
+/// back by that growth rounded up to 64 bytes, which keeps the writer's
+/// 64-byte alignment.
+std::string WithExtraSections(
+    const std::string& bytes,
+    const std::vector<std::pair<uint32_t, uint64_t>>& extra) {
   uint32_t count = 0;
-  uint64_t n = 0;
   std::memcpy(&count, bytes.data() + kSectionCountAt, sizeof(count));
-  std::memcpy(&n, bytes.data() + kNumNodesAt, sizeof(n));
   const size_t table_end = kHeaderBytes + count * sizeof(Entry);
+  const uint64_t shift = (extra.size() * sizeof(Entry) + 63) / 64 * 64;
 
   std::string out = bytes.substr(0, kHeaderBytes);
-  const uint32_t new_count = count + 3;
+  const uint32_t new_count = count + static_cast<uint32_t>(extra.size());
   std::memcpy(out.data() + kSectionCountAt, &new_count, sizeof(new_count));
-  std::memcpy(out.data() + kNumLandmarksAt, &num_landmarks,
-              sizeof(num_landmarks));
   const auto append_entry = [&out](const Entry& e) {
     out.append(reinterpret_cast<const char*>(&e), sizeof(e));
   };
@@ -158,24 +118,48 @@ std::string WithLegacyLandmarkSections(const std::string& bytes,
     Entry e;
     std::memcpy(&e, bytes.data() + kHeaderBytes + i * sizeof(Entry),
                 sizeof(e));
-    e.offset += kShift;
+    e.offset += shift;
     append_entry(e);
   }
-  const uint64_t sizes[3] = {num_landmarks * sizeof(NodeId),
-                             num_landmarks * n * sizeof(double),
-                             num_landmarks * n * sizeof(double)};
   std::string tail;
-  uint64_t end = bytes.size() + kShift;
-  for (uint32_t k = 0; k < 3; ++k) {
+  uint64_t end = bytes.size() + shift;
+  for (const auto& [id, size] : extra) {
     const uint64_t offset = (end + 63) / 64 * 64;
-    tail.append(offset - end + sizes[k], '\0');  // contents are never read
-    append_entry(Entry{9 + k, 0, offset, sizes[k]});
-    end = offset + sizes[k];
+    tail.append(offset - end + size, '\0');
+    append_entry(Entry{id, 0, offset, size});
+    end = offset + size;
   }
-  out.append(table_end + kShift - out.size(), '\0');
+  out.append(table_end + shift - out.size(), '\0');
   out += bytes.substr(table_end);
   out += tail;
   return out;
+}
+
+/// A file from a build that still wrote ALT landmark tables: header
+/// landmark count `num_landmarks`, and sections 9-11 (the landmark node
+/// ids, then the "from" and "to" distance rows).
+std::string WithLegacyLandmarkSections(const std::string& bytes,
+                                       uint32_t num_landmarks) {
+  const uint64_t n = HeaderCount(bytes, kNumNodesAt);
+  std::string out =
+      WithExtraSections(bytes, {{9, num_landmarks * sizeof(NodeId)},
+                                {10, num_landmarks * n * sizeof(double)},
+                                {11, num_landmarks * n * sizeof(double)}});
+  std::memcpy(out.data() + kNumLandmarksAt, &num_landmarks,
+              sizeof(num_landmarks));
+  return out;
+}
+
+/// A file from a build that still wrote the in-edge id map: section 6, one
+/// u32 forward edge id per in-arc.
+std::string WithLegacyInEdgeIds(const std::string& bytes) {
+  const uint64_t m = HeaderCount(bytes, kNumEdgesAt);
+  return WithExtraSections(bytes, {{6, m * sizeof(uint32_t)}});
+}
+
+bool ListsSection(const SnapshotInfo& info, uint32_t id) {
+  return std::any_of(info.sections.begin(), info.sections.end(),
+                     [id](const auto& s) { return s.first == id; });
 }
 
 TEST(SnapshotTest, RoundTripPreservesStructure) {
@@ -196,27 +180,7 @@ TEST(SnapshotTest, RoundTripPreservesStructure) {
     ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
     auto loaded = loaded_result.MoveValueUnsafe();
 
-    ASSERT_EQ(loaded->NumNodes(), original->NumNodes());
-    ASSERT_EQ(loaded->NumEdges(), original->NumEdges());
-    for (NodeId v = 0; v < original->NumNodes(); ++v) {
-      EXPECT_EQ(loaded->NodePosition(v), original->NodePosition(v));
-      ASSERT_EQ(loaded->OutArcs(v).size(), original->OutArcs(v).size());
-      ASSERT_EQ(loaded->InArcs(v).size(), original->InArcs(v).size());
-      for (size_t i = 0; i < original->OutArcs(v).size(); ++i) {
-        EXPECT_EQ(loaded->OutArcs(v)[i].node, original->OutArcs(v)[i].node);
-        EXPECT_EQ(loaded->OutArcs(v)[i].length_m,
-                  original->OutArcs(v)[i].length_m);
-      }
-      for (size_t i = 0; i < original->InArcs(v).size(); ++i) {
-        EXPECT_EQ(loaded->InArcs(v)[i].node, original->InArcs(v)[i].node);
-      }
-    }
-    for (EdgeId e = 0; e < original->NumEdges(); ++e) {
-      EXPECT_EQ(loaded->edge(e).from, original->edge(e).from);
-      EXPECT_EQ(loaded->edge(e).to, original->edge(e).to);
-      EXPECT_EQ(loaded->edge(e).length_m, original->edge(e).length_m);
-      EXPECT_EQ(loaded->edge(e).road_class, original->edge(e).road_class);
-    }
+    ExpectSameGraph(*loaded, *original);
     EXPECT_EQ(loaded->Bounds().min.x, original->Bounds().min.x);
     EXPECT_EQ(loaded->Bounds().max.y, original->Bounds().max.y);
   }
@@ -228,12 +192,8 @@ TEST(SnapshotTest, RoundTripPreservesQueries) {
   ASSERT_TRUE(SaveSnapshot(*original, path).ok());
   auto loaded = LoadSnapshot(path).MoveValueUnsafe();
 
-  // Bit-identical shortest paths (same arrays, same iteration order).
-  DijkstraSearch s1(*original), s2(*loaded);
-  for (NodeId target : {NodeId{5}, NodeId{23}, NodeId{55}}) {
-    EXPECT_EQ(s1.ShortestPath(0, target).cost,
-              s2.ShortestPath(0, target).cost);
-  }
+  // Bit-identical sweep costs (same arrays, same iteration order).
+  EXPECT_EQ(SweepCosts(*original, 0), SweepCosts(*loaded, 0));
   // The mmap-backed locator answers NearestNode identically.
   for (NodeId v = 0; v < original->NumNodes(); v += 7) {
     Point probe = original->NodePosition(v) + Point{13.0, -9.0};
@@ -256,28 +216,14 @@ TEST(SnapshotTest, RoundTripPreservesLandmarks) {
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->num_landmarks, 3u);
-  std::vector<uint32_t> ids;
-  for (const auto& [id, bytes] : info->sections) ids.push_back(id);
   for (uint32_t id : {9u, 10u, 11u}) {
-    EXPECT_NE(std::find(ids.begin(), ids.end(), id), ids.end())
-        << "section " << id;
+    EXPECT_TRUE(ListsSection(*info, id)) << "section " << id;
   }
 
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
-  const RoadNetwork& network = **loaded;
-  ASSERT_EQ(network.NumNodes(), original->NumNodes());
-  ASSERT_EQ(network.NumEdges(), original->NumEdges());
-  for (NodeId v = 0; v < original->NumNodes(); ++v) {
-    EXPECT_EQ(network.NodePosition(v), original->NodePosition(v));
-  }
-  for (EdgeId e = 0; e < original->NumEdges(); ++e) {
-    EXPECT_EQ(network.edge(e).from, original->edge(e).from);
-    EXPECT_EQ(network.edge(e).to, original->edge(e).to);
-    EXPECT_EQ(network.edge(e).length_m, original->edge(e).length_m);
-  }
-  DijkstraSearch s1(*original), s2(network);
-  EXPECT_EQ(s1.ShortestPath(0, 55).cost, s2.ShortestPath(0, 55).cost);
+  ExpectSameGraph(**loaded, *original);
+  EXPECT_EQ(SweepCosts(*original, 0), SweepCosts(**loaded, 0));
   EXPECT_EQ(info->ch_up_arcs, ch->NumUpArcs());
 }
 
@@ -302,6 +248,35 @@ TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
   EXPECT_FALSE(info->has_ch);
 }
 
+TEST(SnapshotTest, LoadsLegacyInEdgeIdSection) {
+  // Builds that kept an EdgeId adjacency API wrote the forward edge id of
+  // each in-arc as section 6. A fresh save no longer lists it; a file that
+  // carries it still loads (the loader skips it) and `graph info` still
+  // names it.
+  auto original = SampleNetwork();
+  std::string path = SnapshotPath("legacy_in_edge_ids.ecgs");
+  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  auto fresh = ReadSnapshotInfo(path);
+  ASSERT_TRUE(fresh.ok()) << fresh.status();
+  EXPECT_FALSE(ListsSection(*fresh, 6));
+
+  WriteFileBytes(path, WithLegacyInEdgeIds(ReadFileBytes(path)));
+  auto info = ReadSnapshotInfo(path);
+  ASSERT_TRUE(info.ok()) << info.status();
+  ASSERT_TRUE(ListsSection(*info, 6));
+  for (const auto& [id, bytes] : info->sections) {
+    if (id == 6) {
+      EXPECT_EQ(bytes, original->NumEdges() * sizeof(uint32_t));
+    }
+  }
+  EXPECT_STREQ(SnapshotSectionName(6), "in_edge_ids");
+
+  auto loaded = LoadSnapshot(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status();
+  ExpectSameGraph(**loaded, *original);
+  EXPECT_EQ(SweepCosts(*original, 0), SweepCosts(**loaded, 0));
+}
+
 TEST(SnapshotTest, InfoReportsCountsAndSections) {
   auto original = SampleNetwork();
   std::string path = SnapshotPath("info.ecgs");
@@ -315,7 +290,15 @@ TEST(SnapshotTest, InfoReportsCountsAndSections) {
   EXPECT_EQ(info.num_edges, original->NumEdges());
   EXPECT_EQ(info.num_landmarks, 0u);
   EXPECT_GT(info.file_bytes, 0u);
-  EXPECT_GE(info.sections.size(), 8u);  // positions, 2x CSR, locator, ids
+  // Positions, both CSR directions (offsets, arcs) and the locator (cell
+  // offsets, node ids).
+  std::vector<std::string> names;
+  for (const auto& [id, bytes] : info.sections) {
+    names.push_back(SnapshotSectionName(id));
+  }
+  EXPECT_EQ(names, (std::vector<std::string>{
+                       "positions", "out_offsets", "out_arcs", "in_offsets",
+                       "in_arcs", "locator_offsets", "locator_points"}));
   EXPECT_EQ(info.bounds.min.x, original->Bounds().min.x);
 }
 

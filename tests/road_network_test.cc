@@ -30,8 +30,9 @@ TEST(GraphBuilderTest, RejectsBadEndpoints) {
 
 TEST(GraphBuilderTest, DefaultLengthIsEuclidean) {
   auto network = Triangle();
-  // Edge 0 is a -> b with length 100.
-  EXPECT_DOUBLE_EQ(network->edge(0).length_m, 100.0);
+  // a's first out-arc leads to b, 100 m away.
+  EXPECT_EQ(network->OutArcs(0)[0].node, 1u);
+  EXPECT_DOUBLE_EQ(network->OutArcs(0)[0].length_m, 100.0);
 }
 
 TEST(GraphBuilderTest, ExplicitLengthOverrides) {
@@ -40,7 +41,7 @@ TEST(GraphBuilderTest, ExplicitLengthOverrides) {
   NodeId b = builder.AddNode({100, 0});
   ASSERT_TRUE(builder.AddEdge(a, b, RoadClass::kLocal, 250.0).ok());
   auto network = builder.Build().MoveValueUnsafe();
-  EXPECT_DOUBLE_EQ(network->edge(0).length_m, 250.0);
+  EXPECT_DOUBLE_EQ(network->OutArcs(a)[0].length_m, 250.0);
 }
 
 TEST(GraphBuilderTest, CoincidentNodesGetPositiveLength) {
@@ -49,7 +50,7 @@ TEST(GraphBuilderTest, CoincidentNodesGetPositiveLength) {
   NodeId b = builder.AddNode({5, 5});
   ASSERT_TRUE(builder.AddEdge(a, b, RoadClass::kLocal).ok());
   auto network = builder.Build().MoveValueUnsafe();
-  EXPECT_GT(network->edge(0).length_m, 0.0);
+  EXPECT_GT(network->OutArcs(a)[0].length_m, 0.0);
 }
 
 TEST(RoadNetworkTest, CsrAdjacencyIsConsistent) {
@@ -58,13 +59,19 @@ TEST(RoadNetworkTest, CsrAdjacencyIsConsistent) {
   EXPECT_EQ(network->NumEdges(), 6u);
   size_t out_total = 0, in_total = 0;
   for (NodeId v = 0; v < network->NumNodes(); ++v) {
-    out_total += network->OutEdges(v).size();
-    in_total += network->InEdges(v).size();
-    for (EdgeId e : network->OutEdges(v)) {
-      EXPECT_EQ(network->edge(e).from, v);
-    }
-    for (EdgeId e : network->InEdges(v)) {
-      EXPECT_EQ(network->edge(e).to, v);
+    out_total += network->OutArcs(v).size();
+    in_total += network->InArcs(v).size();
+    // Every out-arc v -> w appears once among w's in-arcs as w <- v, with
+    // the same attributes.
+    for (const Arc& a : network->OutArcs(v)) {
+      size_t matches = 0;
+      for (const Arc& back : network->InArcs(a.node)) {
+        if (back.node == v && back.length_m == a.length_m &&
+            back.road_class == a.road_class) {
+          ++matches;
+        }
+      }
+      EXPECT_EQ(matches, 1u) << v << "->" << a.node;
     }
   }
   EXPECT_EQ(out_total, network->NumEdges());
@@ -153,85 +160,9 @@ TEST(RoadNetworkTest, ArcsAreSortedByTarget) {
   EXPECT_EQ(arcs[1].length_m, 5.0);  // parallel edges: shortest first
   EXPECT_EQ(arcs[2].node, c);
   EXPECT_EQ(arcs[3].node, d);
-  // edge() reconstructs the source endpoint from the offset array.
-  EXPECT_EQ(network->edge(network->FirstOutEdge(a) + 3).from, a);
-  EXPECT_EQ(network->edge(network->FirstOutEdge(a) + 3).to, d);
-}
-
-// EdgeSource inverts the out-offset array with a binary search (the cold
-// path behind edge(); hot loops never call it). The pivot cases are runs of
-// single-arc nodes — where offsets[v] == e and upper_bound must still land
-// on v, not v+1 — and empty-adjacency nodes, whose repeated offset values
-// must be skipped over.
-TEST(RoadNetworkTest, EdgeSourceSingleArcChain) {
-  GraphBuilder builder;
-  NodeId a = builder.AddNode({0, 0});
-  NodeId b = builder.AddNode({1, 0});
-  NodeId c = builder.AddNode({2, 0});
-  NodeId d = builder.AddNode({3, 0});
-  ASSERT_TRUE(builder.AddEdge(a, b, RoadClass::kLocal).ok());
-  ASSERT_TRUE(builder.AddEdge(b, c, RoadClass::kLocal).ok());
-  ASSERT_TRUE(builder.AddEdge(c, d, RoadClass::kLocal).ok());
-  ASSERT_TRUE(builder.AddEdge(d, a, RoadClass::kLocal).ok());
-  auto network = builder.Build().MoveValueUnsafe();
-  // Every node owns exactly one edge: offsets are [0,1,2,3,4] and every
-  // edge id equals its owner's offset.
-  EXPECT_EQ(network->EdgeSource(0), a);
-  EXPECT_EQ(network->EdgeSource(1), b);
-  EXPECT_EQ(network->EdgeSource(2), c);
-  EXPECT_EQ(network->EdgeSource(3), d);
-}
-
-TEST(RoadNetworkTest, EdgeSourceSkipsEmptyAdjacencyRuns) {
-  GraphBuilder builder;
-  NodeId a = builder.AddNode({0, 0});
-  NodeId b = builder.AddNode({1, 0});  // no out-edges
-  NodeId c = builder.AddNode({2, 0});
-  NodeId d = builder.AddNode({3, 0});  // no out-edges either
-  ASSERT_TRUE(builder.AddEdge(a, c, RoadClass::kLocal).ok());
-  ASSERT_TRUE(builder.AddEdge(c, b, RoadClass::kLocal).ok());
-  ASSERT_TRUE(builder.AddEdge(c, d, RoadClass::kLocal).ok());
-  auto network = builder.Build().MoveValueUnsafe();
-  // Offsets are [0,1,1,3,3]: b and d contribute duplicate boundary values
-  // that the search must step past.
-  EXPECT_EQ(network->EdgeSource(0), a);
-  EXPECT_EQ(network->EdgeSource(1), c);
-  EXPECT_EQ(network->EdgeSource(2), c);
-  EXPECT_EQ(network->edge(1).from, c);
-  EXPECT_EQ(network->edge(2).from, c);
-}
-
-TEST(RoadNetworkTest, EdgeSourceMatchesOwnershipOnRandomGraph) {
-  // Randomized cross-check: EdgeSource must agree with OutEdges ownership
-  // for every edge, including the global first and last edge ids.
-  GraphBuilder builder;
-  constexpr NodeId kNodes = 64;
-  for (NodeId v = 0; v < kNodes; ++v) {
-    builder.AddNode({static_cast<double>(v % 8), static_cast<double>(v / 8)});
-  }
-  uint64_t state = 0x9e3779b97f4a7c15ull;
-  auto next = [&state]() {
-    state ^= state << 13;
-    state ^= state >> 7;
-    state ^= state << 17;
-    return state;
-  };
-  for (int i = 0; i < 300; ++i) {
-    const NodeId from = static_cast<NodeId>(next() % kNodes);
-    const NodeId to = static_cast<NodeId>(next() % kNodes);
-    if (from == to) continue;
-    ASSERT_TRUE(builder.AddEdge(from, to, RoadClass::kLocal).ok());
-  }
-  auto network = builder.Build().MoveValueUnsafe();
-  ASSERT_GT(network->NumEdges(), 0u);
-  for (NodeId v = 0; v < network->NumNodes(); ++v) {
-    for (EdgeId e : network->OutEdges(v)) {
-      EXPECT_EQ(network->EdgeSource(e), v) << "edge " << e;
-    }
-  }
-  EXPECT_EQ(network->EdgeSource(0), network->edge(0).from);
-  const EdgeId last = static_cast<EdgeId>(network->NumEdges() - 1);
-  EXPECT_EQ(network->EdgeSource(last), network->edge(last).from);
+  // Edge ids index the forward stream: OutArcs(a)[i] is edge
+  // FirstOutEdge(a) + i.
+  EXPECT_EQ(&network->arc(network->FirstOutEdge(a) + 3), &arcs[3]);
 }
 
 namespace {

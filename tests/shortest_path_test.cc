@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <span>
+#include <vector>
 
 #include "common/rng.h"
 #include "graph/generators.h"
@@ -20,10 +21,28 @@ std::shared_ptr<RoadNetwork> SmallGrid(uint64_t seed = 3) {
   return MakeGridNetwork(opts).MoveValueUnsafe();
 }
 
+/// Forward sweep from `source` until `target` settles; its cost, or
+/// kInfiniteCost when `target` is unreachable or invalid.
+double SweepCost(DijkstraSearch& search, NodeId source, NodeId target,
+                 const EdgeCostFn& cost = LengthCost) {
+  const NodeId targets[] = {target};
+  return search.OneToMany(source, targets, cost) == 1 ? search.CostTo(target)
+                                                      : kInfiniteCost;
+}
+
+/// Every node as a target: the sweep settles the whole reachable graph.
+std::vector<NodeId> AllNodes(const RoadNetwork& network) {
+  std::vector<NodeId> nodes(network.NumNodes());
+  for (NodeId v = 0; v < nodes.size(); ++v) nodes[v] = v;
+  return nodes;
+}
+
 TEST(DijkstraTest, TrivialSourceEqualsTarget) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  PathResult r = search.ShortestPath(5, 5);
+  EXPECT_EQ(SweepCost(search, 5, 5), 0.0);
+  EXPECT_EQ(search.last_settled_count(), 1u);
+  PathResult r = search.AStar(5, 5);
   EXPECT_TRUE(r.Reachable());
   EXPECT_EQ(r.cost, 0.0);
   ASSERT_EQ(r.nodes.size(), 1u);
@@ -33,29 +52,32 @@ TEST(DijkstraTest, TrivialSourceEqualsTarget) {
 TEST(DijkstraTest, InvalidNodesUnreachable) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  EXPECT_FALSE(search.ShortestPath(0, 100000).Reachable());
-  EXPECT_FALSE(search.ShortestPath(100000, 0).Reachable());
+  EXPECT_FALSE(search.AStar(0, 100000).Reachable());
+  EXPECT_FALSE(search.AStar(100000, 0).Reachable());
+  EXPECT_EQ(SweepCost(search, 0, 100000), kInfiniteCost);
+  EXPECT_EQ(SweepCost(search, 100000, 0), kInfiniteCost);
+  EXPECT_EQ(search.last_settled_count(), 0u);
 }
 
 TEST(DijkstraTest, PathEndpointsAndContinuity) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  PathResult r = search.ShortestPath(0, 63);
+  PathResult r = search.AStar(0, 63);
   ASSERT_TRUE(r.Reachable());
   EXPECT_EQ(r.nodes.front(), 0u);
   EXPECT_EQ(r.nodes.back(), 63u);
-  // Consecutive nodes must be joined by an edge; costs must sum up.
+  // Consecutive nodes must be joined by an arc; costs must sum up.
   double total = 0.0;
   for (size_t i = 1; i < r.nodes.size(); ++i) {
     bool found = false;
-    for (EdgeId e : network->OutEdges(r.nodes[i - 1])) {
-      if (network->edge(e).to == r.nodes[i]) {
-        total += network->edge(e).length_m;
+    for (const Arc& a : network->OutArcs(r.nodes[i - 1])) {
+      if (a.node == r.nodes[i]) {
+        total += a.length_m;
         found = true;
         break;
       }
     }
-    EXPECT_TRUE(found) << "no edge " << r.nodes[i - 1] << "->" << r.nodes[i];
+    EXPECT_TRUE(found) << "no arc " << r.nodes[i - 1] << "->" << r.nodes[i];
   }
   EXPECT_NEAR(total, r.cost, 1e-9);
 }
@@ -67,11 +89,11 @@ TEST(DijkstraTest, MatchesBellmanFordOnRandomPairs) {
   for (int trial = 0; trial < 20; ++trial) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    PathResult dij = search.ShortestPath(s, t);
+    const double sweep = SweepCost(search, s, t);
     PathResult bf = BellmanFordShortestPath(*network, s, t);
-    ASSERT_EQ(dij.Reachable(), bf.Reachable());
-    if (dij.Reachable()) {
-      EXPECT_NEAR(dij.cost, bf.cost, 1e-6) << s << "->" << t;
+    ASSERT_EQ(sweep < kInfiniteCost, bf.Reachable());
+    if (bf.Reachable()) {
+      EXPECT_NEAR(sweep, bf.cost, 1e-6) << s << "->" << t;
     }
   }
 }
@@ -83,7 +105,7 @@ TEST(AStarTest, MatchesDijkstraOnLengthCost) {
   for (int trial = 0; trial < 30; ++trial) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    double dij = search.ShortestPath(s, t).cost;
+    double dij = SweepCost(search, s, t);
     double astar = search.AStar(s, t).cost;
     EXPECT_NEAR(dij, astar, 1e-6);
   }
@@ -97,7 +119,7 @@ TEST(AStarTest, SettlesNoMoreThanDijkstra) {
   for (int trial = 0; trial < 20; ++trial) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    search.ShortestPath(s, t);
+    SweepCost(search, s, t);
     dij_settled += search.last_settled_count();
     search.AStar(s, t);
     astar_settled += search.last_settled_count();
@@ -115,22 +137,26 @@ TEST(AStarTest, TimeCostWithScaledHeuristicIsExact) {
   for (int trial = 0; trial < 20; ++trial) {
     NodeId s = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    double dij = search.ShortestPath(s, t, free_flow).cost;
+    double dij = SweepCost(search, s, t, free_flow);
     double astar = search.AStar(s, t, free_flow, inv_max_speed).cost;
     EXPECT_NEAR(dij, astar, 1e-6);
   }
 }
 
 TEST(OneToManyTest, RespectsCostBound) {
+  // The sweep stops once its farthest target settles: it settles at most
+  // the nodes no farther than that target, and leaves some unreached.
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  std::vector<NodeId> settled;
-  search.OneToMany(0, 500.0, LengthCost, &settled);
-  ASSERT_FALSE(settled.empty());
-  for (NodeId v : settled) {
-    EXPECT_LE(search.CostTo(v), 500.0);
+  NodeId targets[] = {1, 9};
+  ASSERT_EQ(search.OneToMany(0, targets, LengthCost), 2u);
+  const double bound = std::max(search.CostTo(1), search.CostTo(9));
+  size_t within_bound = 0;
+  for (NodeId v = 0; v < network->NumNodes(); ++v) {
+    if (BellmanFordShortestPath(*network, 0, v).cost <= bound) ++within_bound;
   }
-  // Unsettled nodes report infinity.
+  EXPECT_GT(search.last_settled_count(), 0u);
+  EXPECT_LE(search.last_settled_count(), within_bound);
   bool found_unreached = false;
   for (NodeId v = 0; v < network->NumNodes(); ++v) {
     if (search.CostTo(v) == kInfiniteCost) found_unreached = true;
@@ -141,19 +167,20 @@ TEST(OneToManyTest, RespectsCostBound) {
 TEST(OneToManyTest, UnboundedCoversWholeNetwork) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  size_t settled = search.OneToMany(0, kInfiniteCost, LengthCost);
-  EXPECT_EQ(settled, network->NumNodes());
+  const std::vector<NodeId> all = AllNodes(*network);
+  EXPECT_EQ(search.OneToMany(0, all, LengthCost), network->NumNodes());
+  EXPECT_EQ(search.last_settled_count(), network->NumNodes());
 }
 
 TEST(OneToManyTest, CostsMatchPointToPoint) {
   auto network = SmallGrid();
   DijkstraSearch one_to_many(*network);
   DijkstraSearch point(*network);
-  one_to_many.OneToMany(7, kInfiniteCost, LengthCost);
+  one_to_many.OneToMany(7, AllNodes(*network), LengthCost);
   Rng rng(21);
   for (int trial = 0; trial < 10; ++trial) {
     NodeId t = static_cast<NodeId>(rng.NextBounded(network->NumNodes()));
-    double expected = point.ShortestPath(7, t).cost;
+    double expected = point.AStar(7, t).cost;
     EXPECT_NEAR(one_to_many.CostTo(t), expected, 1e-9);
   }
 }
@@ -161,7 +188,6 @@ TEST(OneToManyTest, CostsMatchPointToPoint) {
 TEST(OneToManyTest, TargetSetMatchesPointToPointAndExitsEarly) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  DijkstraSearch point(*network);
   // Targets near the source: the sweep must stop well before settling the
   // whole 64-node grid.
   NodeId targets[] = {1, 8, 9, 2};
@@ -170,8 +196,8 @@ TEST(OneToManyTest, TargetSetMatchesPointToPointAndExitsEarly) {
   EXPECT_EQ(found, 4u);
   EXPECT_LT(search.last_settled_count(), network->NumNodes());
   for (NodeId t : targets) {
-    EXPECT_TRUE(search.Settled(t));
-    EXPECT_NEAR(search.CostTo(t), point.ShortestPath(0, t).cost, 1e-9);
+    EXPECT_NEAR(search.CostTo(t),
+                BellmanFordShortestPath(*network, 0, t).cost, 1e-9);
   }
 }
 
@@ -184,8 +210,8 @@ TEST(OneToManyTest, TargetSetSkipsInvalidAndDuplicateIds) {
       0, std::span<const NodeId>(targets), LengthCost);
   // Settled entries: node 5 counts per occurrence, invalid ids never do.
   EXPECT_EQ(found, 3u);
-  EXPECT_TRUE(search.Settled(5));
-  EXPECT_TRUE(search.Settled(12));
+  EXPECT_LT(search.CostTo(5), kInfiniteCost);
+  EXPECT_LT(search.CostTo(12), kInfiniteCost);
 }
 
 TEST(SweepTest, ResumedSweepMatchesOneShotBitwise) {
@@ -226,7 +252,7 @@ TEST(SweepTest, BackwardSweepSettlesCostsTowardTheSource) {
     NodeId targets[] = {v};
     sweep.ExtendSweep(std::span<const NodeId>(targets), LengthCost);
     // A backward sweep over the in-adjacency settles d(v -> 63).
-    EXPECT_NEAR(sweep.CostTo(v), point.ShortestPath(v, 63).cost, 1e-6)
+    EXPECT_NEAR(sweep.CostTo(v), point.AStar(v, 63).cost, 1e-6)
         << "v=" << v;
   }
 }
@@ -258,12 +284,13 @@ TEST(SweepTest, MultiSourceSweepIsMinOverSingleSources) {
 TEST(DijkstraTest, EpochReuseIsolatesQueries) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
-  search.OneToMany(0, kInfiniteCost, LengthCost);
+  const std::vector<NodeId> all = AllNodes(*network);
+  search.OneToMany(0, all, LengthCost);
   double d_before = search.CostTo(42);
-  // A bounded search from elsewhere must not leak stale distances.
-  search.OneToMany(63, 1.0, LengthCost);
+  // A short sweep from elsewhere must not leak stale distances.
+  EXPECT_EQ(SweepCost(search, 63, 63), 0.0);
   EXPECT_EQ(search.CostTo(42), kInfiniteCost);
-  search.OneToMany(0, kInfiniteCost, LengthCost);
+  search.OneToMany(0, all, LengthCost);
   EXPECT_NEAR(search.CostTo(42), d_before, 1e-12);
 }
 
@@ -279,10 +306,14 @@ TEST(DijkstraTest, CustomCostChangesRoute) {
   auto network = builder.Build().MoveValueUnsafe();
   DijkstraSearch search(*network);
   // By length the direct road wins.
-  EXPECT_EQ(search.ShortestPath(a, b, LengthCost).nodes.size(), 2u);
+  EXPECT_EQ(search.AStar(a, b, LengthCost).nodes.size(), 2u);
+  EXPECT_EQ(SweepCost(search, a, b, LengthCost), 1000.0);
   // By time the highway detour wins (1400m @ 120km/h < 1000m @ 30km/h).
   auto free_flow = [](const Arc& a) { return a.FreeFlowSeconds(); };
-  EXPECT_EQ(search.ShortestPath(a, b, free_flow).nodes.size(), 3u);
+  const double inv_max_speed = 1.0 / FreeFlowSpeed(RoadClass::kHighway);
+  EXPECT_EQ(search.AStar(a, b, free_flow, inv_max_speed).nodes.size(), 3u);
+  EXPECT_DOUBLE_EQ(SweepCost(search, a, b, free_flow),
+                   1400.0 / FreeFlowSpeed(RoadClass::kHighway));
 }
 
 }  // namespace

@@ -1,7 +1,7 @@
 // ecocharge_cli — command-line front end for the library.
 //
 // Subcommands:
-//   gen-network    synthesize a road network and write it as .ecg text
+//   gen-network    synthesize a road network and write it as a snapshot
 //   gen-dataset    synthesize one of the four paper datasets (network +
 //                  trajectories) to files
 //   graph build    run a generator spec and write a binary mmap snapshot
@@ -161,10 +161,10 @@ int Usage() {
   std::cout <<
       R"(ecocharge_cli — EcoCharge / CkNN-EC command line
 
-  gen-network  --style grid|radial|geometric|corridor --out FILE.ecg
+  gen-network  --style grid|radial|geometric|corridor --out FILE.ecgs
                [--seed N]
   gen-dataset  --kind oldenburg|california|tdrive|geolife --scale 0.01
-               --out PREFIX [--seed N]      (writes PREFIX.ecg, PREFIX.ect)
+               --out PREFIX [--seed N]     (writes PREFIX.ecgs, PREFIX.ect)
   graph build  --spec "type=grid;nx=1000;ny=1000;seed=7" --out FILE.ecgs
                (spec types: grid|rgg|hyperbolic stream in bounded-memory
                chunks; radial|corridor build in memory. The snapshot is a
@@ -173,7 +173,8 @@ int Usage() {
                (print a snapshot's version, counts, bounds, and sections —
                including CH section presence; --load also
                mmap-loads the full graph, reports the load time, and runs
-               a sanity sweep)
+               a sanity sweep from node 0 to the nodes nearest the points
+               10 km east, west, north and south of it)
   rank         --kind KIND [--chargers N] [--k K] [--radius-km R]
                [--hour H] [--seed N] [--index BACKEND]
                [--graph-snapshot FILE.ecgs]
@@ -283,18 +284,25 @@ int GraphInfo(const Args& args) {
     double load_ms = std::chrono::duration<double, std::milli>(
                          std::chrono::steady_clock::now() - start)
                          .count();
-    DijkstraSearch search(**network);
-    size_t settled = search.OneToMany(0, 10000.0, LengthCost);
-    std::cout << "  mmap load: " << load_ms << " ms ("
-              << (*network)->NumNodes() << " nodes; sanity sweep from node "
-              << "0 settled " << settled << " within 10 km)\n";
+    const RoadNetwork& graph = **network;
+    const Point origin = graph.NodePosition(0);
+    const NodeId targets[] = {graph.NearestNode(origin + Point{10000.0, 0.0}),
+                              graph.NearestNode(origin - Point{10000.0, 0.0}),
+                              graph.NearestNode(origin + Point{0.0, 10000.0}),
+                              graph.NearestNode(origin - Point{0.0, 10000.0})};
+    DijkstraSearch search(graph);
+    size_t reached = search.OneToMany(0, targets, LengthCost);
+    std::cout << "  mmap load: " << load_ms << " ms (" << graph.NumNodes()
+              << " nodes; sanity sweep from node 0 reached " << reached
+              << "/4 targets 10 km out, settled "
+              << search.last_settled_count() << ")\n";
   }
   return 0;
 }
 
 int GenNetwork(const Args& args) {
   std::string style = args.Get("style", "grid");
-  std::string out = args.Get("out", "network.ecg");
+  std::string out = args.Get("out", "network.ecgs");
   uint64_t seed = args.GetU64("seed", 1);
   Result<std::shared_ptr<RoadNetwork>> network =
       Status::InvalidArgument("unknown style: " + style);
@@ -319,7 +327,7 @@ int GenNetwork(const Args& args) {
     std::cerr << network.status() << "\n";
     return 1;
   }
-  Status st = SaveRoadNetworkFile(*network.value(), out);
+  Status st = SaveSnapshot(*network.value(), out);
   if (!st.ok()) {
     std::cerr << st << "\n";
     return 1;
@@ -344,8 +352,7 @@ int GenDataset(const Args& args) {
     return 1;
   }
   std::string prefix = args.Get("out", "dataset");
-  Status st =
-      SaveRoadNetworkFile(*dataset.value().network, prefix + ".ecg");
+  Status st = SaveSnapshot(*dataset.value().network, prefix + ".ecgs");
   if (st.ok()) {
     st = SaveTrajectoriesFile(dataset.value().trajectories, prefix + ".ect");
   }
@@ -353,7 +360,7 @@ int GenDataset(const Args& args) {
     std::cerr << st << "\n";
     return 1;
   }
-  std::cout << "wrote " << prefix << ".ecg / " << prefix << ".ect ("
+  std::cout << "wrote " << prefix << ".ecgs / " << prefix << ".ect ("
             << dataset.value().network->NumNodes() << " nodes, "
             << dataset.value().trajectories.size() << " trajectories)\n";
   return 0;
