@@ -12,7 +12,8 @@
 //      bit-identical to and >= 2x faster than the same sweeps driven by a
 //      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch.
 // Report-only beside the forward columns: the nodes ExactBatch's backward
-// extension settles and what that extension costs on its own per pass.
+// extension settles, what that extension costs on its own per pass, and
+// the price per settled node of each leg's sweep timed on its own.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_derouting.json.
 
@@ -143,30 +144,44 @@ class PerArcBatch {
   SimTime tau_ = -1.0;
 };
 
-/// ExactBatch's backward extension on its own: a cold multi-source sweep
-/// from the return pair to every charger and the vehicle node, priced with
-/// one ClassFactors like ExactBatch. It times the backward half of a
-/// batched row.
-class BackwardOnly {
+/// ExactBatch's two sweeps on their own, priced with one ClassFactors like
+/// ExactBatch: the forward multi-target sweep from the vehicle node to
+/// every charger, and a cold multi-source backward sweep from the return
+/// pair to every charger and the vehicle node. Each returns the nodes it
+/// settled, so a timed pass yields a price per settled node.
+class LegSweeps {
  public:
-  BackwardOnly(const RoadNetwork& network, const CongestionModel& congestion)
-      : congestion_(congestion), backward_(network) {}
+  LegSweeps(const RoadNetwork& network, const CongestionModel& congestion)
+      : congestion_(congestion), search_(network) {}
 
-  void Run(const DeroutingQuery& q, std::span<const ChargerRef> chargers) {
+  size_t Forward(const DeroutingQuery& q,
+                 std::span<const ChargerRef> chargers) {
+    const ClassFactors factors = congestion_.ActualFactors(q.now);
+    auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
+    targets_.clear();
+    for (ChargerRef c : chargers) targets_.push_back(c->node);
+    search_.OneToMany(q.vehicle_node, std::span<const NodeId>(targets_),
+                      cost);
+    return search_.last_settled_count();
+  }
+
+  size_t Backward(const DeroutingQuery& q,
+                  std::span<const ChargerRef> chargers) {
     const ClassFactors factors = congestion_.ActualFactors(q.now);
     auto cost = [&factors](const Arc& e) { return factors.Cost(e); };
     targets_.clear();
     for (ChargerRef c : chargers) targets_.push_back(c->node);
     targets_.push_back(q.vehicle_node);
     NodeId sources[2] = {q.return_node_a, q.return_node_b};
-    backward_.StartSweep(std::span<const NodeId>(sources, 2),
-                         SweepDirection::kBackward);
-    backward_.ExtendSweep(std::span<const NodeId>(targets_), cost);
+    search_.StartSweep(std::span<const NodeId>(sources, 2),
+                       SweepDirection::kBackward);
+    search_.ExtendSweep(std::span<const NodeId>(targets_), cost);
+    return search_.last_settled_count();
   }
 
  private:
   const CongestionModel& congestion_;
-  DijkstraSearch backward_;
+  DijkstraSearch search_;
   std::vector<NodeId> targets_;
 };
 
@@ -192,11 +207,11 @@ int Main(int argc, char** argv) {
   std::vector<DeroutingEstimate> batch_out;
 
   bench::BenchJsonWriter json;
-  BackwardOnly backward_only(*world.env->dataset.network,
-                             *world.env->congestion);
+  LegSweeps legs(*world.env->dataset.network, *world.env->congestion);
   TableWriter tw({"targets", "per-candidate us", "batched us", "speedup",
                   "per-candidate fwd settled", "batched fwd settled",
-                  "batched bwd settled", "bwd us"});
+                  "batched bwd settled", "bwd us", "fwd ns/settle",
+                  "bwd ns/settle"});
   bool ok = true;
 
   const size_t batch_sizes[] = {4, 16, 48};
@@ -258,14 +273,30 @@ int Main(int argc, char** argv) {
       }
     }
 
+    // Each leg's sweeps alone, min-of-rounds; the settled counts of one
+    // pass turn the times into a price per settled node.
+    uint64_t forward_ns = UINT64_MAX;
     uint64_t backward_ns = UINT64_MAX;
-    for (int round = 0; round < kRounds; ++round) {
-      const uint64_t start = NowNs();
-      for (size_t s = 0; s < num_states; ++s) {
-        backward_only.Run(queries[s], candidates[s]);
+    size_t leg_settled[2] = {0, 0};  // [0] forward, [1] backward
+    for (int leg = 0; leg < 2; ++leg) {
+      for (int round = 0; round < kRounds; ++round) {
+        size_t settled = 0;
+        const uint64_t start = NowNs();
+        for (size_t s = 0; s < num_states; ++s) {
+          settled += leg == 0 ? legs.Forward(queries[s], candidates[s])
+                              : legs.Backward(queries[s], candidates[s]);
+        }
+        uint64_t& best = leg == 0 ? forward_ns : backward_ns;
+        best = std::min(best, NowNs() - start);
+        leg_settled[leg] = settled;
       }
-      backward_ns = std::min(backward_ns, NowNs() - start);
     }
+    const double forward_ns_per_settle =
+        static_cast<double>(forward_ns) /
+        static_cast<double>(std::max<size_t>(leg_settled[0], 1));
+    const double backward_ns_per_settle =
+        static_cast<double>(backward_ns) /
+        static_cast<double>(std::max<size_t>(leg_settled[1], 1));
 
     const double speedup = static_cast<double>(per_candidate_ns) /
                            static_cast<double>(std::max<uint64_t>(
@@ -280,7 +311,9 @@ int Main(int argc, char** argv) {
                std::to_string(per_candidate_settled),
                std::to_string(batched_settled),
                std::to_string(batched_backward_settled),
-               TableWriter::Fmt(backward_ns / 1e3, 1)});
+               TableWriter::Fmt(backward_ns / 1e3, 1),
+               TableWriter::Fmt(forward_ns_per_settle, 1),
+               TableWriter::Fmt(backward_ns_per_settle, 1)});
     json.BeginRecord();
     json.Str("mode", "batch_vs_per_candidate");
     json.Num("targets", static_cast<double>(n));
@@ -295,6 +328,9 @@ int Main(int argc, char** argv) {
     json.Num("batched_backward_settled",
              static_cast<double>(batched_backward_settled));
     json.Num("backward_ns", static_cast<double>(backward_ns));
+    json.Num("forward_ns", static_cast<double>(forward_ns));
+    json.Num("forward_ns_per_settle", forward_ns_per_settle);
+    json.Num("backward_ns_per_settle", backward_ns_per_settle);
     if (n >= 16 && speedup < kMinSpeedupAt16) {
       std::cerr << "FAIL: batched refinement only " << speedup
                 << "x faster at " << n << " targets (floor "

@@ -11,7 +11,10 @@
 //      shipped pre-refactor (per-node EdgeId lists indirecting into a
 //      24-byte full-edge array, three parallel label arrays, a per-call
 //      O(V) settled buffer) given the same stop rule, at identical settled
-//      counts and target costs;
+//      counts and target costs. The production side also carries the
+//      4-ary frontier heap, which the replica (a binary
+//      std::priority_queue) does not, so the margin over the floor
+//      measures layout and heap together;
 //   2. mmap-loading a >= 1M-node snapshot is >= 10x faster than
 //      regenerating the same graph.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).

@@ -141,9 +141,6 @@ class RoadNetwork {
                             in_offsets_[v + 1] - in_offsets_[v]);
   }
 
-  /// Forward-stream arc record of edge `e` (cheap; no endpoint recovery).
-  const Arc& arc(EdgeId e) const { return out_arcs_[e]; }
-
   /// Id of the first out-edge of `v`; `OutArcs(v)[i]` is edge
   /// `FirstOutEdge(v) + i`.
   EdgeId FirstOutEdge(NodeId v) const { return out_offsets_[v]; }

@@ -99,6 +99,53 @@ size_t DijkstraSearch::OneToMany(NodeId source,
   return ExtendSweep(targets, cost);
 }
 
+void DijkstraSearch::FrontierPush(SweepEntry entry) {
+  frontier_.push_back(entry);
+  size_t i = frontier_.size() - 1;
+  while (i > 0) {
+    const size_t parent = (i - 1) / 4;
+    if (frontier_[parent].priority <= entry.priority) break;
+    frontier_[i] = frontier_[parent];
+    i = parent;
+  }
+  frontier_[i] = entry;
+}
+
+NodeId DijkstraSearch::FrontierPop() {
+  const NodeId top = frontier_.front().node;
+  const SweepEntry last = frontier_.back();
+  frontier_.pop_back();
+  const size_t n = frontier_.size();
+  if (n == 0) return top;
+  const SweepEntry* heap = frontier_.data();
+  // The smaller-priority slot of a and b, selected by arithmetic rather
+  // than a branch: which sibling is smallest is a coin flip, and a
+  // mispredicted branch per comparison is what a pop costs otherwise.
+  auto lesser = [heap](size_t a, size_t b) {
+    const size_t pick_b = 0 - static_cast<size_t>(heap[b].priority <
+                                                  heap[a].priority);
+    return a ^ ((a ^ b) & pick_b);
+  };
+  // Sift the former last entry down from the root through the hole.
+  size_t i = 0;
+  for (;;) {
+    const size_t first = 4 * i + 1;
+    size_t best;
+    if (first + 4 <= n) {
+      best = lesser(lesser(first, first + 1), lesser(first + 2, first + 3));
+    } else {
+      if (first >= n) break;
+      best = first;
+      for (size_t c = first + 1; c < n; ++c) best = lesser(best, c);
+    }
+    if (heap[best].priority >= last.priority) break;
+    frontier_[i] = heap[best];
+    i = best;
+  }
+  frontier_[i] = last;
+  return top;
+}
+
 void DijkstraSearch::StartSweep(std::span<const NodeId> sources,
                                 SweepDirection direction) {
   NewEpoch();
@@ -107,8 +154,7 @@ void DijkstraSearch::StartSweep(std::span<const NodeId> sources,
   for (NodeId s : sources) {
     if (s >= network_.NumNodes() || labels_[s].version == epoch_) continue;
     labels_[s] = {0.0, kInvalidNode, epoch_};
-    frontier_.push_back({0.0, s});
-    std::push_heap(frontier_.begin(), frontier_.end(), SweepLater);
+    FrontierPush({0.0, s});
   }
 }
 
@@ -134,11 +180,21 @@ size_t DijkstraSearch::ExtendSweep(std::span<const NodeId> targets,
   // That is the property the derouting batch relies on for bit-identical
   // costs: a sweep asked for one target and a sweep asked for many perform
   // the same pop/relax prefix, so every settled distance is the same double.
+  //
+  // Nor do the costs depend on which of several equal priorities the heap
+  // pops first. Pops come out in nondecreasing priority, so when v settles
+  // at d(v) every node u with d(u) < d(v) has settled and relaxed its arcs
+  // into v. A node u with d(u) >= d(v) offers d(u) + c >= d(v) (costs are
+  // nonnegative and IEEE addition rounds monotonically), which can never
+  // lower the label. So the settled label is the minimum over relaxations
+  // from strictly closer nodes, whatever order the ties were popped in: by
+  // induction over the distinct distances, every final cost is the same
+  // double under any tie-breaking. Only parents, tentative labels and
+  // which tied nodes settle before the sweep stops may differ; none of
+  // them is a final cost.
   const bool forward = direction_ == SweepDirection::kForward;
   while (pending > 0 && !frontier_.empty()) {
-    std::pop_heap(frontier_.begin(), frontier_.end(), SweepLater);
-    const NodeId v = frontier_.back().node;
-    frontier_.pop_back();
+    const NodeId v = FrontierPop();
     if (settled_version_[v] == epoch_) continue;  // stale heap entry
     settled_version_[v] = epoch_;
     ++last_settled_;
@@ -153,8 +209,7 @@ size_t DijkstraSearch::ExtendSweep(std::span<const NodeId> targets,
       NodeLabel& lw = labels_[w];
       if (lw.version != epoch_ || nd < lw.dist) {
         lw = {nd, v, epoch_};
-        frontier_.push_back({nd, w});
-        std::push_heap(frontier_.begin(), frontier_.end(), SweepLater);
+        FrontierPush({nd, w});
       }
     }
   }

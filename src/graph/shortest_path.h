@@ -94,9 +94,15 @@ class DijkstraSearch {
     double priority;
     NodeId node;
   };
-  static bool SweepLater(const SweepEntry& a, const SweepEntry& b) {
-    return a.priority > b.priority;
-  }
+
+  /// The sweep frontier is a 4-ary min-heap on `priority` with lazy
+  /// duplicates: children of slot i are the contiguous slots 4i+1 .. 4i+4.
+  /// The tree is half as deep as a binary heap's, a pop picks the smallest
+  /// of four siblings without a branch, and it stops sifting down as soon
+  /// as no child is smaller instead of sifting every pop to a leaf.
+  void FrontierPush(SweepEntry entry);
+  /// Removes and returns the minimum; the frontier must be non-empty.
+  NodeId FrontierPop();
 
   void NewEpoch();
   std::vector<NodeId> ReconstructPath(NodeId source, NodeId target) const;

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <cstring>
 #include <vector>
 
@@ -92,6 +93,60 @@ TEST(DeroutingBatchTest, MatchesPerCandidateBitwiseOnRandomGraphs) {
             << "seed=" << seed << " trial=" << trial << " candidate=" << i
             << " node=" << fleet[i].node;
       }
+    }
+  }
+}
+
+TEST(DeroutingBatchTest, MatchesPerCandidateBitwiseOnEqualSpacingGrid) {
+  // No jitter: every arc of a road class costs the same, so both sweeps
+  // meet ties at every step, and the batch's multi-target sweep stops at a
+  // different frontier than each single-target one. The costs must still
+  // agree to the bit.
+  GridNetworkOptions opts;
+  opts.nx = 14;
+  opts.ny = 14;
+  opts.spacing_m = 250.0;
+  opts.jitter_fraction = 0.0;
+  std::shared_ptr<RoadNetwork> network =
+      MakeGridNetwork(opts).MoveValueUnsafe();
+  CongestionModel congestion(4);
+  DeroutingService batched(network, &congestion);
+  DeroutingService per_candidate(network, &congestion);
+
+  Rng rng(41);
+  const size_t n = network->NumNodes();
+  for (int trial = 0; trial < 6; ++trial) {
+    const NodeId m = static_cast<NodeId>(rng.NextBounded(n));
+    DeroutingQuery q =
+        QueryAt(*network, m, static_cast<NodeId>(rng.NextBounded(n)),
+                static_cast<NodeId>(rng.NextBounded(n)),
+                7.5 * kSecondsPerHour + trial * 900.0);
+    // Chargers on the ring of nodes 4 blocks from the vehicle: equal
+    // Manhattan distance, the most tied targets a grid has (the ring's
+    // east and west tips come twice: duplicate targets).
+    const int mx = static_cast<int>(m % opts.nx);
+    const int my = static_cast<int>(m / opts.nx);
+    std::vector<EvCharger> fleet;
+    for (int dx = -4; dx <= 4; ++dx) {
+      for (int dy : {4 - std::abs(dx), std::abs(dx) - 4}) {
+        const int x = mx + dx;
+        const int y = my + dy;
+        if (x < 0 || y < 0 || x >= opts.nx || y >= opts.ny) continue;
+        fleet.push_back(
+            ChargerAt(*network, static_cast<NodeId>(y * opts.nx + x)));
+      }
+    }
+    std::vector<ChargerRef> refs;
+    for (const EvCharger& c : fleet) refs.push_back(&c);
+
+    DeroutingBatchScratch scratch;
+    std::vector<DeroutingEstimate> out;
+    batched.ExactBatch(q, refs, &scratch, &out);
+    ASSERT_EQ(out.size(), fleet.size());
+    for (size_t i = 0; i < fleet.size(); ++i) {
+      EXPECT_TRUE(SameBits(per_candidate.Exact(q, fleet[i]), out[i]))
+          << "trial=" << trial << " candidate=" << i
+          << " node=" << fleet[i].node;
     }
   }
 }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -228,10 +229,18 @@ void ExpectSameNetwork(const RoadNetwork& a, const RoadNetwork& b) {
   for (NodeId v = 0; v < a.NumNodes(); ++v) {
     ASSERT_EQ(a.FirstOutEdge(v), b.FirstOutEdge(v)) << "node " << v;
   }
-  for (EdgeId e = 0; e < a.NumEdges(); ++e) {
-    ASSERT_EQ(a.arc(e).node, b.arc(e).node) << "edge " << e;
-    ASSERT_EQ(a.arc(e).length_m, b.arc(e).length_m) << "edge " << e;
-    ASSERT_EQ(a.arc(e).road_class, b.arc(e).road_class) << "edge " << e;
+  for (NodeId v = 0; v < a.NumNodes(); ++v) {
+    const std::span<const Arc> arcs_a = a.OutArcs(v);
+    const std::span<const Arc> arcs_b = b.OutArcs(v);
+    ASSERT_EQ(arcs_a.size(), arcs_b.size()) << "node " << v;
+    for (size_t i = 0; i < arcs_a.size(); ++i) {
+      ASSERT_EQ(arcs_a[i].node, arcs_b[i].node)
+          << "node " << v << " arc " << i;
+      ASSERT_EQ(arcs_a[i].length_m, arcs_b[i].length_m)
+          << "node " << v << " arc " << i;
+      ASSERT_EQ(arcs_a[i].road_class, arcs_b[i].road_class)
+          << "node " << v << " arc " << i;
+    }
   }
 }
 

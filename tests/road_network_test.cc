@@ -162,7 +162,8 @@ TEST(RoadNetworkTest, ArcsAreSortedByTarget) {
   EXPECT_EQ(arcs[3].node, d);
   // Edge ids index the forward stream: OutArcs(a)[i] is edge
   // FirstOutEdge(a) + i.
-  EXPECT_EQ(&network->arc(network->FirstOutEdge(a) + 3), &arcs[3]);
+  EXPECT_EQ(arcs.data(),
+            network->out_arcs().data() + network->FirstOutEdge(a));
 }
 
 namespace {

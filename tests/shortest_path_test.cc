@@ -37,6 +37,54 @@ std::vector<NodeId> AllNodes(const RoadNetwork& network) {
   return nodes;
 }
 
+/// A grid without jitter: every arc is exactly `spacing_m` long, so equal
+/// costs (and heap ties) are everywhere.
+std::shared_ptr<RoadNetwork> EqualSpacingGrid() {
+  GridNetworkOptions opts;
+  opts.nx = 16;
+  opts.ny = 16;
+  opts.spacing_m = 200.0;
+  opts.jitter_fraction = 0.0;
+  return MakeGridNetwork(opts).MoveValueUnsafe();
+}
+
+std::shared_ptr<RoadNetwork> SparseRandomGeometric() {
+  RandomGeometricOptions opts;
+  opts.num_nodes = 300;
+  opts.k_nearest = 3;
+  opts.seed = 5;
+  return MakeRandomGeometric(opts).MoveValueUnsafe();
+}
+
+double FreeFlowCost(const Arc& a) { return a.FreeFlowSeconds(); }
+
+/// Bellman-Ford from every node in `sources` over the arcs a sweep in
+/// `direction` expands: d(nearest source -> v) forward, d(v -> nearest
+/// source) backward, summed from the source end as a sweep sums it.
+std::vector<double> BellmanFordFromSources(const RoadNetwork& network,
+                                           std::span<const NodeId> sources,
+                                           SweepDirection direction,
+                                           const EdgeCostFn& cost) {
+  const bool forward = direction == SweepDirection::kForward;
+  std::vector<double> dist(network.NumNodes(), kInfiniteCost);
+  for (NodeId s : sources) dist[s] = 0.0;
+  bool changed = true;
+  while (changed) {
+    changed = false;
+    for (NodeId v = 0; v < network.NumNodes(); ++v) {
+      if (dist[v] == kInfiniteCost) continue;
+      for (const Arc& a : forward ? network.OutArcs(v) : network.InArcs(v)) {
+        const double nd = dist[v] + cost(a);
+        if (nd < dist[a.node]) {
+          dist[a.node] = nd;
+          changed = true;
+        }
+      }
+    }
+  }
+  return dist;
+}
+
 TEST(DijkstraTest, TrivialSourceEqualsTarget) {
   auto network = SmallGrid();
   DijkstraSearch search(*network);
@@ -314,6 +362,94 @@ TEST(DijkstraTest, CustomCostChangesRoute) {
   EXPECT_EQ(search.AStar(a, b, free_flow, inv_max_speed).nodes.size(), 3u);
   EXPECT_DOUBLE_EQ(SweepCost(search, a, b, free_flow),
                    1400.0 / FreeFlowSpeed(RoadClass::kHighway));
+}
+
+// Tie-heavy sweeps. A settled cost is the minimum over relaxations from
+// strictly closer nodes, so the heap's order among equal priorities must
+// not change a single bit; these pin that on graphs full of ties.
+
+TEST(SweepTieTest, ResumedMultiSourceSweepMatchesBellmanFordBitwise) {
+  const std::shared_ptr<RoadNetwork> networks[] = {EqualSpacingGrid(),
+                                                   SparseRandomGeometric()};
+  const EdgeCostFn costs[] = {LengthCost, FreeFlowCost};
+  for (const auto& network : networks) {
+    for (const EdgeCostFn& cost : costs) {
+      for (SweepDirection direction :
+           {SweepDirection::kForward, SweepDirection::kBackward}) {
+        const NodeId sources[] = {3, 200, 200, 41};
+        const std::vector<double> expected =
+            BellmanFordFromSources(*network, sources, direction, cost);
+        DijkstraSearch sweep(*network);
+        sweep.StartSweep(sources, direction);
+        // Resume over seven extensions in shuffled target order: each one
+        // stops at a different frontier, in the middle of ties included.
+        std::vector<NodeId> order = AllNodes(*network);
+        Rng rng(network->NumNodes());
+        for (size_t i = order.size(); i > 1; --i) {
+          std::swap(order[i - 1], order[rng.NextBounded(i)]);
+        }
+        const size_t chunk = order.size() / 7 + 1;
+        for (size_t begin = 0; begin < order.size(); begin += chunk) {
+          const std::span<const NodeId> targets(
+              order.data() + begin, std::min(chunk, order.size() - begin));
+          sweep.ExtendSweep(targets, cost);
+          for (NodeId t : targets) {
+            ASSERT_EQ(sweep.CostTo(t), expected[t])
+                << network->NumNodes() << " nodes, target " << t;
+          }
+        }
+        for (NodeId v = 0; v < network->NumNodes(); ++v) {
+          ASSERT_EQ(sweep.CostTo(v), expected[v]) << "node " << v;
+        }
+      }
+    }
+  }
+}
+
+TEST(SweepTieTest, FullSweepSettlesInNondecreasingCost) {
+  const std::shared_ptr<RoadNetwork> networks[] = {EqualSpacingGrid(),
+                                                   SparseRandomGeometric()};
+  const EdgeCostFn costs[] = {LengthCost, FreeFlowCost};
+  for (const auto& network : networks) {
+    const std::vector<NodeId> all = AllNodes(*network);
+    for (const EdgeCostFn& cost : costs) {
+      for (SweepDirection direction :
+           {SweepDirection::kForward, SweepDirection::kBackward}) {
+        // A sweep prices the arcs of each node it settles one after
+        // another, and every arc it prices lies in one node-ordered
+        // stream, so the owners of the priced arcs are the settle order.
+        const bool forward = direction == SweepDirection::kForward;
+        const std::span<const Arc> arcs =
+            forward ? network->out_arcs() : network->in_arcs();
+        const std::span<const uint32_t> offsets =
+            forward ? network->out_offsets() : network->in_offsets();
+        std::vector<NodeId> order;
+        auto recording_cost = [&](const Arc& a) {
+          const size_t index = static_cast<size_t>(&a - arcs.data());
+          const NodeId owner = static_cast<NodeId>(
+              std::upper_bound(offsets.begin(), offsets.end(), index) -
+              offsets.begin() - 1);
+          if (order.empty() || order.back() != owner) order.push_back(owner);
+          return cost(a);
+        };
+        DijkstraSearch sweep(*network);
+        const NodeId sources[] = {0, 130};
+        sweep.StartSweep(sources, direction);
+        sweep.ExtendSweep(all, recording_cost);
+
+        // Every node here has arcs, so each settle shows up exactly once.
+        ASSERT_EQ(order.size(), sweep.last_settled_count());
+        std::vector<NodeId> distinct = order;
+        std::sort(distinct.begin(), distinct.end());
+        EXPECT_EQ(std::unique(distinct.begin(), distinct.end()),
+                  distinct.end());
+        for (size_t i = 1; i < order.size(); ++i) {
+          ASSERT_LE(sweep.CostTo(order[i - 1]), sweep.CostTo(order[i]))
+              << "settle " << i << " of " << order.size();
+        }
+      }
+    }
+  }
 }
 
 }  // namespace
