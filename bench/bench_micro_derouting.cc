@@ -13,7 +13,9 @@
 //      per-arc ActualSpeedFactor cost, on a refine_limit-sized batch.
 // Report-only beside the forward columns: the nodes ExactBatch's backward
 // extension settles, what that extension costs on its own per pass, and
-// the price per settled node of each leg's sweep timed on its own.
+// the price per settled node of each leg's sweep timed on its own. Those
+// leg timings rotate through the workload's query states, a fresh group
+// per round, so no round replays sweeps the branch predictor just learned.
 // Timing uses interleaved min-of-rounds (see bench_micro_obs.cc for why).
 // Results are emitted as BENCH_derouting.json.
 
@@ -192,9 +194,11 @@ int Main(int argc, char** argv) {
   EcEstimator& estimator = *world.env->estimator;
 
   const size_t num_states = std::min<size_t>(4, world.states.size());
+  // Queries for every state: the first num_states drive the gated passes,
+  // and the leg timings rotate through all of them.
   std::vector<DeroutingQuery> queries;
-  for (size_t s = 0; s < num_states; ++s) {
-    queries.push_back(estimator.MakeDeroutingQuery(world.states[s]));
+  for (const VehicleState& state : world.states) {
+    queries.push_back(estimator.MakeDeroutingQuery(state));
   }
 
   // Independent services for the two paths so neither benefits from the
@@ -219,9 +223,8 @@ int Main(int argc, char** argv) {
   for (size_t n : batch_sizes) {
     if (n > fleet.size()) continue;
     std::vector<std::vector<ChargerRef>> candidates;
-    for (size_t s = 0; s < num_states; ++s) {
-      candidates.push_back(
-          RefinementCandidates(fleet, world.states[s].position, n));
+    for (const VehicleState& state : world.states) {
+      candidates.push_back(RefinementCandidates(fleet, state.position, n));
     }
 
     // Parity first: a batch must be exactly N per-candidate calls fused.
@@ -273,30 +276,33 @@ int Main(int argc, char** argv) {
       }
     }
 
-    // Each leg's sweeps alone, min-of-rounds; the settled counts of one
-    // pass turn the times into a price per settled node.
-    uint64_t forward_ns = UINT64_MAX;
-    uint64_t backward_ns = UINT64_MAX;
-    size_t leg_settled[2] = {0, 0};  // [0] forward, [1] backward
+    // Each leg's sweeps alone, min-of-rounds. Round r times the next group
+    // of num_states states after the gated ones, wrapping around the
+    // workload; each round's settled count turns its time into a price per
+    // settled node.
+    uint64_t leg_ns[2] = {UINT64_MAX, UINT64_MAX};  // [0] forward, [1] bwd
+    double leg_ns_per_settle[2] = {HUGE_VAL, HUGE_VAL};
     for (int leg = 0; leg < 2; ++leg) {
       for (int round = 0; round < kRounds; ++round) {
         size_t settled = 0;
         const uint64_t start = NowNs();
         for (size_t s = 0; s < num_states; ++s) {
-          settled += leg == 0 ? legs.Forward(queries[s], candidates[s])
-                              : legs.Backward(queries[s], candidates[s]);
+          const size_t i = (num_states * (round + 1) + s) % queries.size();
+          settled += leg == 0 ? legs.Forward(queries[i], candidates[i])
+                              : legs.Backward(queries[i], candidates[i]);
         }
-        uint64_t& best = leg == 0 ? forward_ns : backward_ns;
-        best = std::min(best, NowNs() - start);
-        leg_settled[leg] = settled;
+        const uint64_t elapsed = NowNs() - start;
+        leg_ns[leg] = std::min(leg_ns[leg], elapsed);
+        leg_ns_per_settle[leg] = std::min(
+            leg_ns_per_settle[leg],
+            static_cast<double>(elapsed) /
+                static_cast<double>(std::max<size_t>(settled, 1)));
       }
     }
-    const double forward_ns_per_settle =
-        static_cast<double>(forward_ns) /
-        static_cast<double>(std::max<size_t>(leg_settled[0], 1));
-    const double backward_ns_per_settle =
-        static_cast<double>(backward_ns) /
-        static_cast<double>(std::max<size_t>(leg_settled[1], 1));
+    const uint64_t forward_ns = leg_ns[0];
+    const uint64_t backward_ns = leg_ns[1];
+    const double forward_ns_per_settle = leg_ns_per_settle[0];
+    const double backward_ns_per_settle = leg_ns_per_settle[1];
 
     const double speedup = static_cast<double>(per_candidate_ns) /
                            static_cast<double>(std::max<uint64_t>(

@@ -61,13 +61,12 @@ enum SectionId : uint32_t {
   kSectionLandmarkNodes = 9,
   kSectionLandmarkFrom = 10,
   kSectionLandmarkTo = 11,
-  // 12-16 hold a contraction hierarchy: written when SaveSnapshot gets one,
-  // skipped on load (only ReadSnapshotInfo reports them).
-  kSectionChRank = 12,         ///< CH node ranks, N u32
-  kSectionChUpOffsets = 13,    ///< upward CSR offsets, (N+1) u32
-  kSectionChUpArcs = 14,       ///< upward arcs, kChSnapshotArcBytes each
-  kSectionChDownOffsets = 15,  ///< downward CSR offsets, (N+1) u32
-  kSectionChDownArcs = 16,     ///< downward arcs, kChSnapshotArcBytes each
+  // 12-16 held a contraction hierarchy; no longer written, skipped on load.
+  kSectionChRank = 12,
+  kSectionChUpOffsets = 13,
+  kSectionChUpArcs = 14,
+  kSectionChDownOffsets = 15,
+  kSectionChDownArcs = 16,
 };
 
 uint64_t AlignUp(uint64_t offset) {
@@ -133,20 +132,11 @@ Status WriteSection(std::ofstream& out, uint64_t* position,
 
 namespace {
 
-Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
-                       const ChSnapshotViews* ch) {
+Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path) {
   const uint64_t n = network.NumNodes();
   const uint64_t m = network.NumEdges();
   const uint64_t cells =
       static_cast<uint64_t>(network.locator_nx()) * network.locator_ny();
-  if (ch != nullptr &&
-      (ch->rank.size() != n || ch->up_offsets.size() != n + 1 ||
-       ch->down_offsets.size() != n + 1 ||
-       ch->up_arcs.size() % kChSnapshotArcBytes != 0 ||
-       ch->down_arcs.size() % kChSnapshotArcBytes != 0)) {
-    return Status::InvalidArgument(
-        "ch views do not match the network being snapshotted");
-  }
 
   std::vector<SectionPlan> plan;
   auto add = [&](uint32_t id, uint64_t byte_size) {
@@ -159,13 +149,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
   add(kSectionInArcs, m * sizeof(Arc));
   add(kSectionLocatorOffsets, (cells + 1) * sizeof(uint32_t));
   add(kSectionLocatorPoints, n * sizeof(uint32_t));
-  if (ch != nullptr) {
-    add(kSectionChRank, n * sizeof(uint32_t));
-    add(kSectionChUpOffsets, (n + 1) * sizeof(uint32_t));
-    add(kSectionChUpArcs, ch->up_arcs.size());
-    add(kSectionChDownOffsets, (n + 1) * sizeof(uint32_t));
-    add(kSectionChDownArcs, ch->down_arcs.size());
-  }
 
   uint64_t offset =
       sizeof(SnapshotHeader) + plan.size() * sizeof(SectionEntry);
@@ -217,17 +200,6 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
                                      (cells + 1) * sizeof(uint32_t)));
   ECOCHARGE_RETURN_NOT_OK(write_next(network.locator_cell_points().data(),
                                      n * sizeof(uint32_t)));
-  if (ch != nullptr) {
-    ECOCHARGE_RETURN_NOT_OK(
-        write_next(ch->rank.data(), n * sizeof(uint32_t)));
-    ECOCHARGE_RETURN_NOT_OK(
-        write_next(ch->up_offsets.data(), (n + 1) * sizeof(uint32_t)));
-    ECOCHARGE_RETURN_NOT_OK(write_next(ch->up_arcs.data(), ch->up_arcs.size()));
-    ECOCHARGE_RETURN_NOT_OK(
-        write_next(ch->down_offsets.data(), (n + 1) * sizeof(uint32_t)));
-    ECOCHARGE_RETURN_NOT_OK(
-        write_next(ch->down_arcs.data(), ch->down_arcs.size()));
-  }
   out.flush();
   if (!out) return Status::IOError("snapshot write failed");
   return Status::OK();
@@ -236,14 +208,14 @@ Status WriteSnapshotTo(const RoadNetwork& network, const std::string& path,
 }  // namespace
 
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
-                    std::nullptr_t, const ChSnapshotViews* ch) {
+                    std::nullptr_t, const ChSnapshotViews*) {
   // Write to a sibling temp file and rename into place: the target may be
   // the very file backing the network's mmap views (re-snapshotting a
   // loaded network), and truncating it in place would corrupt the bytes
   // still being read out of the mapping. The rename keeps the old inode
   // alive for any open mapping and also makes the save crash-atomic.
   const std::string tmp = path + ".tmp";
-  Status st = WriteSnapshotTo(network, tmp, ch);
+  Status st = WriteSnapshotTo(network, tmp);
   if (!st.ok()) {
     std::remove(tmp.c_str());
     return st;
@@ -298,12 +270,21 @@ Result<ParsedSnapshot> ParseSnapshot(const uint8_t* data, uint64_t size,
   parsed.sections.resize(count);
   std::memcpy(parsed.sections.data(), data + sizeof(SnapshotHeader),
               count * sizeof(SectionEntry));
+  // Every writer lays the sections out back to back in table order, each
+  // 64-byte aligned. Holding the table to that layout keeps a corrupt
+  // entry from pointing a section at another section's bytes: the loader
+  // maps the arc payloads without reading them.
+  uint64_t end = table_end;
   for (const SectionEntry& s : parsed.sections) {
-    if (s.offset % alignof(double) != 0 || s.byte_size > size ||
-        s.offset > size - s.byte_size) {
+    if (s.byte_size > size || s.offset > size - s.byte_size) {
       return Status::IOError("snapshot section " + std::to_string(s.id) +
                              " out of bounds (truncated file?): " + path);
     }
+    if (s.offset != AlignUp(end)) {
+      return Status::IOError("snapshot section " + std::to_string(s.id) +
+                             " is not where the writer puts it: " + path);
+    }
+    end = s.offset + s.byte_size;
   }
   return parsed;
 }
@@ -320,7 +301,10 @@ Result<std::span<const T>> SectionSpan(const ParsedSnapshot& parsed,
     return Status::IOError("snapshot missing section " + std::to_string(id) +
                            ": " + path);
   }
-  if (s->byte_size != expected_count * sizeof(T)) {
+  // Divide rather than multiply: a corrupt header's locator shape can make
+  // expected_count * sizeof(T) wrap around to the section's size.
+  if (s->byte_size % sizeof(T) != 0 ||
+      s->byte_size / sizeof(T) != expected_count) {
     return Status::IOError("snapshot section " + std::to_string(id) +
                            " has unexpected size: " + path);
   }
@@ -389,13 +373,6 @@ Result<SnapshotInfo> ReadSnapshotInfo(const std::string& path) {
                             Point{parsed.header.max_x, parsed.header.max_y}};
   for (const SectionEntry& s : parsed.sections) {
     info.sections.emplace_back(s.id, s.byte_size);
-    if (s.id == kSectionChRank) info.has_ch = true;
-    if (s.id == kSectionChUpArcs) {
-      info.ch_up_arcs = s.byte_size / kChSnapshotArcBytes;
-    }
-    if (s.id == kSectionChDownArcs) {
-      info.ch_down_arcs = s.byte_size / kChSnapshotArcBytes;
-    }
   }
   return info;
 }

@@ -4,7 +4,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -14,23 +13,9 @@
 
 namespace ecocharge {
 
-/// Byte size of one contraction-hierarchy arc record as stored in a
-/// snapshot. The graph layer treats CH arcs as opaque fixed-width records
-/// (the ch subsystem static_asserts its ChArc layout against this), so io
-/// stays ignorant of the CH internals while still validating section sizes.
-inline constexpr uint64_t kChSnapshotArcBytes = 32;
-
-/// \brief Views of a contraction hierarchy's arrays for SaveSnapshot to
-/// write: the node rank permutation plus the upward/downward shortcut CSR.
-/// Arc payloads are opaque bytes (kChSnapshotArcBytes per record).
-struct ChSnapshotViews {
-  std::span<const uint32_t> rank;
-  std::span<const uint32_t> up_offsets;
-  std::span<const uint32_t> down_offsets;
-  std::span<const std::byte> up_arcs;
-  std::span<const std::byte> down_arcs;
-  std::shared_ptr<const void> backing;  ///< keeps the spans alive
-};
+/// Empty: SaveSnapshot writes no contraction hierarchy. perfbench's
+/// regional_ch setup still passes one (ch/ch_index.h ToSnapshotViews).
+struct ChSnapshotViews {};
 
 /// \brief Versioned binary snapshot with zero-copy mmap load: the road
 /// network's one file format.
@@ -38,25 +23,26 @@ struct ChSnapshotViews {
 /// Layout: a fixed header (magic "ECGSNAP\0", version, counts, bounds,
 /// locator shape), a section table, then 64-byte-aligned sections holding
 /// the network's raw arrays — positions, both CSR directions (offsets and
-/// inlined arcs), the node-locator grid, and optionally a contraction
-/// hierarchy (sections 12-16, written for perfbench's regional_ch).
-/// LoadSnapshot maps the file read-only and serves every array straight
-/// out of the mapping. Byte order and Arc layout are host-native;
-/// snapshots are machine-local artifacts, not an exchange format.
+/// inlined arcs) and the node-locator grid. LoadSnapshot maps the file
+/// read-only and serves every array straight out of the mapping. Byte
+/// order and Arc layout are host-native; snapshots are machine-local
+/// artifacts, not an exchange format.
 /// Versioning rule: any change to a section's layout bumps the version,
 /// and loaders reject versions they were not built for. Dropping a section
 /// does not, because loaders skip section ids they do not read: the
-/// in-edge id map (id 6) and the ALT landmark tables (ids 9-11) older
-/// builds wrote, and the contraction hierarchy; every section-table entry
-/// is still bounds checked against the file. The header's landmark count
-/// is written as 0.
+/// in-edge id map (id 6), the ALT landmark tables (ids 9-11) and the
+/// contraction hierarchy (ids 12-16) older builds wrote; every
+/// section-table entry is still bounds checked against the file and must
+/// sit where the writer puts it (back to back in table order, 64-byte
+/// aligned). The header's landmark count is written as 0.
 ///
 /// The save writes `path + ".tmp"` and renames it into place, so saving
 /// over the snapshot a loaded (mmap-backed) network came from is safe.
-/// The third parameter is unused; perfbench still passes nullptr there.
+/// The last two parameters are unused; perfbench still passes nullptr and
+/// its (empty) hierarchy views there.
 Status SaveSnapshot(const RoadNetwork& network, const std::string& path,
                     std::nullptr_t = nullptr,
-                    const ChSnapshotViews* ch = nullptr);
+                    const ChSnapshotViews* = nullptr);
 
 /// Maps a snapshot read-only; the returned network's arrays alias the
 /// mapping, which stays alive for the network's lifetime.
@@ -70,9 +56,6 @@ struct SnapshotInfo {
   uint32_t num_landmarks = 0;  ///< legacy header slot; 0 in new files
   uint64_t file_bytes = 0;
   BoundingBox bounds;
-  bool has_ch = false;        ///< carries a contraction-hierarchy section set
-  uint64_t ch_up_arcs = 0;    ///< upward CH arcs (originals + shortcuts)
-  uint64_t ch_down_arcs = 0;  ///< downward CH arcs
   std::vector<std::pair<uint32_t, uint64_t>> sections;  ///< (id, bytes)
 };
 

@@ -11,8 +11,7 @@
 
 #include <gtest/gtest.h>
 
-#include "ch/ch_index.h"
-#include "ch/contraction.h"
+#include "common/rng.h"
 #include "graph/generators.h"
 #include "graph/shortest_path.h"
 
@@ -79,6 +78,8 @@ constexpr size_t kHeaderBytes = 88;
 constexpr size_t kSectionCountAt = 12;
 constexpr size_t kNumNodesAt = 16;
 constexpr size_t kNumEdgesAt = 24;
+constexpr size_t kLocatorNxAt = 64;
+constexpr size_t kLocatorNyAt = 68;
 constexpr size_t kNumLandmarksAt = 80;
 struct Entry {
   uint32_t id;
@@ -94,45 +95,57 @@ uint64_t HeaderCount(const std::string& bytes, size_t at) {
   return value;
 }
 
+/// One section-table entry of a snapshot with its payload.
+struct Section {
+  Entry entry;
+  std::string payload;
+};
+
+std::vector<Section> ReadSections(const std::string& bytes) {
+  uint32_t count = 0;
+  std::memcpy(&count, bytes.data() + kSectionCountAt, sizeof(count));
+  std::vector<Section> sections(count);
+  for (uint32_t i = 0; i < count; ++i) {
+    Section& s = sections[i];
+    std::memcpy(&s.entry, bytes.data() + kHeaderBytes + i * sizeof(Entry),
+                sizeof(Entry));
+    s.payload = bytes.substr(s.entry.offset, s.entry.byte_size);
+  }
+  return sections;
+}
+
+/// A snapshot with the header of `bytes` and `sections`, laid out as every
+/// writer lays them out: back to back in table order, each 64-byte aligned.
+std::string WriteSections(const std::string& bytes,
+                          std::vector<Section> sections) {
+  std::string out = bytes.substr(0, kHeaderBytes);
+  const uint32_t count = static_cast<uint32_t>(sections.size());
+  std::memcpy(out.data() + kSectionCountAt, &count, sizeof(count));
+  uint64_t end = kHeaderBytes + count * sizeof(Entry);
+  for (Section& s : sections) {
+    s.entry.offset = (end + 63) / 64 * 64;
+    s.entry.byte_size = s.payload.size();
+    end = s.entry.offset + s.entry.byte_size;
+    out.append(reinterpret_cast<const char*>(&s.entry), sizeof(Entry));
+  }
+  for (const Section& s : sections) {
+    out.resize(s.entry.offset, '\0');
+    out += s.payload;
+  }
+  return out;
+}
+
 /// Rewrites snapshot `bytes` into the layout of a file from an older build
 /// that also wrote the sections in `extra` (id, byte size; contents zero,
-/// since nothing reads them) after the existing ones. The section table
-/// grows by one entry per extra section, so every existing payload moves
-/// back by that growth rounded up to 64 bytes, which keeps the writer's
-/// 64-byte alignment.
+/// since nothing reads them) after the existing ones.
 std::string WithExtraSections(
     const std::string& bytes,
     const std::vector<std::pair<uint32_t, uint64_t>>& extra) {
-  uint32_t count = 0;
-  std::memcpy(&count, bytes.data() + kSectionCountAt, sizeof(count));
-  const size_t table_end = kHeaderBytes + count * sizeof(Entry);
-  const uint64_t shift = (extra.size() * sizeof(Entry) + 63) / 64 * 64;
-
-  std::string out = bytes.substr(0, kHeaderBytes);
-  const uint32_t new_count = count + static_cast<uint32_t>(extra.size());
-  std::memcpy(out.data() + kSectionCountAt, &new_count, sizeof(new_count));
-  const auto append_entry = [&out](const Entry& e) {
-    out.append(reinterpret_cast<const char*>(&e), sizeof(e));
-  };
-  for (uint32_t i = 0; i < count; ++i) {
-    Entry e;
-    std::memcpy(&e, bytes.data() + kHeaderBytes + i * sizeof(Entry),
-                sizeof(e));
-    e.offset += shift;
-    append_entry(e);
-  }
-  std::string tail;
-  uint64_t end = bytes.size() + shift;
+  std::vector<Section> sections = ReadSections(bytes);
   for (const auto& [id, size] : extra) {
-    const uint64_t offset = (end + 63) / 64 * 64;
-    tail.append(offset - end + size, '\0');
-    append_entry(Entry{id, 0, offset, size});
-    end = offset + size;
+    sections.push_back(Section{Entry{id, 0, 0, size}, std::string(size, '\0')});
   }
-  out.append(table_end + shift - out.size(), '\0');
-  out += bytes.substr(table_end);
-  out += tail;
-  return out;
+  return WriteSections(bytes, std::move(sections));
 }
 
 /// A file from a build that still wrote ALT landmark tables: header
@@ -157,30 +170,44 @@ std::string WithLegacyInEdgeIds(const std::string& bytes) {
   return WithExtraSections(bytes, {{6, m * sizeof(uint32_t)}});
 }
 
+/// A file from a build that still wrote a contraction hierarchy: sections
+/// 12-16, the node ranks and then the upward and downward CSR (offsets,
+/// 32-byte arc records; one arc per edge in each direction here).
+std::string WithLegacyChSections(const std::string& bytes) {
+  const uint64_t n = HeaderCount(bytes, kNumNodesAt);
+  const uint64_t m = HeaderCount(bytes, kNumEdgesAt);
+  return WithExtraSections(bytes, {{12, n * sizeof(uint32_t)},
+                                   {13, (n + 1) * sizeof(uint32_t)},
+                                   {14, m * 32},
+                                   {15, (n + 1) * sizeof(uint32_t)},
+                                   {16, m * 32}});
+}
+
 bool ListsSection(const SnapshotInfo& info, uint32_t id) {
   return std::any_of(info.sections.begin(), info.sections.end(),
                      [id](const auto& s) { return s.first == id; });
 }
 
 TEST(SnapshotTest, RoundTripPreservesStructure) {
-  // Once plain, once carrying a contraction hierarchy the way perfbench's
-  // regional_ch saves it: the loader skips the CH sections, so both files
-  // load into the same arrays.
+  // Once as saved, once as a build that also wrote a contraction hierarchy
+  // left it: the loader skips sections 12-16, so both files load into the
+  // same arrays.
   auto original = SampleNetwork();
-  const ChSnapshotViews views =
-      ToSnapshotViews(BuildChIndex(*original).MoveValueUnsafe());
-  const ChSnapshotViews* const variants[] = {nullptr, &views};
-  for (const ChSnapshotViews* ch : variants) {
-    SCOPED_TRACE(ch == nullptr ? "plain" : "with ch");
-    std::string path = SnapshotPath(ch == nullptr ? "roundtrip.ecgs"
-                                                  : "roundtrip_ch.ecgs");
-    ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, ch).ok());
+  for (const bool with_ch : {false, true}) {
+    SCOPED_TRACE(with_ch ? "with ch" : "plain");
+    std::string path =
+        SnapshotPath(with_ch ? "roundtrip_ch.ecgs" : "roundtrip.ecgs");
+    ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+    if (with_ch) {
+      WriteFileBytes(path, WithLegacyChSections(ReadFileBytes(path)));
+    }
 
     auto loaded_result = LoadSnapshot(path);
     ASSERT_TRUE(loaded_result.ok()) << loaded_result.status();
     auto loaded = loaded_result.MoveValueUnsafe();
 
     ExpectSameGraph(*loaded, *original);
+    EXPECT_EQ(SweepCosts(*original, 0), SweepCosts(*loaded, 0));
     EXPECT_EQ(loaded->Bounds().min.x, original->Bounds().min.x);
     EXPECT_EQ(loaded->Bounds().max.y, original->Bounds().max.y);
   }
@@ -207,16 +234,15 @@ TEST(SnapshotTest, RoundTripPreservesLandmarks) {
   // carrying a contraction hierarchy) must still load, and `graph info`
   // must still list them.
   auto original = SampleNetwork();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
-  const ChSnapshotViews views = ToSnapshotViews(ch);
   std::string path = SnapshotPath("legacy_landmarks.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
-  WriteFileBytes(path, WithLegacyLandmarkSections(ReadFileBytes(path), 3));
+  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  WriteFileBytes(path, WithLegacyLandmarkSections(
+                           WithLegacyChSections(ReadFileBytes(path)), 3));
 
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->num_landmarks, 3u);
-  for (uint32_t id : {9u, 10u, 11u}) {
+  for (uint32_t id : {9u, 10u, 11u, 12u, 16u}) {
     EXPECT_TRUE(ListsSection(*info, id)) << "section " << id;
   }
 
@@ -224,12 +250,12 @@ TEST(SnapshotTest, RoundTripPreservesLandmarks) {
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ExpectSameGraph(**loaded, *original);
   EXPECT_EQ(SweepCosts(*original, 0), SweepCosts(**loaded, 0));
-  EXPECT_EQ(info->ch_up_arcs, ch->NumUpArcs());
 }
 
 TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
-  // A snapshot written now carries no landmark tables: the header count is
-  // 0, no section 9-11 is listed, and the network still loads.
+  // A snapshot written now carries no landmark tables and no hierarchy:
+  // the header count is 0, no section 9-16 is listed, and the network
+  // still loads.
   auto original = SampleNetwork();
   std::string path = SnapshotPath("nolandmarks.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, path).ok());
@@ -238,14 +264,13 @@ TEST(SnapshotTest, LoadWithoutLandmarksYieldsNull) {
   ASSERT_TRUE(info.ok()) << info.status();
   EXPECT_EQ(info->num_landmarks, 0u);
   for (const auto& [id, bytes] : info->sections) {
-    EXPECT_TRUE(id < 9 || id > 11) << "section " << id;
+    EXPECT_TRUE(id < 9 || id > 16) << "section " << id;
   }
 
   auto loaded = LoadSnapshot(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status();
   ASSERT_NE(*loaded, nullptr);
   EXPECT_EQ((*loaded)->NumNodes(), original->NumNodes());
-  EXPECT_FALSE(info->has_ch);
 }
 
 TEST(SnapshotTest, LoadsLegacyInEdgeIdSection) {
@@ -339,84 +364,105 @@ TEST(SnapshotTest, RejectsTruncatedFile) {
   EXPECT_FALSE(LoadSnapshot(path).ok());
 }
 
+TEST(SnapshotTest, RejectsLocatorShapeWhoseSectionSizeWraps) {
+  // A 2^31 x 2^31 locator needs (2^62 + 1) u32 cell offsets: 2^64 + 4
+  // bytes, which wraps to 4 in 64-bit arithmetic. A file that lists those
+  // 4 bytes (as its last section, so the layout holds) must still be
+  // rejected, not mapped as a span of 2^62 + 1 offsets.
+  auto original = SampleNetwork();
+  std::string path = SnapshotPath("wrapping_locator.ecgs");
+  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  std::string bytes = ReadFileBytes(path);
+  const uint32_t side = 1u << 31;
+  std::memcpy(bytes.data() + kLocatorNxAt, &side, sizeof(side));
+  std::memcpy(bytes.data() + kLocatorNyAt, &side, sizeof(side));
+  std::vector<Section> sections = ReadSections(bytes);
+  std::erase_if(sections, [](const Section& s) { return s.entry.id == 7; });
+  sections.push_back(Section{Entry{7, 0, 0, 4}, std::string(4, '\0')});
+  WriteFileBytes(path, WriteSections(bytes, std::move(sections)));
+  auto result = LoadSnapshot(path);
+  ASSERT_FALSE(result.ok());
+  EXPECT_EQ(result.status().code(), StatusCode::kIOError);
+  EXPECT_NE(result.status().message().find("unexpected size"),
+            std::string::npos)
+      << result.status();
+}
+
 TEST(SnapshotTest, RejectsMissingFile) {
   EXPECT_FALSE(LoadSnapshot("/no/such/snapshot.ecgs").ok());
   EXPECT_FALSE(ReadSnapshotInfo("/no/such/snapshot.ecgs").ok());
 }
 
 // ---------------------------------------------------------------------------
-// Contraction-hierarchy sections.
+// Contraction-hierarchy sections (ids 12-16) of files from older builds.
 // ---------------------------------------------------------------------------
 
 TEST(SnapshotTest, InfoReportsChAndLandmarkPresence) {
   auto original = SampleNetwork();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
-  const ChSnapshotViews views = ToSnapshotViews(ch);
-
   std::string plain = SnapshotPath("info_plain.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, plain).ok());
   auto plain_info = ReadSnapshotInfo(plain).MoveValueUnsafe();
-  EXPECT_FALSE(plain_info.has_ch);
-  EXPECT_EQ(plain_info.ch_up_arcs, 0u);
   EXPECT_EQ(plain_info.num_landmarks, 0u);
+  for (uint32_t id = 9; id <= 16; ++id) {
+    EXPECT_FALSE(ListsSection(plain_info, id)) << "section " << id;
+  }
 
-  // Landmark tables are no longer written; a file from a build that wrote
-  // them still reports their count and sections.
+  // Neither landmark tables nor a hierarchy are written any more; a file
+  // from a build that wrote both still reports the landmark count and
+  // every section.
   std::string full = SnapshotPath("info_full.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, full, nullptr, &views).ok());
-  EXPECT_EQ(ReadSnapshotInfo(full).MoveValueUnsafe().num_landmarks, 0u);
-  WriteFileBytes(full, WithLegacyLandmarkSections(ReadFileBytes(full), 3));
+  WriteFileBytes(full, WithLegacyLandmarkSections(
+                           WithLegacyChSections(ReadFileBytes(plain)), 3));
   auto info = ReadSnapshotInfo(full).MoveValueUnsafe();
-  EXPECT_TRUE(info.has_ch);
-  EXPECT_EQ(info.ch_up_arcs, ch->NumUpArcs());
-  EXPECT_EQ(info.ch_down_arcs, ch->NumDownArcs());
   EXPECT_EQ(info.num_landmarks, 3u);
   // Every section, legacy ones included, shows up with a known name.
-  size_t ch_sections = 0;
+  std::vector<std::string> ch_names;
   for (const auto& [id, bytes] : info.sections) {
     const std::string name = SnapshotSectionName(id);
     EXPECT_NE(name, "unknown") << "section id " << id;
-    if (name.rfind("ch_", 0) == 0) ++ch_sections;
+    if (name.rfind("ch_", 0) == 0) ch_names.push_back(name);
   }
-  EXPECT_EQ(ch_sections, 5u);  // rank + two offset arrays + two arc arrays
+  EXPECT_EQ(ch_names,
+            (std::vector<std::string>{"ch_rank", "ch_up_offsets", "ch_up_arcs",
+                                      "ch_down_offsets", "ch_down_arcs"}));
 }
 
 TEST(SnapshotTest, ResaveOverOwnBackingFileIsSafe) {
   // Re-snapshotting a loaded (mmap-backed) network over the file it came
-  // from, with a hierarchy added: the save must not truncate the file its
-  // own source arrays are still mapped from.
+  // from, a file that still carries a hierarchy: the save must not
+  // truncate the file its own source arrays are still mapped from, and it
+  // drops the hierarchy sections, whatever views it is handed.
   auto original = SampleNetwork();
   std::string path = SnapshotPath("resave_in_place.ecgs");
   ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  WriteFileBytes(path, WithLegacyChSections(ReadFileBytes(path)));
 
   auto loaded = LoadSnapshot(path).MoveValueUnsafe();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*loaded).MoveValueUnsafe();
-  const ChSnapshotViews views = ToSnapshotViews(ch);
+  const ChSnapshotViews views;
   ASSERT_TRUE(SaveSnapshot(*loaded, path, nullptr, &views).ok());
+  ExpectSameGraph(*loaded, *original);
 
   auto reloaded = LoadSnapshot(path);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status();
-  EXPECT_EQ((*reloaded)->NumNodes(), original->NumNodes());
-  EXPECT_EQ((*reloaded)->NumEdges(), original->NumEdges());
+  ExpectSameGraph(**reloaded, *original);
   auto info = ReadSnapshotInfo(path);
   ASSERT_TRUE(info.ok()) << info.status();
-  EXPECT_TRUE(info->has_ch);
-  EXPECT_EQ(info->ch_up_arcs, ch->NumUpArcs());
-  EXPECT_EQ(info->ch_down_arcs, ch->NumDownArcs());
+  for (uint32_t id = 12; id <= 16; ++id) {
+    EXPECT_FALSE(ListsSection(*info, id)) << "section " << id;
+  }
 }
 
 TEST(SnapshotTest, RejectsTruncatedChSection) {
   auto original = SampleNetwork();
-  std::shared_ptr<ChIndex> ch = BuildChIndex(*original).MoveValueUnsafe();
-  const ChSnapshotViews views = ToSnapshotViews(ch);
   std::string path = SnapshotPath("truncated_ch.ecgs");
-  ASSERT_TRUE(SaveSnapshot(*original, path, nullptr, &views).ok());
+  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  const std::string bytes = WithLegacyChSections(ReadFileBytes(path));
+  WriteFileBytes(path, bytes);
   ASSERT_TRUE(LoadSnapshot(path).ok());  // intact file loads
 
   // Cut into the trailing CH arc section: the loader skips its payload,
   // but the section table still points past the end of the file, so the
   // load must fail with a typed IOError.
-  std::string bytes = ReadFileBytes(path);
   WriteFileBytes(path, bytes.substr(0, bytes.size() - 100));
   auto result = LoadSnapshot(path);
   ASSERT_FALSE(result.ok());
@@ -424,6 +470,119 @@ TEST(SnapshotTest, RejectsTruncatedChSection) {
   EXPECT_NE(result.status().message().find("out of bounds"), std::string::npos)
       << result.status();
   EXPECT_FALSE(ReadSnapshotInfo(path).ok());
+}
+
+// ---------------------------------------------------------------------------
+// Seeded fuzzing of the header and section table.
+// ---------------------------------------------------------------------------
+
+/// Applies one to four seeded mutations to the first `prefix` bytes of
+/// `bytes`: a random byte, a flipped bit, or an aligned 4- or 8-byte field
+/// set to an edge value or nudged by a small multiple of 8 (which moves a
+/// section offset onto other in-file bytes or resizes a section by whole
+/// records).
+void MutatePrefix(Rng& rng, size_t prefix, std::string* bytes) {
+  const int mutations = static_cast<int>(rng.NextInt(1, 4));
+  for (int i = 0; i < mutations; ++i) {
+    switch (rng.NextBounded(4)) {
+      case 0:
+        (*bytes)[rng.NextBounded(prefix)] =
+            static_cast<char>(rng.NextBounded(256));
+        break;
+      case 1:
+        (*bytes)[rng.NextBounded(prefix)] ^=
+            static_cast<char>(1u << rng.NextBounded(8));
+        break;
+      case 2: {
+        const uint64_t edge[] = {0,          1,          7,
+                                 0xFFFFFFFF, 0x80000000, ~uint64_t{0},
+                                 1ull << 62, bytes->size()};
+        const uint64_t value = edge[rng.NextBounded(std::size(edge))];
+        const size_t width = rng.NextBool() ? 4 : 8;
+        const size_t at = rng.NextBounded(prefix / width) * width;
+        std::memcpy(bytes->data() + at, &value, width);
+        break;
+      }
+      default: {
+        const size_t at = rng.NextBounded(prefix / 8) * 8;
+        uint64_t value = 0;
+        std::memcpy(&value, bytes->data() + at, sizeof(value));
+        value += static_cast<uint64_t>(rng.NextInt(-64, 64)) * 8;
+        std::memcpy(bytes->data() + at, &value, sizeof(value));
+        break;
+      }
+    }
+  }
+}
+
+/// Whether a loaded network's arrays index only into themselves: every arc
+/// endpoint and locator entry names a node and every road class is known.
+bool ArraysInBounds(const RoadNetwork& network) {
+  const size_t n = network.NumNodes();
+  for (std::span<const Arc> arcs : {network.out_arcs(), network.in_arcs()}) {
+    for (const Arc& a : arcs) {
+      if (a.node >= n ||
+          static_cast<int>(a.road_class) >= kNumRoadClasses) {
+        return false;
+      }
+    }
+  }
+  for (uint32_t v : network.locator_cell_points()) {
+    if (v >= n) return false;
+  }
+  return true;
+}
+
+TEST(SnapshotFuzzTest, MutatedHeaderAndSectionTableFailTypedOrLoadSound) {
+  // A plain snapshot and one carrying every legacy section (6, 9-11 and
+  // 12-16), each mutated 1500 times in its header and section table only.
+  // Every LoadSnapshot and ReadSnapshotInfo call must return OK or an
+  // IOError / InvalidArgument, and a network that loads must be safe to
+  // query.
+  auto original = SampleNetwork();
+  const std::string path = SnapshotPath("fuzz.ecgs");
+  ASSERT_TRUE(SaveSnapshot(*original, path).ok());
+  const std::string plain = ReadFileBytes(path);
+  const std::string legacy = WithLegacyLandmarkSections(
+      WithLegacyChSections(WithLegacyInEdgeIds(plain)), 3);
+
+  const auto typed = [](const Status& status) {
+    return status.ok() || status.code() == StatusCode::kIOError ||
+           status.code() == StatusCode::kInvalidArgument;
+  };
+  Rng rng(20240513);
+  size_t loaded = 0;
+  size_t rejected = 0;
+  for (const std::string* base : {&plain, &legacy}) {
+    uint32_t count = 0;
+    std::memcpy(&count, base->data() + kSectionCountAt, sizeof(count));
+    const size_t prefix = kHeaderBytes + count * sizeof(Entry);
+    for (int trial = 0; trial < 1500; ++trial) {
+      std::string bytes = *base;
+      MutatePrefix(rng, prefix, &bytes);
+      WriteFileBytes(path, bytes);
+      SCOPED_TRACE("trial " + std::to_string(trial) + " of a " +
+                   std::to_string(count) + "-section file");
+
+      auto info = ReadSnapshotInfo(path);
+      EXPECT_TRUE(typed(info.status())) << info.status();
+      auto network = LoadSnapshot(path);
+      ASSERT_TRUE(typed(network.status())) << network.status();
+      if (!network.ok()) {
+        ++rejected;
+        continue;
+      }
+      ++loaded;
+      EXPECT_TRUE(info.ok()) << "loads, but graph info fails";
+      ASSERT_TRUE(ArraysInBounds(**network));
+      const RoadNetwork& graph = **network;
+      graph.NearestNode(graph.NodePosition(graph.NumNodes() - 1));
+      SweepCosts(graph, 0);
+    }
+  }
+  // The mutator reaches both outcomes.
+  EXPECT_GT(loaded, 0u);
+  EXPECT_GT(rejected, 0u);
 }
 
 }  // namespace

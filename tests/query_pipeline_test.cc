@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "ch/ch_customize.h"
 #include "ch/ch_index.h"
 #include "ch/contraction.h"
 #include "core/baselines.h"
@@ -288,18 +289,23 @@ TEST_P(CrossIndexParityTest, SnapshotLoadedGraphTablesBitIdentical) {
   // Rebuild the whole world on top of an mmap-loaded snapshot of the same
   // network: the snapshot round-trips the graph exactly, so every backend
   // must still produce bit-identical Offering Tables. The world is built
-  // the way perfbench's regional_ch builds its own: the snapshot carries a
-  // contraction hierarchy and the options ask for the (inert) CH backend,
-  // and neither may move a bit or load a hierarchy.
+  // the way perfbench's regional_ch builds its own: it makes the (empty)
+  // contraction hierarchy, hands it to the snapshot writer and asks for
+  // the (inert) CH backend, and none of that may move a bit or load a
+  // hierarchy. The calls mirror perfbench/src/workloads.cc, which compiles
+  // against the same ch/ names, so a change to them that would break that
+  // build fails here first.
   // The path carries the pid: ctest runs each parameterization as its own
   // process, and concurrent writers of one shared file would race.
   static const std::string path = [] {
     std::string p = ::testing::TempDir() + "/query_pipeline_graph." +
                     std::to_string(::getpid()) + ".ecgs";
     const RoadNetwork& network = *World().env->dataset.network;
-    const ChSnapshotViews views =
-        ToSnapshotViews(BuildChIndex(network).MoveValueUnsafe());
+    std::shared_ptr<ChIndex> ch = BuildChIndex(network).MoveValueUnsafe();
+    ChSnapshotViews views = ToSnapshotViews(ch);
     EXPECT_TRUE(SaveSnapshot(network, p, nullptr, &views).ok());
+    ChCustomizationCache cache(*ch, 0);
+    cache.AttachMetrics(nullptr);
     return p;
   }();
   static const SharedWorld snapshot_world = [] {

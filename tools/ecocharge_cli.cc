@@ -170,11 +170,10 @@ int Usage() {
                chunks; radial|corridor build in memory. The snapshot is a
                versioned binary that mmap-loads in O(1))
   graph info   --in FILE.ecgs [--load]
-               (print a snapshot's version, counts, bounds, and sections —
-               including CH section presence; --load also
-               mmap-loads the full graph, reports the load time, and runs
-               a sanity sweep from node 0 to the nodes nearest the points
-               10 km east, west, north and south of it)
+               (print a snapshot's version, counts, bounds, and sections;
+               --load also mmap-loads the full graph, reports the load
+               time, and runs a sanity sweep from node 0 to the nodes
+               nearest the points 10 km east, west, north and south of it)
   rank         --kind KIND [--chargers N] [--k K] [--radius-km R]
                [--hour H] [--seed N] [--index BACKEND]
                [--graph-snapshot FILE.ecgs]
@@ -258,14 +257,8 @@ int GraphInfo(const Args& args) {
   std::cout << in << ": snapshot v" << info->version << "\n"
             << "  nodes:     " << info->num_nodes << "\n"
             << "  edges:     " << info->num_edges << "\n"
-            << "  landmarks: " << info->num_landmarks << "\n";
-  if (info->has_ch) {
-    std::cout << "  ch:        yes (" << info->ch_up_arcs << " up arcs, "
-              << info->ch_down_arcs << " down arcs)\n";
-  } else {
-    std::cout << "  ch:        no\n";
-  }
-  std::cout << "  bounds:    [" << info->bounds.min.x << ", "
+            << "  landmarks: " << info->num_landmarks << "\n"
+            << "  bounds:    [" << info->bounds.min.x << ", "
             << info->bounds.min.y << "] - [" << info->bounds.max.x << ", "
             << info->bounds.max.y << "]\n"
             << "  file:      " << info->file_bytes << " bytes\n"
